@@ -41,6 +41,10 @@
 # grows the global intern table, if no long-name scan clears the
 # speedup bar, or if an always-miss dispatch (which exercises only the
 # symbol-keyed machinery both modes share) shifts by more than 10%.
+# The perfbench line runs the end-to-end benchmark's own tests: it fails
+# if one seed does not give the same inputs and the same traced counts
+# twice, if a deliberately wrong expectation does not fail ops, or if
+# the percentile code misses its known answers.
 set -eu
 cd "$(dirname "$0")"
 dune build @all
@@ -54,3 +58,4 @@ dune exec bench/main.exe -- --smoke --only t13 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t14 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t15 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
+python3 perfbench/test_perfbench.py > /dev/null

@@ -221,7 +221,7 @@ let emit_page ~script_text skeleton =
           ~attrs:[ (Qname.make "type", "text/xqueryp") ]
           (Qname.make "script")
       in
-      Dom.append_child ~parent:script (Dom.create_text ("\n" ^ text ^ "\n"));
+      Dom.fill script ~attrs:[] [ Dom.create_text ("\n" ^ text ^ "\n") ];
       let head =
         match Dom.get_elements_by_local_name doc_el "head" with
         | h :: _ when not (Dom.equal h doc_el) -> h

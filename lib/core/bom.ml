@@ -42,14 +42,14 @@ let firefox =
 
 let qn local = Qname.make local
 
+let leaf name text =
+  let el = Dom.create_element (qn name) in
+  Dom.fill el ~attrs:[] [ Dom.create_text text ];
+  el
+
 let element name fields =
   let el = Dom.create_element (qn name) in
-  List.iter
-    (fun (fname, text) ->
-      let child = Dom.create_element (qn fname) in
-      Dom.append_child ~parent:child (Dom.create_text text);
-      Dom.append_child ~parent:el child)
-    fields;
+  Dom.fill el ~attrs:[] (List.map (fun (fname, text) -> leaf fname text) fields);
   el
 
 let screen_to_xml s =

@@ -42,4 +42,7 @@ val element : string -> (string * string) list -> Dom.node
 (** [element name fields] — a small helper building an element with one
     child element per (name, text) field. *)
 
+val leaf : string -> string -> Dom.node
+(** [leaf name text] — [<name>text</name>]. *)
+
 val qn : string -> Qname.t

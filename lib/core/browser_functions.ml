@@ -184,82 +184,88 @@ let install (b : Browser.t) (window : Windows.t) sctx =
      so page code and tests can introspect performance counters with
      ordinary XPath (e.g. browser:stats()//counter[@name='eval.steps']) *)
   register "stats" 0 (fun _ _ ->
-      let attr node name v = Dom.set_attribute node (Qname.make name) v in
-      let root = Dom.create_element (Qname.make "stats") in
-      attr root "virtual-time"
-        (Printf.sprintf "%.6f" (Virtual_clock.now b.Browser.clock));
-      attr root "metrics-enabled" (string_of_bool !Obs.Metrics.enabled);
-      attr root "trace-enabled" (string_of_bool !Obs.Trace.enabled);
-      attr root "value-index-enabled" (string_of_bool (Dom.value_index_enabled ()));
-      attr root "join-planning-enabled"
-        (string_of_bool (Xquery.Optimizer.join_planning_enabled ()));
-      attr root "compiled-eval-enabled"
-        (string_of_bool (Xquery.Engine.compiled_eval_enabled ()));
-      attr root "incremental-enabled"
-        (string_of_bool (Xquery.Reactive.active ()));
-      attr root "interning-enabled"
-        (string_of_bool (Dom.interned_fastpaths_enabled ()));
-      let counters = Dom.create_element (Qname.make "counters") in
-      Dom.append_child ~parent:root counters;
-      List.iter
-        (fun (name, v) ->
-          let c = Dom.create_element (Qname.make "counter") in
-          attr c "name" name;
-          attr c "value" (string_of_int v);
-          Dom.append_child ~parent:counters c)
-        (Obs.Metrics.counters ());
-      let hists = Dom.create_element (Qname.make "histograms") in
-      Dom.append_child ~parent:root hists;
-      List.iter
-        (fun (name, h) ->
-          let e = Dom.create_element (Qname.make "histogram") in
-          attr e "name" name;
-          attr e "count" (string_of_int h.Obs.Metrics.count);
-          attr e "sum" (Printf.sprintf "%.9g" h.Obs.Metrics.sum);
-          attr e "min" (Printf.sprintf "%.9g" h.Obs.Metrics.min);
-          attr e "max" (Printf.sprintf "%.9g" h.Obs.Metrics.max);
-          Dom.append_child ~parent:hists e)
-        (Obs.Metrics.histograms ());
-      let spans = Dom.create_element (Qname.make "spans") in
-      attr spans "roots" (string_of_int (List.length (Obs.Trace.roots ())));
-      attr spans "dropped" (string_of_int (Obs.Trace.dropped ()));
-      Dom.append_child ~parent:root spans;
-      let qc = Dom.create_element (Qname.make "query-cache") in
+      let el name attrs =
+        Dom.create_element
+          ~attrs:(List.map (fun (k, v) -> (Qname.make k, v)) attrs)
+          (Qname.make name)
+      in
+      let ints = List.map (fun (k, v) -> (k, string_of_int v)) in
+      let root =
+        el "stats"
+          [
+            ("virtual-time", Printf.sprintf "%.6f" (Virtual_clock.now b.Browser.clock));
+            ("metrics-enabled", string_of_bool !Obs.Metrics.enabled);
+            ("trace-enabled", string_of_bool !Obs.Trace.enabled);
+            ("value-index-enabled", string_of_bool (Dom.value_index_enabled ()));
+            ( "join-planning-enabled",
+              string_of_bool (Xquery.Optimizer.join_planning_enabled ()) );
+            ( "compiled-eval-enabled",
+              string_of_bool (Xquery.Engine.compiled_eval_enabled ()) );
+            ("incremental-enabled", string_of_bool (Xquery.Reactive.active ()));
+            ("interning-enabled", string_of_bool (Dom.interned_fastpaths_enabled ()));
+          ]
+      in
+      let counters = el "counters" [] in
+      Dom.fill counters ~attrs:[]
+        (List.map
+           (fun (name, v) -> el "counter" [ ("name", name); ("value", string_of_int v) ])
+           (Obs.Metrics.counters ()));
+      let hists = el "histograms" [] in
+      Dom.fill hists ~attrs:[]
+        (List.map
+           (fun (name, h) ->
+             el "histogram"
+               [
+                 ("name", name);
+                 ("count", string_of_int h.Obs.Metrics.count);
+                 ("sum", Printf.sprintf "%.9g" h.Obs.Metrics.sum);
+                 ("min", Printf.sprintf "%.9g" h.Obs.Metrics.min);
+                 ("max", Printf.sprintf "%.9g" h.Obs.Metrics.max);
+               ])
+           (Obs.Metrics.histograms ()));
+      let spans =
+        el "spans"
+          [
+            ("roots", string_of_int (List.length (Obs.Trace.roots ())));
+            ("dropped", string_of_int (Obs.Trace.dropped ()));
+          ]
+      in
       let s = Xquery.Query_cache.stats Xquery.Engine.query_cache in
-      attr qc "enabled" (string_of_bool !Xquery.Query_cache.enabled);
-      attr qc "hits" (string_of_int s.Xquery.Query_cache.hits);
-      attr qc "misses" (string_of_int s.Xquery.Query_cache.misses);
-      attr qc "evictions" (string_of_int s.Xquery.Query_cache.evictions);
-      attr qc "entries" (string_of_int s.Xquery.Query_cache.entries);
-      attr qc "generation"
-        (string_of_int (Xquery.Query_cache.generation Xquery.Engine.query_cache));
-      attr qc "cost-saved" (string_of_int s.Xquery.Query_cache.cost_saved);
-      Dom.append_child ~parent:root qc;
-      let ce = Dom.create_element (Qname.make "compile") in
-      List.iter
-        (fun (name, v) -> attr ce name (string_of_int v))
-        (Xquery.Compile.stats ());
-      Dom.append_child ~parent:root ce;
-      let st = Dom.create_element (Qname.make "streaming") in
-      attr st "enabled" (string_of_bool (Xquery.Eval.streaming_enabled ()));
-      attr st "pulls"
-        (string_of_int (Obs.Metrics.counter Xdm_seq.pulls_metric));
-      attr st "materializations"
-        (string_of_int (Obs.Metrics.counter Xdm_seq.materialize_metric));
-      Dom.append_child ~parent:root st;
-      let re = Dom.create_element (Qname.make "reactive") in
-      attr re "enabled" (string_of_bool (Xquery.Reactive.active ()));
-      attr re "listeners" (string_of_int (Xquery.Reactive.table_size ()));
-      List.iter
-        (fun (name, v) -> attr re name (string_of_int v))
-        (Xquery.Reactive.counter_stats ());
-      Dom.append_child ~parent:root re;
-      let sy = Dom.create_element (Qname.make "sym") in
-      attr sy "enabled" (string_of_bool (Dom.interned_fastpaths_enabled ()));
-      List.iter
-        (fun (name, v) -> attr sy name (string_of_int v))
-        (Xmlb.Sym.stats ());
-      Dom.append_child ~parent:root sy;
+      let qc =
+        el "query-cache"
+          [
+            ("enabled", string_of_bool !Xquery.Query_cache.enabled);
+            ("hits", string_of_int s.Xquery.Query_cache.hits);
+            ("misses", string_of_int s.Xquery.Query_cache.misses);
+            ("evictions", string_of_int s.Xquery.Query_cache.evictions);
+            ("entries", string_of_int s.Xquery.Query_cache.entries);
+            ( "generation",
+              string_of_int (Xquery.Query_cache.generation Xquery.Engine.query_cache) );
+            ("cost-saved", string_of_int s.Xquery.Query_cache.cost_saved);
+          ]
+      in
+      let ce = el "compile" (ints (Xquery.Compile.stats ())) in
+      let st =
+        el "streaming"
+          [
+            ("enabled", string_of_bool (Xquery.Eval.streaming_enabled ()));
+            ("pulls", string_of_int (Obs.Metrics.counter Xdm_seq.pulls_metric));
+            ( "materializations",
+              string_of_int (Obs.Metrics.counter Xdm_seq.materialize_metric) );
+          ]
+      in
+      let re =
+        el "reactive"
+          (("enabled", string_of_bool (Xquery.Reactive.active ()))
+          :: ("listeners", string_of_int (Xquery.Reactive.table_size ()))
+          :: ints (Xquery.Reactive.counter_stats ()))
+      in
+      let sy =
+        el "sym"
+          (("enabled", string_of_bool (Dom.interned_fastpaths_enabled ()))
+          :: ints (Xmlb.Sym.stats ()))
+      in
+      Dom.fill root ~attrs:[] [ counters; hists; spans; qc; ce; st; re; sy ];
       [ I.Node root ]);
 
   (* document write (the paper notes best practice is XDM updates) *)

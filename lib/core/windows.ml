@@ -115,29 +115,25 @@ let rec materialize_window ~policy ~accessor w registry =
   let accessible = Origin.allows policy ~accessor ~target:(origin w) in
   let el = Dom.create_element window_qn in
   if accessible then begin
-    Dom.set_attribute el name_qn w.wname;
-    let status = Bom.element "status" [] in
-    Dom.append_child ~parent:status (Dom.create_text w.status);
-    Dom.append_child ~parent:el status;
-    Dom.append_child ~parent:el (Bom.location_to_xml ~href:w.href);
-    let lm = Bom.element "lastModified" [] in
-    Dom.append_child ~parent:lm (Dom.create_text w.last_modified);
-    Dom.append_child ~parent:el lm;
-    Dom.append_child ~parent:el
-      (Bom.element "geometry"
-         [
-           ("screenX", string_of_int w.screen_x);
-           ("screenY", string_of_int w.screen_y);
-           ("outerWidth", string_of_int w.outer_width);
-           ("outerHeight", string_of_int w.outer_height);
-         ]);
+    let name = Dom.create_attribute name_qn w.wname in
+    let status = Bom.leaf "status" w.status in
+    let location = Bom.location_to_xml ~href:w.href in
+    let lm = Bom.leaf "lastModified" w.last_modified in
+    let geometry =
+      Bom.element "geometry"
+        [
+          ("screenX", string_of_int w.screen_x);
+          ("screenY", string_of_int w.screen_y);
+          ("outerWidth", string_of_int w.outer_width);
+          ("outerHeight", string_of_int w.outer_height);
+        ]
+    in
     let frames = Dom.create_element (Qname.make "frames") in
-    List.iter
-      (fun f ->
-        Dom.append_child ~parent:frames
-          (materialize_window ~policy ~accessor f registry))
-      w.frames;
-    Dom.append_child ~parent:el frames;
+    Dom.fill frames ~attrs:[]
+      (List.map
+         (fun f -> materialize_window ~policy ~accessor f registry)
+         w.frames);
+    Dom.fill el ~attrs:[ name ] [ status; location; lm; geometry; frames ];
     Hashtbl.replace registry (Dom.id el) w
   end;
   (* cross-origin: an empty <window/> shell, not registered: every

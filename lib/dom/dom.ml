@@ -446,18 +446,32 @@ type mutation =
 
 type observer_id = int
 
-type observer = { oid : int; oroot : node; callback : mutation -> unit }
+type observer = { oid : int; callback : mutation -> unit }
 
-let observers : (int, observer) Hashtbl.t = Hashtbl.create 16
+(* Observers keyed by the id of the root they watch, each list in
+   registration order, so delivering a mutation is one probe of its
+   root's list: observers on other trees cost nothing. [observer_roots]
+   maps an observer back to its key for [unobserve]. *)
+let observers : (int, observer list) Hashtbl.t = Hashtbl.create 16
+let observer_roots : (int, int) Hashtbl.t = Hashtbl.create 16
 let observer_counter = ref 0
 
-let observe ~root:oroot callback =
+let observe ~root callback =
   incr observer_counter;
-  let o = { oid = !observer_counter; oroot; callback } in
-  Hashtbl.replace observers o.oid o;
+  let o = { oid = !observer_counter; callback } in
+  let watching = Option.value ~default:[] (Hashtbl.find_opt observers root.nid) in
+  Hashtbl.replace observers root.nid (watching @ [ o ]);
+  Hashtbl.replace observer_roots o.oid root.nid;
   o.oid
 
-let unobserve oid = Hashtbl.remove observers oid
+let unobserve oid =
+  match Hashtbl.find_opt observer_roots oid with
+  | None -> ()
+  | Some rid -> (
+      Hashtbl.remove observer_roots oid;
+      match List.filter (fun o -> o.oid <> oid) (Hashtbl.find observers rid) with
+      | [] -> Hashtbl.remove observers rid
+      | rest -> Hashtbl.replace observers rid rest)
 
 (* Per-mutation write-footprint extras: what beyond the mutation point
    the mutation touched. Subtree scans are deferred so they only run
@@ -495,7 +509,9 @@ let batch_depth = ref 0
 let batch_queue : (node * mutation) list ref = ref []
 
 let deliver r mutation =
-  Hashtbl.iter (fun _ o -> if o.oroot == r then o.callback mutation) observers
+  match Hashtbl.find_opt observers r.nid with
+  | Some watching -> List.iter (fun o -> o.callback mutation) watching
+  | None -> ()
 
 let notify ?(fp = []) node mutation =
   let r = root node in
@@ -706,7 +722,19 @@ let set_value n v =
   | P_comment c -> c.ccontent <- v
   | P_pi p -> p.pcontent <- v
   | P_element _ | P_document _ ->
-      List.iter detach (children n);
+      (* drop the old children in one pass ([detach] would re-filter
+         the child list once per child), then bump the root once:
+         structurally if an element went away *)
+      let old = children n in
+      if old <> [] then begin
+        List.iter
+          (fun c ->
+            c.nparent <- None;
+            touch c)
+          old;
+        if List.exists (fun c -> kind c = Element) old then invalidate n
+        else touch_values (root n)
+      end;
       let t = create_text v in
       set_children n [ t ];
       t.nparent <- Some n);
@@ -784,22 +812,69 @@ let append_attribute ~parent a =
         (Attribute_changed (parent, aname))
   | _ -> err "append_attribute: expects an element and an attribute"
 
+(* ------------------------------------------------------------------ *)
+(* One-pass construction of fresh trees.
+
+   A node created inside the building call has no accel state, no
+   observers and no tracked footprint root, so [notify] would have
+   nothing to do for it: the builders map each child list once and set
+   parent pointers directly instead of appending child by child. Every
+   node is allocated before its attributes and its content, so ids
+   follow pre-order: cross-tree [compare_order] orders roots by id. *)
+
+(* [f] over [xs] in order, each result made a child of [parent] *)
+let adopt_map parent f xs =
+  List.map
+    (fun x ->
+      let c = f x in
+      c.nparent <- Some parent;
+      c)
+    xs
+
+let build_element name fa attrs fc kids =
+  let el = create_element name in
+  (match el.nkind with
+  | P_element e ->
+      e.eattrs <- adopt_map el fa attrs;
+      e.echildren <- adopt_map el fc kids
+  | _ -> assert false);
+  el
+
+let build_document ?uri fc kids =
+  let doc = create_document ?uri () in
+  set_children doc (adopt_map doc fc kids);
+  doc
+
+let fill n ~attrs kids =
+  (match (n.nparent, n.nkind, attrs) with
+  | None, P_element { echildren = []; _ }, _
+  | None, P_document { dchildren = []; _ }, [] -> ()
+  | _ ->
+      err "fill: expects a parentless element, or document without attributes, \
+           with no children");
+  List.iter
+    (fun a ->
+      match (a.nkind, a.nparent) with
+      | P_attribute _, None -> ()
+      | _ -> err "fill: attributes must be parentless attribute nodes")
+    attrs;
+  List.iter
+    (fun c ->
+      assert_insertable c;
+      if Option.is_some c.nparent then err "fill: children must be parentless")
+    kids;
+  (match n.nkind with
+  | P_element e ->
+      e.eattrs <- e.eattrs @ adopt_map n Fun.id attrs;
+      e.echildren <- adopt_map n Fun.id kids
+  | _ -> set_children n (adopt_map n Fun.id kids));
+  (* caches someone built while [n] was empty are stale now *)
+  touch n
+
 let rec clone_rec n =
   match n.nkind with
-  | P_document d ->
-      let doc = create_document ?uri:d.uri () in
-      List.iter (fun c -> append_child ~parent:doc (clone_rec c)) d.dchildren;
-      doc
-  | P_element e ->
-      let el = create_element e.ename in
-      List.iter
-        (fun a ->
-          match a.nkind with
-          | P_attribute { aname; avalue } -> set_attribute el aname avalue
-          | _ -> ())
-        e.eattrs;
-      List.iter (fun c -> append_child ~parent:el (clone_rec c)) e.echildren;
-      el
+  | P_document d -> build_document ?uri:d.uri clone_rec d.dchildren
+  | P_element e -> build_element e.ename clone_rec e.eattrs clone_rec e.echildren
   | P_attribute a -> create_attribute a.aname a.avalue
   | P_text t -> create_text t.tcontent
   | P_comment c -> create_comment c.ccontent
@@ -820,18 +895,11 @@ let rec node_of_tree = function
   | Xml_parser.Comment c -> create_comment c
   | Xml_parser.Pi (target, data) -> create_pi ~target data
   | Xml_parser.Element (name, attrs, children) ->
-      let el =
-        create_element
-          ~attrs:(List.map (fun a -> (a.Xml_parser.name, a.Xml_parser.value)) attrs)
-          name
-      in
-      List.iter (fun c -> append_child ~parent:el (node_of_tree c)) children;
-      el
+      build_element name
+        (fun a -> create_attribute a.Xml_parser.name a.Xml_parser.value)
+        attrs node_of_tree children
 
-let of_tree trees =
-  let doc = create_document () in
-  List.iter (fun t -> append_child ~parent:doc (node_of_tree t)) trees;
-  doc
+let of_tree trees = build_document node_of_tree trees
 
 let of_string ?options src = of_tree (Xml_parser.parse ?options src)
 

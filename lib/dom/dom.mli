@@ -30,8 +30,25 @@ val create_text : string -> node
 val create_comment : string -> node
 val create_pi : target:string -> string -> node
 
-(** Deep copy; the copy has no parent and fresh node identities. *)
+(** Deep copy; the copy has no parent and fresh node identities,
+    allocated in pre-order (each node before its attributes, its
+    attributes before its children). Built in one pass without
+    notifying anyone: the copy is new, so nothing can observe it. *)
 val clone : node -> node
+
+(** [fill n ~attrs children] gives a node just created by the caller
+    its children, and attributes beyond those it was created with, in
+    one pass, without notifying observers or recording footprint
+    writes — the builder behind XQuery element and document
+    constructors.
+
+    Preconditions: [n] is a parentless element or document with no
+    children yet, which nobody observes (a node created in the same
+    call); every attribute and child is parentless; attribute names are
+    unique. Names are not checked — the XQuery constructors raise
+    XQDY0025 before calling — and a document takes no attributes.
+    @raise Dom_error when the structural preconditions fail. *)
+val fill : node -> attrs:node list -> node list -> unit
 
 (** {1 Inspection} *)
 
@@ -200,7 +217,14 @@ val remove_attribute : node -> Qname.t -> unit
 (** Attach a parentless attribute node to an element. *)
 val append_attribute : parent:node -> node -> unit
 
-(** {1 Mutation observers} *)
+(** {1 Mutation observers}
+
+    Observers are keyed by the root they watch. A mutation is delivered
+    to the observers of the root of the mutated tree at that moment, in
+    registration order; observers of other trees cost nothing, so
+    mutating or building one tree takes the same time however many
+    other trees are observed. An observer on a node that is not a root
+    fires again once that node is detached and becomes one. *)
 
 type mutation =
   | Children_changed of node  (** the parent whose child list changed *)
@@ -213,6 +237,8 @@ type observer_id
 (** Observe all mutations in the tree rooted at [root]. *)
 val observe : root:node -> (mutation -> unit) -> observer_id
 
+(** Stop one observer; the others on its root stay active. Unobserving
+    an id twice is a no-op. *)
 val unobserve : observer_id -> unit
 
 (** Run [f] with observer notifications batched: mutations performed
@@ -225,7 +251,8 @@ val with_batch : (unit -> 'a) -> 'a
 
 (** {1 Conversion} *)
 
-(** Build a document node from parsed XML. *)
+(** Build a document node from parsed XML, in one pass and in
+    pre-order like {!clone}. *)
 val of_tree : Xml_parser.tree list -> node
 
 val of_string : ?options:Xml_parser.options -> string -> node

@@ -51,6 +51,13 @@ let compare a b =
    blocks, no string walk. Consistent with [equal] in both modes. *)
 let hash t = (((t.usym + 1) * 65599) + (t.lsym :> int)) land max_int
 
+let find_duplicate names =
+  let rec adjacent = function
+    | a :: (b :: _ as rest) -> if equal a b then Some a else adjacent rest
+    | _ -> None
+  in
+  adjacent (List.sort compare names)
+
 let to_string t =
   match t.prefix with
   | Some p when p <> "" -> p ^ ":" ^ t.local

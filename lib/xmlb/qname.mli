@@ -46,6 +46,10 @@ val compare : t -> t -> int
 (** Mix of the pre-interned symbols; consistent with {!equal}. *)
 val hash : t -> int
 
+(** A name that occurs twice in the list (by {!equal}), if any; sorts,
+    so O(n log n). *)
+val find_duplicate : t list -> t option
+
 (** ["p:local"] or ["local"], using the stored prefix. *)
 val to_string : t -> string
 

@@ -46,16 +46,16 @@ let target_nodes targets =
    (§4.3.2): $evt with type/detail children, $obj the location node. *)
 let event_to_xml (e : Dom_event.event) =
   let el = Dom.create_element (Qname.make "event") in
-  let add name text =
+  let field (name, text) =
     let child = Dom.create_element (Qname.make name) in
-    Dom.append_child ~parent:child (Dom.create_text text);
-    Dom.append_child ~parent:el child
+    Dom.fill child ~attrs:[] [ Dom.create_text text ];
+    child
   in
-  add "type" e.Dom_event.event_type;
-  List.iter (fun (k, v) -> add k v) e.Dom_event.detail;
-  (match e.Dom_event.payload with
-  | Some p -> Dom.append_child ~parent:el (Dom.clone p)
-  | None -> ());
+  let fields =
+    List.map field (("type", e.Dom_event.event_type) :: e.Dom_event.detail)
+  in
+  let payload = Option.to_list (Option.map Dom.clone e.Dom_event.payload) in
+  Dom.fill el ~attrs:[] (fields @ payload);
   el
 
 (* Fingerprint determining [event_to_xml e] (plus the $obj argument,

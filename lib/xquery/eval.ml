@@ -449,6 +449,20 @@ let normalize_content seq =
   flush_text ();
   (List.rev !attrs, List.rev !children)
 
+(* Shared by the tree-walker and the compiled evaluator; see eval.mli. *)
+let construct n ~attrs content =
+  let content_attrs, kids = normalize_content content in
+  let attrs =
+    match Dom.kind n with Dom.Document -> [] | _ -> attrs @ content_attrs
+  in
+  Option.iter
+    (fun q ->
+      err "XQDY0025" "duplicate attribute %s in a constructed element"
+        (Qname.to_string q))
+    (Qname.find_duplicate (List.filter_map Dom.name attrs));
+  Dom.fill n ~attrs kids;
+  [ I.Node n ]
+
 let qname_of_value ctx v =
   ignore ctx;
   match v with
@@ -701,44 +715,28 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_enclosed e -> eval ctx e
   (* ---- constructors ---- *)
   | Ast.E_direct_element { name; attributes; children } ->
+      (* the element, then its attributes, then its content: ids in
+         pre-order *)
       let el = Dom.create_element name in
-      List.iter
-        (fun (an, parts) ->
-          let value =
-            String.concat ""
-              (List.map
-                 (function
-                   | Ast.A_text t -> t
-                   | Ast.A_enclosed e -> I.sequence_string (eval ctx e))
-                 parts)
-          in
-          Dom.set_attribute el an value)
-        attributes;
-      let content = List.concat_map (eval ctx) children in
-      let attrs, kids = normalize_content content in
-      List.iter
-        (fun a ->
-          match Dom.name a with
-          | Some n -> Dom.set_attribute el n (Option.value ~default:"" (Dom.value a))
-          | None -> ())
-        attrs;
-      List.iter (fun c -> Dom.append_child ~parent:el c) kids;
-      [ I.Node el ]
+      let attrs =
+        List.map
+          (fun (an, parts) ->
+            Dom.create_attribute an
+              (String.concat ""
+                 (List.map
+                    (function
+                      | Ast.A_text t -> t
+                      | Ast.A_enclosed e -> I.sequence_string (eval ctx e))
+                    parts)))
+          attributes
+      in
+      construct el ~attrs (List.concat_map (eval ctx) children)
   | Ast.E_computed_element (name_e, content_e) ->
       let name =
         qname_of_value ctx (I.singleton_atomic (eval ctx name_e))
       in
       let el = Dom.create_element name in
-      let content = eval ctx content_e in
-      let attrs, kids = normalize_content content in
-      List.iter
-        (fun a ->
-          match Dom.name a with
-          | Some n -> Dom.set_attribute el n (Option.value ~default:"" (Dom.value a))
-          | None -> ())
-        attrs;
-      List.iter (fun c -> Dom.append_child ~parent:el c) kids;
-      [ I.Node el ]
+      construct el ~attrs:[] (eval ctx content_e)
   | Ast.E_computed_attribute (name_e, content_e) ->
       let name = qname_of_value ctx (I.singleton_atomic (eval ctx name_e)) in
       let value = I.sequence_string (eval ctx content_e) in
@@ -752,9 +750,7 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
       [ I.Node (Dom.create_pi ~target (I.sequence_string (eval ctx content_e))) ]
   | Ast.E_computed_document e ->
       let doc = Dom.create_document () in
-      let _, kids = normalize_content (eval ctx e) in
-      List.iter (fun c -> Dom.append_child ~parent:doc c) kids;
-      [ I.Node doc ]
+      construct doc ~attrs:[] (eval ctx e)
   (* ---- updates ---- *)
   | Ast.E_insert (pos, source_e, target_e) ->
       eval_insert ctx pos source_e target_e

@@ -84,8 +84,18 @@ val value_index_step :
 val value_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
 val general_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
 
-(** Normalize a constructor content sequence into (attributes,
-    children) per the XQuery constructor rules. *)
-val normalize_content : Xdm_item.sequence -> Dom.node list * Dom.node list
+(** [construct n ~attrs content]: the body of every element and
+    document constructor in both evaluators. Normalizes [content] per
+    the XQuery constructor rules (adjacent atomics join into one text
+    node, nodes are deep-copied, documents splice their children,
+    attributes come first), appends its attribute nodes to [attrs] (a
+    direct constructor's own attributes; dropped for a document) and
+    fills the fresh node [n] with them and the children in one pass
+    ({!Dom.fill}). Returns [[n]]. [n] must be allocated before its
+    attributes and content are evaluated, so that ids stay in
+    pre-order.
+    @raise Xq_error.Error XQDY0025 when two attributes share a name. *)
+val construct :
+  Dom.node -> attrs:Dom.node list -> Xdm_item.sequence -> Xdm_item.sequence
 
 val qname_of_value : Dynamic_context.t -> Xdm_atomic.t -> Qname.t

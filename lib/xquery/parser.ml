@@ -1195,6 +1195,12 @@ and parse_direct_element st =
   let attributes =
     List.map (fun (an, parts) -> (resolve_other st (Qname.of_string an), parts)) attrs_raw
   in
+  Option.iter
+    (fun an ->
+      let line, col = L.position lx in
+      Xq_error.raise_error "XQST0040" "line %d, col %d: duplicate attribute %s on <%s>"
+        line col (Qname.to_string an) name_raw)
+    (Qname.find_duplicate (List.map fst attributes));
   let children =
     if self_closing then []
     else parse_direct_content st name_raw

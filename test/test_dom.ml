@@ -187,7 +187,56 @@ let mutation_tests =
   ]
 
 let observer_tests =
+  let log = ref [] in
+  let record tag = fun _ -> log := tag :: !log in
   [
+    t "observers on one root fire in registration order" (fun () ->
+        log := [];
+        let doc = sample () in
+        let ids = List.map (fun tag -> Dom.observe ~root:doc (record tag)) [ "a"; "b"; "c" ] in
+        Dom.append_child ~parent:(root_el doc) (Dom.create_text "t");
+        check (Alcotest.list Alcotest.string) "order" [ "a"; "b"; "c" ] (List.rev !log);
+        List.iter Dom.unobserve ids);
+    t "unobserving one observer leaves the other; twice is a no-op" (fun () ->
+        log := [];
+        let doc = sample () in
+        let first = Dom.observe ~root:doc (record "first") in
+        let second = Dom.observe ~root:doc (record "second") in
+        Dom.unobserve first;
+        Dom.unobserve first;
+        Dom.append_child ~parent:(root_el doc) (Dom.create_text "t");
+        check (Alcotest.list Alcotest.string) "only second" [ "second" ] !log;
+        Dom.unobserve second;
+        Dom.unobserve second;
+        Dom.append_child ~parent:(root_el doc) (Dom.create_text "u");
+        check (Alcotest.list Alcotest.string) "none after" [ "second" ] !log);
+    t "observer on a detached node fires once it is a root" (fun () ->
+        log := [];
+        let doc = sample () in
+        let b = List.hd (Dom.get_elements_by_local_name doc "b") in
+        let id = Dom.observe ~root:b (record "b") in
+        Dom.append_child ~parent:b (Dom.create_text "attached");
+        check (Alcotest.list Alcotest.string) "silent while attached" [] !log;
+        Dom.remove b;
+        Dom.append_child ~parent:b (Dom.create_text "detached");
+        check (Alcotest.list Alcotest.string) "fires as a root" [ "b" ] !log;
+        Dom.unobserve id);
+    t "building fresh trees invokes no observer of another root" (fun () ->
+        let hits = ref 0 in
+        let ids =
+          List.init 1000 (fun _ ->
+              Dom.observe ~root:(Dom.of_string "<r/>") (fun _ -> incr hits))
+        in
+        let doc = Dom.of_string "<ul><li a=\"1\">x</li><li/></ul>" in
+        ignore (Dom.clone doc);
+        ignore
+          (Xquery.Engine.eval_string
+             "<ul a='1'>{ for $i in 1 to 50 return <li>{ $i }</li> }</ul>");
+        let fresh = Dom.create_element (qn "solo") in
+        Dom.fill fresh ~attrs:[ Dom.create_attribute (qn "k") "v" ] [ Dom.create_text "t" ];
+        Dom.append_child ~parent:fresh (Dom.create_text "u");
+        check Alcotest.int "no observer invoked" 0 !hits;
+        List.iter Dom.unobserve ids);
     t "children change notifies" (fun () ->
         let doc = sample () in
         let hits = ref 0 in
@@ -316,4 +365,176 @@ let event_tests =
         check (Alcotest.option Alcotest.string) "button" (Some "1") !seen);
   ]
 
-let suite = construction_tests @ navigation_tests @ mutation_tests @ observer_tests @ event_tests
+(* ---------- one-pass builders ---------- *)
+
+module Q = QCheck
+
+(* The reference builder the one-pass builders must match: one node at
+   a time through the notifying mutators. *)
+let rec oracle_node = function
+  | Xml_parser.Text t -> Dom.create_text t
+  | Xml_parser.Comment c -> Dom.create_comment c
+  | Xml_parser.Pi (target, d) -> Dom.create_pi ~target d
+  | Xml_parser.Element (name, attrs, kids) ->
+      let el = Dom.create_element name in
+      List.iter (fun a -> Dom.set_attribute el a.Xml_parser.name a.Xml_parser.value) attrs;
+      List.iter (fun k -> Dom.append_child ~parent:el (oracle_node k)) kids;
+      el
+
+let oracle_of_tree trees =
+  let doc = Dom.create_document () in
+  List.iter (fun tr -> Dom.append_child ~parent:doc (oracle_node tr)) trees;
+  doc
+
+(* every node in pre-order: the node, its attributes, its children *)
+let rec preorder n =
+  (n :: Dom.attributes n) @ List.concat_map preorder (Dom.children n)
+
+let rec parents_consistent n =
+  List.for_all
+    (fun c ->
+      (match Dom.parent c with Some p -> Dom.equal p n | None -> false)
+      && parents_consistent c)
+    (Dom.attributes n @ Dom.children n)
+
+let rec ids_increasing = function
+  | a :: (b :: _ as rest) -> Dom.id a < Dom.id b && ids_increasing rest
+  | _ -> true
+
+let builder_names = [| "a"; "b"; "li"; "div" |]
+
+let rec builder_tree_gen depth =
+  Q.Gen.(
+    let leaf =
+      frequency
+        [
+          (4, map (fun i -> Xml_parser.Text (Printf.sprintf "t%d" i)) (int_bound 9));
+          (1, map (fun i -> Xml_parser.Comment (Printf.sprintf "c%d" i)) (int_bound 9));
+          (1, map (fun i -> Xml_parser.Pi ("p", Printf.sprintf "d%d" i)) (int_bound 9));
+        ]
+    in
+    if depth <= 0 then leaf
+    else
+      frequency
+        [
+          (1, leaf);
+          ( 3,
+            map3
+              (fun ni nattrs kids ->
+                let attrs =
+                  List.init nattrs (fun i ->
+                      { Xml_parser.name = qn (Printf.sprintf "k%d" i);
+                        value = Printf.sprintf "v%d" (ni + i) })
+                in
+                Xml_parser.Element
+                  (qn builder_names.(ni mod Array.length builder_names), attrs, kids))
+              (int_bound 9) (int_bound 3)
+              (list_size (int_bound 4) (builder_tree_gen (depth - 1))) );
+        ])
+
+(* random trees are serialized and re-parsed, so the builders see what
+   the parser produces (merged text, no empty text nodes) *)
+let parsed_tree_arbitrary =
+  Q.make ~print:Xml_serializer.to_string
+    Q.Gen.(
+      map
+        (fun (ni, kids) ->
+          Xml_parser.Element (qn builder_names.(ni mod 4), [], kids))
+        (pair (int_bound 3) (list_size (int_bound 5) (builder_tree_gen 3))))
+
+let builder_tests =
+  let qt name prop =
+    QCheck_alcotest.to_alcotest (Q.Test.make ~count:200 ~name parsed_tree_arbitrary prop)
+  in
+  [
+    qt "of_tree and clone match the append_child oracle" (fun tree ->
+        let trees = Xml_parser.parse (Xml_serializer.to_string tree) in
+        let built = Dom.of_tree trees in
+        let copy = Dom.clone built in
+        let expected = Dom.serialize (oracle_of_tree trees) in
+        String.equal (Dom.serialize built) expected
+        && String.equal (Dom.serialize copy) expected);
+    qt "built and cloned trees link every child to its container" (fun tree ->
+        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer.to_string tree)) in
+        parents_consistent built && parents_consistent (Dom.clone built));
+    qt "a clone shares no node with its source" (fun tree ->
+        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer.to_string tree)) in
+        let copy = Dom.clone built in
+        let source_ids = Hashtbl.create 64 in
+        List.iter (fun n -> Hashtbl.replace source_ids (Dom.id n) ()) (preorder built);
+        Dom.parent copy = None
+        && List.for_all (fun c -> not (Hashtbl.mem source_ids (Dom.id c))) (preorder copy));
+    qt "of_tree and clone allocate ids in pre-order" (fun tree ->
+        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer.to_string tree)) in
+        ids_increasing (preorder built) && ids_increasing (preorder (Dom.clone built)));
+    t "fill rejects a child that already has a parent" (fun () ->
+        let doc = sample () in
+        let el = Dom.create_element (qn "e") in
+        match Dom.fill el ~attrs:[] [ root_el doc ] with
+        | exception Dom.Dom_error _ ->
+            check Alcotest.int "nothing adopted" 0 (List.length (Dom.children el))
+        | () -> Alcotest.fail "expected Dom_error");
+    t "fill rejects a node that already has children" (fun () ->
+        let el = Dom.create_element (qn "e") in
+        Dom.fill el ~attrs:[] [ Dom.create_text "a" ];
+        match Dom.fill el ~attrs:[] [ Dom.create_text "b" ] with
+        | exception Dom.Dom_error _ -> ()
+        | () -> Alcotest.fail "expected Dom_error");
+    t "set_value drops every old child with one bump" (fun () ->
+        let doc =
+          Dom.of_string
+            ("<r>" ^ String.concat "" (List.init 100 (fun i -> Printf.sprintf "<i>%d</i>" i)) ^ "</r>")
+        in
+        let r = root_el doc in
+        let old = Dom.children r in
+        (* creates the accel state whose generation counts bumps *)
+        ignore (Dom.compare_order doc r);
+        let g0 = Dom.generation doc in
+        Dom.set_value r "flat";
+        check Alcotest.int "drop + value change" (g0 + 2) (Dom.generation doc);
+        check Alcotest.string "content" "<r>flat</r>" (Dom.serialize doc);
+        check Alcotest.bool "old children parentless" true
+          (List.for_all (fun c -> Dom.parent c = None) old);
+        check Alcotest.int "index sees no <i>" 0
+          (List.length (Dom.get_elements_by_local_name doc "i")));
+  ]
+
+(* Allocation per node must not grow with fan-out: a builder that
+   appends child by child copies the child list per append. Minor
+   words are deterministic, so the bound can be tight. *)
+let flat_list n =
+  "<ul>" ^ String.concat "" (List.init n (fun i -> Printf.sprintf "<li>%d</li>" i)) ^ "</ul>"
+
+let words_per_node n f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let scaling_tests =
+  let within name build =
+    t (name ^ " allocates a flat amount per node") (fun () ->
+        let small = build 1_000 in
+        let ratio = build 10_000 /. small in
+        if ratio > 1.2 then
+          Alcotest.failf "%s: words per node at 10k / at 1k = %.2f (bound 1.2)" name ratio)
+  in
+  [
+    within "Dom.of_tree" (fun n ->
+        let trees = Xml_parser.parse (flat_list n) in
+        words_per_node n (fun () -> ignore (Dom.of_tree trees)));
+    within "Dom.clone" (fun n ->
+        let doc = Dom.of_string (flat_list n) in
+        words_per_node n (fun () -> ignore (Dom.clone doc)));
+    within "an element constructor" (fun n ->
+        let q = Printf.sprintf "<ul>{ for $i in 1 to %d return <li/> }</ul>" n in
+        (* warm run first: the measured one pays no parse or compile *)
+        ignore (Xquery.Engine.eval_string q);
+        words_per_node n (fun () -> ignore (Xquery.Engine.eval_string q)));
+    within "Dom.set_value on an element" (fun n ->
+        let doc = Dom.of_string (flat_list n) in
+        words_per_node n (fun () -> Dom.set_value (root_el doc) "flat"));
+  ]
+
+let suite =
+  construction_tests @ navigation_tests @ mutation_tests @ observer_tests @ event_tests
+  @ builder_tests @ scaling_tests

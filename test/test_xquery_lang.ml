@@ -246,6 +246,23 @@ let constructor_tests =
       "<e>{ attribute a { 1 }, 'text' }</e>";
     t "attribute after content fails" (fun () ->
         expect_error "XQTY0024" "<e>{ 'text', attribute a { 1 } }</e>");
+    t "duplicate direct attribute is a static error" (fun () ->
+        expect_error "XQST0040" "<a b=\"1\" b=\"2\"/>";
+        expect_error "XQST0040" "<a xmlns:p='u' xmlns:q='u' p:b='1' q:b='2'/>");
+    t "duplicate constructed attribute is XQDY0025 in both evaluators" (fun () ->
+        List.iter
+          (fun compiled ->
+            let prev = Engine.compiled_eval_enabled () in
+            Engine.set_compiled_eval compiled;
+            Fun.protect
+              ~finally:(fun () -> Engine.set_compiled_eval prev)
+              (fun () ->
+                expect_error "XQDY0025" "element a { attribute b {1}, attribute b {2} }";
+                expect_error "XQDY0025" "<a>{attribute b {1}}{attribute b {2}}</a>";
+                expect_error "XQDY0025" "<a b='1'>{attribute b {2}}</a>";
+                check Alcotest.string "distinct names still build" "<a b=\"1\" c=\"2\"/>"
+                  (run_str "element a { attribute b {1}, attribute c {2} }")))
+          [ true; false ]);
     eq "document children splice" "<w><a/><b/></w>"
       "<w>{ document { <a/>, <b/> } }</w>";
     eq "sequence of constructors" "<a/> <b/>" "(<a/>, <b/>)";
