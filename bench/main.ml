@@ -1445,8 +1445,9 @@ let bench_t14 ?(check = false) () =
   let vals_per = if smoke_enabled () then 10 else 100 in
   let entries = ref [] in
   let n_nodes = regions * vals_per in
-  (* build a browser under the given flag: disabling incremental drops
-     memo registrations for good, so each mode gets its own page *)
+  (* build a browser under the given flag: disabling incremental
+     invalidates every memo recorded so far, so each mode gets its own
+     page *)
   let setup ~updating () =
     let b = browser_with ~page:(t14_page ~regions ~vals_per ~updating) () in
     let doc = B.document b in

@@ -328,6 +328,10 @@ let page_cmd =
             | None -> Printf.eprintf "no element with id %S\n" id)
           clicks;
         Xqib.Browser.run b;
+        (* failed scripts and listeners, like a browser's error console *)
+        List.iter
+          (Printf.eprintf "script error: %s\n")
+          (List.rev b.Xqib.Browser.script_errors);
         (match Xqib.Browser.alerts b with
         | [] -> ()
         | alerts ->

@@ -140,7 +140,6 @@ let render t template =
           try Buffer.add_string out (J.to_string (J.eval_in_window b w e))
           with J.Js_error m -> raise (Render_error ("expression: " ^ m))))
     segments;
-  J.reset_window w;
   Buffer.contents out
 
 let register_page t http ~host ~path template =

@@ -183,6 +183,12 @@ let install (b : Browser.t) (window : Windows.t) sctx =
   (* engine observability: a snapshot of the metrics registry as XML,
      so page code and tests can introspect performance counters with
      ordinary XPath (e.g. browser:stats()//counter[@name='eval.steps']) *)
+  let document_listeners () =
+    let doc = window.Windows.document in
+    List.fold_left
+      (fun n node -> n + Dom_event.listener_count node)
+      0 (doc :: Dom.descendants doc)
+  in
   register "stats" 0 (fun _ _ ->
       let el name attrs =
         Dom.create_element
@@ -257,7 +263,7 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       let re =
         el "reactive"
           (("enabled", string_of_bool (Xquery.Reactive.active ()))
-          :: ("listeners", string_of_int (Xquery.Reactive.table_size ()))
+          :: ("listeners", string_of_int (document_listeners ()))
           :: ints (Xquery.Reactive.counter_stats ()))
       in
       let sy =

@@ -18,13 +18,17 @@ type options = {
 let default_options = { execution_order = `Js_first; run_inline_handlers = true }
 
 (* per-window page state: one static + dynamic context shared by all
-   XQuery scripts of the page (prolog accumulates, Fig. 1) *)
+   XQuery scripts of the page (prolog accumulates, Fig. 1), kept on the
+   window until the next load *)
 type page_state = { static : SC.t; mutable ctx : DC.t }
+type Windows.script_context += Xquery_page of page_state
 
-let states : (int, page_state) Hashtbl.t = Hashtbl.create 8
+let page_state window =
+  List.find_map
+    (function Xquery_page st -> Some st | _ -> None)
+    window.Windows.scripts
 
-let xquery_context window =
-  Option.map (fun st -> st.ctx) (Hashtbl.find_opt states window.Windows.wid)
+let xquery_context window = Option.map (fun st -> st.ctx) (page_state window)
 
 let fresh_state (b : Browser.t) window =
   let static = Xquery.Engine.default_static () in
@@ -111,13 +115,11 @@ let fresh_state (b : Browser.t) window =
           | Some v -> [ Xdm_item.Atomic (Xdm_atomic.String v) ]
           | None -> [])
       | _ -> []);
-  Hashtbl.replace states window.Windows.wid st;
+  window.Windows.scripts <- Xquery_page st :: window.Windows.scripts;
   st
 
 let state_for b window =
-  match Hashtbl.find_opt states window.Windows.wid with
-  | Some st -> st
-  | None -> fresh_state b window
+  match page_state window with Some st -> st | None -> fresh_state b window
 
 let traced ?attrs name f =
   if !Obs.Trace.enabled then Obs.Trace.with_span ?attrs name f else f ()
@@ -308,7 +310,8 @@ let rec load ?(options = default_options) ?window (b : Browser.t) html =
     (fun w href ->
       let resp = fetch_page b href in
       if resp.Http_sim.status = 200 then load ~options ~window:w b resp.Http_sim.body);
-  Hashtbl.remove states window.Windows.wid;
+  (* the old page's script contexts go with its document *)
+  window.Windows.scripts <- [];
   let parse_options =
     {
       Xml_parser.default_options with

@@ -1,5 +1,7 @@
 open Xmlb
 
+type script_context = ..
+
 type t = {
   wid : int;
   mutable wname : string;
@@ -16,6 +18,7 @@ type t = {
   mutable screen_y : int;
   mutable outer_width : int;
   mutable outer_height : int;
+  mutable scripts : script_context list;
 }
 
 let counter = ref 0
@@ -38,6 +41,7 @@ let create ?(name = "") ?(href = "about:blank") () =
     screen_y = 0;
     outer_width = 1024;
     outer_height = 768;
+    scripts = [];
   }
 
 let add_frame ~parent frame =

@@ -5,6 +5,13 @@
     with XPath and *updated* with the XQuery Update Facility, with a
     pull-style same-origin check so cross-origin windows are opaque. *)
 
+(** Per-window state of the script engines: the XQuery page context
+    ([Page]) and the JavaScript global environment ([Minijs]), each
+    engine adding its own constructor. Owned by the window, so it is
+    freed with it; [Page.load] drops it when it installs a new
+    document. *)
+type script_context = ..
+
 type t = {
   wid : int;
   mutable wname : string;
@@ -21,6 +28,7 @@ type t = {
   mutable screen_y : int;
   mutable outer_width : int;
   mutable outer_height : int;
+  mutable scripts : script_context list;
 }
 
 (** Window geometry ([windowMoveBy]/[windowMoveTo] of §4.2.4). *)

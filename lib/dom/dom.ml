@@ -8,16 +8,29 @@ type kind =
   | Comment
   | Processing_instruction
 
+(* Per-node state of the layer above: [Dom_event] keeps a node's
+   listeners here, so they are freed with the node. *)
+type slot = ..
+type slot += Empty
+
 type node = {
   nid : int;
   mutable nkind : payload;
   mutable nparent : node option;
-  (* Acceleration state; only consulted while this node is a tree root.
-     See the "Acceleration" section below. *)
-  mutable naccel : accel option;
+  mutable nside : side;
 }
 
+(* What a node carries besides its structure, made on first use: its
+   slot, and the per-root record of a node that is (or was) a tree
+   root, which then holds the slot too. The per-root record is only
+   consulted while the node is a root; see the "Acceleration" section
+   below. *)
+and side = Bare | Slotted of slot | Rooted of accel
+
 and accel = {
+  mutable rslot : slot;  (* the node's slot, kept here once it has one *)
+  mutable observers : observer list;  (* registration order *)
+  watch : Footprint.watch;  (* footprints that read this tree *)
   mutable gen : int;
       (* bumped by every mutation under this root; caches whose
          [*_gen] stamp differs are stale and relabel on demand *)
@@ -58,6 +71,14 @@ and payload =
   | P_comment of { mutable ccontent : string }
   | P_pi of { target : string; mutable pcontent : string }
 
+and mutation =
+  | Children_changed of node
+  | Attribute_changed of node * Qname.t
+  | Value_changed of node
+  | Renamed of node
+
+and observer = { watched : node; callback : mutation -> unit }
+
 exception Dom_error of string
 
 let err fmt = Printf.ksprintf (fun m -> raise (Dom_error m)) fmt
@@ -65,7 +86,7 @@ let counter = ref 0
 
 let fresh payload =
   incr counter;
-  { nid = !counter; nkind = payload; nparent = None; naccel = None }
+  { nid = !counter; nkind = payload; nparent = None; nside = Bare }
 
 let create_document ?uri () = fresh (P_document { dchildren = []; uri })
 
@@ -149,16 +170,26 @@ let document_uri n =
 let pi_target n = match n.nkind with P_pi p -> Some p.target | _ -> None
 
 let rec root n = match n.nparent with None -> n | Some p -> root p
+let slot n =
+  match n.nside with Bare -> Empty | Slotted s -> s | Rooted a -> a.rslot
+
+let set_slot n s =
+  match (n.nside, s) with
+  | Rooted a, _ -> a.rslot <- s
+  | _, Empty -> n.nside <- Bare
+  | _ -> n.nside <- Slotted s
 
 (* ------------------------------------------------------------------ *)
 (* Acceleration: per-root document-order keys and element indexes.
 
-   Every root lazily carries an [accel] record: a generation counter
-   bumped by every mutation under the root, plus three caches stamped
-   with the generation they were built at — document-order ordinals
-   (making [compare_order] an O(1) integer compare), an id->elements
-   index and a local-name->elements index. Stale caches are rebuilt on
-   demand by a single DFS. The [acceleration] switch keeps the naive
+   Every root lazily carries an [accel] record, its per-root record: a
+   generation counter bumped by every mutation under the root, plus
+   three caches stamped with the generation they were built at —
+   document-order ordinals (making [compare_order] an O(1) integer
+   compare), an id->elements index and a local-name->elements index.
+   Stale caches are rebuilt on demand by a single DFS. The record also
+   owns the root's mutation observers and the footprint watch, so both
+   are freed with the tree. The [acceleration] switch keeps the naive
    implementations selectable as the ablation baseline and test
    oracle. *)
 
@@ -201,41 +232,46 @@ let attribute_by_sym n (sym : Sym.t) =
    becomes parentless: its caches may describe a tree it was part of
    while attached (mutations there only bumped the attached root). *)
 let touch n =
-  match n.naccel with
-  | Some s ->
+  match n.nside with
+  | Rooted s ->
       s.gen <- s.gen + 1;
       s.egen <- s.egen + 1
-  | None -> ()
+  | Bare | Slotted _ -> ()
 
 (* Mark only value-dependent caches stale: the mutation changed text or
    attribute content but no element's existence, name, or id. *)
 let touch_values n =
-  match n.naccel with Some s -> s.gen <- s.gen + 1 | None -> ()
+  match n.nside with Rooted s -> s.gen <- s.gen + 1 | Bare | Slotted _ -> ()
 
 (* Mark the tree containing [n] as mutated. *)
 let invalidate n = touch (root n)
 
 let accel_of r =
-  match r.naccel with
-  | Some s -> s
-  | None ->
+  match r.nside with
+  | Rooted s -> s
+  | Bare | Slotted _ ->
       let s =
         {
+          rslot = slot r;
+          observers = [];
+          watch = Footprint.watch ();
           gen = 0;
           egen = 0;
           keys_gen = -1;
-          okeys = Hashtbl.create 64;
+          okeys = Hashtbl.create 8;
           idx_gen = -1;
-          by_id = Hashtbl.create 16;
-          by_name = Hashtbl.create 16;
+          by_id = Hashtbl.create 8;
+          by_name = Hashtbl.create 8;
           vidx_gen = -1;
-          by_attr_value = Hashtbl.create 64;
-          by_text_value = Hashtbl.create 64;
+          by_attr_value = Hashtbl.create 8;
+          by_text_value = Hashtbl.create 8;
           text_complex = Hashtbl.create 8;
         }
       in
-      r.naccel <- Some s;
+      r.nside <- Rooted s;
       s
+
+let root_watch n = (accel_of (root n)).watch
 
 (* Ordinals by pre-order DFS; an element's attributes are labelled
    after the element and before its children, matching the path
@@ -309,7 +345,7 @@ let rec string_value_rec n =
    string-value read depends on the whole subtree *)
 let string_value n =
   if Footprint.recording () then
-    Footprint.reading_scope ~root:(root n).nid ~node:n.nid;
+    Footprint.reading_scope ~root:(root_watch n) ~node:n.nid;
   string_value_rec n
 
 (* nearest first *)
@@ -438,40 +474,22 @@ let equal a b = a == b
 (* ------------------------------------------------------------------ *)
 (* Mutation observers                                                  *)
 
-type mutation =
-  | Children_changed of node
-  | Attribute_changed of node * Qname.t
-  | Value_changed of node
-  | Renamed of node
-
-type observer_id = int
-
-type observer = { oid : int; callback : mutation -> unit }
-
-(* Observers keyed by the id of the root they watch, each list in
-   registration order, so delivering a mutation is one probe of its
-   root's list: observers on other trees cost nothing. [observer_roots]
-   maps an observer back to its key for [unobserve]. *)
-let observers : (int, observer list) Hashtbl.t = Hashtbl.create 16
-let observer_roots : (int, int) Hashtbl.t = Hashtbl.create 16
-let observer_counter = ref 0
+(* An observer lives on the per-root record of the node it watches, in
+   registration order, so delivering a mutation is one read of its
+   root's list: observers on other trees cost nothing, and a tree's
+   observers are freed with it. *)
+type observer_id = observer
 
 let observe ~root callback =
-  incr observer_counter;
-  let o = { oid = !observer_counter; callback } in
-  let watching = Option.value ~default:[] (Hashtbl.find_opt observers root.nid) in
-  Hashtbl.replace observers root.nid (watching @ [ o ]);
-  Hashtbl.replace observer_roots o.oid root.nid;
-  o.oid
+  let o = { watched = root; callback } in
+  let s = accel_of root in
+  s.observers <- s.observers @ [ o ];
+  o
 
-let unobserve oid =
-  match Hashtbl.find_opt observer_roots oid with
-  | None -> ()
-  | Some rid -> (
-      Hashtbl.remove observer_roots oid;
-      match List.filter (fun o -> o.oid <> oid) (Hashtbl.find observers rid) with
-      | [] -> Hashtbl.remove observers rid
-      | rest -> Hashtbl.replace observers rid rest)
+let unobserve o =
+  match o.watched.nside with
+  | Rooted s -> s.observers <- List.filter (fun o' -> o' != o) s.observers
+  | Bare | Slotted _ -> ()
 
 (* Per-mutation write-footprint extras: what beyond the mutation point
    the mutation touched. Subtree scans are deferred so they only run
@@ -509,9 +527,9 @@ let batch_depth = ref 0
 let batch_queue : (node * mutation) list ref = ref []
 
 let deliver r mutation =
-  match Hashtbl.find_opt observers r.nid with
-  | Some watching -> List.iter (fun o -> o.callback mutation) watching
-  | None -> ()
+  match r.nside with
+  | Rooted s -> List.iter (fun o -> o.callback mutation) s.observers
+  | Bare | Slotted _ -> ()
 
 let notify ?(fp = []) node mutation =
   let r = root node in
@@ -530,24 +548,28 @@ let notify ?(fp = []) node mutation =
   in
   if structural then touch r else touch_values r;
   (* invalidate, with the root computed once *)
-  if Footprint.capturing r.nid then begin
-    let chain = node.nid :: List.map (fun a -> a.nid) (ancestors node) in
-    let w = Footprint.fresh_wrec ~root:r.nid ~chain in
-    List.iter
-      (function
-        | FP_subtree n -> fp_scan_subtree w n
-        | FP_name l -> Footprint.add_wname w l
-        | FP_id v -> Footprint.add_wid w v
-        | FP_key (local, v) -> Footprint.add_wkey w ~local v)
-      fp;
-    Footprint.record_write w
-  end;
-  if Hashtbl.length observers > 0 then
-    if !batch_depth > 0 then begin
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.notify.batched";
-      batch_queue := (r, mutation) :: !batch_queue
-    end
-    else deliver r mutation;
+  (* registered footprints and observers live on the per-root record *)
+  (match r.nside with
+  | Rooted s ->
+      if Footprint.capturing s.watch then begin
+        let chain = node.nid :: List.map (fun a -> a.nid) (ancestors node) in
+        let w = Footprint.fresh_wrec ~chain in
+        List.iter
+          (function
+            | FP_subtree n -> fp_scan_subtree w n
+            | FP_name l -> Footprint.add_wname w l
+            | FP_id v -> Footprint.add_wid w v
+            | FP_key (local, v) -> Footprint.add_wkey w ~local v)
+          fp;
+        Footprint.record_write s.watch w
+      end;
+      if s.observers != [] then
+        if !batch_depth > 0 then begin
+          if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.notify.batched";
+          batch_queue := (r, mutation) :: !batch_queue
+        end
+        else deliver r mutation
+  | Bare | Slotted _ -> ());
   if !batch_depth = 0 then Footprint.commit ()
 
 let with_batch f =
@@ -815,8 +837,8 @@ let append_attribute ~parent a =
 (* ------------------------------------------------------------------ *)
 (* One-pass construction of fresh trees.
 
-   A node created inside the building call has no accel state, no
-   observers and no tracked footprint root, so [notify] would have
+   A node created inside the building call has no per-root record, so
+   no observers and no registered footprints, and [notify] would have
    nothing to do for it: the builders map each child list once and set
    parent pointers directly instead of appending child by child. Every
    node is allocated before its attributes and its content, so ids
@@ -884,7 +906,7 @@ let rec clone_rec n =
    it (no-op outside recorded listener runs). *)
 let clone n =
   if Footprint.recording () then
-    Footprint.reading_scope ~root:(root n).nid ~node:n.nid;
+    Footprint.reading_scope ~root:(root_watch n) ~node:n.nid;
   clone_rec n
 
 (* ------------------------------------------------------------------ *)
@@ -983,7 +1005,7 @@ let get_element_by_id n idv =
     end
   in
   if Footprint.recording () then begin
-    let rid = (root n).nid in
+    let rid = root_watch n in
     Footprint.reading_id ~root:rid ~scope:n.nid idv;
     (* the found element's name/content/attributes are now observable
        without further recorded steps: treat its subtree as read *)
@@ -995,7 +1017,7 @@ let get_element_by_id n idv =
 
 let get_elements_by_local_sym n (sym : Sym.t) =
   if Footprint.recording () then
-    Footprint.reading_name ~root:(root n).nid ~scope:n.nid sym;
+    Footprint.reading_name ~root:(root_watch n) ~scope:n.nid sym;
   if !acceleration then begin
     if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.lookup.by-name";
     let r = root n in
@@ -1094,7 +1116,7 @@ let value_lookup which n (lsym : Sym.t) v =
        fallback covers a superset, so this is conservative either way.
        Text probes record the local name (a text-value change under a
        flat element writes its name), attribute probes the exact key. *)
-    let rid = (root n).nid in
+    let rid = root_watch n in
     match which with
     | `Attr -> Footprint.reading_key ~root:rid ~scope:n.nid ~local:lsym v
     | `Text -> Footprint.reading_name ~root:rid ~scope:n.nid lsym
@@ -1140,4 +1162,4 @@ let elements_by_text_value n ~local v = value_lookup `Text n (Sym.intern local) 
 (* Current accel generation of the tree containing [n]; exposed so
    tests can pin down exactly how often updates invalidate caches. *)
 let generation n =
-  match (root n).naccel with Some s -> s.gen | None -> 0
+  match (root n).nside with Rooted s -> s.gen | Bare | Slotted _ -> 0

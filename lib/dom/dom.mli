@@ -84,6 +84,23 @@ val pi_target : node -> string option
     tree is rooted in one, else the topmost element). *)
 val root : node -> node
 
+(** {1 Per-node state of the layers above}
+
+    One open slot per node, which [Dom_event] fills with the node's
+    listeners so they are freed with the node. {!clone} and the
+    builders leave it [Empty]. *)
+
+type slot = ..
+type slot += Empty
+
+val slot : node -> slot
+val set_slot : node -> slot -> unit
+
+(** The footprint watch of the root of the tree containing the node:
+    what a recorded read of the node passes to [Footprint.reading_*].
+    Owned by the root's per-root record, like its observers. *)
+val root_watch : node -> Footprint.watch
+
 (** XDM string value: concatenation of descendant text for
     documents/elements, content otherwise. *)
 val string_value : node -> string
@@ -219,12 +236,13 @@ val append_attribute : parent:node -> node -> unit
 
 (** {1 Mutation observers}
 
-    Observers are keyed by the root they watch. A mutation is delivered
-    to the observers of the root of the mutated tree at that moment, in
-    registration order; observers of other trees cost nothing, so
-    mutating or building one tree takes the same time however many
-    other trees are observed. An observer on a node that is not a root
-    fires again once that node is detached and becomes one. *)
+    An observer lives on the per-root record of the node it watches. A
+    mutation is delivered to the observers of the root of the mutated
+    tree at that moment, in registration order; observers of other
+    trees cost nothing, so mutating or building one tree takes the same
+    time however many other trees are observed. An observer on a node
+    that is not a root fires again once that node is detached and
+    becomes one. Observers are freed with the node they watch. *)
 
 type mutation =
   | Children_changed of node  (** the parent whose child list changed *)

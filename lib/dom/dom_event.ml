@@ -27,7 +27,6 @@ let stop_propagation e = e.propagation_stopped <- true
 let prevent_default e = e.default_prevented <- true
 
 type listener = {
-  lid : int;
   node : Dom.node;
   event_type : string;
   capture : bool;
@@ -35,69 +34,47 @@ type listener = {
   callback : event -> unit;
 }
 
-type listener_id = int
+type listener_id = listener
 
-(* node id -> listeners, in registration order *)
-let table : (int, listener list) Hashtbl.t = Hashtbl.create 64
-let listener_counter = ref 0
+(* A node's listeners, in registration order, live in its slot: they
+   go away with the node. *)
+type Dom.slot += Listeners of listener list
+
 let invocations = ref 0
 
-let node_listeners node = Option.value ~default:[] (Hashtbl.find_opt table (Dom.id node))
-
-(* Invoked with every listener id dropped from the table — explicit
-   removal, same-name replacement, or reset — so dependent state keyed
-   by listener id (the reactive layer's memos) is discarded with it. *)
-let drop_hook : (int -> unit) ref = ref (fun _ -> ())
+let node_listeners node =
+  match Dom.slot node with Listeners ls -> ls | _ -> []
 
 let set_node_listeners node ls =
-  if ls = [] then Hashtbl.remove table (Dom.id node)
-  else Hashtbl.replace table (Dom.id node) ls
+  Dom.set_slot node (match ls with [] -> Dom.Empty | ls -> Listeners ls)
 
 let add_listener node ~event_type ?(capture = false) ?name callback =
-  incr listener_counter;
-  let l = { lid = !listener_counter; node; event_type; capture; lname = name; callback } in
-  let existing = node_listeners node in
-  let existing =
+  let l = { node; event_type; capture; lname = name; callback } in
+  let keep =
     match name with
-    | None -> existing
+    | None -> node_listeners node
     | Some n ->
-        let keep, replaced =
-          List.partition
-            (fun o ->
-              not
-                (o.lname = Some n
-                && String.equal o.event_type event_type
-                && o.capture = capture))
-            existing
-        in
-        List.iter (fun o -> !drop_hook o.lid) replaced;
-        keep
+        List.filter
+          (fun o ->
+            not
+              (o.lname = Some n
+              && String.equal o.event_type event_type
+              && o.capture = capture))
+          (node_listeners node)
   in
-  set_node_listeners node (existing @ [ l ]);
-  l.lid
+  set_node_listeners node (keep @ [ l ]);
+  l
 
-let remove_listener lid =
-  let found = ref None in
-  Hashtbl.iter
-    (fun nid ls -> if List.exists (fun l -> l.lid = lid) ls then found := Some (nid, ls))
-    table;
-  match !found with
-  | None -> ()
-  | Some (nid, ls) -> (
-      !drop_hook lid;
-      match List.filter (fun l -> l.lid <> lid) ls with
-      | [] -> Hashtbl.remove table nid
-      | ls -> Hashtbl.replace table nid ls)
+let remove_listener l =
+  set_node_listeners l.node (List.filter (fun o -> o != l) (node_listeners l.node))
 
 let remove_named_listener node ~event_type ~name =
-  let ls = node_listeners node in
   let keep, drop =
     List.partition
       (fun l -> not (l.lname = Some name && String.equal l.event_type event_type))
-      ls
+      (node_listeners node)
   in
   set_node_listeners node keep;
-  List.iter (fun l -> !drop_hook l.lid) drop;
   List.length drop
 
 let listener_count node = List.length (node_listeners node)
@@ -145,7 +122,3 @@ let fire ?detail ?payload ~event_type ~target () =
   dispatch (make_event ?detail ?payload ~event_type ~target ())
 
 let invocation_count () = !invocations
-
-let reset () =
-  Hashtbl.iter (fun _ ls -> List.iter (fun l -> !drop_hook l.lid) ls) table;
-  Hashtbl.reset table

@@ -2,8 +2,11 @@
 
     The paper's event extension ([on event ... attach listener ...],
     §4.3) and JavaScript's [addEventListener] both compile down to this
-    module. Listeners are stored in a side table keyed by node identity,
-    so the {!Dom} tree itself stays purely structural. *)
+    module. A node's listeners live on the node (in its {!Dom.slot}):
+    they survive detaching and re-inserting the node, are not copied by
+    {!Dom.clone}, and are freed with the node — events in the document
+    no longer reach a listener inside a removed subtree, and a replaced
+    document takes its listeners with it. *)
 
 type phase = Capturing | At_target | Bubbling
 
@@ -32,15 +35,10 @@ val make_event :
 val stop_propagation : event -> unit
 val prevent_default : event -> unit
 
-(** Concrete so engine layers can key per-registration state (reactive
-    memos) by it. *)
-type listener_id = int
-
-(** Invoked with every listener id dropped from the table — explicit
-    removal, same-name replacement in {!add_listener}, or {!reset} — so
-    state keyed by listener id elsewhere is discarded with the
-    registration instead of leaking. *)
-val drop_hook : (listener_id -> unit) ref
+(** One registration. Per-registration state of the layers above (the
+    reactive memo of an XQuery listener) lives in the callback's
+    closure, and goes away with the registration. *)
+type listener_id
 
 (** [add_listener node ~event_type ~capture ~name f] registers [f].
     [name] identifies a named listener (an XQuery function QName) so
@@ -81,6 +79,3 @@ val fire :
 (** Total number of listener invocations since program start (used by
     benches and tests). *)
 val invocation_count : unit -> int
-
-(** Remove all listeners everywhere (test isolation). *)
-val reset : unit -> unit

@@ -4,10 +4,18 @@
     tree roots it consulted, which subtrees it walked, and which
     local-name / id / attribute-value index keys it probed — each probe
     scoped to the subtree it was confined to. The DOM mutators emit one
-    {e write record} per mutation (root, ancestor-or-self chain of the
+    {e write record} per mutation (ancestor-or-self chain of the
     mutation point, and the names / ids / attribute keys it touched),
     batched per PUL apply. {!intersects} decides whether a mutation
     batch can have changed anything a recorded run read.
+
+    Ownership: each tree root's per-root record in [Dom] carries a
+    {!watch}. A pure run's footprint is {!register}ed with the watch of
+    every root it consulted, and {!commit} intersects each write batch
+    only with the footprints on the written root's watch, marking the
+    hits dirty. A watch holds its footprints weakly — the listener memo
+    owning a footprint keeps it alive — so nothing here outlives the
+    listener or the document it belongs to.
 
     All entries are symbol-keyed ([Xmlb.Sym]): names arrive
     pre-interned from [Qname.t]; id and attribute values are interned
@@ -29,48 +37,58 @@ type wrec
 
 (** Global incremental-recomputation switch (the [--no-incremental]
     ablation). Off: nothing records, nothing captures, listeners always
-    re-run. On by default. *)
+    re-run. Switching it off also invalidates every footprint recorded
+    so far: the writes made while it is off go uncaptured. On by
+    default. *)
 
 val set_incremental : bool -> unit
 val incremental_enabled : unit -> bool
 
-(** {1 Tracked roots}
+(** {1 Watches} *)
 
-    Refcounted root ids appearing in some registered footprint.
-    Mutations under other roots (fresh constructor trees) skip write
+(** The footprints registered on one tree root. *)
+type watch
+
+val watch : unit -> watch
+
+(** Should a mutation under the root of this watch be captured? Only
+    while some clean footprint is registered on it: mutations of other
+    trees (fresh constructor trees, detached scratch nodes) skip write
     capture entirely. *)
+val capturing : watch -> bool
 
-val track_root : int -> unit
-val untrack_root : int -> unit
+(** Register a completed pure run's footprint with the watch of every
+    root it consulted. *)
+val register : read -> unit
 
-(** Should a mutation under this root id be captured? *)
-val capturing : int -> bool
+(** Neither dirtied by a committed write since it was recorded nor
+    recorded before incremental recomputation was last switched off:
+    the run it describes would repeat exactly. *)
+val is_clean : read -> bool
 
 (** {1 Recording (read side)}
 
     One recorder is active at a time; [start] returns the previous one
     so nested listener runs save/restore. All [reading_*] calls are
-    no-ops when no recorder is active. *)
+    no-ops when no recorder is active; [root] is the watch of the root
+    of the tree read. *)
 
 val recording : unit -> bool
 val start : read -> read option
 val restore : read option -> unit
 
-(** The run consulted this tree root (no finer information). *)
-val reading_root : int -> unit
-
-(** The run walked the subtree rooted at [node] (in tree [root]). *)
-val reading_scope : root:int -> node:int -> unit
+(** The run walked the subtree rooted at node id [node]. *)
+val reading_scope : root:watch -> node:int -> unit
 
 (** Local-name index probe confined to subtree [scope]. *)
-val reading_name : root:int -> scope:int -> Sym.t -> unit
+val reading_name : root:watch -> scope:int -> Sym.t -> unit
 
 (** id lookup confined to subtree [scope]; the value is interned. *)
-val reading_id : root:int -> scope:int -> string -> unit
+val reading_id : root:watch -> scope:int -> string -> unit
 
 (** (attribute local name, value) index probe confined to [scope];
     the value is interned. *)
-val reading_key : root:int -> scope:int -> local:Sym.t -> string -> unit
+val reading_key : root:watch -> scope:int -> local:Sym.t -> string -> unit
 
 (** The run read state we cannot fingerprint (global variables,
     external functions, impure builtins) or performed effects; its memo
@@ -81,27 +99,30 @@ val is_poisoned : read -> bool
 
 (** {1 Write records}
 
-    Built by the DOM mutators; queued until {!commit}, which hands the
-    whole batch (one PUL apply, or a single direct mutation) to the
-    reactive layer's [on_commit]. *)
+    Built by the DOM mutators and queued, with the watch of the root
+    they were made under, until {!commit}: one batch per PUL apply, or
+    per single direct mutation. *)
 
-val fresh_wrec : root:int -> chain:int list -> wrec
+val fresh_wrec : chain:int list -> wrec
 val add_wname : wrec -> Sym.t -> unit
 val add_wid : wrec -> string -> unit
 val add_wkey : wrec -> local:Sym.t -> string -> unit
-val record_write : wrec -> unit
+val record_write : watch -> wrec -> unit
+
+(** Mark dirty, and unregister, every registered footprint the queued
+    batch intersects. *)
 val commit : unit -> unit
-val on_commit : (wrec list -> unit) ref
+
+(** Footprints marked dirty by {!commit} since start (or since the
+    reactive layer last reset its counters). *)
+val invalidations : int ref
 
 (** {1 Intersection} *)
 
-(** [intersects fp batch]: could applying [batch] change anything the
-    run that recorded [fp] read? Poisoned footprints intersect
-    everything. *)
+(** [intersects fp batch]: could applying [batch] — writes under a root
+    the run consulted — change anything the run that recorded [fp]
+    read? Poisoned footprints intersect everything. *)
 val intersects : read -> wrec list -> bool
-
-(** Root ids the footprint consulted (for tracked-root refcounting). *)
-val root_ids : read -> int list
 
 (** Number of distinct recorded entries (diagnostics). *)
 val entry_count : read -> int

@@ -154,8 +154,13 @@ type window_state = {
   window : Xqib.Windows.t;
 }
 
-let states : (int, window_state) Hashtbl.t = Hashtbl.create 8
-let reset_window w = Hashtbl.remove states w.Xqib.Windows.wid
+(* kept on the window, like the page's XQuery context *)
+type Xqib.Windows.script_context += Js_state of window_state
+
+let find_state window =
+  List.find_map
+    (function Js_state st -> Some st | _ -> None)
+    window.Xqib.Windows.scripts
 
 (* ---------------- DOM bindings ---------------- *)
 
@@ -915,10 +920,9 @@ let xpath_result_object () =
   VObj (mk_obj ~props Plain)
 
 let state_for browser window =
-  match Hashtbl.find_opt states window.Xqib.Windows.wid with
-  | Some st when st.window.Xqib.Windows.document == window.Xqib.Windows.document ->
-      st
-  | _ ->
+  match find_state window with
+  | Some st -> st
+  | None ->
       let genv = new_env () in
       let st = { genv; browser; window } in
       let win_obj = VObj (mk_obj (Window_obj window)) in
@@ -985,7 +989,7 @@ let state_for browser window =
                         VUndefined) );
                 ]
               Plain));
-      Hashtbl.replace states window.Xqib.Windows.wid st;
+      window.Xqib.Windows.scripts <- Js_state st :: window.Xqib.Windows.scripts;
       st
 
 let run_script browser window source =
@@ -1002,7 +1006,7 @@ let eval_in_window browser window source =
 let handle_inline _browser window ~element ~event_type ~source =
   if String.contains source ':' then false
   else
-    match Hashtbl.find_opt states window.Xqib.Windows.wid with
+    match find_state window with
     | None -> false
     | Some st -> (
         match Js_parser.parse_expression source with

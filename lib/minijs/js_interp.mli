@@ -5,9 +5,11 @@
 
     Each window gets one global environment holding [document],
     [window], [alert], [XPathResult], [Math], [setTimeout] (scheduled
-    on the browser's virtual clock) and friends. JavaScript and XQuery
-    scripts on the same page share the same DOM and the same event
-    tables, which is the co-existence the mash-up of §6.2 relies on. *)
+    on the browser's virtual clock) and friends. It is kept on the
+    window ({!Xqib.Windows.script_context}) until the next page load.
+    JavaScript and XQuery scripts on the same page share the same DOM
+    and the same node listeners, which is the co-existence the mash-up
+    of §6.2 relies on. *)
 
 exception Js_error of string
 
@@ -33,9 +35,6 @@ val eval_in_window : Xqib.Browser.t -> Xqib.Windows.t -> string -> value
 (** Register the ["text/javascript"] script engine and the inline
     [on*]-attribute handler provider with {!Xqib.Page}. Idempotent. *)
 val install : unit -> unit
-
-(** Drop the global environment of a window (page unload). *)
-val reset_window : Xqib.Windows.t -> unit
 
 (** {1 Host embedding helpers}
 

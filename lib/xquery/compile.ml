@@ -113,15 +113,20 @@ let call_ctx (ctx : D.t) =
 
 type attr_piece = P_text of string | P_enclosed of (env -> I.sequence)
 
-(* integer endpoint of a range operand, per the interpreter's E_range
-   rule: an empty operand yields no range; a failing cast propagates *)
-let range_endpoint (f : env -> I.sequence) env =
-  match I.opt_atomic (f env) with
-  | None -> None
-  | Some a -> (
-      match Eval.protect (fun () -> A.cast ~target:A.T_integer a) with
-      | A.Integer i -> Some i
-      | _ -> None)
+(* the bounds of a range, per the interpreter's E_range rule: an empty
+   operand yields no range; a failing cast propagates *)
+let range_bounds fa fb env =
+  let endpoint (f : env -> I.sequence) =
+    match I.opt_atomic (f env) with
+    | None -> None
+    | Some a -> (
+        match Eval.protect (fun () -> A.cast ~target:A.T_integer a) with
+        | A.Integer i -> Some i
+        | _ -> None)
+  in
+  match (endpoint fa, endpoint fb) with
+  | Some lo, Some hi -> Eval.range_of lo hi
+  | _ -> None
 
 let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
   incr stat_nodes;
@@ -144,10 +149,10 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
   | C.C_range (a, b) ->
       let fa = emit scope a and fb = emit scope b in
       fun env ->
-        (match (range_endpoint fa env, range_endpoint fb env) with
-        | Some lo, Some hi when lo <= hi ->
+        (match range_bounds fa fb env with
+        | Some (lo, hi) ->
             List.init (hi - lo + 1) (fun i -> I.Atomic (A.Integer (lo + i)))
-        | _ -> [])
+        | None -> [])
   | C.C_if (cond, t, f) ->
       let fc = emit_ebv scope cond
       and ft = emit scope t
@@ -420,15 +425,15 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
           (* hot shape: iterate the range without materialising it *)
           let fa = emit scope ra and fb = emit scope rb in
           fun env ->
-            (match (range_endpoint fa env, range_endpoint fb env) with
-            | Some lo, Some hi when lo <= hi ->
+            (match range_bounds fa fb env with
+            | Some (lo, hi) ->
                 let acc = ref [] in
                 for i = lo to hi do
                   bind_at env (i - lo + 1) (I.Atomic (A.Integer i));
                   push acc env
                 done;
                 List.rev !acc
-            | _ -> [])
+            | None -> [])
       | _ ->
           let src = emit scope source in
           fun env ->

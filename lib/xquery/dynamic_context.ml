@@ -87,19 +87,18 @@ let default_host =
       (fun ~event_type ~targets ~listener ->
         List.iter
           (fun node ->
-            (* one memo per registration: each (node, listener) pair
-               runs against its own target, so footprints and argument
-               fingerprints must not be shared across targets *)
+            (* one memo per registration, owned by its closure: each
+               (node, listener) pair runs against its own target, so
+               footprints and argument fingerprints must not be shared
+               across targets *)
             let memo = Reactive.fresh_memo () in
-            let lid =
-              Dom_event.add_listener node ~event_type
-                ~name:(Qname.to_clark listener.listener_name) (fun e ->
-                  listener.invoke ~memo ~key:(event_key e) (fun () ->
-                      let evt_node = Xdm_item.Node (event_to_xml e) in
-                      let obj = Xdm_item.Node e.Dom_event.target in
-                      [ [ evt_node ]; [ obj ] ]))
-            in
-            Reactive.register lid memo)
+            ignore
+              (Dom_event.add_listener node ~event_type
+                 ~name:(Qname.to_clark listener.listener_name) (fun e ->
+                   listener.invoke ~memo ~key:(event_key e) (fun () ->
+                       let evt_node = Xdm_item.Node (event_to_xml e) in
+                       let obj = Xdm_item.Node e.Dom_event.target in
+                       [ [ evt_node ]; [ obj ] ]))))
           (target_nodes targets));
     attach_behind =
       (fun ~event_type ~computation ~listener ->

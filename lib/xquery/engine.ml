@@ -78,7 +78,11 @@ let compile ?(optimize = true) ?static source =
 (* ------------------------------------------------------------------ *)
 (* compiled-query cache                                                *)
 
-let query_cache : compiled Query_cache.t =
+(* An entry keeps only what a hit reads: the program and its closure
+   code. A hit rebinds the caller's static context, so the context the
+   source was first compiled in — whose browser functions close over
+   that page — is not kept. *)
+let query_cache : (Ast.prog * Compile.prog_code option) Query_cache.t =
   Query_cache.create ~name:"query-cache" ~capacity:256 ()
 
 (* Replay a cached compilation's prolog into [static], reproducing
@@ -87,9 +91,8 @@ let query_cache : compiled Query_cache.t =
    registrations, options and module imports. After this, [static] can
    evaluate the cached program exactly as if it had compiled the source
    itself — but with {e its own} external-function implementations and
-   module resolver, which is why cache hits re-bind the static context
-   instead of reusing the frozen one. *)
-let replay compiled static =
+   module resolver. *)
+let replay (prog : Ast.prog) static =
   List.iter
     (function
       | Ast.P_namespace (prefix, uri) ->
@@ -109,7 +112,7 @@ let replay compiled static =
           | Some prefix -> Static_context.declare_namespace static ~prefix ~uri
           | None -> ());
           load_module static ~uri ~locations)
-    compiled.prog.Ast.prolog
+    prog.Ast.prolog
 
 let cache_key ~optimize fingerprint source =
   (* the join-planning switch changes what [optimize] produces, so it
@@ -133,14 +136,13 @@ let compile_cached ?(optimize = true) ?static source =
     in
     let key = cache_key ~optimize fp source in
     match Query_cache.find query_cache key with
-    | Some cached ->
-        traced "engine.cache-replay" (fun () -> replay cached static);
-        { cached with static }
+    | Some (prog, code) ->
+        traced "engine.cache-replay" (fun () -> replay prog static);
+        { prog; static; code }
     | None ->
         let c = compile ~optimize ~static source in
-        (* freeze a private copy: the caller goes on mutating [static] *)
         Query_cache.add query_cache key ~cost:(String.length source)
-          { c with static = Static_context.copy static };
+          (c.prog, c.code);
         c
   end
 

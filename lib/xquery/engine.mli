@@ -34,18 +34,20 @@ val default_static : unit -> Static_context.t
 val compile : ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 
 (** The process-wide compiled-query cache, keyed by
-    (optimize flag, {!Static_context.fingerprint}, source). Hosts that
-    swap module resolvers or external-function {e implementations}
-    while keeping the same registration keys must
-    {!Query_cache.invalidate} it. *)
-val query_cache : compiled Query_cache.t
+    (optimize flag, {!Static_context.fingerprint}, source). An entry
+    keeps only what a hit reads — the program and its closure code —
+    never a static context, so a cached script holds nothing of the
+    page that first compiled it. Hosts that swap module resolvers or
+    external-function {e implementations} while keeping the same
+    registration keys must {!Query_cache.invalidate} it. *)
+val query_cache : (Ast.prog * Compile.prog_code option) Query_cache.t
 
 (** Like {!compile}, but consults {!query_cache} first. On a hit the
     cached program's prolog is replayed into [static] — reproducing
     the parser's registrations without re-parsing — and the returned
     artifact carries the caller's context. On a miss it compiles,
-    stores a frozen copy, and behaves exactly like {!compile}. Falls
-    back to {!compile} while {!Query_cache.enabled} is false. *)
+    stores the program and code, and behaves exactly like {!compile}.
+    Falls back to {!compile} while {!Query_cache.enabled} is false. *)
 val compile_cached :
   ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 

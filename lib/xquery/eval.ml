@@ -12,6 +12,14 @@ exception Continue_loop
 let err code fmt = Xq_error.raise_error code fmt
 let type_err fmt = err Xq_error.type_error_code fmt
 
+(* The bounds of [lo to hi], if not empty. Its length must be an int:
+   past [max_int] it wraps to a non-positive one. *)
+let range_of lo hi =
+  if lo > hi then None
+  else if hi - lo + 1 <= 0 then
+    err "FOAR0002" "the range %d to %d has more than %d items" lo hi max_int
+  else Some (lo, hi)
+
 let max_depth = 4000
 
 (* Streaming ablation switch (mirrors Dom.set_acceleration). When on,
@@ -151,7 +159,7 @@ let axis_metric = function
    indexed fast paths record their probes inside [Dom] instead.) *)
 let record_axis_scope axis n =
   let scope_of m =
-    Footprint.reading_scope ~root:(Dom.id (Dom.root m)) ~node:(Dom.id m)
+    Footprint.reading_scope ~root:(Dom.root_watch m) ~node:(Dom.id m)
   in
   match (axis : Ast.axis) with
   | Ast.Child | Ast.Attribute_axis | Ast.Self | Ast.Descendant
@@ -239,11 +247,11 @@ let value_index_step axis test preds n =
        match (test : Ast.node_test) with
        | Ast.Name_test qn ->
            Footprint.reading_name
-             ~root:(Dom.id (Dom.root n))
+             ~root:(Dom.root_watch n)
              ~scope:(Dom.id n) qn.Qname.lsym
        | Ast.Local_wildcard local ->
            Footprint.reading_name
-             ~root:(Dom.id (Dom.root n))
+             ~root:(Dom.root_watch n)
              ~scope:(Dom.id n) (Sym.intern local)
        | _ -> ());
     let candidate el =
@@ -1240,7 +1248,7 @@ and range_bounds ctx a b =
         | _ -> None)
   in
   match (intv a, intv b) with
-  | Some lo, Some hi when lo <= hi -> Some (lo, hi)
+  | Some lo, Some hi -> range_of lo hi
   | _ -> None
 
 and ebv_stream ctx e =

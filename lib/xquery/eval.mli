@@ -20,6 +20,11 @@ exception Continue_loop
     {!Xq_error.Error}. All public entry points route through this. *)
 val protect : (unit -> 'a) -> 'a
 
+(** The bounds of the range [lo to hi], [None] when it is empty.
+    @raise Xq_error.Error FOAR0002 when it has more than [max_int]
+    items. *)
+val range_of : int -> int -> (int * int) option
+
 val eval : Dynamic_context.t -> Ast.expr -> Xdm_item.sequence
 
 (** Streaming ablation switch (default on; mirrors

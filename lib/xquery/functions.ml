@@ -165,7 +165,16 @@ let compile_regex pattern flags =
   in
   let p = translate pattern in
   let p = if case_insensitive then String.lowercase_ascii p else p in
-  (Str.regexp p, case_insensitive)
+  match Str.regexp p with
+  | re -> (re, case_insensitive)
+  | exception Failure m -> err "FORX0002" "invalid regular expression %S: %s" pattern m
+
+(* fn:replace and fn:tokenize cannot make progress on an empty match *)
+let compile_nonempty_regex pattern flags =
+  let ((re, _) as compiled) = compile_regex pattern flags in
+  if Str.string_match re "" 0 then
+    err "FORX0003" "regular expression %S matches the empty string" pattern;
+  compiled
 
 let regex_input s case_insensitive =
   if case_insensitive then String.lowercase_ascii s else s
@@ -194,10 +203,10 @@ let () =
           (if Footprint.recording () then
              match (Dom.kind n, Dom.name n) with
              | Dom.Element, Some q ->
-                 Footprint.reading_name ~root:(Dom.id (Dom.root n))
+                 Footprint.reading_name ~root:(Dom.root_watch n)
                    ~scope:(Dom.id n) q.Qname.lsym
              | Dom.Attribute, Some q ->
-                 Footprint.reading_key ~root:(Dom.id (Dom.root n))
+                 Footprint.reading_key ~root:(Dom.root_watch n)
                    ~scope:(Dom.id n) ~local:q.Qname.lsym
                    (Option.value ~default:"" (Dom.value n))
              | _ -> ());
@@ -254,16 +263,23 @@ let () =
                 | _ -> 0)
             | None -> 0
           in
+          let v = num_to_float a in
           let scale = 10. ** float_of_int precision in
-          let x = num_to_float a *. scale in
-          let fl = Float.floor x and ce = Float.ceil x in
-          let rounded =
+          let x = v *. scale in
+          let half_even x =
+            let fl = Float.floor x and ce = Float.ceil x in
             if x -. fl < ce -. x then fl
             else if ce -. x < x -. fl then ce
             else if Float.rem fl 2. = 0. then fl
             else ce
           in
-          let r = rounded /. scale in
+          let r =
+            (* a precision past the last representable digit leaves the
+               value as it is; one above its first digit rounds it to 0 *)
+            if scale = 0. then Float.copy_sign 0. v
+            else if Float.is_finite x then half_even x /. scale
+            else v
+          in
           (match a with
           | A.Integer _ -> int1 (int_of_float r)
           | A.Decimal _ -> [ I.Atomic (A.Decimal r) ]
@@ -410,14 +426,14 @@ let () =
       and p = req_string (arg 1 args)
       and r = req_string (arg 2 args) in
       let flags = match arg_opt 3 args with Some f -> req_string f | None -> "" in
-      let re, ci = compile_regex p flags in
+      let re, ci = compile_nonempty_regex p flags in
       (* Str replacement uses \1; XPath uses $1 — translate *)
       let r = Str.global_replace (Str.regexp "\\$\\([0-9]\\)") "\\\\\\1" r in
       str1 (Str.global_replace re r (regex_input s ci)));
   fn ~local:"tokenize" ~min_arity:2 ~max_arity:3 (fun _ args ->
       let s = req_string (arg 0 args) and p = req_string (arg 1 args) in
       let flags = match arg_opt 2 args with Some f -> req_string f | None -> "" in
-      let re, ci = compile_regex p flags in
+      let re, ci = compile_nonempty_regex p flags in
       if s = "" then []
       else
         Str.split_delim re (regex_input s ci)
@@ -428,9 +444,25 @@ let () =
           (fun it ->
             match I.item_atomic it with
             | A.Integer i -> i
-            | a -> int_of_string (A.to_string a))
+            | a -> (
+                match int_of_string_opt (A.to_string a) with
+                | Some i -> i
+                | None ->
+                    err "XPTY0004" "codepoints-to-string: %S is not an integer"
+                      (A.to_string a)))
           (arg 0 args)
       in
+      let xml_char cp =
+        cp = 0x9 || cp = 0xA || cp = 0xD
+        || (cp >= 0x20 && cp <= 0xD7FF)
+        || (cp >= 0xE000 && cp <= 0xFFFD)
+        || (cp >= 0x10000 && cp <= 0x10FFFF)
+      in
+      List.iter
+        (fun cp ->
+          if not (xml_char cp) then
+            err "FOCH0001" "codepoints-to-string: %d is not an XML character" cp)
+        cps;
       str1 (String.concat "" (List.map Xml_escape.utf8_of_code_point cps)));
   fn ~local:"string-to-codepoints" (fun _ args ->
       match opt_string (arg 0 args) with
@@ -647,7 +679,7 @@ let () =
      renamed node, whose write chain therefore contains this scope. *)
   let record_name_read n =
     if Footprint.recording () then begin
-      let root = Dom.id (Dom.root n) in
+      let root = Dom.root_watch n in
       match (Dom.kind n, Dom.name n) with
       | Dom.Element, Some q ->
           Footprint.reading_name ~root ~scope:(Dom.id n) q.Qname.lsym

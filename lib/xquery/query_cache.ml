@@ -17,7 +17,6 @@ type 'a t = {
   mutable invalidations : int;
   mutable cost_saved : int;
   autonomous : bool;
-  mutable on_drop : string -> 'a -> unit;
 }
 
 let enabled = ref true
@@ -36,15 +35,9 @@ let create ?(name = "cache") ?(capacity = 256) ?(autonomous = false) () =
     invalidations = 0;
     cost_saved = 0;
     autonomous;
-    on_drop = (fun _ _ -> ());
   }
 
-let set_on_drop t f = t.on_drop <- f
 let live t = t.autonomous || !enabled
-
-let drop t key e =
-  Hashtbl.remove t.table key;
-  t.on_drop key e.value
 
 let name t = t.cache_name
 let capacity t = t.cap
@@ -72,9 +65,7 @@ let evict_lru t =
   in
   match victim with
   | Some (k, _) ->
-      (match Hashtbl.find_opt t.table k with
-      | Some e -> drop t k e
-      | None -> ());
+      Hashtbl.remove t.table k;
       t.evictions <- t.evictions + 1;
       count t "eviction"
   | None -> ()
@@ -96,9 +87,9 @@ let find t key =
         end;
         touch t e;
         Some e.value
-    | Some e ->
+    | Some _ ->
         (* stale generation: behaves like a miss and frees the slot *)
-        drop t key e;
+        Hashtbl.remove t.table key;
         miss t;
         None
     | None ->
@@ -107,21 +98,14 @@ let find t key =
 
 let add t key ~cost value =
   if live t then begin
-    (match Hashtbl.find_opt t.table key with
-    | Some old -> drop t key old
-    | None ->
-        while Hashtbl.length t.table >= t.cap do
-          evict_lru t
-        done);
+    if not (Hashtbl.mem t.table key) then
+      while Hashtbl.length t.table >= t.cap do
+        evict_lru t
+      done;
     let e = { value; cost = max 0 cost; gen = t.gen; stamp = 0 } in
     touch t e;
     Hashtbl.replace t.table key e
   end
-
-let remove t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e -> drop t key e
-  | None -> ()
 
 let invalidate t =
   t.gen <- t.gen + 1;
@@ -134,16 +118,7 @@ let set_capacity t n =
     evict_lru t
   done
 
-let clear t =
-  let entries = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.table [] in
-  Hashtbl.reset t.table;
-  List.iter (fun (k, e) -> t.on_drop k e.value) entries
-
-(* Live (current-generation) entries, in no particular order. *)
-let iter f (t : 'a t) =
-  Hashtbl.iter
-    (fun k (e : 'a entry) -> if e.gen = t.gen then f k e.value)
-    t.table
+let clear t = Hashtbl.reset t.table
 
 type stats = {
   hits : int;

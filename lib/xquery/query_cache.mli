@@ -3,8 +3,9 @@
     The motivating client is the compiled-query cache ({!Engine}
     wraps one around parse+optimize so repeated page loads of the same
     [<script type="text/xquery">] source become a lookup, paper §5),
-    but the store is generic: any string key to any payload. A second
-    client is {!Jsp_sim}'s template-segment cache.
+    but the store is generic: any string key to any payload. Other
+    clients are {!Jsp_sim}'s template-segment cache and the app
+    server's per-tenant compiled-page partitions.
 
     Keys are opaque strings; for compiled queries {!Engine} builds them
     from (source, static-context fingerprint, optimize flag).
@@ -33,19 +34,9 @@ val set_enabled : bool -> unit
 (** [create ?name ?capacity ()] — [name] prefixes the obs counters
     (default ["cache"]), [capacity] is the maximum entry count
     (default 256, minimum 1). An [autonomous] cache ignores the global
-    {!enabled} kill switch — used by clients (the reactive listener
-    memo table) whose correctness bookkeeping must survive
-    [--no-query-cache]. *)
+    {!enabled} kill switch — used by clients (the app server's tenant
+    partitions) that must keep caching under [--no-query-cache]. *)
 val create : ?name:string -> ?capacity:int -> ?autonomous:bool -> unit -> 'a t
-
-(** Called with every entry leaving the cache — eviction, {!remove},
-    {!clear}, replacement by {!add}, or a stale-generation drop during
-    {!find} — so per-entry registrations elsewhere (footprint
-    tracked-root refcounts) are released with the entry. *)
-val set_on_drop : 'a t -> (string -> 'a -> unit) -> unit
-
-(** Iterate over live (current-generation) entries. *)
-val iter : (string -> 'a -> unit) -> 'a t -> unit
 
 val name : 'a t -> string
 val capacity : 'a t -> int
@@ -66,9 +57,6 @@ val find : 'a t -> string -> 'a option
     [cost_saved] on each future hit. Evicts the least-recently-used
     entry when full. No-op while {!enabled} is false. *)
 val add : 'a t -> string -> cost:int -> 'a -> unit
-
-(** Drop one key. *)
-val remove : 'a t -> string -> unit
 
 (** Bump the generation: every current entry becomes stale. *)
 val invalidate : 'a t -> unit

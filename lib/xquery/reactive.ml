@@ -2,38 +2,32 @@
    dispatch skip re-running a listener when nothing it read has changed.
 
    Each [Dom_event] registration made through the evaluator owns a
-   [memo]. A listener run is skipped iff its memo holds the footprint of
-   a previous run that (a) was pure — no PUL effects, no external
-   functions, no impure builtins, no global reads — (b) has not been
-   dirtied by any mutation batch intersecting its read footprint, and
-   (c) received arguments with the same fingerprint. Under deterministic
-   evaluation those three conditions imply the re-run would repeat the
-   previous run exactly — same (discarded) result, no effects — so
-   skipping is unobservable.
+   [memo], held only by the registration's callback closure. A listener
+   run is skipped iff its memo holds the footprint of a previous run
+   that (a) was pure — no PUL effects, no external functions, no impure
+   builtins, no global reads — (b) is still clean: no committed
+   mutation batch intersected it, and (c) received arguments with the
+   same fingerprint. Under deterministic evaluation those three
+   conditions imply the re-run would repeat the previous run exactly —
+   same (discarded) result, no effects — so skipping is unobservable.
 
-   Memos live in an autonomous [Query_cache] (the footprint summary is
-   attached to the cache entry), so they get LRU bounding, obs counters
-   and drop-time cleanup, while ignoring the [--no-query-cache] kill
-   switch: this table is correctness bookkeeping, not an optimization
-   toggle. [Dom_event.drop_hook] removes the entry when its registration
-   is removed, replaced by a same-name listener, or reset, and
-   [Footprint.on_commit] marks intersecting memos dirty after every
-   mutation batch. *)
+   The footprint is registered with the per-root watch of every tree it
+   read ([Footprint.register]); a write batch marks dirty only the
+   footprints on the written root. Nothing here is keyed by listener:
+   removing a registration, or dropping its document, frees the memo
+   and its footprint with the closure. *)
 
 module I = Xdm_item
 module A = Xdm_atomic
 
 type memo = {
   mutable fp : Footprint.read option;
-      (* footprint of the last completed pure run; never poisoned *)
+      (* footprint of the last completed pure run, registered with the
+         roots it read; never poisoned *)
   mutable args_key : string;
   mutable result_key : string;
-  mutable dirty : bool;
   mutable latched_poison : bool;
       (* a run proved impure: stop recording attempts for good *)
-  mutable registered : bool;
-      (* still present in the memo table; an unregistered memo must not
-         cache (writes would no longer dirty it) *)
   mutable skipped_since_record : bool;
       (* the cached footprint produced at least one skip *)
   mutable wasted : int;
@@ -46,9 +40,7 @@ let fresh_memo () =
     fp = None;
     args_key = "";
     result_key = "";
-    dirty = false;
     latched_poison = false;
-    registered = false;
     skipped_since_record = false;
     wasted = 0;
     plain_streak = 0;
@@ -68,7 +60,6 @@ let probe_every = 16
 let skips = ref 0
 let reruns = ref 0
 let unchanged = ref 0
-let invalidations = ref 0
 let poisoned_runs = ref 0
 
 let counter_stats () =
@@ -76,7 +67,7 @@ let counter_stats () =
     ("skips", !skips);
     ("reruns", !reruns);
     ("unchanged", !unchanged);
-    ("invalidations", !invalidations);
+    ("invalidations", !Footprint.invalidations);
     ("poisoned-runs", !poisoned_runs);
   ]
 
@@ -84,7 +75,7 @@ let reset_counters () =
   skips := 0;
   reruns := 0;
   unchanged := 0;
-  invalidations := 0;
+  Footprint.invalidations := 0;
   poisoned_runs := 0
 
 (* Builtins whose value depends on state outside the DOM footprint
@@ -113,61 +104,10 @@ let () =
 let impure_builtin_sym (sym : Xmlb.Sym.t) = Hashtbl.mem impure_syms (sym :> int)
 
 (* ------------------------------------------------------------------ *)
-(* Memo table                                                          *)
-
-let table : memo Query_cache.t =
-  Query_cache.create ~name:"reactive" ~capacity:1024 ~autonomous:true ()
-
-let untrack m =
-  match m.fp with
-  | None -> ()
-  | Some fp ->
-      List.iter Footprint.untrack_root (Footprint.root_ids fp);
-      m.fp <- None
-
-let () =
-  Query_cache.set_on_drop table (fun _ m ->
-      untrack m;
-      m.registered <- false)
-
-let key_of_lid lid = "l" ^ string_of_int lid
-
-let register lid memo =
-  memo.registered <- true;
-  Query_cache.add table (key_of_lid lid) ~cost:0 memo
-
-let drop lid = Query_cache.remove table (key_of_lid lid)
-let table_size () = Query_cache.length table
-let table_stats () = Query_cache.stats table
-
-(* ------------------------------------------------------------------ *)
 (* Switch                                                              *)
 
 let active () = Footprint.incremental_enabled ()
-
-let set_incremental b =
-  Footprint.set_incremental b;
-  (* dropping every memo unregisters it, so closures still holding one
-     run plain from now on instead of skipping on stale footprints *)
-  if not b then Query_cache.clear table
-
-(* ------------------------------------------------------------------ *)
-(* Dirty marking                                                       *)
-
-let on_write ws =
-  Query_cache.iter
-    (fun _ m ->
-      match m.fp with
-      | Some fp when (not m.dirty) && Footprint.intersects fp ws ->
-          m.dirty <- true;
-          incr invalidations;
-          if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.invalidation"
-      | _ -> ())
-    table
-
-let () =
-  Footprint.on_commit := on_write;
-  Dom_event.drop_hook := drop
+let set_incremental = Footprint.set_incremental
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
@@ -198,11 +138,10 @@ let result_key (seq : I.sequence) =
 type decision = Skip | Run_recorded | Run_plain
 
 let decide m ~args_key:akey =
-  if not (active ()) then Run_plain
-  else if m.latched_poison || not m.registered then Run_plain
+  if not (active ()) || m.latched_poison then Run_plain
   else
     match m.fp with
-    | Some _ when (not m.dirty) && String.equal m.args_key akey ->
+    | Some fp when Footprint.is_clean fp && String.equal m.args_key akey ->
         m.skipped_since_record <- true;
         Skip
     | _ ->
@@ -212,7 +151,7 @@ let decide m ~args_key:akey =
         | Some _ ->
             if m.skipped_since_record then m.wasted <- 0
             else m.wasted <- m.wasted + 1;
-            untrack m
+            m.fp <- None
         | None -> ());
         if m.wasted >= bypass_after then begin
           m.plain_streak <- m.plain_streak + 1;
@@ -240,8 +179,7 @@ let record_args (args : I.sequence list) =
       List.iter
         (function
           | I.Node n ->
-              Footprint.reading_scope ~root:(Dom.id (Dom.root n))
-                ~node:(Dom.id n)
+              Footprint.reading_scope ~root:(Dom.root_watch n) ~node:(Dom.id n)
           | I.Atomic _ -> ())
         seq)
     args
@@ -251,14 +189,13 @@ let record_args (args : I.sequence list) =
    error may be data-dependent, and with no stored footprint the
    listener re-runs every time anyway. *)
 let finish_run m ~ok ~args_key:akey ~fp ~result =
-  untrack m;
-  if not ok then m.dirty <- false
-  else if Footprint.is_poisoned fp then begin
+  m.fp <- None;
+  if ok && Footprint.is_poisoned fp then begin
     m.latched_poison <- true;
     incr poisoned_runs;
     if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.poisoned"
   end
-  else begin
+  else if ok then begin
     let rk = result_key result in
     if String.equal rk m.result_key && not (String.equal m.result_key "") then begin
       (* structurally equal to the cached result: the re-render this
@@ -267,11 +204,8 @@ let finish_run m ~ok ~args_key:akey ~fp ~result =
       if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.unchanged"
     end;
     m.result_key <- rk;
-    if m.registered then begin
-      m.fp <- Some fp;
-      m.args_key <- akey;
-      m.dirty <- false;
-      m.skipped_since_record <- false;
-      List.iter Footprint.track_root (Footprint.root_ids fp)
-    end
+    Footprint.register fp;
+    m.fp <- Some fp;
+    m.args_key <- akey;
+    m.skipped_since_record <- false
   end

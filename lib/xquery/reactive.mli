@@ -1,44 +1,33 @@
 (** Reactive dispatch: footprint-tracked listener memos.
 
-    Every listener registered through the evaluator owns a {!memo}.
-    After a pure run, the memo holds the run's read footprint (attached
-    to an autonomous {!Query_cache} entry), its argument fingerprint and
+    Every listener registered through the evaluator owns a {!memo},
+    held only by the registration's callback closure. After a pure run,
+    the memo holds the run's read footprint — registered with the
+    per-root watch of every tree it read — its argument fingerprint and
     its result fingerprint. A later dispatch with the same argument
     fingerprint is skipped outright unless some mutation batch since
-    then intersected the footprint ({!Footprint.on_commit} marks memos
+    then intersected the footprint ({!Footprint.commit} marks it
     dirty) — under deterministic evaluation the skipped run would have
     repeated the previous one exactly: same discarded result, no
     effects.
+
+    Nothing is keyed by listener: removing a registration, or dropping
+    its document, frees the memo and its footprint with the closure.
 
     Impure runs (PUL effects, external functions, impure builtins,
     global variable reads) latch the memo as unmemoizable; it then runs
     plain, with zero recording overhead, forever. The
     [--no-incremental] ablation ({!set_incremental}) restores
-    always-re-run dispatch globally and empties the table. *)
+    always-re-run dispatch globally; memos recorded before it was
+    switched off never skip again, and re-record once it is back on. *)
 
 type memo
 
 val fresh_memo : unit -> memo
 
-(** {1 Registration}
-
-    Keyed by [Dom_event] listener id; [Dom_event.drop_hook] is wired to
-    {!drop} at module initialization, so removal, same-name
-    replacement and reset all release the memo (and its footprint's
-    tracked-root refcounts). *)
-
-val register : Dom_event.listener_id -> memo -> unit
-val drop : Dom_event.listener_id -> unit
-
-(** Number of live memo entries (listener-churn regression tests). *)
-val table_size : unit -> int
-
-val table_stats : unit -> Query_cache.stats
-
 (** {1 Switch} *)
 
-(** Mirrors {!Footprint.set_incremental}; disabling also clears the
-    memo table so existing listeners revert to plain dispatch. *)
+(** Mirrors {!Footprint.set_incremental}. *)
 val set_incremental : bool -> unit
 
 val active : unit -> bool
@@ -64,9 +53,9 @@ val count_rerun : unit -> unit
     (their content is observable without any navigation step). *)
 val record_args : Xdm_item.sequence list -> unit
 
-(** Store the outcome of a recorded run: caches footprint + fingerprints
-    on a pure successful run, latches impurity on a poisoned one,
-    caches nothing on an error. *)
+(** Store the outcome of a recorded run: registers and caches the
+    footprint + fingerprints on a pure successful run, latches
+    impurity on a poisoned one, caches nothing on an error. *)
 val finish_run :
   memo ->
   ok:bool ->

@@ -35,13 +35,6 @@ let create () =
     resolver = (fun ~uri:_ ~locations:_ -> Module_not_found);
   }
 
-let copy t =
-  {
-    t with
-    functions = Hashtbl.copy t.functions;
-    externals = Hashtbl.copy t.externals;
-  }
-
 let ns_env t = t.ns
 let declare_namespace t ~prefix ~uri = t.ns <- Qname.Env.bind t.ns ~prefix ~uri
 

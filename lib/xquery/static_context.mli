@@ -17,9 +17,6 @@ type t
 
 val create : unit -> t
 
-(** A deep copy sharing nothing mutable. *)
-val copy : t -> t
-
 (** {1 Namespaces} *)
 
 val ns_env : t -> Qname.Env.t

@@ -363,6 +363,33 @@ let event_tests =
         in
         ignore (Dom_event.fire ~detail:[ ("button", "1") ] ~event_type:"ev" ~target:btn ());
         check (Alcotest.option Alcotest.string) "button" (Some "1") !seen);
+    t "listener survives detaching and re-inserting its node" (fun () ->
+        fired := [];
+        let doc = Dom.of_string "<r><a/><btn/></r>" in
+        let btn = List.hd (Dom.get_elements_by_local_name doc "btn") in
+        let a = List.hd (Dom.get_elements_by_local_name doc "a") in
+        let _ = Dom_event.add_listener btn ~event_type:"ev" (record "btn") in
+        Dom.remove btn;
+        ignore (Dom_event.fire ~event_type:"ev" ~target:btn ());
+        Dom.append_child ~parent:a btn;
+        ignore (Dom_event.fire ~event_type:"ev" ~target:btn ());
+        check (Alcotest.list Alcotest.string) "fired detached and re-inserted"
+          [ "btn"; "btn" ] !fired;
+        check Alcotest.int "still one listener" 1 (Dom_event.listener_count btn));
+    t "clone copies no listeners" (fun () ->
+        fired := [];
+        let doc = Dom.of_string "<r><btn/></r>" in
+        let r = root_el doc in
+        let btn = List.hd (Dom.get_elements_by_local_name doc "btn") in
+        let _ = Dom_event.add_listener r ~event_type:"ev" (record "r") in
+        let _ = Dom_event.add_listener btn ~event_type:"ev" (record "btn") in
+        let copy = Dom.clone doc in
+        let copy_btn = List.hd (Dom.get_elements_by_local_name copy "btn") in
+        check Alcotest.int "copied root" 0 (Dom_event.listener_count (root_el copy));
+        check Alcotest.int "copied button" 0 (Dom_event.listener_count copy_btn);
+        ignore (Dom_event.fire ~event_type:"ev" ~target:copy_btn ());
+        check (Alcotest.list Alcotest.string) "nothing fired" [] !fired;
+        check Alcotest.int "original keeps its own" 1 (Dom_event.listener_count btn));
   ]
 
 (* ---------- one-pass builders ---------- *)

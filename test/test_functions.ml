@@ -221,7 +221,62 @@ let error_doc_tests =
         expect_error "XPST0017" "string-join('a','b','c')");
   ]
 
+(* Hostile arguments raise typed errors, never a bare [Failure] *)
+let typed_error_tests =
+  [
+    t "matches: invalid pattern is FORX0002" (fun () ->
+        expect_error "FORX0002" "matches('a', '(')");
+    t "replace: invalid pattern is FORX0002" (fun () ->
+        expect_error "FORX0002" "replace('a', '(', 'x')");
+    t "tokenize: invalid pattern is FORX0002" (fun () ->
+        expect_error "FORX0002" "tokenize('a', '(')");
+    t "replace: empty-matching pattern is FORX0003" (fun () ->
+        expect_error "FORX0003" "replace('abc', '', 'x')");
+    t "tokenize: empty-matching pattern is FORX0003" (fun () ->
+        expect_error "FORX0003" "tokenize('a', '')");
+    t "codepoints-to-string: negative is FOCH0001" (fun () ->
+        expect_error "FOCH0001" "codepoints-to-string(-1)");
+    t "codepoints-to-string: past U+10FFFF is FOCH0001" (fun () ->
+        expect_error "FOCH0001" "codepoints-to-string(1114112)");
+    t "codepoints-to-string: a non-XML character is FOCH0001" (fun () ->
+        expect_error "FOCH0001" "codepoints-to-string((65, 0))");
+    t "codepoints-to-string: a surrogate is FOCH0001" (fun () ->
+        expect_error "FOCH0001" "codepoints-to-string(55296)");
+  ]
+
+(* The three range builders — the tree-walker's [eval] and [eval_seq]
+   and the closure compiler — and rounding, in every evaluator mode *)
+let in_modes f =
+  List.iter
+    (fun (compiled, streaming) ->
+      Fun.protect
+        ~finally:(fun () ->
+          Engine.set_compiled_eval true;
+          Eval.set_streaming true)
+        (fun () ->
+          Engine.set_compiled_eval compiled;
+          Eval.set_streaming streaming;
+          f ()))
+    [ (true, true); (false, true); (false, false) ]
+
+let range_rounding_tests =
+  let overflow src = t src (fun () -> in_modes (fun () -> expect_error "FOAR0002" src)) in
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  [
+    overflow "count(0 to 4611686018427387903)";
+    overflow "(0 to 4611686018427387903)[1]";
+    overflow "for $i in 0 to 4611686018427387903 return $i";
+    overflow "exists(for $i in (-1 to 4611686018427387903) where $i gt 5 return $i)";
+    value "4" "count(4611686018427387900 to 4611686018427387903)";
+    value "1.5" "round-half-to-even(1.5, 400)";
+    value "0" "round-half-to-even(1.5, -400)";
+    value "2" "round-half-to-even(2.5)";
+    value "3.14" "round-half-to-even(3.14159, 2)";
+  ]
+
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
   @ aggregate_tests @ node_tests @ qname_datetime_tests @ timezone_tests
-  @ uri_misc_tests @ error_doc_tests
+  @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests

@@ -208,12 +208,13 @@ let runtime_name_tests =
         let fresh = fresh_name () in
         let fp = Footprint.create () in
         let prev = Footprint.start fp in
-        Footprint.reading_name ~root:1 ~scope:1 (Sym.intern fresh);
+        Footprint.reading_name ~root:(Footprint.watch ()) ~scope:1
+          (Sym.intern fresh);
         Footprint.restore prev;
-        let w = Footprint.fresh_wrec ~root:1 ~chain:[ 1; 2 ] in
+        let w = Footprint.fresh_wrec ~chain:[ 1; 2 ] in
         Footprint.add_wname w (Sym.intern fresh);
         check Alcotest.bool "intersects" true (Footprint.intersects fp [ w ]);
-        let w2 = Footprint.fresh_wrec ~root:1 ~chain:[ 1; 2 ] in
+        let w2 = Footprint.fresh_wrec ~chain:[ 1; 2 ] in
         Footprint.add_wname w2 (Sym.intern (fresh_name ()));
         check Alcotest.bool "other name misses" false
           (Footprint.intersects fp [ w2 ]));

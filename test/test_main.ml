@@ -17,6 +17,7 @@ let () =
       ("joins", Test_joins.suite);
       ("query-cache", Test_query_cache.suite);
       ("reactive", Test_reactive.suite);
+      ("ownership", Test_ownership.suite);
       ("compile", Test_compile.suite);
       ("net", Test_net.suite);
       ("faults", Test_faults.suite);

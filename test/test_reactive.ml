@@ -275,48 +275,66 @@ let skip_tests =
 (* ------------------------------------------------------------------ *)
 (* Listener churn: registrations must not leak memos                   *)
 
+(* Live heap words after a full major collection. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let churn_page =
+  {|<html><head><script type="text/xquery">
+    declare function local:w($evt, $obj) { count($obj//item) };
+    </script></head><body><div id="r1"/></body></html>|}
+
 let churn_tests =
   [
-    t "attach/detach churn keeps the memo table flat" (fun () ->
+    t "attach/detach churn leaves the node's listeners and the heap flat"
+      (fun () ->
         with_configs (fun () ->
-            let b =
-              load_page
-                {|<html><head><script type="text/xquery">
-                  declare function local:w($evt, $obj) { count($obj//item) };
-                  </script></head><body><div id="r1"/></body></html>|}
-            in
-            let base = Reactive.table_size () in
+            let b = load_page churn_page in
+            let div = Option.get (Dom.get_element_by_id (B.document b) "r1") in
+            let base = Dom_event.listener_count div in
             ignore (run b {|on event "onclick" at //div attach listener local:w|});
             check Alcotest.int "attach registers" (base + 1)
-              (Reactive.table_size ());
+              (Dom_event.listener_count div);
             ignore (run b {|on event "onclick" at //div detach listener local:w|});
-            check Alcotest.int "detach drops" base (Reactive.table_size ());
-            for _ = 1 to 50 do
-              ignore
-                (run b {|on event "onclick" at //div attach listener local:w|});
-              ignore
-                (run b {|on event "onclick" at //div detach listener local:w|})
+            check Alcotest.int "detach drops" base (Dom_event.listener_count div);
+            (* each cycle also dispatches, so its memo records and
+               registers a footprint before the detach drops it *)
+            let cycle () =
+              ignore (run b {|on event "onclick" at //div attach listener local:w|});
+              B.dispatch b ~target:div "onclick";
+              B.dispatch b ~target:div "onclick";
+              ignore (run b {|on event "onclick" at //div detach listener local:w|})
+            in
+            for _ = 1 to 100 do
+              cycle ()
             done;
+            let before = live_words () in
+            Reactive.reset_counters ();
+            for _ = 1 to 1000 do
+              cycle ()
+            done;
+            let grown = live_words () - before in
             check Alcotest.int "no leak across churn" base
-              (Reactive.table_size ())));
+              (Dom_event.listener_count div);
+            check Alcotest.int "every memo recorded, then skipped" 1000
+              (counter "skips");
+            if grown > 16_384 then
+              Alcotest.failf "live heap grew by %d words over 1000 cycles" grown));
     t "same-name replacement drops the old registration" (fun () ->
         with_configs (fun () ->
-            let b =
-              load_page
-                {|<html><head><script type="text/xquery">
-                  declare function local:w($evt, $obj) { count($obj//item) };
-                  </script></head><body><div id="r1"/></body></html>|}
-            in
-            let base = Reactive.table_size () in
+            let b = load_page churn_page in
+            let div = Option.get (Dom.get_element_by_id (B.document b) "r1") in
+            let base = Dom_event.listener_count div in
             for _ = 1 to 20 do
               ignore
                 (run b {|on event "onclick" at //div attach listener local:w|})
             done;
             (* one live registration: each re-attach replaced the last *)
             check Alcotest.int "replacement is not a leak" (base + 1)
-              (Reactive.table_size ());
+              (Dom_event.listener_count div);
             ignore (run b {|on event "onclick" at //div detach listener local:w|});
-            check Alcotest.int "drained" base (Reactive.table_size ())));
+            check Alcotest.int "drained" base (Dom_event.listener_count div)));
   ]
 
 (* ------------------------------------------------------------------ *)
