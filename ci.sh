@@ -41,6 +41,12 @@
 # grows the global intern table, if no long-name scan clears the
 # speedup bar, or if an always-miss dispatch (which exercises only the
 # symbol-keyed machinery both modes share) shifts by more than 10%.
+# The dom-order line runs the DOM cache differential at its long count
+# (50x): it fails if, after any step of a random stream of every DOM
+# mutator (detached subtrees mutated and re-inserted included), a
+# maintained cache — document-order labels, id and name buckets,
+# attribute and text value buckets, block render memos — answers
+# differently from a from-scratch rebuild or a fresh render.
 # The perfbench line runs the end-to-end benchmark's own tests: it fails
 # if one seed does not give the same inputs and the same traced counts
 # twice, if a deliberately wrong expectation does not fail ops, or if
@@ -58,4 +64,5 @@ dune exec bench/main.exe -- --smoke --only t13 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t14 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t15 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-order > /dev/null
 python3 perfbench/test_perfbench.py > /dev/null

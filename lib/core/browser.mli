@@ -72,7 +72,8 @@ val clear_alerts : t -> unit
 
 (** Render the page through {!Renderer.render_cached}: when an event
     changed nothing (all listeners skipped by reactive dispatch), the
-    re-render is a memo lookup. *)
+    re-render is a memo lookup; otherwise only the blocks on the paths
+    the event wrote are re-rendered. *)
 val render : ?options:Renderer.options -> t -> string
 
 (** {1 Event dispatch and user simulation} *)

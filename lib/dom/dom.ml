@@ -13,6 +13,10 @@ type kind =
 type slot = ..
 type slot += Empty
 
+(* Values the layers above derive from a subtree (the renderer's block
+   output), kept on the per-root record; see "Subtree memos". *)
+type memo = ..
+
 type node = {
   nid : int;
   mutable nkind : payload;
@@ -31,32 +35,40 @@ and accel = {
   mutable rslot : slot;  (* the node's slot, kept here once it has one *)
   mutable observers : observer list;  (* registration order *)
   watch : Footprint.watch;  (* footprints that read this tree *)
-  mutable gen : int;
-      (* bumped by every mutation under this root; caches whose
-         [*_gen] stamp differs are stale and relabel on demand *)
-  mutable egen : int;
-      (* element-structure generation: bumped only by mutations that
-         can change which elements exist, their names, or their id
-         attributes. Value-only mutations (text/attribute content)
-         leave it alone, so the id / local-name element indexes
-         survive them *)
-  mutable keys_gen : int;
-  okeys : (int, int) Hashtbl.t;  (* nid -> document-order ordinal *)
-  mutable idx_gen : int;
-  by_id : (int, node list) Hashtbl.t;
-      (* id attribute value (interned) -> elements, document order *)
-  by_name : (int, node list) Hashtbl.t;
-      (* local-name symbol -> elements, document order *)
-  mutable vidx_gen : int;
-  by_attr_value : (int * int, node list) Hashtbl.t;
-      (* (attr local-name sym, value sym) -> owning elements, doc order *)
-  by_text_value : (int * int, node list) Hashtbl.t;
-      (* (elem local-name sym, string-value sym) -> flat elements,
-         doc order *)
-  text_complex : (int, unit) Hashtbl.t;
-      (* local-name syms with at least one non-flat (element-children)
-         occurrence; text-value lookups on these names are unreliable
-         and must fall back to a scan *)
+  mutable labels : (int, int) Hashtbl.t option;
+      (* nid -> sparse document-order label; built on the first order
+         read, or with the first index *)
+  mutable elems : elems option;  (* built on the first id or name probe *)
+  attr_values : (int, (string, bucket) Hashtbl.t) Hashtbl.t;
+      (* per probed attribute local-name symbol: value -> owning
+         elements *)
+  text_values : (int, text_index) Hashtbl.t;
+      (* per probed element local-name symbol *)
+  mutable memos : (string * (int, memo) Hashtbl.t) list;
+      (* the layers' memo tables, by client key: nid -> memo *)
+}
+
+and elems = {
+  by_id : (string, bucket) Hashtbl.t;  (* id attribute value -> elements *)
+  by_name : (int, bucket) Hashtbl.t;  (* local-name symbol -> elements *)
+}
+
+(* Flat elements (no element children) of one local name, by their
+   string value, which is then the concatenation of their text
+   children; [complex] counts the elements of the name that are not
+   flat, and while it is non-zero text lookups on the name fall back to
+   a scan. *)
+and text_index = {
+  tvals : (string, bucket) Hashtbl.t;
+  mutable complex : int;
+}
+
+(* Nodes sorted by label, so in document order, cut into chunks of at
+   most [chunk_max] nodes. A chunk is never written in place: adding or
+   removing a node copies its chunk, whatever the size of the bucket. *)
+and bucket = {
+  mutable chunks : node array array;  (* non-empty, in order *)
+  mutable listed : node list option;  (* the nodes as a list, until they change *)
 }
 
 and payload =
@@ -180,71 +192,51 @@ let set_slot n s =
   | _ -> n.nside <- Slotted s
 
 (* ------------------------------------------------------------------ *)
-(* Acceleration: per-root document-order keys and element indexes.
+(* Acceleration: per-root caches that every write keeps.
 
-   Every root lazily carries an [accel] record, its per-root record: a
-   generation counter bumped by every mutation under the root, plus
-   three caches stamped with the generation they were built at —
-   document-order ordinals (making [compare_order] an O(1) integer
-   compare), an id->elements index and a local-name->elements index.
-   Stale caches are rebuilt on demand by a single DFS. The record also
-   owns the root's mutation observers and the footprint watch, so both
-   are freed with the tree. The [acceleration] switch keeps the naive
-   implementations selectable as the ablation baseline and test
+   Every root lazily carries an [accel] record, its per-root record. It
+   owns the root's mutation observers and footprint watch, so both are
+   freed with the tree, and four caches:
+   - sparse document-order labels, making [compare_order] an O(1)
+     integer compare (built on the first order read);
+   - id and local-name element buckets (built on the first probe);
+   - per probed attribute or element name, value buckets (built on the
+     first probe of that name);
+   - the memo tables of the layers above.
+   A cache is built by one walk of the tree; from then on every write
+   updates it in place from what the write touched (see "Write upkeep"),
+   so the cost of a write and of the next read follows the write, not
+   the size of the tree. Buckets are sorted by label, so building an
+   index builds the labels too. The [acceleration] switch keeps the
+   naive implementations selectable as the ablation baseline and test
    oracle. *)
 
 let acceleration = ref true
 let set_acceleration b = acceleration := b
 let acceleration_enabled () = !acceleration
 
-(* Value indexes (attribute values and flat-element text) share the
-   accel generation counter but have their own switch, so join/lookup
-   ablations can disable them without losing document-order keys. *)
+(* Value indexes (attribute values and flat-element text) have their
+   own switch, so join/lookup ablations can disable them without losing
+   document-order labels. *)
 let value_index = ref true
 let set_value_index b = value_index := b
 let value_index_enabled () = !value_index
 
 (* Interned-name fast paths (the [--no-interning] ablation): forwards
    to the global [Sym] switch, which gates [Qname.equal]/[compare] and
-   the evaluator's symbol probes. Index *storage* stays symbol-keyed
-   either way — interning is a bijection, so both modes probe the same
-   keys; the switch selects whether probe keys come from pre-interned
-   symbols or are re-derived from strings. *)
+   the evaluator's symbol probes. Name buckets stay symbol-keyed either
+   way — interning is a bijection, so both modes probe the same keys;
+   the switch selects whether probe keys come from pre-interned symbols
+   or are re-derived from strings. *)
 let set_interned_fastpaths b = Sym.set_fastpaths b
 let interned_fastpaths_enabled () = Sym.fastpaths_enabled ()
 
 (* The "id" attribute's symbol, compared against attribute local names
-   on every structural-invalidation decision. *)
+   whenever an attribute enters or leaves a tree. *)
 let id_sym : Sym.t = Sym.intern "id"
 
-(* Like [attribute_local], matching on the pre-interned local-name
-   symbol instead of the string. *)
-let attribute_by_sym n (sym : Sym.t) =
-  List.find_map
-    (fun a ->
-      match a.nkind with
-      | P_attribute { aname; avalue } when Sym.equal aname.Qname.lsym sym ->
-          Some avalue
-      | _ -> None)
-    (attributes n)
-
-(* Mark a node's own accel state stale. Called whenever the node
-   becomes parentless: its caches may describe a tree it was part of
-   while attached (mutations there only bumped the attached root). *)
-let touch n =
-  match n.nside with
-  | Rooted s ->
-      s.gen <- s.gen + 1;
-      s.egen <- s.egen + 1
-  | Bare | Slotted _ -> ()
-
-(* Mark only value-dependent caches stale: the mutation changed text or
-   attribute content but no element's existence, name, or id. *)
-let touch_values n =
-  match n.nside with Rooted s -> s.gen <- s.gen + 1 | Bare | Slotted _ -> ()
-
-(* Mark the tree containing [n] as mutated. *)
-let invalidate n = touch (root n)
+let metric name = if !Obs.Metrics.enabled then Obs.Metrics.incr name
+let metric_by name k = if !Obs.Metrics.enabled then Obs.Metrics.incr ~by:k name
 
 let accel_of r =
   match r.nside with
@@ -255,17 +247,11 @@ let accel_of r =
           rslot = slot r;
           observers = [];
           watch = Footprint.watch ();
-          gen = 0;
-          egen = 0;
-          keys_gen = -1;
-          okeys = Hashtbl.create 8;
-          idx_gen = -1;
-          by_id = Hashtbl.create 8;
-          by_name = Hashtbl.create 8;
-          vidx_gen = -1;
-          by_attr_value = Hashtbl.create 8;
-          by_text_value = Hashtbl.create 8;
-          text_complex = Hashtbl.create 8;
+          labels = None;
+          elems = None;
+          attr_values = Hashtbl.create 4;
+          text_values = Hashtbl.create 4;
+          memos = [];
         }
       in
       r.nside <- Rooted s;
@@ -273,58 +259,19 @@ let accel_of r =
 
 let root_watch n = (accel_of (root n)).watch
 
-(* Ordinals by pre-order DFS; an element's attributes are labelled
-   after the element and before its children, matching the path
-   comparison (Attr_at sorts before Child_at). *)
-let ensure_keys r s =
-  if s.keys_gen = s.gen then begin
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.accel.keys.hit"
-  end
-  else begin
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.accel.keys.rebuild";
-    Hashtbl.reset s.okeys;
-    let next = ref 0 in
-    let assign n =
-      Hashtbl.replace s.okeys n.nid !next;
-      incr next
-    in
-    let rec label n =
-      assign n;
-      List.iter assign (attributes n);
-      List.iter label (children n)
-    in
-    label r;
-    s.keys_gen <- s.gen
-  end
+(* Drop every cache of a record whose node joins another tree: that
+   tree's caches take over its subtree, and these would be stale when
+   the node is a root again. Observers and the watch stay. *)
+let reset_caches s =
+  s.labels <- None;
+  s.elems <- None;
+  Hashtbl.reset s.attr_values;
+  Hashtbl.reset s.text_values;
+  s.memos <- []
 
-let ensure_indexes r s =
-  if s.idx_gen = s.egen then begin
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.accel.index.hit"
-  end
-  else begin
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.accel.index.rebuild";
-    Hashtbl.reset s.by_id;
-    Hashtbl.reset s.by_name;
-    let add tbl k v =
-      Hashtbl.replace tbl k
-        (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-    in
-    let rec walk n =
-      (match n.nkind with
-      | P_element e ->
-          (match attribute_by_sym n id_sym with
-          | Some v -> add s.by_id (Sym.intern v :> int) n
-          | None -> ());
-          add s.by_name (e.ename.Qname.lsym :> int) n
-      | _ -> ());
-      List.iter walk (children n)
-    in
-    walk r;
-    let rev tbl = Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl in
-    rev s.by_id;
-    rev s.by_name;
-    s.idx_gen <- s.egen
-  end
+let link n p =
+  n.nparent <- Some p;
+  match n.nside with Rooted s -> reset_caches s | Bare | Slotted _ -> ()
 
 let rec string_value_rec n =
   match n.nkind with
@@ -372,6 +319,381 @@ let siblings_split n =
 
 let following_siblings n = snd (siblings_split n)
 let preceding_siblings n = List.rev (fst (siblings_split n))
+
+(* ------------------------------------------------------------------ *)
+(* Order labels.
+
+   Labels are integers in [0, label_space), increasing in document
+   order: a node, then its attributes, then its children's subtrees
+   (the path comparison's order, where Attr_at sorts before Child_at).
+   A full build spreads them evenly. A group of k nodes linked in one
+   step takes k labels evenly spaced in the gap between its neighbours;
+   when the gap is too narrow, the smallest aligned label range around
+   it that stays under a density threshold is relabelled evenly. This is
+   order maintenance after Dietz & Sleator (STOC 1987) and Bender et al.
+   (ESA 2002), whose analysis bounds the relabelling at O(log n)
+   amortized per insert. *)
+
+let label_space = 1 lsl 61
+
+let rec iter_preorder f n =
+  f n;
+  List.iter f (attributes n);
+  List.iter (iter_preorder f) (children n)
+
+let preorder n =
+  let acc = ref [] in
+  iter_preorder (fun x -> acc := x :: !acc) n;
+  List.rev !acc
+
+let fill_labels lt r =
+  let count = ref 0 in
+  iter_preorder (fun _ -> incr count) r;
+  let stride = label_space / (!count + 1) and next = ref 0 in
+  iter_preorder
+    (fun n ->
+      next := !next + stride;
+      Hashtbl.replace lt n.nid !next)
+    r
+
+let labels_of r s =
+  match s.labels with
+  | Some lt ->
+      metric "dom.accel.keys.hit";
+      lt
+  | None ->
+      metric "dom.accel.keys.rebuild";
+      let lt = Hashtbl.create 64 in
+      fill_labels lt r;
+      s.labels <- Some lt;
+      lt
+
+(* Cursors over document order from a node, without sibling links: a
+   stack of pending sibling lists, each ancestor level's list split
+   once, when the cursor first reaches it. *)
+type fwd = F_nodes of node list | F_after of node
+
+(* [ref [F_after n]] yields the nodes after [n]'s subtree *)
+let rec next_fwd st =
+  match !st with
+  | [] -> None
+  | F_nodes [] :: rest ->
+      st := rest;
+      next_fwd st
+  | F_nodes (x :: xs) :: rest ->
+      st := F_nodes (attributes x) :: F_nodes (children x) :: F_nodes xs :: rest;
+      Some x
+  | F_after x :: rest ->
+      (st :=
+         match x.nparent with
+         | None -> rest
+         | Some p -> (
+             let rec after = function
+               | [] -> []
+               | c :: cs -> if c == x then cs else after cs
+             in
+             match x.nkind with
+             | P_attribute _ ->
+                 F_nodes (after (attributes p)) :: F_nodes (children p) :: F_after p :: rest
+             | _ -> F_nodes (after (children p)) :: F_after p :: rest));
+      next_fwd st
+
+type bwd = B_self of node | B_rev of node list | B_before of node
+
+(* [ref [B_before n]] yields the nodes before [n], nearest first *)
+let rec next_bwd st =
+  match !st with
+  | [] -> None
+  | B_self x :: rest ->
+      st := rest;
+      Some x
+  | B_rev [] :: rest ->
+      st := rest;
+      next_bwd st
+  | B_rev (x :: xs) :: rest -> (
+      (* [x]'s subtree backwards: its children's subtrees last first,
+         its attributes last first, then [x] *)
+      match (children x, attributes x) with
+      | [], [] ->
+          st := B_rev xs :: rest;
+          Some x
+      | cs, ats ->
+          st := B_rev (List.rev cs) :: B_rev (List.rev ats) :: B_self x :: B_rev xs :: rest;
+          next_bwd st)
+  | B_before x :: rest ->
+      (st :=
+         match x.nparent with
+         | None -> rest
+         | Some p -> (
+             let rec before acc = function
+               | [] -> acc
+               | c :: cs -> if c == x then acc else before (c :: acc) cs
+             in
+             match x.nkind with
+             | P_attribute _ -> B_rev (before [] (attributes p)) :: B_self p :: B_before p :: rest
+             | _ ->
+                 B_rev (before [] (children p))
+                 :: B_rev (List.rev (attributes p))
+                 :: B_self p :: B_before p :: rest));
+      next_bwd st
+
+(* Bender et al.'s density threshold for a range of 2^i labels, with
+   their tau = 3/2: it may hold at most (2/tau)^i labels. *)
+let range_capacity i = Float.pow (4. /. 3.) (float_of_int i)
+
+(* Label [fresh], the [k] nodes in document order of the subtrees
+   [first] .. [last], just linked as consecutive siblings. *)
+let place r lt ~first ~last fresh k =
+  let label_of x = Hashtbl.find lt x.nid in
+  let bwd = ref [ B_before first ] and fwd = ref [ F_after last ] in
+  let pred = next_bwd bwd and succ = next_fwd fwd in
+  let lo = match pred with Some p -> label_of p | None -> 0 in
+  let hi = match succ with Some x -> label_of x | None -> label_space in
+  let spread base width nodes m =
+    let step = width / (m + 1) in
+    List.iteri (fun j x -> Hashtbl.replace lt x.nid (base + ((j + 1) * step))) nodes
+  in
+  if hi - lo > k then spread lo (hi - lo) fresh k
+  else begin
+    (* grow an aligned range around [lo] until it is sparse enough,
+       taking in its labelled nodes from both sides *)
+    let left = ref (Option.to_list pred) and right = ref [] in
+    let nleft = ref (List.length !left) and nright = ref 0 in
+    let before = ref (next_bwd bwd) and after = ref succ in
+    let rec grow i =
+      if i > 61 then begin
+        (* past ~4e7 nodes: relabel the whole tree *)
+        Hashtbl.reset lt;
+        fill_labels lt r;
+        metric_by "dom.delta.relabels" (Hashtbl.length lt)
+      end
+      else begin
+        let width = 1 lsl i in
+        let base = lo land lnot (width - 1) in
+        let rec take_left () =
+          match !before with
+          | Some x when label_of x >= base ->
+              left := x :: !left;
+              incr nleft;
+              before := next_bwd bwd;
+              take_left ()
+          | _ -> ()
+        in
+        let rec take_right () =
+          match !after with
+          | Some x when label_of x < base + width ->
+              right := x :: !right;
+              incr nright;
+              after := next_fwd fwd;
+              take_right ()
+          | _ -> ()
+        in
+        take_left ();
+        take_right ();
+        let m = !nleft + k + !nright in
+        if float_of_int m <= range_capacity i then begin
+          spread base width (!left @ fresh @ List.rev !right) m;
+          metric_by "dom.delta.relabels" (!nleft + !nright)
+        end
+        else grow (i + 1)
+      end
+    in
+    grow 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Buckets: the nodes of one index key, sorted by label *)
+
+let chunk_max = 64
+
+(* the nodes of [l], in document order *)
+let bucket_of_list l =
+  let a = Array.of_list l in
+  let n = Array.length a in
+  let chunk c = Array.sub a (c * chunk_max) (min chunk_max (n - (c * chunk_max))) in
+  { chunks = Array.init ((n + chunk_max - 1) / chunk_max) chunk; listed = None }
+
+let bucket_list b =
+  match b.listed with
+  | Some l -> l
+  | None ->
+      let l = Array.fold_right (fun c acc -> Array.fold_right List.cons c acc) b.chunks [] in
+      b.listed <- Some l;
+      l
+
+let label lt x = Hashtbl.find lt x.nid
+
+(* the chunk that holds, or would take, label [k]: the last one whose
+   first label is at most [k], or the first *)
+let chunk_index lt b k =
+  let lo = ref 0 and hi = ref (Array.length b.chunks - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) lsr 1 in
+    if label lt b.chunks.(mid).(0) <= k then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* the first position in chunk [c] labelled [k] or later *)
+let lower_bound lt c k =
+  let lo = ref 0 and hi = ref (Array.length c) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if label lt c.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* [b]'s chunks with chunk [i] replaced by [cs] *)
+let splice b i cs =
+  let n = Array.length b.chunks in
+  b.chunks <- Array.concat [ Array.sub b.chunks 0 i; cs; Array.sub b.chunks (i + 1) (n - i - 1) ]
+
+(* A bucket in a table is never empty: [entry] drops it with its last
+   node. *)
+
+let bucket_add lt b n =
+  b.listed <- None;
+  let k = label lt n in
+  let ci = chunk_index lt b k in
+  let c = b.chunks.(ci) in
+  let len = Array.length c and i = lower_bound lt c k in
+  metric_by "dom.delta.copies" len;
+  let c' = Array.make (len + 1) n in
+  Array.blit c 0 c' 0 i;
+  Array.blit c i c' (i + 1) (len - i);
+  if len < chunk_max then b.chunks.(ci) <- c'
+  else
+    let h = (len + 1) / 2 in
+    splice b ci [| Array.sub c' 0 h; Array.sub c' h (len + 1 - h) |]
+
+let bucket_remove lt b n =
+  let k = label lt n in
+  let ci = chunk_index lt b k in
+  let c = b.chunks.(ci) in
+  let len = Array.length c in
+  let i = ref (lower_bound lt c k) in
+  while !i < len && c.(!i) != n do incr i done;
+  if !i < len then begin
+    b.listed <- None;
+    metric_by "dom.delta.copies" (len - 1);
+    if len = 1 then splice b ci [||]
+    else
+      let i = !i in
+      b.chunks.(ci) <- Array.init (len - 1) (fun j -> if j < i then c.(j) else c.(j + 1))
+  end
+
+(* add [n] to, or remove it from, the bucket of [key] *)
+let entry lt ~add tbl key n =
+  match (Hashtbl.find_opt tbl key, add) with
+  | Some b, _ ->
+      (if add then bucket_add else bucket_remove) lt b n;
+      if Array.length b.chunks = 0 then Hashtbl.remove tbl key
+  | None, true -> Hashtbl.replace tbl key { chunks = [| [| n |] |]; listed = None }
+  | None, false -> ()
+
+(* A whole-tree build walks in document order, collecting each key's
+   nodes; [seal] then cuts them into buckets. *)
+let collect tbl key n =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> l := n :: !l
+  | None -> Hashtbl.replace tbl key (ref [ n ])
+
+let seal tbl =
+  let t = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
+  Hashtbl.iter (fun k l -> Hashtbl.replace t k (bucket_of_list (List.rev !l))) tbl;
+  t
+
+(* An element's text key: its string value, when it is flat. *)
+let flat_key n =
+  let cs = children n in
+  if List.exists (fun c -> match c.nkind with P_element _ -> true | _ -> false) cs then None
+  else
+    Some
+      (String.concat ""
+         (List.filter_map
+            (fun c -> match c.nkind with P_text t -> Some t.tcontent | _ -> None)
+            cs))
+
+(* [n]'s text entry, from its current children: removed before they or
+   their text change, added back after *)
+let text_entry lt ~add ti n =
+  match flat_key n with
+  | Some k -> entry lt ~add ti.tvals k n
+  | None -> ti.complex <- (if add then ti.complex + 1 else ti.complex - 1)
+
+(* [f] on every element of [n]'s subtree (inclusive), with its name,
+   in document order *)
+let rec iter_elements f n =
+  (match n.nkind with P_element el -> f n el.ename | _ -> ());
+  List.iter (iter_elements f) (children n)
+
+(* [f] on the value of every attribute of [el] named [lsym] *)
+let iter_attr_values f el (lsym : Sym.t) =
+  List.iter
+    (fun a ->
+      match a.nkind with
+      | P_attribute at when Sym.equal at.aname.Qname.lsym lsym -> f at.avalue
+      | _ -> ())
+    (attributes el)
+
+(* Whole-tree builds *)
+
+let build_elems r =
+  metric "dom.accel.index.rebuild";
+  let by_id = Hashtbl.create 64 and by_name = Hashtbl.create 64 in
+  iter_elements
+    (fun n name ->
+      collect by_name (name.Qname.lsym :> int) n;
+      iter_attr_values (fun v -> collect by_id v n) n id_sym)
+    r;
+  { by_id = seal by_id; by_name = seal by_name }
+
+let build_attr_values r (lsym : Sym.t) =
+  metric "dom.value_index.rebuild";
+  let t = Hashtbl.create 64 in
+  iter_elements (fun n _ -> iter_attr_values (fun v -> collect t v n) n lsym) r;
+  seal t
+
+let build_text_values r (lsym : Sym.t) =
+  metric "dom.value_index.rebuild";
+  let t = Hashtbl.create 64 and complex = ref 0 in
+  iter_elements
+    (fun n name ->
+      if Sym.equal name.Qname.lsym lsym then
+        match flat_key n with Some k -> collect t k n | None -> incr complex)
+    r;
+  { tvals = seal t; complex = !complex }
+
+let elems_of r s =
+  match s.elems with
+  | Some e ->
+      metric "dom.accel.index.hit";
+      e
+  | None ->
+      ignore (labels_of r s);
+      let e = build_elems r in
+      s.elems <- Some e;
+      e
+
+let attr_values_of r s (lsym : Sym.t) =
+  match Hashtbl.find_opt s.attr_values (lsym :> int) with
+  | Some t -> t
+  | None ->
+      ignore (labels_of r s);
+      let t = build_attr_values r lsym in
+      Hashtbl.replace s.attr_values (lsym :> int) t;
+      t
+
+let text_values_of r s (lsym : Sym.t) =
+  match Hashtbl.find_opt s.text_values (lsym :> int) with
+  | Some ti -> ti
+  | None ->
+      ignore (labels_of r s);
+      let ti = build_text_values r lsym in
+      Hashtbl.replace s.text_values (lsym :> int) ti;
+      ti
+
+(* ------------------------------------------------------------------ *)
+(* Document order *)
 
 (* Path from the root to the node: each step is a position index.
    Attributes sort after their element but before its children; we encode
@@ -436,18 +758,17 @@ let compare_order a b =
     let ra = root a and rb = root b in
     if ra != rb then Int.compare ra.nid rb.nid
     else if !acceleration then begin
-      let s = accel_of ra in
-      ensure_keys ra s;
-      match (Hashtbl.find_opt s.okeys a.nid, Hashtbl.find_opt s.okeys b.nid) with
+      let lt = labels_of ra (accel_of ra) in
+      match (Hashtbl.find_opt lt a.nid, Hashtbl.find_opt lt b.nid) with
       | Some ka, Some kb ->
-          if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.order.keyed";
+          metric "dom.order.keyed";
           Int.compare ka kb
       | _ ->
-          if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.order.path";
+          metric "dom.order.path";
           compare_paths a b
     end
     else begin
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.order.path";
+      metric "dom.order.path";
       compare_paths a b
     end
 
@@ -455,9 +776,7 @@ let order_key n =
   if not !acceleration then None
   else
     let r = root n in
-    let s = accel_of r in
-    ensure_keys r s;
-    match Hashtbl.find_opt s.okeys n.nid with
+    match Hashtbl.find_opt (labels_of r (accel_of r)) n.nid with
     | Some k -> Some (r.nid, k)
     | None -> None
 
@@ -470,6 +789,21 @@ let is_ancestor ~ancestor n =
   go n
 
 let equal a b = a == b
+
+(* ------------------------------------------------------------------ *)
+(* Subtree memos: tables the layers above keep on the per-root record,
+   one per client key, mapping a node to a value derived from its
+   subtree. Every write drops the entries of the nodes on its ancestor
+   chain and of the nodes it unlinks, so an entry found is current. *)
+
+let memo_table n key =
+  let s = accel_of (root n) in
+  match List.assoc_opt key s.memos with
+  | Some t -> t
+  | None ->
+      let t = Hashtbl.create 64 in
+      s.memos <- (key, t) :: s.memos;
+      t
 
 (* ------------------------------------------------------------------ *)
 (* Mutation observers                                                  *)
@@ -491,38 +825,9 @@ let unobserve o =
   | Rooted s -> s.observers <- List.filter (fun o' -> o' != o) s.observers
   | Bare | Slotted _ -> ()
 
-(* Per-mutation write-footprint extras: what beyond the mutation point
-   the mutation touched. Subtree scans are deferred so they only run
-   when the mutated tree is footprint-tracked. *)
-type fp_item =
-  | FP_subtree of node  (* inserted/removed/replaced subtree *)
-  | FP_name of Sym.t  (* a local name whose index buckets changed *)
-  | FP_id of string  (* an id attribute value added/removed/changed *)
-  | FP_key of Sym.t * string  (* (attr local name, value) key touched *)
-
-let fp_scan_subtree w n =
-  let rec walk n =
-    (match n.nkind with
-    | P_element e ->
-        Footprint.add_wname w e.ename.Qname.lsym;
-        List.iter
-          (fun a ->
-            match a.nkind with
-            | P_attribute { aname; avalue } ->
-                Footprint.add_wkey w ~local:aname.Qname.lsym avalue;
-                if Sym.equal aname.Qname.lsym id_sym then
-                  Footprint.add_wid w avalue
-            | _ -> ())
-          e.eattrs
-    | _ -> ());
-    List.iter walk (children n)
-  in
-  walk n
-
 (* Observer notifications queue while a batch is open (one PUL apply =
    one coherent post-apply changeset) and flush, in mutation order, when
-   the outermost batch closes. Generation bumps (cache invalidation)
-   stay immediate. *)
+   the outermost batch closes. Cache upkeep stays immediate. *)
 let batch_depth = ref 0
 let batch_queue : (node * mutation) list ref = ref []
 
@@ -530,47 +835,6 @@ let deliver r mutation =
   match r.nside with
   | Rooted s -> List.iter (fun o -> o.callback mutation) s.observers
   | Bare | Slotted _ -> ()
-
-let notify ?(fp = []) node mutation =
-  let r = root node in
-  (* A value-only mutation (text or non-id attribute content) cannot
-     change which elements exist, their names, or their ids, so the
-     element indexes survive it; anything touching an id value carries
-     an [FP_id] in its footprint extras. Element [set_value] swaps its
-     text children but emits [Value_changed]: element topology is
-     untouched, and the detach path already staled the total
-     generation for the ordinal and value caches. *)
-  let structural =
-    match mutation with
-    | Value_changed _ | Attribute_changed _ ->
-        List.exists (function FP_id _ -> true | _ -> false) fp
-    | Children_changed _ | Renamed _ -> true
-  in
-  if structural then touch r else touch_values r;
-  (* invalidate, with the root computed once *)
-  (* registered footprints and observers live on the per-root record *)
-  (match r.nside with
-  | Rooted s ->
-      if Footprint.capturing s.watch then begin
-        let chain = node.nid :: List.map (fun a -> a.nid) (ancestors node) in
-        let w = Footprint.fresh_wrec ~chain in
-        List.iter
-          (function
-            | FP_subtree n -> fp_scan_subtree w n
-            | FP_name l -> Footprint.add_wname w l
-            | FP_id v -> Footprint.add_wid w v
-            | FP_key (local, v) -> Footprint.add_wkey w ~local v)
-          fp;
-        Footprint.record_write s.watch w
-      end;
-      if s.observers != [] then
-        if !batch_depth > 0 then begin
-          if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.notify.batched";
-          batch_queue := (r, mutation) :: !batch_queue
-        end
-        else deliver r mutation
-  | Bare | Slotted _ -> ());
-  if !batch_depth = 0 then Footprint.commit ()
 
 let with_batch f =
   incr batch_depth;
@@ -584,6 +848,185 @@ let with_batch f =
         Footprint.commit ()
       end)
     f
+
+(* ------------------------------------------------------------------ *)
+(* Write upkeep.
+
+   A mutation is one write: [begin_write] at its mutation point (the
+   node whose children, attributes, value or name change), then each
+   structural step followed by the upkeep of what it linked or
+   unlinked, then [end_write]. The upkeep of a linked or unlinked
+   subtree is one walk that updates every cache the root keeps — labels,
+   id and name buckets, the value buckets of the names probed so far,
+   memos — and feeds the footprint write record the local names, ids
+   and attribute keys it touched. The record's chain is the mutation
+   point's ancestor-or-self chain, whose memos [begin_write] drops. A
+   tree with no caches and no registered footprint does no upkeep. *)
+
+type write = {
+  wroot : node;
+  ws : accel option;  (* the written root's record, if it has one *)
+  wfp : Footprint.wrec option;  (* the footprint write record, if captured *)
+}
+
+let begin_write ?(capture = true) point =
+  let r = root point in
+  match r.nside with
+  | Bare | Slotted _ -> { wroot = r; ws = None; wfp = None }
+  | Rooted s ->
+      if s.memos <> [] then begin
+        let rec drop n =
+          List.iter (fun (_, t) -> Hashtbl.remove t n.nid) s.memos;
+          Option.iter drop n.nparent
+        in
+        drop point
+      end;
+      let wfp =
+        if capture && Footprint.capturing s.watch then
+          Some
+            (Footprint.fresh_wrec
+               ~chain:(point.nid :: List.map (fun a -> a.nid) (ancestors point)))
+        else None
+      in
+      { wroot = r; ws = Some s; wfp }
+
+let end_write w mutation =
+  (match w.ws with
+  | Some s ->
+      Option.iter (Footprint.record_write s.watch) w.wfp;
+      if s.observers != [] then
+        if !batch_depth > 0 then begin
+          metric "dom.notify.batched";
+          batch_queue := (w.wroot, mutation) :: !batch_queue
+        end
+        else deliver w.wroot mutation
+  | None -> ());
+  if !batch_depth = 0 then Footprint.commit ()
+
+let fp_name w (name : Qname.t) =
+  Option.iter (fun r -> Footprint.add_wname r name.Qname.lsym) w.wfp
+
+let fp_attr w (aname : Qname.t) v =
+  Option.iter
+    (fun r ->
+      Footprint.add_wkey r ~local:aname.Qname.lsym v;
+      if Sym.equal aname.Qname.lsym id_sym then Footprint.add_wid r v)
+    w.wfp
+
+(* The index entries of attribute [aname = v] on element [owner]. *)
+let attr_entries s lt ~add owner (aname : Qname.t) v =
+  let lsym = aname.Qname.lsym in
+  (if Sym.equal lsym id_sym then
+     match s.elems with Some e -> entry lt ~add e.by_id v owner | None -> ());
+  match Hashtbl.find_opt s.attr_values (lsym :> int) with
+  | Some t -> entry lt ~add t v owner
+  | None -> ()
+
+(* An element's own entries: under its name, and its text. *)
+let element_entries s lt ~add e (ename : Qname.t) =
+  let key = (ename.Qname.lsym :> int) in
+  (match s.elems with Some x -> entry lt ~add x.by_name key e | None -> ());
+  match Hashtbl.find_opt s.text_values key with
+  | Some ti -> text_entry lt ~add ti e
+  | None -> ()
+
+(* The subtrees [group] were just linked as consecutive siblings. *)
+let linked w group =
+  match w.ws with
+  | None -> ()
+  | Some s -> (
+      let note x =
+        match x.nkind with
+        | P_element el ->
+            fp_name w el.ename;
+            Option.iter (fun lt -> element_entries s lt ~add:true x el.ename) s.labels
+        | P_attribute a -> (
+            fp_attr w a.aname a.avalue;
+            match (s.labels, x.nparent) with
+            | Some lt, Some owner -> attr_entries s lt ~add:true owner a.aname a.avalue
+            | _ -> ())
+        | _ -> ()
+      in
+      match (s.labels, group) with
+      | Some lt, first :: rest ->
+          let fresh = List.concat_map preorder group in
+          let k = List.length fresh in
+          let last = List.fold_left (fun _ x -> x) first rest in
+          place w.wroot lt ~first ~last fresh k;
+          metric_by "dom.delta.nodes" k;
+          List.iter note fresh
+      | None, _ when w.wfp <> None -> List.iter (iter_preorder note) group
+      | _ -> ())
+
+(* [n]'s subtree was just unlinked from [from]. *)
+let unlinked w ~from n =
+  match w.ws with
+  | None -> ()
+  | Some s ->
+      let lt = s.labels in
+      if lt <> None || s.memos <> [] || w.wfp <> None then begin
+        let count = ref 0 in
+        (* a node's label goes after its entries and its attributes'
+           entries, whose buckets are searched by label *)
+        let unlabel x =
+          incr count;
+          Option.iter (fun lt -> Hashtbl.remove lt x.nid) lt;
+          List.iter (fun (_, t) -> Hashtbl.remove t x.nid) s.memos
+        in
+        let forget_attr owner a =
+          match a.nkind with
+          | P_attribute at ->
+              fp_attr w at.aname at.avalue;
+              Option.iter
+                (fun lt -> attr_entries s lt ~add:false owner at.aname at.avalue)
+                lt;
+              unlabel a
+          | _ -> ()
+        in
+        let rec forget x =
+          (match x.nkind with
+          | P_element el ->
+              fp_name w el.ename;
+              Option.iter (fun lt -> element_entries s lt ~add:false x el.ename) lt;
+              List.iter (forget_attr x) el.eattrs
+          | _ -> ());
+          unlabel x;
+          List.iter forget (children x)
+        in
+        (match n.nkind with P_attribute _ -> forget_attr from n | _ -> forget n);
+        metric_by "dom.delta.nodes" !count
+      end
+
+(* Change [e]'s children or their text with [f], moving its text
+   entry. *)
+let retext w e f =
+  let entries ~add =
+    match (w.ws, e.nkind) with
+    | Some ({ labels = Some lt; _ } as s), P_element el -> (
+        match Hashtbl.find_opt s.text_values (el.ename.Qname.lsym :> int) with
+        | Some ti -> text_entry lt ~add ti e
+        | None -> ())
+    | _ -> ()
+  in
+  entries ~add:false;
+  f ();
+  entries ~add:true
+
+(* Change attribute [a]'s name or value with [f], moving its entries. *)
+let rekey_attr w a f =
+  let entries ~add =
+    match a.nkind with
+    | P_attribute at -> (
+        fp_attr w at.aname at.avalue;
+        match (w.ws, a.nparent) with
+        | Some ({ labels = Some lt; _ } as s), Some owner ->
+            attr_entries s lt ~add owner at.aname at.avalue
+        | _ -> ())
+    | _ -> ()
+  in
+  entries ~add:false;
+  f ();
+  entries ~add:true
 
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                            *)
@@ -601,76 +1044,62 @@ let set_children parent cs =
   | P_attribute _ | P_text _ | P_comment _ | P_pi _ ->
       err "this node kind cannot have children"
 
-let detach n =
+(* Unlink [n] from its parent, if it has one, with the upkeep of the
+   tree it leaves: as part of [w] when given, else as a write of its
+   own that records no footprint (a move records the subtree where it
+   lands) and notifies nobody. *)
+let detach ?w n =
   match n.nparent with
   | None -> ()
   | Some p ->
-      (* detaching a text/comment/pi (or a non-id attribute) removes no
-         element and no id: ordinals and value caches stale, element
-         indexes survive *)
-      (match n.nkind with
-      | P_element _ | P_document _ -> invalidate p
-      | P_attribute a when Sym.equal a.aname.Qname.lsym id_sym ->
-          invalidate p
-      | P_attribute _ | P_text _ | P_comment _ | P_pi _ ->
-          touch_values (root p));
+      let w = match w with Some w -> w | None -> begin_write ~capture:false p in
       (match n.nkind with
       | P_attribute _ -> (
           match p.nkind with
           | P_element e -> e.eattrs <- List.filter (fun a -> a != n) e.eattrs
           | _ -> ())
-      | _ -> set_children p (List.filter (fun c -> c != n) (children p)));
+      | _ -> retext w p (fun () -> set_children p (List.filter (fun c -> c != n) (children p))));
       n.nparent <- None;
-      touch n
-
-(* Footprint extras for an attribute: its (local, value) key, plus the
-   id index when the attribute is an id. [lsym] is the attribute's
-   local-name symbol. *)
-let fp_attr lsym v =
-  FP_key (lsym, v) :: (if Sym.equal lsym id_sym then [ FP_id v ] else [])
+      unlinked w ~from:p n
 
 let remove n =
   match n.nparent with
   | None -> ()
-  | Some p -> (
-      match n.nkind with
-      | P_attribute { aname; avalue } ->
-          detach n;
-          notify ~fp:(fp_attr aname.Qname.lsym avalue) p
-            (Attribute_changed (p, aname))
-      | _ ->
-          detach n;
-          notify ~fp:[ FP_subtree n ] p (Children_changed p))
+  | Some p ->
+      let w = begin_write p in
+      detach ~w n;
+      end_write w
+        (match n.nkind with
+        | P_attribute a -> Attribute_changed (p, a.aname)
+        | _ -> Children_changed p)
 
-let append_child ~parent n =
+(* Make [n] a child of [parent], at the place [weave] gives it in the
+   child list. *)
+let insert_child parent n weave =
   assert_insertable n;
   detach n;
-  set_children parent (children parent @ [ n ]);
-  n.nparent <- Some parent;
-  notify ~fp:[ FP_subtree n ] parent (Children_changed parent)
+  let w = begin_write parent in
+  retext w parent (fun () ->
+      set_children parent (weave (children parent));
+      link n parent);
+  linked w [ n ];
+  end_write w (Children_changed parent)
 
-let insert_first ~parent n =
-  assert_insertable n;
-  detach n;
-  set_children parent (n :: children parent);
-  n.nparent <- Some parent;
-  notify ~fp:[ FP_subtree n ] parent (Children_changed parent)
+let append_child ~parent n = insert_child parent n (fun cs -> cs @ [ n ])
+let insert_first ~parent n = insert_child parent n (fun cs -> n :: cs)
 
 let insert_relative ~before ~sibling n =
   assert_insertable n;
   match sibling.nparent with
   | None -> err "cannot insert relative to a parentless node"
   | Some p ->
-      detach n;
       let rec weave = function
         | [] -> [ n ] (* sibling vanished concurrently; append *)
         | c :: rest when c == sibling ->
             if before then n :: c :: rest else c :: n :: rest
         | c :: rest -> c :: weave rest
       in
-      set_children p (weave (children p));
-      n.nparent <- Some p;
-      notify ~fp:[ FP_subtree n ] p (Children_changed p)
+      insert_child p n weave
 
 let insert_before ~sibling n = insert_relative ~before:true ~sibling n
 let insert_after ~sibling n = insert_relative ~before:false ~sibling n
@@ -680,26 +1109,22 @@ let replace n replacements =
   | None -> err "cannot replace a parentless node"
   | Some p -> (
       match n.nkind with
-      | P_attribute _ ->
-          detach n;
-          let fp = ref [] in
-          (match n.nkind with
-          | P_attribute { aname; avalue } ->
-              fp := fp_attr aname.Qname.lsym avalue
-          | _ -> ());
+      | P_attribute a ->
+          let w = begin_write p in
+          detach ~w n;
           List.iter
             (fun r ->
               match r.nkind with
-              | P_attribute { aname; avalue } ->
+              | P_attribute _ ->
                   detach r;
                   (match p.nkind with
                   | P_element e -> e.eattrs <- e.eattrs @ [ r ]
                   | _ -> err "attribute replacement target is not an element");
-                  r.nparent <- Some p;
-                  fp := fp_attr aname.Qname.lsym avalue @ !fp
+                  link r p;
+                  linked w [ r ]
               | _ -> err "an attribute can only be replaced by attributes")
             replacements;
-          notify ~fp:!fp p (Attribute_changed (p, Option.get (name n)))
+          end_write w (Attribute_changed (p, a.aname))
       | _ ->
           List.iter assert_insertable replacements;
           let rec weave = function
@@ -707,149 +1132,137 @@ let replace n replacements =
             | c :: rest when c == n -> replacements @ rest
             | c :: rest -> c :: weave rest
           in
-          set_children p (weave (children p));
-          n.nparent <- None;
-          touch n;
-          List.iter
-            (fun r ->
-              touch r;
-              r.nparent <- Some p)
-            replacements;
-          notify
-            ~fp:(FP_subtree n :: List.map (fun r -> FP_subtree r) replacements)
-            p (Children_changed p))
+          let cs = weave (children p) in
+          let w = begin_write p in
+          retext w p (fun () ->
+              set_children p cs;
+              n.nparent <- None;
+              List.iter (fun r -> link r p) replacements);
+          unlinked w ~from:p n;
+          linked w replacements;
+          end_write w (Children_changed p))
 
 let set_value n v =
-  let fp =
-    match n.nkind with
-    | P_attribute a ->
-        let lsym = a.aname.Qname.lsym in
-        fp_attr lsym a.avalue @ fp_attr lsym v
-    | P_text _ -> (
-        (* text content feeds the parent element's text-value index *)
-        match n.nparent with
-        | Some { nkind = P_element e; _ } -> [ FP_name e.ename.Qname.lsym ]
-        | _ -> [])
-    | P_comment _ | P_pi _ -> []
-    | P_element e ->
-        (* replaceElementContent: old children go away; the element's
-           own text-index key changes *)
-        FP_name e.ename.Qname.lsym
-        :: List.map (fun c -> FP_subtree c) (children n)
-    | P_document _ -> List.map (fun c -> FP_subtree c) (children n)
-  in
+  let w = begin_write n in
   (match n.nkind with
-  | P_attribute a -> a.avalue <- v
-  | P_text t -> t.tcontent <- v
+  | P_attribute a -> rekey_attr w n (fun () -> a.avalue <- v)
+  | P_text t -> (
+      (* text content feeds the parent element's text entry *)
+      match n.nparent with
+      | Some ({ nkind = P_element e; _ } as p) ->
+          fp_name w e.ename;
+          retext w p (fun () -> t.tcontent <- v)
+      | _ -> t.tcontent <- v)
   | P_comment c -> c.ccontent <- v
   | P_pi p -> p.pcontent <- v
   | P_element _ | P_document _ ->
-      (* drop the old children in one pass ([detach] would re-filter
-         the child list once per child), then bump the root once:
-         structurally if an element went away *)
-      let old = children n in
-      if old <> [] then begin
-        List.iter
-          (fun c ->
-            c.nparent <- None;
-            touch c)
-          old;
-        if List.exists (fun c -> kind c = Element) old then invalidate n
-        else touch_values (root n)
-      end;
-      let t = create_text v in
-      set_children n [ t ];
-      t.nparent <- Some n);
-  notify ~fp n (Value_changed n)
+      (* replaceElementContent: drop the old children in one pass
+         ([detach] would re-filter the child list once per child), then
+         link the new text; the element's own text entry changes *)
+      (match n.nkind with P_element e -> fp_name w e.ename | _ -> ());
+      let old = children n and t = create_text v in
+      retext w n (fun () ->
+          set_children n [ t ];
+          link t n);
+      List.iter
+        (fun c ->
+          c.nparent <- None;
+          unlinked w ~from:n c)
+        old;
+      linked w [ t ]);
+  end_write w (Value_changed n)
 
 let rename n qn =
-  let fp =
-    match n.nkind with
-    | P_element e -> [ FP_name e.ename.Qname.lsym; FP_name qn.Qname.lsym ]
-    | P_attribute a ->
-        fp_attr a.aname.Qname.lsym a.avalue @ fp_attr qn.Qname.lsym a.avalue
-    | _ -> []
-  in
-  (match n.nkind with
-  | P_element e -> e.ename <- qn
-  | P_attribute a -> a.aname <- qn
+  match n.nkind with
+  | P_element e ->
+      let w = begin_write n in
+      let entries ~add =
+        fp_name w e.ename;
+        match w.ws with
+        | Some ({ labels = Some lt; _ } as s) -> element_entries s lt ~add n e.ename
+        | _ -> ()
+      in
+      entries ~add:false;
+      e.ename <- qn;
+      entries ~add:true;
+      end_write w (Renamed n)
+  | P_attribute a ->
+      let w = begin_write n in
+      rekey_attr w n (fun () -> a.aname <- qn);
+      end_write w (Renamed n)
   | P_document _ | P_text _ | P_comment _ | P_pi _ ->
-      err "only elements and attributes can be renamed");
-  notify ~fp n (Renamed n)
+      err "only elements and attributes can be renamed"
 
 let set_attribute el qn v =
   match el.nkind with
   | P_element e -> (
-      match
-        List.find_opt
-          (fun a ->
-            match a.nkind with
-            | P_attribute { aname; _ } -> Qname.equal aname qn
-            | _ -> false)
-          e.eattrs
-      with
-      | Some a ->
-          let old =
-            match a.nkind with P_attribute r -> r.avalue | _ -> assert false
-          in
-          (match a.nkind with
-          | P_attribute r -> r.avalue <- v
-          | _ -> assert false);
-          notify
-            ~fp:(fp_attr qn.Qname.lsym old @ fp_attr qn.Qname.lsym v)
-            el
-            (Attribute_changed (el, qn))
-      | None ->
+      let w = begin_write el in
+      (match
+         List.find_opt
+           (fun a ->
+             match a.nkind with
+             | P_attribute { aname; _ } -> Qname.equal aname qn
+             | _ -> false)
+           e.eattrs
+       with
+      | Some ({ nkind = P_attribute r; _ } as a) -> rekey_attr w a (fun () -> r.avalue <- v)
+      | _ ->
           let a = create_attribute qn v in
-          a.nparent <- Some el;
           e.eattrs <- e.eattrs @ [ a ];
-          notify ~fp:(fp_attr qn.Qname.lsym v) el (Attribute_changed (el, qn)))
+          link a el;
+          linked w [ a ]);
+      end_write w (Attribute_changed (el, qn)))
   | _ -> err "set_attribute: not an element"
 
 let remove_attribute el qn =
   match el.nkind with
   | P_element e ->
-      let fp = ref [] in
-      e.eattrs <-
-        List.filter
+      let w = begin_write el in
+      let gone, kept =
+        List.partition
           (fun a ->
             match a.nkind with
-            | P_attribute { aname; avalue } when Qname.equal aname qn ->
-                fp := fp_attr aname.Qname.lsym avalue @ !fp;
-                false
-            | _ -> true)
-          e.eattrs;
-      notify ~fp:!fp el (Attribute_changed (el, qn))
+            | P_attribute { aname; _ } -> Qname.equal aname qn
+            | _ -> false)
+          e.eattrs
+      in
+      e.eattrs <- kept;
+      List.iter
+        (fun a ->
+          a.nparent <- None;
+          unlinked w ~from:el a)
+        gone;
+      end_write w (Attribute_changed (el, qn))
   | _ -> err "remove_attribute: not an element"
 
 let append_attribute ~parent a =
   match (parent.nkind, a.nkind) with
-  | P_element e, P_attribute { aname; avalue } ->
+  | P_element e, P_attribute { aname; _ } ->
       detach a;
+      let w = begin_write parent in
       e.eattrs <- e.eattrs @ [ a ];
-      a.nparent <- Some parent;
-      notify
-        ~fp:(fp_attr aname.Qname.lsym avalue)
-        parent
-        (Attribute_changed (parent, aname))
+      link a parent;
+      linked w [ a ];
+      end_write w (Attribute_changed (parent, aname))
   | _ -> err "append_attribute: expects an element and an attribute"
 
 (* ------------------------------------------------------------------ *)
 (* One-pass construction of fresh trees.
 
    A node created inside the building call has no per-root record, so
-   no observers and no registered footprints, and [notify] would have
-   nothing to do for it: the builders map each child list once and set
-   parent pointers directly instead of appending child by child. Every
-   node is allocated before its attributes and its content, so ids
-   follow pre-order: cross-tree [compare_order] orders roots by id. *)
+   no caches, no observers and no registered footprints, and a write
+   would have nothing to do for it: the builders map each child list
+   once and set parent pointers directly instead of appending child by
+   child. Every node is allocated before its attributes and its
+   content, so ids follow pre-order: cross-tree [compare_order] orders
+   roots by id. *)
 
 (* [f] over [xs] in order, each result made a child of [parent] *)
 let adopt_map parent f xs =
   List.map
     (fun x ->
       let c = f x in
-      c.nparent <- Some parent;
+      link c parent;
       c)
     xs
 
@@ -891,7 +1304,7 @@ let fill n ~attrs kids =
       e.echildren <- adopt_map n Fun.id kids
   | _ -> set_children n (adopt_map n Fun.id kids));
   (* caches someone built while [n] was empty are stale now *)
-  touch n
+  match n.nside with Rooted s -> reset_caches s | Bare | Slotted _ -> ()
 
 let rec clone_rec n =
   match n.nkind with
@@ -984,23 +1397,16 @@ let rec scan_element_by_id n idv =
 let get_element_by_id n idv =
   let hit =
     if !acceleration then begin
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.lookup.by-id";
+      metric "dom.lookup.by-id";
       let r = root n in
-      let s = accel_of r in
-      ensure_indexes r s;
-      (* probe without interning: a value that was never interned is in
-         no index, and missing-id probes must not grow the table *)
-      match
-        Option.bind (Sym.find_opt idv) (fun sym ->
-            Hashtbl.find_opt s.by_id (sym :> int))
-      with
-      | None | Some [] -> None
-      | Some (first :: _ as bucket) ->
-          if n == r then Some first
-          else List.find_opt (fun c -> in_subtree ~top:n c) bucket
+      match Hashtbl.find_opt (elems_of r (accel_of r)).by_id idv with
+      | None -> None
+      | Some b ->
+          if n == r then Some b.chunks.(0).(0)
+          else List.find_opt (fun c -> in_subtree ~top:n c) (bucket_list b)
     end
     else begin
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.lookup.by-id.naive";
+      metric "dom.lookup.by-id.naive";
       scan_element_by_id n idv
     end
   in
@@ -1019,17 +1425,17 @@ let get_elements_by_local_sym n (sym : Sym.t) =
   if Footprint.recording () then
     Footprint.reading_name ~root:(root_watch n) ~scope:n.nid sym;
   if !acceleration then begin
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.lookup.by-name";
+    metric "dom.lookup.by-name";
     let r = root n in
-    let s = accel_of r in
-    ensure_indexes r s;
     let bucket =
-      Option.value ~default:[] (Hashtbl.find_opt s.by_name (sym :> int))
+      match Hashtbl.find_opt (elems_of r (accel_of r)).by_name (sym :> int) with
+      | Some b -> bucket_list b
+      | None -> []
     in
     if n == r then bucket else List.filter (fun c -> in_subtree ~top:n c) bucket
   end
   else begin
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.lookup.by-name.naive";
+    metric "dom.lookup.by-name.naive";
     let candidates =
       match n.nkind with P_element _ -> n :: descendants n | _ -> descendants n
     in
@@ -1052,63 +1458,19 @@ let get_elements_by_local_name n local =
 (* ------------------------------------------------------------------ *)
 (* Value indexes.
 
-   Two per-root hash indexes keyed by (local name, string value):
-   attribute values -> owning elements, and the string value of "flat"
-   elements (no element children, so their value is just their text
-   content) -> those elements. Both are stamped with the accel
-   generation, so any mutation under the root — including every PUL
-   primitive, which funnels through the mutators' [notify] — lazily
-   invalidates them.
+   Per root and per probed name, built by one walk on the first probe of
+   that name and kept by every write from then on: for an attribute
+   local name, its values mapped to their owning elements; for an
+   element local name, the string value of its "flat" elements (no
+   element children, so their value is their text) mapped to those
+   elements. Buckets are keyed by the value string in the per-root
+   table, freed with the document.
 
    Lookups return [None] whenever the index cannot answer exactly
    (switch off, or a text lookup on a local name that somewhere in the
    document has element children); callers must fall back to a scan.
    Buckets are keyed by local name only, so callers refine hits against
    the exact QName/axis they need. *)
-
-let ensure_value_indexes r s =
-  if s.vidx_gen <> s.gen then begin
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.value_index.rebuild";
-    Hashtbl.reset s.by_attr_value;
-    Hashtbl.reset s.by_text_value;
-    Hashtbl.reset s.text_complex;
-    let add tbl k v =
-      Hashtbl.replace tbl k
-        (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-    in
-    let rec walk n =
-      (match n.nkind with
-      | P_element e ->
-          List.iter
-            (fun a ->
-              match a.nkind with
-              | P_attribute { aname; avalue } ->
-                  add s.by_attr_value
-                    ((aname.Qname.lsym :> int), (Sym.intern avalue :> int))
-                    n
-              | _ -> ())
-            e.eattrs;
-          let flat =
-            List.for_all
-              (fun c ->
-                match c.nkind with P_element _ -> false | _ -> true)
-              e.echildren
-          in
-          if flat then
-            add s.by_text_value
-              ( (e.ename.Qname.lsym :> int),
-                (Sym.intern (string_value n) :> int) )
-              n
-          else Hashtbl.replace s.text_complex (e.ename.Qname.lsym :> int) ()
-      | _ -> ());
-      List.iter walk (children n)
-    in
-    walk r;
-    let rev tbl = Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl in
-    rev s.by_attr_value;
-    rev s.by_text_value;
-    s.vidx_gen <- s.gen
-  end
 
 let value_lookup which n (lsym : Sym.t) v =
   if Footprint.recording () then begin
@@ -1125,28 +1487,21 @@ let value_lookup which n (lsym : Sym.t) v =
   else begin
     let r = root n in
     let s = accel_of r in
-    ensure_value_indexes r s;
-    let tbl, complex =
+    let found =
       match which with
-      | `Attr -> (s.by_attr_value, false)
-      | `Text -> (s.by_text_value, Hashtbl.mem s.text_complex (lsym :> int))
+      | `Attr -> Some (Hashtbl.find_opt (attr_values_of r s lsym) v)
+      | `Text ->
+          let ti = text_values_of r s lsym in
+          if ti.complex > 0 then None else Some (Hashtbl.find_opt ti.tvals v)
     in
-    if complex then None
-    else begin
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "dom.value_index.hits";
-      (* a value that was never interned keys no bucket; probing with
-         [find_opt] keeps always-miss lookups from growing the table *)
-      let bucket =
-        match Sym.find_opt v with
-        | None -> []
-        | Some vsym ->
-            Option.value ~default:[]
-              (Hashtbl.find_opt tbl ((lsym :> int), (vsym :> int)))
-      in
-      Some
-        (if n == r then bucket
-         else List.filter (fun c -> in_subtree ~top:n c) bucket)
-    end
+    match found with
+    | None -> None
+    | Some b ->
+        metric "dom.value_index.hits";
+        let bucket = match b with Some b -> bucket_list b | None -> [] in
+        Some
+          (if n == r then bucket
+           else List.filter (fun c -> in_subtree ~top:n c) bucket)
   end
 
 (* Elements in the subtree of [n] (inclusive) owning an attribute with
@@ -1158,8 +1513,3 @@ let elements_by_attr_value n ~local v = value_lookup `Attr n (Sym.intern local) 
    name and exact string value, in document order. *)
 let elements_by_text_value_sym n ~local v = value_lookup `Text n local v
 let elements_by_text_value n ~local v = value_lookup `Text n (Sym.intern local) v
-
-(* Current accel generation of the tree containing [n]; exposed so
-   tests can pin down exactly how often updates invalidate caches. *)
-let generation n =
-  match (root n).nside with Rooted s -> s.gen | Bare | Slotted _ -> 0

@@ -117,9 +117,9 @@ val preceding_siblings : node -> node list
 (** [compare_order a b] orders nodes in document order. Nodes from
     different trees are ordered by their root's identity (stable,
     implementation-defined, as XDM permits). When acceleration is on
-    (the default) this is an O(1) compare of cached per-document
-    ordinals, relabelled lazily after mutations; the path-based
-    comparison remains the fallback. *)
+    (the default) this is an O(1) compare of the tree's document-order
+    labels, which every write keeps; the path-based comparison remains
+    the fallback. *)
 val compare_order : node -> node -> int
 
 (** The path-based comparison, bypassing the order-key cache — the
@@ -127,34 +127,49 @@ val compare_order : node -> node -> int
     against. Same contract as {!compare_order}. *)
 val compare_order_naive : node -> node -> int
 
-(** The node's cached position as a [(root id, ordinal)] pair that
-    sorts consistently with {!compare_order} — lets bulk sorts fetch
-    each key once instead of once per comparison. [None] when
-    acceleration is off. *)
+(** The node's position as a [(root id, label)] pair that sorts
+    consistently with {!compare_order} — lets bulk sorts fetch each key
+    once instead of once per comparison. Labels are sparse and a write
+    may relabel a range, so keys are only comparable between two
+    writes. [None] when acceleration is off. *)
 val order_key : node -> (int * int) option
 
 (** {1 Acceleration}
 
-    Each tree root lazily carries cached document-order keys and
-    id/local-name element indexes, invalidated by a per-root
-    generation counter bumped on every mutation and rebuilt on
-    demand. The switch selects the naive implementations instead
-    (same observable behaviour — used for ablation benchmarks and as
-    the property-test oracle). Global; on by default. *)
+    Each tree root lazily carries caches on its per-root record: sparse
+    document-order labels (built on the first order read) and id and
+    local-name element buckets (built, with the labels, on the first
+    probe of the tree). Once built, a cache is never rebuilt: every
+    mutation updates it in place from what it linked, unlinked or
+    renamed, so a write and the next read cost what the write touched,
+    not the size of the tree. Inserted nodes take labels in the gap
+    between their neighbours; a narrow gap relabels a local range
+    (order maintenance, Dietz & Sleator 1987; Bender et al. 2002). A
+    bucket is kept in chunks of at most 64 nodes, so adding or removing
+    an entry copies one chunk, however many nodes share its key. A tree
+    whose caches were never built does no upkeep. The counters [dom.accel.keys.rebuild]
+    and [dom.accel.index.rebuild] count whole-tree builds;
+    [dom.delta.nodes] and [dom.delta.relabels] count the nodes write
+    upkeep walked and relabelled, [dom.delta.copies] the bucket entries
+    it copied. The switch selects the naive
+    implementations instead (same observable behaviour — used for
+    ablation benchmarks and as the property-test oracle). Global; on
+    by default. *)
 
 val set_acceleration : bool -> unit
 val acceleration_enabled : unit -> bool
 
 (** {1 Value indexes}
 
-    Per-root hash indexes keyed by [(local name, string value)]:
-    attribute values mapped to their owning elements, and the string
-    value of "flat" elements (no element children) mapped to those
-    elements. Stamped with the same per-root generation counter as the
-    other accel caches, so every mutation — including all PUL
-    primitives — invalidates them; they rebuild lazily on the next
-    lookup. Independent switch (on by default) so join/lookup
-    ablations keep document-order keys. *)
+    Per-root buckets for each probed local name, built by one walk on
+    the first probe of that name ([dom.value_index.rebuild]) and kept
+    by every mutation from then on: for an attribute name, its values
+    mapped to their owning elements; for an element name, the string
+    value of its "flat" elements (no element children) mapped to those
+    elements. Keyed by the value string in the per-root table, so
+    values are not interned and are freed with the document.
+    Independent switch (on by default) so join/lookup ablations keep
+    document-order labels. *)
 
 val set_value_index : bool -> unit
 val value_index_enabled : unit -> bool
@@ -194,10 +209,20 @@ val elements_by_text_value : node -> local:string -> string -> node list option
 val elements_by_text_value_sym :
   node -> local:Sym.t -> string -> node list option
 
-(** Current accel generation of the tree containing the node (0 if no
-    accel state yet). Bumped once per mutation; lets tests pin down
-    cache-invalidation behaviour. *)
-val generation : node -> int
+(** {1 Subtree memos}
+
+    Tables the layers above keep on the per-root record, freed with
+    the document: one per client key, mapping a node's id to a value
+    derived from its subtree (the renderer keeps each block element's
+    output there). Every mutation drops the entries of the nodes on its
+    ancestor-or-self chain and of every node it unlinks, so an entry
+    found is current. *)
+
+type memo = ..
+
+(** The memo table named [key] of the tree containing the node,
+    created empty on first use. *)
+val memo_table : node -> string -> (int, memo) Hashtbl.t
 
 val is_ancestor : ancestor:node -> node -> bool
 val equal : node -> node -> bool
@@ -205,7 +230,7 @@ val equal : node -> node -> bool
 (** {1 Mutation}
 
     All mutation functions notify the observers registered on the
-    mutated tree's root. *)
+    mutated tree's root, and keep its caches and memos. *)
 
 val append_child : parent:node -> node -> unit
 val insert_first : parent:node -> node -> unit
@@ -263,7 +288,7 @@ val unobserve : observer_id -> unit
     inside [f] queue their notifications and deliver them, in mutation
     order, when the outermost batch closes — so observers (and the
     footprint dirtiness pass) see one coherent post-apply changeset
-    instead of mid-transaction state. Generation bumps stay immediate.
+    instead of mid-transaction state. Cache upkeep stays immediate.
     Nestable; exception-safe (queued notifications still flush). *)
 val with_batch : (unit -> 'a) -> 'a
 

@@ -36,6 +36,11 @@ type t =
 exception Type_error of string
 exception Cast_error of string
 
+(* A numeric result or cast outside the int range: (error code,
+   message). FOAR0002 for arithmetic overflow, FOCA0003 for a cast to
+   xs:integer. *)
+exception Range_error of string * string
+
 let type_error fmt = Printf.ksprintf (fun m -> raise (Type_error m)) fmt
 let cast_error fmt = Printf.ksprintf (fun m -> raise (Cast_error m)) fmt
 
@@ -160,10 +165,17 @@ let parse_float_xml what s =
       | Some f -> f
       | None -> cast_error "cannot cast %S to xs:%s" s what)
 
+(* 2^62, the first float past [max_int]; [min_int] is its negation *)
+let int_bound = 4611686018427387904.
+
 let float_to_integer f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     cast_error "cannot cast %s to xs:integer" (double_to_string f)
-  else int_of_float (Float.of_int (int_of_float f))
+  else if f >= int_bound || f < -.int_bound then
+    raise
+      (Range_error
+         ("FOCA0003", Printf.sprintf "%s is outside the xs:integer range" (double_to_string f)))
+  else int_of_float f
 
 let numeric_value = function
   | Integer i -> float_of_int i
@@ -321,6 +333,31 @@ let same_key a b =
 
 (* ---------------- arithmetic ---------------- *)
 
+(* Overflow tests on the wrapped result [r] of [i op j]: sign tests
+   (a division for products of large operands), allocating nothing. *)
+let add_overflows i j r = (i lxor r) land (j lxor r) < 0
+let sub_overflows i j r = (i lxor j) land (i lxor r) < 0
+
+let mul_overflows i j r =
+  let small x = x > -0x80000000 && x < 0x80000000 in
+  (not (small i && small j)) && i <> 0 && (r / i <> j || (i = -1 && j = min_int))
+
+let overflow tag = raise (Range_error ("FOAR0002", "integer overflow in " ^ tag))
+
+let int_add i j =
+  let r = i + j in
+  if add_overflows i j r then overflow "+" else r
+
+let int_sub i j =
+  let r = i - j in
+  if sub_overflows i j r then overflow "-" else r
+
+let int_mul i j =
+  let r = i * j in
+  if mul_overflows i j r then overflow "*" else r
+
+let int_neg i = if i = min_int then overflow "unary minus" else -i
+
 let numeric_op int_op float_op tag a b =
   match promote_pair a b with
   | Integer i, Integer j -> Integer (int_op i j)
@@ -355,7 +392,7 @@ let add a b =
         (Xdm_datetime.of_epoch_seconds ?tz_minutes:t.Xdm_datetime.tz_minutes
            (Xdm_datetime.to_epoch_seconds t +. dur.Xdm_duration.seconds))
   | _, _, Some da, Some db -> duration_tagged a (Xdm_duration.add da db)
-  | _ -> numeric_op ( + ) ( +. ) "+" a b
+  | _ -> numeric_op int_add ( +. ) "+" a b
 
 let subtract a b =
   match (a, b, as_duration a, as_duration b) with
@@ -368,13 +405,13 @@ let subtract a b =
       Day_time_duration (Xdm_datetime.difference ta tb)
   | _, _, Some da, Some db ->
       duration_tagged a (Xdm_duration.add da (Xdm_duration.negate db))
-  | _ -> numeric_op ( - ) ( -. ) "-" a b
+  | _ -> numeric_op int_sub ( -. ) "-" a b
 
 let multiply a b =
   match (as_duration a, as_duration b) with
   | Some d, None when is_numeric b -> duration_tagged a (Xdm_duration.scale d (numeric_value b))
   | None, Some d when is_numeric a -> duration_tagged b (Xdm_duration.scale d (numeric_value a))
-  | _ -> numeric_op ( * ) ( *. ) "*" a b
+  | _ -> numeric_op int_mul ( *. ) "*" a b
 
 let divide a b =
   match (as_duration a, as_duration b) with
@@ -403,12 +440,17 @@ let divide a b =
 let integer_divide a b =
   match promote_pair a b with
   | Integer i, Integer j ->
-      if j = 0 then raise Division_by_zero else Integer (i / j)
+      if j = 0 then raise Division_by_zero
+      else if i = min_int && j = -1 then overflow "idiv"
+      else Integer (i / j)
   | Decimal x, Decimal y | Double x, Double y ->
       if y = 0. then raise Division_by_zero
       else if Float.is_nan x || Float.is_nan y || Float.abs x = Float.infinity then
         type_error "idiv with NaN or INF operand"
-      else Integer (int_of_float (Float.trunc (x /. y)))
+      else
+        let q = Float.trunc (x /. y) in
+        if q >= int_bound || q < -.int_bound then overflow "idiv"
+        else Integer (int_of_float q)
   | _ -> assert false
 
 let modulo a b =
@@ -421,7 +463,7 @@ let modulo a b =
   | _ -> assert false
 
 let negate = function
-  | Integer i -> Integer (-i)
+  | Integer i -> Integer (int_neg i)
   | Decimal f -> Decimal (-.f)
   | Double f -> Double (-.f)
   | Untyped s -> Double (-.parse_float_xml "double" s)

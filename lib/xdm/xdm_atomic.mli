@@ -44,6 +44,11 @@ exception Type_error of string
 (** FORG0001-class cast failures. *)
 exception Cast_error of string
 
+(** A result outside the int range, as (error code, message): FOAR0002
+    for integer overflow in arithmetic, FOCA0003 for a cast of a double
+    or decimal to xs:integer. *)
+exception Range_error of string * string
+
 val type_of : t -> atomic_type
 
 (** [xs:integer] etc. — the local name within the [xs] namespace. *)
@@ -85,9 +90,11 @@ val compare_value : t -> t -> int
 val equal_value : t -> t -> bool
 
 (** Arithmetic: +, -, *, div, idiv, mod with numeric promotion, plus
-    date/time ± duration and duration arithmetic.
+    date/time ± duration and duration arithmetic. Integer results are
+    exact or raise.
     @raise Type_error on invalid operand types, Division_by_zero for
-    integer/decimal division by zero. *)
+    integer/decimal division by zero, Range_error (FOAR0002) when an
+    integer result leaves the int range. *)
 
 val add : t -> t -> t
 val subtract : t -> t -> t
@@ -96,6 +103,16 @@ val divide : t -> t -> t
 val integer_divide : t -> t -> t
 val modulo : t -> t -> t
 val negate : t -> t
+
+(** Checked int arithmetic ({!Range_error} FOAR0002 on overflow), and
+    the allocation-free tests behind it: does the wrapped result [r] of
+    [i op j] differ from the exact one? *)
+
+val int_mul : int -> int -> int
+val int_neg : int -> int
+val add_overflows : int -> int -> int -> bool
+val sub_overflows : int -> int -> int -> bool
+val mul_overflows : int -> int -> int -> bool
 
 (** Deep equality used by fn:distinct-values / order keys: NaN equals
     NaN, values of comparable types compare by value, otherwise false. *)

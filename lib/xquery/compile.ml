@@ -258,14 +258,16 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
           -> (
             (* hot shape: integer-integer arithmetic is a direct int
                op ({!Xdm_atomic.numeric_op} with an identity
-               promotion); division and the by-zero cases keep the
-               generic path for its error mapping *)
+               promotion) behind the same allocation-free overflow
+               tests; division, the by-zero cases and overflows keep
+               the generic path for its error mapping *)
             match op with
-            | Ast.Add -> [ I.Atomic (A.Integer (i + j)) ]
-            | Ast.Sub -> [ I.Atomic (A.Integer (i - j)) ]
-            | Ast.Mul -> [ I.Atomic (A.Integer (i * j)) ]
+            | Ast.Add when not (A.add_overflows i j (i + j)) -> [ I.Atomic (A.Integer (i + j)) ]
+            | Ast.Sub when not (A.sub_overflows i j (i - j)) -> [ I.Atomic (A.Integer (i - j)) ]
+            | Ast.Mul when not (A.mul_overflows i j (i * j)) -> [ I.Atomic (A.Integer (i * j)) ]
             | Ast.Mod when j <> 0 -> [ I.Atomic (A.Integer (i mod j)) ]
-            | Ast.Idiv when j <> 0 -> [ I.Atomic (A.Integer (i / j)) ]
+            | Ast.Idiv when j <> 0 && not (i = min_int && j = -1) ->
+                [ I.Atomic (A.Integer (i / j)) ]
             | _ -> [ I.Atomic (Eval.protect (fun () -> f x y)) ])
         | _ -> (
             match (I.atomize ra, I.atomize rb) with

@@ -36,6 +36,7 @@ let guard f =
   try f () with
   | A.Type_error m -> type_err "%s" m
   | A.Cast_error m -> err Xq_error.cast_error_code "%s" m
+  | A.Range_error (code, m) -> err code "%s" m
   | Division_by_zero -> err Xq_error.div_by_zero "division by zero"
 
 let protect = guard

@@ -236,21 +236,40 @@ let () =
       err code "%s" desc);
 
   (* ---------- numeric ---------- *)
-  let unary_numeric local f =
+  (* integers stay exact: [fi] is the function on ints *)
+  let unary_numeric local fi f =
     fn ~local (fun _ args ->
         match opt_num (arg 0 args) with
         | None -> []
-        | Some (A.Integer i) -> int1 (f (float_of_int i) |> int_of_float)
+        | Some (A.Integer i) -> int1 (fi i)
         | Some a -> (
             match a with
             | A.Decimal x -> [ I.Atomic (A.Decimal (f x)) ]
             | A.Double x -> [ I.Atomic (A.Double (f x)) ]
             | _ -> assert false))
   in
-  unary_numeric "abs" Float.abs;
-  unary_numeric "ceiling" Float.ceil;
-  unary_numeric "floor" Float.floor;
-  unary_numeric "round" (fun x -> Float.floor (x +. 0.5));
+  unary_numeric "abs" (fun i -> if i < 0 then A.int_neg i else i) Float.abs;
+  unary_numeric "ceiling" Fun.id Float.ceil;
+  unary_numeric "floor" Fun.id Float.floor;
+  unary_numeric "round" Fun.id (fun x -> Float.floor (x +. 0.5));
+  (* [i] rounded half to even at [10^-precision], for a negative
+     precision, in int arithmetic *)
+  let round_int_half_even i precision =
+    if precision > -19 then begin
+      let scale = ref 1 in
+      for _ = 1 to -precision do
+        scale := !scale * 10
+      done;
+      let scale = !scale in
+      let q = i / scale and r = abs (i mod scale) in
+      let away = if i < 0 then -1 else 1 in
+      let q =
+        if 2 * r > scale || (2 * r = scale && q mod 2 <> 0) then q + away else q
+      in
+      A.int_mul q scale
+    end
+    else 0
+  in
   fn ~local:"round-half-to-even" ~min_arity:1 ~max_arity:2 (fun _ args ->
       match opt_num (arg 0 args) with
       | None -> []
@@ -263,6 +282,10 @@ let () =
                 | _ -> 0)
             | None -> 0
           in
+          match a with
+          | A.Integer i ->
+              int1 (if precision >= 0 then i else round_int_half_even i precision)
+          | _ ->
           let v = num_to_float a in
           let scale = 10. ** float_of_int precision in
           let x = v *. scale in
@@ -281,7 +304,6 @@ let () =
             else v
           in
           (match a with
-          | A.Integer _ -> int1 (int_of_float r)
           | A.Decimal _ -> [ I.Atomic (A.Decimal r) ]
           | _ -> float1 r));
 

@@ -162,7 +162,10 @@ let read_number src i line col =
     else
       match int_of_string_opt text with
       | Some v -> T_integer v
-      | None -> T_double (float_of_string text)
+      | None ->
+          Xq_error.raise_error "FOAR0002"
+            "line %d, col %d: the integer literal %s is larger than %d" line col text
+            max_int
   in
   (tok, !j)
 

@@ -396,6 +396,15 @@ let event_tests =
 
 module Q = QCheck
 
+(* the changes of the named counters over [f], with metrics on *)
+let metric_counts names f =
+  let prev = !Obs.Metrics.enabled in
+  Obs.Metrics.enabled := true;
+  let before = List.map Obs.Metrics.counter names in
+  Fun.protect ~finally:(fun () -> Obs.Metrics.enabled := prev) (fun () ->
+      let v = f () in
+      (v, List.map2 (fun n b -> Obs.Metrics.counter n - b) names before))
+
 (* The reference builder the one-pass builders must match: one node at
    a time through the notifying mutators. *)
 let rec oracle_node = function
@@ -514,16 +523,23 @@ let builder_tests =
         in
         let r = root_el doc in
         let old = Dom.children r in
-        (* creates the accel state whose generation counts bumps *)
+        (* build the labels and the element buckets the write must keep *)
         ignore (Dom.compare_order doc r);
-        let g0 = Dom.generation doc in
-        Dom.set_value r "flat";
-        check Alcotest.int "drop + value change" (g0 + 2) (Dom.generation doc);
+        ignore (Dom.get_elements_by_local_name doc "i");
+        let writes = ref 0 in
+        let _ = Dom.observe ~root:doc (fun _ -> incr writes) in
+        let (), counts =
+          metric_counts [ "dom.delta.nodes"; "dom.accel.index.rebuild" ] (fun () ->
+              Dom.set_value r "flat";
+              check Alcotest.int "index sees no <i>" 0
+                (List.length (Dom.get_elements_by_local_name doc "i")))
+        in
+        check Alcotest.int "one write" 1 !writes;
+        (* 100 <i> and their texts unlinked, one text linked, no rebuild *)
+        check Alcotest.(list int) "upkeep: 201 nodes, no rebuild" [ 201; 0 ] counts;
         check Alcotest.string "content" "<r>flat</r>" (Dom.serialize doc);
         check Alcotest.bool "old children parentless" true
-          (List.for_all (fun c -> Dom.parent c = None) old);
-        check Alcotest.int "index sees no <i>" 0
-          (List.length (Dom.get_elements_by_local_name doc "i")));
+          (List.for_all (fun c -> Dom.parent c = None) old));
   ]
 
 (* Allocation per node must not grow with fan-out: a builder that
@@ -560,8 +576,108 @@ let scaling_tests =
     within "Dom.set_value on an element" (fun n ->
         let doc = Dom.of_string (flat_list n) in
         words_per_node n (fun () -> Dom.set_value (root_el doc) "flat"));
+    t "attaching a listener to every button allocates a flat amount per listener"
+      (fun () ->
+        let attach = {|declare function local:f($evt, $obj) { () };
+on event "onclick" at //button attach listener local:f|} in
+        let per_listener n =
+          let page () =
+            let b = Xqib.Browser.create () in
+            Xqib.Page.load b
+              ("<html><body>"
+              ^ String.concat "" (List.init n (fun i -> Printf.sprintf "<button>b%d</button>" i))
+              ^ "</body></html>");
+            b
+          in
+          (* warm run first: the measured one pays no parse or compile *)
+          let warm = page () in
+          ignore (Xqib.Page.run_xquery warm warm.Xqib.Browser.top_window attach);
+          let b = page () in
+          words_per_node n (fun () ->
+              ignore (Xqib.Page.run_xquery b b.Xqib.Browser.top_window attach))
+        in
+        let ratio = per_listener 2_000 /. per_listener 200 in
+        if ratio > 1.2 then
+          Alcotest.failf "words per listener at 2000 / at 200 = %.2f (bound 1.2)" ratio);
+  ]
+
+(* Click-shaped writes: a catalogue of [items] items, plus a cart and a
+   panel. [writes] XQuery updates alternate an insert as first into the
+   cart and an insert into the panel; each is followed by an id probe,
+   an attribute-value probe and a document-order comparison of two panel
+   children, and, with [render], by a memoized render. Returns minor
+   words per write, nodes and bucket entries touched by cache upkeep
+   per write (relabels and copied entries included: an insert first
+   into the cart lands before every catalogue [li] in the [li]
+   bucket), and elements rendered per render. *)
+let click_writes ?(render = false) ~items ~writes () =
+  let doc =
+    Dom.of_string
+      ("<html><body><ul id=\"cart\"/><div id=\"panel\"/><h2>Catalogue</h2><ul id=\"catalogue\">"
+      ^ String.concat ""
+          (List.init items (fun i ->
+               Printf.sprintf
+                 "<li id=\"p%d\" cat=\"c%d\" price=\"%d\"><span>w%d</span> <button>buy</button></li>"
+                 i (i mod 12) (1 + (i mod 97)) i))
+      ^ "</ul></body></html>")
+  in
+  let ctx = Xdm_item.Node doc in
+  let cart = {|insert node <li ref="x">item</li> as first into //ul[@id = "cart"]|}
+  and panel = {|insert node <val>1</val> into //div[@id = "panel"]|} in
+  let panel_el = Option.get (Dom.get_element_by_id doc "panel") in
+  let step i =
+    ignore (Xquery.Engine.eval_string ~context_item:ctx (if i mod 2 = 0 then cart else panel));
+    ignore (Dom.get_element_by_id doc "cart");
+    ignore (Dom.elements_by_attr_value doc ~local:"id" "panel");
+    (match Dom.children panel_el with
+    | first :: (_ :: _ as rest) ->
+        ignore (Dom.compare_order first (List.nth rest (List.length rest - 1)))
+    | _ -> ());
+    if render then begin
+      let text = Xqib.Renderer.render_cached doc in
+      if i mod 50 = 0 && text <> Render_oracle.render Xqib.Renderer.default_options doc then
+        Alcotest.failf "write %d at %d items: render_cached differs from a fresh render" i items
+    end
+  in
+  (* warm up: compile both updates, build the caches, render once *)
+  step 0;
+  step 1;
+  step 0;
+  step 1;
+  let words = Gc.minor_words () in
+  let (), counts =
+    metric_counts
+      [ "dom.delta.nodes"; "dom.delta.relabels"; "dom.delta.copies"; "render.elements" ]
+      (fun () ->
+        for i = 2 to writes + 1 do
+          step i
+        done)
+  in
+  let per x = float_of_int x /. float_of_int writes in
+  match counts with
+  | [ nodes; relabels; copies; elements ] ->
+      ( (Gc.minor_words () -. words) /. float_of_int writes,
+        per (nodes + relabels + copies),
+        per elements )
+  | _ -> assert false
+
+let write_scaling_tests =
+  [
+    t "a click-shaped write costs the same at 10 000 items as at 1 000" (fun () ->
+        let words_1k, nodes_1k, _ = click_writes ~items:1_000 ~writes:1_000 () in
+        let words_10k, nodes_10k, _ = click_writes ~items:10_000 ~writes:1_000 () in
+        if words_10k /. words_1k > 1.5 then
+          Alcotest.failf "minor words per write: %.0f at 10k / %.0f at 1k (bound 1.5)" words_10k
+            words_1k;
+        if nodes_10k /. nodes_1k > 1.5 then
+          Alcotest.failf "nodes and entries touched per write: %.1f at 10k / %.1f at 1k (bound 1.5)"
+            nodes_10k nodes_1k);
+    t "a render after a click-shaped write re-renders the same elements at any size" (fun () ->
+        let _, _, elements_1k = click_writes ~render:true ~items:1_000 ~writes:1_000 () in
+        let _, _, elements_10k = click_writes ~render:true ~items:10_000 ~writes:1_000 () in
+        check (Alcotest.float 0.) "elements rendered per render" elements_1k elements_10k);
   ]
 
 let suite =
   construction_tests @ navigation_tests @ mutation_tests @ observer_tests @ event_tests
-  @ builder_tests @ scaling_tests
+  @ builder_tests @ scaling_tests @ write_scaling_tests

@@ -276,7 +276,57 @@ let range_rounding_tests =
     value "3.14" "round-half-to-even(3.14159, 2)";
   ]
 
+(* Integer arithmetic is exact or raises a typed error, in every
+   evaluator mode and through constant folding: [$max] and [$min] are
+   the int range's ends. *)
+let integer_tests =
+  let with_ends src =
+    "let $max := 4611686018427387903 let $min := -4611686018427387903 - 1 return " ^ src
+  in
+  let raises code src =
+    t src (fun () -> in_modes (fun () -> expect_error code (with_ends src)))
+  in
+  let value expected src =
+    t src (fun () ->
+        in_modes (fun () -> check Alcotest.string src expected (run_str (with_ends src))))
+  in
+  [
+    raises "FOAR0002" "$max + 1";
+    raises "FOAR0002" "$max - -1";
+    raises "FOAR0002" "$max * 2";
+    raises "FOAR0002" "$min - 1";
+    raises "FOAR0002" "$min idiv -1";
+    raises "FOAR0002" "-$min";
+    raises "FOAR0002" "abs($min)";
+    raises "FOAR0002" "$min * -1";
+    raises "FOAR0002" "2147483648 * 2147483648";
+    raises "FOAR0002" "sum((4611686018427387903, 1))";
+    raises "FOAR0002" "count(1 to 9223372036854775807)";
+    raises "FOAR0002" "4611686018427387904";
+    raises "FOCA0003" "xs:integer(1e30)";
+    raises "FOCA0003" "xs:integer(9.3e18)";
+    raises "FOCA0003" "xs:integer(-1e19)";
+    raises "FOAR0002" "round-half-to-even($max, -18)";
+    value "4611686018427387903" "$max";
+    value "-4611686018427387904" "$min";
+    value "-4611686018427387903" "$min + 1";
+    value "-1" "$min + $max";
+    value "4611686014132420609" "2147483647 * 2147483647";
+    value "4611686018427387902" "2305843009213693951 * 2";
+    value "-4611686018427387904" "xs:integer(-4611686018427387904.0e0)";
+    value "9007199254740993" "abs(9007199254740993)";
+    value "9007199254740993" "abs(-9007199254740993)";
+    value "9007199254740993" "floor(9007199254740993)";
+    value "9007199254740993" "ceiling(9007199254740993)";
+    value "9007199254740993" "round(9007199254740993)";
+    value "9007199254740993" "round-half-to-even(9007199254740993)";
+    value "12200" "round-half-to-even(12250, -2)";
+    value "-12400" "round-half-to-even(-12350, -2)";
+    value "0" "round-half-to-even($max, -19)";
+  ]
+
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
   @ aggregate_tests @ node_tests @ qname_datetime_tests @ timezone_tests
   @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests
+  @ integer_tests

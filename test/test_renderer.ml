@@ -89,4 +89,51 @@ let suite =
         B.click b (Option.get (Dom.get_element_by_id (B.document b) "b"));
         let after = R.render (B.document b) in
         check Alcotest.bool "rendered after update" true (contains after "added by listener"));
+    t "render_cached sees a write to a tree nothing else has touched" (fun () ->
+        let doc = Dom.of_string "<html><body><p>one</p></body></html>" in
+        check Alcotest.string "first" "one" (R.render_cached doc);
+        (* plain navigation: no index probe touches the tree *)
+        let body = List.hd (Dom.children (List.hd (Dom.children doc))) in
+        Dom.append_child ~parent:body (Dom.create_text " more");
+        check Alcotest.string "after the write" "one\nmore" (R.render_cached doc);
+        check Alcotest.string "same as a fresh render" (R.render doc) (R.render_cached doc));
+    t "newlines inside a rendered line are squeezed like the rest" (fun () ->
+        (* a heading's text, a cell and a button carry their newlines
+           into the line they render to *)
+        let doc =
+          Dom.of_string
+            "<html><body><h1>A\n\n\nB</h1><table><tr><td>c\n\n\nd</td></tr></table>\
+             <p><button>x\n\n\n\ny</button></p></body></html>"
+        in
+        let want = Render_oracle.render R.default_options doc in
+        check Alcotest.string "render" want (R.render doc);
+        check Alcotest.string "render_cached" want (R.render_cached doc);
+        check Alcotest.bool "no blank run" false (contains want "\n\n\n"));
+    t "render_cached re-renders only the blocks on the written path" (fun () ->
+        let doc =
+          Dom.of_string
+            ("<html><body><ul id='cart'/><ul id='cat'>"
+            ^ String.concat "" (List.init 50 (fun i -> Printf.sprintf "<li>item %d</li>" i))
+            ^ "</ul></body></html>")
+        in
+        ignore (R.render_cached doc);
+        let cart = Option.get (Dom.get_element_by_id doc "cart") in
+        let counts f =
+          let prev = !Obs.Metrics.enabled in
+          Obs.Metrics.enabled := true;
+          let names = [ "render.block.miss"; "render.block.hit"; "render.memo.hit" ] in
+          let before = List.map Obs.Metrics.counter names in
+          let v = f () in
+          Obs.Metrics.enabled := prev;
+          (v, List.map2 (fun n b -> Obs.Metrics.counter n - b) names before)
+        in
+        Dom.insert_first ~parent:cart (let li = Dom.create_element (Xmlb.Qname.make "li") in
+           Dom.append_child ~parent:li (Dom.create_text "new");
+           li);
+        let text, c = counts (fun () -> R.render_cached doc) in
+        check Alcotest.string "text" (R.render doc) text;
+        (* html, body, the cart and its new item miss; the catalogue hits *)
+        check Alcotest.(list int) "block misses, hits, page hits" [ 4; 1; 0 ] c;
+        let _, c = counts (fun () -> R.render_cached doc) in
+        check Alcotest.(list int) "unchanged: a page hit" [ 0; 0; 1 ] c);
   ]
