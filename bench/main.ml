@@ -859,7 +859,7 @@ let bench_t10 ?(check = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* T11 — streaming pipeline: lazy cursors + early exit vs eager        *)
+(* T11 — streaming: production's cursors + early exit vs the reference *)
 
 (* a wide flat document with an early witness: @hit='1' only at row
    10, so early-exit consumers stop after a tiny prefix of n *)
@@ -875,14 +875,18 @@ let t11_doc n =
   Buffer.add_string buf "</div></body></html>";
   Dom.of_string (Buffer.contents buf)
 
-let with_streaming enabled f =
-  let prev = Xquery.Eval.streaming_enabled () in
-  Xquery.Eval.set_streaming enabled;
-  Fun.protect ~finally:(fun () -> Xquery.Eval.set_streaming prev) f
+(* production (the closure compiler, which streams) or the eager
+   reference evaluator *)
+let with_compiled enabled f =
+  let prev = Xquery.Engine.compiled_eval_enabled () in
+  Xquery.Engine.set_compiled_eval enabled;
+  Fun.protect
+    ~finally:(fun () -> Xquery.Engine.set_compiled_eval prev)
+    f
 
 let bench_t11 ?(check = false) () =
   section "T11"
-    "streaming pipeline: lazy cursors with early exit vs eager ablation";
+    "streaming: production's lazy cursors with early exit vs the eager reference";
   let entries = ref [] in
   (* early-exit consumers: the streamed prefix is O(1) in n *)
   let early_queries =
@@ -896,7 +900,7 @@ let bench_t11 ?(check = false) () =
     ]
   in
   (* A/A workloads: every item is consumed, so streaming has nothing
-     to skip and must not regress *)
+     to skip and production must not regress against the reference *)
   let aa_queries =
     [
       ("aa/count-all", "count(//row)");
@@ -909,8 +913,8 @@ let bench_t11 ?(check = false) () =
   List.iter
     (fun n ->
       let doc = t11_doc n in
-      Printf.printf "%-8d %-16s %14s %14s %9s\n" n "query" "streaming"
-        "eager" "speedup";
+      Printf.printf "%-8d %-16s %14s %14s %9s\n" n "query" "production"
+        "reference" "speedup";
       let compiled src =
         Xquery.Engine.compile ~static:(Xquery.Engine.default_static ()) src
       in
@@ -921,18 +925,18 @@ let bench_t11 ?(check = false) () =
             (Sys.opaque_identity
                (Xquery.Engine.run ~context_item:(Xdm_item.Node doc) q))
         in
-        (* correctness first: the ablation switch is the test oracle *)
+        (* correctness first: the reference evaluator is the oracle *)
         let result enabled =
-          with_streaming enabled (fun () ->
+          with_compiled enabled (fun () ->
               Xdm_item.to_display_string
                 (Xquery.Engine.run ~context_item:(Xdm_item.Node doc) q))
         in
         if result true <> result false then begin
-          Printf.eprintf "T11 FAIL: streaming result differs on %s\n" src;
+          Printf.eprintf "T11 FAIL: production result differs on %s\n" src;
           exit 1
         end;
-        let stream = with_streaming true (fun () -> ns_per_run run) in
-        let eager = with_streaming false (fun () -> ns_per_run run) in
+        let stream = with_compiled true (fun () -> ns_per_run run) in
+        let eager = with_compiled false (fun () -> ns_per_run run) in
         let speedup = eager /. stream in
         if gate && n = n_max && speedup >= (if smoke_enabled () then 5. else 10.)
         then incr wins;
@@ -948,10 +952,10 @@ let bench_t11 ?(check = false) () =
     sizes;
   write_json ~file:"BENCH_T11.json" (List.rev !entries);
   print_endline
-    "\nshape check: early-exit queries cost O(1) in n under streaming and\n\
-     O(n) eagerly; the A/A rows consume everything and must tie. Both\n\
-     columns compute identical results (the ablation switch is the\n\
-     test oracle).";
+    "\nshape check: early-exit queries cost O(1) in n in production, which\n\
+     streams, and O(n) in the eager reference; the A/A rows consume\n\
+     everything and production must not lose. Both columns compute\n\
+     identical results (the reference is the test oracle).";
   if check then begin
     (* gate (a): enough early-exit workloads clear the speedup bar *)
     if !wins < 2 then begin
@@ -971,22 +975,22 @@ let bench_t11 ?(check = false) () =
           (Sys.opaque_identity
              (Xquery.Engine.run ~context_item:(Xdm_item.Node doc) q))
       in
-      let stream = with_streaming true (fun () -> ns_per_run run) in
-      let eager = with_streaming false (fun () -> ns_per_run run) in
+      let stream = with_compiled true (fun () -> ns_per_run run) in
+      let eager = with_compiled false (fun () -> ns_per_run run) in
       let delta = (stream -. eager) /. eager in
       Printf.printf "A/A %s delta (try %d): %+.1f%%\n" name tries
         (100. *. delta);
       if delta <= 0.10 then ()
       else if tries >= 3 then begin
         Printf.eprintf
-          "T11 FAIL: streaming regresses %s by more than 10%% after 3 tries\n"
+          "T11 FAIL: production regresses %s by more than 10%% after 3 tries\n"
           name;
         exit 1
       end
       else aa (tries + 1) (name, src)
     in
     List.iter (aa 1) aa_queries;
-    print_endline "T11 check: results identical, speedup bar met, A/A ties"
+    print_endline "T11 check: results identical, speedup bar met, A/A holds"
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1203,7 +1207,7 @@ let bench_t12 ?(check = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* T13 — closure compiler: compiled closures vs tree-walking evaluator *)
+(* T13 — closure compiler: production vs the tree-walking reference     *)
 
 (* n rows with small numeric attributes. The compiled wins come from
    queries that touch every row and do per-row casts and arithmetic:
@@ -1220,25 +1224,17 @@ let t13_doc n =
   Buffer.add_string buf "</data></body></html>";
   Dom.of_string (Buffer.contents buf)
 
-let with_compiled enabled f =
-  let prev = Xquery.Engine.compiled_eval_enabled () in
-  Xquery.Engine.set_compiled_eval enabled;
-  Fun.protect
-    ~finally:(fun () -> Xquery.Engine.set_compiled_eval prev)
-    f
-
 let compile_with_compiled compiled src =
   with_compiled compiled (fun () ->
       Xquery.Engine.compile ~static:(Xquery.Engine.default_static ()) src)
 
 let bench_t13 ?(check = false) () =
-  section "T13" "closure compiler: compiled closures vs tree-walking eval";
+  section "T13" "closure compiler: production closures vs the tree-walking reference";
   let entries = ref [] in
   (* (name, src n, gated): gated queries must clear the speedup bar at
-     n_max. The ungated row is an order-by FLWOR: it lowers to an
-     opaque core node, so both modes run the same tree-walker and it
-     documents the A/A tie (the cost of the opaque fallback) rather
-     than a win. *)
+     n_max. The ungated row is an order-by FLWOR whose cost is the sort
+     both evaluators share ({!Xquery.Eval.sort_keyed}): it is the A/A,
+     where production must not lose, rather than a win. *)
   let queries =
     [
       ( "flwor-arith",
@@ -1255,7 +1251,7 @@ let bench_t13 ?(check = false) () =
         (fun n ->
           Printf.sprintf "sum(for $i in 1 to %d return $i * 3 + ($i mod 7))" n),
         true );
-      ( "aa-opaque-orderby",
+      ( "aa-orderby",
         (fun _ ->
           "count(for $x in //row order by xs:integer($x/@b) return $x)"),
         false );
@@ -1274,12 +1270,12 @@ let bench_t13 ?(check = false) () =
       let show q =
         Xdm_item.to_display_string (Xquery.Engine.run ~context_item:ctx q)
       in
-      Printf.printf "%-8d %-16s %14s %14s %9s\n" n "query" "compiled"
-        "interpreted" "speedup";
+      Printf.printf "%-8d %-16s %14s %14s %9s\n" n "query" "production"
+        "reference" "speedup";
       let measure ~name ~gate src =
         let q_c = compile_with_compiled true src in
         let q_i = compile_with_compiled false src in
-        (* correctness first: the ablation switch is the test oracle *)
+        (* correctness first: the reference evaluator is the oracle *)
         if
           with_compiled true (fun () -> show q_c)
           <> with_compiled false (fun () -> show q_i)
@@ -1301,11 +1297,11 @@ let bench_t13 ?(check = false) () =
       in
       List.iter (fun (name, src, gate) -> measure ~name ~gate (src n)) queries)
     sizes;
-  (* per-event listener dispatch (Fig. 1 loop): the listener body is a
-     read-only computation, so it compiles to a closure and is invoked
-     through Dynamic_context.compiled_fns at dispatch time. Each mode
-     gets its own browser, loaded and dispatched under its own flag —
-     the compiled-fns table is installed at context-build time. *)
+  (* per-event listener dispatch (Fig. 1 loop): the listener body is
+     compiled to a closure and invoked through
+     Dynamic_context.compiled_fns at dispatch time. Each mode gets its
+     own browser, loaded and dispatched under its own flag — the
+     compiled-fns table is installed at context-build time. *)
   let ln = if smoke_enabled () then 100 else 2000 in
   let listener_script =
     "declare function local:on($evt, $obj) { sum(for $x in //item return \
@@ -1351,9 +1347,9 @@ let bench_t13 ?(check = false) () =
   end;
   write_json ~file:"BENCH_T13.json" (List.rev !entries);
   print_endline
-    "\nshape check: both columns compute identical results (the ablation\n\
-     switch is the test oracle); the compiled column runs closure\n\
-     compositions over a frame array, the interpreted column walks the\n\
+    "\nshape check: both columns compute identical results (the reference\n\
+     is the test oracle); the production column runs closure\n\
+     compositions over a frame array, the reference column walks the\n\
      optimized AST re-resolving every variable by name.";
   if check then begin
     (* gate (a): enough compiled workloads clear the speedup bar *)
@@ -1362,10 +1358,9 @@ let bench_t13 ?(check = false) () =
         "T13 FAIL: only %d compiled queries cleared the speedup bar\n" !wins;
       exit 1
     end;
-    (* gate (b): A/A parity — shapes that lower to an opaque core node
-       run the same tree-walker in both modes and must not regress
-       (the bound covers the opaque fallback's rebind overhead),
-       retried to absorb scheduler hiccups *)
+    (* gate (b): A/A parity — an order-by FLWOR, whose cost is the sort
+       both evaluators share, must not regress in production, retried
+       to absorb scheduler hiccups *)
     let ctx = Xdm_item.Node (t13_doc n_max) in
     let run_q q () =
       ignore (Sys.opaque_identity (Xquery.Engine.run ~context_item:ctx q))
@@ -1390,10 +1385,10 @@ let bench_t13 ?(check = false) () =
     in
     List.iter (aa 1)
       [
-        ( "opaque-orderby",
+        ( "orderby",
           "count(for $x in //row order by xs:integer($x/@b) return $x)" );
       ];
-    print_endline "T13 check: results identical, speedup bar met, A/A ties"
+    print_endline "T13 check: results identical, speedup bar met, A/A holds"
   end
 
 (* ------------------------------------------------------------------ *)

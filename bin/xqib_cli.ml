@@ -70,17 +70,6 @@ let cache_stats_arg =
     & info [ "cache-stats" ]
         ~doc:"Print query-cache statistics (hits, misses, evictions, bytes saved) after the run.")
 
-let no_streaming_arg =
-  Arg.(
-    value & flag
-    & info [ "no-streaming" ]
-        ~doc:
-          "Disable the lazy streaming pipeline: sequences are fully \
-           materialised and early-exit consumers (exists, head, bounded \
-           positional takes, ...) drain their inputs (A/B baseline for \
-           streaming). Combine with --metrics to compare the \
-           xdm.seq.pulls / xdm.seq.materializations counters.")
-
 let no_value_index_arg =
   Arg.(
     value & flag
@@ -116,10 +105,10 @@ let no_compiled_eval_arg =
     value & flag
     & info [ "no-compiled-eval" ]
         ~doc:
-          "Disable the closure compiler: program bodies and declared \
-           functions run through the tree-walking evaluator instead of \
-           closure-compiled code (A/B baseline for compiled evaluation; \
-           see the compile element of browser:stats()).")
+          "Run the eager reference evaluator, which walks the AST, \
+           instead of the closure compiler, production's one evaluator \
+           (A/B baseline and oracle; see the compile element of \
+           browser:stats()).")
 
 let no_incremental_arg =
   Arg.(
@@ -136,8 +125,6 @@ let obs_setup ~trace ~metrics =
   if metrics || trace <> None then Obs.Metrics.set_enabled true
 
 let cache_setup ~no_cache = if no_cache then Xquery.Query_cache.set_enabled false
-let streaming_setup ~no_streaming =
-  if no_streaming then Xquery.Eval.set_streaming false
 
 let plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
     ~no_incremental ~no_interning =
@@ -200,12 +187,11 @@ let eval_cmd =
   let optimize =
     Arg.(value & opt bool true & info [ "optimize" ] ~doc:"Run the rewrite optimizer.")
   in
-  let run expr optimize trace metrics no_cache cache_stats no_streaming
+  let run expr optimize trace metrics no_cache cache_stats
       no_value_index no_join_planner no_compiled_eval no_incremental
       no_interning =
     obs_setup ~trace ~metrics;
     cache_setup ~no_cache;
-    streaming_setup ~no_streaming;
     plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
       ~no_incremental ~no_interning;
     handle (fun () ->
@@ -216,7 +202,7 @@ let eval_cmd =
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate an XQuery expression")
     Term.(
       const run $ expr $ optimize $ trace_arg $ metrics_arg $ no_cache_arg
-      $ cache_stats_arg $ no_streaming_arg $ no_value_index_arg
+      $ cache_stats_arg $ no_value_index_arg
       $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
       $ no_interning_arg)
 
@@ -224,11 +210,10 @@ let eval_cmd =
 
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.xq") in
-  let run file trace metrics no_cache cache_stats no_streaming no_value_index
+  let run file trace metrics no_cache cache_stats no_value_index
       no_join_planner no_compiled_eval no_incremental no_interning =
     obs_setup ~trace ~metrics;
     cache_setup ~no_cache;
-    streaming_setup ~no_streaming;
     plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
       ~no_incremental ~no_interning;
     handle (fun () ->
@@ -240,7 +225,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run an XQuery program file")
     Term.(
       const run $ file $ trace_arg $ metrics_arg $ no_cache_arg
-      $ cache_stats_arg $ no_streaming_arg $ no_value_index_arg
+      $ cache_stats_arg $ no_value_index_arg
       $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
       $ no_interning_arg)
 
@@ -286,7 +271,7 @@ let page_cmd =
              seed replays the exact same schedule.")
   in
   let run file clicks types show_doc render uppercase query fault_rate seed
-      trace metrics no_cache cache_stats no_streaming no_value_index
+      trace metrics no_cache cache_stats no_value_index
       no_join_planner no_compiled_eval no_incremental no_interning =
     if fault_rate < 0. || fault_rate >= 1. then begin
       Printf.eprintf "error: --fault-rate must be in [0, 1), got %g\n" fault_rate;
@@ -294,7 +279,6 @@ let page_cmd =
     end;
     obs_setup ~trace ~metrics;
     cache_setup ~no_cache;
-    streaming_setup ~no_streaming;
     plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
       ~no_incremental ~no_interning;
     handle (fun () ->
@@ -376,7 +360,7 @@ let page_cmd =
     Term.(
       const run $ file $ clicks $ types $ show_doc $ render $ uppercase $ query
       $ fault_rate $ seed $ trace_arg $ metrics_arg $ no_cache_arg
-      $ cache_stats_arg $ no_streaming_arg $ no_value_index_arg
+      $ cache_stats_arg $ no_value_index_arg
       $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
       $ no_interning_arg)
 

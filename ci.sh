@@ -9,22 +9,23 @@
 # The T10 line gates the compiled-query cache: it fails if a cache-on
 # page render differs from cache-off, if a warm re-compile records zero
 # cache hits, or if the warm speedup drops below 5x.
-# The T11 line gates the streaming pipeline: it fails if streaming and
-# eager evaluation disagree on any benchmark query, if fewer than two
-# early-exit queries clear the speedup bar, or if streaming regresses a
-# full-materialisation workload by more than 10%.
+# The T11 line gates streaming, production's cursor emission: it fails
+# if production and the eager reference evaluator disagree on any
+# benchmark query, if fewer than two early-exit queries clear the
+# speedup bar over the reference, or if production regresses a
+# full-materialisation workload by more than 10% against it.
 # The T12 line gates the value indexes and the join planner: it fails
 # if the hash-join or indexed result differs from the nested-loop
 # oracle, if the obs counters do not show the accelerated plans
 # executing, if too few workloads clear the speedup bar, or if an A/A
 # workload (which the planner and index cannot help) regresses by more
 # than 10%.
-# The T13 line gates the closure compiler: it fails if compiled and
-# interpreted evaluation disagree on any benchmark query, if the
+# The T13 line gates the closure compiler: it fails if production and
+# the tree-walking reference disagree on any benchmark query, if the
 # compile counters do not show closure code executing, if fewer than
-# two full-materialisation queries clear the speedup bar, or if an
-# opaque-fallback workload (which both modes run through the
-# tree-walker) regresses by more than 10%.
+# two full-materialisation queries clear the speedup bar, or if the
+# order-by workload (whose cost is the sort both evaluators share)
+# regresses by more than 10%.
 # The T14 line gates incremental recomputation: it fails if the
 # incremental page diverges from the full-recompute oracle (pure and
 # updating listeners), if the pure-aggregate speedup or the skip/rerun
@@ -47,6 +48,13 @@
 # maintained cache — document-order labels, id and name buckets,
 # attribute and text value buckets, block render memos — answers
 # differently from a from-scratch rebuild or a fresh render.
+# The compile line runs the evaluator differential at its long count
+# (20x): it fails if, on any generated query — top-level updates and
+# transforms, sequential functions with declare/set/while/break/
+# continue/exit with, typeswitch, planner hash joins, two-key order-by
+# with empty greatest/least, paths, predicates and FLWORs — production
+# and the reference evaluator differ in value, error code or the
+# document left behind.
 # The perfbench line runs the end-to-end benchmark's own tests: it fails
 # if one seed does not give the same inputs and the same traced counts
 # twice, if a deliberately wrong expectation does not fail ops, or if
@@ -65,4 +73,5 @@ dune exec bench/main.exe -- --smoke --only t14 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t15 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-order > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test compile > /dev/null
 python3 perfbench/test_perfbench.py > /dev/null

@@ -209,7 +209,7 @@ let emit_page ~script_text skeleton =
   let static = Xquery.Engine.default_static () in
   let ctx = Xquery.Dynamic_context.create static in
   let doc_el =
-    match Xquery.Eval.eval ctx skeleton with
+    match Xquery.Engine.expression static skeleton ctx with
     | [ Xdm_item.Node n ] -> n
     | _ -> err "page skeleton did not evaluate to a single element"
   in

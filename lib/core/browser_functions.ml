@@ -254,7 +254,6 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       let st =
         el "streaming"
           [
-            ("enabled", string_of_bool (Xquery.Eval.streaming_enabled ()));
             ("pulls", string_of_int (Obs.Metrics.counter Xdm_seq.pulls_metric));
             ( "materializations",
               string_of_int (Obs.Metrics.counter Xdm_seq.materialize_metric) );

@@ -129,54 +129,21 @@ let run_xquery_source b window source =
   traced "page.script" @@ fun () ->
   let st = state_for b window in
   let compiled = Xquery.Engine.compile_cached ~static:st.static source in
-  (* install this script's closure-compiled functions before anything
-     can call them (global initializers, the body, later event
-     listeners): {!Xquery.Eval.call_function} dispatches user calls
-     through the context's table, so per-event listener invocations
-     run compiled code *)
-  (match compiled.Xquery.Engine.code with
-  | Some code when Xquery.Engine.compiled_eval_enabled () ->
-      List.iter
-        (fun (key, impl) ->
-          Hashtbl.replace st.ctx.DC.compiled_fns key impl)
-        code.Xquery.Compile.fns
-  | _ -> ());
+  (* install this script's compiled functions before anything can
+     call them (global initializers, the body, later event listeners) *)
+  Xquery.Engine.install_functions st.ctx compiled;
   (* refresh globals declared by this script's prolog *)
-  List.iter
-    (fun (qn, sty, init) ->
-      match init with
-      | Some e ->
-          let v = Xquery.Eval.eval st.ctx e in
-          let v =
-            match sty with
-            | Some sty ->
-                Xquery.Seq_type.coerce ~what:("$" ^ Qname.to_string qn) sty v
-            | None -> v
-          in
-          DC.bind_global st.ctx qn v
-      | None -> ())
-    (SC.global_variables st.static);
+  Xquery.Engine.bind_globals ~strict:false st.ctx compiled;
   let result =
     traced "engine.eval" @@ fun () ->
     match compiled.Xquery.Engine.prog.Xquery.Ast.body with
-    | Some body -> (
-        let eval_body () =
-          match compiled.Xquery.Engine.code with
-          | Some { Xquery.Compile.body = Some f; _ }
-            when Xquery.Engine.compiled_eval_enabled () ->
-              f st.ctx
-          | _ -> Xquery.Eval.eval st.ctx body
-        in
-        try Xquery.Eval.protect eval_body
-        with Xquery.Eval.Exit_with v -> v)
+    | Some _ -> Xquery.Engine.eval_body st.ctx compiled
     | None -> (
         (* Zorba workaround fidelity (§5.1): page code with no body
            runs local:main() when the page is loaded, if declared *)
         let main = Qname.make ~uri:Qname.Ns.local "main" in
         match SC.find_function st.static main ~arity:0 with
-        | Some _ -> (
-            try Xquery.Eval.protect (fun () -> Xquery.Eval.call_function st.ctx main [])
-            with Xquery.Eval.Exit_with v -> v)
+        | Some _ -> Xquery.Engine.call st.ctx main []
         | None -> [])
   in
   Xquery.Pul.apply st.ctx.DC.pul;
@@ -231,8 +198,11 @@ let wire_inline_handlers b window =
               then ()
               else
               let src = shim_handler_source source in
-              match Xquery.Parser.parse_expression st.static src with
-              | expr ->
+              match
+                Xquery.Engine.expression st.static
+                  (Xquery.Parser.parse_expression st.static src)
+              with
+              | handler ->
                   ignore
                     (Dom_event.add_listener el ~event_type
                        ~name:("inline:" ^ string_of_int (Dom.id el) ^ ":" ^ event_type)
@@ -241,10 +211,7 @@ let wire_inline_handlers b window =
                            DC.with_focus st.ctx (Xdm_item.Node el) ~position:1
                              ~size:1
                          in
-                         (try
-                            ignore
-                              (Xquery.Eval.protect (fun () ->
-                                   Xquery.Eval.eval ctx expr))
+                         (try ignore (Xquery.Eval.protect (fun () -> handler ctx))
                           with Xquery.Eval.Exit_with _ -> ());
                          Xquery.Pul.apply st.ctx.DC.pul))
               | exception _ ->

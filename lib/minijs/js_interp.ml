@@ -351,14 +351,10 @@ and node_method st node name =
             | VObj { kind = Node n; _ } -> n
             | _ -> node
           in
-          let sctx = Xquery.Engine.default_static () in
-          let expr = Xquery.Parser.parse_expression sctx xpath in
-          let dctx = Xquery.Dynamic_context.create sctx in
-          let dctx =
-            Xquery.Dynamic_context.with_focus dctx (Xdm_item.Node ctx_node)
-              ~position:1 ~size:1
+          (* compiled once per distinct expression: the query cache *)
+          let result =
+            Xquery.Engine.eval_string ~context_item:(Xdm_item.Node ctx_node) xpath
           in
-          let result = Xquery.Eval.eval dctx expr in
           let nodes =
             List.filter_map
               (function Xdm_item.Node n -> Some n | Xdm_item.Atomic _ -> None)

@@ -143,6 +143,15 @@ let to_string = function
 
 let trim = String.trim
 
+let duration_overflow () =
+  raise (Range_error ("FODT0002", "duration out of the representable range"))
+
+let duration_of_string str =
+  match Xdm_duration.of_string (trim str) with
+  | d -> d
+  | exception Failure m -> cast_error "%s" m
+  | exception Xdm_duration.Overflow -> duration_overflow ()
+
 let parse_boolean s =
   match trim s with
   | "true" | "1" -> true
@@ -182,50 +191,43 @@ let numeric_value = function
   | Decimal f | Double f -> f
   | v -> type_error "expected a numeric value, got xs:%s" (type_name (type_of v))
 
+(* the cast of a string to [target] (top level, so a cast allocates
+   no closure) *)
+let cast_from_string target str =
+  match target with
+  | T_any_atomic -> Untyped str
+  | T_untyped -> Untyped str
+  | T_string -> String str
+  | T_boolean -> Boolean (parse_boolean str)
+  | T_integer -> Integer (parse_integer str)
+  | T_decimal -> (
+      match float_of_string_opt (trim str) with
+      | Some f -> Decimal f
+      | None -> cast_error "cannot cast %S to xs:decimal" str)
+  | T_double -> Double (parse_float_xml "double" str)
+  | T_any_uri -> Any_uri (trim str)
+  | T_qname -> Qname_v (Qname.of_string (trim str))
+  | T_date -> (
+      try Date (Xdm_datetime.date_of_string (trim str))
+      with Failure m -> cast_error "%s" m)
+  | T_time -> (
+      try Time (Xdm_datetime.time_of_string (trim str))
+      with Failure m -> cast_error "%s" m)
+  | T_date_time -> (
+      try Date_time (Xdm_datetime.date_time_of_string (trim str))
+      with Failure m -> cast_error "%s" m)
+  | T_duration -> Duration (duration_of_string str)
+  | T_year_month_duration ->
+      Year_month_duration { (duration_of_string str) with Xdm_duration.seconds = 0. }
+  | T_day_time_duration ->
+      Day_time_duration { (duration_of_string str) with Xdm_duration.months = 0 }
+
 let cast ~target v =
-  let s () = to_string v in
-  let from_string str =
-    match target with
-    | T_any_atomic -> Untyped str
-    | T_untyped -> Untyped str
-    | T_string -> String str
-    | T_boolean -> Boolean (parse_boolean str)
-    | T_integer -> Integer (parse_integer str)
-    | T_decimal -> (
-        match float_of_string_opt (trim str) with
-        | Some f -> Decimal f
-        | None -> cast_error "cannot cast %S to xs:decimal" str)
-    | T_double -> Double (parse_float_xml "double" str)
-    | T_any_uri -> Any_uri (trim str)
-    | T_qname -> Qname_v (Qname.of_string (trim str))
-    | T_date -> (
-        try Date (Xdm_datetime.date_of_string (trim str))
-        with Failure m -> cast_error "%s" m)
-    | T_time -> (
-        try Time (Xdm_datetime.time_of_string (trim str))
-        with Failure m -> cast_error "%s" m)
-    | T_date_time -> (
-        try Date_time (Xdm_datetime.date_time_of_string (trim str))
-        with Failure m -> cast_error "%s" m)
-    | T_duration -> (
-        try Duration (Xdm_duration.of_string (trim str))
-        with Failure m -> cast_error "%s" m)
-    | T_year_month_duration -> (
-        try
-          let d = Xdm_duration.of_string (trim str) in
-          Year_month_duration { d with Xdm_duration.seconds = 0. }
-        with Failure m -> cast_error "%s" m)
-    | T_day_time_duration -> (
-        try
-          let d = Xdm_duration.of_string (trim str) in
-          Day_time_duration { d with Xdm_duration.months = 0 }
-        with Failure m -> cast_error "%s" m)
-  in
   match (v, target) with
   | _, T_any_atomic -> v
-  | Untyped str, _ | String str, _ -> from_string str
-  | _, T_string -> String (s ())
-  | _, T_untyped -> Untyped (s ())
+  | Untyped str, _ | String str, _ -> cast_from_string target str
+  | _, T_string -> String (to_string v)
+  | _, T_untyped -> Untyped (to_string v)
   | Boolean b, T_integer -> Integer (if b then 1 else 0)
   | Boolean b, T_decimal -> Decimal (if b then 1. else 0.)
   | Boolean b, T_double -> Double (if b then 1. else 0.)
@@ -379,6 +381,16 @@ let duration_tagged template d =
   | Day_time_duration _ -> Day_time_duration { d with Xdm_duration.months = 0 }
   | _ -> Duration d
 
+(* a duration result out of range is FODT0002; a NaN factor FOCA0005 *)
+let duration_result template f =
+  match f () with
+  | d -> duration_tagged template d
+  | exception Xdm_duration.Overflow -> duration_overflow ()
+
+let scale_duration template d f =
+  if Float.is_nan f then raise (Range_error ("FOCA0005", "a duration scaled by NaN"));
+  duration_result template (fun () -> Xdm_duration.scale d f)
+
 let add a b =
   match (a, b, as_duration a, as_duration b) with
   | (Date d | Date_time d), _, _, Some dur ->
@@ -391,7 +403,7 @@ let add a b =
       Time
         (Xdm_datetime.of_epoch_seconds ?tz_minutes:t.Xdm_datetime.tz_minutes
            (Xdm_datetime.to_epoch_seconds t +. dur.Xdm_duration.seconds))
-  | _, _, Some da, Some db -> duration_tagged a (Xdm_duration.add da db)
+  | _, _, Some da, Some db -> duration_result a (fun () -> Xdm_duration.add da db)
   | _ -> numeric_op int_add ( +. ) "+" a b
 
 let subtract a b =
@@ -404,13 +416,13 @@ let subtract a b =
   | Time ta, Time tb, _, _ ->
       Day_time_duration (Xdm_datetime.difference ta tb)
   | _, _, Some da, Some db ->
-      duration_tagged a (Xdm_duration.add da (Xdm_duration.negate db))
+      duration_result a (fun () -> Xdm_duration.add da (Xdm_duration.negate db))
   | _ -> numeric_op int_sub ( -. ) "-" a b
 
 let multiply a b =
   match (as_duration a, as_duration b) with
-  | Some d, None when is_numeric b -> duration_tagged a (Xdm_duration.scale d (numeric_value b))
-  | None, Some d when is_numeric a -> duration_tagged b (Xdm_duration.scale d (numeric_value a))
+  | Some d, None when is_numeric b -> scale_duration a d (numeric_value b)
+  | None, Some d when is_numeric a -> scale_duration b d (numeric_value a)
   | _ -> numeric_op int_mul ( *. ) "*" a b
 
 let divide a b =
@@ -418,7 +430,7 @@ let divide a b =
   | Some d, None when is_numeric b ->
       let f = numeric_value b in
       if f = 0. then raise Division_by_zero
-      else duration_tagged a (Xdm_duration.scale d (1. /. f))
+      else scale_duration a d (1. /. f)
   | Some da, Some db ->
       if Xdm_duration.is_year_month da && Xdm_duration.is_year_month db then
         if db.Xdm_duration.months = 0 then raise Division_by_zero

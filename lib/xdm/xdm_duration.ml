@@ -3,46 +3,78 @@ type t = { months : int; seconds : float }
 let zero = { months = 0; seconds = 0. }
 let make ?(months = 0) ?(seconds = 0.) () = { months; seconds }
 
+exception Overflow
+
+(* whole seconds are exact in a float below 2^53 *)
+let max_seconds = 9007199254740992.
+
+(* The lexical form of XML Schema: [-?P(nY)?(nM)?(nD)?(T(nH)?(nM)?(n(.n)?S)?)?]
+   — designators in this order and at most once, digits only (a
+   fraction on the seconds alone), [T] followed by a time component,
+   and at least one component. *)
 let of_string s =
   let fail () = failwith (Printf.sprintf "invalid duration literal %S" s) in
   let n = String.length s in
-  if n = 0 then fail ();
-  let negative = s.[0] = '-' in
-  let i = if negative then 1 else 0 in
-  if i >= n || s.[i] <> 'P' then fail ();
-  let i = ref (i + 1) in
-  let months = ref 0 and seconds = ref 0. in
-  let in_time = ref false in
-  let saw_component = ref false in
-  while !i < n do
-    if s.[!i] = 'T' then begin
-      in_time := true;
-      incr i
-    end
+  let i = ref (if n > 0 && s.[0] = '-' then 1 else 0) in
+  let negative = !i = 1 in
+  if !i >= n || s.[!i] <> 'P' then fail ();
+  incr i;
+  let digits () =
+    let start = !i in
+    while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do incr i done;
+    if !i = start then fail ();
+    String.sub s start (!i - start)
+  in
+  (* the components up to [T] or the end, each designator after the
+     previous one: (designator, number) *)
+  let components designators =
+    let rec go allowed acc =
+      if !i >= n || s.[!i] = 'T' then List.rev acc
+      else begin
+        let whole = digits () in
+        let fraction = !i < n && s.[!i] = '.' in
+        let num = if fraction then (incr i; whole ^ "." ^ digits ()) else whole in
+        if !i >= n then fail ();
+        let d = s.[!i] in
+        incr i;
+        if fraction && d <> 'S' then fail ();
+        let rec after = function [] -> fail () | x :: rest -> if x = d then rest else after rest in
+        go (after allowed) ((d, num) :: acc)
+      end
+    in
+    go designators []
+  in
+  let date = components [ 'Y'; 'M'; 'D' ] in
+  let time =
+    if !i >= n then []
     else begin
-      let start = !i in
-      while !i < n && (s.[!i] >= '0' && s.[!i] <= '9' || s.[!i] = '.') do
-        incr i
-      done;
-      if !i = start || !i >= n then fail ();
-      let num = float_of_string (String.sub s start (!i - start)) in
-      let designator = s.[!i] in
-      incr i;
-      saw_component := true;
-      match (designator, !in_time) with
-      | 'Y', false -> months := !months + (int_of_float num * 12)
-      | 'M', false -> months := !months + int_of_float num
-      | 'D', false -> seconds := !seconds +. (num *. 86400.)
-      | 'W', false -> seconds := !seconds +. (num *. 7. *. 86400.)
-      | 'H', true -> seconds := !seconds +. (num *. 3600.)
-      | 'M', true -> seconds := !seconds +. (num *. 60.)
-      | 'S', true -> seconds := !seconds +. num
-      | _ -> fail ()
+      incr i (* the T *);
+      match components [ 'H'; 'M'; 'S' ] with [] -> fail () | t -> if !i < n then fail () else t
     end
-  done;
-  if not !saw_component then fail ();
-  if negative then { months = - !months; seconds = -. !seconds }
-  else { months = !months; seconds = !seconds }
+  in
+  if date = [] && time = [] then fail ();
+  let int_of num = match int_of_string_opt num with Some k -> k | None -> raise Overflow in
+  let add_months acc k = if k > max_int - acc then raise Overflow else acc + k in
+  let months =
+    List.fold_left
+      (fun acc (d, num) ->
+        match d with
+        | 'Y' ->
+            let y = int_of num in
+            if y > max_int / 12 then raise Overflow else add_months acc (y * 12)
+        | 'M' -> add_months acc (int_of num)
+        | _ -> acc)
+      0 date
+  in
+  let unit = function 'D' -> 86400. | 'H' -> 3600. | 'M' -> 60. | _ -> 1. in
+  let seconds =
+    List.fold_left
+      (fun acc (d, num) -> acc +. (float_of_string num *. unit d))
+      0. (List.filter (fun (d, _) -> d = 'D') date @ time)
+  in
+  if seconds >= max_seconds then raise Overflow;
+  if negative then { months = - months; seconds = -. seconds }
+  else { months; seconds }
 
 let to_string { months; seconds } =
   if months = 0 && seconds = 0. then "PT0S"
@@ -69,7 +101,20 @@ let to_string { months; seconds } =
       if secs > 0. then
         if Float.is_integer secs then
           Buffer.add_string buf (string_of_int (int_of_float secs) ^ "S")
-        else Buffer.add_string buf (Printf.sprintf "%gS" secs)
+        else begin
+          (* plain decimal notation, as the lexical form requires: the
+             fewest decimals that read back as the same float, at most
+             12 (float noise below a picosecond is dropped) *)
+          let rec digits p =
+            let s = Printf.sprintf "%.*f" p secs in
+            if p >= 12 || float_of_string s = secs then s else digits (p + 1)
+          in
+          let s = digits 1 in
+          let n = ref (String.length s) in
+          while s.[!n - 1] = '0' do decr n done;
+          if s.[!n - 1] = '.' then decr n;
+          Buffer.add_string buf (String.sub s 0 !n ^ "S")
+        end
     end;
     Buffer.contents buf
   end
@@ -81,14 +126,22 @@ let compare a b =
   | 0 -> Float.compare a.seconds b.seconds
   | c -> c
 
-let add a b = { months = a.months + b.months; seconds = a.seconds +. b.seconds }
+(* a result outside the representable range is [Overflow]: months
+   past the int range (allocation-free sign test, as
+   {!Xdm_atomic.add_overflows}), seconds past 2^53 or not finite *)
+let checked_seconds s = if Float.abs s < max_seconds then s else raise Overflow
+
+let add a b =
+  let m = a.months + b.months in
+  if (a.months lxor m) land (b.months lxor m) < 0 then raise Overflow;
+  { months = m; seconds = checked_seconds (a.seconds +. b.seconds) }
+
 let negate a = { months = -a.months; seconds = -.a.seconds }
 
 let scale a f =
-  {
-    months = int_of_float (Float.round (float_of_int a.months *. f));
-    seconds = a.seconds *. f;
-  }
+  let m = Float.round (float_of_int a.months *. f) in
+  if not (Float.abs m < 4.6e18) then raise Overflow;
+  { months = int_of_float m; seconds = checked_seconds (a.seconds *. f) }
 
 let is_year_month a = a.seconds = 0.
 let is_day_time a = a.months = 0

@@ -10,9 +10,16 @@ type t = { months : int; seconds : float }
 val zero : t
 val make : ?months:int -> ?seconds:float -> unit -> t
 
-(** Parse an ISO 8601 duration literal such as ["P1Y2M3DT4H5M6.7S"] or
-    ["-PT90S"].
-    @raise Failure on a malformed literal. *)
+(** Raised when a duration leaves the representable range: months
+    beyond the int range, or seconds at or beyond 2{^53} (where a float
+    stops holding whole seconds exactly) or not finite. *)
+exception Overflow
+
+(** Parse an XML Schema duration literal such as ["P1Y2M3DT4H5M6.7S"]
+    or ["-PT90S"]: designators in order and at most once, a fraction on
+    the seconds only, [T] followed by a time component.
+    @raise Failure on a malformed literal.
+    @raise Overflow on one out of range. *)
 val of_string : string -> t
 
 (** Canonical ISO 8601 form. *)
@@ -25,7 +32,10 @@ val equal : t -> t -> bool
     lexicographically, as an implementation-defined total order.  *)
 val compare : t -> t -> int
 
+(** [add] and [scale] raise {!Overflow} on a result out of range (a
+    NaN factor included). *)
 val add : t -> t -> t
+
 val negate : t -> t
 val scale : t -> float -> t
 

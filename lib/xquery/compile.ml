@@ -1,25 +1,23 @@
-(* The closure compiler: emits one OCaml closure per {!Core_ir} node,
-   composed bottom-up at compile time, so a run performs direct calls
-   instead of re-dispatching on the AST at every node. Variable access
-   is a frame-array read (slots resolved by the lowering pass), hot
-   shapes (steps with name tests, predicate chains, singleton
-   arithmetic/comparison, FLWOR loops) are specialized, and everything
-   the compiler does not own delegates to the tree-walking {!Eval} —
-   including the streaming, value-index and hash-join fast paths, which
-   compiled code must reach, not bypass.
+(* The closure compiler, the one evaluator production runs: one OCaml
+   closure per {!Core_ir} node, composed bottom-up at compile time, so
+   a run makes direct calls over a frame array (slots resolved by the
+   lowering) instead of dispatching on the AST; hot shapes (name-test
+   steps, predicate chains, integer arithmetic and comparison, FLWOR
+   loops) are specialized. Every form compiles, and every closure does
+   what the {!Eval.eval} arm of its form does — same evaluation order,
+   errors and metrics — by calling the same {!Eval} helpers.
 
-   Exact-parity rules the emitter follows:
+   Streaming is cursor emission: [emit_seq] produces {!Xdm_seq} cursors
+   for the forms that can yield items lazily, and only the early-exit
+   consumers pull them — effective-boolean contexts, bounded positional
+   takes, fn:exists/empty/head/boolean/not/subsequence, count(e) against
+   a literal, existential comparisons, quantifiers and the join's probe
+   side. An updating expression never streams, so no update is skipped.
 
-   - every closure replicates the corresponding [Eval.eval] arm
-     operation-for-operation (same evaluation order, same error codes
-     and messages, same metric increments);
-   - effective-boolean contexts and bounded positional takes delegate
-     to [Eval.eval_seq] on the original AST when streaming is on, so
-     pull counters match the interpreter pull-for-pull;
-   - [C_opaque] nodes rebind the frame's live ref cells into the
-     dynamic context ({!Dynamic_context.bind_ref}) and hand the AST to
-     [Eval.eval] — scripting assignment through the shared cells
-     behaves exactly as interpreted code. *)
+   A frame holds a ref cell per slot: a binding stores a fresh cell,
+   scripting assignment writes the slot's cell, and a frame snapshot
+   (order-by tuples, deferred [behind] computations) shares the cells
+   it copies. *)
 
 open Xmlb
 module A = Xdm_atomic
@@ -33,9 +31,10 @@ type fn_impl = D.t -> I.sequence list -> I.sequence
 type prog_code = {
   body : (D.t -> I.sequence) option;
   fns : ((int * int * int) * fn_impl) list;
+  globals : (Qname.t * Ast.seq_type option * (D.t -> I.sequence) option) list;
 }
 
-(* ablation switch, mirroring Eval.set_streaming *)
+(* the evaluator switch: off selects the reference evaluator *)
 let enabled_flag = ref true
 let set_compiled_eval b = enabled_flag := b
 let enabled () = !enabled_flag
@@ -45,90 +44,141 @@ let enabled () = !enabled_flag
 let stat_programs = ref 0
 let stat_fns = ref 0
 let stat_nodes = ref 0
-let stat_opaque = ref 0
 
 let stats () =
   [
     ("programs", !stat_programs);
     ("functions", !stat_fns);
     ("nodes", !stat_nodes);
-    ("opaque-nodes", !stat_opaque);
+    (* every form compiles; the key stays for readers of the old set *)
+    ("opaque-nodes", 0);
   ]
 
 let err code fmt = Xq_error.raise_error code fmt
 let type_err fmt = err Xq_error.type_error_code fmt
 
 (* ------------------------------------------------------------------ *)
-(* interpreter bridges                                                 *)
+(* emission helpers                                                    *)
 
-type scope = (Qname.t * C.slot) list (* innermost first *)
+type attr_piece = P_text of string | P_enclosed of (env -> I.sequence)
 
-(* Reconstruct a dynamic context whose locals are the frame's live ref
-   cells, for handing an original AST back to the interpreter. Binding
-   outermost-first lets inner bindings shadow, like lexical lookup. *)
-let rebind_of (scope : scope) =
-  let pairs = Array.of_list (List.rev scope) in
-  fun env ->
-    Array.fold_left
-      (fun c (qn, s) -> D.bind_ref c qn env.frame.(s))
-      env.ctx pairs
-
-(* The eval_seq forms that pull through counting cursors; EBV contexts
-   delegate exactly these so xdm.seq.pulls matches the interpreter. *)
-let streams_natively (e : Ast.expr) =
-  (not (Ast.is_updating e))
-  &&
-  match e with
-  | Ast.E_sequence _ | Ast.E_range _ | Ast.E_if _ | Ast.E_step _
-  | Ast.E_filter _ ->
-      true
-  | Ast.E_path (e1, Ast.E_step (axis, _, _)) -> (
-      match Focus_analysis.seq_class e1 with
-      | `One -> Focus_analysis.forward_ordered axis
-      | `Sorted -> (
-          match axis with Ast.Self | Ast.Attribute_axis -> true | _ -> false)
-      | `Unknown -> false)
-  | Ast.E_flwor { order = []; _ } -> true
-  | Ast.E_hash_join j -> j.Ast.jorder = []
-  | _ -> false
+let range_bounds fa fb env = Eval.range_bounds (fun () -> fa env) (fun () -> fb env)
+let thunk f env () = f env
 
 let atomize_seq cur =
   Seq.concat_map (fun it -> List.to_seq (I.atomize [ it ])) (Xdm_seq.items cur)
 
-let call_ctx (ctx : D.t) =
-  {
-    Call_ctx.context_item =
-      (match ctx.D.focus with Some f -> Some f.D.item | None -> None);
-    position = (match ctx.D.focus with Some f -> f.D.position | None -> 0);
-    size = (match ctx.D.focus with Some f -> f.D.size | None -> 0);
-    doc = ctx.D.host.D.doc;
-    doc_available = ctx.D.host.D.doc_available;
-    put = ctx.D.host.D.put;
-    now = ctx.D.host.D.now;
-    trace = Call_ctx.default.Call_ctx.trace;
-  }
+let int_compare (op : Ast.value_comp) m k =
+  match op with
+  | Ast.Eq -> m = k
+  | Ast.Ne -> m <> k
+  | Ast.Lt -> m < k
+  | Ast.Le -> m <= k
+  | Ast.Gt -> m > k
+  | Ast.Ge -> m >= k
+
+let set env slot v = env.frame.(slot) <- ref v
+
+(* binds a for variable (and its position) to one item *)
+let for_binder slot pos_slot var var_type =
+  match (var_type, pos_slot) with
+  | None, None -> fun env _ item -> set env slot [ item ]
+  | _ ->
+      let coerce = Eval.coerce_var var var_type in
+      fun env i item ->
+        set env slot (coerce [ item ]);
+        Option.iter (fun ps -> set env ps [ I.Atomic (A.Integer i) ]) pos_slot
+
+let let_binder slot var var_type fv =
+  let coerce = Eval.coerce_var var var_type in
+  fun env -> set env slot (coerce (fv env))
+
+let apply_preds env items pfs =
+  Eval.filter_items (fun ctx pf -> pf { env with ctx }) env.ctx items pfs
+
+let count_builtin_call () =
+  if !Obs.Metrics.enabled then begin
+    Obs.Metrics.incr "eval.calls";
+    Obs.Metrics.incr "eval.calls.builtin"
+  end
+
+(* lazy axis walks: the downward axes are incremental; the others are
+   list-producing anyway, materialised at the first pull *)
+let rec subtree_seq n () = Seq.Cons (n, descendants_seq n)
+
+and descendants_seq n () =
+  Seq.concat_map subtree_seq (List.to_seq (Dom.children n)) ()
+
+let axis_seq (axis : Ast.axis) node : Dom.node Seq.t =
+  match axis with
+  | Ast.Child -> List.to_seq (Dom.children node)
+  | Ast.Descendant -> descendants_seq node
+  | Ast.Descendant_or_self -> subtree_seq node
+  | Ast.Attribute_axis -> List.to_seq (Dom.attributes node)
+  | Ast.Self -> Seq.return node
+  | _ -> fun () -> List.to_seq (Eval.axis_nodes axis node) ()
+
+(* the nodes of one axis step as a counted cursor, recording the same
+   metrics and footprints as {!Eval.step_nodes}; a descendant name
+   test refines the local-name index bucket (already in document
+   order) lazily *)
+let scan_seq axis (test : Ast.node_test) n =
+  let metrics () =
+    if !Obs.Metrics.enabled then begin
+      Obs.Metrics.incr "eval.steps";
+      Obs.Metrics.incr (Eval.axis_metric axis)
+    end
+  in
+  let nodes =
+    match (axis, test) with
+    | (Ast.Descendant | Ast.Descendant_or_self), (Ast.Local_wildcard _ | Ast.Name_test _)
+      when Dom.acceleration_enabled () ->
+        fun () ->
+          metrics ();
+          if !Obs.Metrics.enabled then Obs.Metrics.incr "eval.step.desc-index";
+          let bucket =
+            match test with
+            | Ast.Name_test qn when Sym.fastpaths_enabled () ->
+                Dom.get_elements_by_local_sym n qn.Qname.lsym
+            | Ast.Name_test { Qname.local; _ } | Ast.Local_wildcard local ->
+                Dom.get_elements_by_local_name n local
+            | _ -> assert false (* excluded by the outer pattern *)
+          in
+          Seq.filter
+            (fun m ->
+              Eval.node_test_matches ~axis test m
+              && not (axis = Ast.Descendant && Dom.equal m n))
+            (List.to_seq bucket) ()
+    | _ ->
+        metrics ();
+        if Footprint.recording () then Eval.record_axis_scope axis n;
+        Seq.filter (Eval.node_test_matches ~axis test) (axis_seq axis n)
+  in
+  Xdm_seq.of_node_seq ~sorted:(Focus_analysis.forward_ordered axis) nodes
+
+(* a path whose final step, expanded from the lhs, provably emits
+   distinct nodes in document order *)
+let ordered_path (lhs : C.t) axis =
+  match Focus_analysis.seq_class lhs.C.ast with
+  | `One -> Focus_analysis.forward_ordered axis
+  | `Sorted -> ( match axis with Ast.Self | Ast.Attribute_axis -> true | _ -> false)
+  | `Unknown -> false
+
+(* does [emit_seq] produce [c]'s items lazily? *)
+let streams (c : C.t) =
+  (not (Ast.is_updating c.C.ast))
+  &&
+  match c.C.d with
+  | C.C_sequence _ | C.C_range _ | C.C_if _ | C.C_step _ | C.C_filter _ -> true
+  | C.C_flwor { keys; _ } -> keys = []
+  | C.C_path (a, { C.d = C.C_step (axis, _, _, _); _ }) -> ordered_path a axis
+  | C.C_hash_join j -> j.C.jkeys = []
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* emission                                                            *)
 
-type attr_piece = P_text of string | P_enclosed of (env -> I.sequence)
-
-(* the bounds of a range, per the interpreter's E_range rule: an empty
-   operand yields no range; a failing cast propagates *)
-let range_bounds fa fb env =
-  let endpoint (f : env -> I.sequence) =
-    match I.opt_atomic (f env) with
-    | None -> None
-    | Some a -> (
-        match Eval.protect (fun () -> A.cast ~target:A.T_integer a) with
-        | A.Integer i -> Some i
-        | _ -> None)
-  in
-  match (endpoint fa, endpoint fb) with
-  | Some lo, Some hi -> Eval.range_of lo hi
-  | _ -> None
-
-let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
+let rec emit (c : C.t) : env -> I.sequence =
   incr stat_nodes;
   match c.C.d with
   | C.C_atomic a ->
@@ -144,181 +194,112 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
         | I.Node n -> [ I.Node (Dom.root n) ]
         | I.Atomic _ -> type_err "the context item for '/' is not a node")
   | C.C_sequence cs ->
-      let fs = List.map (emit scope) cs in
+      let fs = List.map emit cs in
       fun env -> List.concat_map (fun f -> f env) fs
   | C.C_range (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
-      fun env ->
-        (match range_bounds fa fb env with
-        | Some (lo, hi) ->
-            List.init (hi - lo + 1) (fun i -> I.Atomic (A.Integer (lo + i)))
-        | None -> [])
+      let fa = emit a and fb = emit b in
+      fun env -> Eval.range_items (range_bounds fa fb env)
   | C.C_if (cond, t, f) ->
-      let fc = emit_ebv scope cond
-      and ft = emit scope t
-      and ff = emit scope f in
+      let fc = emit_ebv cond
+      and ft = emit t
+      and ff = emit f in
       fun env -> if fc env then ft env else ff env
   | C.C_or (a, b) ->
-      let fa = emit_ebv scope a and fb = emit_ebv scope b in
+      let fa = emit_ebv a and fb = emit_ebv b in
       fun env ->
         if fa env then [ I.Atomic (A.Boolean true) ]
         else [ I.Atomic (A.Boolean (fb env)) ]
   | C.C_and (a, b) ->
-      let fa = emit_ebv scope a and fb = emit_ebv scope b in
+      let fa = emit_ebv a and fb = emit_ebv b in
       fun env ->
         if not (fa env) then [ I.Atomic (A.Boolean false) ]
         else [ I.Atomic (A.Boolean (fb env)) ]
   | C.C_value_comp (op, a, b) -> (
-      let fa = emit scope a and fb = emit scope b in
+      let fa = emit a and fb = emit b in
       fun env ->
-        let ra = fa env and rb = fb env in
-        match (ra, rb) with
+        let ra = fa env in
+        match (ra, fb env) with
         | [ I.Atomic (A.Integer i) ], [ I.Atomic (A.Integer j) ] ->
             (* hot shape: integer operands need no promotion and no
-               NaN guard (same result as {!Eval.value_compare_pair}) *)
-            let r =
-              match op with
-              | Ast.Eq -> i = j
-              | Ast.Ne -> i <> j
-              | Ast.Lt -> i < j
-              | Ast.Le -> i <= j
-              | Ast.Gt -> i > j
-              | Ast.Ge -> i >= j
-            in
-            [ I.Atomic (A.Boolean r) ]
-        | _ -> (
-            match (I.atomize ra, I.atomize rb) with
-            | [], _ | _, [] -> []
-            | [ x ], [ y ] ->
-                [ I.Atomic (A.Boolean (Eval.value_compare_pair op x y)) ]
-            | _ -> type_err "value comparison requires singleton operands"))
-  | C.C_general_comp (op, a, b) ->
-      let fa = emit scope a and fb = emit scope b in
+               NaN guard (same result as {!Eval.value_comp}) *)
+            [ I.Atomic (A.Boolean (int_compare op i j)) ]
+        | _, rb -> Eval.value_comp op ra rb)
+  | C.C_general_comp (op, a, b) when Focus_analysis.worth_streaming a.C.ast ->
+      (* existential semantics: materialise the (usually small) rhs,
+         stream the lhs and stop at the first matching pair *)
+      let sa = emit_seq a and fb = emit b in
       fun env ->
-        let va = I.atomize (fa env) and vb = I.atomize (fb env) in
+        let vb = I.atomize (fb env) in
         let result =
-          List.exists
+          Seq.exists
             (fun x -> List.exists (fun y -> Eval.general_compare_pair op x y) vb)
-            va
+            (atomize_seq (sa env))
         in
         [ I.Atomic (A.Boolean result) ]
-  | C.C_general_comp_stream (op, lhs_ast, b) ->
-      let fb = emit scope b and rb = rebind_of scope in
+  | C.C_general_comp (op, a, b) -> binary (Eval.general_comp op) a b
+  | C.C_count_comp (op, arg, k) ->
+      (* count(e) op k with m = min(count(e), k+1) pulled items:
+         m op k <=> count(e) op k for every comparison operator *)
+      let s = emit_seq arg in
+      let bound = if k >= max_int - 1 then max_int else max 0 (k + 1) in
       fun env ->
-        if Eval.streaming_enabled () then begin
-          let vb = I.atomize (fb env) in
-          let result =
-            Seq.exists
-              (fun x ->
-                List.exists (fun y -> Eval.general_compare_pair op x y) vb)
-              (atomize_seq (Eval.eval_seq (rb env) lhs_ast))
-          in
-          [ I.Atomic (A.Boolean result) ]
-        end
-        else
-          let va = I.atomize (Eval.eval (rb env) lhs_ast)
-          and vb = I.atomize (fb env) in
-          let result =
-            List.exists
-              (fun x ->
-                List.exists (fun y -> Eval.general_compare_pair op x y) vb)
-              va
-          in
-          [ I.Atomic (A.Boolean result) ]
-  | C.C_node_comp (op, a, b) -> (
-      let fa = emit scope a and fb = emit scope b in
-      fun env ->
-        let na = fa env and nb = fb env in
-        match (na, nb) with
-        | [], _ | _, [] -> []
-        | [ I.Node x ], [ I.Node y ] ->
-            let r =
-              match op with
-              | Ast.Is -> Dom.equal x y
-              | Ast.Precedes -> Dom.compare_order x y < 0
-              | Ast.Follows -> Dom.compare_order x y > 0
-            in
-            [ I.Atomic (A.Boolean r) ]
-        | _ -> type_err "node comparison requires single nodes")
+        let m = Seq.length (Seq.take bound (Xdm_seq.items (s env))) in
+        [ I.Atomic (A.Boolean (int_compare op m k)) ]
+  | C.C_node_comp (op, a, b) -> binary (Eval.node_comp op) a b
   | C.C_arith (op, a, b) -> (
-      let fa = emit scope a and fb = emit scope b in
-      let f =
+      (* hot shape: integer-integer arithmetic is a direct int op
+         behind the same allocation-free overflow tests; division, the
+         by-zero cases and overflows take the generic path for its
+         error mapping *)
+      let slow () = raise_notrace Exit in
+      let int_op : int -> int -> int =
         match op with
-        | Ast.Add -> A.add
-        | Ast.Sub -> A.subtract
-        | Ast.Mul -> A.multiply
-        | Ast.Div -> A.divide
-        | Ast.Idiv -> A.integer_divide
-        | Ast.Mod -> A.modulo
+        | Ast.Add ->
+            fun i j ->
+              let r = i + j in
+              if A.add_overflows i j r then slow () else r
+        | Ast.Sub ->
+            fun i j ->
+              let r = i - j in
+              if A.sub_overflows i j r then slow () else r
+        | Ast.Mul ->
+            fun i j ->
+              let r = i * j in
+              if A.mul_overflows i j r then slow () else r
+        | Ast.Mod -> fun i j -> if j = 0 then slow () else i mod j
+        | Ast.Idiv -> fun i j -> if j = 0 || (i = min_int && j = -1) then slow () else i / j
+        | Ast.Div -> fun _ _ -> slow ()
       in
+      let fa = emit a and fb = emit b in
       fun env ->
-        let ra = fa env and rb = fb env in
+        let ra = fa env in
+        let rb = fb env in
         match (ra, rb) with
-        | [ I.Atomic (A.Integer i as x) ], [ I.Atomic (A.Integer j as y) ]
-          -> (
-            (* hot shape: integer-integer arithmetic is a direct int
-               op ({!Xdm_atomic.numeric_op} with an identity
-               promotion) behind the same allocation-free overflow
-               tests; division, the by-zero cases and overflows keep
-               the generic path for its error mapping *)
-            match op with
-            | Ast.Add when not (A.add_overflows i j (i + j)) -> [ I.Atomic (A.Integer (i + j)) ]
-            | Ast.Sub when not (A.sub_overflows i j (i - j)) -> [ I.Atomic (A.Integer (i - j)) ]
-            | Ast.Mul when not (A.mul_overflows i j (i * j)) -> [ I.Atomic (A.Integer (i * j)) ]
-            | Ast.Mod when j <> 0 -> [ I.Atomic (A.Integer (i mod j)) ]
-            | Ast.Idiv when j <> 0 && not (i = min_int && j = -1) ->
-                [ I.Atomic (A.Integer (i / j)) ]
-            | _ -> [ I.Atomic (Eval.protect (fun () -> f x y)) ])
-        | _ -> (
-            match (I.atomize ra, I.atomize rb) with
-            | [], _ | _, [] -> []
-            | [ x ], [ y ] -> [ I.Atomic (Eval.protect (fun () -> f x y)) ]
-            | _ -> type_err "arithmetic requires singleton operands"))
-  | C.C_unary_minus a -> (
-      let fa = emit scope a in
-      fun env ->
-        match I.atomize (fa env) with
-        | [] -> []
-        | [ x ] -> [ I.Atomic (Eval.protect (fun () -> A.negate x)) ]
-        | _ -> type_err "unary minus requires a singleton operand")
-  | C.C_union (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
-      fun env -> Eval.protect (fun () -> I.union (fa env) (fb env))
-  | C.C_intersect (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
-      fun env -> Eval.protect (fun () -> I.intersect (fa env) (fb env))
-  | C.C_except (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
-      fun env -> Eval.protect (fun () -> I.except (fa env) (fb env))
+        | [ I.Atomic (A.Integer i) ], [ I.Atomic (A.Integer j) ] -> (
+            match int_op i j with
+            | r -> [ I.Atomic (A.Integer r) ]
+            | exception Exit -> Eval.arith op ra rb)
+        | _ -> Eval.arith op ra rb)
+  | C.C_unary_minus a ->
+      let fa = emit a in
+      fun env -> Eval.negate (fa env)
+  | C.C_union (a, b) -> binary Eval.union a b
+  | C.C_intersect (a, b) -> binary Eval.intersect a b
+  | C.C_except (a, b) -> binary Eval.except a b
   | C.C_instance_of (a, st) ->
-      let fa = emit scope a in
+      let fa = emit a in
       fun env -> [ I.Atomic (A.Boolean (Seq_type.matches st (fa env))) ]
   | C.C_treat_as (a, st) ->
-      let fa = emit scope a in
-      fun env ->
-        let v = fa env in
-        if Seq_type.matches st v then v
-        else
-          err "XPDY0050" "treat as %s failed on a sequence of %d item(s)"
-            (Seq_type.to_string st) (List.length v)
-  | C.C_castable_as (a, ty, optional) -> (
-      let fa = emit scope a in
-      fun env ->
-        match I.atomize (fa env) with
-        | [] -> [ I.Atomic (A.Boolean optional) ]
-        | [ x ] -> [ I.Atomic (A.Boolean (A.castable ~target:ty x)) ]
-        | _ -> [ I.Atomic (A.Boolean false) ])
-  | C.C_cast_as (a, ty, optional) -> (
-      let fa = emit scope a in
-      fun env ->
-        match I.atomize (fa env) with
-        | [] ->
-            if optional then []
-            else type_err "cast of an empty sequence to a non-optional type"
-        | [ x ] -> [ I.Atomic (Eval.protect (fun () -> A.cast ~target:ty x)) ]
-        | _ -> type_err "cast requires a singleton operand")
+      let fa = emit a in
+      fun env -> Eval.treat st (fa env)
+  | C.C_castable_as (a, ty, optional) ->
+      let fa = emit a in
+      fun env -> Eval.castable ty optional (fa env)
+  | C.C_cast_as (a, ty, optional) ->
+      let fa = emit a in
+      fun env -> Eval.cast ty optional (fa env)
   | C.C_step (axis, test, preds, ast_preds) ->
-      let pfs = List.map (emit scope) preds in
+      let pfs = List.map emit preds in
       let scan env =
         match D.focus_item env.ctx with
         | I.Atomic _ -> type_err "axis step applied to an atomic context item"
@@ -333,35 +314,18 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
                   (List.map (fun m -> I.Node m) (Eval.step_nodes axis test n))
                   pfs)
       in
-      with_bounded_take scope c.C.ast scan
+      with_bounded_take c scan
   | C.C_filter (e, preds) ->
-      let fe = emit scope e in
-      let pfs = List.map (emit scope) preds in
-      with_bounded_take scope c.C.ast (fun env -> apply_preds env (fe env) pfs)
+      let fe = emit e in
+      let pfs = List.map emit preds in
+      with_bounded_take c (fun env -> apply_preds env (fe env) pfs)
   | C.C_path (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
+      let fa = emit a and fb = emit b in
       let eager_from env lhs =
-        let n = List.length lhs in
-        let results =
-          List.concat
-            (List.mapi
-               (fun i item ->
-                 match item with
-                 | I.Node _ ->
-                     fb
-                       {
-                         env with
-                         ctx = D.with_focus env.ctx item ~position:(i + 1) ~size:n;
-                       }
-                 | I.Atomic _ -> type_err "path step applied to an atomic value")
-               lhs)
-        in
-        if results = [] then []
-        else if I.all_nodes results then
-          Eval.protect (fun () -> I.document_order results)
-        else if List.exists I.is_node results then
-          err "XPTY0018" "path result mixes nodes and atomic values"
-        else results
+        Eval.path_map
+          (fun item position size ->
+            fb { env with ctx = D.with_focus env.ctx item ~position ~size })
+          lhs
       in
       let eager =
         (* hot shape: a predicate-free forward step over a singleton
@@ -374,94 +338,39 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
             fun env ->
               match fa env with
               | [] -> []
-              | [ I.Node n ] ->
-                  List.map (fun m -> I.Node m) (Eval.step_nodes axis test n)
+              | [ I.Node n ] -> (
+                  match Eval.step_nodes axis test n with
+                  | [ m ] -> [ I.Node m ]
+                  | ms -> List.map (fun m -> I.Node m) ms)
               | [ I.Atomic _ ] ->
                   type_err "path step applied to an atomic value"
               | lhs -> eager_from env lhs)
         | _ -> fun env -> eager_from env (fa env)
       in
-      (* the interpreter's bounded-take clause additionally requires a
-         provably ordered chain for paths *)
-      if
-        Focus_analysis.has_bounded_take c.C.ast
-        && Focus_analysis.seq_class c.C.ast <> `Unknown
-      then
-        let rb = rebind_of scope in
-        fun env ->
-          if Eval.streaming_enabled () then
-            Xdm_seq.to_list (Eval.eval_seq (rb env) c.C.ast)
-          else eager env
+      (* a bounded take at the end of a path streams only when the
+         chain is provably ordered: then no re-sort is skipped *)
+      if Focus_analysis.seq_class c.C.ast <> `Unknown then with_bounded_take c eager
       else eager
-  | C.C_for { slot; pos_slot; var; pos_var; var_type; source; body } -> (
-      let scope' = (var, slot) :: scope in
-      let scope' =
-        match (pos_var, pos_slot) with
-        | Some pv, Some ps -> (pv, ps) :: scope'
-        | _ -> scope'
+  | C.C_flwor { clauses; where; keys = []; return } ->
+      let fret = emit return in
+      let leaf =
+        match Option.map emit_ebv where with
+        | None -> fret
+        | Some w -> fun env -> if w env then fret env else []
       in
-      let bodyf = emit scope' body in
-      let what = "$" ^ Qname.to_string var in
-      let coerce iv =
-        match var_type with
-        | Some st -> Seq_type.coerce ~what st iv
-        | None -> iv
+      List.fold_right emit_clause clauses leaf
+  | C.C_flwor { clauses; where; keys; return } ->
+      (* tuples are frame snapshots *)
+      let leaf =
+        match Option.map emit_ebv where with
+        | None -> fun env -> [ Array.copy env.frame ]
+        | Some w -> fun env -> if w env then [ Array.copy env.frame ] else []
       in
-      (* accumulate body results item by item instead of building a
-         list of lists and concatenating: same order, one allocation
-         less per iteration *)
-      let push acc env =
-        match bodyf env with
-        | [] -> ()
-        | [ x ] -> acc := x :: !acc
-        | xs -> List.iter (fun x -> acc := x :: !acc) xs
-      in
-      let bind_at env i item =
-        env.frame.(slot) <- ref (coerce [ item ]);
-        match pos_slot with
-        | Some ps -> env.frame.(ps) <- ref [ I.Atomic (A.Integer i) ]
-        | None -> ()
-      in
-      match source.C.d with
-      | C.C_range (ra, rb) ->
-          (* hot shape: iterate the range without materialising it *)
-          let fa = emit scope ra and fb = emit scope rb in
-          fun env ->
-            (match range_bounds fa fb env with
-            | Some (lo, hi) ->
-                let acc = ref [] in
-                for i = lo to hi do
-                  bind_at env (i - lo + 1) (I.Atomic (A.Integer i));
-                  push acc env
-                done;
-                List.rev !acc
-            | None -> [])
-      | _ ->
-          let src = emit scope source in
-          fun env ->
-            let items = src env in
-            let acc = ref [] in
-            List.iteri (fun i item ->
-                bind_at env (i + 1) item;
-                push acc env)
-              items;
-            List.rev !acc)
-  | C.C_let { slot; var; var_type; value; body } ->
-      let fv = emit scope value in
-      let bodyf = emit ((var, slot) :: scope) body in
-      let what = "$" ^ Qname.to_string var in
-      fun env ->
-        let v = fv env in
-        let v =
-          match var_type with Some st -> Seq_type.coerce ~what st v | None -> v
-        in
-        env.frame.(slot) <- ref v;
-        bodyf env
-  | C.C_where (cond, body) ->
-      let fc = emit_ebv scope cond and bodyf = emit scope body in
-      fun env -> if fc env then bodyf env else []
+      let tuples = List.fold_right emit_clause clauses leaf
+      and ordered = emit_ordered keys return in
+      fun env -> ordered env (tuples env)
   | C.C_cast_call (ty, a) -> (
-      let fa = emit scope a in
+      let fa = emit a in
       fun env ->
         let v = fa env in
         if !Obs.Metrics.enabled then begin
@@ -469,30 +378,27 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
           Obs.Metrics.incr "eval.calls.constructor"
         end;
         match v with
-        (* hot shape: xs:integer on an integer is the identity cast *)
+        (* hot shapes: xs:integer on an integer is the identity cast;
+           a single item atomizes without a list *)
         | [ I.Atomic (A.Integer _) ] when ty = A.T_integer -> v
-        | _ -> (
-            match I.atomize v with
-            | [] -> []
-            | [ x ] ->
-                [ I.Atomic (Eval.protect (fun () -> A.cast ~target:ty x)) ]
-            | _ -> type_err "constructor function requires a singleton"))
-  | C.C_builtin_call (qn, impl, args) ->
-      let fs = List.map (emit scope) args in
-      (* this dispatch bypasses Eval.call_function, so the recorded-run
-         impurity check must be replicated here; the test is hoisted to
-         emission time *)
-      let impure = Reactive.impure_builtin_sym qn.Qname.lsym in
-      fun env ->
-        let vs = List.map (fun f -> f env) fs in
-        if !Obs.Metrics.enabled then begin
-          Obs.Metrics.incr "eval.calls";
-          Obs.Metrics.incr "eval.calls.builtin"
-        end;
-        if impure then Footprint.poison ();
-        Eval.protect (fun () -> impl (call_ctx env.ctx) vs)
+        | [ it ] -> [ I.Atomic (Eval.protect (fun () -> A.cast ~target:ty (I.item_atomic it))) ]
+        | _ -> Eval.construct_atomic ty v)
+  | C.C_builtin_call (qn, impl, args) -> (
+      match early_exit_call qn args with
+      | Some f -> f
+      | None ->
+          let fs = List.map emit args in
+          (* this dispatch bypasses Eval.call_function, so the
+             recorded-run impurity check must be replicated here; the
+             test is hoisted to emission time *)
+          let impure = Reactive.impure_builtin_sym qn.Qname.lsym in
+          fun env ->
+            let vs = List.map (fun f -> f env) fs in
+            count_builtin_call ();
+            if impure then Footprint.poison ();
+            Eval.protect (fun () -> impl (Eval.call_ctx env.ctx) vs))
   | C.C_call (qn, args) ->
-      let fs = List.map (emit scope) args in
+      let fs = List.map emit args in
       fun env ->
         let vs = List.map (fun f -> f env) fs in
         Eval.call_function env.ctx qn vs
@@ -504,11 +410,11 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
               List.map
                 (function
                   | C.CA_text t -> P_text t
-                  | C.CA_enclosed e -> P_enclosed (emit scope e))
+                  | C.CA_enclosed e -> P_enclosed (emit e))
                 parts ))
           attributes
       in
-      let children = List.map (emit scope) children in
+      let children = List.map emit children in
       fun env ->
         (* the element, then its attributes, then its content: ids in
            pre-order *)
@@ -527,174 +433,544 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
         in
         Eval.construct el ~attrs (List.concat_map (fun f -> f env) children)
   | C.C_computed_element (name_c, content_c) ->
-      let fn = emit scope name_c and fc = emit scope content_c in
+      let fn = emit name_c and fc = emit content_c in
       fun env ->
         let name = Eval.qname_of_value env.ctx (I.singleton_atomic (fn env)) in
         let el = Dom.create_element name in
         Eval.construct el ~attrs:[] (fc env)
   | C.C_computed_attribute (name_c, content_c) ->
-      let fn = emit scope name_c and fc = emit scope content_c in
+      let fn = emit name_c and fc = emit content_c in
       fun env ->
         let name = Eval.qname_of_value env.ctx (I.singleton_atomic (fn env)) in
         let value = I.sequence_string (fc env) in
         [ I.Node (Dom.create_attribute name value) ]
   | C.C_computed_text a ->
-      let fa = emit scope a in
+      let fa = emit a in
       fun env -> [ I.Node (Dom.create_text (I.sequence_string (fa env))) ]
   | C.C_computed_comment a ->
-      let fa = emit scope a in
+      let fa = emit a in
       fun env -> [ I.Node (Dom.create_comment (I.sequence_string (fa env))) ]
   | C.C_computed_pi (name_c, content_c) ->
-      let fn = emit scope name_c and fc = emit scope content_c in
+      let fn = emit name_c and fc = emit content_c in
       fun env ->
         let target = I.sequence_string (fn env) in
         [ I.Node (Dom.create_pi ~target (I.sequence_string (fc env))) ]
   | C.C_computed_document a ->
-      let fa = emit scope a in
+      let fa = emit a in
       fun env ->
         let doc = Dom.create_document () in
         Eval.construct doc ~attrs:[] (fa env)
-  | C.C_opaque ast ->
-      incr stat_opaque;
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.compile.opaque";
-      let rb = rebind_of scope in
-      fun env -> Eval.eval (rb env) ast
+  | C.C_hash_join j ->
+      (* every tuple (a frame snapshot) passes the where clause before
+         any is returned *)
+      let pairs = emit_join_pairs j and ordered = emit_ordered j.C.jkeys j.C.jreturn in
+      fun env ->
+        ordered env
+          (List.of_seq
+             (Seq.map
+                (fun (l, r) ->
+                  set env j.C.left_slot [ l ];
+                  set env j.C.right_slot [ r ];
+                  Array.copy env.frame)
+                (pairs env)))
+  | C.C_quantified (quant, clauses, body) ->
+      (* the binding sources are pulled lazily: some stops at the
+         first witness, every at the first counterexample *)
+      let fb = emit_ebv body in
+      let witness = I.Atomic (A.Boolean true) in
+      let leaf =
+        match quant with
+        | Ast.Some_quant -> fun env -> if fb env then Xdm_seq.singleton witness else Xdm_seq.empty
+        | Ast.Every_quant -> fun env -> if fb env then Xdm_seq.empty else Xdm_seq.singleton witness
+      in
+      let found = List.fold_right seq_clause clauses leaf in
+      fun env ->
+        let empty = Xdm_seq.is_empty (found env) in
+        [ I.Atomic (A.Boolean (if quant = Ast.Some_quant then not empty else empty)) ]
+  | C.C_typeswitch (op, cases, (dslot, dbody)) ->
+      let fop = emit op in
+      let cases = List.map (fun (slot, st, body) -> (st, (slot, emit body))) cases in
+      let default = (dslot, emit dbody) in
+      fun env ->
+        let v = fop env in
+        let slot, f = Eval.select_case cases default v in
+        Option.iter (fun s -> set env s v) slot;
+        f env
+  | C.C_ftcontains (a, sel) ->
+      let rec ft = function
+        | C.F_words (w, stemming) ->
+            let fw = emit w in
+            fun env hay -> Eval.ft_words ~stemming hay (fw env)
+        | C.F_and (x, y) ->
+            let fx = ft x and fy = ft y in
+            fun env hay -> fx env hay && fy env hay
+        | C.F_or (x, y) ->
+            let fx = ft x and fy = ft y in
+            fun env hay -> fx env hay || fy env hay
+        | C.F_not x ->
+            let fx = ft x in
+            fun env hay -> not (fx env hay)
+      in
+      let fa = emit a and fs = ft sel in
+      fun env ->
+        let hay = Eval.ft_haystack (fa env) in
+        [ I.Atomic (A.Boolean (fs env hay)) ]
+  (* ---- updates ---- *)
+  | C.C_insert (pos, source, target) ->
+      let fs = emit source and ft = emit target in
+      fun env -> Eval.insert env.ctx.D.pul pos ~source:(thunk fs env) ~target:(thunk ft env)
+  | C.C_delete a ->
+      let fa = emit a in
+      fun env -> Eval.delete env.ctx.D.pul (fa env)
+  | C.C_replace (value_of, target, source) ->
+      let ft = emit target and fs = emit source in
+      fun env ->
+        Eval.replace env.ctx.D.pul ~value_of ~target:(thunk ft env) ~source:(thunk fs env)
+  | C.C_rename (target, name) ->
+      let ft = emit target and fn = emit name in
+      fun env -> Eval.rename env.ctx env.ctx.D.pul ~target:(thunk ft env) ~name:(thunk fn env)
+  | C.C_transform (copies, modify, return) ->
+      let fcopies = List.map (fun (slot, src) -> (slot, emit src)) copies in
+      let fm = emit modify and fr = emit return in
+      fun env ->
+        let nodes = List.map (fun (slot, f) -> (slot, Eval.copy_source (f env))) fcopies in
+        List.iter (fun (slot, n) -> set env slot [ I.Node n ]) nodes;
+        let inner_pul = Pul.create () in
+        ignore (fm { env with ctx = { env.ctx with D.pul = inner_pul } });
+        (* XUDY0014: updates must stay within the copied trees *)
+        Pul.apply inner_pul;
+        fr env
+  (* ---- scripting ---- *)
+  | C.C_block stmts -> emit_block stmts
+  (* ---- browser extensions ---- *)
+  | C.C_event_attach (event, binding, target, listener) ->
+      let fe = emit event and ft = emit target in
+      fun env ->
+        (* a [behind] computation may run later: it sees the bindings
+           of now *)
+        let later = { env with frame = Array.copy env.frame } in
+        Eval.attach env.ctx binding listener ~event:(thunk fe env) ~target:(thunk ft later)
+  | C.C_event_detach (event, target, listener) ->
+      let fe = emit event and ft = emit target in
+      fun env -> Eval.detach env.ctx listener ~event:(thunk fe env) ~target:(thunk ft env)
+  | C.C_event_trigger (event, target) ->
+      let fe = emit event and ft = emit target in
+      fun env -> Eval.trigger env.ctx ~event:(thunk fe env) ~target:(thunk ft env)
+  | C.C_set_style (property, target, value) ->
+      let fp = emit property and ft = emit target and fv = emit value in
+      fun env ->
+        Eval.set_style env.ctx ~property:(thunk fp env) ~value:(thunk fv env)
+          ~target:(thunk ft env)
+  | C.C_get_style (property, target) ->
+      let fp = emit property and ft = emit target in
+      fun env -> Eval.get_style env.ctx ~property:(thunk fp env) ~target:(thunk ft env)
 
-(* effective boolean value of a compiled subexpression: natively
-   streaming forms delegate to the interpreter's lazy cursors (same
-   early exit, same pull counters); everything else uses the compiled
-   closure — eval_seq would just materialise it anyway *)
-and emit_ebv scope (c : C.t) : env -> bool =
-  let f = emit scope c in
-  if streams_natively c.C.ast then begin
-    let rb = rebind_of scope in
-    let ast = c.C.ast in
-    fun env ->
-      if Eval.streaming_enabled () then
-        Xdm_seq.effective_boolean (Eval.eval_seq (rb env) ast)
-      else I.effective_boolean (f env)
-  end
-  else fun env -> I.effective_boolean (f env)
+(* the return of tuples (frame snapshots), each in its own frame; with
+   order-by keys, each tuple is keyed and the tuples sorted first *)
+and emit_ordered keys return =
+  let fkeys = List.map (fun (k, _) -> emit k) keys
+  and specs = List.map snd keys
+  and fret = emit return in
+  let sort env frames =
+    if specs = [] then frames
+    else
+      Eval.sort_keyed specs
+        (List.map
+           (fun frame -> (List.map (fun f -> Eval.order_key (f { env with frame })) fkeys, frame))
+           frames)
+  in
+  fun env frames -> List.concat_map (fun frame -> fret { env with frame }) (sort env frames)
 
-(* the interpreter's top-level bounded-positional-take clause: when
-   streaming, pull through eval_seq and stop at the bound *)
-and with_bounded_take scope ast eager =
-  if Focus_analysis.has_bounded_take ast && not (Ast.is_updating ast) then begin
-    let rb = rebind_of scope in
-    fun env ->
-      if Eval.streaming_enabled () then
-        Xdm_seq.to_list (Eval.eval_seq (rb env) ast)
-      else eager env
+(* two operands, left to right *)
+and binary f a b =
+  let fa = emit a and fb = emit b in
+  fun env ->
+    let va = fa env in
+    f va (fb env)
+
+(* [c]'s items as a cursor: lazily for the forms {!streams} accepts,
+   otherwise the eager closure's list *)
+and emit_seq (c : C.t) : env -> Xdm_seq.t =
+  if not (streams c) then
+    let f = emit c in
+    fun env -> Xdm_seq.of_list (f env)
+  else begin
+    incr stat_nodes;
+    match c.C.d with
+    | C.C_sequence cs ->
+        let fs = List.map emit_seq cs in
+        fun env ->
+          List.fold_left
+            (fun acc f ->
+              Xdm_seq.append acc (Xdm_seq.make (fun () -> Xdm_seq.items (f env) ())))
+            Xdm_seq.empty fs
+    | C.C_range (a, b) -> (
+        let fa = emit a and fb = emit b in
+        fun env ->
+          match range_bounds fa fb env with
+          | Some (lo, hi) ->
+              Xdm_seq.of_seq
+                (Seq.map
+                   (fun i -> I.Atomic (A.Integer i))
+                   (Seq.init (hi - lo + 1) (fun i -> lo + i)))
+          | None -> Xdm_seq.empty)
+    | C.C_if (cond, t, f) ->
+        let fc = emit_ebv cond and ft = emit_seq t and ff = emit_seq f in
+        fun env -> if fc env then ft env else ff env
+    | C.C_step (axis, test, preds, ast_preds) -> (
+        let step = step_seq axis test preds ast_preds in
+        fun env ->
+          match D.focus_item env.ctx with
+          | I.Atomic _ -> type_err "axis step applied to an atomic context item"
+          | I.Node n -> step env n)
+    | C.C_path (a, { C.d = C.C_step (axis, test, preds, ast_preds); _ }) ->
+        (* the chain emits distinct nodes in document order: no re-sort *)
+        let fa = emit_seq a and step = step_seq axis test preds ast_preds in
+        fun env ->
+          Xdm_seq.make ~sorted:true
+            (Seq.concat_map
+               (function
+                 | I.Node n -> Xdm_seq.items (step env n)
+                 | I.Atomic _ -> type_err "path step applied to an atomic value")
+               (Xdm_seq.items (fa env)))
+    | C.C_filter (e, preds) ->
+        let fe = emit_seq e and ps = preds_seq preds in
+        fun env -> ps env (fe env)
+    | C.C_flwor { clauses; where; return; _ } ->
+        let fret = emit_seq return in
+        let leaf =
+          match Option.map emit_ebv where with
+          | None -> fret
+          | Some w -> fun env -> if w env then fret env else Xdm_seq.empty
+        in
+        List.fold_right seq_clause clauses leaf
+    | C.C_hash_join j ->
+        (* unordered join output streams: the probe side is pulled
+           lazily, so exists/head/[position() le k] over a join stop
+           after the first matching probe items *)
+        let pairs = emit_join_pairs j and fret = emit_seq j.C.jreturn in
+        fun env ->
+          Xdm_seq.make
+            (Seq.concat_map
+               (fun (l, r) ->
+                 set env j.C.left_slot [ l ];
+                 set env j.C.right_slot [ r ];
+                 Xdm_seq.items (fret env))
+               (pairs env))
+    | _ -> assert false (* excluded by [streams] *)
   end
+
+(* effective boolean value: pulls at most two items of a streaming
+   form *)
+and emit_ebv (c : C.t) : env -> bool =
+  if streams c then
+    let s = emit_seq c in
+    fun env -> Xdm_seq.effective_boolean (s env)
+  else
+    let f = emit c in
+    fun env -> I.effective_boolean (f env)
+
+(* a bounded positional take at the end of a step, filter or path:
+   pull through the cursor and stop at the bound *)
+and with_bounded_take (c : C.t) eager =
+  if Focus_analysis.has_bounded_take c.C.ast && not (Ast.is_updating c.C.ast) then
+    let s = emit_seq c in
+    fun env -> Xdm_seq.to_list (s env)
   else eager
 
-(* predicate chains, replicating {!Eval.apply_predicates}: per stage
-   the size is the stage input length, a numeric predicate value keeps
-   the item at that position *)
-and apply_preds env items pfs =
-  List.fold_left
-    (fun items pf ->
-      let n = List.length items in
-      List.filteri
-        (fun i item ->
-          let pos = i + 1 in
-          let fenv =
-            { env with ctx = D.with_focus env.ctx item ~position:pos ~size:n }
-          in
-          match pf fenv with
-          | [ I.Atomic a ] when A.is_numeric a ->
-              Eval.protect (fun () -> A.compare_value a (A.Integer pos) = 0)
-          | v -> I.effective_boolean v)
-        items)
-    items pfs
+(* one axis step from [n] as a cursor, its predicates applied lazily *)
+and step_seq axis test preds ast_preds =
+  let all = preds_seq preds in
+  let rest = match preds with [] -> all | _ :: tl -> preds_seq tl in
+  fun env n ->
+    match Eval.value_index_step axis test ast_preds n with
+    | Some (nodes, _) ->
+        rest env (Xdm_seq.of_list ~sorted:true (List.map (fun m -> I.Node m) nodes))
+    | None -> all env (scan_seq axis test n)
+
+(* a predicate chain over a cursor: a positional take stops pulling, a
+   predicate that reads last() materialises its stage, any other
+   filters lazily with an incremental position *)
+and preds_seq preds : env -> Xdm_seq.t -> Xdm_seq.t =
+  let stage (p : C.t) =
+    match Focus_analysis.take_shape p.C.ast with
+    | Some (`Nth k) ->
+        fun _ cur ->
+          if k < 1 then Xdm_seq.empty
+          else
+            Xdm_seq.make ~sorted:(Xdm_seq.sorted cur) ~at_most_one:true
+              (Seq.take 1 (Seq.drop (k - 1) (Xdm_seq.items cur)))
+    | Some (`First k) -> fun _ cur -> Xdm_seq.take k cur
+    | None ->
+        let pf = emit p in
+        if Focus_analysis.uses_last p.C.ast then fun env cur ->
+          Xdm_seq.of_list ~sorted:(Xdm_seq.sorted cur)
+            (apply_preds env (Xdm_seq.to_list cur) [ pf ])
+        else fun env cur ->
+          (* size is never observed (checked above), so pass 0 *)
+          Xdm_seq.filteri
+            (fun i item ->
+              let pos = i + 1 in
+              Eval.pred_keeps pos
+                (pf { env with ctx = D.with_focus env.ctx item ~position:pos ~size:0 }))
+            cur
+  in
+  let stages = List.map stage preds in
+  fun env cur -> List.fold_left (fun cur f -> f env cur) cur stages
+
+(* the join's (left, right) item pairs that pass its where clause,
+   both variables bound when the where runs; the probe side is a
+   cursor *)
+and emit_join_pairs (j : C.join) =
+  let lsrc = emit_seq j.C.left_source
+  and lkey = emit j.C.left_key
+  and rsrc = emit j.C.right_source
+  and rkey = emit j.C.right_key
+  and where = Option.map emit_ebv j.C.jwhere in
+  fun env ->
+    let pairs =
+      Eval.hash_join ~general:j.C.general
+        ~build:(fun () -> rsrc env)
+        ~build_key:(fun item ->
+          set env j.C.right_slot [ item ];
+          rkey env)
+        ~probe_key:(fun item ->
+          set env j.C.left_slot [ item ];
+          lkey env)
+        (Xdm_seq.items (lsrc env))
+    in
+    match where with
+    | None -> pairs
+    | Some w ->
+        Seq.filter
+          (fun (l, r) ->
+            set env j.C.left_slot [ l ];
+            set env j.C.right_slot [ r ];
+            w env)
+          pairs
+
+(* a clause around the code [k] for the clauses after it: a for loop
+   concatenates [k]'s results, item by item *)
+and emit_clause : 'a. C.clause -> (env -> 'a list) -> env -> 'a list =
+ fun clause k ->
+  match clause with
+  | C.Cl_let { slot; var; var_type; value } ->
+      let bind = let_binder slot var var_type (emit value) in
+      fun env ->
+        bind env;
+        k env
+  | C.Cl_for { slot; pos_slot; var; var_type; source } -> (
+      let bind_at = for_binder slot pos_slot var var_type in
+      (* the results accumulate reversed in an argument, not a mutable
+         cell: a long loop writes no promoted block *)
+      match source.C.d with
+      | C.C_range (ra, rb) -> (
+          (* hot shape: iterate the range without materialising it *)
+          let fa = emit ra and fb = emit rb in
+          fun env ->
+            match range_bounds fa fb env with
+            | None -> []
+            | Some (lo, hi) ->
+                let rec go i acc =
+                  if i > hi then List.rev acc
+                  else begin
+                    bind_at env (i - lo + 1) (I.Atomic (A.Integer i));
+                    go (i + 1) (List.rev_append (k env) acc)
+                  end
+                in
+                go lo [])
+      | _ ->
+          let src = emit source in
+          fun env ->
+            let rec go i acc = function
+              | [] -> List.rev acc
+              | item :: rest ->
+                  bind_at env i item;
+                  go (i + 1) (List.rev_append (k env) acc) rest
+            in
+            go 1 [] (src env))
+
+(* the same as a cursor: a for clause pulls its source lazily *)
+and seq_clause clause (k : env -> Xdm_seq.t) : env -> Xdm_seq.t =
+  match clause with
+  | C.Cl_let { slot; var; var_type; value } ->
+      let bind = let_binder slot var var_type (emit value) in
+      fun env ->
+        bind env;
+        k env
+  | C.Cl_for { slot; pos_slot; var; var_type; source } ->
+      let src = emit_seq source and bind_at = for_binder slot pos_slot var var_type in
+      fun env ->
+        Xdm_seq.make
+          (Seq.concat_map
+             (fun (i, item) ->
+               bind_at env i item;
+               Xdm_seq.items (k env))
+             (Seq.mapi (fun i x -> (i + 1, x)) (Xdm_seq.items (src env))))
+
+(* the fn: builtins that pull their argument as a cursor — exists,
+   empty and head at most one item, boolean and not at most two,
+   subsequence a bounded prefix — or [None] *)
+and early_exit_call (qn : Qname.t) args =
+  let bool1 a f =
+    let s = emit_seq a in
+    Some
+      (fun env ->
+        let b = f (s env) in
+        count_builtin_call ();
+        [ I.Atomic (A.Boolean b) ])
+  in
+  if qn.Qname.uri <> Some Qname.Ns.fn then None
+  else
+    match (qn.Qname.local, args) with
+    | "exists", [ a ] -> bool1 a (fun s -> not (Xdm_seq.is_empty s))
+    | "empty", [ a ] -> bool1 a Xdm_seq.is_empty
+    | "boolean", [ a ] -> bool1 a Xdm_seq.effective_boolean
+    | "not", [ a ] -> bool1 a (fun s -> not (Xdm_seq.effective_boolean s))
+    | "head", [ a ] ->
+        let s = emit_seq a in
+        Some
+          (fun env ->
+            count_builtin_call ();
+            Option.to_list (Xdm_seq.head (s env)))
+    | "subsequence", e :: start :: (([] | [ _ ]) as len) ->
+        (* as the eager fn:subsequence, pulling only the ceil(upto)-1
+           prefix *)
+        let s = emit_seq e and fstart = emit start
+        and flen = Option.map emit (List.nth_opt len 0) in
+        Some
+          (fun env ->
+            count_builtin_call ();
+            let start = fstart env in
+            let len = Option.map (fun f -> f env) flen in
+            let from, upto = Eval.protect (fun () -> Functions.subsequence_window start len) in
+            if Float.is_nan from || Float.is_nan upto then []
+            else
+              let bound =
+                if upto = Float.infinity || upto >= 1e18 then max_int
+                else if upto <= 1. then 0
+                else int_of_float (Float.ceil upto) - 1
+              in
+              Seq.take bound (Xdm_seq.items (s env))
+              |> Seq.mapi (fun i x -> (float_of_int (i + 1), x))
+              |> Seq.filter_map (fun (fi, x) -> if fi >= from && fi < upto then Some x else None)
+              |> List.of_seq)
+    | _ -> None
+
+(* a scripting block: statements in order, the pending updates applied
+   at every statement boundary; its value is the last statement's *)
+and emit_block stmts : env -> I.sequence =
+  let fs = List.map emit_stmt stmts in
+  fun env ->
+    List.fold_left
+      (fun _ f ->
+        let v = f env in
+        Pul.apply env.ctx.D.pul;
+        v)
+      [] fs
+
+and emit_stmt (s : C.stmt) : env -> I.sequence =
+  match s with
+  | C.S_expr e -> emit e
+  | C.S_var (slot, var, var_type, init) ->
+      let fi = Option.map emit init in
+      let coerce = Eval.coerce_var var var_type in
+      fun env ->
+        set env slot (match fi with Some f -> coerce (f env) | None -> []);
+        []
+  | C.S_assign (target, e) ->
+      let f = emit e in
+      let cell =
+        match target with
+        | C.Local slot -> fun env -> env.frame.(slot)
+        | C.Global qn -> fun env -> D.lookup_ref env.ctx qn
+      in
+      fun env ->
+        let v = f env in
+        cell env := v;
+        []
+  | C.S_while (cond, body) ->
+      let fc = emit cond and fb = emit_block body in
+      fun env ->
+        let rec loop () =
+          if I.effective_boolean (fc env) then
+            match ignore (fb env) with
+            | () -> loop ()
+            | exception Eval.Break_loop -> ()
+            | exception Eval.Continue_loop -> loop ()
+        in
+        loop ();
+        []
+  | C.S_break | C.S_continue ->
+      let jump = match s with C.S_break -> Eval.Break_loop | _ -> Eval.Continue_loop in
+      fun env ->
+        Pul.apply env.ctx.D.pul;
+        raise jump
+  | C.S_exit_with e ->
+      let f = emit e in
+      fun env ->
+        let v = f env in
+        Pul.apply env.ctx.D.pul;
+        raise (Eval.Exit_with v)
 
 (* ------------------------------------------------------------------ *)
 (* programs                                                            *)
 
-let compile_expr static ?(params = []) e =
-  let core, size = Core_ir.lower static ~params e in
-  if Core_ir.is_opaque_root core then None
-  else
-    let scope = List.mapi (fun i qn -> (qn, i)) params in
-    let f = emit (List.rev scope) core in
-    Some (f, size)
+let fresh_frame size = Array.init size (fun _ -> ref [])
+
+(* one expression as a closure over a fresh frame *)
+let compile_expr static e =
+  let core, size = Core_ir.lower static e in
+  let f = emit core in
+  fun ctx -> f { ctx; frame = fresh_frame size }
 
 let compile_fn static (decl : Ast.function_decl) :
     ((int * int * int) * fn_impl) option =
-  let plain_body =
-    match (decl.Ast.kind, decl.Ast.body) with
-    | Ast.F_sequential, Some (Ast.E_block _) -> None
-    | _, Some (Ast.E_block [ Ast.S_expr e ]) -> Some e
-    | _, Some (Ast.E_block _) -> None
-    | _, body -> body
-  in
-  match plain_body with
-  | None -> None
-  | Some body -> (
+  match decl.Ast.body with
+  | None -> None (* external: nothing to compile *)
+  | Some body ->
       let pnames = List.map fst decl.Ast.params in
-      match compile_expr static ~params:pnames body with
-      | None -> None
-      | Some (bodyf, size) ->
-          let params = Array.of_list decl.Ast.params in
-          let name = Qname.to_string decl.Ast.fname in
-          let key = D.fn_key decl.Ast.fname ~arity:(Array.length params) in
-          let impl ctx args =
-            if ctx.D.depth > Eval.max_depth then
-              err "XQDY0054" "maximum recursion depth exceeded in %s" name;
-            let fctx = D.function_scope ctx in
-            let frame = Array.init size (fun _ -> ref []) in
+      let core, size =
+        Core_ir.lower static ~params:pnames
+          ~sequential:(decl.Ast.kind = Ast.F_sequential) body
+      in
+      let bodyf = emit core in
+      let params = Array.of_list decl.Ast.params in
+      let key = D.fn_key decl.Ast.fname ~arity:(Array.length params) in
+      let impl ctx args =
+        Eval.call_declared decl ctx (fun ctx ->
+            let frame = fresh_frame size in
             List.iteri
               (fun i arg ->
                 let pname, ptype = params.(i) in
-                let arg =
-                  match ptype with
-                  | Some st ->
-                      Seq_type.coerce ~what:("$" ^ Qname.to_string pname) st arg
-                  | None -> arg
-                in
-                frame.(i) <- ref arg)
+                frame.(i) <- ref (Eval.coerce_var pname ptype arg))
               args;
-            let result =
-              try bodyf { ctx = fctx; frame } with
-              | Eval.Exit_with v -> v
-              | Eval.Break_loop | Eval.Continue_loop ->
-                  err "XSST0010" "break/continue outside of a while loop"
-            in
-            match decl.Ast.return_type with
-            | Some st ->
-                Seq_type.coerce
-                  ~what:(Qname.to_string decl.Ast.fname ^ " result")
-                  st result
-            | None -> result
-          in
-          Some (key, impl))
+            bodyf { ctx; frame })
+      in
+      Some (key, impl)
 
+(* Every function and global variable declared in [static] — the
+   program's own, imported library modules' and, for a page, earlier
+   scripts' — compiles with the body: the static-context fingerprint
+   that keys the query cache covers all of them, so the code is valid
+   wherever a cached program is replayed. *)
 let compile_prog static (prog : Ast.prog) : prog_code =
   incr stat_programs;
   if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.compile.programs";
   let fns =
     List.filter_map
-      (function
-        | Ast.P_function f -> (
-            match compile_fn static f with
-            | Some kf ->
-                incr stat_fns;
-                if !Obs.Metrics.enabled then
-                  Obs.Metrics.incr "xquery.compile.fns";
-                Some kf
-            | None -> None)
-        | _ -> None)
-      prog.Ast.prolog
+      (fun decl ->
+        let kf = compile_fn static decl in
+        if Option.is_some kf then begin
+          incr stat_fns;
+          if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.compile.fns"
+        end;
+        kf)
+      (Static_context.declared_functions static)
   in
-  let body =
-    match prog.Ast.body with
-    | None -> None
-    | Some e -> (
-        match compile_expr static e with
-        | None -> None
-        | Some (f, size) ->
-            Some
-              (fun ctx ->
-                f { ctx; frame = Array.init size (fun _ -> ref []) }))
+  let globals =
+    List.map
+      (fun (qn, st, init) -> (qn, st, Option.map (compile_expr static) init))
+      (Static_context.global_variables static)
   in
-  { body; fns }
+  { body = Option.map (compile_expr static) prog.Ast.body; fns; globals }

@@ -1,40 +1,42 @@
 (** The closure compiler (PAPER: per-event evaluation must be as fast
-    as the hardware allows). {!Core_ir.lower} desugars the optimized
-    AST and resolves variables to frame slots; [compile_prog] then
-    emits one OCaml closure per core node, composed bottom-up, so a
-    run performs direct calls over a pre-sized frame array instead of
-    tree-walking the AST. The tree-walking {!Eval} stays the oracle:
-    [set_compiled_eval false] (CLI [--no-compiled-eval]) disables the
-    compiled path entirely, and compiled code delegates to the
-    interpreter for streaming-sensitive shapes so lazy pull counts
-    match it pull-for-pull. *)
-
-type env = {
-  ctx : Dynamic_context.t;
-  frame : Xdm_item.sequence ref array;
-}
+    as the hardware allows), the one evaluator production runs.
+    {!Core_ir.lower} desugars the optimized AST of any form and
+    resolves variables to frame slots; the emitter produces one OCaml
+    closure per core node, and {!Xdm_seq} cursors for the early-exit
+    consumers to pull. The tree-walking {!Eval.eval} is the eager
+    reference, selected by [set_compiled_eval false] (CLI
+    [--no-compiled-eval]). *)
 
 type fn_impl =
   Dynamic_context.t -> Xdm_item.sequence list -> Xdm_item.sequence
 
 type prog_code = {
   body : (Dynamic_context.t -> Xdm_item.sequence) option;
-      (** compiled main-module body; [None] when the body is absent or
-          lowers to a single opaque node (the interpreter is used) *)
+      (** [None] for a library module or a page script without one *)
   fns : ((int * int * int) * fn_impl) list;
-      (** compiled plain-expression function bodies, keyed by
-          {!Dynamic_context.fn_key} (uri sym, local sym, arity) for
-          {!Dynamic_context.t.compiled_fns} *)
+      (** a compiled body for every function declared in the static
+          context, keyed by {!Dynamic_context.fn_key} (uri sym, local
+          sym, arity) for {!Dynamic_context.t.compiled_fns} *)
+  globals :
+    (Xmlb.Qname.t * Ast.seq_type option * (Dynamic_context.t -> Xdm_item.sequence) option) list;
+      (** the static context's global variables in declaration order,
+          with compiled initializers ([None]: external) *)
 }
 
-(** Ablation switch (default on), mirroring {!Eval.set_streaming}. *)
+(** The evaluator switch (default on): off selects the reference
+    evaluator {!Eval.eval}. *)
 val set_compiled_eval : bool -> unit
 
 val enabled : unit -> bool
 
-(** Always-on compile statistics for [browser:stats()]:
-    programs/functions compiled, closure nodes emitted, opaque
-    fallback nodes. *)
+(** Always-on compile statistics for [browser:stats()]: programs and
+    functions compiled, closure nodes emitted. [opaque-nodes] is
+    always 0: every form compiles. *)
 val stats : unit -> (string * int) list
 
 val compile_prog : Static_context.t -> Ast.prog -> prog_code
+
+(** One expression outside any program (an inline handler, a generated
+    page skeleton), as a closure over a fresh frame. *)
+val compile_expr :
+  Static_context.t -> Ast.expr -> Dynamic_context.t -> Xdm_item.sequence

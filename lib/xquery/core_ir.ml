@@ -1,25 +1,24 @@
 (* The desugared core the closure compiler emits code from.
 
-   [of_ast] lowers the surface AST into a compact core:
+   [of_ast] lowers every surface form into a compact core:
 
    - variable references are resolved to integer frame slots at
      lowering time (each binding site gets a unique slot, so a run
      needs one pre-sized array instead of per-binding map inserts);
-   - FLWOR clause lists are desugared into nested [C_for]/[C_let]/
-     [C_where] loops around the return expression;
+     scripting declarations and assignments resolve the same way;
+   - FLWOR and quantifier clauses become one clause list, each
+     binding a slot;
    - grouping sugar ([ordered {}], [unordered {}], [{e}]) disappears;
-   - non-sequential single-statement blocks become their expression.
+   - non-sequential single-statement blocks become their expression;
+   - call sites resolve statically: xs: constructors become casts,
+     fn: builtins capture their implementation, and [fn:count(e)]
+     compared with an integer literal becomes [C_count_comp].
 
    Every core node keeps the surface expression it was lowered from
    ([ast]): the emitter consults it for the static shape analyses
-   (bounded positional takes, sortedness, value-index probes) and to
-   delegate to the tree-walking evaluator — [C_opaque] — for the forms
-   the compiler does not specialize. Opaque delegation is the exact-
-   parity tool: anything updating, scripting blocks, typeswitch,
-   transform, full-text, quantifiers, hash joins and order-by FLWORs
-   (whose tuple materialisation the interpreter owns), and the
-   early-exit builtin calls plus bounded-count shapes whose streaming
-   pull behaviour must match the interpreter pull-for-pull. *)
+   (bounded positional takes, sortedness, value-index probes, which
+   forms stream) and for [Ast.is_updating]. The lowering is total: no
+   form is left for another evaluator. *)
 
 open Xmlb
 module A = Xdm_atomic
@@ -42,9 +41,8 @@ and desc =
   | C_and of t * t
   | C_value_comp of Ast.value_comp * t * t
   | C_general_comp of Ast.value_comp * t * t
-  | C_general_comp_stream of Ast.value_comp * Ast.expr * t
-      (** existential comparison whose lhs streams through the
-          interpreter's lazy cursors (rhs is compiled) *)
+  | C_count_comp of Ast.value_comp * t * int
+      (** [fn:count(e) op k], literal on the right *)
   | C_node_comp of Ast.node_comp * t * t
   | C_arith of Ast.arith * t * t
   | C_unary_minus of t
@@ -60,23 +58,16 @@ and desc =
           value-index probe, which consumes the leading predicate) *)
   | C_path of t * t
   | C_filter of t * t list
-  | C_for of {
-      slot : slot;
-      pos_slot : slot option;
-      var : Qname.t;
-      pos_var : Qname.t option;
-      var_type : Ast.seq_type option;
-      source : t;
-      body : t;
+  | C_flwor of {
+      clauses : clause list;
+      where : t option;
+      keys : (t * Ast.order_spec) list;  (** [] without [order by] *)
+      return : t;
     }
-  | C_let of {
-      slot : slot;
-      var : Qname.t;
-      var_type : Ast.seq_type option;
-      value : t;
-      body : t;
-    }
-  | C_where of t * t
+  | C_hash_join of join
+  | C_quantified of Ast.quantifier * clause list * t  (** [for] clauses *)
+  | C_typeswitch of t * (slot option * Ast.seq_type * t) list * (slot option * t)
+  | C_ftcontains of t * ft
   | C_cast_call of A.atomic_type * t  (** xs: constructor function *)
   | C_builtin_call of Qname.t * Functions.impl * t list
       (** call statically resolved to an fn: builtin *)
@@ -92,17 +83,68 @@ and desc =
   | C_computed_comment of t
   | C_computed_pi of t * t
   | C_computed_document of t
-  | C_opaque of Ast.expr  (** evaluated by the tree-walker *)
+  (* updates *)
+  | C_insert of Ast.insert_position * t * t  (** source, target *)
+  | C_delete of t
+  | C_replace of bool * t * t  (** value of?, target, source *)
+  | C_rename of t * t
+  | C_transform of (slot * t) list * t * t
+  (* scripting *)
+  | C_block of stmt list
+  (* browser extensions *)
+  | C_event_attach of t * Ast.event_binding * t * Qname.t  (** event, target *)
+  | C_event_detach of t * t * Qname.t  (** event, target, listener *)
+  | C_event_trigger of t * t  (** event, target *)
+  | C_set_style of t * t * t  (** property, target, value *)
+  | C_get_style of t * t  (** property, target *)
 
 and attr_part = CA_text of string | CA_enclosed of t
+
+and clause =
+  | Cl_for of {
+      slot : slot;
+      pos_slot : slot option;
+      var : Qname.t;
+      var_type : Ast.seq_type option;
+      source : t;
+    }
+  | Cl_let of { slot : slot; var : Qname.t; var_type : Ast.seq_type option; value : t }
+
+and join = {
+  left_slot : slot;
+  left_source : t;
+  left_key : t;
+  right_slot : slot;
+  right_source : t;
+  right_key : t;
+  general : bool;
+  jwhere : t option;
+  jkeys : (t * Ast.order_spec) list;
+  jreturn : t;
+}
+
+and ft = F_words of t * bool  (** stemming *) | F_and of ft * ft | F_or of ft * ft | F_not of ft
+
+and stmt =
+  | S_expr of t
+  | S_var of slot * Qname.t * Ast.seq_type option * t option
+  | S_assign of var_ref * t
+  | S_while of t * stmt list
+  | S_break
+  | S_continue
+  | S_exit_with of t
+
+and var_ref = Local of slot | Global of Qname.t
 
 (* ------------------------------------------------------------------ *)
 (* lowering                                                            *)
 
 (* lexical scope: innermost binding first *)
-type scope = (string * (Qname.t * slot)) list
+type scope = (string * slot) list
 
-type st = { mutable next : slot; mutable high : slot }
+(* the lowering state: the slot counter, and the static context call
+   sites resolve against *)
+type st = { mutable next : slot; mutable high : slot; static : Static_context.t }
 
 let fresh st =
   let s = st.next in
@@ -110,196 +152,268 @@ let fresh st =
   if st.next > st.high then st.high <- st.next;
   s
 
-(* fn: builtins whose streaming interpretation pulls early-exit
-   cursors ({!Eval.streaming_call}): calls to these delegate so the
-   compiled engine keeps the interpreter's pull-for-pull behaviour *)
-let streaming_builtin (qn : Qname.t) nargs =
-  qn.Qname.uri = Some Qname.Ns.fn
-  &&
-  match (qn.Qname.local, nargs) with
-  | ("exists" | "empty" | "head" | "boolean" | "not"), 1 -> true
-  | "subsequence", (2 | 3) -> true
-  | _ -> false
+let bind st scope var =
+  let slot = fresh st in
+  (slot, (Qname.to_clark var, slot) :: scope)
 
-(* count(e) compared against an integer literal: the interpreter pulls
-   at most k+1 items; delegate the whole comparison *)
-let is_count_literal_shape a b =
-  let count_call = function
-    | Ast.E_call ({ Qname.local = "count"; uri = Some u; _ }, [ _ ]) ->
-        u = Qname.Ns.fn
-    | _ -> false
-  and int_literal = function
-    | Ast.E_literal (A.Integer _) -> true
-    | _ -> false
-  in
-  (count_call a && int_literal b) || (int_literal a && count_call b)
+let bind_opt st scope = function
+  | None -> (None, scope)
+  | Some var ->
+      let slot, scope = bind st scope var in
+      (Some slot, scope)
 
-(* the static context call sites resolve against; set by {!lower}
-   around a lowering run (threading it through every [of_ast] call
-   would obscure the recursion for one leaf case) *)
-let resolver : Static_context.t option ref = ref None
+let is_fn_count = function
+  | { d = C_builtin_call ({ Qname.local = "count"; uri = Some u; _ }, _, [ arg ]); _ }
+    when String.equal u Qname.Ns.fn ->
+      Some arg
+  | _ -> None
 
 let rec of_ast st (scope : scope) (e : Ast.expr) : t =
   let k d = { d; ast = e } in
   let sub e' = of_ast st scope e' in
-  if Ast.is_updating e then k (C_opaque e)
-  else
-    match e with
-    | Ast.E_literal a -> k (C_atomic a)
-    | Ast.E_text_literal s -> k (C_text_literal s)
-    | Ast.E_var qn -> (
-        match List.assoc_opt (Qname.to_clark qn) scope with
-        | Some (_, slot) -> k (C_slot slot)
-        | None -> k (C_free qn))
-    | Ast.E_context_item -> k C_context_item
-    | Ast.E_root -> k C_root
-    | Ast.E_sequence es -> k (C_sequence (List.map sub es))
-    | Ast.E_range (a, b) -> k (C_range (sub a, sub b))
-    | Ast.E_if (c, t, f) -> k (C_if (sub c, sub t, sub f))
-    | Ast.E_or (a, b) -> k (C_or (sub a, sub b))
-    | Ast.E_and (a, b) -> k (C_and (sub a, sub b))
-    | Ast.(E_value_comp (_, a, b) | E_general_comp (_, a, b))
-      when is_count_literal_shape a b ->
-        k (C_opaque e)
-    | Ast.E_value_comp (op, a, b) -> k (C_value_comp (op, sub a, sub b))
-    | Ast.E_general_comp (op, a, b) when Focus_analysis.worth_streaming a ->
-        k (C_general_comp_stream (op, a, sub b))
-    | Ast.E_general_comp (op, a, b) -> k (C_general_comp (op, sub a, sub b))
-    | Ast.E_node_comp (op, a, b) -> k (C_node_comp (op, sub a, sub b))
-    | Ast.E_arith (op, a, b) -> k (C_arith (op, sub a, sub b))
-    | Ast.E_unary_minus a -> k (C_unary_minus (sub a))
-    | Ast.E_union (a, b) -> k (C_union (sub a, sub b))
-    | Ast.E_intersect (a, b) -> k (C_intersect (sub a, sub b))
-    | Ast.E_except (a, b) -> k (C_except (sub a, sub b))
-    | Ast.E_instance_of (a, ty) -> k (C_instance_of (sub a, ty))
-    | Ast.E_treat_as (a, ty) -> k (C_treat_as (sub a, ty))
-    | Ast.E_castable_as (a, ty, opt) -> k (C_castable_as (sub a, ty, opt))
-    | Ast.E_cast_as (a, ty, opt) -> k (C_cast_as (sub a, ty, opt))
-    | Ast.E_step (axis, test, preds) ->
-        k (C_step (axis, test, List.map sub preds, preds))
-    | Ast.E_path (a, b) -> k (C_path (sub a, sub b))
-    | Ast.E_filter (a, preds) -> k (C_filter (sub a, List.map sub preds))
-    | Ast.E_flwor { clauses; where; order = []; return } ->
-        { d = lower_flwor st scope clauses where return; ast = e }
-    | Ast.E_flwor _ -> k (C_opaque e) (* order-by: interpreter's sort *)
-    | Ast.E_call (qn, args) when streaming_builtin qn (List.length args) ->
-        k (C_opaque e)
-    | Ast.E_call (qn, args) -> k (lower_call st scope qn args)
-    | Ast.E_ordered a | Ast.E_unordered a | Ast.E_enclosed a ->
-        { (sub a) with ast = e }
-    | Ast.E_direct_element { name; attributes; children } ->
-        k
-          (C_direct_element
-             {
-               name;
-               attributes =
-                 List.map
-                   (fun (an, parts) ->
-                     ( an,
-                       List.map
-                         (function
-                           | Ast.A_text s -> CA_text s
-                           | Ast.A_enclosed e' -> CA_enclosed (sub e'))
-                         parts ))
-                   attributes;
-               children = List.map sub children;
-             })
-    | Ast.E_computed_element (n, c) -> k (C_computed_element (sub n, sub c))
-    | Ast.E_computed_attribute (n, c) -> k (C_computed_attribute (sub n, sub c))
-    | Ast.E_computed_text a -> k (C_computed_text (sub a))
-    | Ast.E_computed_comment a -> k (C_computed_comment (sub a))
-    | Ast.E_computed_pi (n, c) -> k (C_computed_pi (sub n, sub c))
-    | Ast.E_computed_document a -> k (C_computed_document (sub a))
-    (* delegated wholesale: streaming-sensitive, scripting, or rare *)
-    | Ast.E_hash_join _ | Ast.E_quantified _ | Ast.E_typeswitch _
-    | Ast.E_transform _ | Ast.E_ftcontains _ | Ast.E_block _
-    | Ast.E_get_style _ ->
-        k (C_opaque e)
-    (* updating forms are caught by the [is_updating] guard above; this
-       arm keeps the match exhaustive if new ones appear *)
-    | Ast.E_insert _ | Ast.E_delete _ | Ast.E_replace _ | Ast.E_rename _
-    | Ast.E_event_attach _ | Ast.E_event_detach _ | Ast.E_event_trigger _
-    | Ast.E_set_style _ ->
-        k (C_opaque e)
+  match e with
+  | Ast.E_literal a -> k (C_atomic a)
+  | Ast.E_text_literal s -> k (C_text_literal s)
+  | Ast.E_var qn -> (
+      match List.assoc_opt (Qname.to_clark qn) scope with
+      | Some slot -> k (C_slot slot)
+      | None -> k (C_free qn))
+  | Ast.E_context_item -> k C_context_item
+  | Ast.E_root -> k C_root
+  | Ast.E_sequence es -> k (C_sequence (List.map sub es))
+  | Ast.E_range (a, b) -> k (C_range (sub a, sub b))
+  | Ast.E_if (c, t, f) -> k (C_if (sub c, sub t, sub f))
+  | Ast.E_or (a, b) -> k (C_or (sub a, sub b))
+  | Ast.E_and (a, b) -> k (C_and (sub a, sub b))
+  | Ast.E_value_comp (op, a, b) -> k (comparison st scope op a b ~general:false)
+  | Ast.E_general_comp (op, a, b) -> k (comparison st scope op a b ~general:true)
+  | Ast.E_node_comp (op, a, b) -> k (C_node_comp (op, sub a, sub b))
+  | Ast.E_arith (op, a, b) -> k (C_arith (op, sub a, sub b))
+  | Ast.E_unary_minus a -> k (C_unary_minus (sub a))
+  | Ast.E_union (a, b) -> k (C_union (sub a, sub b))
+  | Ast.E_intersect (a, b) -> k (C_intersect (sub a, sub b))
+  | Ast.E_except (a, b) -> k (C_except (sub a, sub b))
+  | Ast.E_instance_of (a, ty) -> k (C_instance_of (sub a, ty))
+  | Ast.E_treat_as (a, ty) -> k (C_treat_as (sub a, ty))
+  | Ast.E_castable_as (a, ty, opt) -> k (C_castable_as (sub a, ty, opt))
+  | Ast.E_cast_as (a, ty, opt) -> k (C_cast_as (sub a, ty, opt))
+  | Ast.E_step (axis, test, preds) ->
+      k (C_step (axis, test, List.map sub preds, preds))
+  | Ast.E_path (a, b) -> k (C_path (sub a, sub b))
+  | Ast.E_filter (a, preds) -> k (C_filter (sub a, List.map sub preds))
+  | Ast.E_flwor { clauses; where; order; return } ->
+      let clauses, scope = lower_clauses st scope clauses in
+      let sub = of_ast st scope in
+      k
+        (C_flwor
+           {
+             clauses;
+             where = Option.map sub where;
+             keys = List.map (fun o -> (sub o.Ast.key, o)) order;
+             return = sub return;
+           })
+  | Ast.E_hash_join j ->
+      let left_source = sub j.Ast.jleft_source in
+      let left_slot, lscope = bind st scope j.Ast.jleft_var in
+      let left_key = of_ast st lscope j.Ast.jleft_key in
+      let right_source = sub j.Ast.jright_source in
+      let right_slot, rscope = bind st scope j.Ast.jright_var in
+      let right_key = of_ast st rscope j.Ast.jright_key in
+      let both = (Qname.to_clark j.Ast.jright_var, right_slot) :: lscope in
+      let sub = of_ast st both in
+      k
+        (C_hash_join
+           {
+             left_slot;
+             left_source;
+             left_key;
+             right_slot;
+             right_source;
+             right_key;
+             general = j.Ast.jgeneral;
+             jwhere = Option.map sub j.Ast.jwhere;
+             jkeys = List.map (fun o -> (sub o.Ast.key, o)) j.Ast.jorder;
+             jreturn = sub j.Ast.jreturn;
+           })
+  | Ast.E_quantified (quant, binds, body) ->
+      let clauses, scope =
+        lower_clauses st scope
+          (List.map
+             (fun (var, var_type, source) ->
+               Ast.For_clause { var; pos_var = None; var_type; source })
+             binds)
+      in
+      k (C_quantified (quant, clauses, of_ast st scope body))
+  | Ast.E_typeswitch (op, cases, (dvar, dbody)) ->
+      let branch var body =
+        let slot, scope = bind_opt st scope var in
+        (slot, of_ast st scope body)
+      in
+      let case c =
+        let slot, body = branch c.Ast.case_var c.Ast.case_body in
+        (slot, c.Ast.case_type, body)
+      in
+      k (C_typeswitch (sub op, List.map case cases, branch dvar dbody))
+  | Ast.E_ftcontains (a, sel) ->
+      let rec ft = function
+        | Ast.Ft_words (w, opts) -> F_words (sub w, List.mem Ast.Ft_stemming opts)
+        | Ast.Ft_and (x, y) -> F_and (ft x, ft y)
+        | Ast.Ft_or (x, y) -> F_or (ft x, ft y)
+        | Ast.Ft_not x -> F_not (ft x)
+      in
+      k (C_ftcontains (sub a, ft sel))
+  | Ast.E_call (qn, args) -> k (lower_call st scope qn args)
+  | Ast.E_ordered a | Ast.E_unordered a | Ast.E_enclosed a ->
+      { (sub a) with ast = e }
+  | Ast.E_direct_element { name; attributes; children } ->
+      k
+        (C_direct_element
+           {
+             name;
+             attributes =
+               List.map
+                 (fun (an, parts) ->
+                   ( an,
+                     List.map
+                       (function
+                         | Ast.A_text s -> CA_text s
+                         | Ast.A_enclosed e' -> CA_enclosed (sub e'))
+                       parts ))
+                 attributes;
+             children = List.map sub children;
+           })
+  | Ast.E_computed_element (n, c) -> k (C_computed_element (sub n, sub c))
+  | Ast.E_computed_attribute (n, c) -> k (C_computed_attribute (sub n, sub c))
+  | Ast.E_computed_text a -> k (C_computed_text (sub a))
+  | Ast.E_computed_comment a -> k (C_computed_comment (sub a))
+  | Ast.E_computed_pi (n, c) -> k (C_computed_pi (sub n, sub c))
+  | Ast.E_computed_document a -> k (C_computed_document (sub a))
+  | Ast.E_insert (pos, source, target) -> k (C_insert (pos, sub source, sub target))
+  | Ast.E_delete a -> k (C_delete (sub a))
+  | Ast.E_replace { value_of; target; source } ->
+      k (C_replace (value_of, sub target, sub source))
+  | Ast.E_rename (target, name) -> k (C_rename (sub target, sub name))
+  | Ast.E_transform (binds, modify, return) ->
+      (* every copy source sees only the outer scope *)
+      let sources = List.map (fun (var, src) -> (var, sub src)) binds in
+      let copies, scope =
+        List.fold_left
+          (fun (acc, scope) (var, src) ->
+            let slot, scope = bind st scope var in
+            ((slot, src) :: acc, scope))
+          ([], scope) sources
+      in
+      k
+        (C_transform
+           (List.rev copies, of_ast st scope modify, of_ast st scope return))
+  | Ast.E_block [ Ast.S_expr a ] -> { (sub a) with ast = e }
+  | Ast.E_block stmts -> k (C_block (lower_stmts st scope stmts))
+  | Ast.E_event_attach { event; binding; target; listener } ->
+      k (C_event_attach (sub event, binding, sub target, listener))
+  | Ast.E_event_detach { event; target; listener } ->
+      k (C_event_detach (sub event, sub target, listener))
+  | Ast.E_event_trigger { event; target } -> k (C_event_trigger (sub event, sub target))
+  | Ast.E_set_style { property; target; value } ->
+      k (C_set_style (sub property, sub target, sub value))
+  | Ast.E_get_style { property; target } -> k (C_get_style (sub property, sub target))
 
-and lower_flwor st scope clauses where return =
-  match clauses with
-  | [] ->
-      let ret = of_ast st scope return in
-      let body =
-        match where with
-        | None -> ret
-        | Some w -> { d = C_where (of_ast st scope w, ret); ast = return }
+(* a comparison; [fn:count(e)] against an integer literal (either
+   side) becomes [C_count_comp], which pulls at most k+1 items *)
+and comparison st scope op a b ~general =
+  let ca = of_ast st scope a and cb = of_ast st scope b in
+  let int_lit = function Ast.E_literal (A.Integer n) -> Some n | _ -> None in
+  match (is_fn_count ca, int_lit b, int_lit a, is_fn_count cb) with
+  | Some arg, Some n, _, _ -> C_count_comp (op, arg, n)
+  | _, _, Some n, Some arg -> C_count_comp (Focus_analysis.mirror_comp op, arg, n)
+  | _ ->
+      if general then C_general_comp (op, ca, cb) else C_value_comp (op, ca, cb)
+
+and lower_clauses st scope clauses =
+  let step (acc, scope) = function
+    | Ast.For_clause { var; pos_var; var_type; source } ->
+        let source = of_ast st scope source in
+        let slot, scope = bind st scope var in
+        let pos_slot, scope = bind_opt st scope pos_var in
+        (Cl_for { slot; pos_slot; var; var_type; source } :: acc, scope)
+    | Ast.Let_clause { var; var_type; value } ->
+        let value = of_ast st scope value in
+        let slot, scope = bind st scope var in
+        (Cl_let { slot; var; var_type; value } :: acc, scope)
+  in
+  let rev, scope = List.fold_left step ([], scope) clauses in
+  (List.rev rev, scope)
+
+(* a declaration scopes over the statements after it; a while body is
+   a block of its own *)
+and lower_stmts st scope stmts =
+  match stmts with
+  | [] -> []
+  | Ast.S_var_decl (var, var_type, init) :: rest ->
+      let init = Option.map (of_ast st scope) init in
+      let slot, scope' = bind st scope var in
+      S_var (slot, var, var_type, init) :: lower_stmts st scope' rest
+  | stmt :: rest ->
+      let s =
+        match stmt with
+        | Ast.S_expr e -> S_expr (of_ast st scope e)
+        | Ast.S_assign (var, e) ->
+            let target =
+              match List.assoc_opt (Qname.to_clark var) scope with
+              | Some slot -> Local slot
+              | None -> Global var
+            in
+            S_assign (target, of_ast st scope e)
+        | Ast.S_while (cond, body) ->
+            S_while (of_ast st scope cond, lower_stmts st scope body)
+        | Ast.S_break -> S_break
+        | Ast.S_continue -> S_continue
+        | Ast.S_exit_with e -> S_exit_with (of_ast st scope e)
+        | Ast.S_var_decl _ -> assert false (* matched above *)
       in
-      body.d
-  | Ast.For_clause { var; pos_var; var_type; source } :: rest ->
-      let source = of_ast st scope source in
-      let slot = fresh st in
-      let scope = (Qname.to_clark var, (var, slot)) :: scope in
-      let pos_slot, scope =
-        match pos_var with
-        | Some pv ->
-            let ps = fresh st in
-            (Some ps, (Qname.to_clark pv, (pv, ps)) :: scope)
-        | None -> (None, scope)
-      in
-      let body =
-        { d = lower_flwor st scope rest where return; ast = return }
-      in
-      C_for { slot; pos_slot; var; pos_var; var_type; source; body }
-  | Ast.Let_clause { var; var_type; value } :: rest ->
-      let value = of_ast st scope value in
-      let slot = fresh st in
-      let scope = (Qname.to_clark var, (var, slot)) :: scope in
-      let body =
-        { d = lower_flwor st scope rest where return; ast = return }
-      in
-      C_let { slot; var; var_type; value; body }
+      s :: lower_stmts st scope rest
 
 (* Call sites resolve through the compile-time static context exactly
    as {!Eval.call_function} would at run time: xs: constructors become
    direct casts, calls that resolve to an fn: builtin capture its
    implementation. Anything else — user functions (re-dispatched
    through the compiled-body table), externals, unknown names — stays
-   a generic call through the evaluator, which repeats the full
-   resolution per call. The cache key's static-context fingerprint
-   guarantees a cached compilation is only replayed against a context
-   with the same declarations, so compile-time resolution is safe. *)
+   a generic call through {!Eval.call_function}, which repeats the
+   full resolution per call. The cache key's static-context
+   fingerprint guarantees a cached compilation is only replayed
+   against a context with the same declarations, so compile-time
+   resolution is safe. *)
 and lower_call st scope qn args =
   let nargs = List.length args in
   let cargs () = List.map (of_ast st scope) args in
-  match !resolver with
-  | None -> C_call (qn, cargs ())
-  | Some static -> (
-      if Static_context.is_blocked static qn then C_call (qn, cargs ())
-      else
-        match qn.Qname.uri with
-        | Some u when String.equal u Qname.Ns.xs && nargs = 1 -> (
-            match A.type_of_name qn.Qname.local with
-            | Some ty -> C_cast_call (ty, of_ast st scope (List.hd args))
-            | None -> C_call (qn, cargs ()))
-        | _ ->
-            if
-              Option.is_some (Static_context.find_function static qn ~arity:nargs)
-              || Option.is_some
-                   (Static_context.find_external static qn ~arity:nargs)
-            then C_call (qn, cargs ())
-            else (
-              match Functions.find qn ~arity:nargs with
-              | Some impl -> C_builtin_call (qn, impl, cargs ())
-              | None -> C_call (qn, cargs ())))
+  let static = st.static in
+  if Static_context.is_blocked static qn then C_call (qn, cargs ())
+  else
+    match qn.Qname.uri with
+    | Some u when String.equal u Qname.Ns.xs && nargs = 1 -> (
+        match A.type_of_name qn.Qname.local with
+        | Some ty -> C_cast_call (ty, of_ast st scope (List.hd args))
+        | None -> C_call (qn, cargs ()))
+    | _ ->
+        if
+          Option.is_some (Static_context.find_function static qn ~arity:nargs)
+          || Option.is_some (Static_context.find_external static qn ~arity:nargs)
+        then C_call (qn, cargs ())
+        else (
+          match Functions.find qn ~arity:nargs with
+          | Some impl -> C_builtin_call (qn, impl, cargs ())
+          | None -> C_call (qn, cargs ()))
 
-let lower static ?(params = []) (e : Ast.expr) : t * int =
-  let st = { next = List.length params; high = List.length params } in
-  let scope =
-    List.rev
-      (List.mapi (fun i qn -> (Qname.to_clark qn, (qn, i))) params)
+(* [sequential]: a sequential function's body block keeps statement
+   semantics (updates applied at its boundary) even when it holds a
+   single expression *)
+let lower static ?(params = []) ?(sequential = false) (e : Ast.expr) : t * int =
+  let n = List.length params in
+  let st = { next = n; high = n; static } in
+  let scope = List.rev (List.mapi (fun i qn -> (Qname.to_clark qn, i)) params) in
+  let core =
+    match e with
+    | Ast.E_block stmts when sequential ->
+        { d = C_block (lower_stmts st scope stmts); ast = e }
+    | _ -> of_ast st scope e
   in
-  resolver := Some static;
-  Fun.protect
-    ~finally:(fun () -> resolver := None)
-    (fun () ->
-      let core = of_ast st scope e in
-      (core, st.high))
-
-let is_opaque_root c = match c.d with C_opaque _ -> true | _ -> false
+  (core, st.high)

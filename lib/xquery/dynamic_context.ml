@@ -168,7 +168,6 @@ let create ?(host = default_host) static =
 let key qn = Qname.to_clark qn
 
 let bind t qn v = { t with locals = Smap.add (key qn) (ref v) t.locals }
-let bind_ref t qn r = { t with locals = Smap.add (key qn) r t.locals }
 
 let lookup_ref t qn =
   match Smap.find_opt (key qn) t.locals with

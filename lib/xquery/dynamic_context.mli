@@ -87,9 +87,6 @@ val create : ?host:host -> Static_context.t -> t
 (** Bind a fresh local variable (shadows). *)
 val bind : t -> Qname.t -> Xdm_item.sequence -> t
 
-(** Bind sharing the given ref cell (scripting [set $x]). *)
-val bind_ref : t -> Qname.t -> Xdm_item.sequence ref -> t
-
 (** Look up a variable (locals, then globals).
     @raise Xq_error.Error (XPST0008) if unbound. *)
 val lookup : t -> Qname.t -> Xdm_item.sequence

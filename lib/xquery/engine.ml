@@ -4,8 +4,8 @@ type compiled = {
   prog : Ast.prog;
   static : Static_context.t;
   code : Compile.prog_code option;
-      (* closure-compiled body + function table; None when compiled
-         evaluation was off at compile time *)
+      (* closure code of the body, functions and globals; None when
+         compiled evaluation was off at compile time *)
 }
 
 let set_compiled_eval = Compile.set_compiled_eval
@@ -146,70 +146,74 @@ let compile_cached ?(optimize = true) ?static source =
         c
   end
 
+(* The code a run executes: the closure code, or the reference
+   evaluator's when compiled evaluation is off (then no function has
+   compiled code: calls walk the declarations). *)
+let code compiled =
+  match compiled.code with
+  | Some code when Compile.enabled () -> code
+  | _ ->
+      let reference e ctx = Eval.eval ctx e in
+      {
+        Compile.body = Option.map reference compiled.prog.Ast.body;
+        fns = [];
+        globals =
+          List.map
+            (fun (qn, st, init) -> (qn, st, Option.map reference init))
+            (Static_context.global_variables compiled.static);
+      }
+
+let install_functions ctx compiled =
+  List.iter
+    (fun (key, impl) -> Hashtbl.replace ctx.Dynamic_context.compiled_fns key impl)
+    (code compiled).Compile.fns
+
+let expression static e =
+  if Compile.enabled () then Compile.compile_expr static e
+  else fun ctx -> Eval.eval ctx e
+
+let bind_globals ?(bindings = []) ?(strict = true) ctx compiled =
+  List.iter
+    (fun (qn, st, init) ->
+      let value =
+        match init with
+        | Some f -> Some (Eval.protect (fun () -> f ctx))
+        | None -> (
+            match List.find_opt (fun (b, _) -> Qname.equal b qn) bindings with
+            | Some (_, v) -> Some v
+            | None when strict ->
+                Xq_error.raise_error "XPDY0002"
+                  "external variable $%s has no value" (Qname.to_string qn)
+            | None -> None)
+      in
+      Option.iter
+        (fun v ->
+          Dynamic_context.bind_global ctx qn
+            (match st with
+            | Some st -> Seq_type.coerce ~what:("$" ^ Qname.to_string qn) st v
+            | None -> v))
+        value)
+    (code compiled).Compile.globals
+
 let context_for ?host ?context_item ?(bindings = []) compiled =
   let ctx = Dynamic_context.create ?host compiled.static in
   (* install compiled function bodies before anything can call them
      (global-variable initializers may) *)
-  (match compiled.code with
-  | Some code when Compile.enabled () ->
-      List.iter
-        (fun (key, impl) ->
-          Hashtbl.replace ctx.Dynamic_context.compiled_fns key impl)
-        code.Compile.fns
-  | _ -> ());
+  install_functions ctx compiled;
   let ctx =
     match context_item with
     | Some item -> Dynamic_context.with_focus ctx item ~position:1 ~size:1
     | None -> ctx
   in
   List.iter (fun (qn, v) -> Dynamic_context.bind_global ctx qn v) bindings;
-  (* evaluate global variable declarations in order *)
-  List.iter
-    (fun (qn, st, init) ->
-      match init with
-      | Some e ->
-          let v = Eval.protect (fun () -> Eval.eval ctx e) in
-          let v =
-            match st with
-            | Some st ->
-                Seq_type.coerce ~what:("$" ^ Qname.to_string qn) st v
-            | None -> v
-          in
-          Dynamic_context.bind_global ctx qn v
-      | None -> (
-          (* external variable: the caller must supply a value, which
-             is checked against the declared type (XQuery §2.2.3.2) *)
-          match List.find_opt (fun (b, _) -> Qname.equal b qn) bindings with
-          | Some (_, v) ->
-              let v =
-                match st with
-                | Some st ->
-                    Seq_type.coerce ~what:("$" ^ Qname.to_string qn) st v
-                | None -> v
-              in
-              Dynamic_context.bind_global ctx qn v
-          | None ->
-              Xq_error.raise_error "XPDY0002"
-                "external variable $%s has no value" (Qname.to_string qn)))
-    (Static_context.global_variables compiled.static);
+  bind_globals ~bindings ctx compiled;
   ctx
 
 let eval_body ctx compiled =
-  let compiled_body =
-    match compiled.code with
-    | Some { Compile.body = Some f; _ } when Compile.enabled () -> Some f
-    | _ -> None
-  in
-  match (compiled_body, compiled.prog.Ast.body) with
-  | None, None -> []
-  | Some f, _ -> (
+  match (code compiled).Compile.body with
+  | None -> []
+  | Some f -> (
       try Eval.protect (fun () -> f ctx) with
-      | Eval.Exit_with v -> v
-      | Eval.Break_loop | Eval.Continue_loop ->
-          Xq_error.raise_error "XSST0010"
-            "break/continue outside of a while loop")
-  | None, Some body -> (
-      try Eval.protect (fun () -> Eval.eval ctx body) with
       | Eval.Exit_with v -> v
       | Eval.Break_loop | Eval.Continue_loop ->
           Xq_error.raise_error "XSST0010"

@@ -11,16 +11,18 @@ type compiled = {
   prog : Ast.prog;
   static : Static_context.t;
   code : Compile.prog_code option;
-      (** closure-compiled body + function table; [None] when compiled
-          evaluation was off at compile time *)
+      (** closure code of the body, functions and globals; [None]
+          when compiled evaluation was off at compile time *)
 }
 
-(** Compiled-evaluation ablation switch (default on; the
-    {!Eval.set_streaming} pattern). When enabled, {!compile} emits a
-    closure IR for the program body and its plain-expression functions,
-    and {!eval_body}/{!context_for} execute it; when disabled, the
-    tree-walking evaluator (the oracle) runs. Keys the query cache
-    ([C1|]/[C0|]) like the join-planner switch. *)
+(** The evaluator switch, the only one (default on). On, {!compile}
+    closure-compiles the program — its body, every function and
+    global-variable initializer of its static context, updates,
+    scripting and streaming included — and every entry point below
+    runs that code. Off, nothing is compiled and the eager reference
+    evaluator {!Eval.eval} runs instead: the oracle the differential
+    tests compare production against (CLI [--no-compiled-eval]). Keys
+    the query cache ([C1|]/[C0|]) like the join-planner switch. *)
 val set_compiled_eval : bool -> unit
 
 val compiled_eval_enabled : unit -> bool
@@ -60,6 +62,29 @@ val context_for :
   ?bindings:(Qname.t * Xdm_item.sequence) list ->
   compiled ->
   Dynamic_context.t
+
+(** Install the program's compiled function bodies into a dynamic
+    context (which {!context_for} does for a fresh one); no-op for the
+    reference evaluator. *)
+val install_functions : Dynamic_context.t -> compiled -> unit
+
+(** Evaluate the program's global variables in declaration order
+    (external ones take their value from [bindings], checked against
+    the declared type) and bind them in the context. [strict] (default
+    true) raises XPDY0002 for an external variable without a value;
+    otherwise it is left unbound. *)
+val bind_globals :
+  ?bindings:(Qname.t * Xdm_item.sequence) list ->
+  ?strict:bool ->
+  Dynamic_context.t ->
+  compiled ->
+  unit
+
+(** The evaluator of one expression outside any program, compiled
+    against [static] (or the reference when compiled evaluation is
+    off). *)
+val expression :
+  Static_context.t -> Ast.expr -> Dynamic_context.t -> Xdm_item.sequence
 
 (** Evaluate the program body in the given context. Does NOT apply the
     pending update list (callers that want snapshot semantics use

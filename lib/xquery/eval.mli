@@ -1,6 +1,9 @@
-(** The XQuery evaluator: expressions, FLWOR, paths, constructors,
-    updates (pending update lists), scripting blocks, and the browser
-    extension expressions (dispatched to the host hooks). *)
+(** The reference XQuery evaluator — expressions, FLWOR, paths,
+    constructors, updates (pending update lists), scripting blocks and
+    the browser extension expressions (dispatched to the host hooks) —
+    and the building blocks it shares with the closure compiler: axis
+    steps, comparisons, constructors, pending-update building, order-by
+    sorting, the hash join, function dispatch and listeners. *)
 
 open Xmlb
 
@@ -20,36 +23,11 @@ exception Continue_loop
     {!Xq_error.Error}. All public entry points route through this. *)
 val protect : (unit -> 'a) -> 'a
 
-(** The bounds of the range [lo to hi], [None] when it is empty.
-    @raise Xq_error.Error FOAR0002 when it has more than [max_int]
-    items. *)
-val range_of : int -> int -> (int * int) option
-
+(** The eager reference evaluator: every form, evaluated by walking
+    the AST. Production runs {!Compile}'s closures; this one is
+    selected by [Engine.set_compiled_eval false] and is the oracle the
+    differential tests compare production against. *)
 val eval : Dynamic_context.t -> Ast.expr -> Xdm_item.sequence
-
-(** Streaming ablation switch (default on; mirrors
-    {!Dom.set_acceleration}). When enabled, early-exit consumers —
-    EBV contexts, quantifiers, [fn:exists]/[fn:empty]/[fn:head]/
-    [fn:subsequence], [fn:count] compared against an integer literal,
-    and bounded positional takes — pull items through lazy
-    {!Xdm_seq} cursors instead of materialising whole sequences.
-    When disabled, every expression evaluates eagerly (the QCheck
-    oracle path). *)
-val set_streaming : bool -> unit
-
-val streaming_enabled : unit -> bool
-
-(** Evaluate to a lazy pull cursor. Falls back to eager evaluation
-    (wrapped in a materialised cursor) when streaming is disabled,
-    for updating expressions, and for expression forms that do not
-    benefit from laziness. *)
-val eval_seq : Dynamic_context.t -> Ast.expr -> Xdm_seq.t
-
-(** Evaluate a block of statements. [script] selects scripting
-    semantics (updates applied at every statement boundary, paper
-    §3.3); otherwise the block must be a single expression statement. *)
-val eval_block :
-  Dynamic_context.t -> script:bool -> Ast.statement list -> Xdm_item.sequence
 
 (** Call a declared/external/built-in function by name with already
     evaluated arguments. *)
@@ -61,46 +39,123 @@ val call_function :
     updates — the paper's listener execution cycle (Fig. 1). *)
 val make_listener : Dynamic_context.t -> Qname.t -> Dynamic_context.listener
 
-(** {2 Shared building blocks for the closure compiler}
+(** {2 Shared building blocks}
 
     {!Compile} emits closures that must behave exactly like the
-    tree-walker; it reuses the evaluator's axis/index/comparison
-    machinery instead of re-implementing it. *)
+    reference; it calls these with values, or with thunks where
+    evaluation order matters, instead of re-implementing them. *)
 
-(** Maximum user-function recursion depth (raises XQDY0054 beyond). *)
-val max_depth : int
+type seq = Xdm_item.sequence
+type thunk = unit -> seq
+
+(** [call_declared decl ctx body]: a user function's call protocol
+    around [body], which gets the function's fresh local scope: the
+    recursion limit (XQDY0054), [exit with]/[break]/[continue] stopping
+    at the boundary, the result coerced to the declared type. *)
+val call_declared :
+  Ast.function_decl -> Dynamic_context.t -> (Dynamic_context.t -> seq) -> seq
+
+(** The focus and host services a builtin or external call sees. *)
+val call_ctx : Dynamic_context.t -> Call_ctx.t
 
 (** Nodes selected by one axis step (uses the local-name index for
-    descendant name tests when DOM acceleration is on). *)
+    descendant name tests when DOM acceleration is on), with its
+    metrics and footprint recorded; and, for the compiler's lazy
+    steps, an axis's unfiltered nodes, the metric and footprint scope
+    a scan of it records, and the node test. *)
 val step_nodes : Ast.axis -> Ast.node_test -> Dom.node -> Dom.node list
-
+val axis_nodes : Ast.axis -> Dom.node -> Dom.node list
+val axis_metric : Ast.axis -> string
+val record_axis_scope : Ast.axis -> Dom.node -> unit
 val node_test_matches : axis:Ast.axis -> Ast.node_test -> Dom.node -> bool
 
 (** Serve a leading [@k eq 'lit']-style predicate from the per-root
     value index: [Some (candidates, remaining_preds)] or [None] to
     fall back to a scan. *)
 val value_index_step :
-  Ast.axis ->
-  Ast.node_test ->
-  Ast.expr list ->
-  Dom.node ->
-  (Dom.node list * Ast.expr list) option
+  Ast.axis -> Ast.node_test -> Ast.expr list -> Dom.node -> (Dom.node list * Ast.expr list) option
 
-val value_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
+(** Operators over evaluated operands. *)
 val general_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
+val value_comp : Ast.value_comp -> seq -> seq -> seq
+val general_comp : Ast.value_comp -> seq -> seq -> seq
+val node_comp : Ast.node_comp -> seq -> seq -> seq
+val arith : Ast.arith -> seq -> seq -> seq
+val union : seq -> seq -> seq
+val intersect : seq -> seq -> seq
+val except : seq -> seq -> seq
+val negate : seq -> seq
+val treat : Ast.seq_type -> seq -> seq
+val castable : Xdm_atomic.atomic_type -> bool -> seq -> seq
+val cast : Xdm_atomic.atomic_type -> bool -> seq -> seq
+val construct_atomic : Xdm_atomic.atomic_type -> seq -> seq  (** [xs:T(v)] *)
+
+(** A range's bounds from its operands ([None]: empty; FOAR0002 past
+    [max_int] items), and its items. *)
+val range_bounds : thunk -> thunk -> (int * int) option
+val range_items : (int * int) option -> seq
+
+(** [path_map step lhs]: a path's result from [step item position size]
+    per lhs node, nodes in document order (XPTY0018 when mixed). *)
+val path_map : (Xdm_item.item -> int -> int -> seq) -> seq -> seq
+
+(** Does a predicate value keep the item at this position? And a
+    predicate chain, where [value ctx p] evaluates [p] under a focus
+    whose size is the stage's input length. *)
+val pred_keeps : int -> seq -> bool
+val filter_items : (Dynamic_context.t -> 'p -> seq) -> Dynamic_context.t -> seq -> 'p list -> seq
 
 (** [construct n ~attrs content]: the body of every element and
-    document constructor in both evaluators. Normalizes [content] per
-    the XQuery constructor rules (adjacent atomics join into one text
-    node, nodes are deep-copied, documents splice their children,
-    attributes come first), appends its attribute nodes to [attrs] (a
-    direct constructor's own attributes; dropped for a document) and
-    fills the fresh node [n] with them and the children in one pass
-    ({!Dom.fill}). Returns [[n]]. [n] must be allocated before its
-    attributes and content are evaluated, so that ids stay in
-    pre-order.
+    document constructor. Normalizes [content] (adjacent atomics join
+    into one text node, nodes are deep-copied, documents splice their
+    children, attributes come first), appends its attribute nodes to
+    [attrs] (dropped for a document) and fills the fresh node [n] in
+    one pass ({!Dom.fill}). Returns [[n]]. [n] must be allocated
+    before its attributes and content are evaluated, so that ids stay
+    in pre-order.
     @raise Xq_error.Error XQDY0025 when two attributes share a name. *)
-val construct :
-  Dom.node -> attrs:Dom.node list -> Xdm_item.sequence -> Xdm_item.sequence
+val construct : Dom.node -> attrs:Dom.node list -> seq -> seq
 
 val qname_of_value : Dynamic_context.t -> Xdm_atomic.t -> Qname.t
+
+(** Updates: each adds its primitive to the pending update list and
+    returns the empty sequence; [copy_source] is the deep copy a
+    transform's [copy $v := e] binds. *)
+val insert : Pul.t -> Ast.insert_position -> source:thunk -> target:thunk -> seq
+val delete : Pul.t -> seq -> seq
+val replace : Pul.t -> value_of:bool -> target:thunk -> source:thunk -> seq
+val rename : Dynamic_context.t -> Pul.t -> target:thunk -> name:thunk -> seq
+val copy_source : seq -> Dom.node
+
+(** A clause variable's or parameter's value, coerced to its type. *)
+val coerce_var : Qname.t -> Ast.seq_type option -> seq -> seq
+
+(** An order-by key (the atomized singleton, [None] when empty), and
+    the stable sort of [(keys, tuple)] pairs on their keys. *)
+val order_key : seq -> Xdm_atomic.t option
+val sort_keyed : Ast.order_spec list -> (Xdm_atomic.t option list * 'a) list -> 'a list
+
+(** The planner's hash join: the (probe item, build item) pairs with
+    equal keys, probe-major, build matches in source order. [build]
+    evaluates the right source, forced at the first probe item;
+    [build_key]/[probe_key] evaluate a side's key for one item. The
+    nested-loop plan's error order is kept (see the implementation). *)
+val hash_join :
+  general:bool -> build:thunk -> build_key:(Xdm_item.item -> seq) ->
+  probe_key:(Xdm_item.item -> seq) -> Xdm_item.item Seq.t ->
+  (Xdm_item.item * Xdm_item.item) Seq.t
+
+(** The branch of the first typeswitch case whose type matches. *)
+val select_case : (Ast.seq_type * 'a) list -> 'a -> seq -> 'a
+
+(** The text [ftcontains] searches, and whether it holds a phrase. *)
+val ft_haystack : seq -> string
+val ft_words : stemming:bool -> string -> seq -> bool
+
+(** The browser extensions, through the host hooks; each poisons the
+    footprint of a recorded run. *)
+val attach : Dynamic_context.t -> Ast.event_binding -> Qname.t -> event:thunk -> target:thunk -> seq
+val detach : Dynamic_context.t -> Qname.t -> event:thunk -> target:thunk -> seq
+val trigger : Dynamic_context.t -> event:thunk -> target:thunk -> seq
+val set_style : Dynamic_context.t -> property:thunk -> value:thunk -> target:thunk -> seq
+val get_style : Dynamic_context.t -> property:thunk -> target:thunk -> seq

@@ -39,6 +39,14 @@ let err code fmt = Xq_error.raise_error code fmt
 let arg n args = List.nth args n
 let arg_opt n args = if List.length args > n then Some (List.nth args n) else None
 
+(* the positions fn:subsequence keeps, [from, upto), from its start and
+   optional length arguments (round-to-nearest bounds; NaN keeps none) *)
+let subsequence_window start len =
+  let num v = I.item_number (I.Atomic (I.singleton_atomic v)) in
+  let from = Float.floor (num start +. 0.5) in
+  let len = match len with Some l -> num l | None -> Float.infinity in
+  (from, if len = Float.infinity then Float.infinity else from +. Float.floor (len +. 0.5))
+
 (* zero-or-one string; empty sequence -> None *)
 let opt_string seq = I.opt_string seq
 
@@ -127,8 +135,6 @@ let lower_cp cp =
 
 (* regex: translate XML Schema regex-isms we care about to Str syntax *)
 let compile_regex pattern flags =
-  let case_insensitive = String.contains flags 'i' in
-  (* Str has no (?i); lowercase both sides when 'i' *)
   let translate p =
     (* convert \d \w \s classes to Str-compatible ranges *)
     let buf = Buffer.create (String.length p) in
@@ -163,21 +169,60 @@ let compile_regex pattern flags =
     go 0;
     Buffer.contents buf
   in
-  let p = translate pattern in
-  let p = if case_insensitive then String.lowercase_ascii p else p in
-  match Str.regexp p with
-  | re -> (re, case_insensitive)
+  let compile = if String.contains flags 'i' then Str.regexp_case_fold else Str.regexp in
+  match compile (translate pattern) with
+  | re -> re
   | exception Failure m -> err "FORX0002" "invalid regular expression %S: %s" pattern m
 
 (* fn:replace and fn:tokenize cannot make progress on an empty match *)
 let compile_nonempty_regex pattern flags =
-  let ((re, _) as compiled) = compile_regex pattern flags in
+  let re = compile_regex pattern flags in
   if Str.string_match re "" 0 then
     err "FORX0003" "regular expression %S matches the empty string" pattern;
-  compiled
+  re
 
-let regex_input s case_insensitive =
-  if case_insensitive then String.lowercase_ascii s else s
+(* The replacement of fn:replace (F&O 3.1 §5.6.4): [\$] and [\\] are
+   a literal [$] and [\]; [$N] takes all the digits after the [$] and
+   is the Nth captured group — empty when that group did not take part
+   in the match or when N is at most 9 and there are fewer groups; a
+   larger N with fewer groups drops its last digit, which stays a
+   literal. Any other [$] or [\] is FORX0004. The result is a function
+   of the input, called after each match. *)
+let replacement r =
+  let n = String.length r in
+  let invalid () =
+    err "FORX0004"
+      "invalid replacement string %S: a $ must start a group number and a \\ must escape \\ or $"
+      r
+  in
+  let rec group digits input =
+    let d = String.length digits in
+    let strip () = group (String.sub digits 0 (d - 1)) input ^ String.sub digits (d - 1) 1 in
+    match int_of_string_opt digits with
+    | None -> strip () (* past any group count *)
+    | Some k -> (
+        match Str.matched_group k input with
+        | g -> g
+        | exception Not_found -> ""
+        | exception Invalid_argument _ -> if k <= 9 then "" else strip ())
+  in
+  let rec parts i lit =
+    let flush () = if lit = "" then [] else [ Fun.const lit ] in
+    if i >= n then flush ()
+    else
+      match r.[i] with
+      | '\\' when i + 1 < n && (r.[i + 1] = '\\' || r.[i + 1] = '$') ->
+          parts (i + 2) (lit ^ String.make 1 r.[i + 1])
+      | '\\' -> invalid ()
+      | '$' ->
+          let j = ref (i + 1) in
+          while !j < n && r.[!j] >= '0' && r.[!j] <= '9' do incr j done;
+          if !j = i + 1 then invalid ()
+          else flush () @ (group (String.sub r (i + 1) (!j - i - 1)) :: parts !j "")
+      | c -> parts (i + 1) (lit ^ String.make 1 c)
+  in
+  let parts = parts 0 "" in
+  fun input -> String.concat "" (List.map (fun f -> f input) parts)
 
 (* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
@@ -437,10 +482,10 @@ let () =
   fn ~local:"matches" ~min_arity:2 ~max_arity:3 (fun _ args ->
       let s = req_string (arg 0 args) and p = req_string (arg 1 args) in
       let flags = match arg_opt 2 args with Some f -> req_string f | None -> "" in
-      let re, ci = compile_regex p flags in
+      let re = compile_regex p flags in
       bool1
         (try
-           ignore (Str.search_forward re (regex_input s ci) 0);
+           ignore (Str.search_forward re s 0);
            true
          with Not_found -> false));
   fn ~local:"replace" ~min_arity:3 ~max_arity:4 (fun _ args ->
@@ -448,17 +493,15 @@ let () =
       and p = req_string (arg 1 args)
       and r = req_string (arg 2 args) in
       let flags = match arg_opt 3 args with Some f -> req_string f | None -> "" in
-      let re, ci = compile_nonempty_regex p flags in
-      (* Str replacement uses \1; XPath uses $1 — translate *)
-      let r = Str.global_replace (Str.regexp "\\$\\([0-9]\\)") "\\\\\\1" r in
-      str1 (Str.global_replace re r (regex_input s ci)));
+      let re = compile_nonempty_regex p flags in
+      str1 (Str.global_substitute re (replacement r) s));
   fn ~local:"tokenize" ~min_arity:2 ~max_arity:3 (fun _ args ->
       let s = req_string (arg 0 args) and p = req_string (arg 1 args) in
       let flags = match arg_opt 2 args with Some f -> req_string f | None -> "" in
-      let re, ci = compile_nonempty_regex p flags in
+      let re = compile_nonempty_regex p flags in
       if s = "" then []
       else
-        Str.split_delim re (regex_input s ci)
+        Str.split_delim re s
         |> List.map (fun part -> I.Atomic (A.String part)));
   fn ~local:"codepoints-to-string" (fun _ args ->
       let cps =
@@ -540,14 +583,7 @@ let () =
       List.filteri (fun i _ -> i + 1 <> pos) (arg 0 args));
   fn ~local:"subsequence" ~min_arity:2 ~max_arity:3 (fun _ args ->
       let seq = arg 0 args in
-      let start = I.item_number (I.Atomic (I.singleton_atomic (arg 1 args))) in
-      let len =
-        match arg_opt 2 args with
-        | Some l -> I.item_number (I.Atomic (I.singleton_atomic l))
-        | None -> Float.infinity
-      in
-      let from = Float.floor (start +. 0.5) in
-      let upto = if len = Float.infinity then Float.infinity else from +. Float.floor (len +. 0.5) in
+      let from, upto = subsequence_window (arg 1 args) (arg_opt 2 args) in
       List.filteri
         (fun i _ ->
           let fi = float_of_int (i + 1) in

@@ -9,6 +9,12 @@ type impl = Call_ctx.t -> Xdm_item.sequence list -> Xdm_item.sequence
 (** Look up a built-in by expanded name and arity. *)
 val find : Xmlb.Qname.t -> arity:int -> impl option
 
+(** The window of positions [fn:subsequence] keeps, [(from, upto)]
+    with [from] included and [upto] excluded, from its start and
+    optional length arguments. *)
+val subsequence_window :
+  Xdm_item.sequence -> Xdm_item.sequence option -> float * float
+
 (** All registered (uri, local, min_arity, max_arity). *)
 val catalog : unit -> (string * string * int * int) list
 

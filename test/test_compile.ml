@@ -1,10 +1,11 @@
-(* The closure compiler: compiled-vs-interpreted equivalence across
-   the full {compiled} x {streaming} ablation matrix (unit and QCheck),
-   hot-shape edge cases (integer arithmetic, range-fused FLWOR, the
-   predicate-free path step), dispatch of user-function calls through
-   the context's compiled-function table, and the browser wiring
-   (page scripts and per-event listeners run compiled code;
-   browser:stats() reports the compile counters). *)
+(* The closure compiler, production's one evaluator: equivalence with
+   the reference evaluator (unit and QCheck, values and error codes,
+   updates, transforms, scripting, typeswitch, joins and order-by
+   included), hot-shape edge cases (integer arithmetic, range-fused
+   FLWOR, the predicate-free path step), dispatch of user-function
+   calls through the context's compiled-function table, and the
+   browser wiring (page scripts and per-event listeners run compiled
+   code; browser:stats() reports the compile counters). *)
 
 open Xquery
 module A = Xdm_atomic
@@ -22,45 +23,35 @@ let with_compiled compiled f =
   Engine.set_compiled_eval compiled;
   Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
 
-let with_streaming streaming f =
-  let prev = Eval.streaming_enabled () in
-  Eval.set_streaming streaming;
-  Fun.protect ~finally:(fun () -> Eval.set_streaming prev) f
-
 (* attributes and element text so paths, predicates, and casts all
    have something to chew on *)
 let doc =
   "<r><a><x k='1'>1</x><x k='2'>2</x></a><a><x k='3'>3</x></a><b>7</b></r>"
 
-let outcome ~compiled ~streaming src =
+let outcome ~compiled src =
   with_compiled compiled (fun () ->
-      with_streaming streaming (fun () ->
-          match
-            I.to_display_string
-              (Engine.eval_string ~context_item:(I.Node (Dom.of_string doc)) src)
-          with
-          | v -> Ok v
-          | exception Xq_error.Error e -> Error e.Xq_error.code))
+      match
+        I.to_display_string
+          (Engine.eval_string ~context_item:(I.Node (Dom.of_string doc)) src)
+      with
+      | v -> Ok v
+      | exception Xq_error.Error e -> Error e.Xq_error.code)
 
-(* the tree-walking evaluator with streaming off is the oracle; every
-   other cell of the ablation matrix must agree with it *)
-let all_configs_agree src =
-  let oracle = outcome ~compiled:false ~streaming:false src in
-  List.for_all
-    (fun (c, s) -> outcome ~compiled:c ~streaming:s src = oracle)
-    [ (false, true); (true, false); (true, true) ]
+(* the reference evaluator is the oracle production must agree with *)
+let all_configs_agree src = outcome ~compiled:true src = outcome ~compiled:false src
 
-(* assert agreement across the matrix, and optionally pin the value *)
+(* assert agreement, and optionally pin the value *)
 let matrix ?expected name src =
   t name (fun () ->
-      check Alcotest.bool ("all configs agree: " ^ src) true
-        (all_configs_agree src);
+      check
+        (Alcotest.result Alcotest.string Alcotest.string)
+        ("production agrees with the reference: " ^ src)
+        (outcome ~compiled:false src) (outcome ~compiled:true src);
       match expected with
       | Some e ->
           check
             (Alcotest.result Alcotest.string Alcotest.string)
-            src (Ok e)
-            (outcome ~compiled:true ~streaming:true src)
+            src (Ok e) (outcome ~compiled:true src)
       | None -> ())
 
 (* ---------- targeted equivalence: hot shapes and fallbacks ---------- *)
@@ -100,15 +91,15 @@ let unit_equivalence_tests =
     matrix ~expected:"2" "reverse axis still merges doc order"
       "count(//x[@k='2']/ancestor::*)";
     matrix ~expected:"7" "following axis" "string((//x)[3]/following::b)";
-    (* shapes that lower to opaque nodes *)
-    matrix ~expected:"3 2 1" "order-by FLWOR delegates to the oracle"
+    (* order-by, typeswitch, transform, quantifier *)
+    matrix ~expected:"3 2 1" "order-by FLWOR compiles"
       "string-join(for $v in //x order by xs:integer($v/@k) descending \
        return string($v), ' ')";
-    matrix ~expected:"int" "typeswitch delegates"
+    matrix ~expected:"int" "typeswitch compiles"
       "typeswitch (3) case xs:integer return 'int' default return 'other'";
-    matrix ~expected:"<a/>" "transform delegates"
+    matrix ~expected:"<a/>" "transform compiles"
       "copy $c := <a><b/></a> modify delete node $c/b return $c";
-    matrix ~expected:"true" "quantifier delegates"
+    matrix ~expected:"true" "quantifier compiles"
       "some $v in //x satisfies $v = '2'";
     (* constructors *)
     matrix ~expected:"<e k=\"3\">12</e>" "direct constructor with enclosed"
@@ -194,9 +185,9 @@ let function_tests =
         in
         check Alcotest.bool "both exceed the depth limit" true
           (run true = run false && run true = Error "XQDY0054"));
-    t "updating function bodies stay interpreted" (fun () ->
-        (* an updating body cannot compile; the whole pipeline must
-           still run it correctly through the fallback *)
+    t "updating function bodies compile" (fun () ->
+        (* an updating listener compiles like any other function, and
+           the whole pipeline runs it *)
         let src =
           {|<html><head><script type="text/xquery">
             declare updating function local:l($evt, $obj) {
@@ -210,10 +201,41 @@ let function_tests =
             let b = Xqib.Browser.create () in
             Xqib.Page.load b src;
             let doc = Xqib.Browser.document b in
+            let ctx = Option.get (Xqib.Page.xquery_context b.Xqib.Browser.top_window) in
+            check Alcotest.bool "listener compiled" true
+              (Hashtbl.mem ctx.Dynamic_context.compiled_fns
+                 (Dynamic_context.fn_key (Xmlb.Qname.make ~uri:Xmlb.Qname.Ns.local "l") ~arity:2));
             Xqib.Browser.click b
               (Option.get (Dom.get_element_by_id doc "b"));
             check Alcotest.int "listener fired" 1
               (List.length (Dom.get_elements_by_local_name doc "hit"))));
+    t "perfbench's page-load and click scripts compile whole" (fun () ->
+        (* every node of the scripts the end-to-end workloads run is
+           closure code, and every function they declare has a
+           compiled body *)
+        let check_page html =
+          with_compiled true (fun () ->
+              let stat k = List.assoc k (Compile.stats ()) in
+              let nodes = stat "nodes" in
+              let b = Xqib.Browser.create () in
+              Xqib.Page.load b html;
+              check (Alcotest.list Alcotest.string) "no script errors" [] b.Xqib.Browser.script_errors;
+              check Alcotest.bool "closure nodes emitted" true (stat "nodes" > nodes);
+              check Alcotest.int "no opaque nodes" 0 (stat "opaque-nodes");
+              let ctx = Option.get (Xqib.Page.xquery_context b.Xqib.Browser.top_window) in
+              let declared = Static_context.declared_functions ctx.Dynamic_context.static in
+              check Alcotest.bool "functions declared" true (declared <> []);
+              List.iter
+                (fun (f : Ast.function_decl) ->
+                  check Alcotest.bool
+                    (Xmlb.Qname.to_string f.Ast.fname ^ " compiled")
+                    true
+                    (Hashtbl.mem ctx.Dynamic_context.compiled_fns
+                       (Dynamic_context.fn_key f.Ast.fname ~arity:(List.length f.Ast.params))))
+                declared)
+        in
+        check_page (Gen.pages ~seed:11 ~n:1).(0).Gen.html;
+        check_page (Gen.click_input ~seed:11 ~ops:10).Gen.html);
   ]
 
 (* ---------- browser wiring and stats ---------- *)
@@ -338,7 +360,7 @@ let src_gen =
         map2 (fun p f -> Printf.sprintf "(%s)[%s]" p f) path pred;
         map2 (fun p f -> Printf.sprintf "string-join(%s[%s], '.')" p f) path
           pred;
-        (* conditionals, lets, quantifiers, order-by (opaque) *)
+        (* conditionals, lets, quantifiers, order-by *)
         map3
           (fun c a b -> Printf.sprintf "if (%s) then %s else %s" c a b)
           (oneofl [ "//x"; "//y"; "1 = 2"; "true()" ])
@@ -368,11 +390,136 @@ let src_gen =
           (oneofl [ "//b"; "(//x)[1]"; "'nope'"; "7" ]);
       ])
 
+(* updates at the top level and in transforms, sequential functions
+   with declare, set, while, break, continue and exit with, typeswitch,
+   hash joins and order-by with two keys and empty greatest/least *)
+let update_gen =
+  Q.Gen.(
+    let target = oneofl [ "(//a)[1]"; "(//x)[2]"; "//b"; "(//y)[1]"; "//x" ] in
+    let copy_source = oneofl [ "(//a)[1]"; "//b"; "<e k='1'><f/>t</e>"; "(//x)[3]"; "//x" ] in
+    let update t =
+      oneofl
+        [
+          Printf.sprintf "insert node <n>{count(//x)}</n> into %s" t;
+          Printf.sprintf "insert node <n/> as first into %s" t;
+          Printf.sprintf "insert node <n/> before %s" t;
+          Printf.sprintf "insert node attribute z {'1'} into %s" t;
+          Printf.sprintf "delete node %s" t;
+          Printf.sprintf "delete nodes %s/*" t;
+          Printf.sprintf "replace value of node %s with 'v'" t;
+          Printf.sprintf "replace node %s with <r/>" t;
+          Printf.sprintf "rename node %s as 'renamed'" t;
+        ]
+    in
+    let transform =
+      copy_source >>= fun src ->
+      oneofl [ "$c"; "($c/*)[1]"; "$c/@k"; "$c//x" ] >>= update >>= fun upd ->
+      oneofl [ "$c"; "count($c//*)"; "string($c)"; "($c, count(//x))" ] >|= fun ret ->
+      Printf.sprintf "copy $c := %s modify (%s) return %s" src upd ret
+    in
+    oneof [ target >>= update; transform ])
+
+let sequential_gen =
+  Q.Gen.(
+    let stmt =
+      oneof
+        [
+          return "set $acc := $acc + $i";
+          return "set $acc := $acc * 2";
+          return "set $g := $g + $i";
+          map (Printf.sprintf "if ($i ge %d) then break else ()") (int_range 1 4);
+          return "if ($i mod 2 = 0) then continue else ()";
+          map (Printf.sprintf "if ($i = %d) then { exit with ($acc, 'early') } else ()") (int_range 1 4);
+          return "declare variable $t := $i * 3; set $acc := $acc + $t";
+          return "insert node <hit n='{$i}'/> into (//a)[1]";
+          return "set $acc := $acc + count(//hit)";
+        ]
+    in
+    let init = oneofl [ "0"; "1"; "'s'"; "count(//x)" ] in
+    let tail = oneofl [ "$acc"; "exit with ($acc, $g)"; "($acc, count(//hit))"; "$g" ] in
+    map3
+      (fun (init, n) (s1, s2) tail ->
+        Printf.sprintf
+          "declare variable $g := 0; \
+           declare sequential function local:f($n) { \
+             declare variable $i := 0; declare variable $acc := %s; \
+             while ($i lt $n) { set $i := $i + 1; %s; %s }; %s }; \
+           (local:f(%d), $g)"
+          init s1 s2 tail n)
+      (pair init (int_range 0 5))
+      (pair stmt stmt) tail)
+
+let typeswitch_gen =
+  Q.Gen.(
+    let operand = oneofl [ "3"; "'s'"; "(//x)[1]"; "(1, 2)"; "()"; "1.5"; "//a"; "<e/>"; "//y" ] in
+    let case =
+      oneofl
+        [
+          "case $v as xs:integer return $v * 2";
+          "case xs:string return 'str'";
+          "case $e as element() return name($e)";
+          "case $e as element()+ return count($e)";
+          "case empty-sequence() return 'none'";
+          "case xs:decimal return 'dec'";
+        ]
+    in
+    map2
+      (fun op cases ->
+        Printf.sprintf "typeswitch (%s) %s default $d return count($d)" op
+          (String.concat " " cases))
+      operand (list_size (int_range 1 3) case))
+
+let join_gen =
+  Q.Gen.(
+    let side = oneofl [ "//x"; "//a/x"; "(//x)[position() le 2]"; "//b" ] in
+    let extra = oneofl [ ""; " and $q/@k ne '2'"; " and $p = '1'"; " and xs:integer($q) gt 1" ] in
+    let order = oneofl [ ""; " order by $q/@k descending"; " order by string($p), $q/@k" ] in
+    let wrap = oneofl [ "string-join((%s), ' ')"; "exists(%s)"; "count(%s)"; "(%s)[1]" ] in
+    map3
+      (fun (l, r) (op, extra, order) w ->
+        Printf.sprintf (Scanf.format_from_string w "%s")
+          (Printf.sprintf
+             "for $p in %s, $q in %s where $p/@k %s $q/@k%s%s return concat(string($p), ':', string($q))"
+             l r op extra order))
+      (pair side side)
+      (triple (oneofl [ "eq"; "=" ]) extra order)
+      wrap)
+
+let order_by_gen =
+  Q.Gen.(
+    let key = oneofl [ "$v/@k"; "$v/@z"; "xs:integer($v) mod 2"; "string($v)"; "$v/../@id"; "(1, 2)" ] in
+    let modifier =
+      map2 (fun d e -> d ^ e)
+        (oneofl [ ""; " ascending"; " descending" ])
+        (oneofl [ ""; " empty greatest"; " empty least" ])
+    in
+    map2
+      (fun (k1, m1) (k2, m2) ->
+        Printf.sprintf
+          "string-join(for $v in //x order by %s%s, %s%s return string($v), ' ')" k1 m1 k2 m2)
+      (pair key modifier) (pair key modifier))
+
+(* the value or error code, and the document afterwards: a top-level
+   update or a sequential function writes to it *)
+let outcome_and_doc ~compiled src =
+  with_compiled compiled (fun () ->
+      let d = Dom.of_string doc in
+      match I.to_display_string (Engine.eval_string ~context_item:(I.Node d) src) with
+      | v -> Ok (v ^ " | " ^ Dom.serialize d)
+      | exception Xq_error.Error e -> Error e.Xq_error.code)
+
 let equivalence_properties =
   [
     qt ~count:400 "compiled evaluation matches the oracle on all configs"
       (Q.make ~print:Fun.id src_gen)
       all_configs_agree;
+    QCheck_alcotest.to_alcotest
+      (Q.Test.make ~count:300 ~long_factor:20
+         ~name:"production matches the reference on updates, scripting, typeswitch, joins and order by"
+         (Q.make ~print:Fun.id
+            (Q.Gen.oneof
+               [ update_gen; sequential_gen; typeswitch_gen; join_gen; order_by_gen; src_gen ]))
+         (fun src -> outcome_and_doc ~compiled:true src = outcome_and_doc ~compiled:false src));
   ]
 
 let suite =

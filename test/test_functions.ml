@@ -244,20 +244,18 @@ let typed_error_tests =
         expect_error "FOCH0001" "codepoints-to-string(55296)");
   ]
 
-(* The three range builders — the tree-walker's [eval] and [eval_seq]
-   and the closure compiler — and rounding, in every evaluator mode *)
+(* The range builders — the reference evaluator's and the closure
+   compiler's eager and streamed ones — and rounding, in both
+   evaluators *)
 let in_modes f =
   List.iter
-    (fun (compiled, streaming) ->
+    (fun compiled ->
       Fun.protect
-        ~finally:(fun () ->
-          Engine.set_compiled_eval true;
-          Eval.set_streaming true)
+        ~finally:(fun () -> Engine.set_compiled_eval true)
         (fun () ->
           Engine.set_compiled_eval compiled;
-          Eval.set_streaming streaming;
           f ()))
-    [ (true, true); (false, true); (false, false) ]
+    [ true; false ]
 
 let range_rounding_tests =
   let overflow src = t src (fun () -> in_modes (fun () -> expect_error "FOAR0002" src)) in
@@ -325,8 +323,63 @@ let integer_tests =
     value "0" "round-half-to-even($max, -19)";
   ]
 
+(* fn:replace, fn:tokenize and fn:matches keep the input's case under
+   flag i and raise only typed errors: the replacement string follows
+   F&O 3.1 §5.6.4 ($N groups, \$ and \\ escapes), in both evaluators *)
+let regex_tests =
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  and raises code src = t src (fun () -> in_modes (fun () -> expect_error code src)) in
+  [
+    value "abc" {|replace("abc", "(b)", "$1$2")|};
+    value "a[]c" {|replace("abc", "(b)|(z)", "[$2]")|};
+    raises "FORX0004" {|replace("abc", "b", "\")|};
+    value "a$1c" {|replace("abc", "(b)", "\$1")|};
+    value "a\\c" {|replace("abc", "b", "\\")|};
+    raises "FORX0004" {|replace("abc", "b", "$")|};
+    raises "FORX0004" {|replace("abc", "b", "$x")|};
+    raises "FORX0004" {|replace("abc", "b", "\x")|};
+    value "k-j-a2l" {|replace("abcdefghijkl", "(a)(b)(c)(d)(e)(f)(g)(h)(i)(j)(k)", "$11-$10-$12")|};
+    value "a99c" {|replace("abc", "b", "$999")|};
+    value "Hell0 W0rld" {|replace("Hello World", "o", "0", "i")|};
+    value "A B c" {|string-join(tokenize("AxBXc", "x", "i"), " ")|};
+    value "true" {|matches("HELLO", "hel", "i")|};
+    value "false" {|matches("HELLO", "hel")|};
+  ]
+
+(* durations are exact or raise a typed error: FORG0001 on a malformed
+   literal, FODT0002 on overflow, FOCA0005 on a NaN factor; fractional
+   seconds print in plain decimals that read back *)
+let duration_tests =
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  and raises code src = t src (fun () -> in_modes (fun () -> expect_error code src)) in
+  [
+    raises "FORG0001" {|xs:duration("P1.5Y")|};
+    raises "FORG0001" {|xs:duration("P1Y1Y")|};
+    raises "FORG0001" {|xs:duration("P1M1Y")|};
+    raises "FORG0001" {|xs:duration("P1DT")|};
+    raises "FORG0001" {|xs:duration("P.5D")|};
+    raises "FORG0001" {|xs:duration("PT1.S")|};
+    raises "FODT0002" {|xs:duration("P9223372036854775807Y")|};
+    raises "FODT0002" {|xs:yearMonthDuration("P99999999999999999999M")|};
+    raises "FODT0002" {|xs:duration("P999999999999999999Y") + xs:duration("P999999999999999999Y")|};
+    raises "FODT0002"
+      {|xs:yearMonthDuration("P300000000000000000Y") + xs:yearMonthDuration("P100000000000000000Y")|};
+    raises "FODT0002" {|xs:yearMonthDuration("P1Y") * 1e300|};
+    raises "FODT0002" {|xs:dayTimeDuration("PT1S") * xs:double("INF")|};
+    raises "FOCA0005" {|xs:dayTimeDuration("PT1S") div xs:double("NaN")|};
+    raises "FOCA0005" {|xs:dayTimeDuration("PT1S") * xs:double("NaN")|};
+    value "P1Y2M3DT4H5M6.5S" {|string(xs:duration("P1Y2M3DT4H5M6.5S"))|};
+    value "-PT1M30S" {|string(xs:duration("-PT90S"))|};
+    value "P2Y" {|string(xs:yearMonthDuration("P1Y6M") * 1.3333)|};
+    value "PT1.1234567S" {|string(xs:dayTimeDuration("PT1.1234567S"))|};
+    value "PT0.0000001S" {|string(xs:duration(string(xs:dayTimeDuration("PT0.0000001S"))))|};
+    value "PT0.3S" {|string(xs:dayTimeDuration("PT0.1S") * 3)|};
+  ]
+
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
   @ aggregate_tests @ node_tests @ qname_datetime_tests @ timezone_tests
   @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests
-  @ integer_tests
+  @ integer_tests @ regex_tests @ duration_tests

@@ -1,7 +1,8 @@
-(* Streaming sequence pipeline: streaming-vs-eager equivalence (unit
-   and QCheck), bounded-pull assertions via the obs cursor counters,
-   and the satellite fixes that rode along — distinct-values hashing,
-   index-of positions, and the absent-focus XPDY0002 errors. *)
+(* Streaming: the closure compiler's cursors against the eager
+   reference evaluator (unit and QCheck), bounded-pull assertions via
+   the obs cursor counters, and the satellite fixes that rode along —
+   distinct-values hashing, index-of positions, and the absent-focus
+   XPDY0002 errors. *)
 
 open Xquery
 module A = Xdm_atomic
@@ -31,13 +32,15 @@ let rows_doc n =
   Buffer.add_string b "</r>";
   Buffer.contents b
 
-let with_streaming streaming f =
-  let prev = Eval.streaming_enabled () in
-  Eval.set_streaming streaming;
-  Fun.protect ~finally:(fun () -> Eval.set_streaming prev) f
+let with_compiled compiled f =
+  let prev = Engine.compiled_eval_enabled () in
+  Engine.set_compiled_eval compiled;
+  Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
 
+(* [streaming]: production, whose consumers pull cursors; otherwise
+   the eager reference evaluator *)
 let eval_doc ?(doc = pos_doc) ~streaming src =
-  with_streaming streaming (fun () ->
+  with_compiled streaming (fun () ->
       let node = I.Node (Dom.of_string doc) in
       I.to_display_string (Engine.eval_string ~context_item:node src))
 
@@ -46,7 +49,8 @@ let eval_outcome ?doc ~streaming src =
   | v -> Ok v
   | exception Xq_error.Error e -> Error e.Xq_error.code
 
-(* assert streaming and eager agree, and optionally pin the value *)
+(* assert production and the reference agree, and optionally pin the
+   value *)
 let both_modes ?doc ?expected name src =
   t name (fun () ->
       let s = eval_doc ?doc ~streaming:true src in
@@ -123,21 +127,12 @@ let counters f =
       let v = f () in
       (v, Obs.Metrics.counter Xdm_seq.pulls_metric))
 
-let with_compiled compiled f =
-  let prev = Engine.compiled_eval_enabled () in
-  Engine.set_compiled_eval compiled;
-  Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
-
-(* the bounded-pull assertions run twice: once against the
-   tree-walking evaluator and once against the closure-compiled path,
-   which must delegate its early-exit consumers to the same lazy
-   cursors — pull counts have to match pull-for-pull *)
-let bounded_pull_tests_for compiled =
-  let mode = if compiled then " (compiled)" else " (interpreted)" in
+(* production pulls early-exit consumers through cursors; the eager
+   reference pulls through none *)
+let bounded_pull_tests =
+  let mode = " (compiled)" in
   let doc = rows_doc 1000 in
-  let run src =
-    with_compiled compiled (fun () -> eval_doc ~doc ~streaming:true src)
-  in
+  let run src = eval_doc ~doc ~streaming:true src in
   [
     t ("first-of-1000 pulls one item" ^ mode) (fun () ->
         let v, pulls = counters (fun () -> run "string((//row)[1])") in
@@ -167,17 +162,12 @@ let bounded_pull_tests_for compiled =
         check Alcotest.bool
           (Printf.sprintf "pulls %d <= 30" pulls)
           true (pulls <= 30));
-    t ("eager mode pulls nothing through cursors" ^ mode) (fun () ->
+    t "eager mode pulls nothing through cursors (interpreted)" (fun () ->
         let _, pulls =
-          counters (fun () ->
-              with_compiled compiled (fun () ->
-                  eval_doc ~doc ~streaming:false "(//row)[1]"))
+          counters (fun () -> eval_doc ~doc ~streaming:false "(//row)[1]")
         in
         check Alcotest.int "no cursor pulls" 0 pulls);
   ]
-
-let bounded_pull_tests =
-  bounded_pull_tests_for false @ bounded_pull_tests_for true
 
 (* ---------- joined early-exit: the probe side streams ---------- *)
 
