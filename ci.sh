@@ -55,6 +55,13 @@
 # with empty greatest/least, paths, predicates and FLWORs — production
 # and the reference evaluator differ in value, error code or the
 # document left behind.
+# The xmlb line runs the parser differential at its long count (50x):
+# it fails if, on any generated document or byte mutation of a real
+# page (the perfbench page-load and click pages, the scenario and
+# examples/ pages), under either uppercase_tags setting, the parser and
+# the line-and-column-tracking oracle it replaced differ in the tree
+# (QName prefix, URI and local name, attribute order, text) or in the
+# Parse_error's line, column and message.
 # The perfbench line runs the end-to-end benchmark's own tests: it fails
 # if one seed does not give the same inputs and the same traced counts
 # twice, if a deliberately wrong expectation does not fail ops, or if
@@ -74,4 +81,5 @@ dune exec bench/main.exe -- --smoke --only t15 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-order > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test compile > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test xmlb > /dev/null
 python3 perfbench/test_perfbench.py > /dev/null

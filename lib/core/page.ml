@@ -175,20 +175,30 @@ let value_token = Str.regexp "\\([^-A-Za-z0-9_$@/:.]\\|^\\)value\\([^-A-Za-z0-9_
 let shim_handler_source src =
   Str.global_replace value_token "\\1data(@value)\\2" src
 
+(* [f] on every element below [n], in document order *)
+let rec iter_elements f n =
+  List.iter
+    (fun c ->
+      if Dom.kind c = Dom.Element then f c;
+      iter_elements f c)
+    (Dom.children n)
+
+(* [s] starts with [lower] from byte [i] on, ASCII letters compared
+   without case *)
+let rec starts_ci s lower i =
+  i = String.length lower
+  || (i < String.length s && Char.lowercase_ascii s.[i] = lower.[i] && starts_ci s lower (i + 1))
+
 let wire_inline_handlers b window =
   let st = state_for b window in
-  let doc = window.Windows.document in
-  let elements =
-    List.filter (fun n -> Dom.kind n = Dom.Element) (Dom.descendants doc)
-  in
-  List.iter
+  iter_elements
     (fun el ->
       List.iter
         (fun attr ->
           match (Dom.name attr, Dom.value attr) with
           | Some { Qname.local; _ }, Some source
             when String.length local > 2
-                 && String.lowercase_ascii (String.sub local 0 2) = "on"
+                 && starts_ci local "on" 0
                  && String.length (String.trim source) > 0 -> (
               let event_type = String.lowercase_ascii local in
               if
@@ -220,7 +230,7 @@ let wire_inline_handlers b window =
                   ())
           | _ -> ())
         (Dom.attributes el))
-    elements
+    window.Windows.document
 
 (* ---------------- page loading ---------------- *)
 
@@ -231,14 +241,15 @@ let fetch_page (b : Browser.t) uri =
     ~stats:b.Browser.net_stats b.Browser.http uri
 
 let script_elements doc =
-  List.filter
+  let found = ref [] in
+  iter_elements
     (fun n ->
-      Dom.kind n = Dom.Element
-      &&
       match Dom.name n with
-      | Some { Qname.local; _ } -> String.lowercase_ascii local = "script"
-      | None -> false)
-    (Dom.descendants doc)
+      | Some { Qname.local; _ } when String.length local = 6 && starts_ci local "script" 0 ->
+          found := n :: !found
+      | _ -> ())
+    doc;
+  List.rev !found
 
 let script_type el =
   String.lowercase_ascii

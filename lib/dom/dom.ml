@@ -22,6 +22,9 @@ type node = {
   mutable nkind : payload;
   mutable nparent : node option;
   mutable nside : side;
+  mutable label : int;
+      (* sparse document-order label, current while the root's record
+         says its tree is labelled; -1 when unlabelled *)
 }
 
 (* What a node carries besides its structure, made on first use: its
@@ -35,13 +38,13 @@ and accel = {
   mutable rslot : slot;  (* the node's slot, kept here once it has one *)
   mutable observers : observer list;  (* registration order *)
   watch : Footprint.watch;  (* footprints that read this tree *)
-  mutable labels : (int, int) Hashtbl.t option;
-      (* nid -> sparse document-order label; built on the first order
-         read, or with the first index *)
-  mutable elems : elems option;  (* built on the first id or name probe *)
+  mutable labelled : bool;
+      (* every node of the tree carries its label; set by the first
+         order read or the first probe *)
+  mutable elems : elems option;  (* built on the first probe *)
   attr_values : (int, (string, bucket) Hashtbl.t) Hashtbl.t;
-      (* per probed attribute local-name symbol: value -> owning
-         elements *)
+      (* per probed attribute local-name symbol other than "id" (whose
+         probes [elems.by_id] answers): value -> owning elements *)
   text_values : (int, text_index) Hashtbl.t;
       (* per probed element local-name symbol *)
   mutable memos : (string * (int, memo) Hashtbl.t) list;
@@ -98,7 +101,7 @@ let counter = ref 0
 
 let fresh payload =
   incr counter;
-  { nid = !counter; nkind = payload; nparent = None; nside = Bare }
+  { nid = !counter; nkind = payload; nparent = None; nside = Bare; label = -1 }
 
 let create_document ?uri () = fresh (P_document { dchildren = []; uri })
 
@@ -106,9 +109,10 @@ let create_attribute name value = fresh (P_attribute { aname = name; avalue = va
 
 let create_element ?(attrs = []) name =
   let n = fresh (P_element { ename = name; eattrs = []; echildren = [] }) in
+  let up = Some n in
   let make_attr (an, v) =
     let a = create_attribute an v in
-    a.nparent <- Some n;
+    a.nparent <- up;
     a
   in
   (match n.nkind with
@@ -197,19 +201,22 @@ let set_slot n s =
    Every root lazily carries an [accel] record, its per-root record. It
    owns the root's mutation observers and footprint watch, so both are
    freed with the tree, and four caches:
-   - sparse document-order labels, making [compare_order] an O(1)
-     integer compare (built on the first order read);
+   - sparse document-order labels, kept on the nodes themselves, making
+     [compare_order] an O(1) integer compare (built on the first order
+     read, or with the element buckets);
    - id and local-name element buckets (built on the first probe);
-   - per probed attribute or element name, value buckets (built on the
-     first probe of that name);
+   - per probed attribute name other than "id", or element name, value
+     buckets (built on the first probe of that name; "id" values are
+     the id buckets);
    - the memo tables of the layers above.
-   A cache is built by one walk of the tree; from then on every write
-   updates it in place from what the write touched (see "Write upkeep"),
-   so the cost of a write and of the next read follows the write, not
-   the size of the tree. Buckets are sorted by label, so building an
-   index builds the labels too. The [acceleration] switch keeps the
-   naive implementations selectable as the ablation baseline and test
-   oracle. *)
+   A tree's first probe builds its labels and element buckets in one
+   walk, a value probe's buckets take one more; from then on every
+   write updates them in place from what the write touched (see "Write
+   upkeep"), so the cost of a write and of the next read follows the
+   write, not the size of the tree. Buckets are sorted by label, so
+   building an index builds the labels too. The [acceleration] switch
+   keeps the naive implementations selectable as the ablation baseline
+   and test oracle. *)
 
 let acceleration = ref true
 let set_acceleration b = acceleration := b
@@ -247,7 +254,7 @@ let accel_of r =
           rslot = slot r;
           observers = [];
           watch = Footprint.watch ();
-          labels = None;
+          labelled = false;
           elems = None;
           attr_values = Hashtbl.create 4;
           text_values = Hashtbl.create 4;
@@ -263,15 +270,19 @@ let root_watch n = (accel_of (root n)).watch
    tree's caches take over its subtree, and these would be stale when
    the node is a root again. Observers and the watch stay. *)
 let reset_caches s =
-  s.labels <- None;
+  s.labelled <- false;
   s.elems <- None;
   Hashtbl.reset s.attr_values;
   Hashtbl.reset s.text_values;
   s.memos <- []
 
-let link n p =
-  n.nparent <- Some p;
+(* [up] is [Some p] for the new parent [p]; builders share one box
+   among all children of a parent *)
+let link_up n up =
+  n.nparent <- up;
   match n.nside with Rooted s -> reset_caches s | Bare | Slotted _ -> ()
+
+let link n p = link_up n (Some p)
 
 let rec string_value_rec n =
   match n.nkind with
@@ -346,27 +357,58 @@ let preorder n =
   iter_preorder (fun x -> acc := x :: !acc) n;
   List.rev !acc
 
-let fill_labels lt r =
+let node_count r =
   let count = ref 0 in
   iter_preorder (fun _ -> incr count) r;
-  let stride = label_space / (!count + 1) and next = ref 0 in
-  iter_preorder
-    (fun n ->
-      next := !next + stride;
-      Hashtbl.replace lt n.nid !next)
-    r
+  !count
 
-let labels_of r s =
-  match s.labels with
-  | Some lt ->
-      metric "dom.accel.keys.hit";
-      lt
-  | None ->
-      metric "dom.accel.keys.rebuild";
-      let lt = Hashtbl.create 64 in
-      fill_labels lt r;
-      s.labels <- Some lt;
-      lt
+(* A whole-tree build walks in document order, collecting each key's
+   nodes; [seal] then cuts them into buckets. *)
+let collect tbl key n =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> l := n :: !l
+  | None -> Hashtbl.replace tbl key (ref [ n ])
+
+(* The whole-tree build: one pre-order walk of [r]'s tree that, with
+   [labels], spreads labels evenly over its nodes and, with [elems],
+   collects its elements by local-name symbol and by id value. *)
+let walk r ~labels elems =
+  let stride = if labels then label_space / (node_count r + 1) else 0 in
+  let next = ref 0 in
+  let label n =
+    if labels then begin
+      next := !next + stride;
+      n.label <- !next
+    end
+  in
+  let rec go n =
+    label n;
+    match n.nkind with
+    | P_element e ->
+        (match elems with
+        | Some (_, by_name) -> collect by_name (e.ename.Qname.lsym :> int) n
+        | None -> ());
+        List.iter
+          (fun a ->
+            label a;
+            match (elems, a.nkind) with
+            | Some (by_id, _), P_attribute at when Sym.equal at.aname.Qname.lsym id_sym ->
+                collect by_id at.avalue n
+            | _ -> ())
+          e.eattrs;
+        List.iter go e.echildren
+    | P_document d -> List.iter go d.dchildren
+    | P_attribute _ | P_text _ | P_comment _ | P_pi _ -> ()
+  in
+  go r
+
+let ensure_labels r s =
+  if s.labelled then metric "dom.accel.keys.hit"
+  else begin
+    metric "dom.accel.keys.rebuild";
+    walk r ~labels:true None;
+    s.labelled <- true
+  end
 
 (* Cursors over document order from a node, without sibling links: a
    stack of pending sibling lists, each ancestor level's list split
@@ -443,15 +485,15 @@ let range_capacity i = Float.pow (4. /. 3.) (float_of_int i)
 
 (* Label [fresh], the [k] nodes in document order of the subtrees
    [first] .. [last], just linked as consecutive siblings. *)
-let place r lt ~first ~last fresh k =
-  let label_of x = Hashtbl.find lt x.nid in
+let place r ~first ~last fresh k =
+  let label_of x = x.label in
   let bwd = ref [ B_before first ] and fwd = ref [ F_after last ] in
   let pred = next_bwd bwd and succ = next_fwd fwd in
   let lo = match pred with Some p -> label_of p | None -> 0 in
   let hi = match succ with Some x -> label_of x | None -> label_space in
   let spread base width nodes m =
     let step = width / (m + 1) in
-    List.iteri (fun j x -> Hashtbl.replace lt x.nid (base + ((j + 1) * step))) nodes
+    List.iteri (fun j x -> x.label <- base + ((j + 1) * step)) nodes
   in
   if hi - lo > k then spread lo (hi - lo) fresh k
   else begin
@@ -463,9 +505,8 @@ let place r lt ~first ~last fresh k =
     let rec grow i =
       if i > 61 then begin
         (* past ~4e7 nodes: relabel the whole tree *)
-        Hashtbl.reset lt;
-        fill_labels lt r;
-        metric_by "dom.delta.relabels" (Hashtbl.length lt)
+        walk r ~labels:true None;
+        metric_by "dom.delta.relabels" (node_count r)
       end
       else begin
         let width = 1 lsl i in
@@ -521,24 +562,22 @@ let bucket_list b =
       b.listed <- Some l;
       l
 
-let label lt x = Hashtbl.find lt x.nid
-
 (* the chunk that holds, or would take, label [k]: the last one whose
    first label is at most [k], or the first *)
-let chunk_index lt b k =
+let chunk_index b k =
   let lo = ref 0 and hi = ref (Array.length b.chunks - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) lsr 1 in
-    if label lt b.chunks.(mid).(0) <= k then lo := mid else hi := mid - 1
+    if b.chunks.(mid).(0).label <= k then lo := mid else hi := mid - 1
   done;
   !lo
 
 (* the first position in chunk [c] labelled [k] or later *)
-let lower_bound lt c k =
+let lower_bound c k =
   let lo = ref 0 and hi = ref (Array.length c) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if label lt c.(mid) < k then lo := mid + 1 else hi := mid
+    if c.(mid).label < k then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -550,12 +589,12 @@ let splice b i cs =
 (* A bucket in a table is never empty: [entry] drops it with its last
    node. *)
 
-let bucket_add lt b n =
+let bucket_add b n =
   b.listed <- None;
-  let k = label lt n in
-  let ci = chunk_index lt b k in
+  let k = n.label in
+  let ci = chunk_index b k in
   let c = b.chunks.(ci) in
-  let len = Array.length c and i = lower_bound lt c k in
+  let len = Array.length c and i = lower_bound c k in
   metric_by "dom.delta.copies" len;
   let c' = Array.make (len + 1) n in
   Array.blit c 0 c' 0 i;
@@ -565,12 +604,12 @@ let bucket_add lt b n =
     let h = (len + 1) / 2 in
     splice b ci [| Array.sub c' 0 h; Array.sub c' h (len + 1 - h) |]
 
-let bucket_remove lt b n =
-  let k = label lt n in
-  let ci = chunk_index lt b k in
+let bucket_remove b n =
+  let k = n.label in
+  let ci = chunk_index b k in
   let c = b.chunks.(ci) in
   let len = Array.length c in
-  let i = ref (lower_bound lt c k) in
+  let i = ref (lower_bound c k) in
   while !i < len && c.(!i) != n do incr i done;
   if !i < len then begin
     b.listed <- None;
@@ -582,20 +621,13 @@ let bucket_remove lt b n =
   end
 
 (* add [n] to, or remove it from, the bucket of [key] *)
-let entry lt ~add tbl key n =
+let entry ~add tbl key n =
   match (Hashtbl.find_opt tbl key, add) with
   | Some b, _ ->
-      (if add then bucket_add else bucket_remove) lt b n;
+      (if add then bucket_add else bucket_remove) b n;
       if Array.length b.chunks = 0 then Hashtbl.remove tbl key
   | None, true -> Hashtbl.replace tbl key { chunks = [| [| n |] |]; listed = None }
   | None, false -> ()
-
-(* A whole-tree build walks in document order, collecting each key's
-   nodes; [seal] then cuts them into buckets. *)
-let collect tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | Some l -> l := n :: !l
-  | None -> Hashtbl.replace tbl key (ref [ n ])
 
 let seal tbl =
   let t = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
@@ -615,9 +647,9 @@ let flat_key n =
 
 (* [n]'s text entry, from its current children: removed before they or
    their text change, added back after *)
-let text_entry lt ~add ti n =
+let text_entry ~add ti n =
   match flat_key n with
-  | Some k -> entry lt ~add ti.tvals k n
+  | Some k -> entry ~add ti.tvals k n
   | None -> ti.complex <- (if add then ti.complex + 1 else ti.complex - 1)
 
 (* [f] on every element of [n]'s subtree (inclusive), with its name,
@@ -637,15 +669,17 @@ let iter_attr_values f el (lsym : Sym.t) =
 
 (* Whole-tree builds *)
 
-let build_elems r =
+(* the element buckets, and the labels if no order read built them, in
+   one walk *)
+let build_elems r s =
   metric "dom.accel.index.rebuild";
+  if not s.labelled then metric "dom.accel.keys.rebuild";
   let by_id = Hashtbl.create 64 and by_name = Hashtbl.create 64 in
-  iter_elements
-    (fun n name ->
-      collect by_name (name.Qname.lsym :> int) n;
-      iter_attr_values (fun v -> collect by_id v n) n id_sym)
-    r;
-  { by_id = seal by_id; by_name = seal by_name }
+  walk r ~labels:(not s.labelled) (Some (by_id, by_name));
+  s.labelled <- true;
+  let e = { by_id = seal by_id; by_name = seal by_name } in
+  s.elems <- Some e;
+  e
 
 let build_attr_values r (lsym : Sym.t) =
   metric "dom.value_index.rebuild";
@@ -668,17 +702,17 @@ let elems_of r s =
   | Some e ->
       metric "dom.accel.index.hit";
       e
-  | None ->
-      ignore (labels_of r s);
-      let e = build_elems r in
-      s.elems <- Some e;
-      e
+  | None -> build_elems r s
+
+(* a value probe is a probe: the tree's first builds the element
+   buckets with the labels *)
+let ensure_elems r s = if Option.is_none s.elems then ignore (build_elems r s)
 
 let attr_values_of r s (lsym : Sym.t) =
   match Hashtbl.find_opt s.attr_values (lsym :> int) with
   | Some t -> t
   | None ->
-      ignore (labels_of r s);
+      ensure_elems r s;
       let t = build_attr_values r lsym in
       Hashtbl.replace s.attr_values (lsym :> int) t;
       t
@@ -687,7 +721,7 @@ let text_values_of r s (lsym : Sym.t) =
   match Hashtbl.find_opt s.text_values (lsym :> int) with
   | Some ti -> ti
   | None ->
-      ignore (labels_of r s);
+      ensure_elems r s;
       let ti = build_text_values r lsym in
       Hashtbl.replace s.text_values (lsym :> int) ti;
       ti
@@ -758,14 +792,15 @@ let compare_order a b =
     let ra = root a and rb = root b in
     if ra != rb then Int.compare ra.nid rb.nid
     else if !acceleration then begin
-      let lt = labels_of ra (accel_of ra) in
-      match (Hashtbl.find_opt lt a.nid, Hashtbl.find_opt lt b.nid) with
-      | Some ka, Some kb ->
-          metric "dom.order.keyed";
-          Int.compare ka kb
-      | _ ->
-          metric "dom.order.path";
-          compare_paths a b
+      ensure_labels ra (accel_of ra);
+      if a.label >= 0 && b.label >= 0 then begin
+        metric "dom.order.keyed";
+        Int.compare a.label b.label
+      end
+      else begin
+        metric "dom.order.path";
+        compare_paths a b
+      end
     end
     else begin
       metric "dom.order.path";
@@ -776,9 +811,8 @@ let order_key n =
   if not !acceleration then None
   else
     let r = root n in
-    match Hashtbl.find_opt (labels_of r (accel_of r)) n.nid with
-    | Some k -> Some (r.nid, k)
-    | None -> None
+    ensure_labels r (accel_of r);
+    if n.label >= 0 then Some (r.nid, n.label) else None
 
 let is_ancestor ~ancestor n =
   let rec go n =
@@ -913,21 +947,22 @@ let fp_attr w (aname : Qname.t) v =
       if Sym.equal aname.Qname.lsym id_sym then Footprint.add_wid r v)
     w.wfp
 
-(* The index entries of attribute [aname = v] on element [owner]. *)
-let attr_entries s lt ~add owner (aname : Qname.t) v =
+(* The index entry of attribute [aname = v] on element [owner]: in
+   the id buckets for "id", else in the name's value buckets. *)
+let attr_entries s ~add owner (aname : Qname.t) v =
   let lsym = aname.Qname.lsym in
-  (if Sym.equal lsym id_sym then
-     match s.elems with Some e -> entry lt ~add e.by_id v owner | None -> ());
-  match Hashtbl.find_opt s.attr_values (lsym :> int) with
-  | Some t -> entry lt ~add t v owner
-  | None -> ()
+  let values =
+    if Sym.equal lsym id_sym then Option.map (fun e -> e.by_id) s.elems
+    else Hashtbl.find_opt s.attr_values (lsym :> int)
+  in
+  Option.iter (fun t -> entry ~add t v owner) values
 
 (* An element's own entries: under its name, and its text. *)
-let element_entries s lt ~add e (ename : Qname.t) =
+let element_entries s ~add e (ename : Qname.t) =
   let key = (ename.Qname.lsym :> int) in
-  (match s.elems with Some x -> entry lt ~add x.by_name key e | None -> ());
+  (match s.elems with Some x -> entry ~add x.by_name key e | None -> ());
   match Hashtbl.find_opt s.text_values key with
-  | Some ti -> text_entry lt ~add ti e
+  | Some ti -> text_entry ~add ti e
   | None -> ()
 
 (* The subtrees [group] were just linked as consecutive siblings. *)
@@ -939,23 +974,23 @@ let linked w group =
         match x.nkind with
         | P_element el ->
             fp_name w el.ename;
-            Option.iter (fun lt -> element_entries s lt ~add:true x el.ename) s.labels
+            if s.labelled then element_entries s ~add:true x el.ename
         | P_attribute a -> (
             fp_attr w a.aname a.avalue;
-            match (s.labels, x.nparent) with
-            | Some lt, Some owner -> attr_entries s lt ~add:true owner a.aname a.avalue
+            match x.nparent with
+            | Some owner when s.labelled -> attr_entries s ~add:true owner a.aname a.avalue
             | _ -> ())
         | _ -> ()
       in
-      match (s.labels, group) with
-      | Some lt, first :: rest ->
+      match group with
+      | first :: rest when s.labelled ->
           let fresh = List.concat_map preorder group in
           let k = List.length fresh in
           let last = List.fold_left (fun _ x -> x) first rest in
-          place w.wroot lt ~first ~last fresh k;
+          place w.wroot ~first ~last fresh k;
           metric_by "dom.delta.nodes" k;
           List.iter note fresh
-      | None, _ when w.wfp <> None -> List.iter (iter_preorder note) group
+      | _ when w.wfp <> None -> List.iter (iter_preorder note) group
       | _ -> ())
 
 (* [n]'s subtree was just unlinked from [from]. *)
@@ -963,23 +998,21 @@ let unlinked w ~from n =
   match w.ws with
   | None -> ()
   | Some s ->
-      let lt = s.labels in
-      if lt <> None || s.memos <> [] || w.wfp <> None then begin
+      let labelled = s.labelled in
+      if labelled || s.memos <> [] || w.wfp <> None then begin
         let count = ref 0 in
         (* a node's label goes after its entries and its attributes'
            entries, whose buckets are searched by label *)
         let unlabel x =
           incr count;
-          Option.iter (fun lt -> Hashtbl.remove lt x.nid) lt;
+          if labelled then x.label <- -1;
           List.iter (fun (_, t) -> Hashtbl.remove t x.nid) s.memos
         in
         let forget_attr owner a =
           match a.nkind with
           | P_attribute at ->
               fp_attr w at.aname at.avalue;
-              Option.iter
-                (fun lt -> attr_entries s lt ~add:false owner at.aname at.avalue)
-                lt;
+              if labelled then attr_entries s ~add:false owner at.aname at.avalue;
               unlabel a
           | _ -> ()
         in
@@ -987,7 +1020,7 @@ let unlinked w ~from n =
           (match x.nkind with
           | P_element el ->
               fp_name w el.ename;
-              Option.iter (fun lt -> element_entries s lt ~add:false x el.ename) lt;
+              if labelled then element_entries s ~add:false x el.ename;
               List.iter (forget_attr x) el.eattrs
           | _ -> ());
           unlabel x;
@@ -1002,9 +1035,9 @@ let unlinked w ~from n =
 let retext w e f =
   let entries ~add =
     match (w.ws, e.nkind) with
-    | Some ({ labels = Some lt; _ } as s), P_element el -> (
+    | Some ({ labelled = true; _ } as s), P_element el -> (
         match Hashtbl.find_opt s.text_values (el.ename.Qname.lsym :> int) with
-        | Some ti -> text_entry lt ~add ti e
+        | Some ti -> text_entry ~add ti e
         | None -> ())
     | _ -> ()
   in
@@ -1019,8 +1052,8 @@ let rekey_attr w a f =
     | P_attribute at -> (
         fp_attr w at.aname at.avalue;
         match (w.ws, a.nparent) with
-        | Some ({ labels = Some lt; _ } as s), Some owner ->
-            attr_entries s lt ~add owner at.aname at.avalue
+        | Some ({ labelled = true; _ } as s), Some owner ->
+            attr_entries s ~add owner at.aname at.avalue
         | _ -> ())
     | _ -> ()
   in
@@ -1179,7 +1212,7 @@ let rename n qn =
       let entries ~add =
         fp_name w e.ename;
         match w.ws with
-        | Some ({ labels = Some lt; _ } as s) -> element_entries s lt ~add n e.ename
+        | Some ({ labelled = true; _ } as s) -> element_entries s ~add n e.ename
         | _ -> ()
       in
       entries ~add:false;
@@ -1259,10 +1292,11 @@ let append_attribute ~parent a =
 
 (* [f] over [xs] in order, each result made a child of [parent] *)
 let adopt_map parent f xs =
+  let up = Some parent in
   List.map
     (fun x ->
       let c = f x in
-      link c parent;
+      link_up c up;
       c)
     xs
 
@@ -1464,7 +1498,8 @@ let get_elements_by_local_name n local =
    element local name, the string value of its "flat" elements (no
    element children, so their value is their text) mapped to those
    elements. Buckets are keyed by the value string in the per-root
-   table, freed with the document.
+   table, freed with the document. Probes of "id" values are answered
+   from the id buckets, so no tree keeps a second id index.
 
    Lookups return [None] whenever the index cannot answer exactly
    (switch off, or a text lookup on a local name that somewhere in the
@@ -1489,6 +1524,7 @@ let value_lookup which n (lsym : Sym.t) v =
     let s = accel_of r in
     let found =
       match which with
+      | `Attr when Sym.equal lsym id_sym -> Some (Hashtbl.find_opt (elems_of r s).by_id v)
       | `Attr -> Some (Hashtbl.find_opt (attr_values_of r s lsym) v)
       | `Text ->
           let ti = text_values_of r s lsym in

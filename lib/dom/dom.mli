@@ -117,9 +117,9 @@ val preceding_siblings : node -> node list
 (** [compare_order a b] orders nodes in document order. Nodes from
     different trees are ordered by their root's identity (stable,
     implementation-defined, as XDM permits). When acceleration is on
-    (the default) this is an O(1) compare of the tree's document-order
-    labels, which every write keeps; the path-based comparison remains
-    the fallback. *)
+    (the default) this is an O(1) compare of the two nodes'
+    document-order labels, which live on the nodes and which every
+    write keeps; the path-based comparison remains the fallback. *)
 val compare_order : node -> node -> int
 
 (** The path-based comparison, bypassing the order-key cache — the
@@ -136,10 +136,12 @@ val order_key : node -> (int * int) option
 
 (** {1 Acceleration}
 
-    Each tree root lazily carries caches on its per-root record: sparse
-    document-order labels (built on the first order read) and id and
-    local-name element buckets (built, with the labels, on the first
-    probe of the tree). Once built, a cache is never rebuilt: every
+    Each tree lazily carries caches: sparse document-order labels, one
+    int on each node (built on the first order read), and, on its
+    per-root record, id and local-name element buckets (built on the
+    tree's first probe, an id, name or value lookup, together with the
+    labels in one walk when no order read built them first). Once
+    built, a cache is never rebuilt: every
     mutation updates it in place from what it linked, unlinked or
     renamed, so a write and the next read cost what the write touched,
     not the size of the tree. Inserted nodes take labels in the gap
@@ -147,7 +149,8 @@ val order_key : node -> (int * int) option
     (order maintenance, Dietz & Sleator 1987; Bender et al. 2002). A
     bucket is kept in chunks of at most 64 nodes, so adding or removing
     an entry copies one chunk, however many nodes share its key. A tree
-    whose caches were never built does no upkeep. The counters [dom.accel.keys.rebuild]
+    whose caches were never built does no upkeep. The counters
+    [dom.accel.keys.rebuild] (labels, also when built with the buckets)
     and [dom.accel.index.rebuild] count whole-tree builds;
     [dom.delta.nodes] and [dom.delta.relabels] count the nodes write
     upkeep walked and relabelled, [dom.delta.copies] the bucket entries
@@ -166,8 +169,10 @@ val acceleration_enabled : unit -> bool
     by every mutation from then on: for an attribute name, its values
     mapped to their owning elements; for an element name, the string
     value of its "flat" elements (no element children) mapped to those
-    elements. Keyed by the value string in the per-root table, so
-    values are not interned and are freed with the document.
+    elements. Values of [id] attributes are answered from the id
+    buckets of {!get_element_by_id}, so they build no value buckets.
+    Keyed by the value string in the per-root table, so values are not
+    interned and are freed with the document.
     Independent switch (on by default) so join/lookup ablations keep
     document-order labels. *)
 

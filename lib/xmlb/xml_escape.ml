@@ -88,38 +88,71 @@ let code_points s =
   in
   go 0 []
 
-let unescape s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let rec go i =
-    if i >= n then Buffer.contents buf
-    else if s.[i] <> '&' then begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
+(* XML 1.0's Char production: the code points a document may contain *)
+let xml_char cp =
+  cp = 0x9 || cp = 0xA || cp = 0xD
+  || (cp >= 0x20 && cp <= 0xD7FF)
+  || (cp >= 0xE000 && cp <= 0xFFFD)
+  || (cp >= 0x10000 && cp <= 0x10FFFF)
+
+exception Invalid_char_ref of string
+
+(* The code point of a character reference's body ("#65", "#x41"), or
+   [-1] unless its digits are well formed and name an XML character.
+   Digits past 0x10FFFF stop the scan, so no body overflows. *)
+let char_ref_code ent =
+  let n = String.length ent in
+  let hex = n > 1 && (ent.[1] = 'x' || ent.[1] = 'X') in
+  let first = if hex then 2 else 1 in
+  let rec go i acc =
+    if i >= n then acc
     else
-      match String.index_from_opt s i ';' with
-      | None -> failwith "malformed entity reference: missing ';'"
-      | Some j ->
-          let ent = String.sub s (i + 1) (j - i - 1) in
-          let rep =
-            match ent with
-            | "amp" -> "&"
-            | "lt" -> "<"
-            | "gt" -> ">"
-            | "quot" -> "\""
-            | "apos" -> "'"
-            | "nbsp" -> "\xC2\xA0"
-            | _ when String.length ent > 1 && ent.[0] = '#' ->
-                let cp =
-                  if ent.[1] = 'x' || ent.[1] = 'X' then
-                    int_of_string ("0x" ^ String.sub ent 2 (String.length ent - 2))
-                  else int_of_string (String.sub ent 1 (String.length ent - 1))
-                in
-                utf8_of_code_point cp
-            | _ -> failwith (Printf.sprintf "unknown entity reference &%s;" ent)
-          in
-          Buffer.add_string buf rep;
-          go (j + 1)
+      let d =
+        match ent.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | ('a' .. 'f' | 'A' .. 'F') as c when hex -> (Char.code c lor 0x20) - 87
+        | _ -> -1
+      in
+      if d < 0 then -1
+      else
+        let acc = (acc * if hex then 16 else 10) + d in
+        if acc > 0x10FFFF then -1 else go (i + 1) acc
   in
-  go 0
+  let cp = if n > first then go first 0 else -1 in
+  if cp >= 0 && xml_char cp then cp else -1
+
+let expand ent =
+  match ent with
+  | "amp" -> "&"
+  | "lt" -> "<"
+  | "gt" -> ">"
+  | "quot" -> "\""
+  | "apos" -> "'"
+  | "nbsp" -> "\xC2\xA0"
+  | _ when String.length ent > 0 && ent.[0] = '#' ->
+      let cp = char_ref_code ent in
+      if cp < 0 then
+        raise (Invalid_char_ref (Printf.sprintf "invalid character reference &%s;" ent))
+      else utf8_of_code_point cp
+  | _ -> failwith (Printf.sprintf "unknown entity reference &%s;" ent)
+
+(* Input without '&' is returned as is; otherwise the runs between
+   references are copied whole. *)
+let unescape s =
+  match String.index_opt s '&' with
+  | None -> s
+  | Some amp ->
+      let n = String.length s in
+      let buf = Buffer.create n in
+      let rec go start i =
+        (* [start]: first byte not yet copied; [i]: the next '&', or [n] *)
+        Buffer.add_substring buf s start (i - start);
+        if i >= n then Buffer.contents buf
+        else
+          match String.index_from_opt s i ';' with
+          | None -> failwith "malformed entity reference: missing ';'"
+          | Some j ->
+              Buffer.add_string buf (expand (String.sub s (i + 1) (j - i - 1)));
+              go (j + 1) (Option.value ~default:n (String.index_from_opt s (j + 1) '&'))
+      in
+      go 0 amp

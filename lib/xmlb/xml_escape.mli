@@ -7,9 +7,19 @@ val text : string -> string
     brackets and the double quote. *)
 val attribute : string -> string
 
+(** [xml_char cp] holds when [cp] matches XML 1.0's [Char] production
+    (tab, newline, carriage return, and the code points from U+0020
+    outside the surrogates, U+FFFE and U+FFFF). *)
+val xml_char : int -> bool
+
+(** A character reference whose digits are malformed or do not name an
+    {!xml_char}; the payload is a message naming the reference. *)
+exception Invalid_char_ref of string
+
 (** Expand the predefined entities ([&amp;amp; &amp;lt; &amp;gt; &amp;quot;
     &amp;apos;]) and numeric character references ([&amp;#NN; &amp;#xHH;],
-    encoded as UTF-8).
+    encoded as UTF-8). A string without [&amp;] is returned as is.
+    @raise Invalid_char_ref on a character reference to a non-character.
     @raise Failure on a malformed or unknown entity reference. *)
 val unescape : string -> string
 

@@ -698,7 +698,7 @@ and preds_seq preds : env -> Xdm_seq.t -> Xdm_seq.t =
         fun _ cur ->
           if k < 1 then Xdm_seq.empty
           else
-            Xdm_seq.make ~sorted:(Xdm_seq.sorted cur) ~at_most_one:true
+            Xdm_seq.make ~sorted:(Xdm_seq.sorted cur)
               (Seq.take 1 (Seq.drop (k - 1) (Xdm_seq.items cur)))
     | Some (`First k) -> fun _ cur -> Xdm_seq.take k cur
     | None ->

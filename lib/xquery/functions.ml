@@ -517,15 +517,9 @@ let () =
                       (A.to_string a)))
           (arg 0 args)
       in
-      let xml_char cp =
-        cp = 0x9 || cp = 0xA || cp = 0xD
-        || (cp >= 0x20 && cp <= 0xD7FF)
-        || (cp >= 0xE000 && cp <= 0xFFFD)
-        || (cp >= 0x10000 && cp <= 0x10FFFF)
-      in
       List.iter
         (fun cp ->
-          if not (xml_char cp) then
+          if not (Xml_escape.xml_char cp) then
             err "FOCH0001" "codepoints-to-string: %d is not an XML character" cp)
         cps;
       str1 (String.concat "" (List.map Xml_escape.utf8_of_code_point cps)));

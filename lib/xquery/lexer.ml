@@ -123,8 +123,10 @@ let read_string_literal src i line col =
   in
   let raw, j = go (i + 1) in
   let expanded =
-    try Xmlb.Xml_escape.unescape raw
-    with Failure m -> err_at line col "%s" m
+    try Xmlb.Xml_escape.unescape raw with
+    | Failure m -> err_at line col "%s" m
+    | Xmlb.Xml_escape.Invalid_char_ref m ->
+        Xq_error.raise_error "XQST0090" "line %d, col %d: %s" line col m
   in
   (expanded, j)
 

@@ -3,12 +3,19 @@ module L = Lexer
 
 type state = { lx : L.t; sctx : Static_context.t; mutable env : Qname.Env.t }
 
-let fail st fmt =
+let fail_with code st fmt =
   let line, col = L.position st.lx in
   Printf.ksprintf
-    (fun m ->
-      Xq_error.raise_error Xq_error.syntax "line %d, col %d: %s" line col m)
+    (fun m -> Xq_error.raise_error code "line %d, col %d: %s" line col m)
     fmt
+
+let fail st fmt = fail_with Xq_error.syntax st fmt
+
+(* character data of a direct constructor, references expanded *)
+let unescape st s =
+  try Xml_escape.unescape s with
+  | Failure m -> fail st "%s" m
+  | Xml_escape.Invalid_char_ref m -> fail_with "XQST0090" st "%s" m
 
 let peek st = L.peek st.lx
 let next st = L.next st.lx
@@ -1214,11 +1221,7 @@ and parse_attr_value st quote =
   let parts = ref [] in
   let flush_text () =
     if Buffer.length buf > 0 then begin
-      let text =
-        try Xml_escape.unescape (Buffer.contents buf)
-        with Failure m -> fail st "%s" m
-      in
-      parts := Ast.A_text text :: !parts;
+      parts := Ast.A_text (unescape st (Buffer.contents buf)) :: !parts;
       Buffer.clear buf
     end
   in
@@ -1270,10 +1273,7 @@ and parse_direct_content st open_name =
   let boundary_preserve = Static_context.boundary_space_preserve st.sctx in
   let flush_text () =
     if Buffer.length buf > 0 then begin
-      let text =
-        try Xml_escape.unescape (Buffer.contents buf)
-        with Failure m -> fail st "%s" m
-      in
+      let text = unescape st (Buffer.contents buf) in
       Buffer.clear buf;
       let all_space = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') text in
       if text <> "" && (boundary_preserve || not all_space) then

@@ -576,6 +576,24 @@ let scaling_tests =
     within "Dom.set_value on an element" (fun n ->
         let doc = Dom.of_string (flat_list n) in
         words_per_node n (fun () -> Dom.set_value (root_el doc) "flat"));
+    t "a tree's first probe adds at most 3 live words per node" (fun () ->
+        (* labels live on the nodes and the id buckets serve id probes,
+           so the first probe adds the element buckets and little else *)
+        let st = Random.State.make [| 3 |] in
+        let doc = Dom.of_string (Gen.gen_page st ~index:1 ~items:2_000 ~pooled:true).Gen.html in
+        let nodes =
+          List.fold_left (fun acc n -> acc + 1 + List.length (Dom.attributes n)) 1 (Dom.descendants doc)
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let before = live () in
+        ignore (Dom.get_elements_by_local_name doc "li");
+        let added = float_of_int (live () - before) /. float_of_int nodes in
+        ignore (Sys.opaque_identity doc);
+        if added > 3. then
+          Alcotest.failf "live words per node added by the first probe: %.2f (bound 3)" added);
     t "attaching a listener to every button allocates a flat amount per listener"
       (fun () ->
         let attach = {|declare function local:f($evt, $obj) { () };

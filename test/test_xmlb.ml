@@ -64,6 +64,24 @@ let escape_tests =
         match Xml_escape.unescape "&bogus;" with
         | exception Failure _ -> ()
         | s -> Alcotest.failf "expected failure, got %S" s);
+    t "unescape returns input without a reference unchanged" (fun () ->
+        let s = "plain <text> ; #x41" in
+        check Alcotest.bool "same string" true (Xml_escape.unescape s == s));
+    t "unescape copies the runs around references" (fun () ->
+        check Alcotest.string "runs" "a<b&c\xC2\xA0d" (Xml_escape.unescape "a&lt;b&amp;c&nbsp;d"));
+    t "xml_char follows the Char production" (fun () ->
+        check (Alcotest.list Alcotest.bool) "boundaries"
+          [ false; true; true; true; false; true; false; true; false; true; true; false ]
+          (List.map Xml_escape.xml_char
+             [ 0; 0x9; 0xA; 0xD; 0x1F; 0x20; 0xD800; 0xE000; 0xFFFE; 0x10000; 0x10FFFF; 0x110000 ]));
+    t "references to non-characters fail, naming the reference" (fun () ->
+        List.iter
+          (fun r ->
+            match Xml_escape.unescape ("x" ^ r) with
+            | exception Xml_escape.Invalid_char_ref m ->
+                check Alcotest.string r ("invalid character reference " ^ r) m
+            | s -> Alcotest.failf "%s: expected Invalid_char_ref, got %S" r s)
+          [ "&#0;"; "&#xD800;"; "&#xFFFF;"; "&#x110000;"; "&#xZZ;"; "&#99999999999999999999;"; "&#;"; "&#-1;" ]);
     t "utf8 round trip" (fun () ->
         let cps = [ 0x41; 0xE9; 0x20AC; 0x1F600 ] in
         let s = String.concat "" (List.map Xml_escape.utf8_of_code_point cps) in
@@ -165,6 +183,25 @@ let parser_tests =
         | Xml_parser.Element (_, _, [ Xml_parser.Element (_, _, [ Xml_parser.Text s ]) ]) ->
             check Alcotest.string "stripped" "1 < 2" s
         | _ -> Alcotest.fail "bad shape");
+    t "a reference to a non-character is a located parse error" (fun () ->
+        let fails src line col message =
+          match Xml_parser.parse src with
+          | exception Xml_parser.Parse_error e ->
+              check
+                Alcotest.(triple int int string)
+                src (line, col, message) (e.line, e.col, e.message)
+          | _ -> Alcotest.failf "%s: expected a parse error" src
+        in
+        fails "<a>&#0;</a>" 1 8 "invalid character reference &#0;";
+        fails "<a>\n<b x='&#xD800;'/></a>" 2 16 "invalid character reference &#xD800;";
+        fails "<a>&#xZZ;</a>" 1 10 "invalid character reference &#xZZ;";
+        fails "<a>&#99999999999999999999;</a>" 1 27 "invalid character reference &#99999999999999999999;");
+    t "parse errors are located by line and column" (fun () ->
+        match Xml_parser.parse "<a>\n  <b>\n</a>" with
+        | exception Xml_parser.Parse_error e ->
+            check Alcotest.(pair int int) "position" (3, 5) (e.line, e.col);
+            check Alcotest.string "message" "mismatched close tag </a>, expected </b>" e.message
+        | _ -> Alcotest.fail "expected a parse error");
     t "boolean attribute without value" (fun () ->
         match parse_root "<input disabled/>" with
         | Xml_parser.Element (_, [ { Xml_parser.name; value } ], _) ->
@@ -246,4 +283,244 @@ let serializer_tests =
         check Alcotest.string "stable" once (roundtrip once));
   ]
 
-let suite = qname_tests @ escape_tests @ parser_tests @ serializer_tests
+(* ---------- differential: the parser against the oracle ---------- *)
+
+module Q = QCheck
+
+(* A parse's observable result: the tree, or the error with its
+   position; any other exception is recorded by name. *)
+let outcome parse src =
+  match parse src with
+  | trees -> Ok trees
+  | exception Xml_parser.Parse_error { line; col; message } -> Error (line, col, message)
+  | exception e -> Error (-1, -1, Printexc.to_string e)
+
+(* Documents from fragments that exercise every construct and its
+   failure modes: namespaces bound and unbound, references good and
+   bad, raw script text with mixed-case close tags, unterminated
+   constructs. Failing fragments are rare enough that most documents
+   parse or fail late, so the constructs after them are compared too. *)
+let doc_gen =
+  Q.Gen.(
+    let rare good bad = frequency [ (12, oneofl good); (1, oneofl bad) ] in
+    let name =
+      frequency
+        [
+          ( 3,
+            rare
+              [ "a"; "b"; "li"; "p:a"; "q:b"; "x-y.z"; "_n"; "\xC3\xA9"; "A"; "Li" ]
+              [ "xmlns"; "p:"; "z:a" ] );
+          (* many short names sharing prefixes *)
+          (1, string_size ~gen:(oneofl [ 'a'; 'j'; 'B' ]) (int_range 1 3));
+        ]
+    in
+    let space = oneofl [ ""; " "; "\n"; "\t"; " \r\n " ] in
+    let value =
+      rare
+        [ "v"; ""; "urn:x"; "&amp;"; "&#65;"; "a&lt;b"; "&#x1F600;"; "&#9;"; "\n"; "a&quot;b" ]
+        [ "&#0;"; "&#xD800;"; "&#xZZ;"; "&#99999999999999999999;"; "&bogus;"; "a&b"; "&#;"; "<" ]
+    in
+    let attr =
+      frequency
+        [
+          (6, map3 (fun n v q -> Printf.sprintf " %s=%c%s%c" n q v q) name value (oneofl [ '"'; '\'' ]));
+          (1, map (fun n -> " " ^ n) name);
+          ( 2,
+            oneofl
+              [ " xmlns=\"urn:d\""; " xmlns=\"\""; " xmlns:p=\"urn:p\""; " xmlns:q='urn:q'"; " id = 'i'" ] );
+        ]
+    in
+    let text =
+      rare
+        [ "hello"; " "; "\n  "; "&lt;"; "&#65;"; "x;y"; "]]>"; ">"; "&nbsp;"; "\xE2\x82\xAC" ]
+        [ "&#0;"; "&#xFFFE;"; "&"; "&gt" ]
+    in
+    let misc =
+      rare
+        [
+          "<!--c-->"; "<!-- a\nb -->"; "<![CDATA[x<y&]]>"; "<?t data?>"; "<?xml version=\"1.0\"?>";
+          "<?XmL x?>"; "<!DOCTYPE html>";
+        ]
+        [ "<!--open"; "<![CDATA[open"; "<!doctype x"; "</a>"; "<"; "<>"; "</>"; "<!x>" ]
+    in
+    let raw_body =
+      oneofl [ ""; " \012 "; "a < b && c"; "<![CDATA[x]]>"; "<![CD]]>ATA[y"; "</scr"; "&amp;"; "\n" ]
+    in
+    let raw_element =
+      oneofl [ "script"; "style" ] >>= fun tag ->
+      let case = oneofl [ Fun.id; String.uppercase_ascii; String.capitalize_ascii ] in
+      map3 (fun o body c -> Printf.sprintf "<%s>%s</%s >" (o tag) body (c tag)) case raw_body
+        (frequency [ (8, case); (1, return (fun _ -> "scrip")) ])
+    in
+    let element =
+      fix
+        (fun self depth ->
+          let leaf = frequency [ (3, text); (1, misc) ] in
+          if depth = 0 then leaf
+          else
+            frequency
+              [
+                (3, leaf);
+                ( 4,
+                  name >>= fun n ->
+                  list_size (int_bound 3) attr >>= fun attrs ->
+                  space >>= fun sp ->
+                  list_size (int_bound 4) (self (depth - 1)) >>= fun kids ->
+                  frequency [ (12, return n); (1, name); (2, return (String.uppercase_ascii n)) ]
+                  >>= fun close ->
+                  frequency
+                    [
+                      ( 8,
+                        return
+                          (Printf.sprintf "<%s%s%s>%s</%s%s>" n (String.concat "" attrs) sp
+                             (String.concat "" kids) close sp) );
+                      (3, return (Printf.sprintf "<%s%s%s/>" n (String.concat "" attrs) sp));
+                      ( 1,
+                        return (Printf.sprintf "<%s%s>%s" n (String.concat "" attrs) (String.concat "" kids))
+                      );
+                    ] );
+                (1, raw_element);
+              ])
+        3
+    in
+    (* most documents bind the prefixes their names use *)
+    frequency
+      [
+        (3, map (Printf.sprintf "<r xmlns:p=\"urn:p\" xmlns:q=\"urn:q\">%s</r>") element);
+        (1, element);
+      ])
+
+(* The pages the parser meets: the end-to-end benchmark's page-load and
+   click pages, the scenario pages, and the pages written out in
+   [examples/] (read from the source tree, from the repository root or
+   from the test's build directory). *)
+let example_pages =
+  lazy
+    (let dir = List.find Sys.file_exists [ "examples"; "../examples" ] in
+     let literals src =
+       let rec go i acc =
+         match Str.search_forward (Str.regexp_string "{|") src i with
+         | exception Not_found -> acc
+         | j -> (
+             match Str.search_forward (Str.regexp_string "|}") src j with
+             | exception Not_found -> acc
+             | k ->
+                 let lit = String.sub src (j + 2) (k - j - 2) in
+                 go (k + 2) (if String.length lit > 0 && lit.[0] = '<' then lit :: acc else acc))
+       in
+       go 0 []
+     in
+     let pages =
+       Sys.readdir dir |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".ml")
+       |> List.concat_map (fun f ->
+              literals (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+     in
+     if pages = [] then failwith "no page literals found in examples/";
+     pages)
+
+let real_pages =
+  lazy
+    (let st = Random.State.make [| 7 |] in
+     let gen_pages =
+       List.init 8 (fun index ->
+           (Gen.gen_page st ~index ~items:(1 + (index * 7)) ~pooled:(index mod 2 = 0)).Gen.html)
+     in
+     let clock = Virtual_clock.create () in
+     let http = Http_sim.create clock in
+     Array.of_list
+       (gen_pages
+       @ [
+           (Gen.click_input ~seed:11 ~ops:10).Gen.html;
+           Scenarios.shop_xquery_page;
+           Scenarios.mult_table_js_page 4;
+           Scenarios.mult_table_xquery_page 4;
+           Scenarios.setup_mashup http;
+           Scenarios.setup_suggest http;
+         ]
+       @ Lazy.force example_pages))
+
+(* 1-4 byte edits: a byte replaced, a span deleted or duplicated, a
+   markup byte inserted *)
+let mutate_gen src =
+  Q.Gen.(
+    let markup = oneofl [ '<'; '>'; '&'; ';'; '"'; '\''; '/'; '\n'; ':'; '='; '!'; '?'; '-'; ']'; '#'; 'x'; '\000' ] in
+    let edit s =
+      let n = String.length s in
+      if n = 0 then map (String.make 1) markup
+      else
+        int_bound (n - 1) >>= fun i ->
+        int_bound (min 16 (n - i)) >>= fun len ->
+        markup >>= fun c ->
+        oneofl
+          [
+            String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1);
+            String.sub s 0 i ^ String.sub s (i + len) (n - i - len);
+            String.sub s 0 (i + len) ^ String.sub s i (n - i);
+            String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+          ]
+    in
+    int_range 1 4 >>= fun k ->
+    let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+    go k src)
+
+let input_gen =
+  Q.Gen.(
+    frequency
+      [
+        (3, doc_gen);
+        (1, doc_gen >>= mutate_gen);
+        ( 3,
+          int_bound (Array.length (Lazy.force real_pages) - 1) >>= fun i ->
+          mutate_gen (Lazy.force real_pages).(i) );
+      ])
+
+let differential_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (Q.Test.make ~count:300 ~long_factor:50
+         ~name:"the parser matches the oracle in trees and in errors"
+         (Q.make ~print:(fun s -> Printf.sprintf "%S" s) input_gen)
+         (fun src ->
+           List.for_all
+             (fun (uppercase_tags, keep_whitespace) ->
+               let options = { Xml_parser.uppercase_tags; keep_whitespace } in
+               outcome (Xml_parser.parse ~options) src
+               = outcome (Xml_parser_oracle.parse ~options) src)
+             [ (false, true); (true, true); (false, false); (true, false) ]));
+  ]
+
+(* ---------- allocation ---------- *)
+
+(* Words allocated per input byte by a parse, counted after a minor
+   collection as minor + major - promoted: a copy of the page made per
+   script goes straight to the major heap, which minor words miss. *)
+let words_per_byte src =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (Xml_parser.parse src));
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int (String.length src)
+
+let allocation_tests =
+  [
+    t "a parse allocates the same per byte with 20 scripts as with 1" (fun () ->
+        let page = (Gen.gen_page (Random.State.make [| 5 |]) ~index:1 ~items:2_000 ~pooled:true).Gen.html in
+        let head = String.index page '\n' + 1 in
+        let script = Printf.sprintf "<script type=\"text/xquery\">%s</script>\n" (Gen.summary_script ~cat:1 ~above:5 ~label:"x") in
+        let twenty =
+          String.sub page 0 head
+          ^ String.concat "" (List.init 19 (fun _ -> script))
+          ^ String.sub page head (String.length page - head)
+        in
+        ignore (words_per_byte page);
+        let ratio = words_per_byte twenty /. words_per_byte page in
+        if ratio > 1.2 then
+          Alcotest.failf "words per byte with 20 scripts / with 1 = %.2f (bound 1.2)" ratio);
+  ]
+
+let suite =
+  qname_tests @ escape_tests @ parser_tests @ serializer_tests @ allocation_tests
+  @ differential_tests

@@ -386,7 +386,36 @@ let edge_tests =
     eq "self-closing with space" "<br/>" "<br />";
   ]
 
+(* A character reference must name an XML character (XQST0090), in a
+   string literal as in direct constructor content and attributes. *)
+let char_ref_tests =
+  [
+    eq "character references decode" "A \xF0\x9F\x98\x80 \xEF\xBF\xBD"
+      "('&#65;', '&#x1F600;', '&#xFFFD;')";
+    eq "a reference in constructor content decodes" "<a b=\"A\">A</a>" "<a b='&#x41;'>&#65;</a>";
+    t "a reference to NUL in a string literal fails" (fun () -> expect_error "XQST0090" "'&#0;'");
+    t "a surrogate reference in a string literal fails" (fun () ->
+        expect_error "XQST0090" "\"&#xD800;\"");
+    t "malformed and overflowing references fail" (fun () ->
+        expect_error "XQST0090" "'&#xZZ;'";
+        expect_error "XQST0090" "'&#99999999999999999999;'";
+        expect_error "XQST0090" "'&#xFFFE;'");
+    t "a bad reference in element content fails" (fun () -> expect_error "XQST0090" "<a>&#0;</a>");
+    t "a bad reference in an attribute fails" (fun () ->
+        expect_error "XQST0090" "<a b=\"x&#xD800;\"/>");
+    t "the message names the reference" (fun () ->
+        match Engine.eval_string "'ab&#1;'" with
+        | exception Xq_error.Error e ->
+            check Alcotest.bool e.Xq_error.message true
+              (Str.string_match (Str.regexp ".*&#1;") e.Xq_error.message 0)
+        | _ -> Alcotest.fail "expected XQST0090");
+    t "codepoints-to-string shares the character check" (fun () ->
+        expect_error "FOCH0001" "codepoints-to-string(0)";
+        expect_error "FOCH0001" "codepoints-to-string(55296)";
+        check Alcotest.string "tab" "\t" (run_str "codepoints-to-string(9)"));
+  ]
+
 let suite =
   lexer_tests @ arithmetic_tests @ comparison_tests @ flwor_tests
   @ quantified_typeswitch_tests @ path_tests @ constructor_tests @ type_tests
-  @ declaration_tests @ edge_tests
+  @ declaration_tests @ edge_tests @ char_ref_tests
