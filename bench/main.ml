@@ -18,6 +18,7 @@
 module B = Xqib.Browser
 module AS = Appserver.App_server
 module Fleet = Appserver.Fleet
+module Ablation = Xmlb.Ablation
 open Bench_util
 
 let () = Minijs.Js_interp.install ()
@@ -544,11 +545,14 @@ let bench_t8 () =
   Printf.printf "%-8s %-22s %14s %14s %9s\n" "n" "workload" "accelerated"
     "naive" "speedup";
   let measure ~name ~n f =
-    Dom.set_acceleration true;
-    let fast = ns_per_run f in
-    Dom.set_acceleration false;
-    let naive = ns_per_run f in
-    Dom.set_acceleration true;
+    let fast =
+      Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
+          ns_per_run f)
+    in
+    let naive =
+      Ablation.with_ { Ablation.current with acceleration = false } (fun () ->
+          ns_per_run f)
+    in
     let speedup = naive /. fast in
     entries :=
       json_entry ~name:(name ^ "/naive") ~n naive
@@ -715,22 +719,6 @@ let bench_t9 ?(check = false) ?trace_file () =
 (* ------------------------------------------------------------------ *)
 (* T10 — compiled-query cache: repeated page-load compile cost          *)
 
-(* Run [f] with the query cache forced on/off and emptied of entries
-   and stats, restoring the default (enabled) afterwards. *)
-let with_cache enabled f =
-  let qc = Xquery.Engine.query_cache in
-  Xquery.Query_cache.set_enabled enabled;
-  Xquery.Query_cache.clear qc;
-  Xquery.Query_cache.reset_stats qc;
-  let finish () = Xquery.Query_cache.set_enabled true in
-  match f () with
-  | r ->
-      finish ();
-      r
-  | exception e ->
-      finish ();
-      raise e
-
 (* A page script shaped like real page code: a prolog of function
    declarations plus a small body. Reloading the page re-compiles it
    against a fresh static context every time — the cache's target. *)
@@ -762,15 +750,18 @@ let bench_t10 ?(check = false) () =
                 ~static:(Xquery.Engine.default_static ())
                 src))
       in
-      let off = with_cache false (fun () -> ns_per_run compile_once) in
+      let off =
+        Ablation.with_ { Ablation.current with query_cache = false } (fun () ->
+            ns_per_run compile_once)
+      in
       let cold =
-        with_cache true (fun () ->
+        Ablation.with_ { Ablation.current with query_cache = true } (fun () ->
             ns_per_run (fun () ->
                 Xquery.Query_cache.clear qc;
                 compile_once ()))
       in
       let warm =
-        with_cache true (fun () ->
+        Ablation.with_ { Ablation.current with query_cache = true } (fun () ->
             compile_once ();
             ns_per_run compile_once)
       in
@@ -802,9 +793,12 @@ let bench_t10 ?(check = false) () =
     Xqib.Page.load b page;
     B.run b
   in
-  let load_off = with_cache false (fun () -> ns_per_run ~quota:1.0 load_page) in
+  let load_off =
+    Ablation.with_ { Ablation.current with query_cache = false } (fun () ->
+        ns_per_run ~quota:1.0 load_page)
+  in
   let load_warm =
-    with_cache true (fun () ->
+    Ablation.with_ { Ablation.current with query_cache = true } (fun () ->
         load_page ();
         ns_per_run ~quota:1.0 load_page)
   in
@@ -820,7 +814,7 @@ let bench_t10 ?(check = false) () =
     (* transparency gate (a): a scenario page must render the same DOM
        with the cache on (twice, so the second load is a hit) and off *)
     let render_with enabled =
-      with_cache enabled (fun () ->
+      Ablation.with_ { Ablation.current with query_cache = enabled } (fun () ->
           let render () =
             let b = B.create () in
             Xqib.Page.load b (Scenarios.mult_table_xquery_page 9);
@@ -840,7 +834,8 @@ let bench_t10 ?(check = false) () =
     (* transparency gate (b): the second cache-on load above and the
        warm measurements must actually have hit the cache *)
     let hit_rate_seen =
-      with_cache true (fun () ->
+      Ablation.with_ { Ablation.current with query_cache = true } (fun () ->
+          Xquery.Query_cache.reset_stats qc;
           let compile_twice () =
             ignore
               (Xquery.Engine.compile_cached
@@ -874,15 +869,6 @@ let t11_doc n =
   done;
   Buffer.add_string buf "</div></body></html>";
   Dom.of_string (Buffer.contents buf)
-
-(* production (the closure compiler, which streams) or the eager
-   reference evaluator *)
-let with_compiled enabled f =
-  let prev = Xquery.Engine.compiled_eval_enabled () in
-  Xquery.Engine.set_compiled_eval enabled;
-  Fun.protect
-    ~finally:(fun () -> Xquery.Engine.set_compiled_eval prev)
-    f
 
 let bench_t11 ?(check = false) () =
   section "T11"
@@ -927,7 +913,7 @@ let bench_t11 ?(check = false) () =
         in
         (* correctness first: the reference evaluator is the oracle *)
         let result enabled =
-          with_compiled enabled (fun () ->
+          Ablation.with_ { Ablation.current with compiled_eval = enabled } (fun () ->
               Xdm_item.to_display_string
                 (Xquery.Engine.run ~context_item:(Xdm_item.Node doc) q))
         in
@@ -935,8 +921,12 @@ let bench_t11 ?(check = false) () =
           Printf.eprintf "T11 FAIL: production result differs on %s\n" src;
           exit 1
         end;
-        let stream = with_compiled true (fun () -> ns_per_run run) in
-        let eager = with_compiled false (fun () -> ns_per_run run) in
+        let stream =
+          Ablation.with_ { Ablation.current with compiled_eval = true } (fun () -> ns_per_run run)
+        in
+        let eager =
+          Ablation.with_ { Ablation.current with compiled_eval = false } (fun () -> ns_per_run run)
+        in
         let speedup = eager /. stream in
         if gate && n = n_max && speedup >= (if smoke_enabled () then 5. else 10.)
         then incr wins;
@@ -975,8 +965,12 @@ let bench_t11 ?(check = false) () =
           (Sys.opaque_identity
              (Xquery.Engine.run ~context_item:(Xdm_item.Node doc) q))
       in
-      let stream = with_compiled true (fun () -> ns_per_run run) in
-      let eager = with_compiled false (fun () -> ns_per_run run) in
+      let stream =
+        Ablation.with_ { Ablation.current with compiled_eval = true } (fun () -> ns_per_run run)
+      in
+      let eager =
+        Ablation.with_ { Ablation.current with compiled_eval = false } (fun () -> ns_per_run run)
+      in
       let delta = (stream -. eager) /. eager in
       Printf.printf "A/A %s delta (try %d): %+.1f%%\n" name tries
         (100. *. delta);
@@ -1021,20 +1015,8 @@ let t12_doc n =
   Buffer.add_string buf "</catalog></body></html>";
   Dom.of_string (Buffer.contents buf)
 
-let with_join_planning enabled f =
-  let prev = Xquery.Optimizer.join_planning_enabled () in
-  Xquery.Optimizer.set_join_planning enabled;
-  Fun.protect
-    ~finally:(fun () -> Xquery.Optimizer.set_join_planning prev)
-    f
-
-let with_value_index enabled f =
-  let prev = Dom.value_index_enabled () in
-  Dom.set_value_index enabled;
-  Fun.protect ~finally:(fun () -> Dom.set_value_index prev) f
-
 let compile_with_planning planning src =
-  with_join_planning planning (fun () ->
+  Ablation.with_ { Ablation.current with join_planning = planning } (fun () ->
       Xquery.Engine.compile ~static:(Xquery.Engine.default_static ()) src)
 
 let bench_t12 ?(check = false) () =
@@ -1098,14 +1080,18 @@ let bench_t12 ?(check = false) () =
         let q =
           Xquery.Engine.compile ~static:(Xquery.Engine.default_static ()) src
         in
-        let result enabled = with_value_index enabled (fun () -> show q) in
+        let result enabled =
+          Ablation.with_ { Ablation.current with value_index = enabled } (fun () -> show q)
+        in
         if result true <> result false then begin
           Printf.eprintf "T12 FAIL: indexed result differs on %s\n" src;
           exit 1
         end;
         record ~name ~gate
-          (with_value_index true (fun () -> ns_per_run (run_q q)))
-          (with_value_index false (fun () -> ns_per_run (run_q q)))
+          (Ablation.with_ { Ablation.current with value_index = true } (fun () ->
+               ns_per_run (run_q q)))
+          (Ablation.with_ { Ablation.current with value_index = false } (fun () ->
+               ns_per_run (run_q q)))
       in
       List.iter (fun (name, src) -> measure_join ~name ~gate:true src)
         join_queries;
@@ -1126,7 +1112,7 @@ let bench_t12 ?(check = false) () =
       ~static:(Xquery.Engine.default_static ())
       "count(//product[@sku eq 's123'])"
   in
-  with_value_index true (fun () ->
+  Ablation.with_ { Ablation.current with value_index = true } (fun () ->
       ignore (Xquery.Engine.run ~context_item:ctx q_lookup));
   Obs.Metrics.enabled := prev_metrics;
   let builds = Obs.Metrics.counter "xquery.join.hash_builds"
@@ -1199,8 +1185,12 @@ let bench_t12 ?(check = false) () =
           (fun () -> ns_per_run (run_q q_on)),
           fun () -> ns_per_run (run_q q_off) );
         ( "vidx/non-indexable",
-          (fun () -> with_value_index true (fun () -> ns_per_run (run_q q_scan))),
-          fun () -> with_value_index false (fun () -> ns_per_run (run_q q_scan))
+          (fun () ->
+            Ablation.with_ { Ablation.current with value_index = true } (fun () ->
+                ns_per_run (run_q q_scan))),
+          fun () ->
+            Ablation.with_ { Ablation.current with value_index = false } (fun () ->
+                ns_per_run (run_q q_scan))
         );
       ];
     print_endline "T12 check: results identical, speedup bar met, A/A ties"
@@ -1225,7 +1215,7 @@ let t13_doc n =
   Dom.of_string (Buffer.contents buf)
 
 let compile_with_compiled compiled src =
-  with_compiled compiled (fun () ->
+  Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
       Xquery.Engine.compile ~static:(Xquery.Engine.default_static ()) src)
 
 let bench_t13 ?(check = false) () =
@@ -1277,14 +1267,20 @@ let bench_t13 ?(check = false) () =
         let q_i = compile_with_compiled false src in
         (* correctness first: the reference evaluator is the oracle *)
         if
-          with_compiled true (fun () -> show q_c)
-          <> with_compiled false (fun () -> show q_i)
+          Ablation.with_ { Ablation.current with compiled_eval = true } (fun () -> show q_c)
+          <> Ablation.with_ { Ablation.current with compiled_eval = false } (fun () -> show q_i)
         then begin
           Printf.eprintf "T13 FAIL: compiled result differs on %s\n" src;
           exit 1
         end;
-        let fast = with_compiled true (fun () -> ns_per_run (run_q q_c)) in
-        let slow = with_compiled false (fun () -> ns_per_run (run_q q_i)) in
+        let fast =
+          Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
+              ns_per_run (run_q q_c))
+        in
+        let slow =
+          Ablation.with_ { Ablation.current with compiled_eval = false } (fun () ->
+              ns_per_run (run_q q_i))
+        in
         let speedup = slow /. fast in
         if gate && n = n_max && speedup >= (if smoke_enabled () then 1.5 else 3.)
         then incr wins;
@@ -1309,7 +1305,7 @@ let bench_t13 ?(check = false) () =
      \"ping\" at (//item)[1] attach listener local:on"
   in
   let dispatch_cost compiled =
-    with_compiled compiled (fun () ->
+    Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
         let b = browser_with ~page:(wide_page ln) () in
         ignore (run_xq b listener_script);
         let target =
@@ -1368,8 +1364,14 @@ let bench_t13 ?(check = false) () =
     let rec aa tries (name, src) =
       let q_c = compile_with_compiled true src in
       let q_i = compile_with_compiled false src in
-      let on = with_compiled true (fun () -> ns_per_run (run_q q_c)) in
-      let off = with_compiled false (fun () -> ns_per_run (run_q q_i)) in
+      let on =
+        Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
+            ns_per_run (run_q q_c))
+      in
+      let off =
+        Ablation.with_ { Ablation.current with compiled_eval = false } (fun () ->
+            ns_per_run (run_q q_i))
+      in
       let delta = (on -. off) /. off in
       Printf.printf "A/A %s delta (try %d): %+.1f%%\n" name tries
         (100. *. delta);
@@ -1427,12 +1429,6 @@ let t14_page ~regions ~vals_per ~updating =
   Buffer.add_string buf "</body></html>";
   Buffer.contents buf
 
-let with_incremental enabled f =
-  Xquery.Reactive.set_incremental enabled;
-  Fun.protect
-    ~finally:(fun () -> Xquery.Reactive.set_incremental true)
-    f
-
 let bench_t14 ?(check = false) () =
   section "T14"
     "incremental recomputation: footprint-tracked listeners vs re-run-all";
@@ -1478,7 +1474,7 @@ let bench_t14 ?(check = false) () =
      including conditionally-updating listeners that cross their
      threshold mid-sequence — and require identical final documents. *)
   let final_doc ~incremental ~updating =
-    with_incremental incremental (fun () ->
+    Ablation.with_ { Ablation.current with incremental } (fun () ->
         let ((b, divs, _) as st) = setup ~updating () in
         let ev = event ~all:false st in
         for _ = 1 to 3 * regions do
@@ -1513,7 +1509,7 @@ let bench_t14 ?(check = false) () =
   let skip_ratio = ref 0. in
   let measure ~name ~all ~updating =
     let time ~incremental =
-      with_incremental incremental (fun () ->
+      Ablation.with_ { Ablation.current with incremental } (fun () ->
           let st = setup ~updating () in
           let ev = event ~all st in
           ev ();
@@ -1570,7 +1566,7 @@ let bench_t14 ?(check = false) () =
        hiccups *)
     let rec aa tries =
       let time ~incremental =
-        with_incremental incremental (fun () ->
+        Ablation.with_ { Ablation.current with incremental } (fun () ->
             let st = setup ~updating:false () in
             let ev = event ~all:true st in
             ev ();
@@ -1716,10 +1712,6 @@ let bench_t15 ?(check = false) () =
    the ablated String.equal pays for most of the length before it
    can decide; the interned compare is two ints regardless. *)
 
-let with_interning enabled f =
-  Dom.set_interned_fastpaths enabled;
-  Fun.protect ~finally:(fun () -> Dom.set_interned_fastpaths true) f
-
 let t16_prefix = String.make 96 'x'
 let t16_name tag = t16_prefix ^ "-" ^ tag
 
@@ -1779,11 +1771,11 @@ let bench_t16 ?(check = false) () =
   ignore (Sys.opaque_identity (Dom.of_string xml));
   let size2 = Xmlb.Sym.size () in
   let parse_on =
-    with_interning true (fun () ->
+    Ablation.with_ { Ablation.current with interning = true } (fun () ->
         ns_per_run (fun () -> ignore (Sys.opaque_identity (Dom.of_string xml))))
   in
   let parse_off =
-    with_interning false (fun () ->
+    Ablation.with_ { Ablation.current with interning = false } (fun () ->
         ns_per_run (fun () -> ignore (Sys.opaque_identity (Dom.of_string xml))))
   in
   Printf.printf "%-8d %-18s %14s %14s %9s\n" n_parse "workload" "interned"
@@ -1822,15 +1814,19 @@ let bench_t16 ?(check = false) () =
       Xdm_item.to_display_string (Xquery.Engine.run ~context_item:ctx q)
     in
     (* correctness first: the ablation switch is the test oracle *)
-    let r_on = with_interning true show in
-    let r_off = with_interning false show in
+    let r_on = Ablation.with_ { Ablation.current with interning = true } show in
+    let r_off = Ablation.with_ { Ablation.current with interning = false } show in
     if not (String.equal r_on r_off) then begin
       Printf.eprintf "T16 FAIL: interned result differs on %s (%s vs %s)\n"
         name r_on r_off;
       exit 1
     end;
-    let fast = with_interning true (fun () -> ns_per_run run_q) in
-    let slow = with_interning false (fun () -> ns_per_run run_q) in
+    let fast =
+      Ablation.with_ { Ablation.current with interning = true } (fun () -> ns_per_run run_q)
+    in
+    let slow =
+      Ablation.with_ { Ablation.current with interning = false } (fun () -> ns_per_run run_q)
+    in
     let speedup = slow /. fast in
     Printf.printf "%-8s %-18s %14s %14s %8.1fx\n" "" name (pretty_ns fast)
       (pretty_ns slow) speedup;
@@ -1862,7 +1858,7 @@ let bench_t16 ?(check = false) () =
     (b, divs, firsts, spare)
   in
   let dispatch_cost ~miss enabled =
-    with_interning enabled (fun () ->
+    Ablation.with_ { Ablation.current with interning = enabled } (fun () ->
         let b, divs, firsts, spare = setup () in
         let c = ref 0 in
         let ev () =

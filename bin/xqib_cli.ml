@@ -56,83 +56,63 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:"Count engine events (axis steps, cache hits, faults, ...) and print the registry as JSON after the run.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-query-cache" ]
-        ~doc:
-          "Disable the compiled-query cache: every script/expression is \
-           parsed and optimized from scratch (A/B baseline for the cache).")
-
 let cache_stats_arg =
   Arg.(
     value & flag
     & info [ "cache-stats" ]
         ~doc:"Print query-cache statistics (hits, misses, evictions, bytes saved) after the run.")
 
-let no_value_index_arg =
-  Arg.(
-    value & flag
-    & info [ "no-value-index" ]
-        ~doc:
-          "Disable the DOM value indexes: [@k eq 'v']-style predicate \
-           lookups and hash-join key refinement scan the tree instead \
-           (A/B baseline for the value index). Combine with --metrics \
-           to compare the dom.value_index.hits counter.")
-
-let no_interning_arg =
-  Arg.(
-    value & flag
-    & info [ "no-interning" ]
-        ~doc:
-          "Disable the interned-name fast paths: QName equality and \
-           name-keyed index probes compare and hash strings instead of \
-           pre-interned symbols (A/B baseline for name interning; the \
-           intern table itself stays on — see the sym element of \
-           browser:stats()).")
-
-let no_join_planner_arg =
-  Arg.(
-    value & flag
-    & info [ "no-join-planner" ]
-        ~doc:
-          "Disable the equi-join planner: two-for FLWOR joins run as \
-           nested loops instead of hash joins (A/B baseline for the \
-           planner; see the xquery.join.* counters).")
-
-let no_compiled_eval_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compiled-eval" ]
-        ~doc:
-          "Run the eager reference evaluator, which walks the AST, \
-           instead of the closure compiler, production's one evaluator \
-           (A/B baseline and oracle; see the compile element of \
-           browser:stats()).")
-
-let no_incremental_arg =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Disable incremental listener recomputation: every event \
-           dispatch re-runs every matching listener instead of skipping \
-           those whose read footprint no mutation has touched (A/B \
-           baseline; see the reactive element of browser:stats()).")
+(* The six --no-* flags, parsed into the one configuration a command
+   runs under (A/B baselines and oracles; every layer is on by
+   default). *)
+let ablation_arg =
+  let off name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let config no_cache no_value_index no_interning no_join_planner
+      no_compiled_eval no_incremental =
+    {
+      Xmlb.Ablation.current with
+      query_cache = not no_cache;
+      value_index = not no_value_index;
+      interning = not no_interning;
+      join_planning = not no_join_planner;
+      compiled_eval = not no_compiled_eval;
+      incremental = not no_incremental;
+    }
+  in
+  Term.(
+    const config
+    $ off "no-query-cache"
+        "Disable the compiled-query cache: every script/expression is \
+         parsed and optimized from scratch (A/B baseline for the cache)."
+    $ off "no-value-index"
+        "Disable the DOM value indexes: [@k eq 'v']-style predicate \
+         lookups and hash-join key refinement scan the tree instead \
+         (A/B baseline for the value index). Combine with --metrics \
+         to compare the dom.value_index.hits counter."
+    $ off "no-interning"
+        "Disable the interned-name fast paths: QName equality and \
+         name-keyed index probes compare and hash strings instead of \
+         pre-interned symbols (A/B baseline for name interning; the \
+         intern table itself stays on — see the sym element of \
+         browser:stats())."
+    $ off "no-join-planner"
+        "Disable the equi-join planner: two-for FLWOR joins run as \
+         nested loops instead of hash joins (A/B baseline for the \
+         planner; see the xquery.join.* counters)."
+    $ off "no-compiled-eval"
+        "Run the eager reference evaluator, which walks the AST, \
+         instead of the closure compiler, production's one evaluator \
+         (A/B baseline and oracle; see the compile element of \
+         browser:stats())."
+    $ off "no-incremental"
+        "Disable incremental listener recomputation: every event \
+         dispatch re-runs every matching listener instead of skipping \
+         those whose read footprint no mutation has touched (A/B \
+         baseline; see the reactive element of browser:stats()).")
 
 let obs_setup ~trace ~metrics =
   if trace <> None then Obs.Trace.set_enabled true;
   if metrics || trace <> None then Obs.Metrics.set_enabled true
-
-let cache_setup ~no_cache = if no_cache then Xquery.Query_cache.set_enabled false
-
-let plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-    ~no_incremental ~no_interning =
-  if no_value_index then Dom.set_value_index false;
-  if no_join_planner then Xquery.Optimizer.set_join_planning false;
-  if no_compiled_eval then Xquery.Engine.set_compiled_eval false;
-  if no_incremental then Xquery.Reactive.set_incremental false;
-  if no_interning then Dom.set_interned_fastpaths false
 
 let cache_report ~cache_stats =
   if cache_stats then begin
@@ -142,7 +122,7 @@ let cache_report ~cache_stats =
       "== query cache ==\n\
        enabled: %b  entries: %d/%d  generation: %d\n\
        hits: %d  misses: %d  hit-rate: %.1f%%  evictions: %d  source bytes saved: %d\n"
-      !Xquery.Query_cache.enabled s.Xquery.Query_cache.entries
+      Xmlb.Ablation.current.query_cache s.Xquery.Query_cache.entries
       (Xquery.Query_cache.capacity c)
       (Xquery.Query_cache.generation c)
       s.Xquery.Query_cache.hits s.Xquery.Query_cache.misses
@@ -187,13 +167,9 @@ let eval_cmd =
   let optimize =
     Arg.(value & opt bool true & info [ "optimize" ] ~doc:"Run the rewrite optimizer.")
   in
-  let run expr optimize trace metrics no_cache cache_stats
-      no_value_index no_join_planner no_compiled_eval no_incremental
-      no_interning =
+  let run expr optimize trace metrics cache_stats ablation =
     obs_setup ~trace ~metrics;
-    cache_setup ~no_cache;
-    plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-      ~no_incremental ~no_interning;
+    Xmlb.Ablation.with_ ablation @@ fun () ->
     handle (fun () ->
         print_result (Xquery.Engine.eval_string ~optimize expr);
         obs_report ~trace ~metrics;
@@ -201,21 +177,16 @@ let eval_cmd =
   in
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate an XQuery expression")
     Term.(
-      const run $ expr $ optimize $ trace_arg $ metrics_arg $ no_cache_arg
-      $ cache_stats_arg $ no_value_index_arg
-      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
-      $ no_interning_arg)
+      const run $ expr $ optimize $ trace_arg $ metrics_arg $ cache_stats_arg
+      $ ablation_arg)
 
 (* ---- run ---- *)
 
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.xq") in
-  let run file trace metrics no_cache cache_stats no_value_index
-      no_join_planner no_compiled_eval no_incremental no_interning =
+  let run file trace metrics cache_stats ablation =
     obs_setup ~trace ~metrics;
-    cache_setup ~no_cache;
-    plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-      ~no_incremental ~no_interning;
+    Xmlb.Ablation.with_ ablation @@ fun () ->
     handle (fun () ->
         print_result (Xquery.Engine.eval_string (read_file file));
         obs_report ~trace ~metrics;
@@ -224,10 +195,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run an XQuery program file")
     Term.(
-      const run $ file $ trace_arg $ metrics_arg $ no_cache_arg
-      $ cache_stats_arg $ no_value_index_arg
-      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
-      $ no_interning_arg)
+      const run $ file $ trace_arg $ metrics_arg $ cache_stats_arg
+      $ ablation_arg)
 
 (* ---- page ---- *)
 
@@ -271,16 +240,13 @@ let page_cmd =
              seed replays the exact same schedule.")
   in
   let run file clicks types show_doc render uppercase query fault_rate seed
-      trace metrics no_cache cache_stats no_value_index
-      no_join_planner no_compiled_eval no_incremental no_interning =
+      trace metrics cache_stats ablation =
     if fault_rate < 0. || fault_rate >= 1. then begin
       Printf.eprintf "error: --fault-rate must be in [0, 1), got %g\n" fault_rate;
       exit 2
     end;
     obs_setup ~trace ~metrics;
-    cache_setup ~no_cache;
-    plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-      ~no_incremental ~no_interning;
+    Xmlb.Ablation.with_ ablation @@ fun () ->
     handle (fun () ->
         Minijs.Js_interp.install ();
         let b =
@@ -359,10 +325,8 @@ let page_cmd =
     (Cmd.info "page" ~doc:"Load an (X)HTML page in the simulated browser")
     Term.(
       const run $ file $ clicks $ types $ show_doc $ render $ uppercase $ query
-      $ fault_rate $ seed $ trace_arg $ metrics_arg $ no_cache_arg
-      $ cache_stats_arg $ no_value_index_arg
-      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
-      $ no_interning_arg)
+      $ fault_rate $ seed $ trace_arg $ metrics_arg $ cache_stats_arg
+      $ ablation_arg)
 
 (* ---- migrate ---- *)
 

@@ -62,6 +62,11 @@
 # the line-and-column-tracking oracle it replaced differ in the tree
 # (QName prefix, URI and local name, attribute order, text) or in the
 # Parse_error's line, column and message.
+# The CLI lines run xqib on a one-element page, once without flags and
+# once with each of its six --no-* flags, and read the *-enabled
+# attributes browser:stats() writes for the seven fields of the ablation
+# record (lib/xmlb/ablation.ml): they fail unless the run without flags
+# reads every field on and each flag turns off exactly its own field.
 # The perfbench line runs the end-to-end benchmark's own tests: it fails
 # if one seed does not give the same inputs and the same traced counts
 # twice, if a deliberately wrong expectation does not fail ops, or if
@@ -82,4 +87,25 @@ dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-order > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test compile > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test xmlb > /dev/null
+printf '<html/>' > /tmp/xqib_ci_page.html
+ablation_fields() {
+  dune exec bin/xqib_cli.exe -- page /tmp/xqib_ci_page.html "$@" --query \
+    "for \$a in browser:stats()/@*[ends-with(local-name(), '-enabled')]
+     where not(local-name(\$a) = ('metrics-enabled', 'trace-enabled'))
+     return concat(local-name(\$a), '=', \$a)" | grep -e '-enabled=' | tr '\n' ' '
+}
+all_on="acceleration-enabled=true value-index-enabled=true interning-enabled=true \
+join-planning-enabled=true compiled-eval-enabled=true query-cache-enabled=true \
+incremental-enabled=true "
+got=$(ablation_fields)
+[ "$got" = "$all_on" ] || { echo "CLI FAIL: no flags: got '$got'" >&2; exit 1; }
+for pair in no-query-cache:query-cache no-value-index:value-index \
+  no-interning:interning no-join-planner:join-planning \
+  no-compiled-eval:compiled-eval no-incremental:incremental; do
+  flag=${pair%%:*}
+  field=${pair#*:}
+  want=$(printf '%s' "$all_on" | sed "s/ $field-enabled=true / $field-enabled=false /")
+  got=$(ablation_fields "--$flag")
+  [ "$got" = "$want" ] || { echo "CLI FAIL: --$flag: got '$got'" >&2; exit 1; }
+done
 python3 perfbench/test_perfbench.py > /dev/null

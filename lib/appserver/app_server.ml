@@ -174,8 +174,7 @@ let tenant_cache t tenant =
   | None ->
       let c =
         Xquery.Query_cache.create
-          ~name:(Printf.sprintf "appserver.tenant%d" tenant)
-          ~autonomous:true ()
+          ~name:(Printf.sprintf "appserver.tenant%d" tenant) ()
       in
       Hashtbl.replace t.tenant_caches tenant c;
       c

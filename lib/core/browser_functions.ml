@@ -198,18 +198,12 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       let ints = List.map (fun (k, v) -> (k, string_of_int v)) in
       let root =
         el "stats"
-          [
-            ("virtual-time", Printf.sprintf "%.6f" (Virtual_clock.now b.Browser.clock));
-            ("metrics-enabled", string_of_bool !Obs.Metrics.enabled);
-            ("trace-enabled", string_of_bool !Obs.Trace.enabled);
-            ("value-index-enabled", string_of_bool (Dom.value_index_enabled ()));
-            ( "join-planning-enabled",
-              string_of_bool (Xquery.Optimizer.join_planning_enabled ()) );
-            ( "compiled-eval-enabled",
-              string_of_bool (Xquery.Engine.compiled_eval_enabled ()) );
-            ("incremental-enabled", string_of_bool (Xquery.Reactive.active ()));
-            ("interning-enabled", string_of_bool (Dom.interned_fastpaths_enabled ()));
-          ]
+          (("virtual-time", Printf.sprintf "%.6f" (Virtual_clock.now b.Browser.clock))
+          :: ("metrics-enabled", string_of_bool !Obs.Metrics.enabled)
+          :: ("trace-enabled", string_of_bool !Obs.Trace.enabled)
+          :: List.map
+               (fun (field, on) -> (field ^ "-enabled", string_of_bool on))
+               (Ablation.fields Ablation.current))
       in
       let counters = el "counters" [] in
       Dom.fill counters ~attrs:[]
@@ -240,7 +234,7 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       let qc =
         el "query-cache"
           [
-            ("enabled", string_of_bool !Xquery.Query_cache.enabled);
+            ("enabled", string_of_bool Ablation.current.query_cache);
             ("hits", string_of_int s.Xquery.Query_cache.hits);
             ("misses", string_of_int s.Xquery.Query_cache.misses);
             ("evictions", string_of_int s.Xquery.Query_cache.evictions);
@@ -261,13 +255,13 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       in
       let re =
         el "reactive"
-          (("enabled", string_of_bool (Xquery.Reactive.active ()))
+          (("enabled", string_of_bool Ablation.current.incremental)
           :: ("listeners", string_of_int (document_listeners ()))
           :: ints (Xquery.Reactive.counter_stats ()))
       in
       let sy =
         el "sym"
-          (("enabled", string_of_bool (Dom.interned_fastpaths_enabled ()))
+          (("enabled", string_of_bool Ablation.current.interning)
           :: ints (Xmlb.Sym.stats ()))
       in
       Dom.fill root ~attrs:[] [ counters; hists; spans; qc; ce; st; re; sy ];

@@ -10,12 +10,9 @@ let engines : (string, script_engine) Hashtbl.t = Hashtbl.create 4
 let register_script_engine ~script_type engine =
   Hashtbl.replace engines (String.lowercase_ascii script_type) engine
 
-type options = {
-  execution_order : [ `Js_first | `Document_order ];
-  run_inline_handlers : bool;
-}
+type options = { execution_order : [ `Js_first | `Document_order ] }
 
-let default_options = { execution_order = `Js_first; run_inline_handlers = true }
+let default_options = { execution_order = `Js_first }
 
 (* per-window page state: one static + dynamic context shared by all
    XQuery scripts of the page (prolog accumulates, Fig. 1), kept on the
@@ -121,12 +118,9 @@ let fresh_state (b : Browser.t) window =
 let state_for b window =
   match page_state window with Some st -> st | None -> fresh_state b window
 
-let traced ?attrs name f =
-  if !Obs.Trace.enabled then Obs.Trace.with_span ?attrs name f else f ()
-
 (* run one XQuery script source in the window's page context *)
 let run_xquery_source b window source =
-  traced "page.script" @@ fun () ->
+  Obs.Trace.with_span "page.script" @@ fun () ->
   let st = state_for b window in
   let compiled = Xquery.Engine.compile_cached ~static:st.static source in
   (* install this script's compiled functions before anything can
@@ -135,7 +129,7 @@ let run_xquery_source b window source =
   (* refresh globals declared by this script's prolog *)
   Xquery.Engine.bind_globals ~strict:false st.ctx compiled;
   let result =
-    traced "engine.eval" @@ fun () ->
+    Obs.Trace.with_span "engine.eval" @@ fun () ->
     match compiled.Xquery.Engine.prog.Xquery.Ast.body with
     | Some _ -> Xquery.Engine.eval_body st.ctx compiled
     | None -> (
@@ -189,8 +183,10 @@ let rec starts_ci s lower i =
   i = String.length lower
   || (i < String.length s && Char.lowercase_ascii s.[i] = lower.[i] && starts_ci s lower (i + 1))
 
+(* The page's XQuery state is taken at the first handler compiled as
+   XQuery, so a page without one keeps none. *)
 let wire_inline_handlers b window =
-  let st = state_for b window in
+  let st = lazy (state_for b window) in
   iter_elements
     (fun el ->
       List.iter
@@ -208,6 +204,7 @@ let wire_inline_handlers b window =
               then ()
               else
               let src = shim_handler_source source in
+              let st = Lazy.force st in
               match
                 Xquery.Engine.expression st.static
                   (Xquery.Parser.parse_expression st.static src)
@@ -281,7 +278,7 @@ let run_script b window el =
         Logs.debug (fun m -> m "no script engine for %S; script skipped" ty)
 
 let rec load ?(options = default_options) ?window (b : Browser.t) html =
-  traced "page.load" @@ fun () ->
+  Obs.Trace.with_span "page.load" @@ fun () ->
   let window = match window with Some w -> w | None -> b.Browser.top_window in
   (* navigations triggered from scripts re-enter the loader *)
   b.Browser.on_navigate <-
@@ -297,7 +294,7 @@ let rec load ?(options = default_options) ?window (b : Browser.t) html =
     }
   in
   let doc =
-    traced "page.parse-html" (fun () ->
+    Obs.Trace.with_span "page.parse-html" (fun () ->
         Dom.of_tree (Xml_parser.parse ~options:parse_options html))
   in
   Browser.set_document b window doc;
@@ -312,10 +309,10 @@ let rec load ?(options = default_options) ?window (b : Browser.t) html =
         js @ rest
   in
   List.iter (run_script b window) ordered;
-  if options.run_inline_handlers then wire_inline_handlers b window
+  wire_inline_handlers b window
 
 and browse ?options ?window (b : Browser.t) uri =
-  traced ~attrs:[ ("uri", uri) ] "page.browse" @@ fun () ->
+  Obs.Trace.with_span ~attrs:[ ("uri", uri) ] "page.browse" @@ fun () ->
   let window = match window with Some w -> w | None -> b.Browser.top_window in
   Windows.navigate window uri;
   let resp = fetch_page b uri in

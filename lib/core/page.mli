@@ -38,16 +38,14 @@ val register_inline_handler_provider :
 type options = {
   execution_order : [ `Js_first | `Document_order ];
       (** §4.1: JavaScript first is the current model *)
-  run_inline_handlers : bool;
-      (** compile [on*] handler attributes (e.g. the [onkeyup] of the
-          §4.4 AJAX example) as XQuery listeners *)
 }
 
 val default_options : options
 
 (** Load a page into a window (default: the browser's top window):
     parse (honouring the IE upper-casing quirk), install the document,
-    run scripts, wire inline handlers. Also installs the browser's
+    run scripts, wire inline [on*] handlers (e.g. the [onkeyup] of the
+    §4.4 AJAX example) as listeners. Also installs the browser's
     navigation hook so [replace value of node $w/location/href …]
     re-loads pages through the simulated network. *)
 val load :
@@ -60,7 +58,8 @@ val load :
 val browse : ?options:options -> ?window:Windows.t -> Browser.t -> string -> unit
 
 (** The shared XQuery dynamic context of a window's page, if the page
-    had XQuery scripts (tests use this to poke at page state). *)
+    had XQuery scripts or [on*] handlers compiled as XQuery; [None] for
+    a page that needs none (tests use this to poke at page state). *)
 val xquery_context : Windows.t -> Xquery.Dynamic_context.t option
 
 (** Compile and run one XQuery source against a window's current page,

@@ -247,16 +247,14 @@ let copy_out piece =
 
 let render_with memos options node =
   metric "render.count";
-  let go () =
-    let st =
-      { opts = options; memos; cur = Buffer.create 256; blank = false; parts = []; inline_words = [] }
-    in
-    render_node st node;
-    flush_inline st;
-    close_leaf st;
-    copy_out (Cat (List.rev st.parts))
+  Obs.Trace.with_span "render" @@ fun () ->
+  let st =
+    { opts = options; memos; cur = Buffer.create 256; blank = false; parts = []; inline_words = [] }
   in
-  if !Obs.Trace.enabled then Obs.Trace.with_span "render" go else go ()
+  render_node st node;
+  flush_inline st;
+  close_leaf st;
+  copy_out (Cat (List.rev st.parts))
 
 let render ?(options = default_options) node = render_with None options node
 

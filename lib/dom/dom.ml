@@ -214,29 +214,12 @@ let set_slot n s =
    write updates them in place from what the write touched (see "Write
    upkeep"), so the cost of a write and of the next read follows the
    write, not the size of the tree. Buckets are sorted by label, so
-   building an index builds the labels too. The [acceleration] switch
-   keeps the naive implementations selectable as the ablation baseline
-   and test oracle. *)
-
-let acceleration = ref true
-let set_acceleration b = acceleration := b
-let acceleration_enabled () = !acceleration
-
-(* Value indexes (attribute values and flat-element text) have their
-   own switch, so join/lookup ablations can disable them without losing
+   building an index builds the labels too. [Ablation.current]'s
+   [acceleration] field keeps the naive implementations selectable as
+   the ablation baseline and test oracle; value indexes (attribute
+   values and flat-element text) have their own [value_index] field,
+   so join/lookup ablations can disable them without losing
    document-order labels. *)
-let value_index = ref true
-let set_value_index b = value_index := b
-let value_index_enabled () = !value_index
-
-(* Interned-name fast paths (the [--no-interning] ablation): forwards
-   to the global [Sym] switch, which gates [Qname.equal]/[compare] and
-   the evaluator's symbol probes. Name buckets stay symbol-keyed either
-   way — interning is a bijection, so both modes probe the same keys;
-   the switch selects whether probe keys come from pre-interned symbols
-   or are re-derived from strings. *)
-let set_interned_fastpaths b = Sym.set_fastpaths b
-let interned_fastpaths_enabled () = Sym.fastpaths_enabled ()
 
 (* The "id" attribute's symbol, compared against attribute local names
    whenever an attribute enters or leaves a tree. *)
@@ -791,7 +774,7 @@ let compare_order a b =
   else
     let ra = root a and rb = root b in
     if ra != rb then Int.compare ra.nid rb.nid
-    else if !acceleration then begin
+    else if Ablation.current.acceleration then begin
       ensure_labels ra (accel_of ra);
       if a.label >= 0 && b.label >= 0 then begin
         metric "dom.order.keyed";
@@ -808,7 +791,7 @@ let compare_order a b =
     end
 
 let order_key n =
-  if not !acceleration then None
+  if not Ablation.current.acceleration then None
   else
     let r = root n in
     ensure_labels r (accel_of r);
@@ -1430,7 +1413,7 @@ let rec scan_element_by_id n idv =
 
 let get_element_by_id n idv =
   let hit =
-    if !acceleration then begin
+    if Ablation.current.acceleration then begin
       metric "dom.lookup.by-id";
       let r = root n in
       match Hashtbl.find_opt (elems_of r (accel_of r)).by_id idv with
@@ -1458,7 +1441,7 @@ let get_element_by_id n idv =
 let get_elements_by_local_sym n (sym : Sym.t) =
   if Footprint.recording () then
     Footprint.reading_name ~root:(root_watch n) ~scope:n.nid sym;
-  if !acceleration then begin
+  if Ablation.current.acceleration then begin
     metric "dom.lookup.by-name";
     let r = root n in
     let bucket =
@@ -1518,7 +1501,7 @@ let value_lookup which n (lsym : Sym.t) v =
     | `Attr -> Footprint.reading_key ~root:rid ~scope:n.nid ~local:lsym v
     | `Text -> Footprint.reading_name ~root:rid ~scope:n.nid lsym
   end;
-  if not !value_index then None
+  if not Ablation.current.value_index then None
   else begin
     let r = root n in
     let s = accel_of r in

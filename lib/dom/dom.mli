@@ -154,13 +154,9 @@ val order_key : node -> (int * int) option
     and [dom.accel.index.rebuild] count whole-tree builds;
     [dom.delta.nodes] and [dom.delta.relabels] count the nodes write
     upkeep walked and relabelled, [dom.delta.copies] the bucket entries
-    it copied. The switch selects the naive
-    implementations instead (same observable behaviour — used for
-    ablation benchmarks and as the property-test oracle). Global; on
-    by default. *)
-
-val set_acceleration : bool -> unit
-val acceleration_enabled : unit -> bool
+    it copied. [Ablation.current]'s [acceleration] field, off, selects
+    the naive implementations instead (same observable behaviour — used
+    for ablation benchmarks and as the property-test oracle). *)
 
 (** {1 Value indexes}
 
@@ -173,24 +169,9 @@ val acceleration_enabled : unit -> bool
     buckets of {!get_element_by_id}, so they build no value buckets.
     Keyed by the value string in the per-root table, so values are not
     interned and are freed with the document.
-    Independent switch (on by default) so join/lookup ablations keep
-    document-order labels. *)
-
-val set_value_index : bool -> unit
-val value_index_enabled : unit -> bool
-
-(** {1 Interned-name fast paths}
-
-    The [--no-interning] ablation switch, forwarded to the global
-    [Xmlb.Sym] switch: gates [Qname.equal]/[compare] and the
-    evaluator's symbol-keyed probes back to string comparison. The
-    intern table itself and the symbol keying of the DOM indexes stay
-    on either way (interning is a bijection, so both modes agree on
-    every key); only the fast paths are ablated. Global; on by
-    default. *)
-
-val set_interned_fastpaths : bool -> unit
-val interned_fastpaths_enabled : unit -> bool
+    [Ablation.current]'s [value_index] field switches them, apart from
+    [acceleration], so join/lookup ablations keep document-order
+    labels. *)
 
 (** Elements in the subtree of the given node (inclusive) owning an
     attribute with the given local name (any namespace) and exact

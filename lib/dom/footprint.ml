@@ -50,7 +50,7 @@ type read = {
          functions, impure builtins) or performed effects; never skip *)
   mutable entries : int;
   mutable dirty : bool;  (* a committed write intersected it *)
-  epoch : int;  (* the [epoch] it was recorded in *)
+  generation : int;  (* [Ablation.generation] when it was recorded *)
 }
 
 (* Registered clean footprints of one root, held weakly in
@@ -63,22 +63,6 @@ and watch = {
   mutable live : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Switch                                                              *)
-
-let incremental = ref true
-
-(* Bumped when incremental recomputation is switched off: writes made
-   while it is off are not captured, so no footprint recorded before
-   can be trusted once it is back on. *)
-let epoch = ref 0
-
-let set_incremental b =
-  if !incremental && not b then incr epoch;
-  incremental := b
-
-let incremental_enabled () = !incremental
-
 let create () =
   {
     roots = [];
@@ -90,10 +74,15 @@ let create () =
     poisoned = false;
     entries = 0;
     dirty = false;
-    epoch = !epoch;
+    generation = Ablation.generation ();
   }
 
-let is_clean fp = (not fp.dirty) && fp.epoch = !epoch
+(* Writes made while [Ablation.current.incremental] is off are not
+   captured, so a footprint recorded under an earlier configuration
+   can no longer be trusted. Scans of a watch read the generation once
+   and test every entry against it with [clean]. *)
+let clean generation fp = (not fp.dirty) && fp.generation = generation
+let is_clean fp = clean (Ablation.generation ()) fp
 
 (* Past this many distinct entries a footprint stops paying for itself;
    fall back to "anything under a consulted root dirties me". *)
@@ -111,14 +100,15 @@ type wrec = {
 
 let watch () = { slots = Weak.create 0; used = 0; live = 0 }
 
-let capturing w = !incremental && w.live > 0
+let capturing w = Ablation.current.incremental && w.live > 0
 
 (* Keep the clean entries, in a fresh array with room for as many again. *)
 let compact w =
+  let generation = Ablation.generation () in
   let keep = ref [] in
   for i = w.used - 1 downto 0 do
     match Weak.get w.slots i with
-    | Some fp when is_clean fp -> keep := fp :: !keep
+    | Some fp when clean generation fp -> keep := fp :: !keep
     | _ -> ()
   done;
   w.used <- List.length !keep;
@@ -223,10 +213,11 @@ let invalidations = ref 0
 (* Mark dirty, and unregister, every footprint on [w] that [ws] (writes
    under [w]'s root) intersects. *)
 let mark w ws =
+  let generation = Ablation.generation () in
   let live = ref 0 in
   for i = 0 to w.used - 1 do
     match Weak.get w.slots i with
-    | Some fp when is_clean fp ->
+    | Some fp when clean generation fp ->
         if intersects fp ws then begin
           fp.dirty <- true;
           Weak.set w.slots i None;

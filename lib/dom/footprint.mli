@@ -33,17 +33,6 @@ val create : unit -> read
 (** A single mutation's write summary. *)
 type wrec
 
-(** {1 Switch} *)
-
-(** Global incremental-recomputation switch (the [--no-incremental]
-    ablation). Off: nothing records, nothing captures, listeners always
-    re-run. Switching it off also invalidates every footprint recorded
-    so far: the writes made while it is off go uncaptured. On by
-    default. *)
-
-val set_incremental : bool -> unit
-val incremental_enabled : unit -> bool
-
 (** {1 Watches} *)
 
 (** The footprints registered on one tree root. *)
@@ -52,7 +41,9 @@ type watch
 val watch : unit -> watch
 
 (** Should a mutation under the root of this watch be captured? Only
-    while some clean footprint is registered on it: mutations of other
+    while [Ablation.current.incremental] is on (the [--no-incremental]
+    ablation: off, nothing captures and listeners always re-run) and
+    some clean footprint is registered on it: mutations of other
     trees (fresh constructor trees, detached scratch nodes) skip write
     capture entirely. *)
 val capturing : watch -> bool
@@ -62,8 +53,9 @@ val capturing : watch -> bool
 val register : read -> unit
 
 (** Neither dirtied by a committed write since it was recorded nor
-    recorded before incremental recomputation was last switched off:
-    the run it describes would repeat exactly. *)
+    recorded under an earlier {!Xmlb.Ablation} value (writes made while
+    [incremental] is off go uncaptured): the run it describes would
+    repeat exactly. *)
 val is_clean : read -> bool
 
 (** {1 Recording (read side)}

@@ -96,7 +96,7 @@ let document_order seq =
      results; with cached order keys the linear check is cheap and
      skips the sort entirely. Without acceleration each comparison
      rebuilds root paths, so go straight to the sort. *)
-  if Dom.acceleration_enabled () && strictly_ordered nodes then seq
+  if Xmlb.Ablation.current.acceleration && strictly_ordered nodes then seq
   else
     let rec dedup = function
       | a :: b :: rest when a == b -> dedup (b :: rest)
@@ -108,7 +108,7 @@ let document_order seq =
        node without a key (shouldn't happen once caches are warm)
        drops us back to the comparator-based sort. *)
     let keyed =
-      if Dom.acceleration_enabled () then
+      if Xmlb.Ablation.current.acceleration then
         let rec decorate acc = function
           | [] -> Some (List.rev acc)
           | n :: rest -> (

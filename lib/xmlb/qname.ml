@@ -32,7 +32,7 @@ let usym t = t.usym
    identically; the switch only selects which cost is paid (the
    [--no-interning] ablation). *)
 let equal a b =
-  if !Sym.fastpaths then Sym.equal a.lsym b.lsym && a.usym = b.usym
+  if Ablation.current.interning then Sym.equal a.lsym b.lsym && a.usym = b.usym
   else
     String.equal a.local b.local && Option.equal String.equal a.uri b.uri
 
@@ -41,7 +41,7 @@ let equal a b =
    observable sorted output. The fast path only short-circuits the
    equal case to O(1). *)
 let compare a b =
-  if !Sym.fastpaths && Sym.equal a.lsym b.lsym && a.usym = b.usym then 0
+  if Ablation.current.interning && Sym.equal a.lsym b.lsym && a.usym = b.usym then 0
   else
     match Option.compare String.compare a.uri b.uri with
     | 0 -> String.compare a.local b.local

@@ -34,10 +34,6 @@ let equal (a : int) (b : int) = a = b
 let compare = Int.compare
 let hash (i : int) = i
 
-let fastpaths = ref true
-let set_fastpaths b = fastpaths := b
-let fastpaths_enabled () = !fastpaths
-
 let size () = !count
 let bytes () = !byte_count
 let hits () = !hit_count

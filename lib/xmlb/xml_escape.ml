@@ -99,10 +99,12 @@ exception Invalid_char_ref of string
 
 (* The code point of a character reference's body ("#65", "#x41"), or
    [-1] unless its digits are well formed and name an XML character.
-   Digits past 0x10FFFF stop the scan, so no body overflows. *)
+   Only a lower-case 'x' marks hex digits (XML 1.0 [66], XQuery's
+   CharRef), so "#X41" is malformed. Digits past 0x10FFFF stop the
+   scan, so no body overflows. *)
 let char_ref_code ent =
   let n = String.length ent in
-  let hex = n > 1 && (ent.[1] = 'x' || ent.[1] = 'X') in
+  let hex = n > 1 && ent.[1] = 'x' in
   let first = if hex then 2 else 1 in
   let rec go i acc =
     if i >= n then acc

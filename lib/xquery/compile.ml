@@ -34,11 +34,6 @@ type prog_code = {
   globals : (Qname.t * Ast.seq_type option * (D.t -> I.sequence) option) list;
 }
 
-(* the evaluator switch: off selects the reference evaluator *)
-let enabled_flag = ref true
-let set_compiled_eval b = enabled_flag := b
-let enabled () = !enabled_flag
-
 (* always-on counters for browser:stats(); the obs mirrors below are
    metric-guarded like every other instrumented subsystem *)
 let stat_programs = ref 0
@@ -132,13 +127,13 @@ let scan_seq axis (test : Ast.node_test) n =
   let nodes =
     match (axis, test) with
     | (Ast.Descendant | Ast.Descendant_or_self), (Ast.Local_wildcard _ | Ast.Name_test _)
-      when Dom.acceleration_enabled () ->
+      when Ablation.current.acceleration ->
         fun () ->
           metrics ();
           if !Obs.Metrics.enabled then Obs.Metrics.incr "eval.step.desc-index";
           let bucket =
             match test with
-            | Ast.Name_test qn when Sym.fastpaths_enabled () ->
+            | Ast.Name_test qn when Ablation.current.interning ->
                 Dom.get_elements_by_local_sym n qn.Qname.lsym
             | Ast.Name_test { Qname.local; _ } | Ast.Local_wildcard local ->
                 Dom.get_elements_by_local_name n local

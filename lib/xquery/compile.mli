@@ -4,8 +4,8 @@
     resolves variables to frame slots; the emitter produces one OCaml
     closure per core node, and {!Xdm_seq} cursors for the early-exit
     consumers to pull. The tree-walking {!Eval.eval} is the eager
-    reference, selected by [set_compiled_eval false] (CLI
-    [--no-compiled-eval]). *)
+    reference, selected by [Ablation.current]'s [compiled_eval] field
+    (CLI [--no-compiled-eval]). *)
 
 type fn_impl =
   Dynamic_context.t -> Xdm_item.sequence list -> Xdm_item.sequence
@@ -22,12 +22,6 @@ type prog_code = {
       (** the static context's global variables in declaration order,
           with compiled initializers ([None]: external) *)
 }
-
-(** The evaluator switch (default on): off selects the reference
-    evaluator {!Eval.eval}. *)
-val set_compiled_eval : bool -> unit
-
-val enabled : unit -> bool
 
 (** Always-on compile statistics for [browser:stats()]: programs and
     functions compiled, closure nodes emitted. [opaque-nodes] is

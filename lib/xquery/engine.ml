@@ -8,9 +8,6 @@ type compiled = {
          compiled evaluation was off at compile time *)
 }
 
-let set_compiled_eval = Compile.set_compiled_eval
-let compiled_eval_enabled = Compile.enabled
-
 let default_static () = Static_context.create ()
 
 (* Tie the knot: module imports encountered by the parser load and
@@ -40,16 +37,14 @@ let load_module sctx ~uri ~locations =
 let () = Parser.module_loader := load_module
 
 let compile ?(optimize = true) ?static source =
-  let traced name f =
-    if !Obs.Trace.enabled then Obs.Trace.with_span name f else f ()
-  in
-  traced "engine.compile" @@ fun () ->
+  Obs.Trace.with_span "engine.compile" @@ fun () ->
   let static = match static with Some s -> s | None -> default_static () in
   let prog =
-    traced "engine.parse" (fun () -> Parser.parse_program static source)
+    Obs.Trace.with_span "engine.parse" (fun () -> Parser.parse_program static source)
   in
   let prog =
-    if optimize then traced "engine.optimize" (fun () -> Optimizer.optimize prog)
+    if optimize then
+      Obs.Trace.with_span "engine.optimize" (fun () -> Optimizer.optimize prog)
     else prog
   in
   (* Re-register optimized prolog declarations: the parser stored the
@@ -67,9 +62,9 @@ let compile ?(optimize = true) ?static source =
   if !Obs.Metrics.enabled then
     Obs.Metrics.incr ~by:(String.length source) "engine.source-bytes";
   let code =
-    if Compile.enabled () then
+    if Ablation.current.compiled_eval then
       Some
-        (traced "engine.compile-closures" (fun () ->
+        (Obs.Trace.with_span "engine.compile-closures" (fun () ->
              Compile.compile_prog static prog))
     else None
   in
@@ -114,30 +109,27 @@ let replay (prog : Ast.prog) static =
           load_module static ~uri ~locations)
     prog.Ast.prolog
 
+(* Switches such as join planning and compiled evaluation change what
+   [compile] produces, so the whole ablation record keys the cache:
+   changing any field would otherwise serve stale artifacts. *)
 let cache_key ~optimize fingerprint source =
-  (* the join-planning switch changes what [optimize] produces, so it
-     must key the cache too or toggling it would serve stale plans *)
   (if optimize then "O1|" else "O0|")
-  ^ (if Optimizer.join_planning_enabled () then "J1|" else "J0|")
-  ^ (if Compile.enabled () then "C1|" else "C0|")
-  ^ fingerprint ^ "|" ^ source
+  ^ Ablation.key Ablation.current ^ "|" ^ fingerprint ^ "|" ^ source
 
 let compile_cached ?(optimize = true) ?static source =
-  if not !Query_cache.enabled then compile ~optimize ?static source
+  if not Ablation.current.query_cache then compile ~optimize ?static source
   else begin
-    let traced name f =
-      if !Obs.Trace.enabled then Obs.Trace.with_span name f else f ()
-    in
     let static = match static with Some s -> s | None -> default_static () in
     (* fingerprint before parsing: the key captures the context the
        source is compiled *against*, not the one it produces *)
     let fp =
-      traced "engine.fingerprint" (fun () -> Static_context.fingerprint static)
+      Obs.Trace.with_span "engine.fingerprint" (fun () ->
+          Static_context.fingerprint static)
     in
     let key = cache_key ~optimize fp source in
     match Query_cache.find query_cache key with
     | Some (prog, code) ->
-        traced "engine.cache-replay" (fun () -> replay prog static);
+        Obs.Trace.with_span "engine.cache-replay" (fun () -> replay prog static);
         { prog; static; code }
     | None ->
         let c = compile ~optimize ~static source in
@@ -151,7 +143,7 @@ let compile_cached ?(optimize = true) ?static source =
    compiled code: calls walk the declarations). *)
 let code compiled =
   match compiled.code with
-  | Some code when Compile.enabled () -> code
+  | Some code when Ablation.current.compiled_eval -> code
   | _ ->
       let reference e ctx = Eval.eval ctx e in
       {
@@ -169,7 +161,7 @@ let install_functions ctx compiled =
     (code compiled).Compile.fns
 
 let expression static e =
-  if Compile.enabled () then Compile.compile_expr static e
+  if Ablation.current.compiled_eval then Compile.compile_expr static e
   else fun ctx -> Eval.eval ctx e
 
 let bind_globals ?(bindings = []) ?(strict = true) ctx compiled =
@@ -220,15 +212,14 @@ let eval_body ctx compiled =
             "break/continue outside of a while loop")
 
 let run ?host ?context_item ?bindings compiled =
-  let traced name f =
-    if !Obs.Trace.enabled then Obs.Trace.with_span name f else f ()
-  in
-  traced "engine.run" @@ fun () ->
+  Obs.Trace.with_span "engine.run" @@ fun () ->
   let ctx =
-    traced "engine.context" (fun () ->
+    Obs.Trace.with_span "engine.context" (fun () ->
         context_for ?host ?context_item ?bindings compiled)
   in
-  let result = traced "engine.eval" (fun () -> eval_body ctx compiled) in
+  let result =
+    Obs.Trace.with_span "engine.eval" (fun () -> eval_body ctx compiled)
+  in
   Pul.apply ctx.Dynamic_context.pul;
   result
 

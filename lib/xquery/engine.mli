@@ -15,17 +15,14 @@ type compiled = {
           when compiled evaluation was off at compile time *)
 }
 
-(** The evaluator switch, the only one (default on). On, {!compile}
-    closure-compiles the program — its body, every function and
-    global-variable initializer of its static context, updates,
-    scripting and streaming included — and every entry point below
-    runs that code. Off, nothing is compiled and the eager reference
-    evaluator {!Eval.eval} runs instead: the oracle the differential
-    tests compare production against (CLI [--no-compiled-eval]). Keys
-    the query cache ([C1|]/[C0|]) like the join-planner switch. *)
-val set_compiled_eval : bool -> unit
-
-val compiled_eval_enabled : unit -> bool
+(* The evaluator is chosen by [Ablation.current]'s [compiled_eval]
+   field. On (the default), {!compile} closure-compiles the program —
+   its body, every function and global-variable initializer of its
+   static context, updates, scripting and streaming included — and
+   every entry point below runs that code. Off, nothing is compiled and
+   the eager reference evaluator {!Eval.eval} runs instead: the oracle
+   the differential tests compare production against (CLI
+   [--no-compiled-eval]). *)
 
 (** A fresh static context with the standard namespaces. *)
 val default_static : unit -> Static_context.t
@@ -35,8 +32,9 @@ val default_static : unit -> Static_context.t
     [optimize] (default true) runs the rewrite pass. *)
 val compile : ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 
-(** The process-wide compiled-query cache, keyed by
-    (optimize flag, {!Static_context.fingerprint}, source). An entry
+(** The process-wide compiled-query cache, keyed by (optimize flag,
+    {!Xmlb.Ablation.key} of the current configuration,
+    {!Static_context.fingerprint}, source). An entry
     keeps only what a hit reads — the program and its closure code —
     never a static context, so a cached script holds nothing of the
     page that first compiled it. Hosts that swap module resolvers or
@@ -49,7 +47,8 @@ val query_cache : (Ast.prog * Compile.prog_code option) Query_cache.t
     the parser's registrations without re-parsing — and the returned
     artifact carries the caller's context. On a miss it compiles,
     stores the program and code, and behaves exactly like {!compile}.
-    Falls back to {!compile} while {!Query_cache.enabled} is false. *)
+    Falls back to {!compile} while [Ablation.current]'s [query_cache]
+    field is off (CLI [--no-query-cache]). *)
 val compile_cached :
   ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 

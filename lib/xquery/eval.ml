@@ -85,7 +85,7 @@ let axis_nodes axis node =
   | Ast.Following_sibling -> Dom.following_siblings node
   | Ast.Preceding_sibling -> Dom.preceding_siblings node (* nearest first *)
   | Ast.Following ->
-      if Dom.acceleration_enabled () then structural_following node
+      if Ablation.current.acceleration then structural_following node
       else
         let all = Dom.descendants (Dom.root node) in
         List.filter
@@ -93,7 +93,7 @@ let axis_nodes axis node =
             Dom.compare_order node m < 0 && not (Dom.is_ancestor ~ancestor:node m))
           all
   | Ast.Preceding ->
-      if Dom.acceleration_enabled () then structural_preceding node
+      if Ablation.current.acceleration then structural_preceding node
       else
         let all = Dom.descendants (Dom.root node) in
         List.rev
@@ -193,10 +193,10 @@ let step_nodes axis (test : Ast.node_test) n =
   in
   match (axis, test) with
   | (Ast.Descendant | Ast.Descendant_or_self), Ast.Local_wildcard local
-    when Dom.acceleration_enabled () ->
+    when Ablation.current.acceleration ->
       by_local local None
   | (Ast.Descendant | Ast.Descendant_or_self), Ast.Name_test qn
-    when Dom.acceleration_enabled () ->
+    when Ablation.current.acceleration ->
       let refine =
         Some
           (fun m ->
@@ -204,7 +204,7 @@ let step_nodes axis (test : Ast.node_test) n =
             | Some nm -> Qname.equal nm qn
             | None -> false)
       in
-      if Sym.fastpaths_enabled () then by_sym qn.Qname.lsym refine
+      if Ablation.current.interning then by_sym qn.Qname.lsym refine
       else by_local qn.Qname.local refine
   | Ast.Attribute_axis, Ast.Name_test qn -> (
       (* an element has at most one attribute of a name *)
@@ -228,7 +228,7 @@ let step_nodes axis (test : Ast.node_test) n =
    the first predicate consumed, or [None] to fall back. *)
 let value_index_step axis test preds n =
   let applicable =
-    Dom.value_index_enabled ()
+    Ablation.current.value_index
     &&
     match (axis : Ast.axis) with
     | Ast.Descendant | Ast.Descendant_or_self -> (
@@ -271,7 +271,7 @@ let value_index_step axis test preds n =
        (both key the same buckets — interning is a bijection). *)
     let attr_lookup qn s ~general rest =
       match
-        (if Sym.fastpaths_enabled () then
+        (if Ablation.current.interning then
            Dom.elements_by_attr_value_sym n ~local:qn.Qname.lsym s
          else Dom.elements_by_attr_value n ~local:qn.Qname.local s)
       with
@@ -297,7 +297,7 @@ let value_index_step axis test preds n =
     in
     let child_lookup qn s rest =
       match
-        (if Sym.fastpaths_enabled () then
+        (if Ablation.current.interning then
            Dom.elements_by_text_value_sym n ~local:qn.Qname.lsym s
          else Dom.elements_by_text_value n ~local:qn.Qname.local s)
       with

@@ -24,9 +24,9 @@ exception Continue_loop
 val protect : (unit -> 'a) -> 'a
 
 (** The eager reference evaluator: every form, evaluated by walking
-    the AST. Production runs {!Compile}'s closures; this one is
-    selected by [Engine.set_compiled_eval false] and is the oracle the
-    differential tests compare production against. *)
+    the AST. Production runs {!Compile}'s closures; this one runs when
+    [Ablation.current]'s [compiled_eval] field is off and is the oracle
+    the differential tests compare production against. *)
 val eval : Dynamic_context.t -> Ast.expr -> Xdm_item.sequence
 
 (** Call a declared/external/built-in function by name with already

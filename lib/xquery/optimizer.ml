@@ -211,10 +211,6 @@ and sub_clause var lit (shadowed, c) =
 (* ------------------------------------------------------------------ *)
 (* equi-join planning                                                  *)
 
-let join_planning = ref true
-let set_join_planning b = join_planning := b
-let join_planning_enabled () = !join_planning
-
 let mentions_var qn e =
   exists_expr (function Ast.E_var v -> Qname.equal v qn | _ -> false) e
 
@@ -415,7 +411,7 @@ and rules e =
         order;
         return;
       }
-    when !join_planning
+    when Ablation.current.join_planning
          && (not (Qname.equal lv rv))
          && (not (mentions_var lv rs))
          && not (has_scripting w) -> (

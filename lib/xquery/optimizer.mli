@@ -28,13 +28,11 @@ val optimize : ?max_passes:int -> Ast.prog -> Ast.prog
 
 (** The equi-join planner: rewrites two-[for] FLWORs whose first
     where-conjunct compares variable-rooted step paths with [eq]/[=]
-    into {!Ast.E_hash_join}. Separate switch (on by default) so the
-    nested-loop plan stays selectable as the differential-testing
-    oracle and bench baseline. Changing it invalidates nothing by
-    itself — {!Engine} keys its compiled-query cache on it. *)
-
-val set_join_planning : bool -> unit
-val join_planning_enabled : unit -> bool
+    into {!Ast.E_hash_join} while [Ablation.current]'s [join_planning]
+    field is on, so the nested-loop plan stays selectable as the
+    differential-testing oracle and bench baseline. Changing it
+    invalidates nothing by itself — {!Engine} keys its compiled-query
+    cache on the whole {!Xmlb.Ablation} record. *)
 
 (** Number of rewrites fired since start (for tests and the ablation
     bench report). *)

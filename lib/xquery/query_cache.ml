@@ -16,13 +16,9 @@ type 'a t = {
   mutable evictions : int;
   mutable invalidations : int;
   mutable cost_saved : int;
-  autonomous : bool;
 }
 
-let enabled = ref true
-let set_enabled b = enabled := b
-
-let create ?(name = "cache") ?(capacity = 256) ?(autonomous = false) () =
+let create ?(name = "cache") ?(capacity = 256) () =
   {
     cache_name = name;
     cap = max 1 capacity;
@@ -34,10 +30,7 @@ let create ?(name = "cache") ?(capacity = 256) ?(autonomous = false) () =
     evictions = 0;
     invalidations = 0;
     cost_saved = 0;
-    autonomous;
   }
-
-let live t = t.autonomous || !enabled
 
 let name t = t.cache_name
 let capacity t = t.cap
@@ -75,37 +68,33 @@ let miss t =
   count t "miss"
 
 let find t key =
-  if not (live t) then None
-  else
-    match Hashtbl.find_opt t.table key with
-    | Some e when e.gen = t.gen ->
-        t.hits <- t.hits + 1;
-        t.cost_saved <- t.cost_saved + e.cost;
-        if !Obs.Metrics.enabled then begin
-          Obs.Metrics.incr (t.cache_name ^ ".hit");
-          Obs.Metrics.incr ~by:e.cost (t.cache_name ^ ".cost-saved")
-        end;
-        touch t e;
-        Some e.value
-    | Some _ ->
-        (* stale generation: behaves like a miss and frees the slot *)
-        Hashtbl.remove t.table key;
-        miss t;
-        None
-    | None ->
-        miss t;
-        None
+  match Hashtbl.find_opt t.table key with
+  | Some e when e.gen = t.gen ->
+      t.hits <- t.hits + 1;
+      t.cost_saved <- t.cost_saved + e.cost;
+      if !Obs.Metrics.enabled then begin
+        Obs.Metrics.incr (t.cache_name ^ ".hit");
+        Obs.Metrics.incr ~by:e.cost (t.cache_name ^ ".cost-saved")
+      end;
+      touch t e;
+      Some e.value
+  | Some _ ->
+      (* stale generation: behaves like a miss and frees the slot *)
+      Hashtbl.remove t.table key;
+      miss t;
+      None
+  | None ->
+      miss t;
+      None
 
 let add t key ~cost value =
-  if live t then begin
-    if not (Hashtbl.mem t.table key) then
-      while Hashtbl.length t.table >= t.cap do
-        evict_lru t
-      done;
-    let e = { value; cost = max 0 cost; gen = t.gen; stamp = 0 } in
-    touch t e;
-    Hashtbl.replace t.table key e
-  end
+  if not (Hashtbl.mem t.table key) then
+    while Hashtbl.length t.table >= t.cap do
+      evict_lru t
+    done;
+  let e = { value; cost = max 0 cost; gen = t.gen; stamp = 0 } in
+  touch t e;
+  Hashtbl.replace t.table key e
 
 let invalidate t =
   t.gen <- t.gen + 1;

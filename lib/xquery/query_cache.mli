@@ -20,23 +20,16 @@
     [<name>.cost-saved] counters (cost is the caller-supplied weight of
     a cached value, e.g. source bytes not re-parsed).
 
-    The module-level {!enabled} flag is a global kill switch surfaced
-    as [--no-query-cache] in the CLI: {!find} always misses (recording
-    nothing) and {!add} is a no-op while it is false. *)
+    A store always caches: the [--no-query-cache] ablation is
+    [Ablation.current]'s [query_cache] field, which {!Engine} checks
+    before it consults its cache. *)
 
 type 'a t
 
-(** Global kill switch shared by every cache (CLI [--no-query-cache]). *)
-val enabled : bool ref
-
-val set_enabled : bool -> unit
-
 (** [create ?name ?capacity ()] — [name] prefixes the obs counters
     (default ["cache"]), [capacity] is the maximum entry count
-    (default 256, minimum 1). An [autonomous] cache ignores the global
-    {!enabled} kill switch — used by clients (the app server's tenant
-    partitions) that must keep caching under [--no-query-cache]. *)
-val create : ?name:string -> ?capacity:int -> ?autonomous:bool -> unit -> 'a t
+    (default 256, minimum 1). *)
+val create : ?name:string -> ?capacity:int -> unit -> 'a t
 
 val name : 'a t -> string
 val capacity : 'a t -> int
@@ -55,7 +48,7 @@ val find : 'a t -> string -> 'a option
 (** Insert (replacing any previous value under the key) under the
     current generation. [cost] is the weight credited to
     [cost_saved] on each future hit. Evicts the least-recently-used
-    entry when full. No-op while {!enabled} is false. *)
+    entry when full. *)
 val add : 'a t -> string -> cost:int -> 'a -> unit
 
 (** Bump the generation: every current entry becomes stale. *)

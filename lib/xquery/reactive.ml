@@ -104,12 +104,6 @@ let () =
 let impure_builtin_sym (sym : Xmlb.Sym.t) = Hashtbl.mem impure_syms (sym :> int)
 
 (* ------------------------------------------------------------------ *)
-(* Switch                                                              *)
-
-let active () = Footprint.incremental_enabled ()
-let set_incremental = Footprint.set_incremental
-
-(* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
 
 (* Argument fingerprint. Parented (or document) nodes fingerprint by
@@ -138,7 +132,7 @@ let result_key (seq : I.sequence) =
 type decision = Skip | Run_recorded | Run_plain
 
 let decide m ~args_key:akey =
-  if not (active ()) || m.latched_poison then Run_plain
+  if not Xmlb.Ablation.current.incremental || m.latched_poison then Run_plain
   else
     match m.fp with
     | Some fp when Footprint.is_clean fp && String.equal m.args_key akey ->

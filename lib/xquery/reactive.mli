@@ -17,20 +17,14 @@
     Impure runs (PUL effects, external functions, impure builtins,
     global variable reads) latch the memo as unmemoizable; it then runs
     plain, with zero recording overhead, forever. The
-    [--no-incremental] ablation ({!set_incremental}) restores
-    always-re-run dispatch globally; memos recorded before it was
-    switched off never skip again, and re-record once it is back on. *)
+    [--no-incremental] ablation ([Ablation.current]'s [incremental]
+    field) restores always-re-run dispatch globally; memos recorded
+    under an earlier {!Xmlb.Ablation} value never skip again, and
+    re-record once it is back on. *)
 
 type memo
 
 val fresh_memo : unit -> memo
-
-(** {1 Switch} *)
-
-(** Mirrors {!Footprint.set_incremental}. *)
-val set_incremental : bool -> unit
-
-val active : unit -> bool
 
 (** {1 Run protocol} (driven by [Eval.make_listener]) *)
 

@@ -11,6 +11,7 @@ open Xquery
 module A = Xdm_atomic
 module I = Xdm_item
 module Q = QCheck
+module Ablation = Xmlb.Ablation
 
 let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
@@ -18,18 +19,13 @@ let t name f = Alcotest.test_case name `Quick f
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
 
-let with_compiled compiled f =
-  let prev = Engine.compiled_eval_enabled () in
-  Engine.set_compiled_eval compiled;
-  Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
-
 (* attributes and element text so paths, predicates, and casts all
    have something to chew on *)
 let doc =
   "<r><a><x k='1'>1</x><x k='2'>2</x></a><a><x k='3'>3</x></a><b>7</b></r>"
 
 let outcome ~compiled src =
-  with_compiled compiled (fun () ->
+  Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
       match
         I.to_display_string
           (Engine.eval_string ~context_item:(I.Node (Dom.of_string doc)) src)
@@ -128,7 +124,7 @@ let function_tests =
            sum(for $i in 1 to 4 return local:sq($i))"
         in
         let run compiled =
-          with_compiled compiled (fun () ->
+          Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
               I.to_display_string (Engine.eval_string src))
         in
         check Alcotest.string "value" "30" (run true);
@@ -136,13 +132,13 @@ let function_tests =
     t "compile counters record the function" (fun () ->
         let before = List.assoc "functions" (Compile.stats ()) in
         ignore
-          (with_compiled true (fun () ->
+          (Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
                Engine.compile ~static:(Engine.default_static ())
                  "declare function local:id($x) { $x }; local:id(1)"));
         let after = List.assoc "functions" (Compile.stats ()) in
         check Alcotest.bool "functions counter advanced" true (after > before));
     t "calls dispatch through the context's compiled-fn table" (fun () ->
-        with_compiled true (fun () ->
+        Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
             let c =
               Engine.compile ~static:(Engine.default_static ())
                 "declare function local:f($x) { $x + 1 }; local:f(1)"
@@ -164,7 +160,7 @@ let function_tests =
                     (Xmlb.Qname.make ~uri:Xmlb.Qname.Ns.local "f")
                     [ [ I.Atomic (A.Integer 1) ] ]))));
     t "interpreted mode leaves the table empty" (fun () ->
-        with_compiled false (fun () ->
+        Ablation.with_ { Ablation.current with compiled_eval = false } (fun () ->
             let c =
               Engine.compile ~static:(Engine.default_static ())
                 "declare function local:f($x) { $x + 1 }; local:f(1)"
@@ -178,7 +174,7 @@ let function_tests =
            local:f($n - 1) }; local:f(100000)"
         in
         let run compiled =
-          with_compiled compiled (fun () ->
+          Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
               match I.to_display_string (Engine.eval_string src) with
               | v -> Ok v
               | exception Xq_error.Error e -> Error e.Xq_error.code)
@@ -197,7 +193,7 @@ let function_tests =
             </script></head>
             <body><button id="b">go</button><div id="log"/></body></html>|}
         in
-        with_compiled true (fun () ->
+        Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
             let b = Xqib.Browser.create () in
             Xqib.Page.load b src;
             let doc = Xqib.Browser.document b in
@@ -214,7 +210,7 @@ let function_tests =
            closure code, and every function they declare has a
            compiled body *)
         let check_page html =
-          with_compiled true (fun () ->
+          Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
               let stat k = List.assoc k (Compile.stats ()) in
               let nodes = stat "nodes" in
               let b = Xqib.Browser.create () in
@@ -251,7 +247,7 @@ let browser_tests =
       </script></head><body><button id="b">go</button></body></html>|}
   in
   let click_alerts compiled =
-    with_compiled compiled (fun () ->
+    Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
         let b = Xqib.Browser.create () in
         Xqib.Page.load b page;
         let doc = Xqib.Browser.document b in
@@ -268,7 +264,7 @@ let browser_tests =
           "modes agree" (click_alerts false) (click_alerts true));
     t "browser:stats reports the compiled-eval switch" (fun () ->
         let flag compiled =
-          with_compiled compiled (fun () ->
+          Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
               let b = Xqib.Browser.create () in
               Xqib.Page.load b "<html><body/></html>";
               I.to_display_string
@@ -278,7 +274,7 @@ let browser_tests =
         check Alcotest.string "on" "true" (flag true);
         check Alcotest.string "off" "false" (flag false));
     t "browser:stats exposes the compile counters" (fun () ->
-        with_compiled true (fun () ->
+        Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
             let b = Xqib.Browser.create () in
             Xqib.Page.load b page;
             let v =
@@ -502,7 +498,7 @@ let order_by_gen =
 (* the value or error code, and the document afterwards: a top-level
    update or a sequential function writes to it *)
 let outcome_and_doc ~compiled src =
-  with_compiled compiled (fun () ->
+  Ablation.with_ { Ablation.current with compiled_eval = compiled } (fun () ->
       let d = Dom.of_string doc in
       match I.to_display_string (Engine.eval_string ~context_item:(I.Node d) src) with
       | v -> Ok (v ^ " | " ^ Dom.serialize d)

@@ -10,11 +10,6 @@ module I = Xdm_item
 let qt ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
 
-let with_acceleration b f =
-  let prev = Dom.acceleration_enabled () in
-  Dom.set_acceleration b;
-  Fun.protect ~finally:(fun () -> Dom.set_acceleration prev) f
-
 let sign c = compare c 0
 
 (* ---------- generators ---------- *)
@@ -242,7 +237,7 @@ let node_list_equal a b =
 (* ---------- properties ---------- *)
 
 let prop_keyed_compare_agrees scenario =
-  with_acceleration true (fun () ->
+  Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
       let doc = run_scenario scenario in
       let ns = doc :: Dom.descendants doc in
       let ns = ns @ List.concat_map Dom.attributes ns in
@@ -257,7 +252,7 @@ let prop_keyed_compare_agrees scenario =
         ns)
 
 let prop_index_agrees_with_scan scenario =
-  with_acceleration true (fun () ->
+  Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
       let doc = run_scenario scenario in
       let ids = List.init 7 (Printf.sprintf "id%d") in
       let by_id_ok =
@@ -289,7 +284,9 @@ let prop_index_agrees_with_scan scenario =
       by_id_ok && by_name_ok)
 
 let prop_document_order_ablation scenario =
-  let doc = with_acceleration true (fun () -> run_scenario scenario) in
+  let doc =
+    Ablation.with_ { Ablation.current with acceleration = true } (fun () -> run_scenario scenario)
+  in
   let ds = Dom.descendants doc in
   let inputs =
     [
@@ -301,15 +298,21 @@ let prop_document_order_ablation scenario =
   in
   List.for_all
     (fun input ->
-      let fast = with_acceleration true (fun () -> I.document_order input) in
-      let naive = with_acceleration false (fun () -> I.document_order input) in
+      let fast =
+        Ablation.with_ { Ablation.current with acceleration = true } (fun () -> I.document_order input)
+      in
+      let naive =
+        Ablation.with_ { Ablation.current with acceleration = false } (fun () -> I.document_order input)
+      in
       node_list_equal
         (List.map (function I.Node n -> n | _ -> assert false) fast)
         (List.map (function I.Node n -> n | _ -> assert false) naive))
     inputs
 
 let prop_axes_ablation scenario =
-  let doc = with_acceleration true (fun () -> run_scenario scenario) in
+  let doc =
+    Ablation.with_ { Ablation.current with acceleration = true } (fun () -> run_scenario scenario)
+  in
   let run src =
     I.to_display_string
       (Xquery.Engine.eval_string ~context_item:(I.Node doc) src)
@@ -325,8 +328,10 @@ let prop_axes_ablation scenario =
   in
   List.for_all
     (fun src ->
-      let fast = with_acceleration true (fun () -> run src) in
-      let naive = with_acceleration false (fun () -> run src) in
+      let fast = Ablation.with_ { Ablation.current with acceleration = true } (fun () -> run src) in
+      let naive =
+        Ablation.with_ { Ablation.current with acceleration = false } (fun () -> run src)
+      in
       String.equal fast naive)
     queries
 
@@ -461,7 +466,7 @@ let caches_agree doc =
    upkeep; the first comparison builds them mid-stream, and every later
    step must keep them. *)
 let prop_caches_match_rebuilds ((_, ops) as scenario) =
-  with_acceleration true (fun () ->
+  Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
       let tree, _ = scenario in
       let w = { doc = Dom.of_tree [ tree ]; pool = [] } in
       let start = match ops with (_, p, _) :: _ -> p mod (List.length ops + 1) | [] -> 0 in
@@ -493,7 +498,7 @@ let t name f = Alcotest.test_case name `Quick f
 let unit_tests =
   [
     t "order keys follow a node moved between documents" (fun () ->
-        with_acceleration true (fun () ->
+        Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
             let d1 = Dom.of_string "<r><a id='x'/><b/></r>" in
             let d2 = Dom.of_string "<s><c/></s>" in
             (* warm both caches *)
@@ -512,7 +517,7 @@ let unit_tests =
             Alcotest.(check int) "keyed matches naive" (sign (Dom.compare_order c a))
               (sign (Dom.compare_order_naive c a))));
     t "detached subtree is its own ordered tree" (fun () ->
-        with_acceleration true (fun () ->
+        Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
             let d = Dom.of_string "<r><a><b/><c/></a></r>" in
             ignore (Dom.compare_order d d);
             let a = List.hd (Dom.children (List.hd (Dom.children d))) in
@@ -521,13 +526,13 @@ let unit_tests =
             Alcotest.(check bool) "a < b" true (Dom.compare_order a b < 0);
             Alcotest.(check bool) "b < c" true (Dom.compare_order b c < 0)));
     t "document_order still dedups under acceleration" (fun () ->
-        with_acceleration true (fun () ->
+        Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
             let d = Dom.of_string "<r><a/></r>" in
             let a = List.hd (Dom.children (List.hd (Dom.children d))) in
             let out = I.document_order [ I.Node a; I.Node a ] in
             Alcotest.(check int) "deduped" 1 (List.length out)));
     t "id index tracks attribute updates" (fun () ->
-        with_acceleration true (fun () ->
+        Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
             let d = Dom.of_string "<r><a/><b/></r>" in
             let r = List.hd (Dom.children d) in
             let a = List.nth (Dom.children r) 0 in
@@ -541,7 +546,7 @@ let unit_tests =
             Alcotest.(check bool) "absent again" true
               (Dom.get_element_by_id d "k" = None)));
     t "name index tracks renames" (fun () ->
-        with_acceleration true (fun () ->
+        Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
             let d = Dom.of_string "<r><a/></r>" in
             let r = List.hd (Dom.children d) in
             let a = List.hd (Dom.children r) in
@@ -553,7 +558,7 @@ let unit_tests =
             Alcotest.(check int) "one z" 1
               (List.length (Dom.get_elements_by_local_name d "z"))));
     t "subtree-scoped name lookup" (fun () ->
-        with_acceleration true (fun () ->
+        Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
             let d = Dom.of_string "<r><s><x/></s><s><x/><x/></s></r>" in
             let r = List.hd (Dom.children d) in
             let s2 = List.nth (Dom.children r) 1 in

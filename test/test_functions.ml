@@ -250,11 +250,7 @@ let typed_error_tests =
 let in_modes f =
   List.iter
     (fun compiled ->
-      Fun.protect
-        ~finally:(fun () -> Engine.set_compiled_eval true)
-        (fun () ->
-          Engine.set_compiled_eval compiled;
-          f ()))
+      Xmlb.Ablation.with_ { Xmlb.Ablation.current with compiled_eval = compiled } f)
     [ true; false ]
 
 let range_rounding_tests =

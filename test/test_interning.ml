@@ -17,16 +17,6 @@ let t name f = Alcotest.test_case name `Quick f
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
 
-let with_interning enabled f =
-  let prev = Sym.fastpaths_enabled () in
-  Sym.set_fastpaths enabled;
-  Fun.protect ~finally:(fun () -> Sym.set_fastpaths prev) f
-
-let with_compiled compiled f =
-  let prev = Xquery.Engine.compiled_eval_enabled () in
-  Xquery.Engine.set_compiled_eval compiled;
-  Fun.protect ~finally:(fun () -> Xquery.Engine.set_compiled_eval prev) f
-
 (* names nothing else in the process will ever intern *)
 let fresh_name =
   let c = ref 0 in
@@ -95,14 +85,19 @@ let qname_tests =
     qt "equal agrees across modes"
       Q.(pair (make qname_gen) (make qname_gen))
       (fun (a, b) ->
-        with_interning true (fun () -> Qname.equal a b)
-        = with_interning false (fun () -> Qname.equal a b));
+        let equal interning =
+          Ablation.with_ { Ablation.current with interning } (fun () -> Qname.equal a b)
+        in
+        equal true = equal false);
     qt "compare agrees across modes"
       Q.(pair (make qname_gen) (make qname_gen))
       (fun (a, b) ->
         let sign c = Stdlib.compare c 0 in
-        sign (with_interning true (fun () -> Qname.compare a b))
-        = sign (with_interning false (fun () -> Qname.compare a b)))
+        let compare interning =
+          Ablation.with_ { Ablation.current with interning } (fun () ->
+              sign (Qname.compare a b))
+        in
+        compare true = compare false)
       ~count:400;
     qt "hash respects equality"
       Q.(pair (make qname_gen) (make qname_gen))
@@ -175,7 +170,7 @@ let runtime_name_tests =
     t "index finds elements renamed to a fresh name" (fun () ->
         List.iter
           (fun mode ->
-            with_interning mode (fun () ->
+            Ablation.with_ { Ablation.current with interning = mode } (fun () ->
                 let fresh = fresh_name () in
                 let doc = Dom.of_string "<root><a>1</a><a>2</a></root>" in
                 check Alcotest.int "absent before" 0
@@ -189,7 +184,7 @@ let runtime_name_tests =
     t "updating query creating a fresh name is queryable" (fun () ->
         List.iter
           (fun mode ->
-            with_interning mode (fun () ->
+            Ablation.with_ { Ablation.current with interning = mode } (fun () ->
                 let fresh = fresh_name () in
                 let doc = Dom.of_string "<r><x/></r>" in
                 let eval src =
@@ -228,14 +223,14 @@ let runtime_name_tests =
           | Some els -> List.length els
           | None -> -1
         in
-        let on0 = with_interning true probe in
-        let off0 = with_interning false probe in
+        let on0 = Ablation.with_ { Ablation.current with interning = true } probe in
+        let off0 = Ablation.with_ { Ablation.current with interning = false } probe in
         check Alcotest.int "miss agrees" on0 off0;
         (match Dom.get_elements_by_local_name doc "item" with
         | el :: _ -> Dom.set_attribute el (Qname.make "k") "c"
         | [] -> Alcotest.fail "no item");
-        let on1 = with_interning true probe in
-        let off1 = with_interning false probe in
+        let on1 = Ablation.with_ { Ablation.current with interning = true } probe in
+        let off1 = Ablation.with_ { Ablation.current with interning = false } probe in
         check Alcotest.int "hit agrees" on1 off1;
         check Alcotest.int "index sees the new value" 1 on1);
   ]
@@ -280,17 +275,18 @@ let differential_tests =
          Q.Gen.(pair diff_doc_gen diff_query_gen))
       (fun (doc_src, query) ->
         let outcome ~interning ~compiled =
-          with_interning interning (fun () ->
-              with_compiled compiled (fun () ->
-                  match
-                    I.to_display_string
-                      (Xquery.Engine.eval_string
-                         ~context_item:(I.Node (Dom.of_string doc_src))
-                         query)
-                  with
-                  | s -> "ok: " ^ s
-                  | exception Xquery.Xq_error.Error e ->
-                      "err: " ^ e.Xquery.Xq_error.code))
+          Ablation.with_
+            { Ablation.current with interning; compiled_eval = compiled }
+            (fun () ->
+              match
+                I.to_display_string
+                  (Xquery.Engine.eval_string
+                     ~context_item:(I.Node (Dom.of_string doc_src))
+                     query)
+              with
+              | s -> "ok: " ^ s
+              | exception Xquery.Xq_error.Error e ->
+                  "err: " ^ e.Xquery.Xq_error.code)
         in
         let oracle = outcome ~interning:false ~compiled:false in
         List.for_all

@@ -8,25 +8,13 @@
 open Xquery
 module I = Xdm_item
 module Q = QCheck
+module Ablation = Xmlb.Ablation
 
 let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
 
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
-
-(* run [f] under an explicit acceleration config, restoring the
-   global switches afterwards *)
-let with_config ~vidx ~planner f =
-  let pv = Dom.value_index_enabled () in
-  let pp = Optimizer.join_planning_enabled () in
-  Dom.set_value_index vidx;
-  Optimizer.set_join_planning planner;
-  Fun.protect
-    ~finally:(fun () ->
-      Dom.set_value_index pv;
-      Optimizer.set_join_planning pp)
-    f
 
 let eval_doc ~doc src =
   let node = I.Node (Dom.of_string doc) in
@@ -44,7 +32,9 @@ let configs =
   [ (false, false); (true, false); (false, true); (true, true) ]
 
 let oracle_of ~doc src =
-  with_config ~vidx:false ~planner:false (fun () -> eval_outcome ~doc src)
+  Ablation.with_
+    { Ablation.current with value_index = false; join_planning = false }
+    (fun () -> eval_outcome ~doc src)
 
 (* item-for-item agreement: the display string preserves order and
    duplicates, so string equality is sequence equality *)
@@ -52,7 +42,9 @@ let agree ~doc src =
   let oracle = oracle_of ~doc src in
   List.for_all
     (fun (v, p) ->
-      with_config ~vidx:v ~planner:p (fun () -> eval_outcome ~doc src)
+      Ablation.with_
+        { Ablation.current with value_index = v; join_planning = p }
+        (fun () -> eval_outcome ~doc src)
       = oracle)
     configs
 
@@ -67,7 +59,7 @@ let differential ?expected ~doc name src =
           check outcome
             (Printf.sprintf "%s [vidx=%b planner=%b]" src v p)
             oracle
-            (with_config ~vidx:v ~planner:p (fun () ->
+            (Ablation.with_ { Ablation.current with value_index = v; join_planning = p } (fun () ->
                  eval_outcome ~doc src)))
         configs)
 
@@ -193,7 +185,7 @@ let counter_tests =
         let v, cs =
           counters [ "xquery.join.hash_builds"; "xquery.join.probes" ]
             (fun () ->
-              with_config ~vidx:false ~planner:true (fun () ->
+              Ablation.with_ { Ablation.current with value_index = false; join_planning = true } (fun () ->
                   eval_doc ~doc:join_doc join_q))
         in
         check Alcotest.string "join result" "o1:p1 o3:p1" v;
@@ -202,7 +194,7 @@ let counter_tests =
         let v, cs =
           counters [ "xquery.join.hash_builds"; "xquery.join.probes" ]
             (fun () ->
-              with_config ~vidx:true ~planner:false (fun () ->
+              Ablation.with_ { Ablation.current with value_index = true; join_planning = false } (fun () ->
                   eval_doc ~doc:join_doc join_q))
         in
         check Alcotest.string "join result" "o1:p1 o3:p1" v;
@@ -210,7 +202,7 @@ let counter_tests =
     t "value index serves descendant attribute lookups" (fun () ->
         let v, cs =
           counters [ "dom.value_index.hits" ] (fun () ->
-              with_config ~vidx:true ~planner:false (fun () ->
+              Ablation.with_ { Ablation.current with value_index = true; join_planning = false } (fun () ->
                   eval_doc ~doc:join_doc "count(//o[@k eq 'a'])"))
         in
         check Alcotest.string "lookup result" "2" v;
@@ -218,7 +210,7 @@ let counter_tests =
     t "disabled value index never hits" (fun () ->
         let v, cs =
           counters [ "dom.value_index.hits" ] (fun () ->
-              with_config ~vidx:false ~planner:false (fun () ->
+              Ablation.with_ { Ablation.current with value_index = false; join_planning = false } (fun () ->
                   eval_doc ~doc:join_doc "count(//o[@k eq 'a'])"))
         in
         check Alcotest.string "lookup result" "2" v;
@@ -257,7 +249,7 @@ let semantics_tests =
         List.iter
           (fun (v, p) ->
             match
-              with_config ~vidx:v ~planner:p (fun () ->
+              Ablation.with_ { Ablation.current with value_index = v; join_planning = p } (fun () ->
                   eval_outcome ~doc:semantics_doc
                     "for $a in //o, $b in //p where $a/k eq $b/k \
                      return $a/@id")
@@ -308,11 +300,11 @@ let session_doc () =
      <p id='p3'><n>z</n></p></ps></db>"
 
 let indexed node src =
-  with_config ~vidx:true ~planner:false (fun () ->
+  Ablation.with_ { Ablation.current with value_index = true; join_planning = false } (fun () ->
       I.to_display_string (Engine.eval_string ~context_item:(I.Node node) src))
 
 let fresh_scan node src =
-  with_config ~vidx:false ~planner:false (fun () ->
+  Ablation.with_ { Ablation.current with value_index = false; join_planning = false } (fun () ->
       I.to_display_string (Engine.eval_string ~context_item:(I.Node node) src))
 
 let match_scan node src =

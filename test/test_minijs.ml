@@ -258,7 +258,7 @@ let coexistence_tests =
     t "document-order execution option" (fun () ->
         let b = B.create () in
         Xqib.Page.load b
-          ~options:{ Xqib.Page.execution_order = `Document_order; run_inline_handlers = true }
+          ~options:{ Xqib.Page.execution_order = `Document_order }
           {|<html><head>
             <script type="text/xquery">
               insert node <order v="xq-saw-{count(//marker)}"/> into //body

@@ -253,11 +253,8 @@ let equivalence_properties =
    for the shapes that must fire and assert the hash-join operator
    never appears for the shapes that must not *)
 let plan src =
-  let prev = Optimizer.join_planning_enabled () in
-  Optimizer.set_join_planning true;
-  Fun.protect
-    ~finally:(fun () -> Optimizer.set_join_planning prev)
-    (fun () -> Ast_printer.expr_to_source (Optimizer.optimize_expr (parse_expr src)))
+  Xmlb.Ablation.with_ { Xmlb.Ablation.current with join_planning = true } (fun () ->
+      Ast_printer.expr_to_source (Optimizer.optimize_expr (parse_expr src)))
 
 let has_hash_join s =
   try

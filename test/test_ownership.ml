@@ -84,8 +84,6 @@ let incremental_tests =
     t "a memo recorded before --no-incremental never skips a write made \
        while it was off"
       (fun () ->
-        Fun.protect ~finally:(fun () -> Xquery.Reactive.set_incremental true)
-        @@ fun () ->
         let b = B.create () in
         Xqib.Page.load b
           {|<html><head><script type="text/xquery">
@@ -97,11 +95,11 @@ let incremental_tests =
         B.dispatch b ~target:d "tick";
         B.dispatch b ~target:d "tick";
         check Alcotest.int "recorded, then skipped" 1 (counter "skips");
-        Xquery.Reactive.set_incremental false;
-        ignore
-          (Xqib.Page.run_xquery b b.B.top_window
-             {|insert node <item/> into //div[@id='d']|});
-        Xquery.Reactive.set_incremental true;
+        Xmlb.Ablation.with_ { Xmlb.Ablation.current with incremental = false }
+          (fun () ->
+            ignore
+              (Xqib.Page.run_xquery b b.B.top_window
+                 {|insert node <item/> into //div[@id='d']|}));
         B.dispatch b ~target:d "tick";
         check Alcotest.int "re-ran after the unseen write" 1 (counter "skips");
         check Alcotest.int "two runs" 2 (counter "reruns");
@@ -193,6 +191,17 @@ let teardown_tests =
                 (if migrated then "migrated" else "server-rendered")
                 (mb grown))
           [ false; true ]);
+    t "a page without XQuery keeps no XQuery context" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b "<html><body><p id='x'>hi</p></body></html>";
+        check Alcotest.bool "no script, no handler: no context" true
+          (Option.is_none (Xqib.Page.xquery_context b.B.top_window));
+        Xqib.Page.load b
+          {|<html><body><button id="b" onclick="browser:alert('hi')">go</button></body></html>|};
+        check Alcotest.bool "an XQuery on* handler takes one" true
+          (Option.is_some (Xqib.Page.xquery_context b.B.top_window));
+        B.click b (by_id b "b");
+        check Alcotest.(list string) "the handler runs" [ "hi" ] (B.alerts b));
     t "a removed frame's document is collected" (fun () ->
         let b = B.create () in
         Xqib.Page.load b "<html><body><p>top</p></body></html>";

@@ -10,6 +10,7 @@ module A = Xdm_atomic
 module I = Xdm_item
 module QC = Query_cache
 module Q = QCheck
+module Ablation = Xmlb.Ablation
 
 let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
@@ -17,12 +18,11 @@ let t name f = Alcotest.test_case name `Quick f
 let qt ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
 
-(* every test in this file starts from a clean, enabled engine cache *)
+(* every test in this file starts from an empty engine cache *)
 let fresh f =
-  QC.set_enabled true;
   QC.clear Engine.query_cache;
   QC.reset_stats Engine.query_cache;
-  Fun.protect ~finally:(fun () -> QC.set_enabled true) f
+  f ()
 
 (* ---------- Query_cache mechanics ---------- *)
 
@@ -61,16 +61,6 @@ let cache_unit_tests =
             check Alcotest.(option int) "new generation hits" (Some 2)
               (QC.find c "k");
             check Alcotest.int "generation advanced" 1 (QC.generation c)));
-    t "disabled cache stores and returns nothing" (fun () ->
-        fresh (fun () ->
-            let c : int QC.t = QC.create () in
-            QC.set_enabled false;
-            QC.add c "k" ~cost:1 1;
-            check Alcotest.(option int) "no hit while disabled" None
-              (QC.find c "k");
-            check Alcotest.int "nothing stored" 0 (QC.length c);
-            QC.set_enabled true;
-            check Alcotest.(option int) "nothing was stored" None (QC.find c "k")));
     t "shrinking capacity evicts immediately" (fun () ->
         fresh (fun () ->
             let c : int QC.t = QC.create ~capacity:8 () in
@@ -124,29 +114,61 @@ let engine_cache_tests =
             ignore (Engine.compile_cached ~optimize:true src);
             ignore (Engine.compile_cached ~optimize:false src);
             check Alcotest.int "no cross-flag hit" 2 (qstats ()).QC.misses));
-    t "compiled-eval flag keys the cache (C1|/C0|)" (fun () ->
+    t "compiled-eval flag and every ablation field key the cache" (fun () ->
         fresh (fun () ->
             let src = "2 + 2" in
-            let with_compiled b f =
-              let prev = Engine.compiled_eval_enabled () in
-              Engine.set_compiled_eval b;
-              Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
-            in
-            with_compiled true (fun () -> ignore (Engine.compile_cached src));
-            with_compiled false (fun () -> ignore (Engine.compile_cached src));
+            let compile v = Ablation.with_ v (fun () -> Engine.compile_cached src) in
+            let on = { Ablation.current with compiled_eval = true } in
+            let off = { on with compiled_eval = false } in
+            ignore (compile on);
+            ignore (compile off);
             check Alcotest.int "no cross-mode hit" 2 (qstats ()).QC.misses;
-            with_compiled true (fun () -> ignore (Engine.compile_cached src));
+            ignore (compile on);
             check Alcotest.int "same-mode re-compile hits" 1 (qstats ()).QC.hits;
             (* the compiled-mode artifact carries closure code, the
                interpreted-mode one must not *)
             let has_code (c : Engine.compiled) =
               match c.Engine.code with Some _ -> true | None -> false
             in
-            check Alcotest.bool "C1 entry carries code" true
-              (has_code (with_compiled true (fun () -> Engine.compile_cached src)));
-            check Alcotest.bool "C0 entry carries no code" false
-              (has_code
-                 (with_compiled false (fun () -> Engine.compile_cached src)))));
+            check Alcotest.bool "compiled entry carries code" true
+              (has_code (compile on));
+            check Alcotest.bool "reference entry carries no code" false
+              (has_code (compile off));
+            (* each value differs from [on] in exactly one field, and
+               together they flip every field *)
+            let flipped =
+              [
+                { on with acceleration = false };
+                { on with value_index = false };
+                { on with interning = false };
+                { on with join_planning = false };
+                { on with compiled_eval = false };
+                { on with query_cache = false };
+                { on with incremental = false };
+              ]
+            in
+            let changed v =
+              List.filter_map
+                (fun ((name, a), (_, b)) -> if a <> b then Some name else None)
+                (List.combine (Ablation.fields on) (Ablation.fields v))
+            in
+            check
+              Alcotest.(list string)
+              "every field flipped once"
+              (List.map fst (Ablation.fields on))
+              (List.concat_map changed flipped);
+            QC.clear Engine.query_cache;
+            ignore (compile on);
+            List.iter
+              (fun v ->
+                let name = String.concat "" (changed v) in
+                let hits = (qstats ()).QC.hits in
+                ignore (compile v);
+                check Alcotest.int (name ^ " off misses") hits (qstats ()).QC.hits;
+                ignore (compile on);
+                check Alcotest.int (name ^ " back on hits") (hits + 1)
+                  (qstats ()).QC.hits)
+              flipped));
     t "different static contexts are different entries" (fun () ->
         fresh (fun () ->
             let src = "$w + 1" in
@@ -163,7 +185,7 @@ let engine_cache_tests =
               (qstats ()).QC.misses));
     t "disabled engine cache still compiles correctly" (fun () ->
         fresh (fun () ->
-            QC.set_enabled false;
+            Ablation.with_ { Ablation.current with query_cache = false } @@ fun () ->
             let c = Engine.compile_cached "2 + 3" in
             check Alcotest.string "plain compile path" "5"
               (I.to_display_string (Engine.run c));
@@ -284,8 +306,10 @@ let transparent src =
   fresh (fun () ->
       let cold = eval_once src in
       let warm = eval_once src in
-      QC.set_enabled false;
-      let off = eval_once src in
+      let off =
+        Ablation.with_ { Ablation.current with query_cache = false } (fun () ->
+            eval_once src)
+      in
       cold = warm && warm = off)
 
 let src_gen =

@@ -25,16 +25,7 @@ let counter name =
   | Some v -> v
   | None -> Alcotest.failf "no reactive counter %S" name
 
-(* every test must leave the global toggles in their defaults *)
-let with_configs ?(incremental = true) ?(compiled = true) f =
-  Fun.protect
-    ~finally:(fun () ->
-      Reactive.set_incremental true;
-      Engine.set_compiled_eval true)
-    (fun () ->
-      Reactive.set_incremental incremental;
-      Engine.set_compiled_eval compiled;
-      f ())
+module Ablation = Xmlb.Ablation
 
 (* ------------------------------------------------------------------ *)
 (* Batched mutation notifications (one changeset per Pul.apply)        *)
@@ -167,90 +158,85 @@ let two_region_page =
 let skip_tests =
   [
     t "repeat dispatch with no mutation is skipped" (fun () ->
-        with_configs (fun () ->
-            let b = load_page two_region_page in
-            let doc = B.document b in
-            let r1 = Option.get (Dom.get_element_by_id doc "r1") in
-            Reactive.reset_counters ();
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.int "first run recorded" 1 (counter "reruns");
-            B.dispatch b ~target:r1 "onclick";
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.int "later runs skipped" 2 (counter "skips");
-            check Alcotest.int "no extra reruns" 1 (counter "reruns")));
+        let b = load_page two_region_page in
+        let doc = B.document b in
+        let r1 = Option.get (Dom.get_element_by_id doc "r1") in
+        Reactive.reset_counters ();
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "first run recorded" 1 (counter "reruns");
+        B.dispatch b ~target:r1 "onclick";
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "later runs skipped" 2 (counter "skips");
+        check Alcotest.int "no extra reruns" 1 (counter "reruns"));
     t "mutation outside the footprint keeps the skip" (fun () ->
-        with_configs (fun () ->
-            let b = load_page two_region_page in
-            let doc = B.document b in
-            let r1 = Option.get (Dom.get_element_by_id doc "r1") in
-            Reactive.reset_counters ();
-            B.dispatch b ~target:r1 "onclick";
-            ignore (run b {|insert node <item/> into //div[@id='r2']|});
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.int "r2 write does not dirty r1" 1 (counter "skips");
-            check Alcotest.int "r1 ran once" 1 (counter "reruns")));
+        let b = load_page two_region_page in
+        let doc = B.document b in
+        let r1 = Option.get (Dom.get_element_by_id doc "r1") in
+        Reactive.reset_counters ();
+        B.dispatch b ~target:r1 "onclick";
+        ignore (run b {|insert node <item/> into //div[@id='r2']|});
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "r2 write does not dirty r1" 1 (counter "skips");
+        check Alcotest.int "r1 ran once" 1 (counter "reruns"));
     t "mutation inside the footprint forces a re-run" (fun () ->
-        with_configs (fun () ->
-            let b = load_page two_region_page in
-            let doc = B.document b in
-            let r1 = Option.get (Dom.get_element_by_id doc "r1") in
-            Reactive.reset_counters ();
-            B.dispatch b ~target:r1 "onclick";
-            ignore (run b {|insert node <item/> into //div[@id='r1']|});
-            check Alcotest.bool "memo invalidated" true
-              (counter "invalidations" >= 1);
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.int "re-ran" 2 (counter "reruns");
-            check Alcotest.int "no skip" 0 (counter "skips");
-            (* correctness: the re-run sees the new item *)
-            check Alcotest.string "count" "3"
-              (run_str b {|count(//div[@id='r1']//item)|})));
+        let b = load_page two_region_page in
+        let doc = B.document b in
+        let r1 = Option.get (Dom.get_element_by_id doc "r1") in
+        Reactive.reset_counters ();
+        B.dispatch b ~target:r1 "onclick";
+        ignore (run b {|insert node <item/> into //div[@id='r1']|});
+        check Alcotest.bool "memo invalidated" true
+          (counter "invalidations" >= 1);
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "re-ran" 2 (counter "reruns");
+        check Alcotest.int "no skip" 0 (counter "skips");
+        (* correctness: the re-run sees the new item *)
+        check Alcotest.string "count" "3"
+          (run_str b {|count(//div[@id='r1']//item)|}));
     t "rename in the footprint invalidates; equal result short-circuits"
       (fun () ->
-        with_configs (fun () ->
-            let b = load_page two_region_page in
-            let doc = B.document b in
-            let r1 = Option.get (Dom.get_element_by_id doc "r1") in
-            Reactive.reset_counters ();
-            B.dispatch b ~target:r1 "onclick";
-            (* renaming an item changes what //item finds... *)
-            ignore (run b {|rename node (//div[@id='r1']/item)[1] as 'other'|});
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.int "re-ran after rename" 2 (counter "reruns");
-            (* a repeat dispatch pays the recording back with a skip (so
-               the adaptive bypass keeps recording)... *)
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.int "skipped" 1 (counter "skips");
-            (* ...and renaming something //item never matched re-runs but
-               produces the same count: the unchanged short-circuit fires *)
-            ignore (run b {|rename node //div[@id='r1']/other as 'third'|});
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.bool "unchanged result detected" true
-              (counter "unchanged" >= 1)));
+        let b = load_page two_region_page in
+        let doc = B.document b in
+        let r1 = Option.get (Dom.get_element_by_id doc "r1") in
+        Reactive.reset_counters ();
+        B.dispatch b ~target:r1 "onclick";
+        (* renaming an item changes what //item finds... *)
+        ignore (run b {|rename node (//div[@id='r1']/item)[1] as 'other'|});
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "re-ran after rename" 2 (counter "reruns");
+        (* a repeat dispatch pays the recording back with a skip (so
+           the adaptive bypass keeps recording)... *)
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "skipped" 1 (counter "skips");
+        (* ...and renaming something //item never matched re-runs but
+           produces the same count: the unchanged short-circuit fires *)
+        ignore (run b {|rename node //div[@id='r1']/other as 'third'|});
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.bool "unchanged result detected" true
+          (counter "unchanged" >= 1));
     t "updating listeners poison and always re-run" (fun () ->
-        with_configs (fun () ->
-            let b =
-              load_page
-                {|<html><head><script type="text/xquery">
-                  declare updating function local:w($evt, $obj) {
-                    insert node <hit/> into $obj
-                  };
-                  on event "onclick" at //div attach listener local:w
-                  </script></head><body><div id="r1"/></body></html>|}
-            in
-            let doc = B.document b in
-            let r1 = Option.get (Dom.get_element_by_id doc "r1") in
-            Reactive.reset_counters ();
-            B.dispatch b ~target:r1 "onclick";
-            B.dispatch b ~target:r1 "onclick";
-            B.dispatch b ~target:r1 "onclick";
-            check Alcotest.int "every dispatch hit" 3
-              (List.length (Dom.get_elements_by_local_name doc "hit"));
-            check Alcotest.int "never skipped" 0 (counter "skips");
-            check Alcotest.bool "poison latched" true
-              (counter "poisoned-runs" >= 1)));
+        let b =
+          load_page
+            {|<html><head><script type="text/xquery">
+              declare updating function local:w($evt, $obj) {
+                insert node <hit/> into $obj
+              };
+              on event "onclick" at //div attach listener local:w
+              </script></head><body><div id="r1"/></body></html>|}
+        in
+        let doc = B.document b in
+        let r1 = Option.get (Dom.get_element_by_id doc "r1") in
+        Reactive.reset_counters ();
+        B.dispatch b ~target:r1 "onclick";
+        B.dispatch b ~target:r1 "onclick";
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "every dispatch hit" 3
+          (List.length (Dom.get_elements_by_local_name doc "hit"));
+        check Alcotest.int "never skipped" 0 (counter "skips");
+        check Alcotest.bool "poison latched" true
+          (counter "poisoned-runs" >= 1));
     t "--no-incremental ablation disables skipping" (fun () ->
-        with_configs ~incremental:false (fun () ->
+        Ablation.with_ { Ablation.current with incremental = false } (fun () ->
             let b = load_page two_region_page in
             let doc = B.document b in
             let r1 = Option.get (Dom.get_element_by_id doc "r1") in
@@ -260,13 +246,12 @@ let skip_tests =
             check Alcotest.int "no skips" 0 (counter "skips");
             check Alcotest.int "every dispatch ran" 2 (counter "reruns")));
     t "stats() exposes the reactive element" (fun () ->
-        with_configs (fun () ->
-            let b = load_page two_region_page in
-            check Alcotest.string "enabled" "true"
-              (run_str b {|string(browser:stats()/reactive/@enabled)|});
-            check Alcotest.string "listeners tracked" "true"
-              (run_str b
-                 {|string(number(browser:stats()/reactive/@listeners) >= 1)|})));
+        let b = load_page two_region_page in
+        check Alcotest.string "enabled" "true"
+          (run_str b {|string(browser:stats()/reactive/@enabled)|});
+        check Alcotest.string "listeners tracked" "true"
+          (run_str b
+             {|string(number(browser:stats()/reactive/@listeners) >= 1)|}));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -286,52 +271,50 @@ let churn_tests =
   [
     t "attach/detach churn leaves the node's listeners and the heap flat"
       (fun () ->
-        with_configs (fun () ->
-            let b = load_page churn_page in
-            let div = Option.get (Dom.get_element_by_id (B.document b) "r1") in
-            let base = Dom_event.listener_count div in
-            ignore (run b {|on event "onclick" at //div attach listener local:w|});
-            check Alcotest.int "attach registers" (base + 1)
-              (Dom_event.listener_count div);
-            ignore (run b {|on event "onclick" at //div detach listener local:w|});
-            check Alcotest.int "detach drops" base (Dom_event.listener_count div);
-            (* each cycle also dispatches, so its memo records and
-               registers a footprint before the detach drops it *)
-            let cycle () =
-              ignore (run b {|on event "onclick" at //div attach listener local:w|});
-              B.dispatch b ~target:div "onclick";
-              B.dispatch b ~target:div "onclick";
-              ignore (run b {|on event "onclick" at //div detach listener local:w|})
-            in
-            for _ = 1 to 100 do
-              cycle ()
-            done;
-            let before = live_words () in
-            Reactive.reset_counters ();
-            for _ = 1 to 1000 do
-              cycle ()
-            done;
-            let grown = live_words () - before in
-            check Alcotest.int "no leak across churn" base
-              (Dom_event.listener_count div);
-            check Alcotest.int "every memo recorded, then skipped" 1000
-              (counter "skips");
-            if grown > 16_384 then
-              Alcotest.failf "live heap grew by %d words over 1000 cycles" grown));
+        let b = load_page churn_page in
+        let div = Option.get (Dom.get_element_by_id (B.document b) "r1") in
+        let base = Dom_event.listener_count div in
+        ignore (run b {|on event "onclick" at //div attach listener local:w|});
+        check Alcotest.int "attach registers" (base + 1)
+          (Dom_event.listener_count div);
+        ignore (run b {|on event "onclick" at //div detach listener local:w|});
+        check Alcotest.int "detach drops" base (Dom_event.listener_count div);
+        (* each cycle also dispatches, so its memo records and
+           registers a footprint before the detach drops it *)
+        let cycle () =
+          ignore (run b {|on event "onclick" at //div attach listener local:w|});
+          B.dispatch b ~target:div "onclick";
+          B.dispatch b ~target:div "onclick";
+          ignore (run b {|on event "onclick" at //div detach listener local:w|})
+        in
+        for _ = 1 to 100 do
+          cycle ()
+        done;
+        let before = live_words () in
+        Reactive.reset_counters ();
+        for _ = 1 to 1000 do
+          cycle ()
+        done;
+        let grown = live_words () - before in
+        check Alcotest.int "no leak across churn" base
+          (Dom_event.listener_count div);
+        check Alcotest.int "every memo recorded, then skipped" 1000
+          (counter "skips");
+        if grown > 16_384 then
+          Alcotest.failf "live heap grew by %d words over 1000 cycles" grown);
     t "same-name replacement drops the old registration" (fun () ->
-        with_configs (fun () ->
-            let b = load_page churn_page in
-            let div = Option.get (Dom.get_element_by_id (B.document b) "r1") in
-            let base = Dom_event.listener_count div in
-            for _ = 1 to 20 do
-              ignore
-                (run b {|on event "onclick" at //div attach listener local:w|})
-            done;
-            (* one live registration: each re-attach replaced the last *)
-            check Alcotest.int "replacement is not a leak" (base + 1)
-              (Dom_event.listener_count div);
-            ignore (run b {|on event "onclick" at //div detach listener local:w|});
-            check Alcotest.int "drained" base (Dom_event.listener_count div)));
+        let b = load_page churn_page in
+        let div = Option.get (Dom.get_element_by_id (B.document b) "r1") in
+        let base = Dom_event.listener_count div in
+        for _ = 1 to 20 do
+          ignore
+            (run b {|on event "onclick" at //div attach listener local:w|})
+        done;
+        (* one live registration: each re-attach replaced the last *)
+        check Alcotest.int "replacement is not a leak" (base + 1)
+          (Dom_event.listener_count div);
+        ignore (run b {|on event "onclick" at //div detach listener local:w|});
+        check Alcotest.int "drained" base (Dom_event.listener_count div));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -421,7 +404,7 @@ let op_stmt s = function
         (r mod s.regions) v
 
 let run_scenario ~incremental ~compiled s =
-  with_configs ~incremental ~compiled (fun () ->
+  Ablation.with_ { Ablation.current with incremental; compiled_eval = compiled } (fun () ->
       let b = load_page (scenario_page s) in
       let doc = B.document b in
       let region r =

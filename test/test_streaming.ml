@@ -8,6 +8,7 @@ open Xquery
 module A = Xdm_atomic
 module I = Xdm_item
 module Q = QCheck
+module Ablation = Xmlb.Ablation
 
 let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
@@ -32,15 +33,10 @@ let rows_doc n =
   Buffer.add_string b "</r>";
   Buffer.contents b
 
-let with_compiled compiled f =
-  let prev = Engine.compiled_eval_enabled () in
-  Engine.set_compiled_eval compiled;
-  Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
-
 (* [streaming]: production, whose consumers pull cursors; otherwise
    the eager reference evaluator *)
 let eval_doc ?(doc = pos_doc) ~streaming src =
-  with_compiled streaming (fun () ->
+  Ablation.with_ { Ablation.current with compiled_eval = streaming } (fun () ->
       let node = I.Node (Dom.of_string doc) in
       I.to_display_string (Engine.eval_string ~context_item:node src))
 
@@ -189,11 +185,8 @@ let joined_early_exit_tests =
      return string($r/@id)"
   in
   let run src =
-    let prev = Optimizer.join_planning_enabled () in
-    Optimizer.set_join_planning true;
-    Fun.protect
-      ~finally:(fun () -> Optimizer.set_join_planning prev)
-      (fun () -> eval_doc ~doc ~streaming:true src)
+    Ablation.with_ { Ablation.current with join_planning = true } (fun () ->
+        eval_doc ~doc ~streaming:true src)
   in
   [
     t "exists over a join pulls a bounded probe prefix" (fun () ->

@@ -196,6 +196,19 @@ let parser_tests =
         fails "<a>\n<b x='&#xD800;'/></a>" 2 16 "invalid character reference &#xD800;";
         fails "<a>&#xZZ;</a>" 1 10 "invalid character reference &#xZZ;";
         fails "<a>&#99999999999999999999;</a>" 1 27 "invalid character reference &#99999999999999999999;");
+    t "an upper-case X is not a hex marker: the page fails at the reference" (fun () ->
+        let fails src line col =
+          match Xml_parser.parse src with
+          | exception Xml_parser.Parse_error e ->
+              check
+                Alcotest.(triple int int string)
+                src
+                (line, col, "invalid character reference &#X41;")
+                (e.line, e.col, e.message)
+          | _ -> Alcotest.failf "%s: expected a parse error" src
+        in
+        fails "<html><body><p>&#X41;</p></body></html>" 1 22;
+        fails "<html><body>\n<p title='&#X41;'>x</p></body></html>" 2 18);
     t "parse errors are located by line and column" (fun () ->
         match Xml_parser.parse "<a>\n  <b>\n</a>" with
         | exception Xml_parser.Parse_error e ->
@@ -521,6 +534,31 @@ let allocation_tests =
           Alcotest.failf "words per byte with 20 scripts / with 1 = %.2f (bound 1.2)" ratio);
   ]
 
+(* ---------- the ablation record ---------- *)
+
+let ablation_tests =
+  [
+    t "with_ restores the previous value when its thunk raises" (fun () ->
+        let before = Ablation.fields Ablation.current in
+        Ablation.with_ { Ablation.current with interning = false } (fun () ->
+            let outer = Ablation.fields Ablation.current in
+            (match
+               Ablation.with_
+                 { Ablation.current with acceleration = false; incremental = false }
+                 (fun () -> failwith "thunk raised")
+             with
+            | () -> Alcotest.fail "the thunk's exception was swallowed"
+            | exception Failure _ -> ());
+            check
+              Alcotest.(list (pair string bool))
+              "inner scope restored the outer value, not the defaults" outer
+              (Ablation.fields Ablation.current));
+        check
+          Alcotest.(list (pair string bool))
+          "outer scope restored" before
+          (Ablation.fields Ablation.current));
+  ]
+
 let suite =
   qname_tests @ escape_tests @ parser_tests @ serializer_tests @ allocation_tests
-  @ differential_tests
+  @ differential_tests @ ablation_tests

@@ -252,10 +252,7 @@ let constructor_tests =
     t "duplicate constructed attribute is XQDY0025 in both evaluators" (fun () ->
         List.iter
           (fun compiled ->
-            let prev = Engine.compiled_eval_enabled () in
-            Engine.set_compiled_eval compiled;
-            Fun.protect
-              ~finally:(fun () -> Engine.set_compiled_eval prev)
+            Xmlb.Ablation.with_ { Xmlb.Ablation.current with compiled_eval = compiled }
               (fun () ->
                 expect_error "XQDY0025" "element a { attribute b {1}, attribute b {2} }";
                 expect_error "XQDY0025" "<a>{attribute b {1}}{attribute b {2}}</a>";
@@ -401,6 +398,10 @@ let char_ref_tests =
         expect_error "XQST0090" "'&#99999999999999999999;'";
         expect_error "XQST0090" "'&#xFFFE;'");
     t "a bad reference in element content fails" (fun () -> expect_error "XQST0090" "<a>&#0;</a>");
+    t "an upper-case X is not a hex marker" (fun () ->
+        expect_error "XQST0090" "'&#X41;'";
+        expect_error "XQST0090" "<a b=\"&#X41;\"/>";
+        expect_error "XQST0090" "<a>&#X41;</a>");
     t "a bad reference in an attribute fails" (fun () ->
         expect_error "XQST0090" "<a b=\"x&#xD800;\"/>");
     t "the message names the reference" (fun () ->
