@@ -62,6 +62,16 @@
 # the line-and-column-tracking oracle it replaced differ in the tree
 # (QName prefix, URI and local name, attribute order, text) or in the
 # Parse_error's line, column and message.
+# The renderer line runs the renderer's tests with the vocabulary
+# property at its long count (50x): it fails if, on any generated page
+# over every tag the renderer knows (mixed-case names, inputs of each
+# type, buttons with nested markup and newlines, images, links, tables,
+# pre, rules, breaks and the skipped elements) with hidden styles,
+# words longer than the width and tabs, CRs and form feeds in text, at
+# a random width and show_hidden, render or render_cached (also after
+# a few writes) differs from the from-scratch oracle; or if a cold
+# render of a 2 000-item page allocates more than 35 minor words per
+# element or more than 1.2x its figure at 200 items.
 # The CLI lines run xqib on a one-element page, once without flags and
 # once with each of its six --no-* flags, and read the *-enabled
 # attributes browser:stats() writes for the seven fields of the ablation
@@ -87,6 +97,7 @@ dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-order > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test compile > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test xmlb > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test renderer > /dev/null
 printf '<html/>' > /tmp/xqib_ci_page.html
 ablation_fields() {
   dune exec bin/xqib_cli.exe -- page /tmp/xqib_ci_page.html "$@" --query \

@@ -72,16 +72,14 @@ let create ?(cache = false) ?(policy = Origin.Same_origin) ?(uppercase_tags = fa
 
 let set_document t window doc =
   window.Windows.document <- doc;
-  window.Windows.last_modified <-
-    Xdm_datetime.date_time_to_string (Virtual_clock.to_datetime t.clock);
+  window.Windows.last_modified <- Some (Virtual_clock.epoch_seconds t.clock);
   if window == t.top_window then begin
     Option.iter Dom.unobserve t.doc_observer;
     t.doc_observer <-
       Some
         (Dom.observe ~root:doc (fun _ ->
              t.render_count <- t.render_count + 1;
-             window.Windows.last_modified <-
-               Xdm_datetime.date_time_to_string (Virtual_clock.to_datetime t.clock)))
+             window.Windows.last_modified <- Some (Virtual_clock.epoch_seconds t.clock)))
   end
 
 let document t = t.top_window.Windows.document

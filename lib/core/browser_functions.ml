@@ -234,7 +234,6 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       let qc =
         el "query-cache"
           [
-            ("enabled", string_of_bool Ablation.current.query_cache);
             ("hits", string_of_int s.Xquery.Query_cache.hits);
             ("misses", string_of_int s.Xquery.Query_cache.misses);
             ("evictions", string_of_int s.Xquery.Query_cache.evictions);
@@ -255,15 +254,10 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       in
       let re =
         el "reactive"
-          (("enabled", string_of_bool Ablation.current.incremental)
-          :: ("listeners", string_of_int (document_listeners ()))
+          (("listeners", string_of_int (document_listeners ()))
           :: ints (Xquery.Reactive.counter_stats ()))
       in
-      let sy =
-        el "sym"
-          (("enabled", string_of_bool Ablation.current.interning)
-          :: ints (Xmlb.Sym.stats ()))
-      in
+      let sy = el "sym" (ints (Xmlb.Sym.stats ())) in
       Dom.fill root ~attrs:[] [ counters; hists; spans; qc; ce; st; re; sy ];
       [ I.Node root ]);
 

@@ -12,7 +12,7 @@ type t = {
   mutable parent : t option;
   mutable history_back : string list;
   mutable history_forward : string list;
-  mutable last_modified : string;
+  mutable last_modified : float option;
   mutable closed : bool;
   mutable screen_x : int;
   mutable screen_y : int;
@@ -35,7 +35,7 @@ let create ?(name = "") ?(href = "about:blank") () =
     parent = None;
     history_back = [];
     history_forward = [];
-    last_modified = "";
+    last_modified = None;
     closed = false;
     screen_x = 0;
     screen_y = 0;
@@ -122,7 +122,13 @@ let rec materialize_window ~policy ~accessor w registry =
     let name = Dom.create_attribute name_qn w.wname in
     let status = Bom.leaf "status" w.status in
     let location = Bom.location_to_xml ~href:w.href in
-    let lm = Bom.leaf "lastModified" w.last_modified in
+    let lm =
+      Bom.leaf "lastModified"
+        (match w.last_modified with
+        | Some secs ->
+            Xdm_datetime.date_time_to_string (Xdm_datetime.of_epoch_seconds ~tz_minutes:0 secs)
+        | None -> "")
+    in
     let geometry =
       Bom.element "geometry"
         [

@@ -22,7 +22,10 @@ type t = {
   mutable parent : t option;
   mutable history_back : string list;
   mutable history_forward : string list;
-  mutable last_modified : string;
+  mutable last_modified : float option;
+      (** when the document last changed, in seconds since the Unix
+          epoch ({!Virtual_clock.epoch_seconds}); formatted only when
+          the window is materialized *)
   mutable closed : bool;
   mutable screen_x : int;
   mutable screen_y : int;

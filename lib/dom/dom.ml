@@ -273,14 +273,17 @@ let rec string_value_rec n =
   | P_attribute a -> a.avalue
   | P_comment c -> c.ccontent
   | P_pi p -> p.pcontent
-  | P_document _ | P_element _ ->
-      String.concat ""
-        (List.filter_map
-           (fun c ->
-             match c.nkind with
-             | P_text _ | P_element _ -> Some (string_value_rec c)
-             | P_document _ | P_attribute _ | P_comment _ | P_pi _ -> None)
-           (children n))
+  | P_document _ | P_element _ -> (
+      match children n with
+      | [ { nkind = P_text t; _ } ] -> t.tcontent  (* no copy for one text child *)
+      | cs ->
+          String.concat ""
+            (List.filter_map
+               (fun c ->
+                 match c.nkind with
+                 | P_text _ | P_element _ -> Some (string_value_rec c)
+                 | P_document _ | P_attribute _ | P_comment _ | P_pi _ -> None)
+               cs))
 
 (* the single choke point for atomization and fn:string on nodes: a
    string-value read depends on the whole subtree *)

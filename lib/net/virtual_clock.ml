@@ -82,5 +82,5 @@ let run_until_idle ?(max_tasks = 100_000) t =
   in
   go 0
 
-let to_datetime t =
-  Xdm_datetime.of_epoch_seconds ~tz_minutes:0 (t.epoch +. t.time)
+let epoch_seconds t = t.epoch +. t.time
+let to_datetime t = Xdm_datetime.of_epoch_seconds ~tz_minutes:0 (epoch_seconds t)

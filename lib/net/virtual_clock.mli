@@ -47,6 +47,10 @@ exception Budget_exhausted of { budget : int; pending : int }
     {!Budget_exhausted}. *)
 val run_until_idle : ?max_tasks:int -> t -> unit
 
-(** Epoch offset: virtual time 0 corresponds to this dateTime; used to
-    expose the clock as fn:current-dateTime(). *)
+(** The current virtual time in seconds since the Unix epoch: virtual
+    time 0 is 2008-06-09T12:00:00Z. *)
+val epoch_seconds : t -> float
+
+(** {!epoch_seconds} as a UTC dateTime; used to expose the clock as
+    fn:current-dateTime(). *)
 val to_datetime : t -> Xdm_datetime.t

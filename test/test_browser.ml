@@ -164,6 +164,18 @@ let browser_function_tests =
         let b = load_page "<html><body/></html>" in
         check Alcotest.bool "non-empty" true
           (String.length (run_str b "string(browser:self()/lastModified)") > 0));
+    t "window lastModified reads the virtual time of the last write" (fun () ->
+        let b = load_page "<html><body/></html>" in
+        let at_load = run_str b "string(browser:self()/lastModified)" in
+        Virtual_clock.sleep b.B.clock 90.;
+        check Alcotest.string "no write yet" at_load
+          (run_str b "string(browser:self()/lastModified)");
+        let body = List.hd (Dom.get_elements_by_local_name (B.document b) "body") in
+        Dom.append_child ~parent:body (Dom.create_text "later");
+        let later = Xdm_datetime.date_time_to_string (Virtual_clock.to_datetime b.B.clock) in
+        check Alcotest.bool "time moved" true (later <> at_load);
+        check Alcotest.string "the write's time" later
+          (run_str b "string(browser:self()/lastModified)"));
     t "browser:document of self window" (fun () ->
         let b = load_page {|<html><body><div id="k"/></body></html>|} in
         check Alcotest.string "same doc" "1"

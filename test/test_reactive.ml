@@ -248,7 +248,7 @@ let skip_tests =
     t "stats() exposes the reactive element" (fun () ->
         let b = load_page two_region_page in
         check Alcotest.string "enabled" "true"
-          (run_str b {|string(browser:stats()/reactive/@enabled)|});
+          (run_str b {|string(browser:stats()/@incremental-enabled)|});
         check Alcotest.string "listeners tracked" "true"
           (run_str b
              {|string(number(browser:stats()/reactive/@listeners) >= 1)|}));

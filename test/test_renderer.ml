@@ -14,6 +14,148 @@ let contains hay needle =
   let rec scan i = i + m <= n && (String.sub hay i m = needle || scan (i + 1)) in
   m = 0 || scan 0
 
+(* ---------- the whole tag vocabulary against the oracle ---------- *)
+
+module Q = QCheck
+
+type tree = El of string * (string * string) list * tree list | Tx of string | Cm
+
+(* every tag the renderer knows, some in mixed case, and inline ones *)
+let tags =
+  [|
+    "p"; "Div"; "li"; "LI"; "ul"; "OL"; "h1"; "H2"; "h6"; "span"; "b"; "input"; "Input";
+    "button"; "BUTTON"; "img"; "IMG"; "a"; "A"; "table"; "tr"; "Tr"; "td"; "TD"; "th"; "Th";
+    "pre"; "Pre"; "hr"; "Hr"; "br"; "BR"; "script"; "SCRIPT"; "style"; "Style"; "title";
+    "meta"; "link"; "section"; "blockquote"; "form"; "Nav";
+  |]
+
+(* tabs, CRs and form feeds (a word byte, not a separator), blank
+   runs, and a word longer than most widths *)
+let texts =
+  [|
+    "hello"; "two words"; "  spaced \t out  "; "a\tb\rc\r\nd"; "\012"; "form\012feed";
+    "supercalifragilistic-expialidocious-and-then-some"; "line\n\n\nbreak"; " "; "x";
+    "\n\n";
+  |]
+
+let attribute_pool =
+  [|
+    ("style", "display: none"); ("style", "display:block"); ("style", "COLOR: red; Display: none");
+    ("type", "text"); ("type", "button"); ("type", "submit"); ("type", "checkbox");
+    ("type", "radio"); ("value", ""); ("value", "abc"); ("value", "a value longer than ten");
+    ("value", "x\ny"); ("alt", ""); ("alt", "a heart"); ("alt", "two\n\n\nlines");
+    ("src", "pic.gif"); ("href", "http://x/"); ("href", "a b"); ("id", "k");
+  |]
+
+let attributes_gen =
+  Q.Gen.map
+    (List.fold_left (fun acc (n, v) -> if List.mem_assoc n acc then acc else (n, v) :: acc) [])
+    (Q.Gen.list_size (Q.Gen.int_bound 3) (Q.Gen.oneofa attribute_pool))
+
+let rec tree_gen depth =
+  Q.Gen.(
+    if depth = 0 then map (fun s -> Tx s) (oneofa texts)
+    else
+      frequency
+        [
+          (3, map (fun s -> Tx s) (oneofa texts));
+          (1, return Cm);
+          ( 6,
+            map3
+              (fun tag attrs kids -> El (tag, attrs, kids))
+              (oneofa tags) attributes_gen
+              (list_size (int_bound 4) (tree_gen (depth - 1))) );
+        ])
+
+let rec build = function
+  | Tx s -> Dom.create_text s
+  | Cm -> Dom.create_comment "c"
+  | El (tag, attrs, kids) ->
+      let el =
+        Dom.create_element
+          ~attrs:(List.map (fun (n, v) -> (Xmlb.Qname.make n, v)) attrs)
+          (Xmlb.Qname.make tag)
+      in
+      List.iter (fun k -> Dom.append_child ~parent:el (build k)) kids;
+      el
+
+let rec show = function
+  | Tx s -> Printf.sprintf "%S" s
+  | Cm -> "<!--c-->"
+  | El (tag, attrs, kids) ->
+      Printf.sprintf "<%s%s>%s</%s>" tag
+        (String.concat "" (List.map (fun (n, v) -> Printf.sprintf " %s=%S" n v) attrs))
+        (String.concat "" (List.map show kids))
+        tag
+
+let style_qn = Xmlb.Qname.make "style"
+
+(* One write to the document: a new element, a removal, a text's
+   value, a style, or a rename. *)
+let apply_write doc (op, p, aux) =
+  let nodes = Dom.descendants doc in
+  let nth l = List.nth l (p mod List.length l) in
+  let els = List.filter (fun n -> Dom.kind n = Dom.Element) nodes in
+  let text = texts.(aux mod Array.length texts) and tag = tags.(aux mod Array.length tags) in
+  match op with
+  | 0 -> if els <> [] then Dom.append_child ~parent:(nth els) (build (El (tag, [], [ Tx text ])))
+  | 1 -> (
+      let below_root n = match Dom.parent n with Some q -> q != doc | None -> false in
+      match List.filter below_root nodes with [] -> () | l -> Dom.remove (nth l))
+  | 2 -> (
+      match List.filter (fun n -> Dom.kind n = Dom.Text) nodes with
+      | [] -> ()
+      | l -> Dom.set_value (nth l) text)
+  | 3 ->
+      if els <> [] then
+        if aux mod 2 = 0 then Dom.set_attribute (nth els) style_qn "display: none"
+        else Dom.remove_attribute (nth els) style_qn
+  | _ -> if els <> [] then Dom.rename (nth els) (Xmlb.Qname.make tag)
+
+let vocabulary_arbitrary =
+  Q.make
+    ~print:(fun (tree, width, show_hidden, writes) ->
+      Printf.sprintf "%s width=%d show_hidden=%b, then %d writes" (show tree) width show_hidden
+        (List.length writes))
+    Q.Gen.(
+      tup4
+        (map (fun kids -> El ("body", [], kids)) (list_size (int_range 1 4) (tree_gen 4)))
+        (int_range 1 100) bool
+        (list_size (int_bound 4) (triple (int_bound 4) (int_bound 1000) (int_bound 1000))))
+
+let prop_vocabulary (tree, width, show_hidden, writes) =
+  let options = { R.width; show_hidden } in
+  let doc = Dom.create_document () in
+  Dom.append_child ~parent:doc (build tree);
+  let agree () =
+    let want = Render_oracle.render options doc in
+    String.equal (R.render ~options doc) want && String.equal (R.render_cached ~options doc) want
+  in
+  agree ()
+  && List.for_all
+       (fun w ->
+         apply_write doc w;
+         agree ())
+       writes
+
+(* ---------- allocation ---------- *)
+
+(* Minor words a first [render_cached] of an [items]-item page of the
+   end-to-end benchmark's page-load shape allocates per element. *)
+let words_per_element items =
+  let page = Gen.gen_page (Random.State.make [| 5 |]) ~index:1 ~items ~pooled:true in
+  let doc = Dom.of_string page.Gen.html in
+  let elements =
+    List.length (List.filter (fun n -> Dom.kind n = Dom.Element) (Dom.descendants doc))
+  in
+  let metrics = !Obs.Metrics.enabled in
+  Obs.Metrics.enabled := false;
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (R.render_cached doc));
+  let words = Gc.minor_words () -. before in
+  Obs.Metrics.enabled := metrics;
+  words /. float_of_int elements
+
 let suite =
   [
     t "plain text flows" (fun () ->
@@ -71,9 +213,6 @@ let suite =
         check Alcotest.bool "two lines" true (contains r "line1" && contains r "line2"));
     t "hr draws a rule" (fun () ->
         check Alcotest.bool "rule" true (contains (render "<body><hr/></body>") "------"));
-    t "line_count" (fun () ->
-        check Alcotest.bool "several" true
-          (R.line_count (Dom.of_string "<ul><li>a</li><li>b</li><li>c</li></ul>") >= 3));
     t "render reflects XQuery updates (Fig. 1 loop)" (fun () ->
         let b = B.create () in
         Xqib.Page.load b
@@ -136,4 +275,32 @@ let suite =
         check Alcotest.(list int) "block misses, hits, page hits" [ 4; 1; 0 ] c;
         let _, c = counts (fun () -> R.render_cached doc) in
         check Alcotest.(list int) "unchanged: a page hit" [ 0; 0; 1 ] c);
+    t "at width 0 blank lines meet across blocks and squeeze as the oracle does" (fun () ->
+        (* a rule is then a blank line, the one way a block's output
+           can end blank *)
+        let options = { R.width = 0; show_hidden = false } in
+        List.iter
+          (fun page ->
+            let doc = Dom.of_string page in
+            let want = Render_oracle.render options doc in
+            check Alcotest.string page want (R.render ~options doc);
+            check Alcotest.string page want (R.render_cached ~options doc))
+          [
+            "<body><p>x</p><hr/><hr/></body>";
+            "<body><hr/><h1>T</h1><p>x</p><hr/><h2>U</h2></body>";
+            "<body><p>x y</p><hr/><pre></pre><hr/><hr/></body>";
+            "<body><hr/><hr/><pre></pre><p>x</p></body>";
+            "<body><ul><li>a</li><li><hr/></li></ul><h3>V</h3></body>";
+          ]);
+    QCheck_alcotest.to_alcotest
+      (Q.Test.make ~count:100 ~long_factor:50
+         ~name:"every tag, option and write renders as the oracle does" vocabulary_arbitrary
+         prop_vocabulary);
+    t "a cold render allocates a flat 35 minor words per element or fewer" (fun () ->
+        let small = words_per_element 200 and large = words_per_element 2_000 in
+        if large > 35. then
+          Alcotest.failf "%.1f minor words per element at 2 000 items (bound 35)" large;
+        if large > 1.2 *. small then
+          Alcotest.failf "%.1f minor words per element at 2 000 items, %.1f at 200 (bound 1.2x)"
+            large small);
   ]
