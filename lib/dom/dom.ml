@@ -1092,36 +1092,47 @@ let remove n =
         | P_attribute a -> Attribute_changed (p, a.aname)
         | _ -> Children_changed p)
 
-(* Make [n] a child of [parent], at the place [weave] gives it in the
-   child list. *)
-let insert_child parent n weave =
-  assert_insertable n;
-  detach n;
+type anchor = Last_of of node | First_of of node | Before of node | After of node
+
+(* Make the nodes [group] consecutive children of [parent], at the
+   place [weave] gives them in the child list: one write, so one pass
+   over the child list, one placement of all their labels and one
+   notification however many nodes the group holds. *)
+let insert_children parent group weave =
+  List.iter assert_insertable group;
+  List.iter (fun n -> detach n) group;
   let w = begin_write parent in
   retext w parent (fun () ->
       set_children parent (weave (children parent));
-      link n parent);
-  linked w [ n ];
+      let up = Some parent in
+      List.iter (fun n -> link_up n up) group);
+  linked w group;
   end_write w (Children_changed parent)
 
-let append_child ~parent n = insert_child parent n (fun cs -> cs @ [ n ])
-let insert_first ~parent n = insert_child parent n (fun cs -> n :: cs)
+let insert_nodes anchor group =
+  (* [at sibling rest] is the child list from [sibling] on *)
+  let around sibling at =
+    match sibling.nparent with
+    | None -> err "cannot insert relative to a parentless node"
+    | Some p ->
+        let rec weave = function
+          | [] -> group (* the sibling was in the group; append *)
+          | c :: rest when c == sibling -> at c rest
+          | c :: rest -> c :: weave rest
+        in
+        insert_children p group weave
+  in
+  if group <> [] then
+    match anchor with
+    | Last_of parent -> insert_children parent group (fun cs -> cs @ group)
+    | First_of parent -> insert_children parent group (fun cs -> group @ cs)
+    | Before sibling -> around sibling (fun c rest -> group @ (c :: rest))
+    | After sibling -> around sibling (fun c rest -> c :: (group @ rest))
 
-let insert_relative ~before ~sibling n =
-  assert_insertable n;
-  match sibling.nparent with
-  | None -> err "cannot insert relative to a parentless node"
-  | Some p ->
-      let rec weave = function
-        | [] -> [ n ] (* sibling vanished concurrently; append *)
-        | c :: rest when c == sibling ->
-            if before then n :: c :: rest else c :: n :: rest
-        | c :: rest -> c :: weave rest
-      in
-      insert_child p n weave
-
-let insert_before ~sibling n = insert_relative ~before:true ~sibling n
-let insert_after ~sibling n = insert_relative ~before:false ~sibling n
+let append_child ~parent n = insert_nodes (Last_of parent) [ n ]
+let insert_first ~parent n = insert_nodes (First_of parent) [ n ]
+let insert_before ~sibling n = insert_nodes (Before sibling) [ n ]
+let insert_after ~sibling n = insert_nodes (After sibling) [ n ]
 
 let replace n replacements =
   match n.nparent with
@@ -1254,16 +1265,27 @@ let remove_attribute el qn =
       end_write w (Attribute_changed (el, qn))
   | _ -> err "remove_attribute: not an element"
 
-let append_attribute ~parent a =
-  match (parent.nkind, a.nkind) with
-  | P_element e, P_attribute { aname; _ } ->
-      detach a;
+let append_attributes ~parent attrs =
+  let name a =
+    match a.nkind with
+    | P_attribute { aname; _ } -> aname
+    | _ -> err "append_attribute: expects an element and attributes"
+  in
+  match (parent.nkind, attrs) with
+  | _, [] -> ()
+  | P_element e, first :: _ ->
+      let aname = name first in
+      List.iter (fun a -> ignore (name a)) attrs;
+      List.iter (fun a -> detach a) attrs;
       let w = begin_write parent in
-      e.eattrs <- e.eattrs @ [ a ];
-      link a parent;
-      linked w [ a ];
+      e.eattrs <- e.eattrs @ attrs;
+      let up = Some parent in
+      List.iter (fun a -> link_up a up) attrs;
+      linked w attrs;
       end_write w (Attribute_changed (parent, aname))
-  | _ -> err "append_attribute: expects an element and an attribute"
+  | _ -> err "append_attribute: expects an element and attributes"
+
+let append_attribute ~parent a = append_attributes ~parent [ a ]
 
 (* ------------------------------------------------------------------ *)
 (* One-pass construction of fresh trees.
@@ -1272,9 +1294,11 @@ let append_attribute ~parent a =
    no caches, no observers and no registered footprints, and a write
    would have nothing to do for it: the builders map each child list
    once and set parent pointers directly instead of appending child by
-   child. Every node is allocated before its attributes and its
-   content, so ids follow pre-order: cross-tree [compare_order] orders
-   roots by id. *)
+   child. [of_tree] and [clone] allocate every node before its
+   attributes and its content, so their ids follow pre-order; [fill]
+   links nodes its caller built earlier, whose ids need not. Only a
+   root's id matters to cross-tree [compare_order], and every builder
+   allocates its root first. *)
 
 (* [f] over [xs] in order, each result made a child of [parent] *)
 let adopt_map parent f xs =

@@ -218,6 +218,22 @@ val equal : node -> node -> bool
     All mutation functions notify the observers registered on the
     mutated tree's root, and keep its caches and memos. *)
 
+(** Where {!insert_nodes} puts its nodes: after the last or before the
+    first child of a parent, or just before or after a sibling. *)
+type anchor = Last_of of node | First_of of node | Before of node | After of node
+
+(** [insert_nodes anchor group] detaches each node of [group] from its
+    parent, if it has one, and makes the group consecutive children,
+    in its order, at [anchor]: one write, so one pass over the child
+    list, one placement of the group's order labels, one footprint
+    write record and one [Children_changed]. An empty group writes
+    nothing. The nodes must be distinct, and none may be the parent
+    or one of its ancestors.
+    @raise Dom_error for an attribute or document in the group, or a
+    sibling anchor without a parent. *)
+val insert_nodes : anchor -> node list -> unit
+
+(** One-node forms of {!insert_nodes}. *)
 val append_child : parent:node -> node -> unit
 val insert_first : parent:node -> node -> unit
 val insert_before : sibling:node -> node -> unit
@@ -242,7 +258,13 @@ val set_attribute : node -> Qname.t -> string -> unit
 
 val remove_attribute : node -> Qname.t -> unit
 
-(** Attach a parentless attribute node to an element. *)
+(** Attach attribute nodes, after its others, to an element in one
+    write: one footprint write record and one [Attribute_changed],
+    which names the first of them. An empty list writes nothing. The
+    names must not repeat the element's or each other's. *)
+val append_attributes : parent:node -> node list -> unit
+
+(** The one-attribute form of {!append_attributes}. *)
 val append_attribute : parent:node -> node -> unit
 
 (** {1 Mutation observers}

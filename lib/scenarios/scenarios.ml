@@ -385,7 +385,7 @@ declare updating function local:weather($evt, $obj) {
                   else "http://weather-us.example/q"
       let $w := rest:get($svc)/weather
       return (<h2>{$loc}</h2>,
-              <p>{string($w/temp)} {string($w/temp/@unit)}, {string($w/sky)}</p>,
+              <p>{string($w/temp), string($w/temp/@unit)}, {string($w/sky)}</p>,
               for $cam in rest:get("http://webcams.example/list")//cam
               return <img src="{$cam/@url}"/>)
     }</div>

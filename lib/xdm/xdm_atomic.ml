@@ -121,7 +121,10 @@ let double_to_string f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "INF"
   else if f = Float.neg_infinity then "-INF"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    (* the digits of [Printf.sprintf "%.0f"], without its format
+       interpreter; the int cast loses only the sign of -0 *)
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
   else
     let s = Printf.sprintf "%.12g" f in
     s

@@ -409,10 +409,9 @@ let rec emit (c : C.t) : env -> I.sequence =
                 parts ))
           attributes
       in
-      let children = List.map emit children in
+      let children = List.map (fun c -> (C.fresh c, emit c)) children in
       fun env ->
-        (* the element, then its attributes, then its content: ids in
-           pre-order *)
+        (* the element, then its attributes, then its content *)
         let el = Dom.create_element name in
         let attrs =
           List.map
@@ -426,13 +425,14 @@ let rec emit (c : C.t) : env -> I.sequence =
                       parts)))
             attributes
         in
-        Eval.construct el ~attrs (List.concat_map (fun f -> f env) children)
+        Eval.construct el ~attrs
+          (List.map (fun (fresh, f) -> { Eval.fresh; items = f env }) children)
   | C.C_computed_element (name_c, content_c) ->
-      let fn = emit name_c and fc = emit content_c in
+      let fn = emit name_c and fc = emit content_c and fresh = C.fresh content_c in
       fun env ->
         let name = Eval.qname_of_value env.ctx (I.singleton_atomic (fn env)) in
         let el = Dom.create_element name in
-        Eval.construct el ~attrs:[] (fc env)
+        Eval.construct el ~attrs:[] [ { Eval.fresh; items = fc env } ]
   | C.C_computed_attribute (name_c, content_c) ->
       let fn = emit name_c and fc = emit content_c in
       fun env ->
@@ -451,10 +451,10 @@ let rec emit (c : C.t) : env -> I.sequence =
         let target = I.sequence_string (fn env) in
         [ I.Node (Dom.create_pi ~target (I.sequence_string (fc env))) ]
   | C.C_computed_document a ->
-      let fa = emit a in
+      let fa = emit a and fresh = C.fresh a in
       fun env ->
         let doc = Dom.create_document () in
-        Eval.construct doc ~attrs:[] (fa env)
+        Eval.construct doc ~attrs:[] [ { Eval.fresh; items = fa env } ]
   | C.C_hash_join j ->
       (* every tuple (a frame snapshot) passes the where clause before
          any is returned *)
@@ -512,15 +512,17 @@ let rec emit (c : C.t) : env -> I.sequence =
         [ I.Atomic (A.Boolean (fs env hay)) ]
   (* ---- updates ---- *)
   | C.C_insert (pos, source, target) ->
-      let fs = emit source and ft = emit target in
-      fun env -> Eval.insert env.ctx.D.pul pos ~source:(thunk fs env) ~target:(thunk ft env)
+      let fs = emit source and ft = emit target and fresh = C.fresh source in
+      fun env ->
+        Eval.insert env.ctx.D.pul pos ~fresh ~source:(thunk fs env) ~target:(thunk ft env)
   | C.C_delete a ->
       let fa = emit a in
       fun env -> Eval.delete env.ctx.D.pul (fa env)
   | C.C_replace (value_of, target, source) ->
-      let ft = emit target and fs = emit source in
+      let ft = emit target and fs = emit source and fresh = C.fresh source in
       fun env ->
-        Eval.replace env.ctx.D.pul ~value_of ~target:(thunk ft env) ~source:(thunk fs env)
+        Eval.replace env.ctx.D.pul ~value_of ~fresh ~target:(thunk ft env)
+          ~source:(thunk fs env)
   | C.C_rename (target, name) ->
       let ft = emit target and fn = emit name in
       fun env -> Eval.rename env.ctx env.ctx.D.pul ~target:(thunk ft env) ~name:(thunk fn env)

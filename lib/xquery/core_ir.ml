@@ -146,14 +146,14 @@ type scope = (string * slot) list
    sites resolve against *)
 type st = { mutable next : slot; mutable high : slot; static : Static_context.t }
 
-let fresh st =
+let new_slot st =
   let s = st.next in
   st.next <- s + 1;
   if st.next > st.high then st.high <- st.next;
   s
 
 let bind st scope var =
-  let slot = fresh st in
+  let slot = new_slot st in
   (slot, (Qname.to_clark var, slot) :: scope)
 
 let bind_opt st scope = function
@@ -402,6 +402,38 @@ and lower_call st scope qn args =
           match Functions.find qn ~arity:nargs with
           | Some impl -> C_builtin_call (qn, impl, cargs ())
           | None -> C_call (qn, cargs ()))
+
+(* ------------------------------------------------------------------ *)
+(* freshness                                                           *)
+
+(* Can [c] return only nodes that its own evaluation has just built
+   and that nothing else refers to? Then a constructor, [insert] or
+   [replace] links those nodes where they are needed instead of
+   deep-copying them (XQuery 3.1 §3.9.1.3 copies, but nobody can tell
+   a copy of a node that nothing else reaches from the node itself).
+   Fresh: every constructor (direct or computed element, attribute,
+   text, comment, PI, document), text and atomic literals (atomics are
+   never copied), and sequences, conditionals, typeswitch branches and
+   FLWOR or hash-join returns built only of fresh forms — a loop's
+   return builds new nodes on every iteration. Not fresh: whatever can
+   return a node built or kept elsewhere — variables, function calls,
+   paths, steps, filters (a step from a fresh node returns a node that
+   has a parent) and [copy … modify], whose copy its variable still
+   names. A document node in fresh content is still replaced by copies
+   of its children. *)
+let rec fresh (c : t) =
+  match c.d with
+  | C_atomic _ | C_text_literal _ | C_direct_element _ | C_computed_element _
+  | C_computed_attribute _ | C_computed_text _ | C_computed_comment _ | C_computed_pi _
+  | C_computed_document _ ->
+      true
+  | C_sequence cs -> List.for_all fresh cs
+  | C_if (_, t, f) -> fresh t && fresh f
+  | C_typeswitch (_, cases, (_, default)) ->
+      List.for_all (fun (_, _, body) -> fresh body) cases && fresh default
+  | C_flwor { return; _ } -> fresh return
+  | C_hash_join j -> fresh j.jreturn
+  | _ -> false
 
 (* [sequential]: a sequential function's body block keeps statement
    semantics (updates applied at its boundary) even when it holds a

@@ -518,64 +518,88 @@ let filter_items value ctx items preds =
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
 
-(* Normalize a content sequence into child nodes and attribute nodes,
-   per the XQuery constructor rules: adjacent atomics join with a
-   space into one text node; nodes are deep-copied; document nodes
-   splice their children; attribute nodes must come first. *)
-let normalize_content seq =
-  let attrs = ref [] in
-  let children = ref [] in
-  let pending_text = Buffer.create 16 in
-  let pending_started = ref false in
+type part = { fresh : bool; items : seq }
+
+(* The content of a constructor, [insert] or [replace] as attribute and
+   child nodes, in one pass over its parts (XQuery 3.1 §3.9.1.3): the
+   adjacent atomics of one part join with single spaces; adjacent text,
+   from literals, atomics and text nodes and across parts, becomes one
+   text node, and empty text none; a document is replaced by its
+   children; attributes must come before everything else. The nodes of
+   a fresh part are linked as they are, every other node is copied: a
+   lone fresh text node is kept, merged text is a new node. *)
+let content parts =
+  let attrs = ref [] and kids = ref [] in
+  (* the text run: its non-empty pieces, newest first, and the node
+     that stands for it while it is one fresh text node *)
+  let run = ref [] and lone = ref None in
   let seen_child = ref false in
-  let flush_text () =
-    if !pending_started then begin
-      children := Dom.create_text (Buffer.contents pending_text) :: !children;
-      Buffer.clear pending_text;
-      pending_started := false
+  let add_text node s =
+    if s <> "" then begin
+      lone := (match !run with [] -> node | _ -> None);
+      run := s :: !run
     end
   in
-  List.iter
-    (fun item ->
-      match item with
-      | I.Atomic a ->
-          if !pending_started then Buffer.add_char pending_text ' ';
-          Buffer.add_string pending_text (A.to_string a);
-          pending_started := true;
-          seen_child := true
-      | I.Node n -> (
-          match Dom.kind n with
-          | Dom.Attribute ->
-              flush_text ();
-              if !seen_child then
-                err "XQTY0024"
-                  "attribute nodes must precede other element content";
-              attrs := Dom.clone n :: !attrs
-          | Dom.Document ->
-              flush_text ();
-              seen_child := true;
-              List.iter
-                (fun c -> children := Dom.clone c :: !children)
-                (Dom.children n)
-          | _ ->
-              flush_text ();
-              seen_child := true;
-              children := Dom.clone n :: !children))
-    seq;
-  flush_text ();
-  (List.rev !attrs, List.rev !children)
+  let flush () =
+    match !run with
+    | [] -> ()
+    | pieces ->
+        let t =
+          match (!lone, pieces) with
+          | Some t, _ -> t
+          | None, [ s ] -> Dom.create_text s
+          | None, _ -> Dom.create_text (String.concat "" (List.rev pieces))
+        in
+        run := [];
+        lone := None;
+        seen_child := true;
+        kids := t :: !kids
+  in
+  let rec node fresh n =
+    match Dom.kind n with
+    | Dom.Attribute ->
+        if !seen_child || !run <> [] then
+          err "XQTY0024" "attribute nodes must precede other element content";
+        attrs := (if fresh then n else Dom.clone n) :: !attrs
+    | Dom.Document -> List.iter (node false) (Dom.children n)
+    | Dom.Text ->
+        (* a copied text is read, as [Dom.clone] would read it *)
+        if fresh then add_text (Some n) (Option.value (Dom.value n) ~default:"")
+        else add_text None (Dom.string_value n)
+    | _ ->
+        flush ();
+        seen_child := true;
+        kids := (if fresh then n else Dom.clone n) :: !kids
+  in
+  let rec items fresh after_atomic = function
+    | [] -> ()
+    | I.Atomic a :: rest ->
+        if after_atomic then add_text None " ";
+        add_text None (A.to_string a);
+        items fresh true rest
+    | I.Node n :: rest ->
+        node fresh n;
+        items fresh false rest
+  in
+  List.iter (fun p -> items p.fresh false p.items) parts;
+  flush ();
+  (List.rev !attrs, List.rev !kids)
 
 (* Shared by the tree-walker and the compiled evaluator; see eval.mli. *)
-let construct n ~attrs content =
-  let content_attrs, kids = normalize_content content in
+let construct n ~attrs parts =
+  let content_attrs, kids = content parts in
   let attrs =
     match Dom.kind n with Dom.Document -> [] | _ -> attrs @ content_attrs
   in
-  Option.iter
-    (fun q ->
-      err "XQDY0025" "duplicate attribute %s in a constructed element"
-        (Qname.to_string q))
-    (Qname.find_duplicate (List.filter_map Dom.name attrs));
+  (* most elements have at most one attribute: no name list to build *)
+  (match attrs with
+  | [] | [ _ ] -> ()
+  | _ ->
+      Option.iter
+        (fun q ->
+          err "XQDY0025" "duplicate attribute %s in a constructed element"
+            (Qname.to_string q))
+        (Qname.find_duplicate (List.filter_map Dom.name attrs)));
   Dom.fill n ~attrs kids;
   [ I.Node n ]
 
@@ -628,8 +652,8 @@ let single_target what = function
   | [ I.Node n ] -> n
   | _ -> err Xq_error.update_target "%s target must be a single node" what
 
-let insert pul (pos : Ast.insert_position) ~source ~target =
-  let attrs, kids = normalize_content (source ()) in
+let insert pul (pos : Ast.insert_position) ~fresh ~source ~target =
+  let attrs, kids = content [ { fresh; items = source () } ] in
   let target = single_target "insert" (target ()) in
   (match pos with
   | Ast.Into | Ast.As_first_into | Ast.As_last_into ->
@@ -664,12 +688,12 @@ let delete pul targets =
     targets;
   []
 
-let replace pul ~value_of ~target ~source =
+let replace pul ~value_of ~fresh ~target ~source =
   let tnode = single_target "replace" (target ()) in
   (if value_of then
      Pul.add pul (Pul.Replace_value (tnode, I.sequence_string (source ())))
    else
-     let attrs, kids = normalize_content (source ()) in
+     let attrs, kids = content [ { fresh; items = source () } ] in
      if Dom.parent tnode = None then
        err "XUDY0009" "cannot replace a node without a parent";
      let replacements =
@@ -847,6 +871,10 @@ let ft_words ~stemming hay phrases =
 (* ------------------------------------------------------------------ *)
 (* The reference evaluator                                             *)
 
+(* the reference treats no content as fresh: it copies every node, the
+   identity oracle for production's adopted ones *)
+let copied items = { fresh = false; items }
+
 let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   match e with
   | Ast.E_literal a -> [ I.Atomic a ]
@@ -940,8 +968,7 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_enclosed e -> eval ctx e
   (* ---- constructors ---- *)
   | Ast.E_direct_element { name; attributes; children } ->
-      (* the element, then its attributes, then its content: ids in
-         pre-order *)
+      (* the element, then its attributes, then its content *)
       let el = Dom.create_element name in
       let attrs =
         List.map
@@ -955,13 +982,13 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
                     parts)))
           attributes
       in
-      construct el ~attrs (List.concat_map (eval ctx) children)
+      construct el ~attrs (List.map (fun c -> copied (eval ctx c)) children)
   | Ast.E_computed_element (name_e, content_e) ->
       let name =
         qname_of_value ctx (I.singleton_atomic (eval ctx name_e))
       in
       let el = Dom.create_element name in
-      construct el ~attrs:[] (eval ctx content_e)
+      construct el ~attrs:[] [ copied (eval ctx content_e) ]
   | Ast.E_computed_attribute (name_e, content_e) ->
       let name = qname_of_value ctx (I.singleton_atomic (eval ctx name_e)) in
       let value = I.sequence_string (eval ctx content_e) in
@@ -975,13 +1002,14 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
       [ I.Node (Dom.create_pi ~target (I.sequence_string (eval ctx content_e))) ]
   | Ast.E_computed_document e ->
       let doc = Dom.create_document () in
-      construct doc ~attrs:[] (eval ctx e)
+      construct doc ~attrs:[] [ copied (eval ctx e) ]
   (* ---- updates ---- *)
   | Ast.E_insert (pos, source, target) ->
-      insert ctx.D.pul pos ~source:(thunk ctx source) ~target:(thunk ctx target)
+      insert ctx.D.pul pos ~fresh:false ~source:(thunk ctx source) ~target:(thunk ctx target)
   | Ast.E_delete e -> delete ctx.D.pul (eval ctx e)
   | Ast.E_replace { value_of; target; source } ->
-      replace ctx.D.pul ~value_of ~target:(thunk ctx target) ~source:(thunk ctx source)
+      replace ctx.D.pul ~value_of ~fresh:false ~target:(thunk ctx target)
+        ~source:(thunk ctx source)
   | Ast.E_rename (target, name) ->
       rename ctx ctx.D.pul ~target:(thunk ctx target) ~name:(thunk ctx name)
   | Ast.E_transform (binds, modify, return) ->

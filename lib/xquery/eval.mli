@@ -105,25 +105,36 @@ val path_map : (Xdm_item.item -> int -> int -> seq) -> seq -> seq
 val pred_keeps : int -> seq -> bool
 val filter_items : (Dynamic_context.t -> 'p -> seq) -> Dynamic_context.t -> seq -> 'p list -> seq
 
-(** [construct n ~attrs content]: the body of every element and
-    document constructor. Normalizes [content] (adjacent atomics join
-    into one text node, nodes are deep-copied, documents splice their
-    children, attributes come first), appends its attribute nodes to
-    [attrs] (dropped for a document) and fills the fresh node [n] in
-    one pass ({!Dom.fill}). Returns [[n]]. [n] must be allocated
-    before its attributes and content are evaluated, so that ids stay
-    in pre-order.
+(** One content expression of a constructor (an enclosed expression or
+    a literal), or the source of an [insert] or [replace]: its value,
+    and whether it is fresh ({!Core_ir.fresh}: its nodes were built by
+    this evaluation and nothing else refers to them). *)
+type part = { fresh : bool; items : seq }
+
+(** [construct n ~attrs parts]: the body of every element and document
+    constructor. Turns the parts into content in one pass (XQuery 3.1
+    §3.9.1.3): the adjacent atomics of one part join with single
+    spaces, adjacent text across parts becomes one text node and empty
+    text disappears, documents are replaced by copies of their
+    children, attributes must come first (XQTY0024); the nodes of a
+    fresh part are linked as they are, all others deep-copied. Appends
+    the content's attributes to [attrs] (dropped for a document) and
+    fills the new node [n] in one pass ({!Dom.fill}). Returns [[n]].
+    Adopted nodes keep their ids, so ids inside a constructed tree need
+    not follow document order; [n] is allocated before its content, so
+    roots, whose ids order distinct trees, still do.
     @raise Xq_error.Error XQDY0025 when two attributes share a name. *)
-val construct : Dom.node -> attrs:Dom.node list -> seq -> seq
+val construct : Dom.node -> attrs:Dom.node list -> part list -> seq
 
 val qname_of_value : Dynamic_context.t -> Xdm_atomic.t -> Qname.t
 
 (** Updates: each adds its primitive to the pending update list and
-    returns the empty sequence; [copy_source] is the deep copy a
-    transform's [copy $v := e] binds. *)
-val insert : Pul.t -> Ast.insert_position -> source:thunk -> target:thunk -> seq
+    returns the empty sequence. The source of [insert] and [replace] is
+    one content part ([fresh] as in {!part}); [copy_source] is the deep
+    copy a transform's [copy $v := e] binds. *)
+val insert : Pul.t -> Ast.insert_position -> fresh:bool -> source:thunk -> target:thunk -> seq
 val delete : Pul.t -> seq -> seq
-val replace : Pul.t -> value_of:bool -> target:thunk -> source:thunk -> seq
+val replace : Pul.t -> value_of:bool -> fresh:bool -> target:thunk -> source:thunk -> seq
 val rename : Dynamic_context.t -> Pul.t -> target:thunk -> name:thunk -> seq
 val copy_source : seq -> Dom.node
 

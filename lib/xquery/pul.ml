@@ -70,17 +70,14 @@ let rank = function
   | Replace_node _ -> 2
   | Delete _ -> 4
 
+(* one DOM write per primitive, however many nodes it inserts *)
 let apply_one = function
   | Insert_into (target, nodes) | Insert_last (target, nodes) ->
-      List.iter (fun n -> Dom.append_child ~parent:target n) nodes
-  | Insert_first (target, nodes) ->
-      List.iter (fun n -> Dom.insert_first ~parent:target n) (List.rev nodes)
-  | Insert_before (sibling, nodes) ->
-      List.iter (fun n -> Dom.insert_before ~sibling n) nodes
-  | Insert_after (sibling, nodes) ->
-      List.iter (fun n -> Dom.insert_after ~sibling n) (List.rev nodes)
-  | Insert_attributes (target, attrs) ->
-      List.iter (fun a -> Dom.append_attribute ~parent:target a) attrs
+      Dom.insert_nodes (Dom.Last_of target) nodes
+  | Insert_first (target, nodes) -> Dom.insert_nodes (Dom.First_of target) nodes
+  | Insert_before (sibling, nodes) -> Dom.insert_nodes (Dom.Before sibling) nodes
+  | Insert_after (sibling, nodes) -> Dom.insert_nodes (Dom.After sibling) nodes
+  | Insert_attributes (target, attrs) -> Dom.append_attributes ~parent:target attrs
   | Delete n -> Dom.remove n
   | Replace_node (n, replacements) -> Dom.replace n replacements
   | Replace_value (n, v) -> Dom.set_value n v

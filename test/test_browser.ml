@@ -130,6 +130,13 @@ let page_tests =
         let before = b.B.render_count in
         ignore (run b {|insert node <p/> into //div[@id='d']|});
         check Alcotest.bool "dirtied" true (b.B.render_count > before));
+    t "a 50-node insert re-renders once" (fun () ->
+        let b = load_page {|<html><body><ul id="c"><li>0</li></ul></body></html>|} in
+        let before = b.B.render_count in
+        ignore (run b {|insert nodes (for $i in 1 to 50 return <li>{$i}</li>) into //ul|});
+        check Alcotest.int "one notification" 1 (b.B.render_count - before);
+        check Alcotest.string "inserted in order" "51 50"
+          (run_str b "(count(//li), string(//li[last()]))"));
     t "IE uppercase quirk (§5.1)" (fun () ->
         let b = B.create ~uppercase_tags:true () in
         Xqib.Page.load b {|<html><body><div id="x"/></body></html>|};

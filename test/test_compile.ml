@@ -1,7 +1,8 @@
 (* The closure compiler, production's one evaluator: equivalence with
    the reference evaluator (unit and QCheck, values and error codes,
    updates, transforms, scripting, typeswitch, joins and order-by
-   included), hot-shape edge cases (integer arithmetic, range-fused
+   included; constructors linking or copying their content), hot-shape
+   edge cases (integer arithmetic, range-fused
    FLWOR, the predicate-free path step), dispatch of user-function
    calls through the context's compiled-function table, and the
    browser wiring (page scripts and per-event listeners run compiled
@@ -495,6 +496,82 @@ let order_by_gen =
           "string-join(for $v in //x order by %s%s, %s%s return string($v), ' ')" k1 m1 k2 m2)
       (pair key modifier) (pair key modifier))
 
+(* nested constructors whose content mixes enclosed atomics, text
+   literals, document{} content, computed attributes and nodes that are
+   fresh (built right there) or not (variables bound to constructed
+   nodes, paths, loops returning a variable), observed through node
+   identity and order, parents, roots, text-node counts and, after an
+   insert or replace applied at a statement boundary, the document and
+   the source variable's parent *)
+let construct_gen =
+  Q.Gen.(
+    let leaf =
+      frequency
+        [
+          ( 12,
+            oneofl
+              [
+                "{1}"; "{1, 2}"; "{'a', 3}"; "{''}"; "txt"; "{$x}"; "{$y}"; "{$x, <c/>}";
+                "{document { 'd', <g/> }}"; "{document { $x }}"; "{text { 't' }}";
+                "{text { '' }}"; "{for $i in 1 to 2 return <i>{$i}</i>}";
+                "{for $i in 1 to 2 return $x}"; "{if (exists($x)) then <c/> else 'no'}";
+                "{$x/node()}"; "{(<p/>, 'q')[1]}"; "{comment { 'c' }}";
+                "{typeswitch ($x) case element() return <t/> default return ()}";
+              ] );
+          (1, return "{attribute k { 1 }}");
+        ]
+    in
+    let rec content depth =
+      let parts =
+        if depth = 0 then list_size (int_range 0 3) leaf
+        else list_size (int_range 0 3) (frequency [ (3, leaf); (1, element (depth - 1)) ])
+      in
+      map (String.concat "") parts
+    and element depth =
+      map2 (fun tag c -> Printf.sprintf "<%s>%s</%s>" tag c tag) (oneofl [ "b"; "e"; "f" ]) (content depth)
+    in
+    let bound = pair (oneofl [ "<b/>"; "<b>x</b>"; "<b><c/>t</b>"; "text { 'v' }"; "(//x)[1]" ])
+        (oneofl [ "<y/>"; "$x"; "'s'"; "document { <y/> }" ]) in
+    let binding = map (fun (x, y) -> Printf.sprintf "let $x := %s let $y := %s" x y) bound in
+    let observe =
+      oneofl
+        [
+          "$r"; "count($r//text())"; "count($r/text())"; "exists($x/..)"; "root($x) is $x";
+          "($r//b)[1] is $x"; "$x << $r"; "($r//*)[1] << ($r//*)[last()]";
+          "every $n in $r//node() satisfies root($n) is $r";
+          "for $n in $r/node() return count($n/preceding-sibling::node())";
+          "string-join(for $n in $r//node() return string(count($n/ancestor::node())), ' ')";
+        ]
+    in
+    let constructed =
+      map3
+        (fun b c o -> Printf.sprintf "%s let $r := <a>%s</a> return (%s, $r)" b c o)
+        binding (content 2) observe
+    in
+    let source =
+      oneof
+        [
+          oneofl [ "$x"; "($x, <m/>)"; "for $i in 1 to 2 return $x"; "document { $x }"; "('s', 1, <m/>)" ];
+          map (Printf.sprintf "<n>%s</n>") (content 1);
+        ]
+    in
+    let update =
+      map3
+        (fun (x, y) (src, kind) o ->
+          Printf.sprintf
+            "declare sequential function local:f() { declare variable $x := %s; \
+             declare variable $y := %s; %s; %s }; local:f()"
+            x y
+            (match kind with
+            | 0 -> Printf.sprintf "insert nodes %s into (//a)[1]" src
+            | 1 -> Printf.sprintf "insert nodes %s before (//x)[2]" src
+            | _ -> Printf.sprintf "replace node (//x)[3] with %s" src)
+            o)
+        bound (pair source (int_bound 2))
+        (oneofl [ "exists($x/..)"; "root($x) is $x"; "count((//a)[1]/node())"; "(//a)[1]/node()[last()] is $x" ])
+    in
+    oneof [ constructed; update ])
+
 (* the value or error code, and the document afterwards: a top-level
    update or a sequential function writes to it *)
 let outcome_and_doc ~compiled src =
@@ -514,7 +591,10 @@ let equivalence_properties =
          ~name:"production matches the reference on updates, scripting, typeswitch, joins and order by"
          (Q.make ~print:Fun.id
             (Q.Gen.oneof
-               [ update_gen; sequential_gen; typeswitch_gen; join_gen; order_by_gen; src_gen ]))
+               [
+                 update_gen; sequential_gen; typeswitch_gen; join_gen; order_by_gen; src_gen;
+                 construct_gen;
+               ]))
          (fun src -> outcome_and_doc ~compiled:true src = outcome_and_doc ~compiled:false src));
   ]
 

@@ -573,6 +573,21 @@ let scaling_tests =
         (* warm run first: the measured one pays no parse or compile *)
         ignore (Xquery.Engine.eval_string q);
         words_per_node n (fun () -> ignore (Xquery.Engine.eval_string q)));
+    t "a constructor nested 8 deep allocates per item within 1.2x of 1 deep" (fun () ->
+        (* fresh content is linked, not copied once per enclosing level *)
+        let per_item k =
+          let q =
+            String.concat "" (List.init k (fun d -> Printf.sprintf "<d%d>" (d + 1)))
+            ^ {|{for $i in 1 to 2000 return <li n="{$i}"><span>item</span> {$i}</li>}|}
+            ^ String.concat "" (List.init k (fun d -> Printf.sprintf "</d%d>" (k - d)))
+          in
+          ignore (Xquery.Engine.eval_string q);
+          words_per_node 2_000 (fun () -> ignore (Xquery.Engine.eval_string q))
+        in
+        let one = per_item 1 and eight = per_item 8 in
+        if eight /. one > 1.2 then
+          Alcotest.failf "minor words per item: %.0f nested 8 deep, %.0f 1 deep (bound 1.2x)"
+            eight one);
     within "Dom.set_value on an element" (fun n ->
         let doc = Dom.of_string (flat_list n) in
         words_per_node n (fun () -> Dom.set_value (root_el doc) "flat"));
@@ -696,6 +711,73 @@ let write_scaling_tests =
         check (Alcotest.float 0.) "elements rendered per render" elements_1k elements_10k);
   ]
 
+(* An insert primitive is one DOM write however many nodes it inserts:
+   one pass over the child list, one placement of their labels, one
+   notification. [insert_words k] applies a k-node [insert into] to a
+   list of 1 500 items whose labels and name buckets are built, as a
+   clicked page's are, and returns the minor words the apply took. *)
+let insert_words k =
+  let doc = Dom.of_string (flat_list 1_500) in
+  let ul = root_el doc in
+  ignore (Dom.compare_order doc ul);
+  ignore (Dom.get_elements_by_local_name doc "li");
+  let nodes =
+    List.init k (fun i ->
+        let li = Dom.create_element (qn "li") in
+        Dom.append_child ~parent:li (Dom.create_text (string_of_int i));
+        li)
+  in
+  let pul = Xquery.Pul.create () in
+  Xquery.Pul.add pul (Xquery.Pul.Insert_into (ul, nodes));
+  let words = Gc.minor_words () in
+  Xquery.Pul.apply pul;
+  let words = Gc.minor_words () -. words in
+  check Alcotest.int "all inserted" (1_500 + k) (List.length (Dom.children ul));
+  words
+
+let group_insert_tests =
+  [
+    t "a 50-node insert allocates at most 2x a 1-node insert at 1 500 siblings" (fun () ->
+        ignore (insert_words 1);
+        let one = insert_words 1 and fifty = insert_words 50 in
+        if fifty /. one > 2. then
+          Alcotest.failf "minor words: %.0f for 50 nodes, %.0f for 1 (bound 2x)" fifty one);
+    t "every insert primitive is one write, its nodes in order" (fun () ->
+        let doc = Dom.of_string "<r><a/><m/><z/></r>" in
+        let r = root_el doc in
+        let m = List.nth (Dom.children r) 1 in
+        ignore (Dom.compare_order doc r);
+        let writes = ref 0 in
+        let _ = Dom.observe ~root:doc (fun _ -> incr writes) in
+        let group tag =
+          List.init 3 (fun i -> Dom.create_element (qn (Printf.sprintf "%s%d" tag i)))
+        in
+        let pul = Xquery.Pul.create () in
+        List.iter (Xquery.Pul.add pul)
+          [
+            Xquery.Pul.Insert_into (r, group "l");
+            Xquery.Pul.Insert_first (r, group "f");
+            Xquery.Pul.Insert_before (m, group "b");
+            Xquery.Pul.Insert_after (m, group "e");
+            Xquery.Pul.Insert_attributes
+              (r, [ Dom.create_attribute (qn "x") "1"; Dom.create_attribute (qn "y") "2" ]);
+          ];
+        Xquery.Pul.apply pul;
+        check Alcotest.int "one notification per primitive" 5 !writes;
+        check Alcotest.string "document"
+          "<r x=\"1\" y=\"2\"><f0/><f1/><f2/><a/><b0/><b1/><b2/><m/><e0/><e1/><e2/><z/><l0/><l1/><l2/></r>"
+          (Dom.serialize doc);
+        let ns = Dom.descendants doc in
+        List.iteri
+          (fun i a ->
+            List.iteri
+              (fun j b ->
+                check Alcotest.int "document order" (compare i j)
+                  (compare (Dom.compare_order a b) 0))
+              ns)
+          ns);
+  ]
+
 let suite =
   construction_tests @ navigation_tests @ mutation_tests @ observer_tests @ event_tests
-  @ builder_tests @ scaling_tests @ write_scaling_tests
+  @ builder_tests @ scaling_tests @ write_scaling_tests @ group_insert_tests

@@ -98,8 +98,31 @@ let apply_op w (sel, p, aux) =
   in
   let detached = ref [] in
   let drop n = detached := n :: !detached in
+  (* a group insert at one of the four anchors; [group] may hold nodes
+     that are attached elsewhere (they move), but never the parent or
+     one of its ancestors *)
+  let insert_group anchor_at group =
+    let anchor_node = pick all anchor_at in
+    let parent, anchor =
+      match aux mod 4 with
+      | 0 -> (Some anchor_node, Dom.Last_of anchor_node)
+      | 1 -> (Some anchor_node, Dom.First_of anchor_node)
+      | 2 -> (Dom.parent anchor_node, Dom.Before anchor_node)
+      | _ -> (Dom.parent anchor_node, Dom.After anchor_node)
+    in
+    let safe n =
+      match parent with
+      | Some p -> (not (Dom.equal n p)) && not (Dom.is_ancestor ~ancestor:n p)
+      | None -> true
+    in
+    let rec distinct = function
+      | [] -> []
+      | n :: rest -> n :: distinct (List.filter (fun m -> not (Dom.equal m n)) rest)
+    in
+    Dom.insert_nodes anchor (List.filter safe (distinct group))
+  in
   (try
-     match sel mod 21 with
+     match sel mod 23 with
      | 0 -> Dom.append_child ~parent:target (fresh_element aux)
      | 1 -> Dom.insert_first ~parent:target (fresh_element aux)
      | 2 -> if nonroot <> [] then Dom.insert_before ~sibling:(pick nonroot aux) (Dom.create_text "ins")
@@ -185,6 +208,19 @@ let apply_op w (sel, p, aux) =
                (if aux mod 2 = 0 then Dom.create_text (Printf.sprintf "b%d" (i mod 3))
                 else fresh_element ((24 * i) + 6))
            done
+     | 20 ->
+         (* one write links a group of new subtrees and texts *)
+         insert_group p
+           (List.init (1 + (aux mod 4)) (fun i ->
+                if (aux + i) mod 3 = 0 then Dom.create_text (Printf.sprintf "g%d" i)
+                else fresh_element (aux + i)))
+     | 21 ->
+         (* a group that moves attached nodes and puts detached ones back *)
+         if nonroot <> [] then
+           insert_group (p + aux)
+             (List.map (pick nonroot) [ aux; aux + 7 ]
+             @ List.filteri (fun i _ -> i < 2) w.pool
+             @ [ fresh_element aux ])
      | _ -> Dom.remove_attribute target (Qname.make "id")
    with Dom.Dom_error _ -> ());
   let pool = !detached @ w.pool in

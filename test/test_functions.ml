@@ -374,8 +374,31 @@ let duration_tests =
     value "PT0.3S" {|string(xs:dayTimeDuration("PT0.1S") * 3)|};
   ]
 
+(* integral doubles below 1e15 print their digits, -0 keeps its sign:
+   the strings [Printf.sprintf "%.0f"] gave *)
+let double_format_tests =
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  [
+    value "-0" "string(-0.0e0)";
+    value "0" "string(0.0e0)";
+    value "1981" "string(1981.0e0)";
+    value "-5" "string(-5.0e0)";
+    value "100000000000000" "string(1.0e14)";
+    value "99999999999999" "string(99999999999999.0e0)";
+    value "1e+15" "string(1.0e15)";
+    t "integral doubles format as %.0f did" (fun () ->
+        List.iter
+          (fun f ->
+            check Alcotest.string (Printf.sprintf "%h" f) (Printf.sprintf "%.0f" f)
+              (Xdm_atomic.to_string (Xdm_atomic.Double f)))
+          [ -0.; 0.; 1.; -1.; 1981.; -5.; 1e14; -1e14; 99999999999999.; 999999999999999.;
+            -999999999999999. ]);
+  ]
+
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
   @ aggregate_tests @ node_tests @ qname_datetime_tests @ timezone_tests
   @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests
-  @ integer_tests @ regex_tests @ duration_tests
+  @ integer_tests @ regex_tests @ duration_tests @ double_format_tests

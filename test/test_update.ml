@@ -159,6 +159,26 @@ let snapshot_tests =
               let $cart := <cart/> return (local:add($cart), $cart)"));
   ]
 
+(* [insert] and [replace] copy a source that names existing nodes and
+   link a freshly built one as it is, in both evaluators *)
+let source_identity_tests =
+  let in_modes = Test_functions.in_modes in
+  let both expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  [
+    both "<d><n/></d> false"
+      "let $n := <n/> let $d := <d/> return (insert node $n into $d, $d, exists($n/..))";
+    both "<d><r/></d> false"
+      "let $r := <r/> let $d := <d><o/></d> return (replace node $d/o with $r, $d, exists($r/..))";
+    both "1 <d>xy<e/></d>"
+      "declare sequential function local:f() { declare variable $d := <d/>; \
+       insert nodes ('x', text{'y'}, <e/>) into $d; (count($d/text()), $d) }; local:f()";
+    both "<d><a/><b/><c/><e/></d>"
+      "let $d := <d><c/></d> return (insert nodes (<a/>, <b/>) as first into $d, \
+       insert node <e/> after $d/c, $d)";
+  ]
+
 let transform_tests =
   [
     eq "copy-modify-return leaves source untouched" "old new"
@@ -174,4 +194,6 @@ let transform_tests =
        string-join(copy $c := $a, $e := $b modify () return (string($c), string($e)), ' ')";
   ]
 
-let suite = insert_tests @ delete_replace_rename_tests @ snapshot_tests @ transform_tests
+let suite =
+  insert_tests @ delete_replace_rename_tests @ snapshot_tests @ source_identity_tests
+  @ transform_tests

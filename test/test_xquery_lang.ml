@@ -271,6 +271,42 @@ let constructor_tests =
     eq "entity in constructor text" "<a>&amp;</a>" "<a>&amp;</a>";
   ]
 
+(* Constructor content as XQuery 3.1 §3.9.1.3 forms it — adjacent
+   atomics of one enclosed expression joined with spaces, adjacent text
+   across expressions merged, empty text dropped — and node identity,
+   in production (which links fresh content as it is) and in the
+   reference (which copies every node). *)
+let content_tests =
+  let in_modes = Test_functions.in_modes in
+  let both expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  [
+    both "1" "count(<a>x{1}y</a>/text())";
+    both "x1y" "string(<a>x{1}y</a>)";
+    both "1" {|count(<a>{text{"p"}}{text{"q"}}</a>/text())|};
+    both "<a>12</a>" "<a>{1}{2}</a>";
+    both "<a>12</a>" "<a>{1} {2}</a>";
+    both "<a>1 2</a>" "<a>{1, 2}</a>";
+    both "<a>1x2</a>" "<a>{1, text{'x'}, 2}</a>";
+    both "0" {|count(<a>{""}</a>/text())|};
+    both "<a> </a>" {|<a>{"", ""}</a>|};
+    both "1" "count(<a>{document{'y', 'z'}}w</a>/text())";
+    both "false false" "let $x := <b/> return (<a>{$x}</a>/b is $x, exists($x/..))";
+    both "true" "let $a := <a>{<b/>}</a> return $a/b/.. is $a";
+    both "true true"
+      "let $a := <a>{for $i in 1 to 2 return <b/>}</a> \
+       return ($a/b[1] << $a/b[2], root($a/b[2]) is $a)";
+    both "2 2"
+      "let $x := <b/> \
+       return (count(<a>{for $i in 1 to 2 return $x}</a>/b), count(<a>{$x, $x}</a>/b))";
+    t "an attribute after text fails, after empty text it does not" (fun () ->
+        in_modes (fun () ->
+            expect_error "XQTY0024" "<a>x{attribute b {1}}</a>";
+            check Alcotest.string "empty text is dropped first" "<a b=\"1\"/>"
+              (run_str {|<a>{""}{attribute b {1}}</a>|})));
+  ]
+
 (* ---------- types ---------- *)
 
 let type_tests =
@@ -418,5 +454,5 @@ let char_ref_tests =
 
 let suite =
   lexer_tests @ arithmetic_tests @ comparison_tests @ flwor_tests
-  @ quantified_typeswitch_tests @ path_tests @ constructor_tests @ type_tests
+  @ quantified_typeswitch_tests @ path_tests @ constructor_tests @ content_tests @ type_tests
   @ declaration_tests @ edge_tests @ char_ref_tests
