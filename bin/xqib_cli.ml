@@ -54,7 +54,9 @@ let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Count engine events (axis steps, cache hits, faults, ...) and print the registry as JSON after the run.")
+        ~doc:
+          "Print the always-on counter registry (axis steps, cache hits, \
+           faults, ...) as JSON after the run.")
 
 let cache_stats_arg =
   Arg.(
@@ -93,8 +95,8 @@ let ablation_arg =
         "Disable the interned-name fast paths: QName equality and \
          name-keyed index probes compare and hash strings instead of \
          pre-interned symbols (A/B baseline for name interning; the \
-         intern table itself stays on — see the sym element of \
-         browser:stats())."
+         intern table itself stays on — see the sym.* counters of \
+         --metrics or browser:stats())."
     $ off "no-join-planner"
         "Disable the equi-join planner: two-for FLWOR joins run as \
          nested loops instead of hash joins (A/B baseline for the \
@@ -102,17 +104,16 @@ let ablation_arg =
     $ off "no-compiled-eval"
         "Run the eager reference evaluator, which walks the AST, \
          instead of the closure compiler, production's one evaluator \
-         (A/B baseline and oracle; see the compile element of \
-         browser:stats())."
+         (A/B baseline and oracle; see the xquery.compile.* counters \
+         of --metrics or browser:stats())."
     $ off "no-incremental"
         "Disable incremental listener recomputation: every event \
          dispatch re-runs every matching listener instead of skipping \
          those whose read footprint no mutation has touched (A/B \
-         baseline; see the reactive element of browser:stats()).")
+         baseline; see the reactive.* counters of --metrics or \
+         browser:stats()).")
 
-let obs_setup ~trace ~metrics =
-  if trace <> None then Obs.Trace.set_enabled true;
-  if metrics || trace <> None then Obs.Metrics.set_enabled true
+let obs_setup ~trace = if trace <> None then Obs.Trace.set_enabled true
 
 let cache_report ~cache_stats =
   if cache_stats then begin
@@ -168,7 +169,7 @@ let eval_cmd =
     Arg.(value & opt bool true & info [ "optimize" ] ~doc:"Run the rewrite optimizer.")
   in
   let run expr optimize trace metrics cache_stats ablation =
-    obs_setup ~trace ~metrics;
+    obs_setup ~trace;
     Xmlb.Ablation.with_ ablation @@ fun () ->
     handle (fun () ->
         print_result (Xquery.Engine.eval_string ~optimize expr);
@@ -185,7 +186,7 @@ let eval_cmd =
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.xq") in
   let run file trace metrics cache_stats ablation =
-    obs_setup ~trace ~metrics;
+    obs_setup ~trace;
     Xmlb.Ablation.with_ ablation @@ fun () ->
     handle (fun () ->
         print_result (Xquery.Engine.eval_string (read_file file));
@@ -245,7 +246,7 @@ let page_cmd =
       Printf.eprintf "error: --fault-rate must be in [0, 1), got %g\n" fault_rate;
       exit 2
     end;
-    obs_setup ~trace ~metrics;
+    obs_setup ~trace;
     Xmlb.Ablation.with_ ablation @@ fun () ->
     handle (fun () ->
         Minijs.Js_interp.install ();
@@ -447,7 +448,6 @@ let fleet_cmd =
       Printf.eprintf "error: --fault-rate must be in [0, 1), got %g\n" fault_rate;
       exit 2
     end;
-    if metrics then Obs.Metrics.set_enabled true;
     handle (fun () ->
         Minijs.Js_interp.install ();
         let r =
@@ -455,10 +455,7 @@ let fleet_cmd =
             ~service_cost ~spread ~think ~rate:fault_rate ?max_tasks ~seed ()
         in
         Format.printf "%a@." Appserver.Fleet.pp_report r;
-        if metrics then begin
-          prerr_endline "== metrics ==";
-          print_endline (Obs.Metrics.to_json ())
-        end)
+        obs_report ~trace:None ~metrics)
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -1,11 +1,13 @@
 #!/bin/sh
 # Tier-1 gate: build everything, run the full test suite, then a
 # bench smoke (tiny sizes/quotas) so bench code cannot bit-rot.
-# The T9 line additionally gates the observability layer: it fails if a
-# disabled run records anything, if the disabled-mode A/A delta exceeds
-# 10% (min-of-5 interleaved estimates per side; see EXPERIMENTS.md on
-# why tighter bars sit below the smoke-budget noise floor on shared CI
-# hosts), or if the exported trace JSON does not validate.
+# The T9 line additionally gates the observability layer: it fails if an
+# untraced run records a span, if 10^5 increments of a registry counter
+# allocate any minor word (counting is always on, so it must cost no
+# allocation), if the untraced A/A delta exceeds 10% (min-of-5
+# interleaved estimates per side; see EXPERIMENTS.md on why tighter bars
+# sit below the smoke-budget noise floor on shared CI hosts), or if the
+# exported trace JSON does not validate.
 # The T10 line gates the compiled-query cache: it fails if a cache-on
 # page render differs from cache-off, if a warm re-compile records zero
 # cache hits, or if the warm speedup drops below 5x.
@@ -77,6 +79,8 @@
 # attributes browser:stats() writes for the seven fields of the ablation
 # record (lib/xmlb/ablation.ml): they fail unless the run without flags
 # reads every field on and each flag turns off exactly its own field.
+# The --metrics line fails unless `xqib eval --metrics` prints the
+# counter registry as JSON with at least one counted eval.steps.
 # The perfbench line runs the end-to-end benchmark's own tests: it fails
 # if one seed does not give the same inputs and the same traced counts
 # twice, if a deliberately wrong expectation does not fail ops, or if
@@ -102,7 +106,7 @@ printf '<html/>' > /tmp/xqib_ci_page.html
 ablation_fields() {
   dune exec bin/xqib_cli.exe -- page /tmp/xqib_ci_page.html "$@" --query \
     "for \$a in browser:stats()/@*[ends-with(local-name(), '-enabled')]
-     where not(local-name(\$a) = ('metrics-enabled', 'trace-enabled'))
+     where local-name(\$a) ne 'trace-enabled'
      return concat(local-name(\$a), '=', \$a)" | grep -e '-enabled=' | tr '\n' ' '
 }
 all_on="acceleration-enabled=true value-index-enabled=true interning-enabled=true \
@@ -119,4 +123,7 @@ for pair in no-query-cache:query-cache no-value-index:value-index \
   got=$(ablation_fields "--$flag")
   [ "$got" = "$want" ] || { echo "CLI FAIL: --$flag: got '$got'" >&2; exit 1; }
 done
+dune exec bin/xqib_cli.exe -- eval --metrics 'count(<a><b/></a>/b)' 2>/dev/null | tail -n 1 |
+  python3 -m json.tool | python3 -c 'import json, sys; assert json.load(sys.stdin)["counters"]["eval.steps"] >= 1' ||
+  { echo "CLI FAIL: --metrics" >&2; exit 1; }
 python3 perfbench/test_perfbench.py > /dev/null

@@ -101,6 +101,13 @@ let max_queue_depth t = t.max_depth
 let served_requests t = t.served
 let latencies t = Array.of_list (List.rev t.latencies)
 
+(* the process-wide registry mirrors of every server's statistics *)
+let shed_count = Obs.Metrics.counter "appserver.sheds"
+let request_count = Obs.Metrics.counter "appserver.requests"
+let latency_histogram = Obs.Metrics.histogram "appserver.latency_s"
+let depth_histogram = Obs.Metrics.histogram "appserver.queue-depth"
+let tenant_compile_count = Obs.Metrics.counter "appserver.tenant-compiles"
+
 (* single-server FIFO queue in virtual time. A request's arrival time
    is the lag-corrected clock ([now - current_lag]): the fleet runs
    concurrent sessions sequentially, so a session's task may fire late
@@ -126,7 +133,7 @@ let admit t ~cost =
     in
     if over then begin
       t.sheds <- t.sheds + 1;
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "appserver.sheds";
+      Obs.Metrics.incr shed_count;
       let head =
         if Queue.is_empty t.backlog then arrival else Queue.peek t.backlog
       in
@@ -142,11 +149,9 @@ let admit t ~cost =
       let lat = finish -. arrival in
       t.served <- t.served + 1;
       t.latencies <- lat :: t.latencies;
-      if !Obs.Metrics.enabled then begin
-        Obs.Metrics.incr "appserver.requests";
-        Obs.Metrics.observe "appserver.latency_s" lat;
-        Obs.Metrics.observe "appserver.queue-depth" (float_of_int depth)
-      end;
+      Obs.Metrics.incr request_count;
+      Obs.Metrics.observe latency_histogram lat;
+      Obs.Metrics.observe depth_histogram (float_of_int depth);
       `Admitted (Float.max 0. (finish -. now))
     end
   end
@@ -210,7 +215,7 @@ let compiled_for t ~tenant ~path ~compiled ~source =
         let static = Xquery.Engine.default_static () in
         let c = Xquery.Engine.compile ~static source in
         t.tenant_compiles <- t.tenant_compiles + 1;
-        if !Obs.Metrics.enabled then Obs.Metrics.incr "appserver.tenant-compiles";
+        Obs.Metrics.incr tenant_compile_count;
         Xquery.Query_cache.add cache path ~cost:(String.length source) c;
         c
 

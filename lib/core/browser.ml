@@ -84,15 +84,16 @@ let set_document t window doc =
 
 let document t = t.top_window.Windows.document
 let alerts t = List.rev t.alerts
-let clear_alerts t = t.alerts <- []
 
 (* memoized: re-rendering a page no event actually changed is a lookup *)
 let render ?options t = Renderer.render_cached ?options (document t)
 
+let events = Obs.Metrics.counter "browser.events"
+
 let dispatch t ?(detail = []) ~target event_type =
   let t0 = Virtual_clock.now t.clock in
   t.events_dispatched <- t.events_dispatched + 1;
-  if !Obs.Metrics.enabled then Obs.Metrics.incr "browser.events";
+  Obs.Metrics.incr events;
   let fire () = ignore (Dom_event.fire ~detail ~event_type ~target ()) in
   if !Obs.Trace.enabled then
     Obs.Trace.with_span ~attrs:[ ("event", event_type) ] "browser.dispatch" fire

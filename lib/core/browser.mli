@@ -68,8 +68,6 @@ val document : t -> Dom.node
 (** Chronological list of alert messages. *)
 val alerts : t -> string list
 
-val clear_alerts : t -> unit
-
 (** Render the page through {!Renderer.render_cached}: when an event
     changed nothing (all listeners skipped by reactive dispatch), the
     re-render is a memo lookup; otherwise only the blocks on the paths

@@ -182,7 +182,8 @@ let install (b : Browser.t) (window : Windows.t) sctx =
 
   (* engine observability: a snapshot of the metrics registry as XML,
      so page code and tests can introspect performance counters with
-     ordinary XPath (e.g. browser:stats()//counter[@name='eval.steps']) *)
+     ordinary XPath (e.g. browser:stats()//counter[@name='eval.steps']);
+     every count is a <counter>, the rest is state *)
   let document_listeners () =
     let doc = window.Windows.document in
     List.fold_left
@@ -195,11 +196,9 @@ let install (b : Browser.t) (window : Windows.t) sctx =
           ~attrs:(List.map (fun (k, v) -> (Qname.make k, v)) attrs)
           (Qname.make name)
       in
-      let ints = List.map (fun (k, v) -> (k, string_of_int v)) in
       let root =
         el "stats"
           (("virtual-time", Printf.sprintf "%.6f" (Virtual_clock.now b.Browser.clock))
-          :: ("metrics-enabled", string_of_bool !Obs.Metrics.enabled)
           :: ("trace-enabled", string_of_bool !Obs.Trace.enabled)
           :: List.map
                (fun (field, on) -> (field ^ "-enabled", string_of_bool on))
@@ -243,22 +242,9 @@ let install (b : Browser.t) (window : Windows.t) sctx =
             ("cost-saved", string_of_int s.Xquery.Query_cache.cost_saved);
           ]
       in
-      let ce = el "compile" (ints (Xquery.Compile.stats ())) in
-      let st =
-        el "streaming"
-          [
-            ("pulls", string_of_int (Obs.Metrics.counter Xdm_seq.pulls_metric));
-            ( "materializations",
-              string_of_int (Obs.Metrics.counter Xdm_seq.materialize_metric) );
-          ]
-      in
-      let re =
-        el "reactive"
-          (("listeners", string_of_int (document_listeners ()))
-          :: ints (Xquery.Reactive.counter_stats ()))
-      in
-      let sy = el "sym" (ints (Xmlb.Sym.stats ())) in
-      Dom.fill root ~attrs:[] [ counters; hists; spans; qc; ce; st; re; sy ];
+      let re = el "reactive" [ ("listeners", string_of_int (document_listeners ())) ] in
+      let sy = el "sym" [ ("size", string_of_int (Xmlb.Sym.size ())) ] in
+      Dom.fill root ~attrs:[] [ counters; hists; spans; qc; re; sy ];
       [ I.Node root ]);
 
   (* document write (the paper notes best practice is XDM updates) *)

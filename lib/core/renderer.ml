@@ -278,7 +278,12 @@ let flush_inline st prefix =
     st.broken <- 0
   end
 
-let metric name = if !Obs.Metrics.enabled then Obs.Metrics.incr name
+let elements_rendered = Obs.Metrics.counter "render.elements"
+let block_hits = Obs.Metrics.counter "render.block.hit"
+let block_misses = Obs.Metrics.counter "render.block.miss"
+let renders = Obs.Metrics.counter "render.count"
+let memo_hits = Obs.Metrics.counter "render.memo.hit"
+let memo_misses = Obs.Metrics.counter "render.memo.miss"
 
 let rec render_node st node =
   match Dom.kind node with
@@ -294,7 +299,7 @@ and render_children st = function
       render_children st rest
 
 and render_element st node =
-  metric "render.elements";
+  Obs.Metrics.incr elements_rendered;
   let cls = match Dom.name node with Some q -> classify q.Xmlb.Qname.local | None -> Inline in
   match cls with
   | Skip -> ()
@@ -340,10 +345,10 @@ and render_block st node cls =
   in
   match memo with
   | Some (Block p) ->
-      metric "render.block.hit";
+      Obs.Metrics.incr block_hits;
       if size p > 0 then push st p
   | _ ->
-      metric "render.block.miss";
+      Obs.Metrics.incr block_misses;
       let base = st.depth in
       block_lines st node cls;
       close_leaf st;
@@ -471,7 +476,7 @@ let copy_out piece =
   end
 
 let render_with memos options node =
-  metric "render.count";
+  Obs.Metrics.incr renders;
   Obs.Trace.with_span "render" @@ fun () ->
   let st =
     {
@@ -524,10 +529,10 @@ let render_cached ?(options = default_options) node =
   let pages = Dom.memo_table node page_table in
   match Hashtbl.find_opt pages (Dom.id node) with
   | Some (Page text) ->
-      metric "render.memo.hit";
+      Obs.Metrics.incr memo_hits;
       text
   | _ ->
-      metric "render.memo.miss";
+      Obs.Metrics.incr memo_misses;
       let text = render_with (Some (Dom.memo_table node block_table)) options node in
       Hashtbl.replace pages (Dom.id node) (Page text);
       text

@@ -108,7 +108,6 @@ type view = {
   root : Dom.node;
   registry : (int, t) Hashtbl.t;  (** materialized window element id -> window *)
   observer : Dom.observer_id;
-  mutable rejected : int;
   mutable syncing : bool;  (** guard against observer re-entry *)
 }
 
@@ -166,10 +165,12 @@ let child_text el name =
       | _ -> None)
     (Dom.children el)
 
-let resync ~policy ~accessor ~on_navigate view (el, w) =
+let rejected_writes = Obs.Metrics.counter "windows.rejected-writes"
+
+let resync ~policy ~accessor ~on_navigate (el, w) =
   (* policy re-check at write time: the window may have navigated away *)
   if not (Origin.allows policy ~accessor ~target:(origin w)) then
-    view.rejected <- view.rejected + 1
+    Obs.Metrics.incr rejected_writes
   else begin
     (match Dom.attribute_local el "name" with
     | Some n when not (String.equal n w.wname) -> w.wname <- n
@@ -216,10 +217,9 @@ let materialize ?(policy = Origin.Same_origin) ?on_navigate ~accessor w =
                            n
                      in
                      match enclosing_window v node with
-                     | Some hit -> resync ~policy ~accessor ~on_navigate v hit
+                     | Some hit -> resync ~policy ~accessor ~on_navigate hit
                      | None -> ())
                end);
-         rejected = 0;
          syncing = false;
        }
      in
@@ -251,4 +251,3 @@ let window_of_node v node =
 let window_at v node = Hashtbl.find_opt v.registry (Dom.id node)
 
 let release v = Dom.unobserve v.observer
-let rejected_writes v = v.rejected

@@ -90,7 +90,3 @@ val window_at : view -> Dom.node -> t option
 
 (** Stop observing write-backs. *)
 val release : view -> unit
-
-(** Number of write-backs rejected by the security policy (telemetry
-    for tests and the T3 bench). *)
-val rejected_writes : view -> int

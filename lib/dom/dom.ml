@@ -225,8 +225,24 @@ let set_slot n s =
    whenever an attribute enters or leaves a tree. *)
 let id_sym : Sym.t = Sym.intern "id"
 
-let metric name = if !Obs.Metrics.enabled then Obs.Metrics.incr name
-let metric_by name k = if !Obs.Metrics.enabled then Obs.Metrics.incr ~by:k name
+(* registry counters ({!Obs.Metrics}): cache builds and hits, per-write
+   upkeep, lookups *)
+let keys_hit = Obs.Metrics.counter "dom.accel.keys.hit"
+let keys_rebuild = Obs.Metrics.counter "dom.accel.keys.rebuild"
+let index_hit = Obs.Metrics.counter "dom.accel.index.hit"
+let index_rebuild = Obs.Metrics.counter "dom.accel.index.rebuild"
+let value_index_rebuild = Obs.Metrics.counter "dom.value_index.rebuild"
+let value_index_hits = Obs.Metrics.counter "dom.value_index.hits"
+let delta_nodes = Obs.Metrics.counter "dom.delta.nodes"
+let delta_relabels = Obs.Metrics.counter "dom.delta.relabels"
+let delta_copies = Obs.Metrics.counter "dom.delta.copies"
+let order_keyed = Obs.Metrics.counter "dom.order.keyed"
+let order_path = Obs.Metrics.counter "dom.order.path"
+let notify_batched = Obs.Metrics.counter "dom.notify.batched"
+let lookup_by_id = Obs.Metrics.counter "dom.lookup.by-id"
+let lookup_by_id_naive = Obs.Metrics.counter "dom.lookup.by-id.naive"
+let lookup_by_name = Obs.Metrics.counter "dom.lookup.by-name"
+let lookup_by_name_naive = Obs.Metrics.counter "dom.lookup.by-name.naive"
 
 let accel_of r =
   match r.nside with
@@ -389,9 +405,9 @@ let walk r ~labels elems =
   go r
 
 let ensure_labels r s =
-  if s.labelled then metric "dom.accel.keys.hit"
+  if s.labelled then Obs.Metrics.incr keys_hit
   else begin
-    metric "dom.accel.keys.rebuild";
+    Obs.Metrics.incr keys_rebuild;
     walk r ~labels:true None;
     s.labelled <- true
   end
@@ -492,7 +508,7 @@ let place r ~first ~last fresh k =
       if i > 61 then begin
         (* past ~4e7 nodes: relabel the whole tree *)
         walk r ~labels:true None;
-        metric_by "dom.delta.relabels" (node_count r)
+        Obs.Metrics.add delta_relabels (node_count r)
       end
       else begin
         let width = 1 lsl i in
@@ -520,7 +536,7 @@ let place r ~first ~last fresh k =
         let m = !nleft + k + !nright in
         if float_of_int m <= range_capacity i then begin
           spread base width (!left @ fresh @ List.rev !right) m;
-          metric_by "dom.delta.relabels" (!nleft + !nright)
+          Obs.Metrics.add delta_relabels (!nleft + !nright)
         end
         else grow (i + 1)
       end
@@ -581,7 +597,7 @@ let bucket_add b n =
   let ci = chunk_index b k in
   let c = b.chunks.(ci) in
   let len = Array.length c and i = lower_bound c k in
-  metric_by "dom.delta.copies" len;
+  Obs.Metrics.add delta_copies len;
   let c' = Array.make (len + 1) n in
   Array.blit c 0 c' 0 i;
   Array.blit c i c' (i + 1) (len - i);
@@ -599,7 +615,7 @@ let bucket_remove b n =
   while !i < len && c.(!i) != n do incr i done;
   if !i < len then begin
     b.listed <- None;
-    metric_by "dom.delta.copies" (len - 1);
+    Obs.Metrics.add delta_copies (len - 1);
     if len = 1 then splice b ci [||]
     else
       let i = !i in
@@ -658,8 +674,8 @@ let iter_attr_values f el (lsym : Sym.t) =
 (* the element buckets, and the labels if no order read built them, in
    one walk *)
 let build_elems r s =
-  metric "dom.accel.index.rebuild";
-  if not s.labelled then metric "dom.accel.keys.rebuild";
+  Obs.Metrics.incr index_rebuild;
+  if not s.labelled then Obs.Metrics.incr keys_rebuild;
   let by_id = Hashtbl.create 64 and by_name = Hashtbl.create 64 in
   walk r ~labels:(not s.labelled) (Some (by_id, by_name));
   s.labelled <- true;
@@ -668,13 +684,13 @@ let build_elems r s =
   e
 
 let build_attr_values r (lsym : Sym.t) =
-  metric "dom.value_index.rebuild";
+  Obs.Metrics.incr value_index_rebuild;
   let t = Hashtbl.create 64 in
   iter_elements (fun n _ -> iter_attr_values (fun v -> collect t v n) n lsym) r;
   seal t
 
 let build_text_values r (lsym : Sym.t) =
-  metric "dom.value_index.rebuild";
+  Obs.Metrics.incr value_index_rebuild;
   let t = Hashtbl.create 64 and complex = ref 0 in
   iter_elements
     (fun n name ->
@@ -686,7 +702,7 @@ let build_text_values r (lsym : Sym.t) =
 let elems_of r s =
   match s.elems with
   | Some e ->
-      metric "dom.accel.index.hit";
+      Obs.Metrics.incr index_hit;
       e
   | None -> build_elems r s
 
@@ -780,16 +796,16 @@ let compare_order a b =
     else if Ablation.current.acceleration then begin
       ensure_labels ra (accel_of ra);
       if a.label >= 0 && b.label >= 0 then begin
-        metric "dom.order.keyed";
+        Obs.Metrics.incr order_keyed;
         Int.compare a.label b.label
       end
       else begin
-        metric "dom.order.path";
+        Obs.Metrics.incr order_path;
         compare_paths a b
       end
     end
     else begin
-      metric "dom.order.path";
+      Obs.Metrics.incr order_path;
       compare_paths a b
     end
 
@@ -916,7 +932,7 @@ let end_write w mutation =
       Option.iter (Footprint.record_write s.watch) w.wfp;
       if s.observers != [] then
         if !batch_depth > 0 then begin
-          metric "dom.notify.batched";
+          Obs.Metrics.incr notify_batched;
           batch_queue := (w.wroot, mutation) :: !batch_queue
         end
         else deliver w.wroot mutation
@@ -974,7 +990,7 @@ let linked w group =
           let k = List.length fresh in
           let last = List.fold_left (fun _ x -> x) first rest in
           place w.wroot ~first ~last fresh k;
-          metric_by "dom.delta.nodes" k;
+          Obs.Metrics.add delta_nodes k;
           List.iter note fresh
       | _ when w.wfp <> None -> List.iter (iter_preorder note) group
       | _ -> ())
@@ -1013,7 +1029,7 @@ let unlinked w ~from n =
           List.iter forget (children x)
         in
         (match n.nkind with P_attribute _ -> forget_attr from n | _ -> forget n);
-        metric_by "dom.delta.nodes" !count
+        Obs.Metrics.add delta_nodes !count
       end
 
 (* Change [e]'s children or their text with [f], moving its text
@@ -1055,6 +1071,14 @@ let assert_insertable n =
   | P_attribute _ -> err "cannot insert an attribute node as a child"
   | P_document _ -> err "cannot insert a document node as a child"
   | P_element _ | P_text _ | P_comment _ | P_pi _ -> ()
+
+(* No node of [group] may become its own ancestor: one walk up from
+   the parent-to-be. *)
+let rec assert_acyclic group = function
+  | Some a when List.memq a group ->
+      err "cannot insert a node into itself or one of its descendants"
+  | Some a -> assert_acyclic group a.nparent
+  | None -> ()
 
 let set_children parent cs =
   match parent.nkind with
@@ -1100,6 +1124,7 @@ type anchor = Last_of of node | First_of of node | Before of node | After of nod
    notification however many nodes the group holds. *)
 let insert_children parent group weave =
   List.iter assert_insertable group;
+  assert_acyclic group (Some parent);
   List.iter (fun n -> detach n) group;
   let w = begin_write parent in
   retext w parent (fun () ->
@@ -1157,6 +1182,7 @@ let replace n replacements =
           end_write w (Attribute_changed (p, a.aname))
       | _ ->
           List.iter assert_insertable replacements;
+          assert_acyclic replacements (Some p);
           let rec weave = function
             | [] -> err "node not found in parent during replace"
             | c :: rest when c == n -> replacements @ rest
@@ -1441,7 +1467,7 @@ let rec scan_element_by_id n idv =
 let get_element_by_id n idv =
   let hit =
     if Ablation.current.acceleration then begin
-      metric "dom.lookup.by-id";
+      Obs.Metrics.incr lookup_by_id;
       let r = root n in
       match Hashtbl.find_opt (elems_of r (accel_of r)).by_id idv with
       | None -> None
@@ -1450,7 +1476,7 @@ let get_element_by_id n idv =
           else List.find_opt (fun c -> in_subtree ~top:n c) (bucket_list b)
     end
     else begin
-      metric "dom.lookup.by-id.naive";
+      Obs.Metrics.incr lookup_by_id_naive;
       scan_element_by_id n idv
     end
   in
@@ -1469,7 +1495,7 @@ let get_elements_by_local_sym n (sym : Sym.t) =
   if Footprint.recording () then
     Footprint.reading_name ~root:(root_watch n) ~scope:n.nid sym;
   if Ablation.current.acceleration then begin
-    metric "dom.lookup.by-name";
+    Obs.Metrics.incr lookup_by_name;
     let r = root n in
     let bucket =
       match Hashtbl.find_opt (elems_of r (accel_of r)).by_name (sym :> int) with
@@ -1479,7 +1505,7 @@ let get_elements_by_local_sym n (sym : Sym.t) =
     if n == r then bucket else List.filter (fun c -> in_subtree ~top:n c) bucket
   end
   else begin
-    metric "dom.lookup.by-name.naive";
+    Obs.Metrics.incr lookup_by_name_naive;
     let candidates =
       match n.nkind with P_element _ -> n :: descendants n | _ -> descendants n
     in
@@ -1543,7 +1569,7 @@ let value_lookup which n (lsym : Sym.t) v =
     match found with
     | None -> None
     | Some b ->
-        metric "dom.value_index.hits";
+        Obs.Metrics.incr value_index_hits;
         let bucket = match b with Some b -> bucket_list b | None -> [] in
         Some
           (if n == r then bucket

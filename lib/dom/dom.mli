@@ -227,10 +227,10 @@ type anchor = Last_of of node | First_of of node | Before of node | After of nod
     in its order, at [anchor]: one write, so one pass over the child
     list, one placement of the group's order labels, one footprint
     write record and one [Children_changed]. An empty group writes
-    nothing. The nodes must be distinct, and none may be the parent
-    or one of its ancestors.
-    @raise Dom_error for an attribute or document in the group, or a
-    sibling anchor without a parent. *)
+    nothing. The nodes must be distinct.
+    @raise Dom_error for an attribute or document in the group, a node
+    of the group that is the parent or one of its ancestors, or a
+    sibling anchor without a parent; nothing is written then. *)
 val insert_nodes : anchor -> node list -> unit
 
 (** One-node forms of {!insert_nodes}. *)
@@ -243,7 +243,8 @@ val insert_after : sibling:node -> node -> unit
 val remove : node -> unit
 
 (** Replace a node with a list of nodes (empty list = delete).
-    @raise Dom_error if the node has no parent. *)
+    @raise Dom_error if the node has no parent, or a replacement is
+    that parent or one of its ancestors. *)
 val replace : node -> node list -> unit
 
 (** Set the value of an attribute/text/comment/PI node; for an element

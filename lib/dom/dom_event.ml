@@ -40,7 +40,7 @@ type listener_id = listener
    go away with the node. *)
 type Dom.slot += Listeners of listener list
 
-let invocations = ref 0
+let invocations = Obs.Metrics.counter "dom_event.invocations"
 
 let node_listeners node =
   match Dom.slot node with Listeners ls -> ls | _ -> []
@@ -95,7 +95,7 @@ let invoke_phase event node =
   List.iter
     (fun l ->
       if not event.propagation_stopped then begin
-        incr invocations;
+        Obs.Metrics.incr invocations;
         l.callback event
       end)
     matching
@@ -121,4 +121,4 @@ let dispatch event =
 let fire ?detail ?payload ~event_type ~target () =
   dispatch (make_event ?detail ?payload ~event_type ~target ())
 
-let invocation_count () = !invocations
+let invocation_count () = Obs.Metrics.value invocations

@@ -76,6 +76,5 @@ val fire :
   unit ->
   bool
 
-(** Total number of listener invocations since program start (used by
-    benches and tests). *)
+(** Listener invocations: the registry counter [dom_event.invocations]. *)
 val invocation_count : unit -> int

@@ -208,7 +208,7 @@ let intersects_wrec fp w =
 
 let intersects fp ws = fp.poisoned || List.exists (intersects_wrec fp) ws
 
-let invalidations = ref 0
+let invalidations = Obs.Metrics.counter "reactive.invalidation"
 
 (* Mark dirty, and unregister, every footprint on [w] that [ws] (writes
    under [w]'s root) intersects. *)
@@ -221,8 +221,7 @@ let mark w ws =
         if intersects fp ws then begin
           fp.dirty <- true;
           Weak.set w.slots i None;
-          incr invalidations;
-          if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.invalidation"
+          Obs.Metrics.incr invalidations
         end
         else incr live
     | Some _ -> Weak.set w.slots i None
@@ -251,4 +250,3 @@ let commit () =
       in
       by_watch ps
 
-let entry_count fp = fp.entries

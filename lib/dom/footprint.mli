@@ -102,12 +102,9 @@ val add_wkey : wrec -> local:Sym.t -> string -> unit
 val record_write : watch -> wrec -> unit
 
 (** Mark dirty, and unregister, every registered footprint the queued
-    batch intersects. *)
+    batch intersects; each counts once in the registry counter
+    [reactive.invalidation]. *)
 val commit : unit -> unit
-
-(** Footprints marked dirty by {!commit} since start (or since the
-    reactive layer last reset its counters). *)
-val invalidations : int ref
 
 (** {1 Intersection} *)
 
@@ -115,6 +112,3 @@ val invalidations : int ref
     the run consulted — change anything the run that recorded [fp]
     read? Poisoned footprints intersect everything. *)
 val intersects : read -> wrec list -> bool
-
-(** Number of distinct recorded entries (diagnostics). *)
-val entry_count : read -> int

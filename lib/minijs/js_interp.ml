@@ -237,18 +237,22 @@ and node_method st node name =
     | VObj { kind = Node n; _ } -> n
     | _ -> fail "%s: expected a DOM node argument" name
   in
+  (* a tree write the DOM refuses is the DOMException page code can
+     catch *)
+  let write f = try f () with Dom.Dom_error m -> fail "HierarchyRequestError: %s" m in
   match name with
   | "appendChild" ->
       native (fun _ args ->
           let child = as_node (arg 0 args) in
-          Dom.append_child ~parent:node child;
+          write (fun () -> Dom.append_child ~parent:node child);
           vnode child)
   | "insertBefore" ->
       native (fun _ args ->
           let child = as_node (arg 0 args) in
-          (match arg 1 args with
-          | VNull | VUndefined -> Dom.append_child ~parent:node child
-          | v -> Dom.insert_before ~sibling:(as_node v) child);
+          write (fun () ->
+              match arg 1 args with
+              | VNull | VUndefined -> Dom.append_child ~parent:node child
+              | v -> Dom.insert_before ~sibling:(as_node v) child);
           vnode child)
   | "removeChild" ->
       native (fun _ args ->
@@ -258,7 +262,7 @@ and node_method st node name =
   | "replaceChild" ->
       native (fun _ args ->
           let newc = as_node (arg 0 args) and oldc = as_node (arg 1 args) in
-          Dom.replace oldc [ newc ];
+          write (fun () -> Dom.replace oldc [ newc ]);
           vnode oldc)
   | "cloneNode" -> native (fun _ _ -> vnode (Dom.clone node))
   | "setAttribute" ->

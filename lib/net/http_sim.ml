@@ -111,25 +111,21 @@ let register_doc t ~uri ?(content_type = "application/xml") body =
 let bump table key delta =
   Hashtbl.replace table key (delta + Option.value ~default:0 (Hashtbl.find_opt table key))
 
-let fault_metric = function
-  | Drop -> "net.fault.drop"
-  | Http_5xx -> "net.fault.http-5xx"
-  | Corrupt_body -> "net.fault.corrupt-body"
-  | Extra_delay -> "net.fault.extra-delay"
+let fault_metrics =
+  List.map
+    (fun (kind, name) -> (kind, Obs.Metrics.counter ("net.fault." ^ name)))
+    [ (Drop, "drop"); (Http_5xx, "http-5xx"); (Corrupt_body, "corrupt-body");
+      (Extra_delay, "extra-delay") ]
 
 let bump_fault t kind =
   bump t.fault_counts kind 1;
-  if !Obs.Metrics.enabled then Obs.Metrics.incr (fault_metric kind)
+  Obs.Metrics.incr (List.assoc kind fault_metrics)
 
 let set_faults t ?host ~seed spec =
   let state = { spec; prng = Prng.create ~seed } in
   match host with
   | Some host -> Hashtbl.replace t.host_faults host state
   | None -> t.faults <- Some state
-
-let clear_faults t =
-  t.faults <- None;
-  Hashtbl.reset t.host_faults
 
 let injected_faults t kind =
   Option.value ~default:0 (Hashtbl.find_opt t.fault_counts kind)
@@ -216,6 +212,10 @@ let round_trip_latency t resp =
   t.latency.base
   +. (t.latency.per_kb *. (float_of_int (String.length resp.body) /. 1024.))
 
+let requests = Obs.Metrics.counter "net.requests"
+let bytes = Obs.Metrics.counter "net.bytes"
+let latencies = Obs.Metrics.histogram "net.latency_s"
+
 let serve t ?(meth = Get) ?body uri =
   let go () =
     let resp, extra = serve_faulted t ~meth ~body uri in
@@ -224,11 +224,9 @@ let serve t ?(meth = Get) ?body uri =
     let latency =
       (if resp.status = 0 then t.latency.base else round_trip_latency t resp) +. extra
     in
-    if !Obs.Metrics.enabled then begin
-      Obs.Metrics.incr "net.requests";
-      Obs.Metrics.incr ~by:(String.length resp.body) "net.bytes";
-      Obs.Metrics.observe "net.latency_s" latency
-    end;
+    Obs.Metrics.incr requests;
+    Obs.Metrics.add bytes (String.length resp.body);
+    Obs.Metrics.observe latencies latency;
     (resp, latency)
   in
   if !Obs.Trace.enabled then

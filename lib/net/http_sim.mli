@@ -79,8 +79,6 @@ val split_uri : string -> (string * string) option
     same schedule. *)
 val set_faults : t -> ?host:string -> seed:int -> fault_spec -> unit
 
-val clear_faults : t -> unit
-
 (** Serve a request and return [(response, round-trip latency)] without
     advancing the clock — the hook {!Retry} uses to model per-attempt
     timeouts (the caller decides how much of the latency it waits). *)

@@ -13,7 +13,7 @@ type client = {
   mutable hits : int;
   mutable misses : int;
   mutable online : unit -> bool;
-  mutable policy : Retry.policy;
+  policy : Retry.policy;
   prng : Prng.t;
   retry_stats : Retry.stats;
   mutable fallback : fallback option;
@@ -40,8 +40,6 @@ let cache_misses c = c.misses
 let clear_cache c =
   match c.cache with Some t -> Hashtbl.reset t | None -> ()
 
-let set_retry_policy c policy = c.policy <- policy
-let retry_policy c = c.policy
 let retry_stats c = c.retry_stats
 
 let set_fallback c ~put ~get = c.fallback <- Some { put; get }

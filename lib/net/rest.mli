@@ -28,9 +28,6 @@ val make_client : ?cache:bool -> ?retry:Retry.policy -> ?seed:int -> Http_sim.t 
     models working offline against cached/local data (paper §2.4). *)
 val set_online_guard : client -> (unit -> bool) -> unit
 
-val set_retry_policy : client -> Retry.policy -> unit
-val retry_policy : client -> Retry.policy
-
 (** Attempt/retry/timeout counters for every call made by this client. *)
 val retry_stats : client -> Retry.stats
 

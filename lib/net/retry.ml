@@ -58,13 +58,23 @@ let backoff_total policy ~attempts =
   in
   sum 1 0. *. (1. +. policy.jitter)
 
+(* the per-call [stats] record's process-wide registry mirrors, so
+   `browser:stats()` and --metrics see retry behaviour without threading
+   a stats value everywhere *)
+module Mirror = struct
+  let c = Obs.Metrics.counter
+  let attempts = c "retry.attempts"
+  let timeouts = c "retry.timeouts"
+  let successes = c "retry.successes"
+  let exhausted = c "retry.exhausted"
+  let retries = c "retry.retries"
+  let retry_after_honored = c "retry.retry-after-honored"
+  let backoff = Obs.Metrics.histogram "retry.backoff_s"
+end
+
 let fetch_check ?(policy = default) ?prng ?stats ~check http ?meth ?body uri =
   let clock = Http_sim.clock http in
   let record f = match stats with Some s -> f s | None -> () in
-  (* mirror the per-call [stats] record into the global metrics
-     registry, so `browser:stats()` and --metrics see retry behaviour
-     without threading a stats value everywhere *)
-  let metric name = if !Obs.Metrics.enabled then Obs.Metrics.incr name in
   let jittered delay =
     match prng with
     | Some p when policy.jitter > 0. && delay > 0. ->
@@ -73,7 +83,7 @@ let fetch_check ?(policy = default) ?prng ?stats ~check http ?meth ?body uri =
   in
   let rec attempt k =
     record (fun s -> s.attempts <- s.attempts + 1);
-    metric "retry.attempts";
+    Obs.Metrics.incr Mirror.attempts;
     let resp, latency = Http_sim.serve http ?meth ?body uri in
     let resp =
       match policy.attempt_timeout with
@@ -81,7 +91,7 @@ let fetch_check ?(policy = default) ?prng ?stats ~check http ?meth ?body uri =
           (* the caller waited exactly until the deadline, then gave up *)
           Virtual_clock.sleep clock deadline;
           record (fun s -> s.timeouts <- s.timeouts + 1);
-          metric "retry.timeouts";
+          Obs.Metrics.incr Mirror.timeouts;
           timeout_response
       | _ ->
           Virtual_clock.sleep clock latency;
@@ -96,29 +106,29 @@ let fetch_check ?(policy = default) ?prng ?stats ~check http ?meth ?body uri =
     match verdict with
     | `Ok v ->
         record (fun s -> s.successes <- s.successes + 1);
-        metric "retry.successes";
+        Obs.Metrics.incr Mirror.successes;
         Ok v
     | `Permanent resp -> Error resp
     | `Transient resp ->
         if k >= policy.max_attempts then begin
           record (fun s -> s.exhausted <- s.exhausted + 1);
-          metric "retry.exhausted";
+          Obs.Metrics.incr Mirror.exhausted;
           Error resp
         end
         else begin
           record (fun s -> s.retries <- s.retries + 1);
-          metric "retry.retries";
+          Obs.Metrics.incr Mirror.retries;
           let wait = Float.max 0. (jittered (backoff policy ~attempt:k)) in
           (* an overloaded server's Retry-After hint is a lower bound:
              coming back earlier would only be shed again *)
           let wait =
             match resp.Http_sim.retry_after with
             | Some ra when ra > wait ->
-                metric "retry.retry-after-honored";
+                Obs.Metrics.incr Mirror.retry_after_honored;
                 ra
             | _ -> wait
           in
-          if !Obs.Metrics.enabled then Obs.Metrics.observe "retry.backoff_s" wait;
+          Obs.Metrics.observe Mirror.backoff wait;
           Virtual_clock.sleep clock wait;
           attempt (k + 1)
         end

@@ -41,6 +41,9 @@ let schedule t ~delay run =
 
 let pending t = List.length t.queue
 
+let tasks = Obs.Metrics.counter "clock.tasks"
+let task_lags = Obs.Metrics.histogram "clock.task-lag_s"
+
 let run_next t =
   match t.queue with
   | [] ->
@@ -48,10 +51,8 @@ let run_next t =
       false
   | task :: rest ->
       t.queue <- rest;
-      if !Obs.Metrics.enabled then begin
-        Obs.Metrics.incr "clock.tasks";
-        Obs.Metrics.observe "clock.task-lag_s" (Float.max 0. (task.fire_at -. t.time))
-      end;
+      Obs.Metrics.incr tasks;
+      Obs.Metrics.observe task_lags (Float.max 0. (task.fire_at -. t.time));
       t.time <- Float.max t.time task.fire_at;
       t.lag <- t.time -. task.fire_at;
       task.run ();
@@ -68,11 +69,13 @@ let () =
              budget pending)
     | _ -> None)
 
+let budget_exhausted = Obs.Metrics.counter "clock.budget-exhausted"
+
 let run_until_idle ?(max_tasks = 100_000) t =
   let rec go n =
     if n >= max_tasks then begin
       let pending = List.length t.queue in
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "clock.budget-exhausted";
+      Obs.Metrics.incr budget_exhausted;
       Logs.err (fun m ->
           m "Virtual_clock.run_until_idle: task budget %d exhausted (%d tasks pending)"
             max_tasks pending);

@@ -1,23 +1,31 @@
-(** Monotonic counters and summary histograms.
+(** Monotonic counters and summary histograms, always on.
 
-    A process-wide registry keyed by metric name (dotted taxonomy, e.g.
-    ["eval.step.child"], ["retry.backoff_s"]). Like {!Trace}, the
-    registry is guarded by an {!enabled} flag and records nothing when
-    disabled; hot paths should test [!enabled] before building metric
-    names dynamically. *)
+    A process-wide registry of handles keyed by metric name (dotted
+    taxonomy, e.g. ["eval.steps"], ["retry.backoff_s"]). Each module
+    registers its handles once, when it is initialised; registering a
+    name again returns the same handle, so the registry holds one cell
+    per name in the code, however much data runs through it. Counting
+    an event is one field add that allocates nothing. *)
 
-val enabled : bool ref
-val set_enabled : bool -> unit
+type counter
 
-(** Add [by] (default 1) to a counter. No-op when disabled. *)
-val incr : ?by:int -> string -> unit
+val counter : string -> counter
 
-(** Record one observation into a histogram. No-op when disabled. *)
-val observe : string -> float -> unit
+(** A primitive, so every call site compiles to one inlined add, also
+    across modules. *)
+external incr : counter -> unit = "%incr"
+
+val add : counter -> int -> unit
+val value : counter -> int
+
+type histogram
+
+val histogram : string -> histogram
+val observe : histogram -> float -> unit
 
 (** A histogram summary. [buckets.(i)] counts observations [<=
-    bucket_bounds.(i)]; the final cell counts the overflow. *)
-type histogram = {
+    10^(i-6)] for [i] up to 8; the final cell counts the overflow. *)
+type summary = {
   count : int;
   sum : float;
   min : float;
@@ -25,22 +33,18 @@ type histogram = {
   buckets : int array;
 }
 
-(** Upper bounds of the histogram buckets, in seconds-flavoured powers
-    of ten from 1e-6 to 100; [Array.length bucket_bounds + 1] cells per
-    histogram. *)
-val bucket_bounds : float array
-
-(** Current value of a counter (0 if never bumped). *)
-val counter : string -> int
-
-(** All counters, sorted by name. *)
+(** The non-zero counters and the histograms with an observation,
+    sorted by name. *)
 val counters : unit -> (string * int) list
 
-(** All histograms, sorted by name. *)
-val histograms : unit -> (string * histogram) list
+val histograms : unit -> (string * summary) list
 
-(** Drop every counter and histogram (the enabled flag is untouched). *)
+(** Zero every counter and histogram; handles stay valid. *)
 val reset : unit -> unit
+
+(** Does nothing: counting is always on. Kept only because the
+    benchmark harness ([perfbench/xqib_perf.ml]) still calls it. *)
+val set_enabled : bool -> unit
 
 (** The whole registry as a JSON document:
     [{"counters": {...}, "histograms": {...}}]. *)

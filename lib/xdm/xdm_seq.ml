@@ -8,14 +8,12 @@ module I = Xdm_item
 
 type t = { items : I.item Seq.t; sorted : bool }
 
-let pulls_metric = "xdm.seq.pulls"
-let materialize_metric = "xdm.seq.materializations"
-
-let tick () = if !Obs.Metrics.enabled then Obs.Metrics.incr pulls_metric
+let pulls = Obs.Metrics.counter "xdm.seq.pulls"
+let materializations = Obs.Metrics.counter "xdm.seq.materializations"
 
 (* count each item delivered by a cold producer; combinators do not
    re-wrap, so a pipeline counts every source item exactly once *)
-let counted s = Seq.map (fun x -> tick (); x) s
+let counted s = Seq.map (fun x -> Obs.Metrics.incr pulls; x) s
 
 let make ?(sorted = false) items = { items; sorted }
 let of_seq ?sorted s = make ?sorted (counted s)
@@ -30,7 +28,7 @@ let items t = t.items
 let sorted t = t.sorted
 
 let to_list t =
-  if !Obs.Metrics.enabled then Obs.Metrics.incr materialize_metric;
+  Obs.Metrics.incr materializations;
   List.of_seq t.items
 
 let head t = Option.map fst (Seq.uncons t.items)

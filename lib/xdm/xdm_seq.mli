@@ -6,13 +6,9 @@
 
     Cursors are single-shot; pulls from cold producers and
     materialisations are counted on the [xdm.seq.pulls] /
-    [xdm.seq.materializations] {!Obs.Metrics} counters (only when
-    metrics are enabled). *)
+    [xdm.seq.materializations] {!Obs.Metrics} counters. *)
 
 type t
-
-val pulls_metric : string
-val materialize_metric : string
 
 val make : ?sorted:bool -> Xdm_item.item Seq.t -> t
 (** Wrap a sequence without pull counting (already-materialised or

@@ -5,20 +5,20 @@ type t = int
 let table : (string, int) Hashtbl.t = Hashtbl.create 1024
 let names = ref (Array.make 1024 "")
 let count = ref 0
-let byte_count = ref 0
-let hit_count = ref 0
-let miss_count = ref 0
+let hit_count = Obs.Metrics.counter "sym.hits"
+let miss_count = Obs.Metrics.counter "sym.misses"
+let byte_count = Obs.Metrics.counter "sym.bytes"
 
 let intern s =
   match Hashtbl.find_opt table s with
   | Some i ->
-      incr hit_count;
+      Obs.Metrics.incr hit_count;
       i
   | None ->
       let i = !count in
       incr count;
-      incr miss_count;
-      byte_count := !byte_count + String.length s;
+      Obs.Metrics.incr miss_count;
+      Obs.Metrics.add byte_count (String.length s);
       if i >= Array.length !names then begin
         let bigger = Array.make (2 * Array.length !names) "" in
         Array.blit !names 0 bigger 0 (Array.length !names);
@@ -35,14 +35,7 @@ let compare = Int.compare
 let hash (i : int) = i
 
 let size () = !count
-let bytes () = !byte_count
-let hits () = !hit_count
-let misses () = !miss_count
-
-let stats () =
-  [
-    ("size", !count);
-    ("bytes", !byte_count);
-    ("hits", !hit_count);
-    ("misses", !miss_count);
-  ]
+let bytes () = Obs.Metrics.value byte_count
+let hits () = Obs.Metrics.value hit_count
+let misses () = Obs.Metrics.value miss_count
+let stats () = [ ("size", size ()); ("bytes", bytes ()); ("hits", hits ()); ("misses", misses ()) ]

@@ -6,7 +6,8 @@
     probes and footprint intersections become int operations. The table
     only grows — interned strings are never collected — which is the
     right trade for names (documents reuse a small vocabulary) and is
-    observable through {!stats} / the [browser:stats()] [sym] element.
+    observable through {!stats}, the [browser:stats()] [sym/@size]
+    attribute and the [sym.*] counters of {!Obs.Metrics}.
 
     The table itself is always on: {!Qname.t} carries pre-interned
     symbols unconditionally. The [interning] field of {!Ablation} (the
@@ -35,11 +36,11 @@ val hash : t -> int
 
 val size : unit -> int
 
-(** Total bytes of interned string payload. *)
+(** Bytes of string payload interned, and [intern] calls that found
+    an existing entry / created one: the registry counters [sym.bytes],
+    [sym.hits] and [sym.misses]. *)
 val bytes : unit -> int
 
-(** [intern] calls that found an existing entry / created one. *)
 val hits : unit -> int
-
 val misses : unit -> int
 val stats : unit -> (string * int) list

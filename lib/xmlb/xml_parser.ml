@@ -381,26 +381,3 @@ let parse_root ?options src =
       raise
         (Parse_error
            { line = 0; col = 0; message = "document must have exactly one root element" })
-
-let element_name = function
-  | Element (n, _, _) -> n
-  | Text _ | Comment _ | Pi _ -> invalid_arg "Xml_parser.element_name"
-
-let rec pp ppf = function
-  | Text t -> Format.pp_print_string ppf (Xml_escape.text t)
-  | Comment c -> Format.fprintf ppf "<!--%s-->" c
-  | Pi (t, d) -> Format.fprintf ppf "<?%s %s?>" t d
-  | Element (n, attrs, children) ->
-      let name = Qname.to_string n in
-      Format.fprintf ppf "<%s" name;
-      List.iter
-        (fun { name = an; value } ->
-          Format.fprintf ppf " %s=\"%s\"" (Qname.to_string an)
-            (Xml_escape.attribute value))
-        attrs;
-      if children = [] then Format.fprintf ppf "/>"
-      else begin
-        Format.fprintf ppf ">";
-        List.iter (pp ppf) children;
-        Format.fprintf ppf "</%s>" name
-      end

@@ -33,9 +33,3 @@ val parse : ?options:options -> string -> tree list
 (** Parse and return the single root element.
     @raise Parse_error if there is no unique root element. *)
 val parse_root : ?options:options -> string -> tree
-
-(** [element_name t] is the name of [t].
-    @raise Invalid_argument if [t] is not an element. *)
-val element_name : tree -> Qname.t
-
-val pp : Format.formatter -> tree -> unit

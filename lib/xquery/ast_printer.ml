@@ -515,11 +515,6 @@ let expr_to_source e =
   expr b e;
   Buffer.contents b
 
-let statement_to_source s =
-  let b = Buffer.create 128 in
-  statement b s;
-  Buffer.contents b
-
 let function_kind_to_source = function
   | F_plain -> ""
   | F_updating -> "updating "

@@ -7,6 +7,5 @@
     it is not a pretty-printer for humans. *)
 
 val expr_to_source : Ast.expr -> string
-val statement_to_source : Ast.statement -> string
 val prolog_decl_to_source : Ast.prolog_decl -> string
 val program_to_source : Ast.prog -> string

@@ -34,17 +34,15 @@ type prog_code = {
   globals : (Qname.t * Ast.seq_type option * (D.t -> I.sequence) option) list;
 }
 
-(* always-on counters for browser:stats(); the obs mirrors below are
-   metric-guarded like every other instrumented subsystem *)
-let stat_programs = ref 0
-let stat_fns = ref 0
-let stat_nodes = ref 0
+let stat_programs = Obs.Metrics.counter "xquery.compile.programs"
+let stat_fns = Obs.Metrics.counter "xquery.compile.fns"
+let stat_nodes = Obs.Metrics.counter "xquery.compile.nodes"
 
 let stats () =
   [
-    ("programs", !stat_programs);
-    ("functions", !stat_fns);
-    ("nodes", !stat_nodes);
+    ("programs", Obs.Metrics.value stat_programs);
+    ("functions", Obs.Metrics.value stat_fns);
+    ("nodes", Obs.Metrics.value stat_nodes);
     (* every form compiles; the key stays for readers of the old set *)
     ("opaque-nodes", 0);
   ]
@@ -91,12 +89,6 @@ let let_binder slot var var_type fv =
 let apply_preds env items pfs =
   Eval.filter_items (fun ctx pf -> pf { env with ctx }) env.ctx items pfs
 
-let count_builtin_call () =
-  if !Obs.Metrics.enabled then begin
-    Obs.Metrics.incr "eval.calls";
-    Obs.Metrics.incr "eval.calls.builtin"
-  end
-
 (* lazy axis walks: the downward axes are incremental; the others are
    list-producing anyway, materialised at the first pull *)
 let rec subtree_seq n () = Seq.Cons (n, descendants_seq n)
@@ -118,19 +110,13 @@ let axis_seq (axis : Ast.axis) node : Dom.node Seq.t =
    test refines the local-name index bucket (already in document
    order) lazily *)
 let scan_seq axis (test : Ast.node_test) n =
-  let metrics () =
-    if !Obs.Metrics.enabled then begin
-      Obs.Metrics.incr "eval.steps";
-      Obs.Metrics.incr (Eval.axis_metric axis)
-    end
-  in
   let nodes =
     match (axis, test) with
     | (Ast.Descendant | Ast.Descendant_or_self), (Ast.Local_wildcard _ | Ast.Name_test _)
       when Ablation.current.acceleration ->
         fun () ->
-          metrics ();
-          if !Obs.Metrics.enabled then Obs.Metrics.incr "eval.step.desc-index";
+          Eval.count_step axis;
+          Obs.Metrics.incr Eval.desc_index_steps;
           let bucket =
             match test with
             | Ast.Name_test qn when Ablation.current.interning ->
@@ -145,7 +131,7 @@ let scan_seq axis (test : Ast.node_test) n =
               && not (axis = Ast.Descendant && Dom.equal m n))
             (List.to_seq bucket) ()
     | _ ->
-        metrics ();
+        Eval.count_step axis;
         if Footprint.recording () then Eval.record_axis_scope axis n;
         Seq.filter (Eval.node_test_matches ~axis test) (axis_seq axis n)
   in
@@ -174,7 +160,7 @@ let streams (c : C.t) =
 (* emission                                                            *)
 
 let rec emit (c : C.t) : env -> I.sequence =
-  incr stat_nodes;
+  Obs.Metrics.incr stat_nodes;
   match c.C.d with
   | C.C_atomic a ->
       let v = [ I.Atomic a ] in
@@ -368,10 +354,7 @@ let rec emit (c : C.t) : env -> I.sequence =
       let fa = emit a in
       fun env ->
         let v = fa env in
-        if !Obs.Metrics.enabled then begin
-          Obs.Metrics.incr "eval.calls";
-          Obs.Metrics.incr "eval.calls.constructor"
-        end;
+        Eval.count_call Eval.constructor_calls;
         match v with
         (* hot shapes: xs:integer on an integer is the identity cast;
            a single item atomizes without a list *)
@@ -389,7 +372,7 @@ let rec emit (c : C.t) : env -> I.sequence =
           let impure = Reactive.impure_builtin_sym qn.Qname.lsym in
           fun env ->
             let vs = List.map (fun f -> f env) fs in
-            count_builtin_call ();
+            Eval.count_call Eval.builtin_calls;
             if impure then Footprint.poison ();
             Eval.protect (fun () -> impl (Eval.call_ctx env.ctx) vs))
   | C.C_call (qn, args) ->
@@ -592,7 +575,7 @@ and emit_seq (c : C.t) : env -> Xdm_seq.t =
     let f = emit c in
     fun env -> Xdm_seq.of_list (f env)
   else begin
-    incr stat_nodes;
+    Obs.Metrics.incr stat_nodes;
     match c.C.d with
     | C.C_sequence cs ->
         let fs = List.map emit_seq cs in
@@ -814,7 +797,7 @@ and early_exit_call (qn : Qname.t) args =
     Some
       (fun env ->
         let b = f (s env) in
-        count_builtin_call ();
+        Eval.count_call Eval.builtin_calls;
         [ I.Atomic (A.Boolean b) ])
   in
   if qn.Qname.uri <> Some Qname.Ns.fn then None
@@ -828,7 +811,7 @@ and early_exit_call (qn : Qname.t) args =
         let s = emit_seq a in
         Some
           (fun env ->
-            count_builtin_call ();
+            Eval.count_call Eval.builtin_calls;
             Option.to_list (Xdm_seq.head (s env)))
     | "subsequence", e :: start :: (([] | [ _ ]) as len) ->
         (* as the eager fn:subsequence, pulling only the ceil(upto)-1
@@ -837,7 +820,7 @@ and early_exit_call (qn : Qname.t) args =
         and flen = Option.map emit (List.nth_opt len 0) in
         Some
           (fun env ->
-            count_builtin_call ();
+            Eval.count_call Eval.builtin_calls;
             let start = fstart env in
             let len = Option.map (fun f -> f env) flen in
             let from, upto = Eval.protect (fun () -> Functions.subsequence_window start len) in
@@ -952,16 +935,12 @@ let compile_fn static (decl : Ast.function_decl) :
    that keys the query cache covers all of them, so the code is valid
    wherever a cached program is replayed. *)
 let compile_prog static (prog : Ast.prog) : prog_code =
-  incr stat_programs;
-  if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.compile.programs";
+  Obs.Metrics.incr stat_programs;
   let fns =
     List.filter_map
       (fun decl ->
         let kf = compile_fn static decl in
-        if Option.is_some kf then begin
-          incr stat_fns;
-          if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.compile.fns"
-        end;
+        if Option.is_some kf then Obs.Metrics.incr stat_fns;
         kf)
       (Static_context.declared_functions static)
   in

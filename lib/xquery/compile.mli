@@ -23,8 +23,9 @@ type prog_code = {
           with compiled initializers ([None]: external) *)
 }
 
-(** Always-on compile statistics for [browser:stats()]: programs and
-    functions compiled, closure nodes emitted. [opaque-nodes] is
+(** Programs and functions compiled, closure nodes emitted: views of
+    the registry counters [xquery.compile.programs],
+    [xquery.compile.fns] and [xquery.compile.nodes]. [opaque-nodes] is
     always 0: every form compiles. *)
 val stats : unit -> (string * int) list
 

@@ -36,6 +36,8 @@ let load_module sctx ~uri ~locations =
 
 let () = Parser.module_loader := load_module
 
+let source_bytes = Obs.Metrics.counter "engine.source-bytes"
+
 let compile ?(optimize = true) ?static source =
   Obs.Trace.with_span "engine.compile" @@ fun () ->
   let static = match static with Some s -> s | None -> default_static () in
@@ -59,8 +61,7 @@ let compile ?(optimize = true) ?static source =
             Static_context.redeclare_variable static qn st e
         | _ -> ())
       prog.Ast.prolog;
-  if !Obs.Metrics.enabled then
-    Obs.Metrics.incr ~by:(String.length source) "engine.source-bytes";
+  Obs.Metrics.add source_bytes (String.length source);
   let code =
     if Ablation.current.compiled_eval then
       Some

@@ -133,20 +133,48 @@ let node_test_matches ~axis (test : Ast.node_test) node =
       | Some n -> Qname.equal n qn
       | None -> false)
 
-(* constant strings so the disabled path never allocates a metric name *)
-let axis_metric = function
-  | Ast.Child -> "eval.axis.child"
-  | Ast.Descendant -> "eval.axis.descendant"
-  | Ast.Attribute_axis -> "eval.axis.attribute"
-  | Ast.Self -> "eval.axis.self"
-  | Ast.Descendant_or_self -> "eval.axis.descendant-or-self"
-  | Ast.Following_sibling -> "eval.axis.following-sibling"
-  | Ast.Preceding_sibling -> "eval.axis.preceding-sibling"
-  | Ast.Following -> "eval.axis.following"
-  | Ast.Preceding -> "eval.axis.preceding"
-  | Ast.Parent -> "eval.axis.parent"
-  | Ast.Ancestor -> "eval.axis.ancestor"
-  | Ast.Ancestor_or_self -> "eval.axis.ancestor-or-self"
+(* registry counters both evaluators bump *)
+let steps = Obs.Metrics.counter "eval.steps"
+let desc_index_steps = Obs.Metrics.counter "eval.step.desc-index"
+let value_index_steps = Obs.Metrics.counter "eval.step.value-index"
+
+let axis_metric =
+  let c name = Obs.Metrics.counter ("eval.axis." ^ name) in
+  let child = c "child"
+  and descendant = c "descendant"
+  and attribute = c "attribute"
+  and self = c "self"
+  and descendant_or_self = c "descendant-or-self"
+  and following_sibling = c "following-sibling"
+  and preceding_sibling = c "preceding-sibling"
+  and following = c "following"
+  and preceding = c "preceding"
+  and parent = c "parent"
+  and ancestor = c "ancestor"
+  and ancestor_or_self = c "ancestor-or-self" in
+  function
+  | Ast.Child -> child
+  | Ast.Descendant -> descendant
+  | Ast.Attribute_axis -> attribute
+  | Ast.Self -> self
+  | Ast.Descendant_or_self -> descendant_or_self
+  | Ast.Following_sibling -> following_sibling
+  | Ast.Preceding_sibling -> preceding_sibling
+  | Ast.Following -> following
+  | Ast.Preceding -> preceding
+  | Ast.Parent -> parent
+  | Ast.Ancestor -> ancestor
+  | Ast.Ancestor_or_self -> ancestor_or_self
+
+let count_step axis = Obs.Metrics.incr steps; Obs.Metrics.incr (axis_metric axis)
+
+let calls = Obs.Metrics.counter "eval.calls"
+let builtin_calls = Obs.Metrics.counter "eval.calls.builtin"
+let constructor_calls = Obs.Metrics.counter "eval.calls.constructor"
+let user_calls = Obs.Metrics.counter "eval.calls.user"
+let external_calls = Obs.Metrics.counter "eval.calls.external"
+
+let count_call kind = Obs.Metrics.incr calls; Obs.Metrics.incr kind
 
 (* Footprint recording for a non-indexed axis step: downward axes read
    the origin's subtree; sibling/parent axes read the parent's subtree;
@@ -170,12 +198,9 @@ let record_axis_scope axis n =
    resolve through the per-document local-name index instead of
    filtering the materialised descendant list. *)
 let step_nodes axis (test : Ast.node_test) n =
-  if !Obs.Metrics.enabled then begin
-    Obs.Metrics.incr "eval.steps";
-    Obs.Metrics.incr (axis_metric axis)
-  end;
+  count_step axis;
   let finish_local hits refine =
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "eval.step.desc-index";
+    Obs.Metrics.incr desc_index_steps;
     let hits =
       match refine with None -> hits | Some f -> List.filter f hits
     in
@@ -259,11 +284,8 @@ let value_index_step axis test preds n =
       && (match axis with Ast.Descendant -> not (Dom.equal el n) | _ -> true)
     in
     let finish nodes rest =
-      if !Obs.Metrics.enabled then begin
-        Obs.Metrics.incr "eval.steps";
-        Obs.Metrics.incr (axis_metric axis);
-        Obs.Metrics.incr "eval.step.value-index"
-      end;
+      count_step axis;
+      Obs.Metrics.incr value_index_steps;
       Some (List.sort_uniq Dom.compare_order nodes, rest)
     in
     (* Probe by the Qname's pre-interned symbol when the interning fast
@@ -588,9 +610,9 @@ let content parts =
 (* Shared by the tree-walker and the compiled evaluator; see eval.mli. *)
 let construct n ~attrs parts =
   let content_attrs, kids = content parts in
-  let attrs =
-    match Dom.kind n with Dom.Document -> [] | _ -> attrs @ content_attrs
-  in
+  if Dom.kind n = Dom.Document && content_attrs <> [] then
+    type_err "a document node cannot contain an attribute node";
+  let attrs = attrs @ content_attrs in
   (* most elements have at most one attribute: no name list to build *)
   (match attrs with
   | [] | [ _ ] -> ()
@@ -784,12 +806,15 @@ let sort_keyed (order : Ast.order_spec list) keyed =
    early-exiting consumer may stop before the erroring pair). Which
    of several inevitable errors is reported may still differ from the
    eager plan's pair order — XQuery §2.3.4 allows that reordering. *)
+let hash_builds = Obs.Metrics.counter "xquery.join.hash_builds"
+let join_probes = Obs.Metrics.counter "xquery.join.probes"
+
 let hash_join ~general ~build ~build_key ~probe_key (probe_items : I.item Seq.t)
     : (I.item * I.item) Seq.t =
   let table =
     lazy
       (let right = build () in
-       if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.join.hash_builds";
+       Obs.Metrics.incr hash_builds;
        let tbl : (string, (int * I.item) list) Hashtbl.t =
          Hashtbl.create (max 16 (List.length right))
        in
@@ -818,7 +843,7 @@ let hash_join ~general ~build ~build_key ~probe_key (probe_items : I.item Seq.t)
     let matches =
       if not had_rows then Seq.empty
       else begin
-        if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.join.probes";
+        Obs.Metrics.incr join_probes;
         match I.atomize (probe_key item) with
         | [] -> Seq.empty
         | atoms when general ->
@@ -1150,16 +1175,10 @@ and call_function ctx qn args =
   if Static_context.is_blocked ctx.D.static qn then
     err Xq_error.security "function %s is blocked in this context (browser security policy)"
       (Qname.to_string qn);
-  let count kind =
-    if !Obs.Metrics.enabled then begin
-      Obs.Metrics.incr "eval.calls";
-      Obs.Metrics.incr kind
-    end
-  in
   (* xs: constructor functions are casts *)
   match qn.Qname.uri with
   | Some u when String.equal u Qname.Ns.xs && arity = 1 -> (
-      count "eval.calls.constructor";
+      count_call constructor_calls;
       match A.type_of_name qn.Qname.local with
       | Some ty -> construct_atomic ty (List.hd args)
       | None ->
@@ -1168,12 +1187,12 @@ and call_function ctx qn args =
   | _ -> (
       match Static_context.find_function ctx.D.static qn ~arity with
       | Some decl ->
-          count "eval.calls.user";
+          count_call user_calls;
           call_user_function ctx decl args
       | None -> (
           match Static_context.find_external ctx.D.static qn ~arity with
           | Some f ->
-              count "eval.calls.external";
+              count_call external_calls;
               (* external functions reach host state the footprint
                  cannot see *)
               Footprint.poison ();
@@ -1181,7 +1200,7 @@ and call_function ctx qn args =
           | None -> (
               match Functions.find qn ~arity with
               | Some f ->
-                  count "eval.calls.builtin";
+                  count_call builtin_calls;
                   if Reactive.impure_builtin_sym qn.Qname.lsym then
                     Footprint.poison ();
                   guard (fun () -> f (call_ctx ctx) args)
@@ -1245,7 +1264,7 @@ and make_listener ctx qn =
        impure builtins, global reads) poisons it. [Pul.apply] must run
        while recording is still active so its effects poison the run. *)
     let run_recorded m akey args =
-      Reactive.count_rerun ();
+      Obs.Metrics.incr Reactive.reruns;
       let fp = Footprint.create () in
       let prev = Footprint.start fp in
       let closed = ref false in
@@ -1287,9 +1306,9 @@ and make_listener ctx qn =
               (Reactive.args_key a, lazy a)
         in
         match Reactive.decide m ~args_key:akey with
-        | Reactive.Skip -> Reactive.count_skip ()
+        | Reactive.Skip -> Obs.Metrics.incr Reactive.skips
         | Reactive.Run_plain ->
-            Reactive.count_rerun ();
+            Obs.Metrics.incr Reactive.reruns;
             run_plain (Lazy.force args)
         | Reactive.Run_recorded -> run_recorded m akey (Lazy.force args))
   in

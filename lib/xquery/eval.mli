@@ -60,12 +60,20 @@ val call_ctx : Dynamic_context.t -> Call_ctx.t
 
 (** Nodes selected by one axis step (uses the local-name index for
     descendant name tests when DOM acceleration is on), with its
-    metrics and footprint recorded; and, for the compiler's lazy
-    steps, an axis's unfiltered nodes, the metric and footprint scope
+    counters and footprint recorded; and, for the compiler's lazy
+    steps, an axis's unfiltered nodes, the counters and footprint scope
     a scan of it records, and the node test. *)
 val step_nodes : Ast.axis -> Ast.node_test -> Dom.node -> Dom.node list
 val axis_nodes : Ast.axis -> Dom.node -> Dom.node list
-val axis_metric : Ast.axis -> string
+
+(** Count a step ([eval.steps], [eval.axis.<axis>]), and a call
+    ([eval.calls] and its kind's counter, e.g. {!builtin_calls}). *)
+val count_step : Ast.axis -> unit
+val count_call : Obs.Metrics.counter -> unit
+val builtin_calls : Obs.Metrics.counter
+val constructor_calls : Obs.Metrics.counter
+val desc_index_steps : Obs.Metrics.counter
+
 val record_axis_scope : Ast.axis -> Dom.node -> unit
 val node_test_matches : axis:Ast.axis -> Ast.node_test -> Dom.node -> bool
 

@@ -44,6 +44,49 @@ let check_conflicts prims =
           ())
     prims
 
+(* XUDY0021: once the PUL applied, no element may have two attributes
+   of one name. Each element whose attributes the PUL inserts, renames,
+   replaces or deletes is checked once. *)
+let check_attribute_names prims =
+  let owner a = if Dom.kind a = Dom.Attribute then Dom.parent a else None in
+  let element = function
+    | Insert_attributes (e, _) -> Some e
+    | Rename (a, _) | Replace_node (a, _) | Delete a -> owner a
+    | _ -> None
+  in
+  match List.filter_map element prims with
+  | [] -> ()
+  | touched ->
+      let gained = Hashtbl.create 8 (* element id -> an inserted name *)
+      and fate = Hashtbl.create 8 (* attribute id -> its new name; None: it goes *) in
+      let gain e nodes =
+        List.iter (fun n -> Option.iter (Hashtbl.add gained (Dom.id e)) (Dom.name n)) nodes
+      in
+      let decide a name =
+        (* a deletion or replacement wins over a rename *)
+        let id = Dom.id a in
+        if Hashtbl.find_opt fate id <> Some None then Hashtbl.replace fate id name
+      in
+      List.iter
+        (fun p ->
+          match (p, element p) with
+          | Insert_attributes (e, attrs), _ -> gain e attrs
+          | Rename (a, qn), Some _ -> decide a (Some qn)
+          | Replace_node (a, nodes), Some e -> decide a None; gain e nodes
+          | Delete a, Some _ -> decide a None
+          | _ -> ())
+        prims;
+      let after a = Option.value ~default:(Dom.name a) (Hashtbl.find_opt fate (Dom.id a)) in
+      List.iter
+        (fun e ->
+          Option.iter
+            (fun qn ->
+              Xq_error.raise_error "XUDY0021"
+                "the updates would give an element two attributes named %s" (Qname.to_string qn))
+            (Qname.find_duplicate
+               (List.filter_map after (Dom.attributes e) @ Hashtbl.find_all gained (Dom.id e))))
+        (List.sort_uniq (fun a b -> Int.compare (Dom.id a) (Dom.id b)) touched)
+
 (* Application phases, audited against XQUF 1.0 §3.2.2
    upd:applyUpdates, which applies primitives in the order:
      (a) upd:insertInto, upd:insertAttributes, upd:replaceValue,
@@ -83,22 +126,25 @@ let apply_one = function
   | Replace_value (n, v) -> Dom.set_value n v
   | Rename (n, qn) -> Dom.rename n qn
 
-let prim_metric = function
-  | Insert_into _ -> "pul.prim.insert-into"
-  | Insert_first _ -> "pul.prim.insert-first"
-  | Insert_last _ -> "pul.prim.insert-last"
-  | Insert_before _ -> "pul.prim.insert-before"
-  | Insert_after _ -> "pul.prim.insert-after"
-  | Insert_attributes _ -> "pul.prim.insert-attributes"
-  | Delete _ -> "pul.prim.delete"
-  | Replace_node _ -> "pul.prim.replace-node"
-  | Replace_value _ -> "pul.prim.replace-value"
-  | Rename _ -> "pul.prim.rename"
+(* primitives in [prim_names] order, for their names and counters *)
+let prim_index = function
+  | Insert_into _ -> 0
+  | Insert_first _ -> 1
+  | Insert_last _ -> 2
+  | Insert_before _ -> 3
+  | Insert_after _ -> 4
+  | Insert_attributes _ -> 5
+  | Delete _ -> 6
+  | Replace_node _ -> 7
+  | Replace_value _ -> 8
+  | Rename _ -> 9
 
-let phase_metric =
-  [|
-    "pul.phase.0"; "pul.phase.1"; "pul.phase.2"; "pul.phase.3"; "pul.phase.4";
-  |]
+let prim_names =
+  [| "insert-into"; "insert-first"; "insert-last"; "insert-before"; "insert-after";
+     "insert-attributes"; "delete"; "replace-node"; "replace-value"; "rename" |]
+
+let prim_metrics = Array.map (fun n -> Obs.Metrics.counter ("pul.prim." ^ n)) prim_names
+let phase_metric = Array.init 5 (fun i -> Obs.Metrics.counter (Printf.sprintf "pul.phase.%d" i))
 
 let apply t =
   let prims = List.rev t.items in
@@ -108,6 +154,10 @@ let apply t =
      updates. Only a successful check consumes the list. *)
   check_conflicts prims;
   t.items <- [];
+  (* XUDY0021 judges the tree the PUL would leave, so it fails the
+     application: the list is gone, as after any error applying it,
+     and a later apply on the same context does not meet it again *)
+  check_attribute_names prims;
   (* A non-empty apply during a recorded listener run is an effect: the
      run is impure and its memo must never be skipped. *)
   if prims <> [] && Footprint.recording () then Footprint.poison ();
@@ -115,10 +165,8 @@ let apply t =
     List.iter
       (fun phase ->
         let in_phase = List.filter (fun p -> rank p = phase) prims in
-        if !Obs.Metrics.enabled && in_phase <> [] then begin
-          Obs.Metrics.incr ~by:(List.length in_phase) phase_metric.(phase);
-          List.iter (fun p -> Obs.Metrics.incr (prim_metric p)) in_phase
-        end;
+        Obs.Metrics.add phase_metric.(phase) (List.length in_phase);
+        List.iter (fun p -> Obs.Metrics.incr prim_metrics.(prim_index p)) in_phase;
         List.iter apply_one in_phase)
       [ 0; 1; 2; 3; 4 ]
   in
@@ -131,21 +179,7 @@ let apply t =
       "pul.apply" apply_phases
   else apply_phases ()
 
-let pp_primitive ppf p =
-  let name =
-    match p with
-    | Insert_into _ -> "insert-into"
-    | Insert_first _ -> "insert-first"
-    | Insert_last _ -> "insert-last"
-    | Insert_before _ -> "insert-before"
-    | Insert_after _ -> "insert-after"
-    | Insert_attributes _ -> "insert-attributes"
-    | Delete _ -> "delete"
-    | Replace_node _ -> "replace-node"
-    | Replace_value _ -> "replace-value"
-    | Rename _ -> "rename"
-  in
-  Format.pp_print_string ppf name
+let pp_primitive ppf p = Format.pp_print_string ppf prim_names.(prim_index p)
 
 let pp ppf t =
   Format.fprintf ppf "[%a]"

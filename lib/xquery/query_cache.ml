@@ -6,7 +6,13 @@ type 'a entry = {
 }
 
 type 'a t = {
-  cache_name : string;
+  (* the statistics' process-wide registry mirrors, shared by the
+     caches of one name *)
+  m_hit : Obs.Metrics.counter;
+  m_miss : Obs.Metrics.counter;
+  m_eviction : Obs.Metrics.counter;
+  m_invalidation : Obs.Metrics.counter;
+  m_cost_saved : Obs.Metrics.counter;
   mutable cap : int;
   table : (string, 'a entry) Hashtbl.t;
   mutable tick : int;
@@ -19,8 +25,10 @@ type 'a t = {
 }
 
 let create ?(name = "cache") ?(capacity = 256) () =
+  let c event = Obs.Metrics.counter (name ^ "." ^ event) in
   {
-    cache_name = name;
+    m_hit = c "hit"; m_miss = c "miss"; m_eviction = c "eviction";
+    m_invalidation = c "invalidation"; m_cost_saved = c "cost-saved";
     cap = max 1 capacity;
     table = Hashtbl.create 64;
     tick = 0;
@@ -32,13 +40,9 @@ let create ?(name = "cache") ?(capacity = 256) () =
     cost_saved = 0;
   }
 
-let name t = t.cache_name
 let capacity t = t.cap
 let length t = Hashtbl.length t.table
 let generation t = t.gen
-
-let count t event =
-  if !Obs.Metrics.enabled then Obs.Metrics.incr (t.cache_name ^ "." ^ event)
 
 let touch t e =
   t.tick <- t.tick + 1;
@@ -60,22 +64,20 @@ let evict_lru t =
   | Some (k, _) ->
       Hashtbl.remove t.table k;
       t.evictions <- t.evictions + 1;
-      count t "eviction"
+      Obs.Metrics.incr t.m_eviction
   | None -> ()
 
 let miss t =
   t.misses <- t.misses + 1;
-  count t "miss"
+  Obs.Metrics.incr t.m_miss
 
 let find t key =
   match Hashtbl.find_opt t.table key with
   | Some e when e.gen = t.gen ->
       t.hits <- t.hits + 1;
       t.cost_saved <- t.cost_saved + e.cost;
-      if !Obs.Metrics.enabled then begin
-        Obs.Metrics.incr (t.cache_name ^ ".hit");
-        Obs.Metrics.incr ~by:e.cost (t.cache_name ^ ".cost-saved")
-      end;
+      Obs.Metrics.incr t.m_hit;
+      Obs.Metrics.add t.m_cost_saved e.cost;
       touch t e;
       Some e.value
   | Some _ ->
@@ -99,7 +101,7 @@ let add t key ~cost value =
 let invalidate t =
   t.gen <- t.gen + 1;
   t.invalidations <- t.invalidations + 1;
-  count t "invalidation"
+  Obs.Metrics.incr t.m_invalidation
 
 let set_capacity t n =
   t.cap <- max 1 n;

@@ -15,10 +15,10 @@
     is dropped) on its next lookup. This gives O(1) "drop everything"
     without touching the table.
 
-    When {!Obs.Metrics.enabled} is set, each cache bumps
-    [<name>.hit], [<name>.miss], [<name>.eviction] and
-    [<name>.cost-saved] counters (cost is the caller-supplied weight of
-    a cached value, e.g. source bytes not re-parsed).
+    Each cache also bumps the {!Obs.Metrics} counters [<name>.hit],
+    [<name>.miss], [<name>.eviction], [<name>.invalidation] and
+    [<name>.cost-saved] (cost is the caller-supplied weight of a
+    cached value, e.g. source bytes not re-parsed).
 
     A store always caches: the [--no-query-cache] ablation is
     [Ablation.current]'s [query_cache] field, which {!Engine} checks
@@ -31,7 +31,6 @@ type 'a t
     (default 256, minimum 1). *)
 val create : ?name:string -> ?capacity:int -> unit -> 'a t
 
-val name : 'a t -> string
 val capacity : 'a t -> int
 
 (** Shrinking below the current size evicts least-recently-used

@@ -55,28 +55,21 @@ let fresh_memo () =
 let bypass_after = 2
 let probe_every = 16
 
-(* Always-on counters: bench gates and browser:stats() read these
-   without requiring the obs layer to be enabled. *)
-let skips = ref 0
-let reruns = ref 0
-let unchanged = ref 0
-let poisoned_runs = ref 0
+let skips = Obs.Metrics.counter "reactive.skip"
+let reruns = Obs.Metrics.counter "reactive.rerun"
+let unchanged = Obs.Metrics.counter "reactive.unchanged"
+let poisoned_runs = Obs.Metrics.counter "reactive.poisoned"
+
+(* the handle Footprint bumps *)
+let invalidations = Obs.Metrics.counter "reactive.invalidation"
 
 let counter_stats () =
-  [
-    ("skips", !skips);
-    ("reruns", !reruns);
-    ("unchanged", !unchanged);
-    ("invalidations", !Footprint.invalidations);
-    ("poisoned-runs", !poisoned_runs);
-  ]
+  List.map
+    (fun (k, c) -> (k, Obs.Metrics.value c))
+    [ ("skips", skips); ("reruns", reruns); ("unchanged", unchanged);
+      ("invalidations", invalidations); ("poisoned-runs", poisoned_runs) ]
 
-let reset_counters () =
-  skips := 0;
-  reruns := 0;
-  unchanged := 0;
-  Footprint.invalidations := 0;
-  poisoned_runs := 0
+let reset_counters = Obs.Metrics.reset
 
 (* Builtins whose value depends on state outside the DOM footprint
    (documents, clocks, the trace sink). Both the interpreter's builtin
@@ -157,13 +150,6 @@ let decide m ~args_key:akey =
         end
         else Run_recorded
 
-let count_skip () =
-  incr skips;
-  if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.skip"
-
-let count_rerun () =
-  incr reruns;
-  if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.rerun"
 
 (* Record the arguments themselves as read scopes: their names, values
    and subtrees are observable without any recorded navigation step. *)
@@ -186,16 +172,14 @@ let finish_run m ~ok ~args_key:akey ~fp ~result =
   m.fp <- None;
   if ok && Footprint.is_poisoned fp then begin
     m.latched_poison <- true;
-    incr poisoned_runs;
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.poisoned"
+    Obs.Metrics.incr poisoned_runs
   end
   else if ok then begin
     let rk = result_key result in
     if String.equal rk m.result_key && not (String.equal m.result_key "") then begin
       (* structurally equal to the cached result: the re-render this
          dispatch would trigger is a no-op *)
-      incr unchanged;
-      if !Obs.Metrics.enabled then Obs.Metrics.incr "reactive.unchanged"
+      Obs.Metrics.incr unchanged
     end;
     m.result_key <- rk;
     Footprint.register fp;

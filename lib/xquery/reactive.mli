@@ -40,8 +40,11 @@ val impure_builtin : string -> bool
     int-set probe instead of a string match on every builtin call. *)
 val impure_builtin_sym : Xmlb.Sym.t -> bool
 val args_key : Xdm_item.sequence list -> string
-val count_skip : unit -> unit
-val count_rerun : unit -> unit
+
+(** The registry counters [reactive.skip] and [reactive.rerun], bumped
+    by the dispatcher. *)
+val skips : Obs.Metrics.counter
+val reruns : Obs.Metrics.counter
 
 (** Record the argument nodes as read scopes of the active recorder
     (their content is observable without any navigation step). *)
@@ -58,7 +61,8 @@ val finish_run :
   result:Xdm_item.sequence ->
   unit
 
-(** {1 Counters} (always on; read by bench gates and browser:stats()) *)
+(** {1 Counters} (views of the registry's [reactive.*] counters;
+    [reset_counters] is {!Obs.Metrics.reset}) *)
 
 val counter_stats : unit -> (string * int) list
 val reset_counters : unit -> unit

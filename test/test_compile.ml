@@ -281,7 +281,8 @@ let browser_tests =
             let v =
               I.to_display_string
                 (Xqib.Page.run_xquery b b.Xqib.Browser.top_window
-                   "string(xs:integer(browser:stats()/compile/@functions) ge 1)")
+                   "string(xs:integer(browser:stats()//counter[@name = \
+                    'xquery.compile.fns']/@value) ge 1)")
             in
             check Alcotest.string "functions counter visible" "true" v));
   ]

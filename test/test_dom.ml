@@ -184,6 +184,27 @@ let mutation_tests =
         match Dom.append_child ~parent:txt (Dom.create_text "u") with
         | exception Dom.Dom_error _ -> ()
         | () -> Alcotest.fail "expected Dom_error");
+    t "a node cannot become its own ancestor" (fun () ->
+        let doc =
+          Dom.of_string "<r><div id=\"outer\"><div id=\"inner\"><i/></div></div></r>"
+        in
+        let outer = Option.get (Dom.get_element_by_id doc "outer")
+        and inner = Option.get (Dom.get_element_by_id doc "inner") in
+        let before = Dom.serialize doc in
+        let refused what f =
+          match f () with
+          | exception Dom.Dom_error _ ->
+              check Alcotest.string (what ^ " leaves the tree") before (Dom.serialize doc);
+              check Alcotest.bool (what ^ " keeps the parent") true
+                (match Dom.parent inner with Some p -> p == outer | None -> false)
+          | () -> Alcotest.failf "%s: expected Dom_error" what
+        in
+        refused "append into a child" (fun () -> Dom.append_child ~parent:inner outer);
+        refused "append into itself" (fun () -> Dom.append_child ~parent:outer outer);
+        refused "group insert" (fun () ->
+            Dom.insert_nodes (Dom.First_of inner) [ Dom.create_element (qn "n"); outer ]);
+        let i = List.hd (Dom.children inner) in
+        refused "replace a descendant" (fun () -> Dom.replace i [ outer ]));
   ]
 
 let observer_tests =
@@ -396,14 +417,12 @@ let event_tests =
 
 module Q = QCheck
 
-(* the changes of the named counters over [f], with metrics on *)
+(* the changes of the named counters over [f] *)
 let metric_counts names f =
-  let prev = !Obs.Metrics.enabled in
-  Obs.Metrics.enabled := true;
-  let before = List.map Obs.Metrics.counter names in
-  Fun.protect ~finally:(fun () -> Obs.Metrics.enabled := prev) (fun () ->
-      let v = f () in
-      (v, List.map2 (fun n b -> Obs.Metrics.counter n - b) names before))
+  let cs = List.map Obs.Metrics.counter names in
+  let before = List.map Obs.Metrics.value cs in
+  let v = f () in
+  (v, List.map2 (fun c b -> Obs.Metrics.value c - b) cs before)
 
 (* The reference builder the one-pass builders must match: one node at
    a time through the notifying mutators. *)

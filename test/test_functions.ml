@@ -397,8 +397,32 @@ let double_format_tests =
             -999999999999999. ]);
   ]
 
+(* The data model's constraints hold after construction and update, in
+   both evaluators: no element ends up with two attributes of one name
+   (XUDY0021, XQUF §3.2.2), and a document node has no attributes
+   (XPTY0004, XQuery 3.1 §3.9.3.3). *)
+let data_model_tests =
+  let raises code src = t src (fun () -> in_modes (fun () -> expect_error code src)) in
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  let e1 = {|let $e := <e x="1"/> return |} and e2 = {|let $e := <e x="1" y="2"/> return |} in
+  [
+    raises "XUDY0021" (e1 ^ "(insert node attribute x {2} into $e, $e)");
+    raises "XUDY0021" "let $e := <e/> return (insert node (attribute x {1}, attribute x {2}) into $e, $e)";
+    raises "XUDY0021" (e2 ^ {|(rename node $e/@x as "y", $e)|});
+    raises "XUDY0021" (e2 ^ "(replace node $e/@x with attribute y {3}, $e)");
+    raises "XUDY0021" {|copy $c := <e x="1"/> modify insert node attribute x {2} into $c return $c|};
+    raises "XUDY0021" {|copy $c := <e x="1" y="2"/> modify rename node $c/@x as "y" return $c|};
+    raises "XUDY0021" {|copy $c := <e x="1" y="2"/> modify replace node $c/@x with attribute y {3} return $c|};
+    value {|<e x="2"/>|} (e1 ^ "(insert node attribute x {2} into $e, delete node $e/@x, $e)");
+    value {|<e y="1" x="2"/>|} (e2 ^ {|(rename node $e/@x as "y", rename node $e/@y as "x", $e)|});
+    raises "XPTY0004" "document { attribute x {1}, <a/> }";
+    value "<a/>" "document { <a/> }";
+  ]
+
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
   @ aggregate_tests @ node_tests @ qname_datetime_tests @ timezone_tests
   @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests
-  @ integer_tests @ regex_tests @ duration_tests @ double_format_tests
+  @ integer_tests @ regex_tests @ duration_tests @ double_format_tests @ data_model_tests

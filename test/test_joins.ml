@@ -164,12 +164,9 @@ let differential_properties =
 (* ---------- counters: the fast paths actually execute ---------- *)
 
 let counters names f =
-  let prev = !Obs.Metrics.enabled in
-  Obs.Metrics.enabled := true;
   Obs.Metrics.reset ();
-  Fun.protect ~finally:(fun () -> Obs.Metrics.enabled := prev) (fun () ->
-      let v = f () in
-      (v, List.map Obs.Metrics.counter names))
+  let v = f () in
+  (v, List.map (fun n -> Obs.Metrics.(value (counter n))) names)
 
 let join_doc =
   "<db><os><o id='o1' k='a'/><o id='o2' k='b'/><o id='o3' k='a'/></os>\

@@ -193,6 +193,31 @@ let dom_tests =
         B.run b;
         check Alcotest.string "fired" "true" (eval_str b "fired");
         check (Alcotest.float 0.001) "0.1s" 0.1 (Virtual_clock.now b.B.clock));
+    t "a cyclic appendChild throws HierarchyRequestError" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><body><div id="outer"><div id="inner"/></div></body></html>|};
+        J.run_script b b.B.top_window
+          "var outer = document.getElementById('outer');\n\
+           var r = 'none';\n\
+           try { document.getElementById('inner').appendChild(outer); }\n\
+           catch (e) { r = e.indexOf('HierarchyRequestError') >= 0; }";
+        check Alcotest.string "caught" "true" (eval_str b "r");
+        check Alcotest.bool "outer kept" true
+          (Dom.get_element_by_id (B.document b) "outer" <> None));
+    t "an uncaught cyclic appendChild is a script error" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/javascript">
+            document.getElementById('inner').appendChild(document.getElementById('outer'));
+            </script></head>
+            <body><div id="outer"><div id="inner"/></div></body></html>|};
+        check Alcotest.bool "recorded" true (b.B.script_errors <> []);
+        let outer = Option.get (Dom.get_element_by_id (B.document b) "outer") in
+        check Alcotest.bool "outer still in the body" true
+          (match Dom.parent outer with
+          | Some p -> Dom.name p = Some (Xmlb.Qname.make "body")
+          | None -> false));
     t "inline onclick handler in JS" (fun () ->
         let b = B.create () in
         Xqib.Page.load b

@@ -143,6 +143,24 @@ let xquf_order_tests =
              {|(replace node //old with <new/>, insert node <kid/> before //old)|});
         check Alcotest.string "both placed" "kid,new"
           (run_str b {|string-join(//d/*/local-name(), ",")|}));
+    t "an update rejected with XUDY0021 leaves nothing pending" (fun () ->
+        let b =
+          load_page
+            {|<html><head><script type="text/xquery">
+              declare function local:w($evt, $obj) { count($obj//item) };
+              on event "onclick" at //div attach listener local:w
+              </script></head>
+              <body><div id="r1"><item/></div><div id="r2"/></body></html>|}
+        in
+        let set = {|insert node attribute m {'1'} into //div[@id = "r1"]|} in
+        ignore (run b set);
+        (match run b set with
+        | exception Xq_error.Error e -> check Alcotest.string "code" "XUDY0021" e.Xq_error.code
+        | _ -> Alcotest.fail "expected XUDY0021");
+        ignore (run b {|insert node <x/> into //div[@id = "r2"]|});
+        B.dispatch b ~target:(Option.get (Dom.get_element_by_id (B.document b) "r1")) "onclick";
+        check Alcotest.string "one m, one x" "1 1"
+          (run_str b {|concat(count(//div[@id = "r1"]/@m), " ", count(//x))|}));
   ]
 
 (* ------------------------------------------------------------------ *)

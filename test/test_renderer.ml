@@ -148,12 +148,9 @@ let words_per_element items =
   let elements =
     List.length (List.filter (fun n -> Dom.kind n = Dom.Element) (Dom.descendants doc))
   in
-  let metrics = !Obs.Metrics.enabled in
-  Obs.Metrics.enabled := false;
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (R.render_cached doc));
   let words = Gc.minor_words () -. before in
-  Obs.Metrics.enabled := metrics;
   words /. float_of_int elements
 
 let suite =
@@ -258,13 +255,13 @@ let suite =
         ignore (R.render_cached doc);
         let cart = Option.get (Dom.get_element_by_id doc "cart") in
         let counts f =
-          let prev = !Obs.Metrics.enabled in
-          Obs.Metrics.enabled := true;
-          let names = [ "render.block.miss"; "render.block.hit"; "render.memo.hit" ] in
-          let before = List.map Obs.Metrics.counter names in
+          let cs =
+            List.map Obs.Metrics.counter
+              [ "render.block.miss"; "render.block.hit"; "render.memo.hit" ]
+          in
+          let before = List.map Obs.Metrics.value cs in
           let v = f () in
-          Obs.Metrics.enabled := prev;
-          (v, List.map2 (fun n b -> Obs.Metrics.counter n - b) names before)
+          (v, List.map2 (fun c b -> Obs.Metrics.value c - b) cs before)
         in
         Dom.insert_first ~parent:cart (let li = Dom.create_element (Xmlb.Qname.make "li") in
            Dom.append_child ~parent:li (Dom.create_text "new");

@@ -116,12 +116,9 @@ let consumer_tests =
 (* ---------- bounded pulls: the cursor stops early ---------- *)
 
 let counters f =
-  let prev = !Obs.Metrics.enabled in
-  Obs.Metrics.enabled := true;
   Obs.Metrics.reset ();
-  Fun.protect ~finally:(fun () -> Obs.Metrics.enabled := prev) (fun () ->
-      let v = f () in
-      (v, Obs.Metrics.counter Xdm_seq.pulls_metric))
+  let v = f () in
+  (v, Obs.Metrics.(value (counter "xdm.seq.pulls")))
 
 (* production pulls early-exit consumers through cursors; the eager
    reference pulls through none *)
