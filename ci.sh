@@ -64,6 +64,27 @@
 # the line-and-column-tracking oracle it replaced differ in the tree
 # (QName prefix, URI and local name, attribute order, text) or in the
 # Parse_error's line, column and message.
+# The parse-build line runs the parser's DOM builder differential at
+# its long count (50x): it fails if, on any generated document or byte
+# mutation of the pages the xmlb line uses, under either uppercase_tags
+# setting, Dom.of_string and Dom.of_tree of Xml_parser.parse differ in
+# node kinds, names (prefix, URI, local name), attribute order or text,
+# or in the Parse_error one of them raises; or if, right after the
+# build, the labels the builder gave do not increase in document order
+# or compare_order disagrees with compare_order_naive. The same suite
+# fails if the densest inputs (boolean attributes, runs of empty
+# elements, one-entity texts, empty CDATA sections) push a label out of
+# range, if a parsed tree's first probe builds labels, or if going from
+# source bytes to a probed DOM allocates more than 4.8 minor words per
+# byte or more than 1.2x at 2 000 items its figure at 200.
+# The serialize line runs the node serializer differential at its long
+# count (50x): it fails if, on any random DOM (default, prefixed and
+# redeclared namespaces, script and style elements, comments and PIs,
+# standalone attributes, documents with several children), indented or
+# not, Dom.serialize and the tree serializer it replaced
+# (test/xml_serializer_oracle.ml) write different bytes; or if
+# serializing a page allocates more than one minor word per output
+# byte.
 # The renderer line runs the renderer's tests with the vocabulary
 # property at its long count (50x): it fails if, on any generated page
 # over every tag the renderer knows (mixed-case names, inputs of each
@@ -101,6 +122,8 @@ dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-order > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test compile > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test xmlb > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test parse-build > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test serialize > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test renderer > /dev/null
 printf '<html/>' > /tmp/xqib_ci_page.html
 ablation_fields() {

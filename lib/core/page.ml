@@ -169,14 +169,6 @@ let value_token = Str.regexp "\\([^-A-Za-z0-9_$@/:.]\\|^\\)value\\([^-A-Za-z0-9_
 let shim_handler_source src =
   Str.global_replace value_token "\\1data(@value)\\2" src
 
-(* [f] on every element below [n], in document order *)
-let rec iter_elements f n =
-  List.iter
-    (fun c ->
-      if Dom.kind c = Dom.Element then f c;
-      iter_elements f c)
-    (Dom.children n)
-
 (* [s] starts with [lower] from byte [i] on, ASCII letters compared
    without case *)
 let rec starts_ci s lower i =
@@ -184,49 +176,46 @@ let rec starts_ci s lower i =
   || (i < String.length s && Char.lowercase_ascii s.[i] = lower.[i] && starts_ci s lower (i + 1))
 
 (* The page's XQuery state is taken at the first handler compiled as
-   XQuery, so a page without one keeps none. *)
+   XQuery, so a page without one keeps none. The walk makes its two
+   callbacks once: the attribute callback reads the element from
+   [current], so visiting an element allocates nothing. *)
 let wire_inline_handlers b window =
   let st = lazy (state_for b window) in
-  iter_elements
-    (fun el ->
-      List.iter
-        (fun attr ->
-          match (Dom.name attr, Dom.value attr) with
-          | Some { Qname.local; _ }, Some source
-            when String.length local > 2
-                 && starts_ci local "on" 0
-                 && String.length (String.trim source) > 0 -> (
-              let event_type = String.lowercase_ascii local in
-              if
-                List.exists
-                  (fun p -> p b window ~element:el ~event_type ~source)
-                  !inline_providers
-              then ()
-              else
-              let src = shim_handler_source source in
-              let st = Lazy.force st in
-              match
-                Xquery.Engine.expression st.static
-                  (Xquery.Parser.parse_expression st.static src)
-              with
-              | handler ->
-                  ignore
-                    (Dom_event.add_listener el ~event_type
-                       ~name:("inline:" ^ string_of_int (Dom.id el) ^ ":" ^ event_type)
-                       (fun _e ->
-                         let ctx =
-                           DC.with_focus st.ctx (Xdm_item.Node el) ~position:1
-                             ~size:1
-                         in
-                         (try ignore (Xquery.Eval.protect (fun () -> handler ctx))
-                          with Xquery.Eval.Exit_with _ -> ());
-                         Xquery.Pul.apply st.ctx.DC.pul))
-              | exception _ ->
-                  (* not XQuery (e.g. legacy JS snippet with no JS
-                     engine loaded): ignore, like an unknown language *)
-                  ())
-          | _ -> ())
-        (Dom.attributes el))
+  let current = ref window.Windows.document in
+  let wire { Qname.local; _ } source =
+    if
+      String.length local > 2
+      && starts_ci local "on" 0
+      && String.length (String.trim source) > 0
+    then
+      let el = !current in
+      let event_type = String.lowercase_ascii local in
+      if List.exists (fun p -> p b window ~element:el ~event_type ~source) !inline_providers
+      then ()
+      else
+        let src = shim_handler_source source in
+        let st = Lazy.force st in
+        match
+          Xquery.Engine.expression st.static (Xquery.Parser.parse_expression st.static src)
+        with
+        | handler ->
+            ignore
+              (Dom_event.add_listener el ~event_type
+                 ~name:("inline:" ^ string_of_int (Dom.id el) ^ ":" ^ event_type)
+                 (fun _e ->
+                   let ctx = DC.with_focus st.ctx (Xdm_item.Node el) ~position:1 ~size:1 in
+                   (try ignore (Xquery.Eval.protect (fun () -> handler ctx))
+                    with Xquery.Eval.Exit_with _ -> ());
+                   Xquery.Pul.apply st.ctx.DC.pul))
+        | exception _ ->
+            (* not XQuery (e.g. legacy JS snippet with no JS
+               engine loaded): ignore, like an unknown language *)
+            ()
+  in
+  Dom.iter_elements
+    (fun el _ ->
+      current := el;
+      Dom.iter_attributes wire el)
     window.Windows.document
 
 (* ---------------- page loading ---------------- *)
@@ -239,12 +228,9 @@ let fetch_page (b : Browser.t) uri =
 
 let script_elements doc =
   let found = ref [] in
-  iter_elements
-    (fun n ->
-      match Dom.name n with
-      | Some { Qname.local; _ } when String.length local = 6 && starts_ci local "script" 0 ->
-          found := n :: !found
-      | _ -> ())
+  Dom.iter_elements
+    (fun n { Qname.local; _ } ->
+      if String.length local = 6 && starts_ci local "script" 0 then found := n :: !found)
     doc;
   List.rev !found
 
@@ -287,15 +273,9 @@ let rec load ?(options = default_options) ?window (b : Browser.t) html =
       if resp.Http_sim.status = 200 then load ~options ~window:w b resp.Http_sim.body);
   (* the old page's script contexts go with its document *)
   window.Windows.scripts <- [];
-  let parse_options =
-    {
-      Xml_parser.default_options with
-      Xml_parser.uppercase_tags = b.Browser.uppercase_tags;
-    }
-  in
   let doc =
     Obs.Trace.with_span "page.parse-html" (fun () ->
-        Dom.of_tree (Xml_parser.parse ~options:parse_options html))
+        Dom.of_string ~options:{ Xml_parser.uppercase_tags = b.Browser.uppercase_tags } html)
   in
   Browser.set_document b window doc;
   let scripts = script_elements doc in

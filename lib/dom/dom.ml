@@ -202,8 +202,9 @@ let set_slot n s =
    owns the root's mutation observers and footprint watch, so both are
    freed with the tree, and four caches:
    - sparse document-order labels, kept on the nodes themselves, making
-     [compare_order] an O(1) integer compare (built on the first order
-     read, or with the element buckets);
+     [compare_order] an O(1) integer compare (given as [of_string]
+     builds the tree, else built on the first order read or with the
+     element buckets);
    - id and local-name element buckets (built on the first probe);
    - per probed attribute name other than "id", or element name, value
      buckets (built on the first probe of that name; "id" values are
@@ -655,10 +656,25 @@ let text_entry ~add ti n =
   | None -> ti.complex <- (if add then ti.complex + 1 else ti.complex - 1)
 
 (* [f] on every element of [n]'s subtree (inclusive), with its name,
-   in document order *)
+   in document order; closure-free, so the walk allocates nothing *)
 let rec iter_elements f n =
   (match n.nkind with P_element el -> f n el.ename | _ -> ());
-  List.iter (iter_elements f) (children n)
+  iter_elements_in f (children n)
+
+and iter_elements_in f = function
+  | c :: rest ->
+      iter_elements f c;
+      iter_elements_in f rest
+  | [] -> ()
+
+let rec iter_attributes_in f = function
+  | { nkind = P_attribute a; _ } :: rest ->
+      f a.aname a.avalue;
+      iter_attributes_in f rest
+  | _ :: rest -> iter_attributes_in f rest
+  | [] -> ()
+
+let iter_attributes f el = iter_attributes_in f (attributes el)
 
 (* [f] on the value of every attribute of [el] named [lsym] *)
 let iter_attr_values f el (lsym : Sym.t) =
@@ -1105,6 +1121,29 @@ let detach ?w n =
       n.nparent <- None;
       unlinked w ~from:p n
 
+(* Unlink every node of [group] that has a parent, as [detach] does
+   (one write per old parent, which records no footprint and notifies
+   nobody), in one pass over each old parent's child list however many
+   of its children leave: a leaving node is marked by its cleared
+   parent. The nodes are children, not attributes. *)
+let detach_group group =
+  let parents =
+    List.fold_left
+      (fun ps n -> match n.nparent with Some p when not (List.memq p ps) -> p :: ps | _ -> ps)
+      [] group
+  in
+  List.iter
+    (fun p ->
+      let w = begin_write ~capture:false p in
+      let leaving =
+        List.filter (fun n -> match n.nparent with Some q -> q == p | None -> false) group
+      in
+      retext w p (fun () ->
+          List.iter (fun n -> n.nparent <- None) leaving;
+          set_children p (List.filter (fun c -> c.nparent != None) (children p)));
+      List.iter (unlinked w ~from:p) leaving)
+    (List.rev parents)
+
 let remove n =
   match n.nparent with
   | None -> ()
@@ -1125,7 +1164,7 @@ type anchor = Last_of of node | First_of of node | Before of node | After of nod
 let insert_children parent group weave =
   List.iter assert_insertable group;
   assert_acyclic group (Some parent);
-  List.iter (fun n -> detach n) group;
+  detach_group group;
   let w = begin_write parent in
   retext w parent (fun () ->
       set_children parent (weave (children parent));
@@ -1183,6 +1222,8 @@ let replace n replacements =
       | _ ->
           List.iter assert_insertable replacements;
           assert_acyclic replacements (Some p);
+          (* replacements leave their parents first; [n] may be one *)
+          detach_group (List.filter (fun r -> r != n) replacements);
           let rec weave = function
             | [] -> err "node not found in parent during replace"
             | c :: rest when c == n -> replacements @ rest
@@ -1198,6 +1239,22 @@ let replace n replacements =
           linked w replacements;
           end_write w (Children_changed p))
 
+(* Make the parentless nodes [group] the whole child list of [n], as
+   part of write [w]: the old children are unlinked in one pass ([detach]
+   would re-filter the child list once per child). *)
+let swap_children w n group =
+  let old = children n in
+  retext w n (fun () ->
+      set_children n group;
+      let up = Some n in
+      List.iter (fun c -> link_up c up) group);
+  List.iter
+    (fun c ->
+      c.nparent <- None;
+      unlinked w ~from:n c)
+    old;
+  linked w group
+
 let set_value n v =
   let w = begin_write n in
   (match n.nkind with
@@ -1212,21 +1269,23 @@ let set_value n v =
   | P_comment c -> c.ccontent <- v
   | P_pi p -> p.pcontent <- v
   | P_element _ | P_document _ ->
-      (* replaceElementContent: drop the old children in one pass
-         ([detach] would re-filter the child list once per child), then
-         link the new text; the element's own text entry changes *)
+      (* replaceElementContent: the new text is the whole content; the
+         element's own text entry changes *)
       (match n.nkind with P_element e -> fp_name w e.ename | _ -> ());
-      let old = children n and t = create_text v in
-      retext w n (fun () ->
-          set_children n [ t ];
-          link t n);
-      List.iter
-        (fun c ->
-          c.nparent <- None;
-          unlinked w ~from:n c)
-        old;
-      linked w [ t ]);
+      swap_children w n [ create_text v ]);
   end_write w (Value_changed n)
+
+let replace_children parent group =
+  (match parent.nkind with
+  | P_element _ | P_document _ -> ()
+  | P_attribute _ | P_text _ | P_comment _ | P_pi _ ->
+      err "this node kind cannot have children");
+  List.iter assert_insertable group;
+  assert_acyclic group (Some parent);
+  detach_group group;
+  let w = begin_write parent in
+  swap_children w parent group;
+  end_write w (Children_changed parent)
 
 let rename n qn =
   match n.nkind with
@@ -1406,41 +1465,255 @@ let rec node_of_tree = function
 
 let of_tree trees = build_document node_of_tree trees
 
-let of_string ?options src = of_tree (Xml_parser.parse ?options src)
+(* [up] is the parent box of every node of [cs] *)
+let rec link_children up = function
+  | c :: rest ->
+      c.nparent <- up;
+      link_children up rest
+  | [] -> ()
 
-let rec to_tree n : Xml_parser.tree =
+(* Parsing builds the DOM in one pass: the scanner hands each node to
+   the builder below as it meets it, which creates it once and links it
+   to its parent once, when the parent closes. A node also takes its
+   order label as it is made — the element, then its attributes, then
+   its content, the pre-order of [walk] — so the tree starts labelled
+   and its first probe builds only buckets.
+
+   The labels are the multiples of [stride] from the document's on. A
+   tree has at most one node per source byte, plus its document node:
+   every element, attribute, text, comment and processing instruction
+   takes at least one byte of the source that no other node takes (a
+   boolean attribute " b", one entity in a text, an empty CDATA section
+   are the densest). So with [stride = label_space / (len + 2)], the
+   last label, at most [(len + 1) * stride], stays below
+   [label_space]. *)
+type labeller = { stride : int; mutable last : int }
+
+let label l n =
+  l.last <- l.last + l.stride;
+  n.label <- l.last;
+  n
+
+(* the attribute nodes of [attrs], labelled in order, each with the
+   parent box [up] *)
+let[@tail_mod_cons] rec attribute_nodes l up = function
+  | { Xml_parser.name; value } :: rest ->
+      let a = label l (fresh (P_attribute { aname = name; avalue = value })) in
+      a.nparent <- up;
+      a :: attribute_nodes l up rest
+  | [] -> []
+
+let of_string ?options src =
+  let doc = create_document () in
+  let l = { stride = label_space / (String.length src + 2); last = 0 } in
+  ignore (label l doc);
+  let builder =
+    {
+      Xml_parser.open_ =
+        (fun name attrs ->
+          let el = label l (fresh (P_element { ename = name; eattrs = []; echildren = [] })) in
+          let up = Some el in
+          (match (attrs, el.nkind) with
+          | [], _ -> ()
+          | _, P_element e -> e.eattrs <- attribute_nodes l up attrs
+          | _ -> assert false);
+          up);
+      close =
+        (fun up children ->
+          match up with
+          | Some ({ nkind = P_element e; _ } as el) ->
+              link_children up children;
+              e.echildren <- children;
+              el
+          | _ -> assert false);
+      text = (fun t -> label l (fresh (P_text { tcontent = t })));
+      comment = (fun c -> label l (fresh (P_comment { ccontent = c })));
+      pi = (fun target data -> label l (fresh (P_pi { target; pcontent = data })));
+    }
+  in
+  let children = Xml_parser.build builder ?options src in
+  link_children (Some doc) children;
+  set_children doc children;
+  (accel_of doc).labelled <- true;
+  doc
+
+(* Serialization writes the nodes' payloads straight into one buffer.
+   Namespace fixup emits the xmlns declarations that make a reparse
+   resolve every name to the same URI; [scope] maps each prefix in
+   force to its URI ("" the default namespace). A name with no prefix
+   and no URI, outside any default namespace, with only unprefixed
+   attributes, needs no declaration and leaves the scope as it is, so
+   the common element costs no allocation. *)
+module Smap = Map.Make (String)
+
+let prefix_key (q : Qname.t) = match q.Qname.prefix with Some p -> p | None -> ""
+let uri_key (q : Qname.t) = match q.Qname.uri with Some u -> u | None -> ""
+let unprefixed (q : Qname.t) =
+  match q.Qname.prefix with None | Some "" -> true | Some _ -> false
+
+let is_literal_xmlns (q : Qname.t) =
+  match q.Qname.prefix with
+  | Some "xmlns" -> true
+  | None -> q.Qname.local = "xmlns"
+  | Some _ -> false
+
+let attr_name a = match a.nkind with P_attribute at -> at.aname | _ -> assert false
+
+(* the declarations [name] and [attrs] need, in order, and the scope
+   under the element *)
+let needed_declarations scope name attrs =
+  let need = ref [] and scope = ref scope in
+  let check ~is_attr (q : Qname.t) =
+    let p = prefix_key q and u = uri_key q in
+    (* unprefixed attributes are in no namespace: nothing to declare *)
+    if not (is_attr && p = "") then
+      let bound = Option.value ~default:"" (Smap.find_opt p !scope) in
+      if bound <> u && not (p = "xml" || p = "xmlns") && not (List.mem_assoc p !need) then begin
+        need := (p, u) :: !need;
+        scope := Smap.add p u !scope
+      end
+  in
+  check ~is_attr:false name;
+  List.iter (fun a -> check ~is_attr:true (attr_name a)) attrs;
+  (List.rev !need, !scope)
+
+let add_qname buf (q : Qname.t) =
+  (match q.Qname.prefix with
+  | Some p when p <> "" ->
+      Buffer.add_string buf p;
+      Buffer.add_char buf ':'
+  | _ -> ());
+  Buffer.add_string buf q.Qname.local
+
+let add_spaces buf k =
+  for _ = 1 to k do
+    Buffer.add_char buf ' '
+  done
+
+let add_attribute buf name value =
+  Buffer.add_char buf ' ';
+  add_qname buf name;
+  Buffer.add_string buf "=\"";
+  Xml_escape.add_attribute buf value;
+  Buffer.add_char buf '"'
+
+let rec all_text = function
+  | { nkind = P_text _; _ } :: rest -> all_text rest
+  | [] -> true
+  | _ :: _ -> false
+
+let rec all_unprefixed = function
+  | a :: rest -> unprefixed (attr_name a) && all_unprefixed rest
+  | [] -> true
+
+(* a line of its own for markup at [level], when indenting *)
+let pad buf indent level =
+  if indent then begin
+    if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+    add_spaces buf (2 * level)
+  end
+
+(* [emit] writes [n] at nesting [level], indented when [indent]; the
+   loops below are closure-free, so a plain element allocates nothing *)
+let rec emit buf scope indent level n =
   match n.nkind with
-  | P_text t -> Xml_parser.Text t.tcontent
-  | P_comment c -> Xml_parser.Comment c.ccontent
-  | P_pi p -> Xml_parser.Pi (p.target, p.pcontent)
-  | P_attribute a ->
-      (* standalone attribute: serialize as empty element for diagnostics *)
-      Xml_parser.Element (a.aname, [], [ Xml_parser.Text a.avalue ])
+  | P_text t -> Xml_escape.add_text buf t.tcontent
+  | P_comment c ->
+      pad buf indent level;
+      Buffer.add_string buf "<!--";
+      Buffer.add_string buf c.ccontent;
+      Buffer.add_string buf "-->"
+  | P_pi p ->
+      pad buf indent level;
+      Buffer.add_string buf "<?";
+      Buffer.add_string buf p.target;
+      if p.pcontent <> "" then begin
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf p.pcontent
+      end;
+      Buffer.add_string buf "?>"
   | P_element e ->
-      let attrs =
-        List.filter_map
-          (fun a ->
-            match a.nkind with
-            | P_attribute { aname; avalue } ->
-                Some { Xml_parser.name = aname; value = avalue }
-            | _ -> None)
-          e.eattrs
-      in
-      Xml_parser.Element (e.ename, attrs, List.map to_tree e.echildren)
-  | P_document d -> (
-      match d.dchildren with
-      | [ c ] -> to_tree c
-      | _ -> Xml_parser.Element (Qname.make "document", [], List.map to_tree d.dchildren))
+      pad buf indent level;
+      emit_element buf scope indent level e.ename e.eattrs e.echildren
+  | P_attribute a ->
+      (* a standalone attribute, as an element holding its value (a
+         text node made for the call, linked nowhere) *)
+      pad buf indent level;
+      let value = { n with nkind = P_text { tcontent = a.avalue }; nparent = None } in
+      emit_element buf scope indent level a.aname [] [ value ]
+  | P_document d -> emit_all buf scope indent level d.dchildren
 
-let to_trees n =
-  match n.nkind with
-  | P_document d -> List.map to_tree d.dchildren
-  | _ -> [ to_tree n ]
+and emit_all buf scope indent level = function
+  | c :: rest ->
+      emit buf scope indent level c;
+      emit_all buf scope indent level rest
+  | [] -> ()
+
+and emit_element buf scope indent level name attrs children =
+  Buffer.add_char buf '<';
+  add_qname buf name;
+  let scope =
+    if
+      unprefixed name && uri_key name = ""
+      && (Smap.is_empty scope || Option.value ~default:"" (Smap.find_opt "" scope) = "")
+      && all_unprefixed attrs
+    then scope
+    else begin
+      let declarations, scope = needed_declarations scope name attrs in
+      List.iter
+        (fun (prefix, uri) ->
+          Buffer.add_string buf " xmlns";
+          if prefix <> "" then begin
+            Buffer.add_char buf ':';
+            Buffer.add_string buf prefix
+          end;
+          Buffer.add_string buf "=\"";
+          Xml_escape.add_attribute buf uri;
+          Buffer.add_char buf '"')
+        declarations;
+      scope
+    end
+  in
+  emit_attributes buf attrs;
+  match children with
+  | [] -> Buffer.add_string buf "/>"
+  | _ ->
+      Buffer.add_char buf '>';
+      if Xml_parser.is_raw_text_element name.Qname.local then
+        (* script/style bodies round-trip as raw text (cf. the parser) *)
+        emit_raw buf scope level children
+      else begin
+        let indent = indent && not (all_text children) in
+        emit_all buf scope indent (level + 1) children;
+        if indent then begin
+          Buffer.add_char buf '\n';
+          add_spaces buf (2 * level)
+        end
+      end;
+      Buffer.add_string buf "</";
+      add_qname buf name;
+      Buffer.add_char buf '>'
+
+and emit_raw buf scope level = function
+  | c :: rest ->
+      (match c.nkind with
+      | P_text t -> Buffer.add_string buf t.tcontent
+      | _ -> emit buf scope false (level + 1) c);
+      emit_raw buf scope level rest
+  | [] -> ()
+
+(* literal xmlns attributes are skipped: the fixup regenerates them *)
+and emit_attributes buf = function
+  | { nkind = P_attribute a; _ } :: rest ->
+      if not (is_literal_xmlns a.aname) then add_attribute buf a.aname a.avalue;
+      emit_attributes buf rest
+  | _ :: rest -> emit_attributes buf rest
+  | [] -> ()
 
 let serialize ?(indent = false) n =
-  Xml_serializer.list_to_string
-    ~options:{ Xml_serializer.indent; xml_declaration = false }
-    (to_trees n)
+  let buf = Buffer.create 256 in
+  emit buf Smap.empty indent 0 n;
+  Buffer.contents buf
 
 let pp ppf n = Format.pp_print_string ppf (serialize n)
 

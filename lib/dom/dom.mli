@@ -67,6 +67,16 @@ val children : node -> node list
 val attributes : node -> node list
 val attribute : node -> Qname.t -> string option
 
+(** [iter_elements f n] calls [f el name] on every element of [n]'s
+    subtree, [n] included, in document order. The walk allocates
+    nothing of its own. *)
+val iter_elements : (node -> Qname.t -> unit) -> node -> unit
+
+(** [iter_attributes f el] calls [f name value] on each attribute of
+    [el], in order; nothing for other kinds. Allocates nothing of its
+    own. *)
+val iter_attributes : (Qname.t -> string -> unit) -> node -> unit
+
 (** Like {!attribute} but matches on local name only (namespace
     ignored) — convenient for HTML-ish documents. *)
 val attribute_local : node -> string -> string option
@@ -137,7 +147,8 @@ val order_key : node -> (int * int) option
 (** {1 Acceleration}
 
     Each tree lazily carries caches: sparse document-order labels, one
-    int on each node (built on the first order read), and, on its
+    int on each node (given as {!of_string} builds the tree, else built
+    on the first order read), and, on its
     per-root record, id and local-name element buckets (built on the
     tree's first probe, an id, name or value lookup, together with the
     labels in one walk when no order read built them first). Once
@@ -233,6 +244,15 @@ type anchor = Last_of of node | First_of of node | Before of node | After of nod
     sibling anchor without a parent; nothing is written then. *)
 val insert_nodes : anchor -> node list -> unit
 
+(** [replace_children parent group] makes [group] the whole child list
+    of [parent] in one write: the old children are unlinked in one
+    pass, the nodes of [group] leave their parents as in
+    {!insert_nodes}, and observers see one [Children_changed]. An empty
+    group removes every child.
+    @raise Dom_error for a parent that takes no children, or a group
+    {!insert_nodes} refuses; nothing is written then. *)
+val replace_children : node -> node list -> unit
+
 (** One-node forms of {!insert_nodes}. *)
 val append_child : parent:node -> node -> unit
 val insert_first : parent:node -> node -> unit
@@ -304,16 +324,26 @@ val with_batch : (unit -> 'a) -> 'a
 (** {1 Conversion} *)
 
 (** Build a document node from parsed XML, in one pass and in
-    pre-order like {!clone}. *)
+    pre-order like {!clone}. The reference {!of_string} is tested
+    against. *)
 val of_tree : Xml_parser.tree list -> node
 
+(** Parse a document straight into DOM nodes: the parser drives a
+    builder that creates each node once, in pre-order (ids and labels
+    both), and links it to its parent once. The tree starts with its
+    document-order labels, so its first probe builds only its buckets.
+    @raise Xml_parser.Parse_error as {!Xml_parser.parse} does. *)
 val of_string : ?options:Xml_parser.options -> string -> node
 
-(** Convert (element/text/comment/PI or document) to the immutable
-    tree representation; a document converts to its children.  *)
-val to_trees : node -> Xml_parser.tree list
-
+(** XML text of the node, written from the nodes directly; a document
+    writes its children one after the other, and a standalone attribute
+    is written as an element of its name holding its value. Namespace
+    declarations are regenerated so that a reparse gives every name its
+    URI; script and style bodies are written raw, as the parser reads
+    them. With [indent], nested markup goes on lines of its own,
+    indented by two spaces a level. *)
 val serialize : ?indent:bool -> node -> string
+
 val pp : Format.formatter -> node -> unit
 
 (** Find the first descendant element (including self if element) with

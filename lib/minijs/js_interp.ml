@@ -313,22 +313,10 @@ and node_method st node name =
           in
           (* document.write of markup: parse it so written tags become
              elements, like a real browser *)
-          (match Xmlb.Xml_parser.parse text with
-          | trees ->
-              List.iter
-                (fun t ->
-                  Dom.append_child ~parent:target
-                    (match t with
-                    | Xmlb.Xml_parser.Text s -> Dom.create_text s
-                    | t -> (
-                        let tmp = Dom.of_tree [ t ] in
-                        match Dom.children tmp with
-                        | [ c ] ->
-                            Dom.remove c;
-                            c
-                        | _ -> Dom.create_text text)))
-                trees
-          | exception _ -> Dom.append_child ~parent:target (Dom.create_text text));
+          (match Dom.of_string text with
+          | written -> Dom.insert_nodes (Dom.Last_of target) (Dom.children written)
+          | exception Xmlb.Xml_parser.Parse_error _ ->
+              Dom.append_child ~parent:target (Dom.create_text text));
           VUndefined)
   | "addEventListener" ->
       native (fun _ args ->
@@ -549,18 +537,13 @@ and set_prop st target name v =
       | Node node -> (
           match name with
           | "nodeValue" | "textContent" | "innerText" -> Dom.set_value node (to_string v)
-          | "innerHTML" -> (
-              List.iter Dom.remove (Dom.children node);
-              match Xmlb.Xml_parser.parse (to_string v) with
-              | trees ->
-                  let tmp = Dom.of_tree trees in
-                  List.iter
-                    (fun c ->
-                      Dom.remove c;
-                      Dom.append_child ~parent:node c)
-                    (Dom.children tmp)
-              | exception _ ->
-                  Dom.append_child ~parent:node (Dom.create_text (to_string v)))
+          | "innerHTML" ->
+              (* the parsed nodes replace the old children in one write *)
+              let markup = to_string v in
+              Dom.replace_children node
+                (match Dom.of_string markup with
+                | parsed -> Dom.children parsed
+                | exception Xmlb.Xml_parser.Parse_error _ -> [ Dom.create_text markup ])
           | "value" | "checked" -> Dom.set_attribute node (qn name) (to_string v)
           | _ when List.mem name attr_backed ->
               Dom.set_attribute node (qn name) (to_string v)

@@ -1,42 +1,59 @@
-(* Partial application precomputes a 256-slot replacement table, so
-   the per-string scan does one array load per byte. The common case —
-   nothing to escape — returns the input unchanged without allocating;
-   otherwise unescaped runs are copied with [Buffer.add_substring]. *)
-let escape_with specials =
+(* Each escape has a 256-slot replacement table, so the per-string
+   scan does one array load per byte. [into] appends the
+   escaped string to a buffer, copying unescaped runs with
+   [Buffer.add_substring] and allocating nothing of its own; [escape]
+   returns the input unchanged without allocating when there is nothing
+   to escape. *)
+let table specials =
   let tbl = Array.make 256 None in
   List.iter (fun (c, rep) -> tbl.(Char.code c) <- Some rep) specials;
-  fun s ->
-    let n = String.length s in
-    let rec first i =
-      if i >= n then -1
-      else
-        match tbl.(Char.code (String.unsafe_get s i)) with
-        | Some _ -> i
-        | None -> first (i + 1)
-    in
-    let i0 = first 0 in
-    if i0 < 0 then s
-    else begin
-      let buf = Buffer.create (n + 16) in
-      Buffer.add_substring buf s 0 i0;
-      let run_start = ref i0 in
-      for i = i0 to n - 1 do
-        match tbl.(Char.code (String.unsafe_get s i)) with
-        | Some rep ->
-            if i > !run_start then
-              Buffer.add_substring buf s !run_start (i - !run_start);
-            Buffer.add_string buf rep;
-            run_start := i + 1
-        | None -> ()
-      done;
-      if n > !run_start then Buffer.add_substring buf s !run_start (n - !run_start);
-      Buffer.contents buf
-    end
+  tbl
 
-let text = escape_with [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;") ]
+(* the first offset from [i] on whose byte [tbl] replaces, or -1 *)
+let rec first_special tbl s i =
+  if i >= String.length s then -1
+  else
+    match Array.unsafe_get tbl (Char.code (String.unsafe_get s i)) with
+    | Some _ -> i
+    | None -> first_special tbl s (i + 1)
 
-let attribute =
-  escape_with [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;"); ('"', "&quot;") ]
+(* [s] from [i0], the offset of its first special byte, escaped *)
+let add_from tbl buf s i0 =
+  let n = String.length s in
+  Buffer.add_substring buf s 0 i0;
+  let run_start = ref i0 in
+  for i = i0 to n - 1 do
+    match Array.unsafe_get tbl (Char.code (String.unsafe_get s i)) with
+    | Some rep ->
+        if i > !run_start then Buffer.add_substring buf s !run_start (i - !run_start);
+        Buffer.add_string buf rep;
+        run_start := i + 1
+    | None -> ()
+  done;
+  if n > !run_start then Buffer.add_substring buf s !run_start (n - !run_start)
+
+let into tbl buf s =
+  let i0 = first_special tbl s 0 in
+  if i0 < 0 then Buffer.add_string buf s else add_from tbl buf s i0
+
+let escape tbl s =
+  let i0 = first_special tbl s 0 in
+  if i0 < 0 then s
+  else begin
+    let buf = Buffer.create (String.length s + 16) in
+    add_from tbl buf s i0;
+    Buffer.contents buf
+  end
+
+let text_table = table [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;") ]
+
+let attribute_table =
+  table [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;"); ('"', "&quot;") ]
+
+let text s = escape text_table s
+let attribute s = escape attribute_table s
+let add_text buf s = into text_table buf s
+let add_attribute buf s = into attribute_table buf s
 
 let utf8_of_code_point cp =
   let buf = Buffer.create 4 in

@@ -7,6 +7,12 @@ val text : string -> string
     brackets and the double quote. *)
 val attribute : string -> string
 
+(** [add_text buf s] appends {!text}[ s] to [buf], allocating nothing
+    beyond the buffer's growth; {!add_attribute} likewise. *)
+val add_text : Buffer.t -> string -> unit
+
+val add_attribute : Buffer.t -> string -> unit
+
 (** [xml_char cp] holds when [cp] matches XML 1.0's [Char] production
     (tab, newline, carriage return, and the code points from U+0020
     outside the surrogates, U+FFFE and U+FFFF). *)

@@ -6,9 +6,17 @@ type tree =
 
 and attribute = { name : Qname.t; value : string }
 
-type options = { uppercase_tags : bool; keep_whitespace : bool }
+type options = { uppercase_tags : bool }
 
-let default_options = { uppercase_tags = false; keep_whitespace = true }
+let default_options = { uppercase_tags = false }
+
+type ('n, 'e) builder = {
+  open_ : Qname.t -> attribute list -> 'e;
+  close : 'e -> 'n list -> 'n;
+  text : string -> 'n;
+  comment : string -> 'n;
+  pi : string -> string -> 'n;
+}
 
 exception Parse_error of { line : int; col : int; message : string }
 
@@ -27,6 +35,7 @@ type state = {
   attr_names : known option array;
       (* recently read names, direct-mapped by length and end bytes and
          matched in place, so a repeated name costs no copy and no hash *)
+  mutable self_closing : bool;  (* the last start tag ended with "/>" *)
 }
 
 (* a name as written, as used (for elements, with the case option
@@ -168,16 +177,19 @@ let read_known st cache ~case =
       cache.(slot) <- Some k;
       k
 
-(* Parse attributes up to '>' or '/>'. Returns (attrs, self_closing). *)
-let rec read_attributes st acc =
+(* Parse attributes up to '>' or '/>', in order; [st.self_closing]
+   then tells which ended them. *)
+let[@tail_mod_cons] rec read_attributes st =
   skip_space st;
   if looking_at st "/>" then begin
     st.pos <- st.pos + 2;
-    (List.rev acc, true)
+    st.self_closing <- true;
+    []
   end
   else if peek st = '>' then begin
     st.pos <- st.pos + 1;
-    (List.rev acc, false)
+    st.self_closing <- false;
+    []
   end
   else begin
     let k = read_known st st.attr_names ~case:false in
@@ -190,7 +202,8 @@ let rec read_attributes st acc =
       end
       else k.token (* HTML-style boolean attribute *)
     in
-    read_attributes st ({ name = k.qn; value } :: acc)
+    let a = { name = k.qn; value } in
+    a :: read_attributes st
   end
 
 let is_xmlns (n : Qname.t) =
@@ -269,11 +282,16 @@ let read_close_name st open_name =
   then None
   else Some (apply_case st (String.sub st.src start len))
 
-let rec parse_content st env close_name acc =
+(* The content up to [close_name]'s close tag, or to the end of the
+   input at the top level, whose whitespace-only text is dropped. Each
+   node is made by [b] as the scanner meets it, so in document order:
+   an element is opened before its content is read and closed with its
+   children. Built in order, without an accumulator to reverse. *)
+let[@tail_mod_cons] rec parse_content b st env close_name =
   if eof st then
     match close_name with
-    | None -> List.rev acc
-    | Some n -> error st (Printf.sprintf "unclosed element <%s>" n)
+    | None -> []
+    | Some n -> (error [@tailcall false]) st (Printf.sprintf "unclosed element <%s>" n)
   else if peek st = '<' then
     (* one byte past '<' tells the constructs apart *)
     let next = if st.pos + 1 < String.length st.src then st.src.[st.pos + 1] else '\000' in
@@ -288,54 +306,60 @@ let rec parse_content st env close_name acc =
       skip_space st;
       expect st ">";
       match (other, close_name) with
-      | None, _ -> List.rev acc
+      | None, _ -> []
       | Some name, Some n ->
-          error st (Printf.sprintf "mismatched close tag </%s>, expected </%s>" name n)
-      | Some name, None -> error st (Printf.sprintf "unexpected close tag </%s>" name)
+          (error [@tailcall false]) st
+            (Printf.sprintf "mismatched close tag </%s>, expected </%s>" name n)
+      | Some name, None ->
+          (error [@tailcall false]) st (Printf.sprintf "unexpected close tag </%s>" name)
     end
     else if next = '!' && looking_at st "<!--" then begin
       st.pos <- st.pos + 4;
-      let c = read_until st "-->" in
-      parse_content st env close_name (Comment c :: acc)
+      let c = b.comment (read_until st "-->") in
+      c :: parse_content b st env close_name
     end
     else if next = '!' && looking_at st "<![CDATA[" then begin
       st.pos <- st.pos + 9;
       let c = read_until st "]]>" in
-      parse_content st env close_name (Text c :: acc)
+      if close_name = None && String.for_all is_space c then parse_content b st env close_name
+      else
+        let t = b.text c in
+        t :: parse_content b st env close_name
     end
     else if next = '!' && (looking_at st "<!DOCTYPE" || looking_at st "<!doctype") then begin
       ignore (read_until st ">");
-      parse_content st env close_name acc
+      parse_content b st env close_name
     end
     else if next = '?' then begin
       st.pos <- st.pos + 2;
       let target = read_name st in
       skip_space st;
       let data = read_until st "?>" in
-      if String.lowercase_ascii target = "xml" then
-        parse_content st env close_name acc
-      else parse_content st env close_name (Pi (target, data) :: acc)
+      if String.lowercase_ascii target = "xml" then parse_content b st env close_name
+      else
+        let p = b.pi target data in
+        p :: parse_content b st env close_name
     end
-    else begin
-      let el = parse_element st env in
-      parse_content st env close_name (el :: acc)
-    end
-  else begin
+    else
+      let el = parse_element b st env in
+      el :: parse_content b st env close_name
+  else
     let text = read_text st in
-    let keep =
-      st.options.keep_whitespace || not (String.for_all is_space text)
-    in
-    let acc = if keep && String.length text > 0 then Text text :: acc else acc in
-    parse_content st env close_name acc
-  end
+    if String.length text = 0 || (close_name = None && String.for_all is_space text) then
+      parse_content b st env close_name
+    else
+      let t = b.text text in
+      t :: parse_content b st env close_name
 
-and parse_element st env =
+and parse_element b st env =
   st.pos <- st.pos + 1 (* '<' *);
   let k = read_known st st.elem_names ~case:true in
   let raw_name = k.cased in
-  let attrs, self_closing = read_attributes st [] in
+  let attrs = read_attributes st in
+  let self_closing = st.self_closing in
   let env, name, attrs = resolve_namespaces st env k.qn attrs in
-  if self_closing then Element (name, attrs, [])
+  let el = b.open_ name attrs in
+  if self_closing then b.close el []
   else if is_raw_text_element raw_name then begin
     (* script/style content is raw text up to the close tag, like an
        HTML parser: '<' and '&' inside code need no escaping *)
@@ -348,14 +372,11 @@ and parse_element st env =
         skip_space st;
         expect st ">";
         let body = strip_cdata_markers raw in
-        let children = if String.for_all is_trim_space body then [] else [ Text body ] in
-        Element (name, attrs, children)
+        b.close el (if String.for_all is_trim_space body then [] else [ b.text body ])
   end
-  else
-    let children = parse_content st env (Some raw_name) [] in
-    Element (name, attrs, children)
+  else b.close el (parse_content b st env (Some raw_name))
 
-let parse ?(options = default_options) src =
+let build b ?(options = default_options) src =
   let st =
     {
       src;
@@ -364,12 +385,21 @@ let parse ?(options = default_options) src =
       qnames = Hashtbl.create 32;
       elem_names = Array.make 64 None;
       attr_names = Array.make 64 None;
+      self_closing = false;
     }
   in
-  let items = parse_content st Qname.Env.empty None [] in
-  List.filter
-    (function Text t -> not (String.for_all is_space t) | _ -> true)
-    items
+  parse_content b st Qname.Env.empty None
+
+let tree_builder =
+  {
+    open_ = (fun name attrs -> (name, attrs));
+    close = (fun (name, attrs) children -> Element (name, attrs, children));
+    text = (fun t -> Text t);
+    comment = (fun c -> Comment c);
+    pi = (fun target data -> Pi (target, data));
+  }
+
+let parse ?options src = build tree_builder ?options src
 
 let parse_root ?options src =
   let roots =

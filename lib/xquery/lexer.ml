@@ -40,26 +40,22 @@ type token =
   | T_pragma of string
   | T_eof
 
+(* Tokens keep only their start offset; line and column are counted
+   from it when an error is raised or [position] is asked, so lexing is
+   linear in the source. *)
 type t = {
   src : string;
   mutable pos : int;  (** raw position: start of the cached token if any *)
   mutable cached : (token * int) option;  (** token and position after it *)
-  mutable tok_line : int;
-  mutable tok_col : int;
+  mutable tok_start : int;  (** offset of the last token lexed *)
 }
 
-let create src = { src; pos = 0; cached = None; tok_line = 1; tok_col = 1 }
+let create src = { src; pos = 0; cached = None; tok_start = 0 }
 
-let err_at line col fmt =
-  Printf.ksprintf
-    (fun m ->
-      Xq_error.raise_error Xq_error.syntax "line %d, col %d: %s" line col m)
-    fmt
-
-let line_col lx pos =
+let line_col src pos =
   let line = ref 1 and col = ref 1 in
-  for i = 0 to min (pos - 1) (String.length lx.src - 1) do
-    if lx.src.[i] = '\n' then begin
+  for i = 0 to min (pos - 1) (String.length src - 1) do
+    if src.[i] = '\n' then begin
       incr line;
       col := 1
     end
@@ -67,9 +63,16 @@ let line_col lx pos =
   done;
   (!line, !col)
 
-let error lx fmt =
-  let line, col = line_col lx lx.pos in
-  err_at line col fmt
+(* raise [code] located at offset [at] of [src] *)
+let err_code_at code src at fmt =
+  Printf.ksprintf
+    (fun m ->
+      let line, col = line_col src at in
+      Xq_error.raise_error code "line %d, col %d: %s" line col m)
+    fmt
+
+let err_at src at fmt = err_code_at Xq_error.syntax src at fmt
+let error lx fmt = err_at lx.src lx.pos fmt
 
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 let is_digit c = c >= '0' && c <= '9'
@@ -104,33 +107,32 @@ let read_ncname src i =
   done;
   (String.sub src i (!j - i), !j)
 
-let read_string_literal src i line col =
+let read_string_literal src i =
   let n = String.length src in
   let q = src.[i] in
   let buf = Buffer.create 16 in
-  let rec go i =
-    if i >= n then err_at line col "unterminated string literal"
-    else if src.[i] = q then
-      if i + 1 < n && src.[i + 1] = q then begin
+  let rec go k =
+    if k >= n then err_at src i "unterminated string literal"
+    else if src.[k] = q then
+      if k + 1 < n && src.[k + 1] = q then begin
         Buffer.add_char buf q;
-        go (i + 2)
+        go (k + 2)
       end
-      else (Buffer.contents buf, i + 1)
+      else (Buffer.contents buf, k + 1)
     else begin
-      Buffer.add_char buf src.[i];
-      go (i + 1)
+      Buffer.add_char buf src.[k];
+      go (k + 1)
     end
   in
   let raw, j = go (i + 1) in
   let expanded =
     try Xmlb.Xml_escape.unescape raw with
-    | Failure m -> err_at line col "%s" m
-    | Xmlb.Xml_escape.Invalid_char_ref m ->
-        Xq_error.raise_error "XQST0090" "line %d, col %d: %s" line col m
+    | Failure m -> err_at src i "%s" m
+    | Xmlb.Xml_escape.Invalid_char_ref m -> err_code_at "XQST0090" src i "%s" m
   in
   (expanded, j)
 
-let read_number src i line col =
+let read_number src i =
   let n = String.length src in
   let j = ref i in
   while !j < n && is_digit src.[!j] do
@@ -145,7 +147,7 @@ let read_number src i line col =
     done
   end
   else if !j < n && src.[!j] = '.' && !j = i then
-    err_at line col "malformed number";
+    err_at src i "malformed number";
   if !j < n && (src.[!j] = 'e' || src.[!j] = 'E') then begin
     let k = ref (!j + 1) in
     if !k < n && (src.[!k] = '+' || src.[!k] = '-') then incr k;
@@ -165,9 +167,7 @@ let read_number src i line col =
       match int_of_string_opt text with
       | Some v -> T_integer v
       | None ->
-          Xq_error.raise_error "FOAR0002"
-            "line %d, col %d: the integer literal %s is larger than %d" line col text
-            max_int
+          err_code_at "FOAR0002" src i "the integer literal %s is larger than %d" text max_int
   in
   (tok, !j)
 
@@ -175,18 +175,17 @@ let lex_from lx i =
   let src = lx.src in
   let n = String.length src in
   let i = try skip_ignorable src i with Failure m -> error lx "%s" m in
-  let line, col = line_col lx i in
-  lx.tok_line <- line;
-  lx.tok_col <- col;
+  lx.tok_start <- i;
   if i >= n then (T_eof, i)
   else
     let c = src.[i] in
-    let two = if i + 1 < n then String.sub src i 2 else "" in
+    (* the byte after [c], compared in place *)
+    let next = if i + 1 < n then src.[i + 1] else '\000' in
     match c with
-    | '(' when two = "(#" -> (
+    | '(' when next = '#' -> (
         (* pragma: (# name content #) *)
         let rec find j =
-          if j + 1 >= n then err_at line col "unterminated pragma"
+          if j + 1 >= n then err_at src i "unterminated pragma"
           else if src.[j] = '#' && src.[j + 1] = ')' then j
           else find (j + 1)
         in
@@ -206,32 +205,32 @@ let lex_from lx i =
     | '+' -> (T_plus, i + 1)
     | '-' -> (T_minus, i + 1)
     | '=' -> (T_eq, i + 1)
-    | '!' when two = "!=" -> (T_ne, i + 1 + 1)
-    | '!' -> err_at line col "unexpected character '!'"
-    | '<' when two = "<<" -> (T_ltlt, i + 2)
-    | '<' when two = "<=" -> (T_le, i + 2)
+    | '!' when next = '=' -> (T_ne, i + 1 + 1)
+    | '!' -> err_at src i "unexpected character '!'"
+    | '<' when next = '<' -> (T_ltlt, i + 2)
+    | '<' when next = '=' -> (T_le, i + 2)
     | '<' when i + 1 < n && (is_name_start src.[i + 1] || src.[i + 1] = '/' || src.[i + 1] = '!' || src.[i + 1] = '?') ->
         (T_tag_open, i + 1)
     | '<' -> (T_lt, i + 1)
-    | '>' when two = ">>" -> (T_gtgt, i + 2)
-    | '>' when two = ">=" -> (T_ge, i + 2)
+    | '>' when next = '>' -> (T_gtgt, i + 2)
+    | '>' when next = '=' -> (T_ge, i + 2)
     | '>' -> (T_gt, i + 1)
-    | ':' when two = ":=" -> (T_colonequals, i + 2)
-    | ':' when two = "::" -> (T_coloncolon, i + 2)
-    | ':' -> err_at line col "unexpected ':'"
-    | '/' when two = "//" -> (T_slashslash, i + 2)
+    | ':' when next = '=' -> (T_colonequals, i + 2)
+    | ':' when next = ':' -> (T_coloncolon, i + 2)
+    | ':' -> err_at src i "unexpected ':'"
+    | '/' when next = '/' -> (T_slashslash, i + 2)
     | '/' -> (T_slash, i + 1)
-    | '.' when two = ".." -> (T_dotdot, i + 2)
+    | '.' when next = '.' -> (T_dotdot, i + 2)
     | '.' when i + 1 < n && is_digit src.[i + 1] ->
-        read_number src i line col
+        read_number src i
     | '.' -> (T_dot, i + 1)
-    | '*' when two = "*:" && i + 2 < n && is_name_start src.[i + 2] ->
+    | '*' when next = ':' && i + 2 < n && is_name_start src.[i + 2] ->
         let name, j = read_ncname src (i + 2) in
         (T_local_wildcard name, j)
     | '*' -> (T_star, i + 1)
     | '$' ->
         if i + 1 >= n || not (is_name_start src.[i + 1]) then
-          err_at line col "expected variable name after '$'"
+          err_at src i "expected variable name after '$'"
         else begin
           let name, j = read_ncname src (i + 1) in
           if j < n && src.[j] = ':' && j + 1 < n && is_name_start src.[j + 1] then
@@ -240,9 +239,9 @@ let lex_from lx i =
           else (T_var (name, None), j)
         end
     | '"' | '\'' ->
-        let s, j = read_string_literal src i line col in
+        let s, j = read_string_literal src i in
         (T_string s, j)
-    | c when is_digit c -> read_number src i line col
+    | c when is_digit c -> read_number src i
     | c when is_name_start c ->
         let name, j = read_ncname src i in
         if j < n && src.[j] = ':' then
@@ -254,7 +253,7 @@ let lex_from lx i =
             (T_ns_wildcard name, j + 2)
           else (T_name name, j)
         else (T_name name, j)
-    | c -> err_at line col "unexpected character %C" c
+    | c -> err_at src i "unexpected character %C" c
 
 let peek lx =
   match lx.cached with
@@ -274,7 +273,7 @@ let next lx =
 
 let position lx =
   ignore (peek lx);
-  (lx.tok_line, lx.tok_col)
+  line_col lx.src lx.tok_start
 
 (* ------------- raw access ------------- *)
 

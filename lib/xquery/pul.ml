@@ -148,15 +148,12 @@ let phase_metric = Array.init 5 (fun i -> Obs.Metrics.counter (Printf.sprintf "p
 
 let apply t =
   let prims = List.rev t.items in
-  (* conflict detection (XUDY0015/0016/0017) runs against the intact
-     list: a conflicting PUL raises *before* anything is discarded, so
-     the caller can still inspect (or pretty-print) the rejected
-     updates. Only a successful check consumes the list. *)
-  check_conflicts prims;
+  (* The list is consumed before any check: a PUL that fails conflict
+     detection (XUDY0015/0016/0017) or XUDY0021 is discarded with
+     nothing applied, so a later apply on the same context (a page's
+     scripts and listeners share one) does not meet it again. *)
   t.items <- [];
-  (* XUDY0021 judges the tree the PUL would leave, so it fails the
-     application: the list is gone, as after any error applying it,
-     and a later apply on the same context does not meet it again *)
+  check_conflicts prims;
   check_attribute_names prims;
   (* A non-empty apply during a recorded listener run is an effect: the
      run is impure and its memo must never be skipped. *)
@@ -178,12 +175,3 @@ let apply t =
       ~attrs:[ ("primitives", string_of_int (List.length prims)) ]
       "pul.apply" apply_phases
   else apply_phases ()
-
-let pp_primitive ppf p = Format.pp_print_string ppf prim_names.(prim_index p)
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       pp_primitive)
-    (List.rev t.items)

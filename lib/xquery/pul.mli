@@ -31,13 +31,12 @@ val merge : into:t -> t -> unit
 (** Apply all pending updates in XQUF §3.2.2 phase order (see the rank
     comment in the implementation), after checking the XQUF conflict
     rules (duplicate rename: XUDY0015; duplicate replace: XUDY0017,
-    duplicate replace-value: XUDY0017). Clears the list on success; a
-    conflicting list raises {e before} anything is applied or
-    discarded, so the caller can still inspect it.
+    duplicate replace-value: XUDY0017) and that no element is left with
+    two attributes of one name (XUDY0021). Always clears the list: a
+    list that fails a check raises with nothing applied and is
+    discarded.
     @raise Xq_error.Error on conflicts. *)
 val apply : t -> unit
 
 (** Drop all pending updates without applying them. *)
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -516,6 +516,48 @@ let page_robustness_tests =
           (List.exists
              (fun m -> String.length m > 0)
              b.B.script_errors));
+    t "loading a page finds its scripts and handlers without allocating per element" (fun () ->
+        (* the load's walks over the elements and their attributes cost
+           no allocation: beyond the parse, a load of a page with no
+           script and no handler allocates a constant *)
+        let html =
+          "<html><body><ul>"
+          ^ String.concat ""
+              (List.init 2_000 (fun i -> Printf.sprintf {|<li class="c" id="i%d">item</li>|} i))
+          ^ "</ul></body></html>"
+        in
+        let words f =
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        let b = B.create () in
+        Xqib.Page.load b html;
+        let parse = words (fun () -> ignore (Sys.opaque_identity (Dom.of_string html))) in
+        let load = words (fun () -> Xqib.Page.load b html) in
+        let per_element = (load -. parse) /. 2_003. in
+        if per_element > 0.1 then
+          Alcotest.failf "minor words per element beyond the parse: %.2f (bound 0.1)" per_element);
+    t "an update list that fails conflict detection is discarded" (fun () ->
+        (* the page's scripts share one PUL: the rejected renames must
+           not come back in the next two scripts, in either evaluator *)
+        List.iter
+          (fun compiled_eval ->
+            Xmlb.Ablation.with_ { Xmlb.Ablation.current with compiled_eval } (fun () ->
+                let b =
+                  load_page
+                    {|<html><head>
+                      <script type="text/xquery">(rename node //a as "b", rename node //a as "c")</script>
+                      <script type="text/xquery">insert node <x/> into //div[@id = "r2"]</script>
+                      <script type="text/xquery">browser:alert(string-join(//div/*/local-name(), ','))</script>
+                      </head><body><div id="r1"><a/></div><div id="r2"/></body></html>|}
+                in
+                check
+                  (Alcotest.list Alcotest.string)
+                  "one XUDY0015" [ "XUDY0015" ]
+                  (List.map (fun m -> String.sub m 1 8) b.B.script_errors);
+                check (Alcotest.list Alcotest.string) "the insert and the read ran" [ "a,x" ] (B.alerts b)))
+          [ true; false ]);
   ]
 
 let suite =

@@ -490,7 +490,7 @@ let rec builder_tree_gen depth =
 (* random trees are serialized and re-parsed, so the builders see what
    the parser produces (merged text, no empty text nodes) *)
 let parsed_tree_arbitrary =
-  Q.make ~print:Xml_serializer.to_string
+  Q.make ~print:Xml_serializer_oracle.to_string
     Q.Gen.(
       map
         (fun (ni, kids) ->
@@ -503,24 +503,24 @@ let builder_tests =
   in
   [
     qt "of_tree and clone match the append_child oracle" (fun tree ->
-        let trees = Xml_parser.parse (Xml_serializer.to_string tree) in
+        let trees = Xml_parser.parse (Xml_serializer_oracle.to_string tree) in
         let built = Dom.of_tree trees in
         let copy = Dom.clone built in
         let expected = Dom.serialize (oracle_of_tree trees) in
         String.equal (Dom.serialize built) expected
         && String.equal (Dom.serialize copy) expected);
     qt "built and cloned trees link every child to its container" (fun tree ->
-        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer.to_string tree)) in
+        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer_oracle.to_string tree)) in
         parents_consistent built && parents_consistent (Dom.clone built));
     qt "a clone shares no node with its source" (fun tree ->
-        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer.to_string tree)) in
+        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer_oracle.to_string tree)) in
         let copy = Dom.clone built in
         let source_ids = Hashtbl.create 64 in
         List.iter (fun n -> Hashtbl.replace source_ids (Dom.id n) ()) (preorder built);
         Dom.parent copy = None
         && List.for_all (fun c -> not (Hashtbl.mem source_ids (Dom.id c))) (preorder copy));
     qt "of_tree and clone allocate ids in pre-order" (fun tree ->
-        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer.to_string tree)) in
+        let built = Dom.of_tree (Xml_parser.parse (Xml_serializer_oracle.to_string tree)) in
         ids_increasing (preorder built) && ids_increasing (preorder (Dom.clone built)));
     t "fill rejects a child that already has a parent" (fun () ->
         let doc = sample () in
@@ -535,6 +535,43 @@ let builder_tests =
         match Dom.fill el ~attrs:[] [ Dom.create_text "b" ] with
         | exception Dom.Dom_error _ -> ()
         | () -> Alcotest.fail "expected Dom_error");
+    t "replace_children swaps the whole child list in one write" (fun () ->
+        let doc =
+          Dom.of_string
+            ({|<r><old id="o"><i>1</i></old>|}
+            ^ String.concat "" (List.init 100 (fun i -> Printf.sprintf "<i>%d</i>" i))
+            ^ {|</r><src><i id="moved">m</i><b/></src>|})
+        in
+        let r = List.hd (Dom.get_elements_by_local_name doc "r") in
+        let src = List.hd (Dom.get_elements_by_local_name doc "src") in
+        let old = Dom.children r in
+        (* the group: a node attached elsewhere, and a new one *)
+        let group = [ List.hd (Dom.children src); Dom.create_element (qn "n") ] in
+        let writes = ref 0 in
+        let _ = Dom.observe ~root:doc (fun _ -> incr writes) in
+        Dom.replace_children r group;
+        check Alcotest.int "one write" 1 !writes;
+        check Alcotest.string "content" {|<r><i id="moved">m</i><n/></r>|}
+          (Xml_serializer_oracle.serialize r);
+        check Alcotest.string "source left" "<src><b/></src>" (Dom.serialize src);
+        check Alcotest.bool "old children parentless" true
+          (List.for_all (fun c -> Dom.parent c = None) old);
+        (* the maintained caches answer as the naive walks do *)
+        let names = List.map (fun n -> Dom.id n) (Dom.get_elements_by_local_name doc "i") in
+        let naive =
+          Xmlb.Ablation.with_ { Xmlb.Ablation.current with acceleration = false } (fun () ->
+              List.map (fun n -> Dom.id n) (Dom.get_elements_by_local_name doc "i"))
+        in
+        check Alcotest.(list int) "name index" naive names;
+        check Alcotest.bool "id index" true (Dom.get_element_by_id doc "o" = None);
+        let nodes = preorder doc in
+        check Alcotest.bool "order" true
+          (List.for_all2
+             (fun a b -> Dom.compare_order a b = Dom.compare_order_naive a b)
+             nodes (List.rev nodes));
+        match Dom.replace_children (List.hd (Dom.children r |> List.concat_map Dom.children)) [] with
+        | exception Dom.Dom_error _ -> ()
+        | () -> Alcotest.fail "a text node took children");
     t "set_value drops every old child with one bump" (fun () ->
         let doc =
           Dom.of_string

@@ -59,7 +59,7 @@ let scenario_gen = Q.Gen.pair (tree_gen 3) ops_gen
 let scenario_arbitrary =
   Q.make
     ~print:(fun (t, ops) ->
-      Printf.sprintf "%s with %d ops" (Xml_serializer.to_string t) (List.length ops))
+      Printf.sprintf "%s with %d ops" (Xml_serializer_oracle.to_string t) (List.length ops))
     scenario_gen
 
 (* ---------- mutation driver ---------- *)
@@ -122,7 +122,7 @@ let apply_op w (sel, p, aux) =
     Dom.insert_nodes anchor (List.filter safe (distinct group))
   in
   (try
-     match sel mod 23 with
+     match sel mod 24 with
      | 0 -> Dom.append_child ~parent:target (fresh_element aux)
      | 1 -> Dom.insert_first ~parent:target (fresh_element aux)
      | 2 -> if nonroot <> [] then Dom.insert_before ~sibling:(pick nonroot aux) (Dom.create_text "ins")
@@ -221,6 +221,30 @@ let apply_op w (sel, p, aux) =
              (List.map (pick nonroot) [ aux; aux + 7 ]
              @ List.filteri (fun i _ -> i < 2) w.pool
              @ [ fresh_element aux ])
+     | 22 ->
+         (* a replace whose replacements move in: nodes attached
+            elsewhere, a sibling under the same parent, the node itself *)
+         if nonroot <> [] then begin
+           let n = pick nonroot aux in
+           let safe r =
+             match Dom.parent n with
+             | Some p -> (not (Dom.equal r p)) && not (Dom.is_ancestor ~ancestor:r p)
+             | None -> true
+           in
+           let rec distinct = function
+             | [] -> []
+             | r :: rest -> r :: distinct (List.filter (fun m -> not (Dom.equal m r)) rest)
+           in
+           let replacements =
+             List.filter safe
+               (distinct
+                  (List.map (pick nonroot) [ aux + 3; p ]
+                  @ (match Dom.following_siblings n with s :: _ -> [ s ] | [] -> [])
+                  @ if aux mod 3 = 0 then [ n ] else []))
+           in
+           Dom.replace n replacements;
+           if not (List.memq n replacements) then drop n
+         end
      | _ -> Dom.remove_attribute target (Qname.make "id")
    with Dom.Dom_error _ -> ());
   let pool = !detached @ w.pool in

@@ -2,6 +2,8 @@ let () =
   Alcotest.run "xqib"
     [
       ("xmlb", Test_xmlb.suite);
+      ("parse-build", Test_one_tree.build_suite);
+      ("serialize", Test_one_tree.serialize_suite);
       ("dom", Test_dom.suite);
       ("dom-order", Test_dom_order.suite);
       ("xdm", Test_xdm.suite);

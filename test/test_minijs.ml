@@ -8,6 +8,9 @@ let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
 let () = J.install ()
 
+(* [n] list items as markup *)
+let items n = String.concat "" (List.init n (fun i -> Printf.sprintf "<li>item %d</li>" i))
+
 let fresh () =
   let b = B.create () in
   Xqib.Page.load b "<html><body/></html>";
@@ -119,6 +122,88 @@ let dom_tests =
         let doc = B.document b in
         check Alcotest.int "b created" 1
           (List.length (Dom.get_elements_by_local_name doc "b")));
+    t "replaceChild moves a node attached elsewhere" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><body><div id="p1"><i id="a"/><i id="b"/></div>
+            <div id="p2"><i id="c"/></div></body></html>|};
+        J.run_script b b.B.top_window
+          "document.getElementById('p2').replaceChild(document.getElementById('a'),\n\
+           document.getElementById('c'));";
+        let doc = B.document b in
+        let ids el =
+          List.filter_map
+            (fun c -> Dom.attribute_local c "id")
+            (Dom.children (Option.get (Dom.get_element_by_id doc el)))
+        in
+        check Alcotest.(list string) "p1 keeps b" [ "b" ] (ids "p1");
+        check Alcotest.(list string) "p2 holds a" [ "a" ] (ids "p2");
+        check Alcotest.string "one i under p1" "1"
+          (Xdm_item.to_display_string
+             (Xqib.Page.run_xquery b b.B.top_window {|count(//div[@id = "p1"]/i)|})));
+    t "innerHTML of 500 items is one write" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b ("<html><body><ul id=\"d\">" ^ items 300 ^ "</ul></body></html>");
+        let writes = ref 0 in
+        ignore (Dom.observe ~root:(B.document b) (fun _ -> incr writes));
+        J.run_script b b.B.top_window
+          ("document.getElementById('d').innerHTML = '" ^ items 500 ^ "';");
+        check Alcotest.int "notifications" 1 !writes;
+        check Alcotest.int "items" 500
+          (List.length (Dom.get_elements_by_local_name (B.document b) "li")));
+    t "innerHTML and document.write allocate a flat amount per item" (fun () ->
+        let per_item script n =
+          let b = B.create () in
+          Xqib.Page.load b {|<html><body><ul id="d"/></body></html>|};
+          let src = script (items n) in
+          let before = Gc.minor_words () in
+          J.run_script b b.B.top_window src;
+          (Gc.minor_words () -. before) /. float_of_int n
+        in
+        List.iter
+          (fun script ->
+            ignore (per_item script 200);
+            let small = per_item script 200 and large = per_item script 2_000 in
+            if large > 1.2 *. small then
+              Alcotest.failf "minor words per item: %.0f at 2 000, %.0f at 200 (bound 1.2x) in %s" large
+                small (script "…"))
+          [
+            (fun m -> "document.getElementById('d').innerHTML = '" ^ m ^ "';");
+            (fun m -> "document.write('" ^ m ^ "');");
+          ]);
+    t "innerHTML allocates a flat amount per old child" (fun () ->
+        let per_child n =
+          let b = B.create () in
+          Xqib.Page.load b ("<html><body><ul id=\"d\">" ^ items n ^ "</ul></body></html>");
+          let before = Gc.minor_words () in
+          J.run_script b b.B.top_window "document.getElementById('d').innerHTML = '<li/>';";
+          (Gc.minor_words () -. before) /. float_of_int n
+        in
+        ignore (per_child 200);
+        let small = per_child 200 and large = per_child 2_000 in
+        if large > 1.2 *. small then
+          Alcotest.failf "minor words per old child: %.0f at 2 000, %.0f at 200 (bound 1.2x)" large
+            small);
+    t "markup that is not well-formed becomes text" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b {|<html><body><div id="d"/></body></html>|};
+        J.run_script b b.B.top_window
+          "document.getElementById('d').innerHTML = '<b>open'; document.write('a < b');";
+        let doc = B.document b in
+        check Alcotest.string "innerHTML" "<b>open"
+          (Dom.string_value (Option.get (Dom.get_element_by_id doc "d")));
+        check Alcotest.string "write" "<b>opena < b"
+          (Dom.string_value (List.hd (Dom.get_elements_by_local_name doc "body"))));
+    t "a DOM error in innerHTML propagates instead of becoming text" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b {|<html><body>x</body></html>|};
+        match
+          J.run_script b b.B.top_window "document.body.firstChild.innerHTML = '<b/>';"
+        with
+        | exception Dom.Dom_error _ ->
+            check Alcotest.string "text kept" "x"
+              (Dom.string_value (List.hd (Dom.get_elements_by_local_name (B.document b) "body")))
+        | () -> Alcotest.fail "expected the DOM error");
     t "style object maps to style attribute" (fun () ->
         let b = B.create () in
         Xqib.Page.load b {|<html><body><div id="d"/></body></html>|};

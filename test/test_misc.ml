@@ -110,6 +110,10 @@ let serialize_tests =
               return deep-equal($t, parse-xml(serialize($t))/doc)"));
   ]
 
+(* one small function declaration, 64 bytes *)
+let declaration i =
+  Printf.sprintf "declare function local:f%05d($value) { $value + %05d + 100 };\n" i i
+
 let diagnostics_tests =
   [
     t "syntax errors carry line and column" (fun () ->
@@ -134,6 +138,48 @@ let diagnostics_tests =
               (let re = Str.regexp ".*\\$missing.*" in
                Str.string_match re e.Xq_error.message 0)
         | _ -> Alcotest.fail "expected error");
+    t "lexer errors name the line and column of their token" (fun () ->
+        let decls = String.concat "" (List.init 300 (fun i -> declaration i)) in
+        List.iter
+          (fun (tail, code, message) ->
+            match Engine.compile (decls ^ "1 +\n  " ^ tail) with
+            | exception Xq_error.Error e ->
+                check Alcotest.string "code" code e.Xq_error.code;
+                check Alcotest.string "message" message e.Xq_error.message
+            | _ -> Alcotest.fail "expected an error")
+          [
+            ("!", "XPST0003", "line 302, col 3: unexpected character '!'");
+            ("\"ab\ncd", "XPST0003", "line 302, col 3: unterminated string literal");
+            ("\"&#0;\"", "XQST0090", "line 302, col 3: invalid character reference &#0;");
+            ("99999999999999999999", "FOAR0002",
+              Printf.sprintf
+                "line 302, col 3: the integer literal 99999999999999999999 is larger than %d"
+                max_int );
+          ]);
+    t "compile time per byte of a 64 KB script is within 1.5x of a 1 KB script" (fun () ->
+        (* Samples of 64 KB each: 64 compiles of the 1 KB script, or one
+           of the 64 KB script. Each starts on a collected heap and keeps
+           every compiled script until it ends, so both sizes leave as
+           much live data to the collector and only the compiler's own
+           cost per byte differs. Samples alternate between the sizes;
+           the minimum of each is taken. *)
+        let script k = String.concat "" (List.init k declaration) ^ "1" in
+        let small = script 16 and large = script 1_024 in
+        let sample src reps =
+          Gc.full_major ();
+          let t0 = Sys.time () in
+          ignore (Sys.opaque_identity (List.init reps (fun _ -> Engine.compile src)));
+          (Sys.time () -. t0) /. float_of_int (reps * String.length src)
+        in
+        ignore (sample small 64, sample large 1);
+        let best_small = ref infinity and best_large = ref infinity in
+        for _ = 1 to 40 do
+          best_small := Float.min !best_small (sample small 64);
+          best_large := Float.min !best_large (sample large 1)
+        done;
+        if !best_large > 1.5 *. !best_small then
+          Alcotest.failf "compile seconds per byte: %.3g at 64 KB, %.3g at 1 KB (bound 1.5x)"
+            !best_large !best_small);
   ]
 
 let jsp_chaining_tests =

@@ -167,7 +167,7 @@ let parser_tests =
         | exception Xml_parser.Parse_error _ -> ()
         | _ -> Alcotest.fail "expected parse error");
     t "IE uppercase quirk" (fun () ->
-        let options = { Xml_parser.default_options with Xml_parser.uppercase_tags = true } in
+        let options = { Xml_parser.uppercase_tags = true } in
         match Xml_parser.parse_root ~options "<div><p/></div>" with
         | Xml_parser.Element (d, _, [ Xml_parser.Element (p, _, _) ]) ->
             check Alcotest.string "DIV" "DIV" d.Qname.local;
@@ -225,8 +225,7 @@ let parser_tests =
 
 (* ---------- serializer ---------- *)
 
-let roundtrip src =
-  Xml_serializer.to_string (parse_root src)
+let roundtrip src = Dom.serialize (Dom.of_string src)
 
 let serializer_tests =
   [
@@ -239,14 +238,8 @@ let serializer_tests =
     t "script body stays raw" (fun () ->
         check Alcotest.string "rt" "<script>a < b</script>" (roundtrip "<script>a < b</script>"));
     t "indentation" (fun () ->
-        let opts = { Xml_serializer.indent = true; xml_declaration = false } in
-        let s = Xml_serializer.to_string ~options:opts (parse_root "<a><b/><c/></a>") in
+        let s = Dom.serialize ~indent:true (Dom.of_string "<a><b/><c/></a>") in
         check Alcotest.bool "has newline" true (String.contains s '\n'));
-    t "xml declaration" (fun () ->
-        let opts = { Xml_serializer.indent = false; xml_declaration = true } in
-        let s = Xml_serializer.to_string ~options:opts (parse_root "<a/>") in
-        check Alcotest.bool "decl" true
-          (String.length s > 5 && String.sub s 0 5 = "<?xml"));
     t "namespace declarations are regenerated on output" (fun () ->
         (* constructed names carry URIs but no literal xmlns attrs *)
         let el =
@@ -255,7 +248,7 @@ let serializer_tests =
               [ { Xml_parser.name = Qname.make ~uri:"urn:a" ~prefix:"q" "x"; value = "1" } ],
               [ Xml_parser.Element (Qname.make ~uri:"urn:n" ~prefix:"p" "kid", [], []) ] )
         in
-        let out = Xml_serializer.to_string el in
+        let out = Dom.serialize (Dom.of_tree [ el ]) in
         check Alcotest.bool "xmlns:p" true
           (let re = Str.regexp ".*xmlns:p=\"urn:n\".*" in
            Str.string_match re out 0);
@@ -277,7 +270,7 @@ let serializer_tests =
     t "default namespace regenerated" (fun () ->
         let el = Xml_parser.Element (Qname.make ~uri:"urn:d" "plain", [], []) in
         check Alcotest.string "xmlns" "<plain xmlns=\"urn:d\"/>"
-          (Xml_serializer.to_string el));
+          (Dom.serialize (Dom.of_tree [ el ])));
     t "namespaced dom round trip through xquery constructor" (fun () ->
         let r =
           Xquery.Engine.eval_string
@@ -496,11 +489,11 @@ let differential_tests =
          (Q.make ~print:(fun s -> Printf.sprintf "%S" s) input_gen)
          (fun src ->
            List.for_all
-             (fun (uppercase_tags, keep_whitespace) ->
-               let options = { Xml_parser.uppercase_tags; keep_whitespace } in
+             (fun uppercase_tags ->
+               let options = { Xml_parser.uppercase_tags } in
                outcome (Xml_parser.parse ~options) src
                = outcome (Xml_parser_oracle.parse ~options) src)
-             [ (false, true); (true, true); (false, false); (true, false) ]));
+             [ false; true ]));
   ]
 
 (* ---------- allocation ---------- *)

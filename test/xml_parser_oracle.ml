@@ -15,7 +15,7 @@ type tree = Xml_parser.tree =
 
 and attribute = Xml_parser.attribute = { name : Qname.t; value : string }
 
-type options = Xml_parser.options = { uppercase_tags : bool; keep_whitespace : bool }
+type options = Xml_parser.options = { uppercase_tags : bool }
 
 let default_options = Xml_parser.default_options
 
@@ -238,10 +238,7 @@ let rec parse_content st env close_name acc =
     end
   else begin
     let text = read_text st in
-    let keep =
-      st.options.keep_whitespace || not (String.for_all is_space text)
-    in
-    let acc = if keep && text <> "" then Text text :: acc else acc in
+    let acc = if text <> "" then Text text :: acc else acc in
     parse_content st env close_name acc
   end
 

@@ -1,6 +1,9 @@
-type options = { indent : bool; xml_declaration : bool }
+(* The serializer as it was before [Dom.serialize] wrote the nodes
+   directly: it writes an [Xml_parser.tree], and a DOM node is first
+   converted into trees. Kept as test code only, as the oracle the
+   node serializer must match byte for byte. *)
 
-let default_options = { indent = false; xml_declaration = false }
+open Xmlb
 
 (* Namespace fixup: emit xmlns declarations so that reparsing resolves
    every name to the same URI. [scope] maps prefix -> uri currently in
@@ -119,11 +122,36 @@ let rec emit ?(scope = Smap.empty) buf ~indent ~level tree =
         Buffer.add_char buf '>'
       end
 
-let list_to_string ?(options = default_options) trees =
+let list_to_string ?(indent = false) trees =
   let buf = Buffer.create 256 in
-  if options.xml_declaration then
-    Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
-  List.iter (emit buf ~indent:options.indent ~level:0) trees;
+  List.iter (emit buf ~indent ~level:0) trees;
   Buffer.contents buf
 
-let to_string ?options tree = list_to_string ?options [ tree ]
+let to_string ?indent tree = list_to_string ?indent [ tree ]
+
+(* A DOM node as trees: a document as its children, a standalone
+   attribute as an element of its name holding its value. *)
+let rec to_tree n : Xml_parser.tree =
+  match Dom.kind n with
+  | Dom.Text -> Xml_parser.Text (Option.get (Dom.value n))
+  | Dom.Comment -> Xml_parser.Comment (Option.get (Dom.value n))
+  | Dom.Processing_instruction ->
+      Xml_parser.Pi (Option.get (Dom.pi_target n), Option.get (Dom.value n))
+  | Dom.Attribute ->
+      Xml_parser.Element (Option.get (Dom.name n), [], [ Xml_parser.Text (Option.get (Dom.value n)) ])
+  | Dom.Element ->
+      let attrs =
+        List.map
+          (fun a -> { Xml_parser.name = Option.get (Dom.name a); value = Option.get (Dom.value a) })
+          (Dom.attributes n)
+      in
+      Xml_parser.Element (Option.get (Dom.name n), attrs, List.map to_tree (Dom.children n))
+  | Dom.Document -> (
+      match Dom.children n with
+      | [ c ] -> to_tree c
+      | cs -> Xml_parser.Element (Qname.make "document", [], List.map to_tree cs))
+
+let to_trees n =
+  match Dom.kind n with Dom.Document -> List.map to_tree (Dom.children n) | _ -> [ to_tree n ]
+
+let serialize ?indent n = list_to_string ?indent (to_trees n)
