@@ -19,8 +19,8 @@ let read_file path =
 
 let handle f =
   try f () with
-  | Xquery.Xq_error.Error e ->
-      Printf.eprintf "error: %s\n" (Xquery.Xq_error.to_string e);
+  | Xq_error.Error e ->
+      Printf.eprintf "error: %s\n" (Xq_error.to_string e);
       exit 1
   | Xmlb.Xml_parser.Parse_error { line; col; message } ->
       Printf.eprintf "XML parse error at %d:%d: %s\n" line col message;
@@ -518,9 +518,9 @@ let repl_cmd =
                  Xqib.Browser.run b;
                  print_result result
                with
-              | Xquery.Xq_error.Error e ->
+              | Xq_error.Error e ->
                   Printf.printf "error: %s
-" (Xquery.Xq_error.to_string e)
+" (Xq_error.to_string e)
               | Minijs.Js_interp.Js_error m -> Printf.printf "js error: %s
 " m);
               loop ()

@@ -95,6 +95,21 @@
 # a few writes) differs from the from-scratch oracle; or if a cold
 # render of a 2 000-item page allocates more than 35 minor words per
 # element or more than 1.2x its figure at 200 items.
+# The data-model line runs the data model's properties at their long
+# count (20x): it fails if a cast at any target type, castable, an
+# arithmetic operator, negate, a value comparison, an effective boolean
+# value, a singleton helper, union/intersect/except or fn:number's
+# reading, on values from an edge pool (empty and special strings, both
+# zeros, the int range's ends, NaN, huge durations, invalid dates,
+# nodes mixed with atomics), raises anything but an Xq_error.Error with
+# a data-model code; or if a string of digits, signs, dots, e, x, _,
+# INF, NaN and blanks casts to xs:integer, xs:decimal or xs:double
+# other than exactly when it matches that type's XML Schema 1.0 regular
+# expression.
+# The catch-all line fails if an .ml file under lib/ has an exception
+# handler that catches every exception: a `_` case of `try … with` or
+# an `exception _` case of a `match` (tools/catch_all.ml reads the
+# parse tree, so a `_` case of a match over a value passes).
 # The CLI lines run xqib on a one-element page, once without flags and
 # once with each of its six --no-* flags, and read the *-enabled
 # attributes browser:stats() writes for the seven fields of the ablation
@@ -125,6 +140,8 @@ QCHECK_LONG=1 dune exec test/test_main.exe -- test xmlb > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test parse-build > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test serialize > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test renderer > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test data-model > /dev/null
+dune exec tools/catch_all.exe -- lib/*/*.ml
 printf '<html/>' > /tmp/xqib_ci_page.html
 ablation_fields() {
   dune exec bin/xqib_cli.exe -- page /tmp/xqib_ci_page.html "$@" --query \

@@ -59,8 +59,8 @@ let () =
      Xqib.Page.run_xquery b b.B.top_window
        "rest:get('http://notes.example/docs/notes.xml')"
    with
-  | exception Xquery.Xq_error.Error e ->
-      Printf.printf "direct fetch while offline: %s\n" (Xquery.Xq_error.to_string e)
+  | exception Xq_error.Error e ->
+      Printf.printf "direct fetch while offline: %s\n" (Xq_error.to_string e)
   | _ -> print_endline "unexpectedly fetched while offline!");
 
   (* but the app keeps working against the store *)

@@ -64,7 +64,7 @@ let server_host_hooks t =
         match Doc_store.get t.doc_store name with
         | Some doc -> doc
         | None ->
-            Xquery.Xq_error.raise_error "FODC0002" "no stored document %S" name);
+            Xq_error.raise_error "FODC0002" "no stored document %S" name);
     DC.doc_available =
       (fun uri -> Doc_store.get t.doc_store (resolve_doc_name uri) <> None);
     DC.put =
@@ -301,4 +301,4 @@ let render_page t ~path =
   match Hashtbl.find_opt t.pages path with
   | Some (Xquery_page { compiled; _ }) -> render t compiled
   | Some (Static { body; _ }) -> body
-  | None -> Xquery.Xq_error.raise_error "SEAS0404" "no page at %s" path
+  | None -> Xq_error.raise_error "SEAS0404" "no page at %s" path

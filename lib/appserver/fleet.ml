@@ -131,10 +131,10 @@ let run ?(config = default_config) server =
        (behind calls) runs in the global loop below instead *)
     (match P.browse s.browser (uri_for s) with
     | () -> s.ok <- s.ok + 1
-    | exception Xquery.Xq_error.Error e ->
+    | exception Xq_error.Error e ->
         (* SEBR0404 carries the final status: 503 means the load was
            shed (and retries exhausted); anything else is plain loss *)
-        if contains_substring (Xquery.Xq_error.to_string e) "status 503" then
+        if contains_substring (Xq_error.to_string e) "status 503" then
           s.shed <- s.shed + 1
         else s.lost <- s.lost + 1);
     s.cache_hits <- s.cache_hits + (qc_hits () - hits0)

@@ -1,7 +1,7 @@
 open Xmlb
 module Ast = Xquery.Ast
 
-let err fmt = Xquery.Xq_error.raise_error "SEMG0001" fmt
+let err fmt = Xq_error.raise_error "SEMG0001" fmt
 
 (* rewrite fn:doc($u) → rest:get(concat(doc_base, $u)) *)
 let rec rewrite_doc ~doc_base (e : Ast.expr) : Ast.expr =

@@ -15,7 +15,7 @@
     client-side HTML page string. [doc_base] is the URI prefix
     documents are served under (e.g.
     ["http://www.elsevier.example/docs/"]).
-    @raise Xquery.Xq_error.Error if the page body is not an element
+    @raise Xq_error.Error if the page body is not an element
     constructor. *)
 val migrate : doc_base:string -> string -> string
 

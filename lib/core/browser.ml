@@ -143,13 +143,13 @@ let host_for t window =
                 Virtual_clock.schedule t.clock ~delay:0. (fun () ->
                     listener.DC.invoke (fun () ->
                         [ [ Xdm_item.Atomic (Xdm_atomic.Integer 4) ]; result ]))
-            | exception Xquery.Xq_error.Error e ->
+            | exception Xq_error.Error e ->
                 (* a failing async call must not kill the event loop:
                    record it like a browser's network error console and
                    signal the listener with readyState 0 (the XHR error
                    state) carrying the message, so page code can react
                    instead of silently never reaching readyState 4 *)
-                let msg = Xquery.Xq_error.to_string e in
+                let msg = Xq_error.to_string e in
                 t.script_errors <- msg :: t.script_errors;
                 Virtual_clock.schedule t.clock ~delay:0. (fun () ->
                     listener.DC.invoke (fun () ->
@@ -166,12 +166,12 @@ let host_for t window =
           targets);
     DC.doc =
       (fun uri ->
-        Xquery.Xq_error.raise_error Xquery.Xq_error.security
+        Xq_error.raise_error Xq_error.security
           "fn:doc(%S) is blocked in the browser (use rest:get)" uri);
     DC.doc_available = (fun _ -> false);
     DC.put =
       (fun _ uri ->
-        Xquery.Xq_error.raise_error Xquery.Xq_error.security
+        Xq_error.raise_error Xq_error.security
           "fn:put to %S is blocked in the browser" uri);
     DC.now = (fun () -> Virtual_clock.to_datetime t.clock);
     DC.alert =

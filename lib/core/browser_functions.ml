@@ -23,7 +23,7 @@ let push_view st v =
   in
   st.views <- trim 1 st.views
 
-let err fmt = Xquery.Xq_error.raise_error Xquery.Xq_error.security fmt
+let err fmt = Xq_error.raise_error Xq_error.security fmt
 
 let install (b : Browser.t) (window : Windows.t) sctx =
   SC.declare_namespace sctx ~prefix:"browser" ~uri:namespace;

@@ -10,10 +10,6 @@ let engines : (string, script_engine) Hashtbl.t = Hashtbl.create 4
 let register_script_engine ~script_type engine =
   Hashtbl.replace engines (String.lowercase_ascii script_type) engine
 
-type options = { execution_order : [ `Js_first | `Document_order ] }
-
-let default_options = { execution_order = `Js_first }
-
 (* per-window page state: one static + dynamic context shared by all
    XQuery scripts of the page (prolog accumulates, Fig. 1), kept on the
    window until the next load *)
@@ -119,7 +115,7 @@ let state_for b window =
   match page_state window with Some st -> st | None -> fresh_state b window
 
 (* run one XQuery script source in the window's page context *)
-let run_xquery_source b window source =
+let run_xquery b window source =
   Obs.Trace.with_span "page.script" @@ fun () ->
   let st = state_for b window in
   let compiled = Xquery.Engine.compile_cached ~static:st.static source in
@@ -142,8 +138,6 @@ let run_xquery_source b window source =
   in
   Xquery.Pul.apply st.ctx.DC.pul;
   result
-
-let run_xquery = run_xquery_source
 
 (* ---------------- inline on* handlers ---------------- *)
 
@@ -204,10 +198,8 @@ let wire_inline_handlers b window =
                  ~name:("inline:" ^ string_of_int (Dom.id el) ^ ":" ^ event_type)
                  (fun _e ->
                    let ctx = DC.with_focus st.ctx (Xdm_item.Node el) ~position:1 ~size:1 in
-                   (try ignore (Xquery.Eval.protect (fun () -> handler ctx))
-                    with Xquery.Eval.Exit_with _ -> ());
-                   Xquery.Pul.apply st.ctx.DC.pul))
-        | exception _ ->
+                   ignore (Xquery.Eval.run_listener ctx (fun () -> handler ctx))))
+        | exception Xq_error.Error _ ->
             (* not XQuery (e.g. legacy JS snippet with no JS
                engine loaded): ignore, like an unknown language *)
             ()
@@ -252,9 +244,9 @@ let run_script b window el =
   in
   if String.trim source = "" then ()
   else if is_xquery_type ty then (
-    try ignore (run_xquery_source b window source)
-    with Xquery.Xq_error.Error e ->
-      record_error (Xquery.Xq_error.to_string e))
+    try ignore (run_xquery b window source)
+    with Xq_error.Error e ->
+      record_error (Xq_error.to_string e))
   else
     match Hashtbl.find_opt engines ty with
     | Some engine -> (
@@ -263,14 +255,14 @@ let run_script b window el =
     | None ->
         Logs.debug (fun m -> m "no script engine for %S; script skipped" ty)
 
-let rec load ?(options = default_options) ?window (b : Browser.t) html =
+let rec load ?window (b : Browser.t) html =
   Obs.Trace.with_span "page.load" @@ fun () ->
   let window = match window with Some w -> w | None -> b.Browser.top_window in
   (* navigations triggered from scripts re-enter the loader *)
   b.Browser.on_navigate <-
     (fun w href ->
       let resp = fetch_page b href in
-      if resp.Http_sim.status = 200 then load ~options ~window:w b resp.Http_sim.body);
+      if resp.Http_sim.status = 200 then load ~window:w b resp.Http_sim.body);
   (* the old page's script contexts go with its document *)
   window.Windows.scripts <- [];
   let doc =
@@ -278,25 +270,19 @@ let rec load ?(options = default_options) ?window (b : Browser.t) html =
         Dom.of_string ~options:{ Xml_parser.uppercase_tags = b.Browser.uppercase_tags } html)
   in
   Browser.set_document b window doc;
-  let scripts = script_elements doc in
-  let ordered =
-    match options.execution_order with
-    | `Document_order -> scripts
-    | `Js_first ->
-        let js, rest =
-          List.partition (fun el -> not (is_xquery_type (script_type el))) scripts
-        in
-        js @ rest
+  (* JavaScript first, then XQuery (§4.1) *)
+  let js, xquery =
+    List.partition (fun el -> not (is_xquery_type (script_type el))) (script_elements doc)
   in
-  List.iter (run_script b window) ordered;
+  List.iter (run_script b window) (js @ xquery);
   wire_inline_handlers b window
 
-and browse ?options ?window (b : Browser.t) uri =
+and browse ?window (b : Browser.t) uri =
   Obs.Trace.with_span ~attrs:[ ("uri", uri) ] "page.browse" @@ fun () ->
   let window = match window with Some w -> w | None -> b.Browser.top_window in
   Windows.navigate window uri;
   let resp = fetch_page b uri in
   if resp.Http_sim.status <> 200 then
-    Xquery.Xq_error.raise_error "SEBR0404" "cannot load %s: status %d" uri
+    Xq_error.raise_error "SEBR0404" "cannot load %s: status %d" uri
       resp.Http_sim.status
-  else load ?options ~window b resp.Http_sim.body
+  else load ~window b resp.Http_sim.body

@@ -35,27 +35,19 @@ val register_inline_handler_provider :
   bool) ->
   unit
 
-type options = {
-  execution_order : [ `Js_first | `Document_order ];
-      (** §4.1: JavaScript first is the current model *)
-}
-
-val default_options : options
-
 (** Load a page into a window (default: the browser's top window):
     parse (honouring the IE upper-casing quirk), install the document,
     run scripts, wire inline [on*] handlers (e.g. the [onkeyup] of the
     §4.4 AJAX example) as listeners. Also installs the browser's
     navigation hook so [replace value of node $w/location/href …]
     re-loads pages through the simulated network. *)
-val load :
-  ?options:options -> ?window:Windows.t -> Browser.t -> string -> unit
+val load : ?window:Windows.t -> Browser.t -> string -> unit
 
 (** Fetch a page over the simulated network and {!load} it. The fetch
     goes through the browser's {!Retry} policy ([Browser.t.retry]), so
     transient faults are retried with backoff; a final failure raises
     [SEBR0404]. *)
-val browse : ?options:options -> ?window:Windows.t -> Browser.t -> string -> unit
+val browse : ?window:Windows.t -> Browser.t -> string -> unit
 
 (** The shared XQuery dynamic context of a window's page, if the page
     had XQuery scripts or [on*] handlers compiled as XQuery; [None] for

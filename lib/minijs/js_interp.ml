@@ -169,6 +169,10 @@ let qn = Xmlb.Qname.make
 (* properties on elements that live in attributes *)
 let attr_backed = [ "id"; "src"; "href"; "name"; "title"; "alt"; "class" ]
 
+(* a tree write the DOM refuses is the DOMException page code can
+   catch *)
+let write f = try f () with Dom.Dom_error m -> fail "HierarchyRequestError: %s" m
+
 let rec node_prop st node name =
   let d = node in
   match name with
@@ -231,15 +235,12 @@ let rec node_prop st node name =
 
 and node_method st node name =
   let native f = vnative name f in
-  let arg n args = try List.nth args n with _ -> VUndefined in
+  let arg n args = Option.value (List.nth_opt args n) ~default:VUndefined in
   let as_node v =
     match v with
     | VObj { kind = Node n; _ } -> n
     | _ -> fail "%s: expected a DOM node argument" name
   in
-  (* a tree write the DOM refuses is the DOMException page code can
-     catch *)
-  let write f = try f () with Dom.Dom_error m -> fail "HierarchyRequestError: %s" m in
   match name with
   | "appendChild" ->
       native (fun _ args ->
@@ -496,7 +497,9 @@ and get_prop st target name =
               | "setTimeout" ->
                   vnative name (fun _ args ->
                       let f = List.nth args 0 in
-                      let delay = try to_number (List.nth args 1) /. 1000. with _ -> 0. in
+                      let delay =
+                        match List.nth_opt args 1 with Some v -> to_number v /. 1000. | None -> 0.
+                      in
                       Virtual_clock.schedule st.browser.Xqib.Browser.clock ~delay
                         (fun () -> ignore (call_value st f VUndefined []));
                       VNum 0.)
@@ -535,6 +538,7 @@ and set_prop st target name v =
   | VObj o -> (
       match o.kind with
       | Node node -> (
+          write @@ fun () ->
           match name with
           | "nodeValue" | "textContent" | "innerText" -> Dom.set_value node (to_string v)
           | "innerHTML" ->
@@ -578,7 +582,7 @@ and call_value st callee this args =
       env_declare env "arguments" (varr args);
       List.iteri
         (fun i p ->
-          env_declare env p (try List.nth args i with _ -> VUndefined))
+          env_declare env p (Option.value (List.nth_opt args i) ~default:VUndefined))
         params;
       (try
          exec_stmts st env body;
@@ -940,7 +944,9 @@ let state_for browser window =
       env_declare genv "setTimeout"
         (vnative "setTimeout" (fun _ args ->
              let f = List.nth args 0 in
-             let delay = try to_number (List.nth args 1) /. 1000. with _ -> 0. in
+             let delay =
+               match List.nth_opt args 1 with Some v -> to_number v /. 1000. | None -> 0.
+             in
              Virtual_clock.schedule browser.Xqib.Browser.clock ~delay (fun () ->
                  ignore (call_value st f VUndefined []));
              VNum 0.));
@@ -1003,7 +1009,7 @@ let handle_inline _browser window ~element ~event_type ~source =
                    env_declare env "this" (vnode element);
                    ignore (eval_expr st env expr)));
             true
-        | exception _ -> false)
+        | exception Js_lexer.Js_syntax_error _ -> false)
 
 let installed = ref false
 

@@ -45,7 +45,7 @@ let retry_stats c = c.retry_stats
 let set_fallback c ~put ~get = c.fallback <- Some { put; get }
 let fallback_hits c = c.fallback_hits
 
-let err fmt = Xquery.Xq_error.raise_error "FODC0002" fmt
+let err fmt = Xq_error.raise_error "FODC0002" fmt
 
 let set_online_guard c guard = c.online <- guard
 
@@ -63,7 +63,7 @@ let fetch_doc c uri =
       ~check:(fun resp ->
         match Dom.of_string resp.Http_sim.body with
         | doc -> Ok doc
-        | exception _ -> Error "not well-formed")
+        | exception Xml_parser.Parse_error _ -> Error "not well-formed")
       c.http uri
   with
   | Ok doc ->
@@ -110,7 +110,8 @@ let response_to_sequence resp =
   else
     match Dom.of_string resp.Http_sim.body with
     | doc -> [ Xdm_item.Node doc ]
-    | exception _ -> [ Xdm_item.Atomic (Xdm_atomic.String resp.Http_sim.body) ]
+    | exception Xml_parser.Parse_error _ ->
+        [ Xdm_item.Atomic (Xdm_atomic.String resp.Http_sim.body) ]
 
 let install c sctx =
   Xquery.Static_context.declare_namespace sctx ~prefix:"rest" ~uri:namespace;

@@ -10,7 +10,7 @@ type service = {
   mutable calls : int;
 }
 
-let err fmt = Xquery.Xq_error.raise_error "SEWS0001" fmt
+let err fmt = Xq_error.raise_error "SEWS0001" fmt
 
 let service_uri s = "http://" ^ s.host ^ "/wsdl"
 let namespace_uri s = s.ns
@@ -59,7 +59,7 @@ let handle_call s body =
                 match Xdm_atomic.type_of_name ty with
                 | Some target -> (
                     try Xdm_atomic.cast ~target (Xdm_atomic.Untyped text)
-                    with _ -> Xdm_atomic.Untyped text)
+                    with Xq_error.Error _ -> Xdm_atomic.Untyped text)
                 | None -> Xdm_atomic.Untyped text)
             | None -> Xdm_atomic.Untyped text
           in
@@ -117,10 +117,10 @@ let publish ?host http ~source =
           match req.Http_sim.body with
           | Some body -> (
               try Http_sim.ok (handle_call s body)
-              with Xquery.Xq_error.Error e ->
+              with Xq_error.Error e ->
                 {
                   Http_sim.status = 500;
-                  body = Xquery.Xq_error.to_string e;
+                  body = Xq_error.to_string e;
                   content_type = "text/plain";
                   retry_after = None;
                 })
@@ -191,7 +191,7 @@ let stub ?retry ?prng http ~call_uri ~fname : SC.external_function =
                         match Xdm_atomic.type_of_name ty with
                         | Some target -> (
                             try Xdm_atomic.cast ~target (Xdm_atomic.Untyped text)
-                            with _ -> Xdm_atomic.Untyped text)
+                            with Xq_error.Error _ -> Xdm_atomic.Untyped text)
                         | None -> Xdm_atomic.Untyped text)
                     | None -> Xdm_atomic.Untyped text
                   in

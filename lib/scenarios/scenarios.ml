@@ -277,7 +277,7 @@ let run_elsevier_flaky ?journals ?volumes ?issues ?articles ?(visits = 20) ~rate
         if List.length b.Xqib.Browser.script_errors > errors_before then
           incr queries_failed
         else incr queries_ok
-    | exception Xquery.Xq_error.Error _ -> incr pages_lost
+    | exception Xq_error.Error _ -> incr pages_lost
   done;
   {
     visits;

@@ -33,16 +33,11 @@ type t =
   | Year_month_duration of Xdm_duration.t
   | Day_time_duration of Xdm_duration.t
 
-exception Type_error of string
-exception Cast_error of string
-
-(* A numeric result or cast outside the int range: (error code,
-   message). FOAR0002 for arithmetic overflow, FOCA0003 for a cast to
-   xs:integer. *)
-exception Range_error of string * string
-
-let type_error fmt = Printf.ksprintf (fun m -> raise (Type_error m)) fmt
-let cast_error fmt = Printf.ksprintf (fun m -> raise (Cast_error m)) fmt
+(* every fault raises [Xq_error.Error] with its W3C code, here where
+   it is found *)
+let type_error fmt = Xq_error.raise_error Xq_error.type_error_code fmt
+let cast_error fmt = Xq_error.raise_error Xq_error.cast_error_code fmt
+let div_by_zero () = Xq_error.raise_error Xq_error.div_by_zero "division by zero"
 
 let type_of = function
   | Untyped _ -> T_untyped
@@ -146,14 +141,10 @@ let to_string = function
 
 let trim = String.trim
 
-let duration_overflow () =
-  raise (Range_error ("FODT0002", "duration out of the representable range"))
-
-let duration_of_string str =
-  match Xdm_duration.of_string (trim str) with
-  | d -> d
-  | exception Failure m -> cast_error "%s" m
-  | exception Xdm_duration.Overflow -> duration_overflow ()
+(* a date, time or duration literal: its parser's [Failure] is the
+   cast's FORG0001 (a duration out of range is FODT0002 already) *)
+let literal parse str =
+  match parse (trim str) with v -> v | exception Failure m -> cast_error "%s" m
 
 let parse_boolean s =
   match trim s with
@@ -161,21 +152,59 @@ let parse_boolean s =
   | "false" | "0" -> false
   | s -> cast_error "cannot cast %S to xs:boolean" s
 
+(* The numeric lexical spaces of XML Schema 1.0, checked before OCaml's
+   readers convert (they also take [0x10], [1_000], [inf], ...): an
+   integer is an optional sign and digits; a decimal an optional sign
+   and digits with at most one [.] before, among or after them; a double a
+   decimal with an optional exponent ([e] or [E], an optional sign,
+   digits), or [INF], [-INF] or [NaN]. [s] is trimmed. *)
+let rec digits_end s i =
+  if i < String.length s && s.[i] >= '0' && s.[i] <= '9' then digits_end s (i + 1) else i
+
+let sign_end s i = if i < String.length s && (s.[i] = '+' || s.[i] = '-') then i + 1 else i
+
+let is_numeral ~fraction ~exponent s =
+  let n = String.length s in
+  let start = sign_end s 0 in
+  let int_end = digits_end s start in
+  let mantissa_end, mantissa_digits =
+    if fraction && int_end < n && s.[int_end] = '.' then
+      let e = digits_end s (int_end + 1) in
+      (e, e - start - 1)
+    else (int_end, int_end - start)
+  in
+  mantissa_digits > 0
+  && (mantissa_end = n
+     || exponent
+        && (s.[mantissa_end] = 'e' || s.[mantissa_end] = 'E')
+        &&
+        let e = sign_end s (mantissa_end + 1) in
+        let e_end = digits_end s e in
+        e_end > e && e_end = n)
+
+let double_of_lexical str =
+  match trim str with
+  | "INF" -> Some Float.infinity
+  | "-INF" -> Some Float.neg_infinity
+  | "NaN" -> Some Float.nan
+  | s -> if is_numeral ~fraction:true ~exponent:true s then float_of_string_opt s else None
+
 let parse_integer s =
   let s = trim s in
-  match int_of_string_opt s with
+  match if is_numeral ~fraction:false ~exponent:false s then int_of_string_opt s else None with
   | Some i -> i
   | None -> cast_error "cannot cast %S to xs:integer" s
 
-let parse_float_xml what s =
-  match trim s with
-  | "INF" -> Float.infinity
-  | "-INF" -> Float.neg_infinity
-  | "NaN" -> Float.nan
-  | s -> (
-      match float_of_string_opt s with
-      | Some f -> f
-      | None -> cast_error "cannot cast %S to xs:%s" s what)
+let parse_decimal str =
+  let s = trim str in
+  match if is_numeral ~fraction:true ~exponent:false s then float_of_string_opt s else None with
+  | Some f -> f
+  | None -> cast_error "cannot cast %S to xs:decimal" str
+
+let parse_double s =
+  match double_of_lexical s with
+  | Some f -> f
+  | None -> cast_error "cannot cast %S to xs:double" (trim s)
 
 (* 2^62, the first float past [max_int]; [min_int] is its negation *)
 let int_bound = 4611686018427387904.
@@ -184,9 +213,7 @@ let float_to_integer f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     cast_error "cannot cast %s to xs:integer" (double_to_string f)
   else if f >= int_bound || f < -.int_bound then
-    raise
-      (Range_error
-         ("FOCA0003", Printf.sprintf "%s is outside the xs:integer range" (double_to_string f)))
+    Xq_error.raise_error "FOCA0003" "%s is outside the xs:integer range" (double_to_string f)
   else int_of_float f
 
 let numeric_value = function
@@ -203,27 +230,18 @@ let cast_from_string target str =
   | T_string -> String str
   | T_boolean -> Boolean (parse_boolean str)
   | T_integer -> Integer (parse_integer str)
-  | T_decimal -> (
-      match float_of_string_opt (trim str) with
-      | Some f -> Decimal f
-      | None -> cast_error "cannot cast %S to xs:decimal" str)
-  | T_double -> Double (parse_float_xml "double" str)
+  | T_decimal -> Decimal (parse_decimal str)
+  | T_double -> Double (parse_double str)
   | T_any_uri -> Any_uri (trim str)
   | T_qname -> Qname_v (Qname.of_string (trim str))
-  | T_date -> (
-      try Date (Xdm_datetime.date_of_string (trim str))
-      with Failure m -> cast_error "%s" m)
-  | T_time -> (
-      try Time (Xdm_datetime.time_of_string (trim str))
-      with Failure m -> cast_error "%s" m)
-  | T_date_time -> (
-      try Date_time (Xdm_datetime.date_time_of_string (trim str))
-      with Failure m -> cast_error "%s" m)
-  | T_duration -> Duration (duration_of_string str)
+  | T_date -> Date (literal Xdm_datetime.date_of_string str)
+  | T_time -> Time (literal Xdm_datetime.time_of_string str)
+  | T_date_time -> Date_time (literal Xdm_datetime.date_time_of_string str)
+  | T_duration -> Duration (literal Xdm_duration.of_string str)
   | T_year_month_duration ->
-      Year_month_duration { (duration_of_string str) with Xdm_duration.seconds = 0. }
+      Year_month_duration { (literal Xdm_duration.of_string str) with Xdm_duration.seconds = 0. }
   | T_day_time_duration ->
-      Day_time_duration { (duration_of_string str) with Xdm_duration.months = 0 }
+      Day_time_duration { (literal Xdm_duration.of_string str) with Xdm_duration.months = 0 }
 
 let cast ~target v =
   match (v, target) with
@@ -271,7 +289,7 @@ let cast ~target v =
       cast_error "cannot cast xs:%s to xs:%s" (type_name (type_of v)) (type_name target)
 
 let castable ~target v =
-  match cast ~target v with _ -> true | exception _ -> false
+  match cast ~target v with _ -> true | exception Xq_error.Error _ -> false
 
 let is_numeric v =
   match v with Integer _ | Decimal _ | Double _ -> true | _ -> false
@@ -281,7 +299,7 @@ let is_nan = function Double f | Decimal f -> Float.is_nan f | _ -> false
 let promote_pair a b =
   let lift v =
     match v with
-    | Untyped s -> Double (parse_float_xml "double" s)
+    | Untyped s -> Double (parse_double s)
     | Integer _ | Decimal _ | Double _ -> v
     | _ ->
         type_error "expected a numeric operand, got xs:%s" (type_name (type_of v))
@@ -334,7 +352,7 @@ let equal_value a b =
 
 let same_key a b =
   if is_nan a && is_nan b then true
-  else match compare_value a b with 0 -> true | _ -> false | exception _ -> false
+  else match compare_value a b with 0 -> true | _ -> false | exception Xq_error.Error _ -> false
 
 (* ---------------- arithmetic ---------------- *)
 
@@ -347,7 +365,7 @@ let mul_overflows i j r =
   let small x = x > -0x80000000 && x < 0x80000000 in
   (not (small i && small j)) && i <> 0 && (r / i <> j || (i = -1 && j = min_int))
 
-let overflow tag = raise (Range_error ("FOAR0002", "integer overflow in " ^ tag))
+let overflow tag = Xq_error.raise_error "FOAR0002" "integer overflow in %s" tag
 
 let int_add i j =
   let r = i + j in
@@ -369,7 +387,7 @@ let numeric_op int_op float_op tag a b =
   | Decimal x, Decimal y -> Decimal (float_op x y)
   | Double x, Double y -> Double (float_op x y)
   | _ -> assert false [@warning "-8"]
-  | exception Type_error _ ->
+  | exception Xq_error.Error { code; _ } when code = Xq_error.type_error_code ->
       type_error "invalid operands for %s: xs:%s, xs:%s" tag
         (type_name (type_of a))
         (type_name (type_of b))
@@ -384,15 +402,10 @@ let duration_tagged template d =
   | Day_time_duration _ -> Day_time_duration { d with Xdm_duration.months = 0 }
   | _ -> Duration d
 
-(* a duration result out of range is FODT0002; a NaN factor FOCA0005 *)
-let duration_result template f =
-  match f () with
-  | d -> duration_tagged template d
-  | exception Xdm_duration.Overflow -> duration_overflow ()
-
+(* a NaN factor is FOCA0005; a result out of range FODT0002 *)
 let scale_duration template d f =
-  if Float.is_nan f then raise (Range_error ("FOCA0005", "a duration scaled by NaN"));
-  duration_result template (fun () -> Xdm_duration.scale d f)
+  if Float.is_nan f then Xq_error.raise_error "FOCA0005" "a duration scaled by NaN";
+  duration_tagged template (Xdm_duration.scale d f)
 
 let add a b =
   match (a, b, as_duration a, as_duration b) with
@@ -406,7 +419,7 @@ let add a b =
       Time
         (Xdm_datetime.of_epoch_seconds ?tz_minutes:t.Xdm_datetime.tz_minutes
            (Xdm_datetime.to_epoch_seconds t +. dur.Xdm_duration.seconds))
-  | _, _, Some da, Some db -> duration_result a (fun () -> Xdm_duration.add da db)
+  | _, _, Some da, Some db -> duration_tagged a (Xdm_duration.add da db)
   | _ -> numeric_op int_add ( +. ) "+" a b
 
 let subtract a b =
@@ -419,7 +432,7 @@ let subtract a b =
   | Time ta, Time tb, _, _ ->
       Day_time_duration (Xdm_datetime.difference ta tb)
   | _, _, Some da, Some db ->
-      duration_result a (fun () -> Xdm_duration.add da (Xdm_duration.negate db))
+      duration_tagged a (Xdm_duration.add da (Xdm_duration.negate db))
   | _ -> numeric_op int_sub ( -. ) "-" a b
 
 let multiply a b =
@@ -432,34 +445,34 @@ let divide a b =
   match (as_duration a, as_duration b) with
   | Some d, None when is_numeric b ->
       let f = numeric_value b in
-      if f = 0. then raise Division_by_zero
+      if f = 0. then div_by_zero ()
       else scale_duration a d (1. /. f)
   | Some da, Some db ->
       if Xdm_duration.is_year_month da && Xdm_duration.is_year_month db then
-        if db.Xdm_duration.months = 0 then raise Division_by_zero
+        if db.Xdm_duration.months = 0 then div_by_zero ()
         else
           Decimal
             (float_of_int da.Xdm_duration.months /. float_of_int db.Xdm_duration.months)
-      else if db.Xdm_duration.seconds = 0. then raise Division_by_zero
+      else if db.Xdm_duration.seconds = 0. then div_by_zero ()
       else Decimal (da.Xdm_duration.seconds /. db.Xdm_duration.seconds)
   | _ -> (
       match promote_pair a b with
       | Integer i, Integer j ->
-          if j = 0 then raise Division_by_zero
+          if j = 0 then div_by_zero ()
           else Decimal (float_of_int i /. float_of_int j)
       | Decimal x, Decimal y ->
-          if y = 0. then raise Division_by_zero else Decimal (x /. y)
+          if y = 0. then div_by_zero () else Decimal (x /. y)
       | Double x, Double y -> Double (x /. y)
       | _ -> assert false)
 
 let integer_divide a b =
   match promote_pair a b with
   | Integer i, Integer j ->
-      if j = 0 then raise Division_by_zero
+      if j = 0 then div_by_zero ()
       else if i = min_int && j = -1 then overflow "idiv"
       else Integer (i / j)
   | Decimal x, Decimal y | Double x, Double y ->
-      if y = 0. then raise Division_by_zero
+      if y = 0. then div_by_zero ()
       else if Float.is_nan x || Float.is_nan y || Float.abs x = Float.infinity then
         type_error "idiv with NaN or INF operand"
       else
@@ -471,9 +484,9 @@ let integer_divide a b =
 let modulo a b =
   match promote_pair a b with
   | Integer i, Integer j ->
-      if j = 0 then raise Division_by_zero else Integer (i mod j)
+      if j = 0 then div_by_zero () else Integer (i mod j)
   | Decimal x, Decimal y ->
-      if y = 0. then raise Division_by_zero else Decimal (Float.rem x y)
+      if y = 0. then div_by_zero () else Decimal (Float.rem x y)
   | Double x, Double y -> Double (Float.rem x y)
   | _ -> assert false
 
@@ -481,7 +494,7 @@ let negate = function
   | Integer i -> Integer (int_neg i)
   | Decimal f -> Decimal (-.f)
   | Double f -> Double (-.f)
-  | Untyped s -> Double (-.parse_float_xml "double" s)
+  | Untyped s -> Double (-.parse_double s)
   | Duration d -> Duration (Xdm_duration.negate d)
   | Year_month_duration d -> Year_month_duration (Xdm_duration.negate d)
   | Day_time_duration d -> Day_time_duration (Xdm_duration.negate d)

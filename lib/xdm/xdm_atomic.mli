@@ -38,16 +38,12 @@ type t =
   | Year_month_duration of Xdm_duration.t
   | Day_time_duration of Xdm_duration.t
 
-(** XPTY/FORG-class dynamic errors. *)
-exception Type_error of string
-
-(** FORG0001-class cast failures. *)
-exception Cast_error of string
-
-(** A result outside the int range, as (error code, message): FOAR0002
-    for integer overflow in arithmetic, FOCA0003 for a cast of a double
-    or decimal to xs:integer. *)
-exception Range_error of string * string
+(** Every function here raises only {!Xq_error.Error}, with the W3C
+    code of the fault: XPTY0004 for a type error, FORG0001 for a cast
+    that is not allowed or a malformed literal, FOAR0001 for a division
+    by zero, FOAR0002 for an integer result outside the int range,
+    FOCA0003 for a cast of a double or decimal outside it, FOCA0005 for
+    a duration scaled by NaN and FODT0002 for a duration out of range. *)
 
 val type_of : t -> atomic_type
 
@@ -65,17 +61,23 @@ val derives_from : atomic_type -> atomic_type -> bool
 (** Canonical lexical representation ([fn:string] of the value). *)
 val to_string : t -> string
 
-(** Cast to a target type per the XPath 2.0 casting table.
-    @raise Cast_error when the cast is not allowed or the literal is
-    malformed. *)
+(** Cast to a target type per the XPath 2.0 casting table. A string
+    casts to a numeric type only in XML Schema 1.0's lexical form of
+    that type, surrounding whitespace aside.
+    @raise Xq_error.Error FORG0001 when the cast is not allowed or the
+    literal is malformed. *)
 val cast : target:atomic_type -> t -> t
+
+(** The [xs:double] value of a string in the type's lexical form
+    (surrounding whitespace aside), or [None]: what [fn:number] reads. *)
+val double_of_lexical : string -> float option
 
 (** Can [cast] succeed? (implements [castable as]) *)
 val castable : target:atomic_type -> t -> bool
 
 (** Numeric promotion for arithmetic/comparison: untyped casts to
     double; integer < decimal < double.
-    @raise Type_error if either side is not numeric/untyped. *)
+    @raise Xq_error.Error XPTY0004 if either side is not numeric/untyped. *)
 val promote_pair : t -> t -> t * t
 
 val is_numeric : t -> bool
@@ -83,7 +85,7 @@ val is_nan : t -> bool
 
 (** Value comparison per [eq/lt/...]: same-kind comparison after
     untyped→string treatment.
-    @raise Type_error on incomparable operand types. *)
+    @raise Xq_error.Error XPTY0004 on incomparable operand types. *)
 val compare_value : t -> t -> int
 
 (** [equal_value a b] — [eq] semantics; NaN is not equal to NaN. *)
@@ -92,9 +94,9 @@ val equal_value : t -> t -> bool
 (** Arithmetic: +, -, *, div, idiv, mod with numeric promotion, plus
     date/time ± duration and duration arithmetic. Integer results are
     exact or raise.
-    @raise Type_error on invalid operand types, Division_by_zero for
-    integer/decimal division by zero, Range_error (FOAR0002) when an
-    integer result leaves the int range. *)
+    @raise Xq_error.Error XPTY0004 on invalid operand types, FOAR0001
+    for integer/decimal division by zero, FOAR0002 when an integer
+    result leaves the int range. *)
 
 val add : t -> t -> t
 val subtract : t -> t -> t
@@ -104,7 +106,7 @@ val integer_divide : t -> t -> t
 val modulo : t -> t -> t
 val negate : t -> t
 
-(** Checked int arithmetic ({!Range_error} FOAR0002 on overflow), and
+(** Checked int arithmetic (FOAR0002 on overflow), and
     the allocation-free tests behind it: does the wrapped result [r] of
     [i op j] differ from the exact one? *)
 

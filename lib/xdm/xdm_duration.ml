@@ -3,7 +3,8 @@ type t = { months : int; seconds : float }
 let zero = { months = 0; seconds = 0. }
 let make ?(months = 0) ?(seconds = 0.) () = { months; seconds }
 
-exception Overflow
+(* a duration out of the representable range *)
+let overflow () = Xq_error.raise_error "FODT0002" "duration out of the representable range"
 
 (* whole seconds are exact in a float below 2^53 *)
 let max_seconds = 9007199254740992.
@@ -53,15 +54,15 @@ let of_string s =
     end
   in
   if date = [] && time = [] then fail ();
-  let int_of num = match int_of_string_opt num with Some k -> k | None -> raise Overflow in
-  let add_months acc k = if k > max_int - acc then raise Overflow else acc + k in
+  let int_of num = match int_of_string_opt num with Some k -> k | None -> overflow () in
+  let add_months acc k = if k > max_int - acc then overflow () else acc + k in
   let months =
     List.fold_left
       (fun acc (d, num) ->
         match d with
         | 'Y' ->
             let y = int_of num in
-            if y > max_int / 12 then raise Overflow else add_months acc (y * 12)
+            if y > max_int / 12 then overflow () else add_months acc (y * 12)
         | 'M' -> add_months acc (int_of num)
         | _ -> acc)
       0 date
@@ -72,7 +73,7 @@ let of_string s =
       (fun acc (d, num) -> acc +. (float_of_string num *. unit d))
       0. (List.filter (fun (d, _) -> d = 'D') date @ time)
   in
-  if seconds >= max_seconds then raise Overflow;
+  if seconds >= max_seconds then overflow ();
   if negative then { months = - months; seconds = -. seconds }
   else { months; seconds }
 
@@ -126,21 +127,21 @@ let compare a b =
   | 0 -> Float.compare a.seconds b.seconds
   | c -> c
 
-(* a result outside the representable range is [Overflow]: months
+(* a result outside the representable range is FODT0002: months
    past the int range (allocation-free sign test, as
    {!Xdm_atomic.add_overflows}), seconds past 2^53 or not finite *)
-let checked_seconds s = if Float.abs s < max_seconds then s else raise Overflow
+let checked_seconds s = if Float.abs s < max_seconds then s else overflow ()
 
 let add a b =
   let m = a.months + b.months in
-  if (a.months lxor m) land (b.months lxor m) < 0 then raise Overflow;
+  if (a.months lxor m) land (b.months lxor m) < 0 then overflow ();
   { months = m; seconds = checked_seconds (a.seconds +. b.seconds) }
 
 let negate a = { months = -a.months; seconds = -.a.seconds }
 
 let scale a f =
   let m = Float.round (float_of_int a.months *. f) in
-  if not (Float.abs m < 4.6e18) then raise Overflow;
+  if not (Float.abs m < 4.6e18) then overflow ();
   { months = int_of_float m; seconds = checked_seconds (a.seconds *. f) }
 
 let is_year_month a = a.seconds = 0.

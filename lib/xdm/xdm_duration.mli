@@ -10,16 +10,16 @@ type t = { months : int; seconds : float }
 val zero : t
 val make : ?months:int -> ?seconds:float -> unit -> t
 
-(** Raised when a duration leaves the representable range: months
-    beyond the int range, or seconds at or beyond 2{^53} (where a float
-    stops holding whole seconds exactly) or not finite. *)
-exception Overflow
+(** A duration leaves the representable range when its months go
+    beyond the int range, or its seconds reach 2{^53} (where a float
+    stops holding whole seconds exactly) or are not finite; that is
+    {!Xq_error.Error} FODT0002. *)
 
 (** Parse an XML Schema duration literal such as ["P1Y2M3DT4H5M6.7S"]
     or ["-PT90S"]: designators in order and at most once, a fraction on
     the seconds only, [T] followed by a time component.
     @raise Failure on a malformed literal.
-    @raise Overflow on one out of range. *)
+    @raise Xq_error.Error FODT0002 on one out of range. *)
 val of_string : string -> t
 
 (** Canonical ISO 8601 form. *)
@@ -32,8 +32,8 @@ val equal : t -> t -> bool
     lexicographically, as an implementation-defined total order.  *)
 val compare : t -> t -> int
 
-(** [add] and [scale] raise {!Overflow} on a result out of range (a
-    NaN factor included). *)
+(** [add] and [scale] raise FODT0002 on a result out of range (a NaN
+    factor included). *)
 val add : t -> t -> t
 
 val negate : t -> t

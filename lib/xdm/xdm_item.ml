@@ -1,8 +1,7 @@
 type item = Node of Dom.node | Atomic of Xdm_atomic.t
 type sequence = item list
 
-let type_error fmt =
-  Printf.ksprintf (fun m -> raise (Xdm_atomic.Type_error m)) fmt
+let type_error fmt = Xq_error.raise_error Xq_error.type_error_code fmt
 
 let of_bool b = [ Atomic (Xdm_atomic.Boolean b) ]
 let of_int i = [ Atomic (Xdm_atomic.Integer i) ]
@@ -40,10 +39,11 @@ let effective_boolean = function
       | Xdm_atomic.Decimal f | Xdm_atomic.Double f ->
           not (f = 0. || Float.is_nan f)
       | _ ->
-          type_error "FORG0006: no effective boolean value for xs:%s"
+          Xq_error.raise_error Xq_error.ebv_error "no effective boolean value for xs:%s"
             (Xdm_atomic.type_name (Xdm_atomic.type_of a)))
   | _ :: _ ->
-      type_error "FORG0006: effective boolean value of a multi-item atomic sequence"
+      Xq_error.raise_error Xq_error.ebv_error
+        "effective boolean value of a multi-item atomic sequence"
 
 let sequence_string seq = String.concat " " (List.map item_string seq)
 
@@ -71,10 +71,7 @@ let item_number it =
   | Xdm_atomic.Integer i -> float_of_int i
   | Xdm_atomic.Decimal f | Xdm_atomic.Double f -> f
   | Xdm_atomic.Boolean b -> if b then 1. else 0.
-  | a -> (
-      match float_of_string_opt (String.trim (Xdm_atomic.to_string a)) with
-      | Some f -> f
-      | None -> Float.nan)
+  | a -> Option.value (Xdm_atomic.double_of_lexical (Xdm_atomic.to_string a)) ~default:Float.nan
 
 let all_nodes seq = List.for_all is_node seq
 

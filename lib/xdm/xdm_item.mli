@@ -33,8 +33,8 @@ val item_atomic : item -> Xdm_atomic.t
 val atomize : sequence -> Xdm_atomic.t list
 
 (** Effective boolean value.
-    @raise Xdm_atomic.Type_error on sequences that have no EBV
-    (FORG0006), e.g. multiple atomics. *)
+    @raise Xq_error.Error FORG0006 on sequences that have no EBV, e.g.
+    multiple atomics. *)
 val effective_boolean : sequence -> bool
 
 (** String value of a whole sequence, space-joined (used by attribute
@@ -42,7 +42,7 @@ val effective_boolean : sequence -> bool
 val sequence_string : sequence -> string
 
 (** Exactly-one-item helpers.
-    @raise Xdm_atomic.Type_error if cardinality is wrong. *)
+    @raise Xq_error.Error XPTY0004 if cardinality is wrong. *)
 
 val singleton : sequence -> item
 val singleton_node : sequence -> Dom.node
@@ -54,7 +54,8 @@ val opt_atomic : sequence -> Xdm_atomic.t option
 val opt_string : sequence -> string option
 
 (** Number interpretation of a single item ([fn:number]-ish): untyped
-    and strings parse as double, NaN on failure. *)
+    and strings parse as double ({!Xdm_atomic.double_of_lexical}), NaN
+    on failure. *)
 val item_number : item -> float
 
 (** {1 Node-sequence operations} *)
@@ -63,7 +64,7 @@ val item_number : item -> float
     Already-sorted duplicate-free input (the common case for path
     steps) is detected with a linear pass over the cached order keys
     and returned as-is when DOM acceleration is on.
-    @raise Xdm_atomic.Type_error if the sequence contains atomics. *)
+    @raise Xq_error.Error XPTY0004 if the sequence contains atomics. *)
 val document_order : sequence -> sequence
 
 (** Union/intersect/except by node identity, result in document order. *)

@@ -1,4 +1,8 @@
-(** XQuery error reporting: W3C-style error codes plus a message. *)
+(** XQuery error reporting: W3C-style error codes plus a message.
+
+    The one exception the data model ({!Xdm_atomic}, {!Xdm_item}) and
+    the XQuery engine above it raise for a fault of a query or its
+    data, its code chosen where the fault is found. *)
 
 type t = {
   code : string;  (** e.g. ["XPST0003"], ["XUDY0015"], ["SEBR0001"] *)

@@ -264,9 +264,9 @@ let rec emit (c : C.t) : env -> I.sequence =
   | C.C_unary_minus a ->
       let fa = emit a in
       fun env -> Eval.negate (fa env)
-  | C.C_union (a, b) -> binary Eval.union a b
-  | C.C_intersect (a, b) -> binary Eval.intersect a b
-  | C.C_except (a, b) -> binary Eval.except a b
+  | C.C_union (a, b) -> binary I.union a b
+  | C.C_intersect (a, b) -> binary I.intersect a b
+  | C.C_except (a, b) -> binary I.except a b
   | C.C_instance_of (a, st) ->
       let fa = emit a in
       fun env -> [ I.Atomic (A.Boolean (Seq_type.matches st (fa env))) ]
@@ -359,7 +359,7 @@ let rec emit (c : C.t) : env -> I.sequence =
         (* hot shapes: xs:integer on an integer is the identity cast;
            a single item atomizes without a list *)
         | [ I.Atomic (A.Integer _) ] when ty = A.T_integer -> v
-        | [ it ] -> [ I.Atomic (Eval.protect (fun () -> A.cast ~target:ty (I.item_atomic it))) ]
+        | [ it ] -> [ I.Atomic (A.cast ~target:ty (I.item_atomic it)) ]
         | _ -> Eval.construct_atomic ty v)
   | C.C_builtin_call (qn, impl, args) -> (
       match early_exit_call qn args with
@@ -374,7 +374,7 @@ let rec emit (c : C.t) : env -> I.sequence =
             let vs = List.map (fun f -> f env) fs in
             Eval.count_call Eval.builtin_calls;
             if impure then Footprint.poison ();
-            Eval.protect (fun () -> impl (Eval.call_ctx env.ctx) vs))
+            impl (Eval.call_ctx env.ctx) vs)
   | C.C_call (qn, args) ->
       let fs = List.map emit args in
       fun env ->
@@ -823,7 +823,7 @@ and early_exit_call (qn : Qname.t) args =
             Eval.count_call Eval.builtin_calls;
             let start = fstart env in
             let len = Option.map (fun f -> f env) flen in
-            let from, upto = Eval.protect (fun () -> Functions.subsequence_window start len) in
+            let from, upto = Functions.subsequence_window start len in
             if Float.is_nan from || Float.is_nan upto then []
             else
               let bound =

@@ -170,7 +170,7 @@ let bind_globals ?(bindings = []) ?(strict = true) ctx compiled =
     (fun (qn, st, init) ->
       let value =
         match init with
-        | Some f -> Some (Eval.protect (fun () -> f ctx))
+        | Some f -> Some (f ctx)
         | None -> (
             match List.find_opt (fun (b, _) -> Qname.equal b qn) bindings with
             | Some (_, v) -> Some v
@@ -206,7 +206,7 @@ let eval_body ctx compiled =
   match (code compiled).Compile.body with
   | None -> []
   | Some f -> (
-      try Eval.protect (fun () -> f ctx) with
+      try f ctx with
       | Eval.Exit_with v -> v
       | Eval.Break_loop | Eval.Continue_loop ->
           Xq_error.raise_error "XSST0010"
@@ -227,4 +227,4 @@ let run ?host ?context_item ?bindings compiled =
 let eval_string ?optimize ?static ?host ?context_item ?bindings source =
   run ?host ?context_item ?bindings (compile_cached ?optimize ?static source)
 
-let call ctx qn args = Eval.protect (fun () -> Eval.call_function ctx qn args)
+let call = Eval.call_function

@@ -25,16 +25,6 @@ let range_of lo hi =
 
 let max_depth = 4000
 
-(* wrap Xdm exceptions into Xq_error *)
-let guard f =
-  try f () with
-  | A.Type_error m -> type_err "%s" m
-  | A.Cast_error m -> err Xq_error.cast_error_code "%s" m
-  | A.Range_error (code, m) -> err code "%s" m
-  | Division_by_zero -> err Xq_error.div_by_zero "division by zero"
-
-let protect = guard
-
 (* ------------------------------------------------------------------ *)
 (* Axes                                                                *)
 
@@ -375,14 +365,13 @@ let value_compare_pair op a b =
   (* value comparison: untyped operands are compared as strings *)
   let norm = function A.Untyped s -> A.String s | a -> a in
   let a = norm a and b = norm b in
-  guard (fun () ->
-      match (op : Ast.value_comp) with
-      | Ast.Eq -> A.equal_value a b
-      | Ast.Ne -> not (A.equal_value a b)
-      | Ast.Lt -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b < 0
-      | Ast.Le -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b <= 0
-      | Ast.Gt -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b > 0
-      | Ast.Ge -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b >= 0)
+  match (op : Ast.value_comp) with
+  | Ast.Eq -> A.equal_value a b
+  | Ast.Ne -> not (A.equal_value a b)
+  | Ast.Lt -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b < 0
+  | Ast.Le -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b <= 0
+  | Ast.Gt -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b > 0
+  | Ast.Ge -> (not (A.is_nan a || A.is_nan b)) && A.compare_value a b >= 0
 
 let general_compare_pair op a b =
   (* general comparison: untyped adapts to the other operand's type *)
@@ -439,17 +428,13 @@ let arith (op : Ast.arith) va vb =
   in
   match (I.atomize va, I.atomize vb) with
   | [], _ | _, [] -> []
-  | [ x ], [ y ] -> [ I.Atomic (guard (fun () -> f x y)) ]
+  | [ x ], [ y ] -> [ I.Atomic (f x y) ]
   | _ -> type_err "arithmetic requires singleton operands"
-
-let union a b = guard (fun () -> I.union a b)
-let intersect a b = guard (fun () -> I.intersect a b)
-let except a b = guard (fun () -> I.except a b)
 
 let negate v =
   match I.atomize v with
   | [] -> []
-  | [ x ] -> [ I.Atomic (guard (fun () -> A.negate x)) ]
+  | [ x ] -> [ I.Atomic (A.negate x) ]
   | _ -> type_err "unary minus requires a singleton operand"
 
 let treat st v =
@@ -469,14 +454,14 @@ let cast ty optional v =
   | [] ->
       if optional then []
       else type_err "cast of an empty sequence to a non-optional type"
-  | [ x ] -> [ I.Atomic (guard (fun () -> A.cast ~target:ty x)) ]
+  | [ x ] -> [ I.Atomic (A.cast ~target:ty x) ]
   | _ -> type_err "cast requires a singleton operand"
 
 (* the xs: constructor function of [ty] *)
 let construct_atomic ty v =
   match I.atomize v with
   | [] -> []
-  | [ a ] -> [ I.Atomic (guard (fun () -> A.cast ~target:ty a)) ]
+  | [ a ] -> [ I.Atomic (A.cast ~target:ty a) ]
   | _ -> type_err "constructor function requires a singleton"
 
 (* the bounds of [lo to hi] from its operands: none when one is empty;
@@ -486,7 +471,7 @@ let range_bounds lo hi =
     match I.opt_atomic (f ()) with
     | None -> None
     | Some a -> (
-        match guard (fun () -> A.cast ~target:A.T_integer a) with
+        match A.cast ~target:A.T_integer a with
         | A.Integer i -> Some i
         | _ -> None)
   in
@@ -512,7 +497,7 @@ let path_map step lhs =
          lhs)
   in
   if results = [] then []
-  else if I.all_nodes results then guard (fun () -> I.document_order results)
+  else if I.all_nodes results then I.document_order results
   else if List.exists I.is_node results then
     err "XPTY0018" "path result mixes nodes and atomic values"
   else results
@@ -521,7 +506,7 @@ let path_map step lhs =
    anything else by its effective boolean value *)
 let pred_keeps pos = function
   | [ I.Atomic a ] when A.is_numeric a ->
-      guard (fun () -> A.compare_value a (A.Integer pos) = 0)
+      A.compare_value a (A.Integer pos) = 0
   | v -> I.effective_boolean v
 
 (* a predicate chain; [value ctx p] evaluates predicate [p] under a
@@ -769,7 +754,7 @@ let sort_keyed (order : Ast.order_spec list) keyed =
             | Some x, Some y ->
                 let x = match x with A.Untyped s -> A.String s | x -> x in
                 let y = match y with A.Untyped s -> A.String s | y -> y in
-                guard (fun () -> A.compare_value x y)
+                A.compare_value x y
           in
           let c = if spec.Ast.descending then -c else c in
           if c <> 0 then c else go ra rb rs
@@ -900,6 +885,22 @@ let ft_words ~stemming hay phrases =
    identity oracle for production's adopted ones *)
 let copied items = { fresh = false; items }
 
+(* One run of a listener's body, the paper's Fig. 1 cycle: the body
+   runs, then its pending updates are applied ([exit with] ends it
+   normally). On an XQuery error the updates are dropped, the error
+   goes to the host's console and the run gives [None]. *)
+let run_listener ctx body =
+  match
+    let v = try body () with Exit_with v -> v in
+    Pul.apply ctx.D.pul;
+    v
+  with
+  | v -> Some v
+  | exception Xq_error.Error e ->
+      Pul.clear ctx.D.pul;
+      ctx.D.host.D.listener_error (Xq_error.to_string e);
+      None
+
 let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   match e with
   | Ast.E_literal a -> [ I.Atomic a ]
@@ -924,9 +925,9 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
       [ I.Atomic (A.Boolean (eval_ft ctx text sel)) ]
   | Ast.E_arith (op, a, b) -> binary ctx (arith op) a b
   | Ast.E_unary_minus e -> negate (eval ctx e)
-  | Ast.E_union (a, b) -> binary ctx union a b
-  | Ast.E_intersect (a, b) -> binary ctx intersect a b
-  | Ast.E_except (a, b) -> binary ctx except a b
+  | Ast.E_union (a, b) -> binary ctx I.union a b
+  | Ast.E_intersect (a, b) -> binary ctx I.intersect a b
+  | Ast.E_except (a, b) -> binary ctx I.except a b
   | Ast.E_instance_of (e, st) ->
       [ I.Atomic (A.Boolean (Seq_type.matches st (eval ctx e))) ]
   | Ast.E_treat_as (e, st) -> treat st (eval ctx e)
@@ -1203,7 +1204,7 @@ and call_function ctx qn args =
                   count_call builtin_calls;
                   if Reactive.impure_builtin_sym qn.Qname.lsym then
                     Footprint.poison ();
-                  guard (fun () -> f (call_ctx ctx) args)
+                  f (call_ctx ctx) args
               | None ->
                   err Xq_error.unknown_function
                     "unknown function %s#%d" (Qname.to_string qn) arity)))
@@ -1251,14 +1252,7 @@ and make_listener ctx qn =
       in
       go 4
     in
-    let run_plain args =
-      match protect (fun () -> call_function ctx qn args) with
-      | _ -> Pul.apply ctx.D.pul
-      | exception Xq_error.Error e ->
-          Pul.clear ctx.D.pul;
-          ctx.D.host.D.listener_error (Xq_error.to_string e)
-      | exception Exit_with _ -> Pul.apply ctx.D.pul
-    in
+    let run_plain args = ignore (run_listener ctx (fun () -> call_function ctx qn args)) in
     (* Re-run the listener with footprint recording; everything it
        reads lands in [fp], and impurity (PUL effects, external calls,
        impure builtins, global reads) poisons it. [Pul.apply] must run
@@ -1277,20 +1271,12 @@ and make_listener ctx qn =
         ~finally:(fun () -> if not !closed then finish ~ok:false [])
         (fun () ->
           match
-            protect (fun () ->
+            run_listener ctx (fun () ->
                 Reactive.record_args args;
                 call_function ctx qn args)
           with
-          | result ->
-              Pul.apply ctx.D.pul;
-              finish ~ok:true result
-          | exception Xq_error.Error e ->
-              Pul.clear ctx.D.pul;
-              finish ~ok:false [];
-              ctx.D.host.D.listener_error (Xq_error.to_string e)
-          | exception Exit_with v ->
-              Pul.apply ctx.D.pul;
-              finish ~ok:true v)
+          | Some result -> finish ~ok:true result
+          | None -> finish ~ok:false [])
     in
     match memo with
     | None -> run_plain (fit (mk_args ()))

@@ -18,11 +18,6 @@ exception Break_loop
 
 exception Continue_loop
 
-(** Convert stray data-model exceptions ({!Xdm_atomic.Type_error},
-    {!Xdm_atomic.Cast_error}, [Division_by_zero]) raised by [f] into
-    {!Xq_error.Error}. All public entry points route through this. *)
-val protect : (unit -> 'a) -> 'a
-
 (** The eager reference evaluator: every form, evaluated by walking
     the AST. Production runs {!Compile}'s closures; this one runs when
     [Ablation.current]'s [compiled_eval] field is off and is the oracle
@@ -38,6 +33,14 @@ val call_function :
     truncating arguments to its arity) and then applies pending
     updates — the paper's listener execution cycle (Fig. 1). *)
 val make_listener : Dynamic_context.t -> Qname.t -> Dynamic_context.listener
+
+(** One run of a listener's body in that cycle, inline [on*] handlers
+    included: [body ()], then the pending updates of the context are
+    applied ([exit with] ends the body normally). On an
+    {!Xq_error.Error} from either, the pending updates are dropped, the
+    error goes to the host's [listener_error] and the result is
+    [None]. *)
+val run_listener : Dynamic_context.t -> (unit -> Xdm_item.sequence) -> Xdm_item.sequence option
 
 (** {2 Shared building blocks}
 
@@ -89,9 +92,6 @@ val value_comp : Ast.value_comp -> seq -> seq -> seq
 val general_comp : Ast.value_comp -> seq -> seq -> seq
 val node_comp : Ast.node_comp -> seq -> seq -> seq
 val arith : Ast.arith -> seq -> seq -> seq
-val union : seq -> seq -> seq
-val intersect : seq -> seq -> seq
-val except : seq -> seq -> seq
 val negate : seq -> seq
 val treat : Ast.seq_type -> seq -> seq
 val castable : Xdm_atomic.atomic_type -> bool -> seq -> seq

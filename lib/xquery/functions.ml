@@ -1051,7 +1051,7 @@ let () =
       | Some src -> (
           match Dom.of_string src with
           | doc -> [ I.Node doc ]
-          | exception _ ->
+          | exception Xml_parser.Parse_error _ ->
               err "FODC0006" "fn:parse-xml: input is not well-formed XML"));
   fn ~local:"put" ~min_arity:2 (fun cctx args ->
       match (arg 0 args, opt_string (arg 1 args)) with

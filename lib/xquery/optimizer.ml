@@ -292,7 +292,8 @@ and rules e =
       in
       match f a b with
       | v -> fired (Ast.E_literal v)
-      | exception _ -> e)
+      (* left to fail at run time, where it is reached *)
+      | exception Xq_error.Error _ -> e)
   (* boolean short-circuits with constants *)
   | Ast.E_and (a, b) -> (
       match (literal_bool a, literal_bool b) with

@@ -72,18 +72,11 @@ let counter_stats () =
 let reset_counters = Obs.Metrics.reset
 
 (* Builtins whose value depends on state outside the DOM footprint
-   (documents, clocks, the trace sink). Both the interpreter's builtin
-   dispatch and the closure compiler's builtin-call emission consult
-   this before running one inside a recorded listener. *)
-let impure_builtin = function
-  | "doc" | "doc-available" | "put" | "current-dateTime" | "current-date"
-  | "current-time" | "implicit-timezone" | "trace" ->
-      true
-  | _ -> false
-
-(* The same test keyed by interned symbol: the eight impure locals are
-   interned once at module init, so the per-call check is an int-set
-   probe instead of a string match. *)
+   (documents, clocks, the trace sink), keyed by interned local name:
+   the eight are interned once at module init, so the per-call check is
+   an int-set probe. Both the interpreter's builtin dispatch and the
+   closure compiler's builtin-call emission consult it before running
+   one inside a recorded listener. *)
 let impure_syms : (int, unit) Hashtbl.t = Hashtbl.create 16
 
 let () =

@@ -33,11 +33,8 @@ type decision = Skip | Run_recorded | Run_plain
 val decide : memo -> args_key:string -> decision
 
 (** Builtins whose result depends on state the footprint cannot see
-    (documents, clocks, trace): calling one poisons the run. *)
-val impure_builtin : string -> bool
-
-(** Same predicate keyed by the pre-interned local-name symbol — an
-    int-set probe instead of a string match on every builtin call. *)
+    (documents, clocks, trace), by their pre-interned local-name
+    symbol: calling one poisons the run. *)
 val impure_builtin_sym : Xmlb.Sym.t -> bool
 val args_key : Xdm_item.sequence list -> string
 

@@ -93,8 +93,7 @@ let coerce ~what st seq =
           match a with
           | Xdm_atomic.Untyped _ when ty <> Xdm_atomic.T_untyped -> (
               try Xdm_atomic.cast ~target:ty a
-              with Xdm_atomic.Cast_error m ->
-                Xq_error.raise_error Xq_error.cast_error_code "%s: %s" what m)
+              with Xq_error.Error e -> Xq_error.raise_error e.code "%s: %s" what e.message)
           | a -> a
         in
         let actual = Xdm_atomic.type_of a in

@@ -332,7 +332,7 @@ let migration_tests =
         check Alcotest.int "zero network requests" 0 (Http_sim.total_requests http));
     t "migration of a non-element page fails cleanly" (fun () ->
         match Appserver.Migration.migrate ~doc_base:"http://x/docs/" "1 + 1" with
-        | exception Xquery.Xq_error.Error _ -> ()
+        | exception Xq_error.Error _ -> ()
         | _ -> Alcotest.fail "expected error");
   ]
 

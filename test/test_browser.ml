@@ -1,7 +1,6 @@
 (* The browser runtime: pages, browser: functions, the window tree and
    its security, event syntax, behind-async, styles (paper §4 & §5). *)
 
-open Xquery
 module I = Xdm_item
 module B = Xqib.Browser
 
@@ -438,6 +437,48 @@ let error_isolation_tests =
            error; the pending (unapplied) list after the error is
            dropped, and dispatch survives *)
         check Alcotest.bool "dispatch survived" true (b.B.script_errors <> []));
+    t "a failing behind computation signals readyState 0 and the loop runs on" (fun () ->
+        (* a failed cast of an untyped operand, and an effective boolean
+           value of two items, in either evaluator *)
+        List.iter
+          (fun (computation, code) ->
+            List.iter
+              (fun compiled_eval ->
+                Xmlb.Ablation.with_ { Xmlb.Ablation.current with compiled_eval } (fun () ->
+                    let b =
+                      load_page
+                        (Printf.sprintf
+                           {|<html><head><script type="text/xquery">
+                             declare updating function local:done($readyState, $result) {
+                               insert node <state n="{$readyState}"/> into //body
+                             };
+                             on event "stateChanged" behind %s attach listener local:done
+                             </script></head><body/></html>|}
+                           computation)
+                    in
+                    B.run b;
+                    check
+                      (Alcotest.list Alcotest.string)
+                      computation [ code ]
+                      (List.map (fun m -> String.sub m 1 8) b.B.script_errors);
+                    check (Alcotest.list Alcotest.string) "signals" [ "1"; "0" ]
+                      (List.filter_map
+                         (fun n -> Dom.attribute_local n "n")
+                         (Dom.get_elements_by_local_name (B.document b) "state"))))
+              [ true; false ])
+          [ ("(<a>x</a> = 1)", "FORG0001"); ("(if ((1,2)) then 1 else 0)", "FORG0006") ]);
+    t "a failing inline handler is recorded and its updates dropped" (fun () ->
+        let b =
+          load_page
+            {|<html><body><button id="b"
+              onclick="(insert node &lt;x/> into //body, xs:integer('x'))"/></body></html>|}
+        in
+        B.click b (Option.get (Dom.get_element_by_id (B.document b) "b"));
+        check (Alcotest.list Alcotest.string) "recorded" [ "FORG0001" ]
+          (List.map (fun m -> String.sub m 1 8) b.B.script_errors);
+        check Alcotest.string "a later script applies nothing" "0" (run_str b "count(//x)");
+        check Alcotest.int "no x" 0
+          (List.length (Dom.get_elements_by_local_name (B.document b) "x")));
   ]
 
 let timer_tests =

@@ -211,8 +211,8 @@ let fallback_tests =
         Http_sim.set_faults b.B.http ~seed:1
           { Http_sim.no_faults with Http_sim.drop = 1.0 };
         match Xqib.Page.run_xquery b w q with
-        | exception Xquery.Xq_error.Error e ->
-            check Alcotest.string "code" "FODC0002" e.Xquery.Xq_error.code
+        | exception Xq_error.Error e ->
+            check Alcotest.string "code" "FODC0002" e.Xq_error.code
         | _ -> Alcotest.fail "expected FODC0002");
     t "fallback serves a pristine copy, not the page's mutated one" (fun () ->
         let b = B.create ~net_fallback:true () in

@@ -42,7 +42,7 @@ let single_session ~migrated ~seed ~rate ~visits =
     | () ->
         B.run b;
         incr ok
-    | exception Xquery.Xq_error.Error _ -> ()
+    | exception Xq_error.Error _ -> ()
   done;
   ( Dom.serialize (B.document b),
     AS.evaluations e.server - evals0,

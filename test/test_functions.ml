@@ -421,8 +421,34 @@ let data_model_tests =
     value "<a/>" "document { <a/> }";
   ]
 
+(* Casts and fn:number read only the lexical forms of XML Schema 1.0,
+   not OCaml's own ([0x10], [1_000], [inf], ...); a sequence with no
+   effective boolean value is FORG0006. In both evaluators. *)
+let lexical_form_tests =
+  let raises code src = t src (fun () -> in_modes (fun () -> expect_error code src)) in
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  List.map (raises "FORG0001")
+    [
+      {|xs:integer("0x10")|}; {|xs:integer("1_000")|}; {|xs:integer("0b11")|};
+      {|xs:decimal("INF")|}; {|xs:decimal("nan")|}; {|xs:decimal("1e3")|};
+      {|xs:double("inf")|}; {|xs:double("infinity")|}; {|xs:double("0x1p3")|};
+      {|xs:double("1_0")|};
+    ]
+  @ [
+      value "NaN NaN NaN NaN" {|(number("0x10"), number("1_000"), number("inf"), number("0x1p3"))|};
+      value "7 5 -INF NaN 1500"
+        {|(xs:integer(" 7 "), xs:integer("+5"), xs:double("-INF"), xs:double("NaN"), xs:double("1.5e3"))|};
+      value "7 5 -INF NaN 1500"
+        {|(number(" 7 "), number("+5"), number("-INF"), number("NaN"), number("1.5e3"))|};
+      raises "FORG0006" "if ((1,2)) then 1 else 0";
+      raises "FORG0006" "boolean(xs:date('2008-06-09'))";
+    ]
+
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
   @ aggregate_tests @ node_tests @ qname_datetime_tests @ timezone_tests
   @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests
   @ integer_tests @ regex_tests @ duration_tests @ double_format_tests @ data_model_tests
+  @ lexical_form_tests

@@ -201,8 +201,8 @@ let store_tests =
         ignore (run_xq b "browser:storePut('local', <data>here</data>)");
         b.B.online <- false;
         (match run_xq b "rest:get('http://h/x.xml')" with
-        | exception Xquery.Xq_error.Error e ->
-            check Alcotest.string "code" "FODC0002" e.Xquery.Xq_error.code
+        | exception Xq_error.Error e ->
+            check Alcotest.string "code" "FODC0002" e.Xq_error.code
         | _ -> Alcotest.fail "expected offline failure");
         check Alcotest.string "store still works" "here"
           (run_str b "string(browser:storeGet('local'))");

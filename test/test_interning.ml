@@ -285,8 +285,8 @@ let differential_tests =
                      query)
               with
               | s -> "ok: " ^ s
-              | exception Xquery.Xq_error.Error e ->
-                  "err: " ^ e.Xquery.Xq_error.code)
+              | exception Xq_error.Error e ->
+                  "err: " ^ e.Xq_error.code)
         in
         let oracle = outcome ~interning:false ~compiled:false in
         List.for_all

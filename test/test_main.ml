@@ -13,6 +13,7 @@ let () =
       ("update", Test_update.suite);
       ("scripting", Test_scripting.suite);
       ("properties", Test_properties.suite);
+      ("data-model", Test_properties.data_model_suite);
       ("interning", Test_interning.suite);
       ("optimizer", Test_optimizer.suite);
       ("streaming", Test_streaming.suite);

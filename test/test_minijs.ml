@@ -200,7 +200,9 @@ let dom_tests =
         match
           J.run_script b b.B.top_window "document.body.firstChild.innerHTML = '<b/>';"
         with
-        | exception Dom.Dom_error _ ->
+        | exception J.Js_error m ->
+            check Alcotest.bool "HierarchyRequestError" true
+              (String.starts_with ~prefix:"HierarchyRequestError" m);
             check Alcotest.string "text kept" "x"
               (Dom.string_value (List.hd (Dom.get_elements_by_local_name (B.document b) "body")))
         | () -> Alcotest.fail "expected the DOM error");
@@ -278,18 +280,26 @@ let dom_tests =
         B.run b;
         check Alcotest.string "fired" "true" (eval_str b "fired");
         check (Alcotest.float 0.001) "0.1s" 0.1 (Virtual_clock.now b.B.clock));
-    t "a cyclic appendChild throws HierarchyRequestError" (fun () ->
-        let b = B.create () in
-        Xqib.Page.load b
-          {|<html><body><div id="outer"><div id="inner"/></div></body></html>|};
-        J.run_script b b.B.top_window
-          "var outer = document.getElementById('outer');\n\
-           var r = 'none';\n\
-           try { document.getElementById('inner').appendChild(outer); }\n\
-           catch (e) { r = e.indexOf('HierarchyRequestError') >= 0; }";
-        check Alcotest.string "caught" "true" (eval_str b "r");
-        check Alcotest.bool "outer kept" true
-          (Dom.get_element_by_id (B.document b) "outer" <> None));
+    t "a refused tree write throws HierarchyRequestError" (fun () ->
+        (* a cyclic appendChild, and innerHTML on a text node *)
+        List.iter
+          (fun (write, kept) ->
+            let b = B.create () in
+            Xqib.Page.load b
+              {|<html><body><div id="outer"><div id="inner"/></div><p id="t">x</p></body></html>|};
+            J.run_script b b.B.top_window
+              ("var r = 'none';\n\
+                try { " ^ write ^ " }\n\
+                catch (e) { r = e.indexOf('HierarchyRequestError') >= 0; }");
+            check Alcotest.string write "true" (eval_str b "r");
+            check Alcotest.string "tree kept" kept
+              (Dom.serialize (List.hd (Dom.get_elements_by_local_name (B.document b) "body"))))
+          (List.map
+             (fun w -> (w, {|<body><div id="outer"><div id="inner"/></div><p id="t">x</p></body>|}))
+             [
+               "document.getElementById('inner').appendChild(document.getElementById('outer'));";
+               "document.getElementById('t').firstChild.innerHTML = '<b/>';";
+             ]));
     t "an uncaught cyclic appendChild is a script error" (fun () ->
         let b = B.create () in
         Xqib.Page.load b
@@ -365,22 +375,6 @@ let coexistence_tests =
         let order = List.hd (Dom.get_elements_by_local_name doc "order") in
         check (Alcotest.option Alcotest.string) "marker existed before xquery"
           (Some "xq-saw-1") (Dom.attribute_local order "v"));
-    t "document-order execution option" (fun () ->
-        let b = B.create () in
-        Xqib.Page.load b
-          ~options:{ Xqib.Page.execution_order = `Document_order }
-          {|<html><head>
-            <script type="text/xquery">
-              insert node <order v="xq-saw-{count(//marker)}"/> into //body
-            </script>
-            <script type="text/javascript">
-              document.body.appendChild(document.createElement('marker'));
-            </script>
-            </head><body/></html>|};
-        let doc = B.document b in
-        let order = List.hd (Dom.get_elements_by_local_name doc "order") in
-        check (Alcotest.option Alcotest.string) "xquery first this time"
-          (Some "xq-saw-0") (Dom.attribute_local order "v"));
   ]
 
 let control_flow_tests =

@@ -5,8 +5,8 @@ open Xmlb
 module A = Xdm_atomic
 module Q = QCheck
 
-let qt ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
+let qt ?(count = 200) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (Q.Test.make ~count ?long_factor ~name gen prop)
 
 (* ---------- generators ---------- *)
 
@@ -184,6 +184,126 @@ let properties_atomic =
         = Xdm_datetime.compare a b);
   ]
 
+(* ---------- only Xq_error leaves the data model ---------- *)
+
+(* The numeric lexical spaces of XML Schema 1.0, as regular
+   expressions, blanks around them allowed (casts trim). *)
+let xsd_lexical =
+  let re body = Str.regexp ("^ *\\(" ^ body ^ "\\) *$") in
+  let decimal = "[+-]?\\([0-9]+\\(\\.[0-9]*\\)?\\|\\.[0-9]+\\)" in
+  [
+    (A.T_integer, re "[+-]?[0-9]+");
+    (A.T_decimal, re decimal);
+    (A.T_double, re (decimal ^ "\\([eE][+-]?[0-9]+\\)?\\|-?INF\\|NaN"));
+  ]
+
+(* at most 12 pieces, so no digit run leaves the int range *)
+let numeral_gen =
+  Q.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 12)
+         (oneofl
+            [ "0"; "1"; "5"; "9"; "+"; "-"; "."; "e"; "E"; "x"; "_"; "INF"; "NaN"; " " ])))
+
+let all_types =
+  A.
+    [
+      T_any_atomic; T_untyped; T_string; T_boolean; T_integer; T_decimal; T_double; T_any_uri;
+      T_qname; T_date; T_time; T_date_time; T_duration; T_year_month_duration;
+      T_day_time_duration;
+    ]
+
+(* the codes the data model raises *)
+let data_model_codes =
+  [ "XPTY0004"; "FORG0001"; "FORG0006"; "FOAR0001"; "FOAR0002"; "FOCA0003"; "FOCA0005"; "FODT0002" ]
+
+(* Atomic values at the edges: empty and special strings, both zeros,
+   the int range's ends, NaN and the infinities, durations near the
+   representable range, malformed and extreme dates. *)
+let edge_atomics =
+  let dur months seconds = { Xdm_duration.months; seconds } in
+  let lit ty s = A.cast ~target:ty (A.String s) in
+  A.
+    [
+      String ""; String "INF"; String "-INF"; String "NaN"; String " 7 "; String "0x10";
+      String "1_000"; String "1e400"; String "2008-02-30"; String "2008-06-09";
+      String "P99999999999999999999Y"; String "-PT1S"; String "12:00:00"; String "a:b";
+      Untyped ""; Untyped "-0"; Untyped "x"; Untyped "1.5"; Untyped "P1M";
+      Integer 0; Integer 1; Integer (-1); Integer max_int; Integer min_int;
+      Decimal 0.; Decimal (-0.); Decimal 0.5; Decimal Float.nan; Decimal 1e300;
+      Double 0.; Double (-0.); Double Float.nan; Double Float.infinity;
+      Double Float.neg_infinity; Double 1e308; Double 5e-324;
+      Boolean true; Boolean false; Any_uri "http://x/"; Qname_v (Qname.make "a");
+      lit T_date "2008-06-09"; lit T_date "-99999999999-01-01"; lit T_time "23:59:59Z";
+      lit T_date_time "2008-06-09T12:00:00+02:00";
+      Duration (dur 0 0.); Duration (dur max_int 9e15); Duration (dur min_int (-9e15));
+      Year_month_duration (dur max_int 0.); Year_month_duration (dur 1 0.);
+      Day_time_duration (dur 0 9e15); Day_time_duration (dur 0 1.);
+    ]
+
+(* Items: the atomics and nodes of each kind. *)
+let edge_items =
+  let doc = Dom.of_string {|<r a="5"><b>INF</b><!--c--></r>|} in
+  let r = List.hd (Dom.children doc) in
+  let nodes =
+    doc :: r :: Dom.attributes r @ Dom.children r @ List.concat_map Dom.children (Dom.children r)
+  in
+  List.map (fun n -> Xdm_item.Node n) nodes
+  @ List.map (fun a -> Xdm_item.Atomic a) edge_atomics
+
+(* [f ()] gives a value or raises an Xq_error with a data-model code *)
+let typed f =
+  match f () with
+  | _ -> true
+  | exception Xq_error.Error e -> List.mem e.Xq_error.code data_model_codes
+
+let data_model_suite =
+  let atomic = Q.Gen.oneofl edge_atomics
+  and seq = Q.Gen.(list_size (int_bound 3) (oneofl edge_items)) in
+  let print_atomic a = Printf.sprintf "%s as xs:%s" (A.to_string a) (A.type_name (A.type_of a)) in
+  let print_seq s = Xdm_item.to_display_string s in
+  [
+    qt ~count:500 ~long_factor:20
+      "only Xq_error with a data-model code leaves Xdm_atomic and Xdm_item"
+      (Q.make
+         ~print:(fun (a, b, (s, u)) ->
+           String.concat " | " [ print_atomic a; print_atomic b; print_seq s; print_seq u ])
+         Q.Gen.(triple atomic atomic (pair seq seq)))
+      (fun (a, b, (s, u)) ->
+        let module I = Xdm_item in
+        List.for_all
+          (fun target ->
+            typed (fun () -> A.cast ~target a)
+            && A.castable ~target a
+               = match A.cast ~target a with _ -> true | exception Xq_error.Error _ -> false)
+          all_types
+        && List.for_all
+             (fun op -> typed (fun () -> op a b))
+             A.[ add; subtract; multiply; divide; integer_divide; modulo ]
+        && typed (fun () -> A.negate a)
+        && typed (fun () -> A.compare_value a b)
+        && typed (fun () -> A.equal_value a b)
+        && typed (fun () -> I.effective_boolean s)
+        && typed (fun () -> I.singleton s)
+        && typed (fun () -> I.singleton_node s)
+        && typed (fun () -> I.singleton_atomic s)
+        && typed (fun () -> I.singleton_string s)
+        && typed (fun () -> I.union s u)
+        && typed (fun () -> I.intersect s u)
+        && typed (fun () -> I.except s u)
+        && List.for_all (fun it -> typed (fun () -> I.item_number it)) s);
+    qt ~count:1000 ~long_factor:20
+      "numeric casts and fn:number accept exactly the XSD 1.0 lexical forms"
+      (Q.make ~print:(Printf.sprintf "%S") numeral_gen)
+      (fun str ->
+        let matches ty = Str.string_match (List.assoc ty xsd_lexical) str 0 in
+        List.for_all
+          (fun (ty, _) -> A.castable ~target:ty (A.String str) = matches ty)
+          xsd_lexical
+        && Float.is_nan (Xdm_item.item_number (Xdm_item.Atomic (A.String str)))
+           = ((not (matches A.T_double)) || String.trim str = "NaN"));
+  ]
+
 (* ---------- XQuery printer round trips ---------- *)
 
 let roundtrip_sources =
@@ -229,9 +349,9 @@ let printer_tests =
           let printed = Xquery.Ast_printer.program_to_source prog in
           let v2 =
             try Xdm_item.to_display_string (Xquery.Engine.eval_string printed)
-            with Xquery.Xq_error.Error e ->
+            with Xq_error.Error e ->
               Alcotest.failf "reprinted source failed: %s\n--- printed ---\n%s"
-                (Xquery.Xq_error.to_string e) printed
+                (Xq_error.to_string e) printed
           in
           Alcotest.(check string) ("round trip of " ^ src) v1 v2))
     roundtrip_sources
@@ -286,7 +406,7 @@ let eval_against_doc ~optimize src =
       (Xquery.Engine.eval_string ~optimize ~context_item:node src)
   with
   | v -> Ok v
-  | exception Xquery.Xq_error.Error e -> Error e.Xquery.Xq_error.code
+  | exception Xq_error.Error e -> Error e.Xq_error.code
 
 let optimizer_properties =
   [
@@ -350,7 +470,7 @@ let fuzz_properties =
           Xquery.Parser.parse_program (Xquery.Engine.default_static ()) src
         with
         | _ -> true
-        | exception Xquery.Xq_error.Error _ -> true
+        | exception Xq_error.Error _ -> true
         | exception _ -> false);
     qt ~count:500 "XML parser only raises Parse_error on garbage"
       (Q.make ~print:Fun.id printable_gen)

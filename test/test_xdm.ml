@@ -6,6 +6,12 @@ module I = Xdm_item
 let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
 
+(* [f ()] raises Xq_error.Error with [code] *)
+let raises_code code f =
+  match f () with
+  | exception Xq_error.Error e -> check Alcotest.string "error code" code e.Xq_error.code
+  | _ -> Alcotest.failf "expected %s" code
+
 let duration_tests =
   [
     t "parse full duration" (fun () ->
@@ -116,9 +122,7 @@ let atomic_tests =
     t "cast boolean lexical space" (fun () ->
         check Alcotest.bool "1" true (A.cast ~target:A.T_boolean (A.String "1") = A.Boolean true);
         check Alcotest.bool "false" true (A.cast ~target:A.T_boolean (A.String "false") = A.Boolean false);
-        match A.cast ~target:A.T_boolean (A.String "yes") with
-        | exception A.Cast_error _ -> ()
-        | _ -> Alcotest.fail "expected cast error");
+        raises_code "FORG0001" (fun () -> A.cast ~target:A.T_boolean (A.String "yes")));
     t "numeric to boolean" (fun () ->
         check Alcotest.bool "0" true (A.cast ~target:A.T_boolean (A.Integer 0) = A.Boolean false);
         check Alcotest.bool "NaN" true (A.cast ~target:A.T_boolean (A.Double Float.nan) = A.Boolean false));
@@ -126,9 +130,7 @@ let atomic_tests =
         check Alcotest.bool "3" true (A.cast ~target:A.T_integer (A.Double 3.9) = A.Integer 3);
         check Alcotest.bool "-3" true (A.cast ~target:A.T_integer (A.Double (-3.9)) = A.Integer (-3)));
     t "INF to integer fails" (fun () ->
-        match A.cast ~target:A.T_integer (A.Double Float.infinity) with
-        | exception A.Cast_error _ -> ()
-        | _ -> Alcotest.fail "expected cast error");
+        raises_code "FORG0001" (fun () -> A.cast ~target:A.T_integer (A.Double Float.infinity)));
     t "date/dateTime casts" (fun () ->
         let dt = A.cast ~target:A.T_date_time (A.String "2008-06-09T10:00:00") in
         let d = A.cast ~target:A.T_date dt in
@@ -158,9 +160,7 @@ let atomic_tests =
     t "string comparison" (fun () ->
         check Alcotest.bool "lt" true (A.compare_value (A.String "abc") (A.String "abd") < 0));
     t "incomparable types raise" (fun () ->
-        match A.compare_value (A.Integer 1) (A.Boolean true) with
-        | exception A.Type_error _ -> ()
-        | _ -> Alcotest.fail "expected type error");
+        raises_code "XPTY0004" (fun () -> A.compare_value (A.Integer 1) (A.Boolean true)));
     t "NaN is not equal to NaN (eq)" (fun () ->
         check Alcotest.bool "ne" false (A.equal_value (A.Double Float.nan) (A.Double Float.nan)));
     t "NaN same_key groups" (fun () ->
@@ -171,9 +171,7 @@ let atomic_tests =
         check Alcotest.bool "idiv" true (A.integer_divide (A.Integer 7) (A.Integer 2) = A.Integer 3);
         check Alcotest.bool "mod" true (A.modulo (A.Integer 7) (A.Integer 2) = A.Integer 1));
     t "division by zero" (fun () ->
-        match A.divide (A.Integer 1) (A.Integer 0) with
-        | exception Division_by_zero -> ()
-        | _ -> Alcotest.fail "expected Division_by_zero");
+        raises_code "FOAR0001" (fun () -> A.divide (A.Integer 1) (A.Integer 0)));
     t "double division by zero gives INF" (fun () ->
         check Alcotest.bool "INF" true (A.divide (A.Double 1.) (A.Double 0.) = A.Double Float.infinity));
     t "date minus date is duration" (fun () ->
@@ -205,9 +203,7 @@ let item_tests =
         let node = Dom.create_element (Xmlb.Qname.make "a") in
         check Alcotest.bool "node first" true (I.effective_boolean [ I.Node node; I.Node node ]));
     t "ebv error on multi-atomic" (fun () ->
-        match I.effective_boolean (I.of_int 1 @ I.of_int 2) with
-        | exception A.Type_error _ -> ()
-        | _ -> Alcotest.fail "expected FORG0006");
+        raises_code "FORG0006" (fun () -> I.effective_boolean (I.of_int 1 @ I.of_int 2)));
     t "atomization of nodes is untyped" (fun () ->
         let doc = Dom.of_string "<a>42</a>" in
         match I.atomize [ I.Node doc ] with
@@ -222,12 +218,8 @@ let item_tests =
         check Alcotest.string "joined" "1 2 3"
           (I.sequence_string (I.of_int 1 @ I.of_int 2 @ I.of_int 3)));
     t "singleton helpers enforce cardinality" (fun () ->
-        (match I.singleton [] with
-        | exception A.Type_error _ -> ()
-        | _ -> Alcotest.fail "expected error");
-        match I.singleton (I.of_int 1 @ I.of_int 2) with
-        | exception A.Type_error _ -> ()
-        | _ -> Alcotest.fail "expected error");
+        raises_code "XPTY0004" (fun () -> I.singleton []);
+        raises_code "XPTY0004" (fun () -> I.singleton (I.of_int 1 @ I.of_int 2)));
     t "document_order sorts and dedups" (fun () ->
         let doc = Dom.of_string "<r><a/><b/></r>" in
         let a = List.hd (Dom.get_elements_by_local_name doc "a") in
