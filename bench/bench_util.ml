@@ -42,9 +42,6 @@ let pretty_ns ns =
   else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
 
-let header title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
-
 let section id title =
   Printf.printf "\n==============================================================\n";
   Printf.printf "%s — %s\n" id title;
@@ -56,33 +53,31 @@ let section id title =
    across PRs. Skipped in smoke mode (smoke numbers are meaningless
    and would clobber the committed ones). *)
 
-type json_entry = {
-  e_name : string;
-  e_n : int;
-  e_ns : float;  (* ns per op *)
-  e_speedup : float option;  (* vs the naive/baseline variant *)
-}
+type entry = { e_name : string; e_n : int; e_ns : float; e_speedup : float option }
+type report = { file : string; mutable entries : entry list }
 
-let json_entry ?speedup ~name ~n ns =
-  { e_name = name; e_n = n; e_ns = ns; e_speedup = speedup }
+let report file = { file; entries = [] }
 
-let write_json ~file entries =
+(* [speedup] is against the section's baseline variant *)
+let entry r ?speedup name n ns =
+  r.entries <- { e_name = name; e_n = n; e_ns = ns; e_speedup = speedup } :: r.entries
+
+let write r =
   if not !smoke then begin
-    let oc = open_out file in
+    let oc = open_out r.file in
     let num f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f in
     output_string oc "[\n";
-    let last = List.length entries - 1 in
     List.iteri
       (fun i e ->
         Printf.fprintf oc
-          "  {\"name\": %S, \"n\": %d, \"ns_per_op\": %s, \"speedup\": %s}%s\n"
+          "%s  {\"name\": %S, \"n\": %d, \"ns_per_op\": %s, \"speedup\": %s}"
+          (if i > 0 then ",\n" else "")
           e.e_name e.e_n (num e.e_ns)
           (match e.e_speedup with
           | None -> "null"
-          | Some s -> Printf.sprintf "%.2f" s)
-          (if i < last then "," else ""))
-      entries;
-    output_string oc "]\n";
+          | Some s -> Printf.sprintf "%.2f" s))
+      (List.rev r.entries);
+    output_string oc "\n]\n";
     close_out oc;
-    Printf.printf "wrote %s (%d entries)\n" file (List.length entries)
+    Printf.printf "wrote %s (%d entries)\n" r.file (List.length r.entries)
   end

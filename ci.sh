@@ -1,6 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: build everything, run the full test suite, then a
 # bench smoke (tiny sizes/quotas) so bench code cannot bit-rot.
+# The T8 line gates the DOM acceleration layer: it fails if an
+# accelerated result differs from the naive one on any workload, or if
+# doc-order (sorted and reversed), following and preceding do not all
+# clear the speedup bar (1.5x at the n = 64 smoke size, 5x at n = 10 000).
 # The T9 line additionally gates the observability layer: it fails if an
 # untraced run records a span, if 10^5 increments of a registry counter
 # allocate any minor word (counting is always on, so it must cost no
@@ -108,8 +112,10 @@
 # expression.
 # The catch-all line fails if an .ml file under lib/ has an exception
 # handler that catches every exception: a `_` case of `try … with` or
-# an `exception _` case of a `match` (tools/catch_all.ml reads the
-# parse tree, so a `_` case of a match over a value passes).
+# an `exception _` case of a `match`, or a case binding every exception
+# to a variable (`with e ->`, `exception e ->`) whose body does not
+# re-raise it (tools/catch_all.ml reads the parse tree, so a `_` case of
+# a match over a value passes).
 # The CLI lines run xqib on a one-element page, once without flags and
 # once with each of its six --no-* flags, and read the *-enabled
 # attributes browser:stats() writes for the seven fields of the ablation
@@ -126,6 +132,7 @@ cd "$(dirname "$0")"
 dune build @all
 dune runtest
 dune exec bench/main.exe -- --smoke > /dev/null
+dune exec bench/main.exe -- --smoke --only t8 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t9 --check --trace /tmp/xqib_trace.json > /dev/null
 dune exec bench/main.exe -- --smoke --only t10 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t11 --check > /dev/null

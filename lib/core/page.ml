@@ -237,21 +237,16 @@ let is_xquery_type ty = ty = "text/xquery" || ty = "text/xqueryp" || ty = "appli
 let run_script b window el =
   let ty = script_type el in
   let source = script_source el in
-  let record_error m =
-    (* a failing script logs to the error console and the page keeps
-       loading, as in a real browser *)
-    b.Browser.script_errors <- m :: b.Browser.script_errors
-  in
   if String.trim source = "" then ()
   else if is_xquery_type ty then (
+    (* a failing script logs to the error console and the page keeps
+       loading, as in a real browser; other engines log their own *)
     try ignore (run_xquery b window source)
     with Xq_error.Error e ->
-      record_error (Xq_error.to_string e))
+      b.Browser.script_errors <- Xq_error.to_string e :: b.Browser.script_errors)
   else
     match Hashtbl.find_opt engines ty with
-    | Some engine -> (
-        try engine b window ~script_element:el ~source
-        with exn -> record_error (Printexc.to_string exn))
+    | Some engine -> engine b window ~script_element:el ~source
     | None ->
         Logs.debug (fun m -> m "no script engine for %S; script skipped" ty)
 

@@ -17,7 +17,9 @@ type script_engine =
 
 (** Register an engine for a [type] attribute value (e.g.
     ["text/javascript"]). XQuery types ([text/xquery], [text/xqueryp])
-    are built in. *)
+    are built in. An engine records a script's uncaught errors in
+    [Browser.script_errors] itself, one line each; the loader calls it
+    without a handler. *)
 val register_script_engine : script_type:string -> script_engine -> unit
 
 (** Providers for inline [on*] handler attributes, tried in

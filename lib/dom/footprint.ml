@@ -22,12 +22,11 @@
    alive, so a removed listener's footprint is collected with it and a
    document's watch with the document.
 
-   All entries are keyed by interned symbols ([Xmlb.Sym]): names arrive
-   pre-interned from [Qname.t], id and attribute *values* are interned
-   at record time. Dispatch-time intersection is therefore pure int
-   hashing. Read probes must intern even never-seen strings — a later
-   mutation can create that name, and its (then freshly interned)
-   symbol has to hit the recorded entry.
+   Names are keyed by their interned symbols ([Xmlb.Sym]), which arrive
+   pre-interned from [Qname.t]. Id and attribute *values* are keyed by
+   the value string itself: data is not interned, so the process-global
+   symbol table grows with the names a program uses, not with the
+   values its listeners read and write.
 
    This module deliberately knows nothing about [Dom.node] — it traffics
    in node ids, symbols and watches only, so it sits below [Dom] in the
@@ -40,9 +39,9 @@ type read = {
   mutable roots : watch list;  (* watches of every tree consulted *)
   scopes : (int, unit) Hashtbl.t;  (* subtree-walk origins (node ids) *)
   names : (int * int, unit) Hashtbl.t;  (* (local-name sym, scope) probes *)
-  ids : (int * int, unit) Hashtbl.t;  (* (id-value sym, scope) probes *)
-  keys : (int * int * int, unit) Hashtbl.t;
-      (* (attr-local sym, value sym, scope) probes *)
+  ids : (string * int, unit) Hashtbl.t;  (* (id value, scope) probes *)
+  keys : (int * string * int, unit) Hashtbl.t;
+      (* (attr-local sym, value, scope) probes *)
   mutable coarse : bool;
       (* entry cap exceeded: degrade to whole-root granularity *)
   mutable poisoned : bool;
@@ -91,8 +90,8 @@ let max_entries = 4096
 type wrec = {
   chain : int list;  (* ancestor-or-self ids of the mutation point *)
   mutable wnames : int list;  (* local-name syms *)
-  mutable wids : int list;  (* id-value syms *)
-  mutable wkeys : (int * int) list;  (* (attr-local sym, value sym) *)
+  mutable wids : string list;  (* id values *)
+  mutable wkeys : (int * string) list;  (* (attr-local sym, value) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -169,12 +168,10 @@ let reading_scope ~root ~node = with_fp root (fun fp -> add_entry fp.scopes fp n
 let reading_name ~root ~scope (sym : Sym.t) =
   with_fp root (fun fp -> add_entry fp.names fp ((sym :> int), scope))
 
-let reading_id ~root ~scope v =
-  with_fp root (fun fp -> add_entry fp.ids fp ((Sym.intern v :> int), scope))
+let reading_id ~root ~scope v = with_fp root (fun fp -> add_entry fp.ids fp (v, scope))
 
 let reading_key ~root ~scope ~local:(lsym : Sym.t) v =
-  with_fp root (fun fp ->
-      add_entry fp.keys fp ((lsym :> int), (Sym.intern v :> int), scope))
+  with_fp root (fun fp -> add_entry fp.keys fp ((lsym :> int), v, scope))
 
 let poison () = Option.iter (fun fp -> fp.poisoned <- true) !current
 let is_poisoned fp = fp.poisoned
@@ -184,10 +181,8 @@ let is_poisoned fp = fp.poisoned
 
 let fresh_wrec ~chain = { chain; wnames = []; wids = []; wkeys = [] }
 let add_wname w (sym : Sym.t) = w.wnames <- (sym :> int) :: w.wnames
-let add_wid w v = w.wids <- (Sym.intern v :> int) :: w.wids
-
-let add_wkey w ~local:(lsym : Sym.t) v =
-  w.wkeys <- ((lsym :> int), (Sym.intern v :> int)) :: w.wkeys
+let add_wid w v = w.wids <- v :: w.wids
+let add_wkey w ~local:(lsym : Sym.t) v = w.wkeys <- ((lsym :> int), v) :: w.wkeys
 
 (* ------------------------------------------------------------------ *)
 (* Intersection                                                        *)

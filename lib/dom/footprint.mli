@@ -17,12 +17,14 @@
     owning a footprint keeps it alive — so nothing here outlives the
     listener or the document it belongs to.
 
-    All entries are symbol-keyed ([Xmlb.Sym]): names arrive
-    pre-interned from [Qname.t]; id and attribute values are interned
-    at record time, so dispatch-time intersection is int hashing.
+    Names are keyed by their symbols ([Xmlb.Sym]), which arrive
+    pre-interned from [Qname.t]; id and attribute values are keyed by
+    the value string, so recording and writing intern no data and the
+    process-global symbol table does not grow with it.
 
-    The module is id/symbol-based only: it sits below [Dom] so both the
-    DOM (capture side) and the evaluator (recording side) can use it. *)
+    The module knows node ids, symbols and strings only: it sits below
+    [Dom] so both the DOM (capture side) and the evaluator (recording
+    side) can use it. *)
 
 open Xmlb
 
@@ -75,11 +77,10 @@ val reading_scope : root:watch -> node:int -> unit
 (** Local-name index probe confined to subtree [scope]. *)
 val reading_name : root:watch -> scope:int -> Sym.t -> unit
 
-(** id lookup confined to subtree [scope]; the value is interned. *)
+(** id lookup confined to subtree [scope]. *)
 val reading_id : root:watch -> scope:int -> string -> unit
 
-(** (attribute local name, value) index probe confined to [scope];
-    the value is interned. *)
+(** (attribute local name, value) index probe confined to [scope]. *)
 val reading_key : root:watch -> scope:int -> local:Sym.t -> string -> unit
 
 (** The run read state we cannot fingerprint (global variables,

@@ -71,6 +71,9 @@ let rec to_string = function
 
 let to_display = to_string
 
+(* a missing argument is undefined, as in JavaScript *)
+let arg n args = Option.value (List.nth_opt args n) ~default:VUndefined
+
 let to_number = function
   | VUndefined -> Float.nan
   | VNull -> 0.
@@ -84,6 +87,19 @@ let to_number = function
       match float_of_string_opt (to_string v) with
       | Some f -> f
       | None -> Float.nan)
+
+(* JavaScript's ToIntegerOrInfinity: NaN reads 0 *)
+let to_index v =
+  let f = to_number v in
+  if Float.is_nan f then 0. else Float.trunc f
+
+(* the first index of [sub] in [s], or -1 *)
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec scan i =
+    if i + m > n then -1 else if String.sub s i m = sub then i else scan (i + 1)
+  in
+  scan 0
 
 let truthy = function
   | VUndefined | VNull -> false
@@ -145,6 +161,21 @@ exception Return_exc of value
 exception Break_exc
 exception Continue_exc
 exception Throw_exc of value
+
+(* The one runner for every entry the browser calls: a script, an
+   addEventListener callback, an inline handler, a setTimeout callback.
+   An uncaught error (a host error, a [throw], a syntax error) is one
+   line in the browser's error console, and the page and its event
+   loop go on, as in a real browser. *)
+let run_entry (browser : Xqib.Browser.t) f =
+  let report m = browser.script_errors <- m :: browser.script_errors in
+  match f () with
+  | () -> ()
+  | exception Js_error m -> report ("Uncaught " ^ m)
+  | exception Throw_exc v -> report ("Uncaught " ^ to_display v)
+  | exception Js_lexer.Js_syntax_error m -> report ("SyntaxError: " ^ m)
+  | exception (Return_exc _ | Break_exc | Continue_exc) ->
+      report "SyntaxError: return, break or continue outside its function or loop"
 
 (* ---------------- per-window state ---------------- *)
 
@@ -235,7 +266,6 @@ let rec node_prop st node name =
 
 and node_method st node name =
   let native f = vnative name f in
-  let arg n args = Option.value (List.nth_opt args n) ~default:VUndefined in
   let as_node v =
     match v with
     | VObj { kind = Node n; _ } -> n
@@ -268,7 +298,8 @@ and node_method st node name =
   | "cloneNode" -> native (fun _ _ -> vnode (Dom.clone node))
   | "setAttribute" ->
       native (fun _ args ->
-          Dom.set_attribute node (qn (to_string (arg 0 args))) (to_string (arg 1 args));
+          write (fun () ->
+              Dom.set_attribute node (qn (to_string (arg 0 args))) (to_string (arg 1 args)));
           VUndefined)
   | "getAttribute" ->
       native (fun _ args ->
@@ -277,7 +308,7 @@ and node_method st node name =
           | None -> VNull)
   | "removeAttribute" ->
       native (fun _ args ->
-          Dom.remove_attribute node (qn (to_string (arg 0 args)));
+          write (fun () -> Dom.remove_attribute node (qn (to_string (arg 0 args))));
           VUndefined)
   | "hasChildNodes" -> native (fun _ _ -> VBool (Dom.children node <> []))
   | "getElementById" ->
@@ -314,10 +345,11 @@ and node_method st node name =
           in
           (* document.write of markup: parse it so written tags become
              elements, like a real browser *)
-          (match Dom.of_string text with
-          | written -> Dom.insert_nodes (Dom.Last_of target) (Dom.children written)
-          | exception Xmlb.Xml_parser.Parse_error _ ->
-              Dom.append_child ~parent:target (Dom.create_text text));
+          write (fun () ->
+              match Dom.of_string text with
+              | written -> Dom.insert_nodes (Dom.Last_of target) (Dom.children written)
+              | exception Xmlb.Xml_parser.Parse_error _ ->
+                  Dom.append_child ~parent:target (Dom.create_text text));
           VUndefined)
   | "addEventListener" ->
       native (fun _ args ->
@@ -326,8 +358,8 @@ and node_method st node name =
           let capture = truthy (arg 2 args) in
           ignore
             (Dom_event.add_listener node ~event_type ~capture (fun e ->
-                 let evt = event_object e in
-                 ignore (call_value st listener VUndefined [ evt ])));
+                 run_entry st.browser (fun () ->
+                     ignore (call_value st listener VUndefined [ event_object e ]))));
           VUndefined)
   | "dispatchEvent" ->
       native (fun _ args ->
@@ -344,16 +376,26 @@ and node_method st node name =
             | VObj { kind = Node n; _ } -> n
             | _ -> node
           in
-          (* compiled once per distinct expression: the query cache *)
-          let result =
-            Xquery.Engine.eval_string ~context_item:(Xdm_item.Node ctx_node) xpath
-          in
-          let nodes =
-            List.filter_map
-              (function Xdm_item.Node n -> Some n | Xdm_item.Atomic _ -> None)
-              result
-          in
-          VObj (mk_obj (Snapshot (Array.of_list nodes))))
+          (* compiled once per distinct expression: the query cache; a
+             failing expression is the exception page code can catch, a
+             SyntaxError for a static error, and an update the DOM
+             refuses a refused tree write *)
+          match
+            write (fun () ->
+                Xquery.Engine.eval_string ~context_item:(Xdm_item.Node ctx_node) xpath)
+          with
+          | result ->
+              let nodes =
+                List.filter_map
+                  (function Xdm_item.Node n -> Some n | Xdm_item.Atomic _ -> None)
+                  result
+              in
+              VObj (mk_obj (Snapshot (Array.of_list nodes)))
+          | exception Xq_error.Error e ->
+              let static = String.length e.code >= 4 && String.sub e.code 2 2 = "ST" in
+              fail "%s: %s"
+                (if static then "SyntaxError" else "XPathException")
+                (Xq_error.to_string e))
   | _ -> VUndefined
 
 and event_object (e : Dom_event.event) =
@@ -389,42 +431,43 @@ and get_prop st target name =
       | "toLowerCase" -> vnative name (fun _ _ -> VStr (String.lowercase_ascii s))
       | "charAt" ->
           vnative name (fun _ args ->
-              let i = int_of_float (to_number (List.nth args 0)) in
-              if i >= 0 && i < String.length s then VStr (String.make 1 s.[i])
+              let i = to_index (arg 0 args) in
+              if i >= 0. && i < float_of_int (String.length s) then
+                VStr (String.make 1 s.[int_of_float i])
               else VStr "")
       | "indexOf" ->
-          vnative name (fun _ args ->
-              let sub = to_string (List.nth args 0) in
-              let n = String.length s and m = String.length sub in
-              let rec scan i =
-                if i + m > n then -1
-                else if String.sub s i m = sub then i
-                else scan (i + 1)
-              in
-              VNum (float_of_int (scan 0)))
+          vnative name (fun _ args -> VNum (float_of_int (find_sub s (to_string (arg 0 args)))))
       | "substring" ->
           vnative name (fun _ args ->
-              let a = max 0 (int_of_float (to_number (List.nth args 0))) in
-              let b =
-                match args with
-                | _ :: x :: _ -> min (String.length s) (int_of_float (to_number x))
-                | _ -> String.length s
-              in
+              (* both ends clamped to [0, length], swapped if reversed *)
+              let len = float_of_int (String.length s) in
+              let clamp v = int_of_float (Float.min len (Float.max 0. (to_index v))) in
+              let a = clamp (arg 0 args) in
+              let b = match arg 1 args with VUndefined -> String.length s | v -> clamp v in
               let lo = min a b and hi = max a b in
               VStr (String.sub s lo (hi - lo)))
       | "split" ->
           vnative name (fun _ args ->
-              let sep = to_string (List.nth args 0) in
               let parts =
-                if sep = "" then List.map (String.make 1) (List.init (String.length s) (String.get s))
-                else Str.split_delim (Str.regexp_string sep) s
+                match arg 0 args with
+                | VUndefined -> [ s ]
+                | v -> (
+                    match to_string v with
+                    | "" -> List.map (String.make 1) (List.init (String.length s) (String.get s))
+                    | sep -> Str.split_delim (Str.regexp_string sep) s)
               in
               varr (List.map (fun p -> VStr p) parts))
       | "replace" ->
+          (* the first occurrence, replaced by the literal text *)
           vnative name (fun _ args ->
-              let pat = to_string (List.nth args 0) in
-              let rep = to_string (List.nth args 1) in
-              VStr (Str.replace_first (Str.regexp_string pat) rep s))
+              let pat = to_string (arg 0 args) in
+              match find_sub s pat with
+              | -1 -> VStr s
+              | i ->
+                  let rest = i + String.length pat in
+                  VStr
+                    (String.sub s 0 i ^ to_string (arg 1 args)
+                    ^ String.sub s rest (String.length s - rest)))
       | "trim" -> vnative name (fun _ _ -> VStr (String.trim s))
       | _ -> VUndefined)
   | VObj o -> (
@@ -438,8 +481,9 @@ and get_prop st target name =
               | "snapshotLength" -> VNum (float_of_int (Array.length nodes))
               | "snapshotItem" ->
                   vnative name (fun _ args ->
-                      let i = int_of_float (to_number (List.nth args 0)) in
-                      if i >= 0 && i < Array.length nodes then vnode nodes.(i)
+                      let i = to_index (arg 0 args) in
+                      if i >= 0. && i < float_of_int (Array.length nodes) then
+                        vnode nodes.(int_of_float i)
                       else VNull)
               | _ -> VUndefined)
           | Arr items -> (
@@ -464,7 +508,7 @@ and get_prop st target name =
                       VStr (String.concat sep (List.map to_string !items)))
               | "indexOf" ->
                   vnative name (fun _ args ->
-                      let target = List.nth args 0 in
+                      let target = arg 0 args in
                       let rec scan i = function
                         | [] -> -1
                         | x :: rest -> if loose_eq x target then i else scan (i + 1) rest
@@ -488,21 +532,7 @@ and get_prop st target name =
                     (List.map
                        (fun f -> VObj (mk_obj (Window_obj f)))
                        w.Xqib.Windows.frames)
-              | "alert" ->
-                  vnative name (fun _ args ->
-                      st.browser.Xqib.Browser.alerts <-
-                        to_string (List.nth args 0)
-                        :: st.browser.Xqib.Browser.alerts;
-                      VUndefined)
-              | "setTimeout" ->
-                  vnative name (fun _ args ->
-                      let f = List.nth args 0 in
-                      let delay =
-                        match List.nth_opt args 1 with Some v -> to_number v /. 1000. | None -> 0.
-                      in
-                      Virtual_clock.schedule st.browser.Xqib.Browser.clock ~delay
-                        (fun () -> ignore (call_value st f VUndefined []));
-                      VNum 0.)
+              | "alert" | "setTimeout" -> env_get st.genv name
               | _ -> VUndefined)
           | Location_obj w -> (
               match name with
@@ -556,20 +586,22 @@ and set_prop st target name v =
           match name with
           | "status" -> w.Xqib.Windows.status <- to_string v
           | "name" -> w.Xqib.Windows.wname <- to_string v
-          | "location" ->
-              Xqib.Windows.navigate w (to_string v);
-              st.browser.Xqib.Browser.on_navigate w (to_string v)
+          | "location" -> navigate st w (to_string v)
           | _ -> Hashtbl.replace o.props name v)
       | Location_obj w -> (
           match name with
-          | "href" ->
-              Xqib.Windows.navigate w (to_string v);
-              st.browser.Xqib.Browser.on_navigate w (to_string v)
+          | "href" -> navigate st w (to_string v)
           | _ -> Hashtbl.replace o.props name v)
       | Style_obj node ->
-          Xquery.Style_util.set_on_node node (css_name name) (to_string v)
+          write (fun () -> Xquery.Style_util.set_on_node node (css_name name) (to_string v))
       | _ -> Hashtbl.replace o.props name v)
   | _ -> fail "cannot set property %S on %s" name (to_string target)
+
+(* a page that does not parse fails the navigation, not the browser *)
+and navigate st w href =
+  Xqib.Windows.navigate w href;
+  try st.browser.Xqib.Browser.on_navigate w href
+  with Xmlb.Xml_parser.Parse_error { message; _ } -> fail "cannot load %s: %s" href message
 
 (* ---------------- calls ---------------- *)
 
@@ -794,27 +826,28 @@ and exec_stmt st env = function
            keys
        with Break_exc -> ())
   | Throw e -> raise (Throw_exc (eval_expr st env e))
-  | Try (body, catch, finally) ->
-      Fun.protect
-        ~finally:(fun () -> exec_stmts st env finally)
-        (fun () ->
-          try exec_stmts st env body
-          with
-          | Throw_exc v -> (
-              match catch with
-              | Some (name, handler) ->
-                  let cenv = new_env ~parent:env () in
-                  env_declare cenv name v;
-                  exec_stmts st cenv handler
-              | None -> raise (Throw_exc v))
-          | Js_error m -> (
-              (* host errors are catchable too, like DOM exceptions *)
-              match catch with
-              | Some (name, handler) ->
-                  let cenv = new_env ~parent:env () in
-                  env_declare cenv name (VStr m);
-                  exec_stmts st cenv handler
-              | None -> raise (Js_error m)))
+  | Try (body, catch, finally) -> (
+      let caught v exn =
+        match catch with
+        | Some (name, handler) ->
+            let cenv = new_env ~parent:env () in
+            env_declare cenv name v;
+            exec_stmts st cenv handler
+        | None -> raise exn
+      in
+      (* the finally block runs on every way out; if it throws, its
+         error replaces the pending one, as in JavaScript *)
+      match
+        try exec_stmts st env body with
+        | Throw_exc v as exn -> caught v exn
+        | Js_error m as exn ->
+            (* host errors are catchable too, like DOM exceptions *)
+            caught (VStr m) exn
+      with
+      | () -> exec_stmts st env finally
+      | exception pending ->
+          exec_stmts st env finally;
+          raise pending)
   | Switch (scrutinee, cases) ->
       let v = eval_expr st env scrutinee in
       (* find the matching case (or default), then fall through *)
@@ -863,7 +896,7 @@ and exec_stmts st env stmts = List.iter (exec_stmt st env) stmts
 
 let math_object () =
   let unary name f =
-    (name, vnative name (fun _ args -> VNum (f (to_number (List.nth args 0)))))
+    (name, vnative name (fun _ args -> VNum (f (to_number (arg 0 args)))))
   in
   (* deterministic pseudo-random: a seeded LCG, reproducible runs *)
   let seed = ref 42 in
@@ -939,24 +972,23 @@ let state_for browser window =
       env_declare genv "alert"
         (vnative "alert" (fun _ args ->
              browser.Xqib.Browser.alerts <-
-               to_string (List.nth args 0) :: browser.Xqib.Browser.alerts;
+               to_string (arg 0 args) :: browser.Xqib.Browser.alerts;
              VUndefined));
       env_declare genv "setTimeout"
         (vnative "setTimeout" (fun _ args ->
-             let f = List.nth args 0 in
-             let delay =
-               match List.nth_opt args 1 with Some v -> to_number v /. 1000. | None -> 0.
-             in
+             let f = arg 0 args in
+             (* a missing or NaN delay is 0, as in JavaScript *)
+             let delay = to_index (arg 1 args) /. 1000. in
              Virtual_clock.schedule browser.Xqib.Browser.clock ~delay (fun () ->
-                 ignore (call_value st f VUndefined []));
+                 run_entry browser (fun () -> ignore (call_value st f VUndefined [])));
              VNum 0.));
       env_declare genv "parseInt"
         (vnative "parseInt" (fun _ args ->
-             VNum (Float.trunc (to_number (List.nth args 0)))));
+             VNum (Float.trunc (to_number (arg 0 args)))));
       env_declare genv "parseFloat"
-        (vnative "parseFloat" (fun _ args -> VNum (to_number (List.nth args 0))));
+        (vnative "parseFloat" (fun _ args -> VNum (to_number (arg 0 args))));
       env_declare genv "isNaN"
-        (vnative "isNaN" (fun _ args -> VBool (Float.is_nan (to_number (List.nth args 0)))));
+        (vnative "isNaN" (fun _ args -> VBool (Float.is_nan (to_number (arg 0 args)))));
       env_declare genv "String"
         (vnative "String" (fun _ args ->
              VStr (match args with [] -> "" | v :: _ -> to_string v)));
@@ -1004,10 +1036,11 @@ let handle_inline _browser window ~element ~event_type ~source =
               (Dom_event.add_listener element ~event_type
                  ~name:("js-inline:" ^ string_of_int (Dom.id element) ^ ":" ^ event_type)
                  (fun e ->
-                   let env = new_env ~parent:st.genv () in
-                   env_declare env "event" (event_object e);
-                   env_declare env "this" (vnode element);
-                   ignore (eval_expr st env expr)));
+                   run_entry st.browser (fun () ->
+                       let env = new_env ~parent:st.genv () in
+                       env_declare env "event" (event_object e);
+                       env_declare env "this" (vnode element);
+                       ignore (eval_expr st env expr))));
             true
         | exception Js_lexer.Js_syntax_error _ -> false)
 
@@ -1016,12 +1049,11 @@ let installed = ref false
 let install () =
   if not !installed then begin
     installed := true;
-    Xqib.Page.register_script_engine ~script_type:"text/javascript"
-      (fun browser window ~script_element:_ ~source ->
-        run_script browser window source);
-    Xqib.Page.register_script_engine ~script_type:"application/javascript"
-      (fun browser window ~script_element:_ ~source ->
-        run_script browser window source);
+    let engine browser window ~script_element:_ ~source =
+      run_entry browser (fun () -> run_script browser window source)
+    in
+    Xqib.Page.register_script_engine ~script_type:"text/javascript" engine;
+    Xqib.Page.register_script_engine ~script_type:"application/javascript" engine;
     Xqib.Page.register_inline_handler_provider (fun browser window ~element ~event_type ~source ->
         handle_inline browser window ~element ~event_type ~source)
   end

@@ -191,9 +191,12 @@ let double_of_lexical str =
 
 let parse_integer s =
   let s = trim s in
-  match if is_numeral ~fraction:false ~exponent:false s then int_of_string_opt s else None with
+  if not (is_numeral ~fraction:false ~exponent:false s) then
+    cast_error "cannot cast %S to xs:integer" s;
+  (* a valid lexical form, so only the int range can refuse it *)
+  match int_of_string_opt s with
   | Some i -> i
-  | None -> cast_error "cannot cast %S to xs:integer" s
+  | None -> Xq_error.raise_error "FOCA0003" "%s is outside the xs:integer range" s
 
 let parse_decimal str =
   let s = trim str in

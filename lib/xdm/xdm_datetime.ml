@@ -81,6 +81,24 @@ let equal a b = compare a b = 0
 
 (* ---------------- parsing ---------------- *)
 
+(* Each field of XML Schema's date and time forms is a run of ASCII
+   digits, so OCaml's numeral syntax ([0x7D8], [+1], [1_0]) is no
+   field: [digits s pos len] is the number the [len] digits at [pos]
+   spell, and anything else fails. *)
+let digits s pos len =
+  if pos + len > String.length s then failwith "short field";
+  let v = ref 0 in
+  for i = pos to pos + len - 1 do
+    match s.[i] with
+    | '0' .. '9' as c -> v := (!v * 10) + Char.code c - Char.code '0'
+    | _ -> failwith "not a digit"
+  done;
+  !v
+
+let rec digits_end s i =
+  if i < String.length s && s.[i] >= '0' && s.[i] <= '9' then digits_end s (i + 1) else i
+
+(* Z or (+|-)hh:mm, at most 14:00 either way *)
 let parse_tz s pos =
   let n = String.length s in
   if pos >= n then (None, pos)
@@ -88,49 +106,43 @@ let parse_tz s pos =
     match s.[pos] with
     | 'Z' -> (Some 0, pos + 1)
     | ('+' | '-') as sign when pos + 6 <= n && s.[pos + 3] = ':' ->
-        let h = int_of_string (String.sub s (pos + 1) 2) in
-        let m = int_of_string (String.sub s (pos + 4) 2) in
+        let h = digits s (pos + 1) 2 in
+        let m = digits s (pos + 4) 2 in
+        if m > 59 || (h * 60) + m > 14 * 60 then failwith "timezone out of range";
         let v = (h * 60) + m in
         (Some (if sign = '-' then -v else v), pos + 6)
     | _ -> (None, pos)
 
 let fail_lit what s = failwith (Printf.sprintf "invalid %s literal %S" what s)
 
+(* -?YYYY-MM-DD: a year of four digits or more (then without a leading
+   zero, and at most 18, so that it fits an int), returns (year, month,
+   day, next_pos) *)
 let parse_date_part s =
-  (* [-]YYYY-MM-DD, returns (year, month, day, next_pos) *)
-  let neg = String.length s > 0 && s.[0] = '-' in
-  let off = if neg then 1 else 0 in
-  match String.index_from_opt s off '-' with
-  | None -> fail_lit "date" s
-  | Some d1 ->
-      if d1 + 3 > String.length s || String.length s < d1 + 6 then fail_lit "date" s
-      else begin
-        let year = int_of_string (String.sub s off (d1 - off)) in
-        let year = if neg then -year else year in
-        if s.[d1 + 3] <> '-' then fail_lit "date" s;
-        let month = int_of_string (String.sub s (d1 + 1) 2) in
-        let day = int_of_string (String.sub s (d1 + 4) 2) in
-        (year, month, day, d1 + 6)
-      end
+  let off = if String.length s > 0 && s.[0] = '-' then 1 else 0 in
+  let d1 = digits_end s off in
+  let len = d1 - off in
+  if
+    len < 4 || len > 18
+    || (len > 4 && s.[off] = '0')
+    || d1 + 6 > String.length s
+    || s.[d1] <> '-'
+    || s.[d1 + 3] <> '-'
+  then fail_lit "date" s;
+  let year = digits s off len in
+  ((if off = 1 then -year else year), digits s (d1 + 1) 2, digits s (d1 + 4) 2, d1 + 6)
 
+(* hh:mm:ss, then a fraction of one digit or more *)
 let parse_time_part s pos =
   let n = String.length s in
-  if pos + 8 > n || s.[pos + 2] <> ':' || s.[pos + 5] <> ':' then
-    fail_lit "time" s
-  else begin
-    let hour = int_of_string (String.sub s pos 2) in
-    let minute = int_of_string (String.sub s (pos + 3) 2) in
-    let sec_start = pos + 6 in
-    let sec_end = ref (sec_start + 2) in
-    if !sec_end < n && s.[!sec_end] = '.' then begin
-      incr sec_end;
-      while !sec_end < n && s.[!sec_end] >= '0' && s.[!sec_end] <= '9' do
-        incr sec_end
-      done
-    end;
-    let second = float_of_string (String.sub s sec_start (!sec_end - sec_start)) in
-    (hour, minute, second, !sec_end)
-  end
+  if pos + 8 > n || s.[pos + 2] <> ':' || s.[pos + 5] <> ':' then fail_lit "time" s;
+  let hour = digits s pos 2 in
+  let minute = digits s (pos + 3) 2 in
+  ignore (digits s (pos + 6) 2);
+  let sec_end = if pos + 8 < n && s.[pos + 8] = '.' then digits_end s (pos + 9) else pos + 8 in
+  if sec_end = pos + 9 then fail_lit "time" s;
+  let second = float_of_string (String.sub s (pos + 6) (sec_end - pos - 6)) in
+  (hour, minute, second, sec_end)
 
 let date_of_string s =
   try
@@ -179,15 +191,19 @@ let seconds_to_string second =
     String.sub s 0 (last + 1)
   end
 
+(* at least four digits, after the sign of a negative year *)
+let year_to_string y = if y < 0 then Printf.sprintf "-%04d" (-y) else Printf.sprintf "%04d" y
+
 let date_to_string t =
-  Printf.sprintf "%04d-%02d-%02d%s" t.year t.month t.day (tz_to_string t.tz_minutes)
+  Printf.sprintf "%s-%02d-%02d%s" (year_to_string t.year) t.month t.day
+    (tz_to_string t.tz_minutes)
 
 let time_to_string t =
   Printf.sprintf "%02d:%02d:%s%s" t.hour t.minute (seconds_to_string t.second)
     (tz_to_string t.tz_minutes)
 
 let date_time_to_string t =
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%s%s" t.year t.month t.day t.hour
+  Printf.sprintf "%s-%02d-%02dT%02d:%02d:%s%s" (year_to_string t.year) t.month t.day t.hour
     t.minute (seconds_to_string t.second)
     (tz_to_string t.tz_minutes)
 

@@ -669,7 +669,11 @@ let insert pul (pos : Ast.insert_position) ~fresh ~source ~target =
       | _ ->
           err Xq_error.update_target
             "insert into target must be an element or document");
-      if attrs <> [] then Pul.add pul (Pul.Insert_attributes (target, attrs));
+      if attrs <> [] then begin
+        if Dom.kind target = Dom.Document then
+          err "XUTY0022" "cannot insert attributes into a document node";
+        Pul.add pul (Pul.Insert_attributes (target, attrs))
+      end;
       if kids <> [] then
         Pul.add pul
           (match pos with
@@ -721,6 +725,10 @@ let replace pul ~value_of ~fresh ~target ~source =
 
 let rename ctx pul ~target ~name =
   let tnode = single_target "rename" (target ()) in
+  (match Dom.kind tnode with
+  | Dom.Document | Dom.Text | Dom.Comment ->
+      err "XUTY0012" "rename target must be an element, attribute or processing instruction"
+  | Dom.Element | Dom.Attribute | Dom.Processing_instruction -> ());
   Pul.add pul (Pul.Rename (tnode, qname_of_value ctx (I.singleton_atomic (name ()))));
   []
 
@@ -1262,21 +1270,20 @@ and make_listener ctx qn =
       let fp = Footprint.create () in
       let prev = Footprint.start fp in
       let closed = ref false in
-      let finish ~ok result =
+      let finish ~ok =
         closed := true;
         Footprint.restore prev;
-        Reactive.finish_run m ~ok ~args_key:akey ~fp ~result
+        Reactive.finish_run m ~ok ~args_key:akey ~fp
       in
       Fun.protect
-        ~finally:(fun () -> if not !closed then finish ~ok:false [])
+        ~finally:(fun () -> if not !closed then finish ~ok:false)
         (fun () ->
-          match
-            run_listener ctx (fun () ->
-                Reactive.record_args args;
-                call_function ctx qn args)
-          with
-          | Some result -> finish ~ok:true result
-          | None -> finish ~ok:false [])
+          finish
+            ~ok:
+              (Option.is_some
+                 (run_listener ctx (fun () ->
+                      Reactive.record_args args;
+                      call_function ctx qn args))))
     in
     match memo with
     | None -> run_plain (fit (mk_args ()))

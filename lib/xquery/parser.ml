@@ -214,6 +214,9 @@ let parse_single_type st =
 
 (* ---------------- expressions ---------------- *)
 
+(* [//] abbreviates this step *)
+let dos_step = Ast.E_step (Ast.Descendant_or_self, Ast.Kind_test Ast.Any_kind, [])
+
 let rec parse_expr st : Ast.expr =
   let first = parse_expr_single st in
   if peek st = L.T_comma then begin
@@ -828,30 +831,26 @@ and parse_path st =
       | L.T_eof | L.T_rpar | L.T_rbracket | L.T_rbrace | L.T_comma | L.T_semi
       | L.T_lt | L.T_le | L.T_gt | L.T_ge | L.T_eq | L.T_ne ->
           Ast.E_root
-      | _ -> Ast.E_path (Ast.E_root, parse_relative_path st))
+      | _ -> steps_after st (Ast.E_path (Ast.E_root, parse_step st)))
   | L.T_slashslash ->
       ignore (next st);
-      let rest = parse_relative_path st in
-      Ast.E_path
-        ( Ast.E_path (Ast.E_root, Ast.E_step (Ast.Descendant_or_self, Ast.Kind_test Ast.Any_kind, [])),
-          rest )
-  | _ -> parse_relative_path st
+      steps_after st (Ast.E_path (Ast.E_path (Ast.E_root, dos_step), parse_step st))
+  | _ -> steps_after st (parse_step st)
 
-and parse_relative_path st =
-  let rec loop lhs =
-    match peek st with
-    | L.T_slash ->
-        ignore (next st);
-        loop (Ast.E_path (lhs, parse_step st))
-    | L.T_slashslash ->
-        ignore (next st);
-        let dos =
-          Ast.E_step (Ast.Descendant_or_self, Ast.Kind_test Ast.Any_kind, [])
-        in
-        loop (Ast.E_path (Ast.E_path (lhs, dos), parse_step st))
-    | _ -> lhs
-  in
-  loop (parse_step st)
+(* The path operator is left-associative, a leading [/] or [//]
+   included: [//a/b] is [((/)/descendant-or-self::node()/a)/b], so the
+   last step's focus is the whole [//a] (as [position()] there sees)
+   and [//a] is one subexpression the optimizer can turn into
+   [descendant::a]. *)
+and steps_after st lhs =
+  match peek st with
+  | L.T_slash ->
+      ignore (next st);
+      steps_after st (Ast.E_path (lhs, parse_step st))
+  | L.T_slashslash ->
+      ignore (next st);
+      steps_after st (Ast.E_path (Ast.E_path (lhs, dos_step), parse_step st))
+  | _ -> lhs
 
 and axis_of_name = function
   | "child" -> Some Ast.Child

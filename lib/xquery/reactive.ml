@@ -25,7 +25,6 @@ type memo = {
       (* footprint of the last completed pure run, registered with the
          roots it read; never poisoned *)
   mutable args_key : string;
-  mutable result_key : string;
   mutable latched_poison : bool;
       (* a run proved impure: stop recording attempts for good *)
   mutable skipped_since_record : bool;
@@ -39,7 +38,6 @@ let fresh_memo () =
   {
     fp = None;
     args_key = "";
-    result_key = "";
     latched_poison = false;
     skipped_since_record = false;
     wasted = 0;
@@ -57,7 +55,6 @@ let probe_every = 16
 
 let skips = Obs.Metrics.counter "reactive.skip"
 let reruns = Obs.Metrics.counter "reactive.rerun"
-let unchanged = Obs.Metrics.counter "reactive.unchanged"
 let poisoned_runs = Obs.Metrics.counter "reactive.poisoned"
 
 (* the handle Footprint bumps *)
@@ -66,8 +63,8 @@ let invalidations = Obs.Metrics.counter "reactive.invalidation"
 let counter_stats () =
   List.map
     (fun (k, c) -> (k, Obs.Metrics.value c))
-    [ ("skips", skips); ("reruns", reruns); ("unchanged", unchanged);
-      ("invalidations", invalidations); ("poisoned-runs", poisoned_runs) ]
+    [ ("skips", skips); ("reruns", reruns); ("invalidations", invalidations);
+      ("poisoned-runs", poisoned_runs) ]
 
 let reset_counters = Obs.Metrics.reset
 
@@ -108,9 +105,6 @@ let item_key = function
 let args_key (args : I.sequence list) =
   String.concat "|"
     (List.map (fun seq -> String.concat "," (List.map item_key seq)) args)
-
-let result_key (seq : I.sequence) =
-  String.concat "," (List.map item_key seq)
 
 (* ------------------------------------------------------------------ *)
 (* Run protocol (driven by Eval.make_listener)                         *)
@@ -161,20 +155,13 @@ let record_args (args : I.sequence list) =
    error path): nothing is cached, but impurity is not latched — the
    error may be data-dependent, and with no stored footprint the
    listener re-runs every time anyway. *)
-let finish_run m ~ok ~args_key:akey ~fp ~result =
+let finish_run m ~ok ~args_key:akey ~fp =
   m.fp <- None;
   if ok && Footprint.is_poisoned fp then begin
     m.latched_poison <- true;
     Obs.Metrics.incr poisoned_runs
   end
   else if ok then begin
-    let rk = result_key result in
-    if String.equal rk m.result_key && not (String.equal m.result_key "") then begin
-      (* structurally equal to the cached result: the re-render this
-         dispatch would trigger is a no-op *)
-      Obs.Metrics.incr unchanged
-    end;
-    m.result_key <- rk;
     Footprint.register fp;
     m.fp <- Some fp;
     m.args_key <- akey;

@@ -3,8 +3,8 @@
     Every listener registered through the evaluator owns a {!memo},
     held only by the registration's callback closure. After a pure run,
     the memo holds the run's read footprint — registered with the
-    per-root watch of every tree it read — its argument fingerprint and
-    its result fingerprint. A later dispatch with the same argument
+    per-root watch of every tree it read — and its argument
+    fingerprint. A later dispatch with the same argument
     fingerprint is skipped outright unless some mutation batch since
     then intersected the footprint ({!Footprint.commit} marks it
     dirty) — under deterministic evaluation the skipped run would have
@@ -48,15 +48,9 @@ val reruns : Obs.Metrics.counter
 val record_args : Xdm_item.sequence list -> unit
 
 (** Store the outcome of a recorded run: registers and caches the
-    footprint + fingerprints on a pure successful run, latches
-    impurity on a poisoned one, caches nothing on an error. *)
-val finish_run :
-  memo ->
-  ok:bool ->
-  args_key:string ->
-  fp:Footprint.read ->
-  result:Xdm_item.sequence ->
-  unit
+    footprint and argument fingerprint on a pure successful run,
+    latches impurity on a poisoned one, caches nothing on an error. *)
+val finish_run : memo -> ok:bool -> args_key:string -> fp:Footprint.read -> unit
 
 (** {1 Counters} (views of the registry's [reactive.*] counters;
     [reset_counters] is {!Obs.Metrics.reset}) *)

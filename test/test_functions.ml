@@ -445,6 +445,22 @@ let lexical_form_tests =
       raises "FORG0006" "if ((1,2)) then 1 else 0";
       raises "FORG0006" "boolean(xs:date('2008-06-09'))";
     ]
+  (* date and time fields are runs of ASCII digits: a year of four or
+     more, two for every other field; a zone is at most 14:00 *)
+  @ List.map (raises "FORG0001")
+      [
+        {|xs:date("0x7D8-01-01")|}; {|xs:date("+2008-01-01")|};
+        {|xs:dateTime("2008-01-01T10:00:00+-1:00")|}; {|xs:date("208-01-01")|};
+        {|xs:time("1_:00:00")|}; {|xs:time("10:00:00.")|}; {|xs:date("2008-01-01+14:30")|};
+      ]
+  @ [
+      value "2008-01-01 -0044-03-15 2008-01-01Z 10:00:00.5+05:30 -0044-03-15T10:00:00"
+        {|(xs:date("2008-01-01"), xs:date("-0044-03-15"), xs:date("2008-01-01Z"),
+           xs:time("10:00:00.5+05:30"), xs:dateTime("-0044-03-15T10:00:00"))|};
+      (* a valid lexical form outside the int range *)
+      raises "FOCA0003" {|xs:integer("99999999999999999999")|};
+      raises "FOCA0003" {|xs:integer("-99999999999999999999")|};
+    ]
 
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests

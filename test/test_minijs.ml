@@ -281,7 +281,7 @@ let dom_tests =
         check Alcotest.string "fired" "true" (eval_str b "fired");
         check (Alcotest.float 0.001) "0.1s" 0.1 (Virtual_clock.now b.B.clock));
     t "a refused tree write throws HierarchyRequestError" (fun () ->
-        (* a cyclic appendChild, and innerHTML on a text node *)
+        (* a cyclic appendChild, and writes a text node cannot take *)
         List.iter
           (fun (write, kept) ->
             let b = B.create () in
@@ -299,6 +299,10 @@ let dom_tests =
              [
                "document.getElementById('inner').appendChild(document.getElementById('outer'));";
                "document.getElementById('t').firstChild.innerHTML = '<b/>';";
+               "document.getElementById('t').firstChild.setAttribute('a', 'b');";
+               "document.getElementById('t').firstChild.removeAttribute('a');";
+               "document.getElementById('t').firstChild.write('<b/>');";
+               "document.getElementById('t').firstChild.style.color = 'red';";
              ]));
     t "an uncaught cyclic appendChild is a script error" (fun () ->
         let b = B.create () in
@@ -427,6 +431,105 @@ let control_flow_tests =
         check Alcotest.string "three" "3" (eval_str b "n"));
   ]
 
+(* Every entry the browser calls records its uncaught error as one
+   plain line and returns: the page, the event and the event loop go
+   on. *)
+let uncaught_tests =
+  [
+    t "a throwing listener is recorded and the next listener still runs" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/javascript">
+            var hits = 0;
+            var btn = document.getElementById('b');
+            btn.addEventListener('onclick', function(e) { null.foo(); }, false);
+            btn.addEventListener('onclick', function(e) { hits++; }, false);
+            </script></head><body><button id="b"/></body></html>|};
+        let btn = Option.get (Dom.get_element_by_id (B.document b) "b") in
+        B.click b btn;
+        B.click b btn;
+        check Alcotest.string "second listener ran twice" "2" (eval_str b "hits");
+        check (Alcotest.list Alcotest.string) "one line per click"
+          [ {|Uncaught cannot read property "foo" of null|};
+            {|Uncaught cannot read property "foo" of null|} ]
+          b.B.script_errors);
+    t "a top-level throw is one plain line" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/javascript">throw 'boom';</script>
+            <script type="text/javascript">var after = 1;</script></head><body/></html>|};
+        check (Alcotest.list Alcotest.string) "recorded" [ "Uncaught boom" ] b.B.script_errors;
+        check Alcotest.string "the next script ran" "1" (eval_str b "after"));
+    t "a failing document.evaluate throws, and the page keeps loading" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/javascript">
+            var caught = '', refused = '';
+            try { document.evaluate('//[', document); } catch (e) { caught = e; }
+            try { document.evaluate('rename node processing-instruction a {""} as "c"', document); }
+            catch (e) { refused = e; }
+            document.evaluate('1 div 0', document);
+            </script>
+            <script type="text/xquery">insert node <p/> into //body</script>
+            </head><body/></html>|};
+        check Alcotest.string "a catchable SyntaxError" "SyntaxError: [XPST0003]"
+          (String.sub (eval_str b "caught") 0 23);
+        check Alcotest.string "a refused update"
+          "HierarchyRequestError: only elements and attributes can be renamed"
+          (eval_str b "refused");
+        check (Alcotest.list Alcotest.string) "the uncaught one is one line"
+          [ "Uncaught XPathException: [FOAR0001] division by zero" ]
+          b.B.script_errors;
+        check Alcotest.int "the XQuery script ran" 1
+          (List.length (Dom.get_elements_by_local_name (B.document b) "p")));
+    t "string builtins clamp their arguments, as in JavaScript" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/javascript">
+            var r = 'abc'.substring(10) + '|' + 'abc'.substring(2, -1) + '|' + 'abc'.charAt()
+              + '|' + 'a1'.replace('1', '\\1') + '|' + 'a,b'.split().length;
+            </script>
+            <script type="text/javascript">var after = 1;</script></head><body/></html>|};
+        check Alcotest.string "values" {||ab|a|a\1|1|} (eval_str b "r");
+        check (Alcotest.list Alcotest.string) "no error" [] b.B.script_errors;
+        check Alcotest.string "the next script ran" "1" (eval_str b "after"));
+    t "a throw in finally replaces the pending error" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/javascript">
+            var ran = 0;
+            try { throw 'first'; } finally { ran = 1; throw 'second'; }
+            </script>
+            <script type="text/javascript">var after = 1;</script></head><body/></html>|};
+        check (Alcotest.list Alcotest.string) "recorded" [ "Uncaught second" ]
+          b.B.script_errors;
+        check Alcotest.string "finally ran" "1" (eval_str b "ran");
+        check Alcotest.string "the next script ran" "1" (eval_str b "after"));
+    t "navigating to a page that does not parse is a catchable error" (fun () ->
+        let b = B.create () in
+        Http_sim.register_doc b.B.http ~uri:"http://localhost/broken" "<html><body>";
+        Xqib.Page.load b
+          {|<html><head><script type="text/javascript">
+            var body = document.body;
+            try { window.location = 'http://localhost/broken'; }
+            catch (e) { body.setAttribute('caught', e); }
+            </script></head><body/></html>|};
+        let body = List.hd (Dom.get_elements_by_local_name (B.document b) "body") in
+        check Alcotest.bool "caught" true
+          (String.starts_with ~prefix:"cannot load http://localhost/broken: "
+             (Option.value ~default:"" (Dom.attribute_local body "caught")));
+        check (Alcotest.list Alcotest.string) "no error" [] b.B.script_errors);
+    t "a throwing window.setTimeout callback leaves the event loop running" (fun () ->
+        let b = fresh () in
+        J.run_script b b.B.top_window
+          "var done = 0; window.setTimeout(function() { null.x(); }, 10);\n\
+           setTimeout(function() { done = 1; }, 20);";
+        B.run b;
+        check Alcotest.string "the later timer fired" "1" (eval_str b "done");
+        check (Alcotest.list Alcotest.string) "recorded"
+          [ {|Uncaught cannot read property "x" of null|} ] b.B.script_errors);
+  ]
+
 let suite =
   language_tests @ statement_tests @ dom_tests @ coexistence_tests
-  @ control_flow_tests
+  @ control_flow_tests @ uncaught_tests

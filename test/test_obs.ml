@@ -263,7 +263,6 @@ let integration_tests =
             ("compile.opaque-nodes", 0);
             ("reactive.skips", count "reactive.skip");
             ("reactive.reruns", count "reactive.rerun");
-            ("reactive.unchanged", count "reactive.unchanged");
             ("reactive.invalidations", count "reactive.invalidation");
             ("reactive.poisoned-runs", count "reactive.poisoned");
             ("dom_event.invocations", count "dom_event.invocations");

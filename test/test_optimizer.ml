@@ -126,6 +126,12 @@ let fixpoint_tests =
 
 let rewrite_tests =
   [
+    (* a leading // is part of the left-associated path, so //a with
+       a non-positional predicate becomes descendant::a however many
+       steps follow it *)
+    t "//a[pred]/b reads descendant::a" (fun () ->
+        check Alcotest.string "plan" "(/descendant::a[(attribute::k) = ('v')])/child::b"
+          (Ast_printer.expr_to_source (Optimizer.optimize_expr (parse_expr "//a[@k = 'v']/b"))));
     t "concat over literals folds to one string" (fun () ->
         check Alcotest.bool "folded" true
           (is_literal (A.String "abc")
@@ -276,8 +282,8 @@ let join_plan_snapshots =
     golden "cart/catalog equi-join compiles to a hash join"
       "for $c in //cart/item, $p in //products/product \
        where $c/@sku eq $p/@sku return $p/@price"
-      "hash-join for $c in ((/descendant-or-self::node())/(child::cart)/child::item), \
-       $p in ((/descendant-or-self::node())/(child::products)/child::product) \
+      "hash-join for $c in ((/descendant::cart)/child::item), \
+       $p in ((/descendant::products)/child::product) \
        on (($c)/attribute::sku) eq (($p)/attribute::sku) \
        return (($p)/attribute::price)";
     golden "general '=' join keeps existential marking"

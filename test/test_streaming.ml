@@ -357,9 +357,9 @@ let absent_focus_tests =
   [
     expect_xpdy "position()";
     expect_xpdy "last()";
-    (* the final step is evaluated per child list (right-nested
-       paths), so focus is position-within-origin *)
-    both_modes ~expected:"1/2 2/2 1/1" "focus restores position()/last()"
+    (* the path operator is left-associative, [//x] included, so the
+       final step's focus is the whole //x sequence *)
+    both_modes ~expected:"1/3 2/3 3/3" "focus restores position()/last()"
       "string-join(//x/concat(position(), '/', last()), ' ')";
   ]
 

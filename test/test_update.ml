@@ -72,6 +72,9 @@ let insert_tests =
     t "insert attribute before node fails" (fun () ->
         expect_error "XUTY0005"
           "let $d := <a><b/></a> return insert node attribute x {1} before $d/b");
+    t "insert attribute into a document node fails" (fun () ->
+        expect_error "XUTY0022"
+          "let $d := document { <a/> } return insert node attribute x {1} into $d");
   ]
 
 let delete_replace_rename_tests =
@@ -116,6 +119,8 @@ let delete_replace_rename_tests =
     t "replace target must be single node" (fun () ->
         expect_error "XUTY0005"
           "let $d := <r><a/><a/></r> return replace node $d/a with <b/>");
+    t "rename of a text node fails" (fun () ->
+        expect_error "XUTY0012" "let $d := <a>t</a> return rename node $d/text() as 'b'");
   ]
 
 let snapshot_tests =
