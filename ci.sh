@@ -110,6 +110,14 @@
 # INF, NaN and blanks casts to xs:integer, xs:decimal or xs:double
 # other than exactly when it matches that type's XML Schema 1.0 regular
 # expression.
+# The prolog line runs the page-prolog tests with the broken-scripts
+# property at its long count (20x): it fails if a page drawn from
+# scripts that each declare a function and an alerting global (some
+# ending in a syntax error after their declarations, some importing a
+# library module from a host that is up or down) and the same page
+# without its failing scripts differ in the alerts (each initializer
+# once, in order), the final body or the page context's static-context
+# fingerprint, or if any but the failing scripts record an error.
 # The catch-all line fails if an .ml file under lib/ has an exception
 # handler that catches every exception: a `_` case of `try … with` or
 # an `exception _` case of a `match`, or a case binding every exception
@@ -148,6 +156,7 @@ QCHECK_LONG=1 dune exec test/test_main.exe -- test parse-build > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test serialize > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test renderer > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test data-model > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test prolog > /dev/null
 dune exec tools/catch_all.exe -- lib/*/*.ml
 printf '<html/>' > /tmp/xqib_ci_page.html
 ablation_fields() {

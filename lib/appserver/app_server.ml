@@ -1,4 +1,3 @@
-module SC = Xquery.Static_context
 module DC = Xquery.Dynamic_context
 
 type page =
@@ -212,8 +211,7 @@ let compiled_for t ~tenant ~path ~compiled ~source =
     match Xquery.Query_cache.find cache path with
     | Some c -> c
     | None ->
-        let static = Xquery.Engine.default_static () in
-        let c = Xquery.Engine.compile ~static source in
+        let c = Xquery.Engine.compile source in
         t.tenant_compiles <- t.tenant_compiles + 1;
         Obs.Metrics.incr tenant_compile_count;
         Xquery.Query_cache.add cache path ~cost:(String.length source) c;
@@ -281,8 +279,7 @@ let create http ~host:server_host =
   t
 
 let add_xquery_page t ~path source =
-  let static = Xquery.Engine.default_static () in
-  let compiled = Xquery.Engine.compile_cached ~static source in
+  let compiled = Xquery.Engine.compile_cached source in
   Hashtbl.replace t.pages path (Xquery_page { compiled; source })
 
 let add_static_page t ~path ?(content_type = "text/html") body =

@@ -120,21 +120,27 @@ let run_xquery b window source =
   let st = state_for b window in
   let compiled = Xquery.Engine.compile_cached ~static:st.static source in
   (* install this script's compiled functions before anything can
-     call them (global initializers, the body, later event listeners) *)
+     call them (global initializers, the body, later event listeners);
+     earlier scripts' functions and globals are in place already *)
   Xquery.Engine.install_functions st.ctx compiled;
-  (* refresh globals declared by this script's prolog *)
   Xquery.Engine.bind_globals ~strict:false st.ctx compiled;
   let result =
     Obs.Trace.with_span "engine.eval" @@ fun () ->
     match compiled.Xquery.Engine.prog.Xquery.Ast.body with
     | Some _ -> Xquery.Engine.eval_body st.ctx compiled
-    | None -> (
+    | None ->
         (* Zorba workaround fidelity (§5.1): page code with no body
-           runs local:main() when the page is loaded, if declared *)
+           runs local:main() when the page is loaded, if it declares
+           one *)
         let main = Qname.make ~uri:Qname.Ns.local "main" in
-        match SC.find_function st.static main ~arity:0 with
-        | Some _ -> Xquery.Engine.call st.ctx main []
-        | None -> [])
+        if
+          List.exists
+            (function
+              | Xquery.Ast.P_function { fname; params = []; _ } -> Qname.equal fname main
+              | _ -> false)
+            compiled.Xquery.Engine.decls
+        then Xquery.Engine.call st.ctx main []
+        else []
   in
   Xquery.Pul.apply st.ctx.DC.pul;
   result
@@ -250,20 +256,32 @@ let run_script b window el =
     | None ->
         Logs.debug (fun m -> m "no script engine for %S; script skipped" ty)
 
+let parse_html (b : Browser.t) html =
+  Obs.Trace.with_span "page.parse-html" (fun () ->
+      Dom.of_string ~options:{ Xml_parser.uppercase_tags = b.Browser.uppercase_tags } html)
+
 let rec load ?window (b : Browser.t) html =
   Obs.Trace.with_span "page.load" @@ fun () ->
   let window = match window with Some w -> w | None -> b.Browser.top_window in
-  (* navigations triggered from scripts re-enter the loader *)
+  load_doc b window (parse_html b html)
+
+(* install a parsed page in [window] and run its scripts *)
+and load_doc b window doc =
+  (* navigations triggered from scripts re-enter the loader; a page
+     that does not parse fails the navigation as a script error and
+     leaves the window's document and scripts as they were *)
   b.Browser.on_navigate <-
     (fun w href ->
       let resp = fetch_page b href in
-      if resp.Http_sim.status = 200 then load ~window:w b resp.Http_sim.body);
+      if resp.Http_sim.status = 200 then
+        Obs.Trace.with_span "page.load" (fun () ->
+            match parse_html b resp.Http_sim.body with
+            | doc -> load_doc b w doc
+            | exception Xml_parser.Parse_error { line; col; message } ->
+                Xq_error.raise_error "SEBR0404" "cannot load %s: line %d, col %d: %s" href
+                  line col message));
   (* the old page's script contexts go with its document *)
   window.Windows.scripts <- [];
-  let doc =
-    Obs.Trace.with_span "page.parse-html" (fun () ->
-        Dom.of_string ~options:{ Xml_parser.uppercase_tags = b.Browser.uppercase_tags } html)
-  in
   Browser.set_document b window doc;
   (* JavaScript first, then XQuery (§4.1) *)
   let js, xquery =

@@ -888,18 +888,35 @@ let deliver r mutation =
   | Rooted s -> List.iter (fun o -> o.callback mutation) s.observers
   | Bare | Slotted _ -> ()
 
+(* An observer that raises (a navigation whose page does not parse)
+   does not stop the others: every notification is delivered, then the
+   first exception is raised as itself. *)
+let rec deliver_all = function
+  | [] -> ()
+  | (r, m) :: rest -> (
+      match deliver r m with
+      | () -> deliver_all rest
+      | exception e ->
+          deliver_all rest;
+          raise e)
+
 let with_batch f =
   incr batch_depth;
-  Fun.protect
-    ~finally:(fun () ->
-      decr batch_depth;
-      if !batch_depth = 0 then begin
-        let q = List.rev !batch_queue in
-        batch_queue := [];
-        List.iter (fun (r, m) -> deliver r m) q;
-        Footprint.commit ()
-      end)
-    f
+  let close () =
+    decr batch_depth;
+    if !batch_depth = 0 then begin
+      let q = List.rev !batch_queue in
+      batch_queue := [];
+      Fun.protect ~finally:Footprint.commit (fun () -> deliver_all q)
+    end
+  in
+  match f () with
+  | v ->
+      close ();
+      v
+  | exception e ->
+      close ();
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Write upkeep.

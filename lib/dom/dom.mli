@@ -318,7 +318,9 @@ val unobserve : observer_id -> unit
     order, when the outermost batch closes — so observers (and the
     footprint dirtiness pass) see one coherent post-apply changeset
     instead of mid-transaction state. Cache upkeep stays immediate.
-    Nestable; exception-safe (queued notifications still flush). *)
+    Nestable; exception-safe (queued notifications still flush). An
+    observer that raises does not stop the others; its exception is
+    raised once all are delivered. *)
 val with_batch : (unit -> 'a) -> 'a
 
 (** {1 Conversion} *)

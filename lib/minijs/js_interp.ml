@@ -601,7 +601,7 @@ and set_prop st target name v =
 and navigate st w href =
   Xqib.Windows.navigate w href;
   try st.browser.Xqib.Browser.on_navigate w href
-  with Xmlb.Xml_parser.Parse_error { message; _ } -> fail "cannot load %s: %s" href message
+  with Xq_error.Error { message; _ } -> fail "%s" message
 
 (* ---------------- calls ---------------- *)
 

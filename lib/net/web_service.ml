@@ -27,6 +27,16 @@ let descriptor s =
   in
   Printf.sprintf "<service xmlns=\"\" ns=\"%s\">%s</service>" s.ns fns
 
+(* The value an <arg> or <value> element carries as text: cast to the
+   type its [type] attribute names, else (no such type, or the cast
+   fails) untyped. *)
+let typed_text el =
+  let text = Xdm_atomic.Untyped (Dom.string_value el) in
+  match Option.bind (Dom.attribute_local el "type") Xdm_atomic.type_of_name with
+  | Some target -> (
+      try Xdm_atomic.cast ~target text with Xq_error.Error _ -> text)
+  | None -> text
+
 (* protocol: POST /call, body <call fn="mul"><arg>2</arg><arg>5</arg></call>;
    response <result>…serialized sequence…</result> with atomic values as
    text and nodes as XML children. *)
@@ -51,19 +61,7 @@ let handle_call s body =
           List.filter (fun c -> Dom.kind c = Dom.Element) (Dom.children argel)
         in
         if elements <> [] then List.map (fun e -> Xdm_item.Node (Dom.clone e)) elements
-        else
-          let text = Dom.string_value argel in
-          let atomic =
-            match Dom.attribute_local argel "type" with
-            | Some ty -> (
-                match Xdm_atomic.type_of_name ty with
-                | Some target -> (
-                    try Xdm_atomic.cast ~target (Xdm_atomic.Untyped text)
-                    with Xq_error.Error _ -> Xdm_atomic.Untyped text)
-                | None -> Xdm_atomic.Untyped text)
-            | None -> Xdm_atomic.Untyped text
-          in
-          [ Xdm_item.Atomic atomic ])
+        else [ Xdm_item.Atomic (typed_text argel) ])
       (Dom.children call)
   in
   let qn = Qname.make ~uri:s.ns fname in
@@ -86,8 +84,7 @@ let handle_call s body =
   Buffer.contents buf
 
 let publish ?host http ~source =
-  let static = Xquery.Engine.default_static () in
-  let compiled = Xquery.Engine.compile ~static source in
+  let compiled = Xquery.Engine.compile source in
   let m =
     match compiled.Xquery.Engine.prog.Xquery.Ast.library_module with
     | Some m -> m
@@ -103,11 +100,12 @@ let publish ?host http ~source =
   in
   let fns =
     List.filter_map
-      (fun (f : Xquery.Ast.function_decl) ->
-        if Option.equal String.equal f.Xquery.Ast.fname.Qname.uri (Some m.Xquery.Ast.mod_uri)
-        then Some (f.Xquery.Ast.fname.Qname.local, List.length f.Xquery.Ast.params)
-        else None)
-      (SC.declared_functions static)
+      (function
+        | Xquery.Ast.P_function { fname; params; _ }
+          when Option.equal String.equal fname.Qname.uri (Some m.Xquery.Ast.mod_uri) ->
+            Some (fname.Qname.local, List.length params)
+        | _ -> None)
+      compiled.Xquery.Engine.decls
   in
   let s = { http; host; ns = m.Xquery.Ast.mod_uri; fns; compiled; calls = 0 } in
   Http_sim.register_host http ~host (fun req ->
@@ -130,21 +128,27 @@ let publish ?host http ~source =
 
 (* ------------- client side ------------- *)
 
-let parse_descriptor http body =
-  let doc = Dom.of_string body in
-  match Dom.children doc with
+(* [None] when [body] is not a service descriptor *)
+let parse_descriptor ~loc body =
+  match Dom.children (Dom.of_string body) with
   | [ root ] when Dom.name root <> None && (Option.get (Dom.name root)).Qname.local = "service" ->
       let ns = Option.value ~default:"" (Dom.attribute_local root "ns") in
       let fns =
         List.filter_map
           (fun c ->
             match (Dom.attribute_local c "name", Dom.attribute_local c "arity") with
-            | Some n, Some a -> Some (n, int_of_string a)
+            | Some n, Some a -> (
+                match int_of_string_opt a with
+                | Some arity -> Some (n, arity)
+                | None ->
+                    Xq_error.raise_error "XQST0059"
+                      "service descriptor at %s: function %s has arity %S, not an integer" loc n a)
             | _ -> None)
           (Dom.children root)
       in
-      Some (ns, fns, http)
+      Some (ns, fns)
   | _ -> None
+  | exception Xml_parser.Parse_error _ -> None
 
 let stub ?retry ?prng http ~call_uri ~fname : SC.external_function =
   fun _cctx args ->
@@ -183,19 +187,7 @@ let stub ?retry ?prng http ~call_uri ~fname : SC.external_function =
           List.map
             (fun c ->
               match Dom.name c with
-              | Some { Qname.local = "value"; _ } ->
-                  let text = Dom.string_value c in
-                  let atomic =
-                    match Dom.attribute_local c "type" with
-                    | Some ty -> (
-                        match Xdm_atomic.type_of_name ty with
-                        | Some target -> (
-                            try Xdm_atomic.cast ~target (Xdm_atomic.Untyped text)
-                            with Xq_error.Error _ -> Xdm_atomic.Untyped text)
-                        | None -> Xdm_atomic.Untyped text)
-                    | None -> Xdm_atomic.Untyped text
-                  in
-                  Xdm_item.Atomic atomic
+              | Some { Qname.local = "value"; _ } -> Xdm_item.Atomic (typed_text c)
               | _ -> Xdm_item.Node (Dom.clone c))
             (Dom.children result)
       | _ -> err "malformed web-service response"
@@ -210,8 +202,8 @@ let module_resolver ?retry ?prng http ~uri ~locations =
       else if String.equal resp.Http_sim.content_type "application/xquery" then
         Some (SC.Module_source resp.Http_sim.body)
       else
-        match parse_descriptor http resp.Http_sim.body with
-        | Some (ns, fns, http) ->
+        match parse_descriptor ~loc resp.Http_sim.body with
+        | Some (ns, fns) ->
             let call_uri =
               match Http_sim.split_uri loc with
               | Some (host, _) -> "http://" ^ host ^ "/call"

@@ -929,24 +929,27 @@ let compile_fn static (decl : Ast.function_decl) :
       in
       Some (key, impl)
 
-(* Every function and global variable declared in [static] — the
-   program's own, imported library modules' and, for a page, earlier
-   scripts' — compiles with the body: the static-context fingerprint
-   that keys the query cache covers all of them, so the code is valid
-   wherever a cached program is replayed. *)
-let compile_prog static (prog : Ast.prog) : prog_code =
+(* The body, and the functions and global variables [decls] that
+   [Engine.install] added for this program (its own and those of the
+   modules it imported): what earlier programs declared in [static]
+   has its code already. *)
+let compile_prog static (prog : Ast.prog) decls : prog_code =
   Obs.Metrics.incr stat_programs;
   let fns =
     List.filter_map
-      (fun decl ->
-        let kf = compile_fn static decl in
-        if Option.is_some kf then Obs.Metrics.incr stat_fns;
-        kf)
-      (Static_context.declared_functions static)
+      (function
+        | Ast.P_function decl ->
+            let kf = compile_fn static decl in
+            if Option.is_some kf then Obs.Metrics.incr stat_fns;
+            kf
+        | _ -> None)
+      decls
   in
   let globals =
-    List.map
-      (fun (qn, st, init) -> (qn, st, Option.map (compile_expr static) init))
-      (Static_context.global_variables static)
+    List.filter_map
+      (function
+        | Ast.P_variable (qn, st, init) -> Some (qn, st, Option.map (compile_expr static) init)
+        | _ -> None)
+      decls
   in
   { body = Option.map (compile_expr static) prog.Ast.body; fns; globals }

@@ -14,13 +14,13 @@ type prog_code = {
   body : (Dynamic_context.t -> Xdm_item.sequence) option;
       (** [None] for a library module or a page script without one *)
   fns : ((int * int * int) * fn_impl) list;
-      (** a compiled body for every function declared in the static
-          context, keyed by {!Dynamic_context.fn_key} (uri sym, local
-          sym, arity) for {!Dynamic_context.t.compiled_fns} *)
+      (** a compiled body for every function the program declared,
+          keyed by {!Dynamic_context.fn_key} (uri sym, local sym,
+          arity) for {!Dynamic_context.t.compiled_fns} *)
   globals :
     (Xmlb.Qname.t * Ast.seq_type option * (Dynamic_context.t -> Xdm_item.sequence) option) list;
-      (** the static context's global variables in declaration order,
-          with compiled initializers ([None]: external) *)
+      (** the program's global variables in declaration order, with
+          compiled initializers ([None]: external) *)
 }
 
 (** Programs and functions compiled, closure nodes emitted: views of
@@ -29,7 +29,11 @@ type prog_code = {
     always 0: every form compiles. *)
 val stats : unit -> (string * int) list
 
-val compile_prog : Static_context.t -> Ast.prog -> prog_code
+(** The body plus the function and variable declarations [decls] —
+    the ones {!Engine.install} added to the static context for this
+    program, imported modules' included, and nothing an earlier
+    program declared. *)
+val compile_prog : Static_context.t -> Ast.prog -> Ast.prolog_decl list -> prog_code
 
 (** One expression outside any program (an inline handler, a generated
     page skeleton), as a closure over a fresh frame. *)

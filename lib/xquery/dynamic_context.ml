@@ -3,15 +3,11 @@ open Xmlb
 type listener = {
   listener_name : Qname.t;
   invoke :
-    ?memo:Reactive.memo ->
-    ?key:string ->
-    (unit -> Xdm_item.sequence list) ->
-    unit;
+    ?memo:Reactive.memo * string -> (unit -> Xdm_item.sequence list) -> unit;
       (** Arguments are a thunk so a skipped dispatch never builds
-          them; [?key] is a host-computed fingerprint that determines
+          them; [?memo] comes with a host-computed key that determines
           the thunk's result, letting the skip decision run before the
-          thunk is forced. Without [?key] the arguments are forced and
-          fingerprinted structurally. *)
+          thunk is forced. *)
 }
 
 type host = {
@@ -95,7 +91,7 @@ let default_host =
             ignore
               (Dom_event.add_listener node ~event_type
                  ~name:(Qname.to_clark listener.listener_name) (fun e ->
-                   listener.invoke ~memo ~key:(event_key e) (fun () ->
+                   listener.invoke ~memo:(memo, event_key e) (fun () ->
                        let evt_node = Xdm_item.Node (event_to_xml e) in
                        let obj = Xdm_item.Node e.Dom_event.target in
                        [ [ evt_node ]; [ obj ] ]))))

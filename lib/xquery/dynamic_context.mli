@@ -12,20 +12,15 @@ open Xmlb
 
 (** A listener ready to be invoked by the host: the declared function's
     name plus a closure that calls it (and applies its updates). When
-    the host passes the registration's {!Reactive.memo}, the closure
-    may skip the run entirely if the memoized footprint proves nothing
-    it reads has changed. Arguments are passed as a thunk so a skipped
-    run never constructs them; [?key] is a host-computed fingerprint
-    that must determine the thunk's result — with it, the skip decision
-    runs before the thunk is forced, without it the arguments are
-    forced and fingerprinted structurally. *)
+    the host passes the registration's {!Reactive.memo} with a
+    host-computed key that determines the arguments, the closure may
+    skip the run entirely if the memoized footprint proves nothing it
+    reads has changed. Arguments are passed as a thunk so a skipped run
+    never constructs them. *)
 type listener = {
   listener_name : Qname.t;
   invoke :
-    ?memo:Reactive.memo ->
-    ?key:string ->
-    (unit -> Xdm_item.sequence list) ->
-    unit;
+    ?memo:Reactive.memo * string -> (unit -> Xdm_item.sequence list) -> unit;
 }
 
 type host = {

@@ -3,41 +3,83 @@ open Xmlb
 type compiled = {
   prog : Ast.prog;
   static : Static_context.t;
+  decls : Ast.prolog_decl list;
+      (* the functions and variables [install] added to [static] *)
   code : Compile.prog_code option;
-      (* closure code of the body, functions and globals; None when
-         compiled evaluation was off at compile time *)
+      (* closure code of the body and of [decls]; None when compiled
+         evaluation was off at compile time *)
 }
 
 let default_static () = Static_context.create ()
 
-(* Tie the knot: module imports encountered by the parser load and
-   register library modules through the static context's resolver. *)
-let load_module sctx ~uri ~locations =
-  if Static_context.is_imported sctx uri then ()
-  else begin
-    Static_context.mark_imported sctx uri;
-    match Static_context.resolve_module sctx ~uri ~locations with
-    | Static_context.Module_source src ->
-        let prog = Parser.parse_program sctx src in
-        (match prog.Ast.library_module with
-        | Some m when not (String.equal m.Ast.mod_uri uri) ->
-            Xq_error.raise_error "XQST0059"
-              "module at %S declares namespace %S, expected %S"
-              (String.concat "," locations) m.Ast.mod_uri uri
+(* [load] is the step that can raise (engine.mli); [write] runs once
+   every import has loaded. *)
+let install (prog : Ast.prog) static =
+  let loaded = Hashtbl.create 4 and added = ref [] in
+  let rec load (prog : Ast.prog) =
+    List.iter
+      (function
+        | Ast.P_module_import { uri; locations; _ }
+          when not (Static_context.is_imported static uri || Hashtbl.mem loaded uri) -> (
+            match Static_context.resolve_module static ~uri ~locations with
+            | Static_context.Module_source src ->
+                let lib = Parser.parse_program static src in
+                (match lib.Ast.library_module with
+                | Some m when not (String.equal m.Ast.mod_uri uri) ->
+                    Xq_error.raise_error "XQST0059"
+                      "module at %S declares namespace %S, expected %S"
+                      (String.concat "," locations) m.Ast.mod_uri uri
+                | _ -> ());
+                Hashtbl.add loaded uri (fun () -> write ~own:false lib);
+                load lib
+            | Static_context.Module_external fns ->
+                Hashtbl.add loaded uri (fun () ->
+                    List.iter
+                      (fun (qn, arity, impl) ->
+                        Static_context.register_external static qn ~arity impl)
+                      fns)
+            | Static_context.Module_not_found ->
+                Xq_error.raise_error "XQST0059" "cannot locate module %S" uri)
         | _ -> ())
-    | Static_context.Module_external fns ->
-        List.iter
-          (fun (qn, arity, impl) ->
-            Static_context.register_external sctx qn ~arity impl)
-          fns
-    | Static_context.Module_not_found ->
-        Xq_error.raise_error "XQST0059" "cannot locate module %S" uri
-  end
-
-let () = Parser.module_loader := load_module
+      prog.Ast.prolog
+  and write ~own (prog : Ast.prog) =
+    List.iter
+      (fun decl ->
+        match decl with
+        | Ast.P_variable (qn, st, e) ->
+            Static_context.declare_variable static qn st e;
+            added := decl :: !added
+        | Ast.P_function f ->
+            Static_context.declare_function static f;
+            added := decl :: !added
+        | Ast.P_module_import { prefix; uri; _ } -> (
+            (match prefix with
+            | Some prefix when own -> Static_context.declare_namespace static ~prefix ~uri
+            | _ -> ());
+            match Hashtbl.find_opt loaded uri with
+            | Some write_module when not (Static_context.is_imported static uri) ->
+                Static_context.mark_imported static uri;
+                write_module ()
+            | _ -> ())
+        | _ when not own -> ()
+        | Ast.P_namespace (prefix, uri) -> Static_context.declare_namespace static ~prefix ~uri
+        | Ast.P_default_element_ns uri -> Static_context.declare_default_element_ns static uri
+        | Ast.P_default_function_ns uri ->
+            Static_context.declare_default_function_ns static uri
+        | Ast.P_boundary_space_preserve b ->
+            Static_context.set_boundary_space_preserve static b
+        | Ast.P_option (qn, v) -> Static_context.set_option static qn v)
+      prog.Ast.prolog
+  in
+  load prog;
+  write ~own:true prog;
+  List.rev !added
 
 let source_bytes = Obs.Metrics.counter "engine.source-bytes"
 
+(* Parsing and optimizing touch no context, and [install] writes only
+   once every import has loaded, so a compile that raises leaves
+   [static] as it was. *)
 let compile ?(optimize = true) ?static source =
   Obs.Trace.with_span "engine.compile" @@ fun () ->
   let static = match static with Some s -> s | None -> default_static () in
@@ -49,66 +91,26 @@ let compile ?(optimize = true) ?static source =
       Obs.Trace.with_span "engine.optimize" (fun () -> Optimizer.optimize prog)
     else prog
   in
-  (* Re-register optimized prolog declarations: the parser stored the
-     un-optimized function bodies and variable initializers in the
-     static context as it read them, so both must be swapped for their
-     optimized forms (variables in place, to keep evaluation order). *)
-  if optimize then
-    List.iter
-      (function
-        | Ast.P_function f -> Static_context.declare_function static f
-        | Ast.P_variable (qn, st, e) ->
-            Static_context.redeclare_variable static qn st e
-        | _ -> ())
-      prog.Ast.prolog;
+  let decls = Obs.Trace.with_span "engine.install" (fun () -> install prog static) in
   Obs.Metrics.add source_bytes (String.length source);
   let code =
     if Ablation.current.compiled_eval then
       Some
         (Obs.Trace.with_span "engine.compile-closures" (fun () ->
-             Compile.compile_prog static prog))
+             Compile.compile_prog static prog decls))
     else None
   in
-  { prog; static; code }
+  { prog; static; decls; code }
 
 (* ------------------------------------------------------------------ *)
 (* compiled-query cache                                                *)
 
 (* An entry keeps only what a hit reads: the program and its closure
-   code. A hit rebinds the caller's static context, so the context the
-   source was first compiled in — whose browser functions close over
-   that page — is not kept. *)
+   code. A hit installs the program in the caller's static context,
+   so the context the source was first compiled in — whose browser
+   functions close over that page — is not kept. *)
 let query_cache : (Ast.prog * Compile.prog_code option) Query_cache.t =
   Query_cache.create ~name:"query-cache" ~capacity:256 ()
-
-(* Replay a cached compilation's prolog into [static], reproducing
-   every side effect the parser + [compile] would have had: namespace
-   and default declarations, (optimized) function and variable
-   registrations, options and module imports. After this, [static] can
-   evaluate the cached program exactly as if it had compiled the source
-   itself — but with {e its own} external-function implementations and
-   module resolver. *)
-let replay (prog : Ast.prog) static =
-  List.iter
-    (function
-      | Ast.P_namespace (prefix, uri) ->
-          Static_context.declare_namespace static ~prefix ~uri
-      | Ast.P_default_element_ns uri ->
-          Static_context.declare_default_element_ns static uri
-      | Ast.P_default_function_ns uri ->
-          Static_context.declare_default_function_ns static uri
-      | Ast.P_boundary_space_preserve b ->
-          Static_context.set_boundary_space_preserve static b
-      | Ast.P_variable (qn, st, e) ->
-          Static_context.redeclare_variable static qn st e
-      | Ast.P_function f -> Static_context.declare_function static f
-      | Ast.P_option (qn, v) -> Static_context.set_option static qn v
-      | Ast.P_module_import { prefix; uri; locations } ->
-          (match prefix with
-          | Some prefix -> Static_context.declare_namespace static ~prefix ~uri
-          | None -> ());
-          load_module static ~uri ~locations)
-    prog.Ast.prolog
 
 (* Switches such as join planning and compiled evaluation change what
    [compile] produces, so the whole ablation record keys the cache:
@@ -130,8 +132,8 @@ let compile_cached ?(optimize = true) ?static source =
     let key = cache_key ~optimize fp source in
     match Query_cache.find query_cache key with
     | Some (prog, code) ->
-        Obs.Trace.with_span "engine.cache-replay" (fun () -> replay prog static);
-        { prog; static; code }
+        let decls = Obs.Trace.with_span "engine.install" (fun () -> install prog static) in
+        { prog; static; decls; code }
     | None ->
         let c = compile ~optimize ~static source in
         Query_cache.add query_cache key ~cost:(String.length source)
@@ -151,9 +153,11 @@ let code compiled =
         Compile.body = Option.map reference compiled.prog.Ast.body;
         fns = [];
         globals =
-          List.map
-            (fun (qn, st, init) -> (qn, st, Option.map reference init))
-            (Static_context.global_variables compiled.static);
+          List.filter_map
+            (function
+              | Ast.P_variable (qn, st, init) -> Some (qn, st, Option.map reference init)
+              | _ -> None)
+            compiled.decls;
       }
 
 let install_functions ctx compiled =

@@ -10,26 +10,44 @@ open Xmlb
 type compiled = {
   prog : Ast.prog;
   static : Static_context.t;
+  decls : Ast.prolog_decl list;
+      (** the functions and variables {!install} added to [static] for
+          this program, in declaration order, imported modules'
+          included *)
   code : Compile.prog_code option;
-      (** closure code of the body, functions and globals; [None]
-          when compiled evaluation was off at compile time *)
+      (** closure code of the body and of [decls]; [None] when
+          compiled evaluation was off at compile time *)
 }
 
 (* The evaluator is chosen by [Ablation.current]'s [compiled_eval]
    field. On (the default), {!compile} closure-compiles the program —
-   its body, every function and global-variable initializer of its
-   static context, updates, scripting and streaming included — and
-   every entry point below runs that code. Off, nothing is compiled and
-   the eager reference evaluator {!Eval.eval} runs instead: the oracle
-   the differential tests compare production against (CLI
+   its body and the functions and global-variable initializers it
+   declared, updates, scripting and streaming included — and every
+   entry point below runs that code. Off, nothing is compiled and the
+   eager reference evaluator {!Eval.eval} runs instead: the oracle the
+   differential tests compare production against (CLI
    [--no-compiled-eval]). *)
 
 (** A fresh static context with the standard namespaces. *)
 val default_static : unit -> Static_context.t
 
-(** Compile a main or library module. Prolog declarations (functions,
-    variables, options, imports) are recorded in the static context.
-    [optimize] (default true) runs the rewrite pass. *)
+(** Add a parsed program's prolog to [static] — the only function that
+    does. First every module the prolog imports, directly or through
+    another module, that [static] has not imported yet is resolved and
+    parsed; this step raises (XQST0059 for a module it cannot locate)
+    and writes nothing. Then it declares the prolog's namespaces,
+    defaults, options and import prefixes, marks the imports imported
+    and declares the functions and variables of the program and of
+    the modules it imports — not those modules' own namespaces,
+    defaults or options. Returns the function and variable
+    declarations added, in order. *)
+val install : Ast.prog -> Static_context.t -> Ast.prolog_decl list
+
+(** Compile a main or library module: parse and optimize it without
+    touching [static], {!install} its prolog, then closure-compile the
+    body and the declarations {!install} returned. A compile that
+    raises leaves [static] as it was. [optimize] (default true) runs
+    the rewrite pass. *)
 val compile : ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 
 (** The process-wide compiled-query cache, keyed by (optimize flag,
@@ -42,13 +60,14 @@ val compile : ?optimize:bool -> ?static:Static_context.t -> string -> compiled
     registration keys must {!Query_cache.invalidate} it. *)
 val query_cache : (Ast.prog * Compile.prog_code option) Query_cache.t
 
-(** Like {!compile}, but consults {!query_cache} first. On a hit the
-    cached program's prolog is replayed into [static] — reproducing
-    the parser's registrations without re-parsing — and the returned
-    artifact carries the caller's context. On a miss it compiles,
-    stores the program and code, and behaves exactly like {!compile}.
-    Falls back to {!compile} while [Ablation.current]'s [query_cache]
-    field is off (CLI [--no-query-cache]). *)
+(** Like {!compile}, but consults {!query_cache} first. A hit
+    {!install}s the cached program in [static] without re-parsing and
+    returns it with the cached code and the caller's context; equal
+    fingerprints mean the install adds what the cached code covers. On
+    a miss it compiles, stores the program and code, and behaves
+    exactly like {!compile}. Falls back to {!compile} while
+    [Ablation.current]'s [query_cache] field is off (CLI
+    [--no-query-cache]). *)
 val compile_cached :
   ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 
@@ -62,12 +81,12 @@ val context_for :
   compiled ->
   Dynamic_context.t
 
-(** Install the program's compiled function bodies into a dynamic
-    context (which {!context_for} does for a fresh one); no-op for the
-    reference evaluator. *)
+(** Install the compiled bodies of the functions the program declared
+    into a dynamic context (which {!context_for} does for a fresh one);
+    no-op for the reference evaluator. *)
 val install_functions : Dynamic_context.t -> compiled -> unit
 
-(** Evaluate the program's global variables in declaration order
+(** Evaluate the global variables the program declared, in order
     (external ones take their value from [bindings], checked against
     the declared type) and bind them in the context. [strict] (default
     true) raises XPDY0002 for an external variable without a value;

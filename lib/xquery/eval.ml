@@ -1245,7 +1245,7 @@ and call_user_function_ast ctx (decl : Ast.function_decl) args =
       | _, Some e -> eval fctx e)
 
 and make_listener ctx qn =
-  let invoke ?memo ?key mk_args =
+  let invoke ?memo mk_args =
     let arity_for n = Static_context.find_function ctx.D.static qn ~arity:n in
     (* pad/truncate the provided arguments to a declared arity *)
     let fit args =
@@ -1287,23 +1287,15 @@ and make_listener ctx qn =
     in
     match memo with
     | None -> run_plain (fit (mk_args ()))
-    | Some m -> (
-        (* the host's precomputed key lets a Skip happen before the
-           argument thunk is even forced; without one, force the
-           arguments and fingerprint them structurally *)
-        let akey, args =
-          match key with
-          | Some k -> (k, lazy (fit (mk_args ())))
-          | None ->
-              let a = fit (mk_args ()) in
-              (Reactive.args_key a, lazy a)
-        in
+    | Some (m, akey) -> (
+        (* the host's key determines the arguments, so a Skip happens
+           before the argument thunk is even forced *)
         match Reactive.decide m ~args_key:akey with
         | Reactive.Skip -> Obs.Metrics.incr Reactive.skips
         | Reactive.Run_plain ->
             Obs.Metrics.incr Reactive.reruns;
-            run_plain (Lazy.force args)
-        | Reactive.Run_recorded -> run_recorded m akey (Lazy.force args))
+            run_plain (fit (mk_args ()))
+        | Reactive.Run_recorded -> run_recorded m akey (fit (mk_args ())))
   in
   { D.listener_name = qn; invoke }
 

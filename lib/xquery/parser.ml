@@ -1,7 +1,23 @@
 open Xmlb
 module L = Lexer
 
-type state = { lx : L.t; sctx : Static_context.t; mutable env : Qname.Env.t }
+(* The parser reads the static context once, when it starts, and keeps
+   the effects of the prolog it reads in its own state: it writes
+   nothing to the context and loads no module. *)
+type state = {
+  lx : L.t;
+  mutable env : Qname.Env.t;
+  mutable default_fun_ns : string;
+  mutable boundary_preserve : bool;
+}
+
+let start sctx source =
+  {
+    lx = L.create source;
+    env = Static_context.ns_env sctx;
+    default_fun_ns = Static_context.default_function_ns sctx;
+    boundary_preserve = Static_context.boundary_space_preserve sctx;
+  }
 
 let fail_with code st fmt =
   let line, col = L.position st.lx in
@@ -87,8 +103,7 @@ let resolve_other st qn = resolve_with st ~use_default:false qn
 let resolve_function st qn =
   match (qn.Qname.uri, qn.Qname.prefix) with
   | Some _, _ -> qn
-  | None, None ->
-      Qname.with_uri qn (Some (Static_context.default_function_ns st.sctx))
+  | None, None -> Qname.with_uri qn (Some st.default_fun_ns)
   | None, Some _ -> resolve_other st qn
 
 let qname_of_token st = function
@@ -1269,7 +1284,7 @@ and parse_direct_content st open_name =
   let lx = st.lx in
   let buf = Buffer.create 32 in
   let children = ref [] in
-  let boundary_preserve = Static_context.boundary_space_preserve st.sctx in
+  let boundary_preserve = st.boundary_preserve in
   let flush_text () =
     if Buffer.length buf > 0 then begin
       let text = unescape st (Buffer.contents buf) in
@@ -1394,23 +1409,17 @@ let parse_module_decl st =
         in
         digits ();
         if Buffer.length buf = 0 then fail st "expected a port number";
-        Some (int_of_string (Buffer.contents buf))
+        match int_of_string_opt (Buffer.contents buf) with
+        | Some p -> Some p
+        | None -> fail st "port number %s is out of range" (Buffer.contents buf)
       end
       else None
     in
     expect st L.T_semi "';'";
-    Static_context.declare_namespace st.sctx ~prefix ~uri;
-    st.env <- Static_context.ns_env st.sctx;
+    st.env <- Qname.Env.bind st.env ~prefix ~uri;
     Some { Ast.mod_prefix = prefix; mod_uri = uri; mod_port = port }
   end
   else None
-
-(* import handling is a forward reference: filled in by Engine to tie
-   the knot between parsing and module loading. *)
-let module_loader :
-    (Static_context.t -> uri:string -> locations:string list -> unit) ref =
-  ref (fun _ ~uri ~locations:_ ->
-      Xq_error.raise_error "XQST0059" "cannot resolve module %S (no loader)" uri)
 
 let rec parse_prolog st acc =
   match (peek st, peek2 st) with
@@ -1421,8 +1430,7 @@ let rec parse_prolog st acc =
       expect st L.T_eq "'='";
       let uri = expect_string st in
       expect st L.T_semi "';'";
-      Static_context.declare_namespace st.sctx ~prefix ~uri;
-      st.env <- Static_context.ns_env st.sctx;
+      st.env <- Qname.Env.bind st.env ~prefix ~uri;
       parse_prolog st (Ast.P_namespace (prefix, uri) :: acc)
   | L.T_name "declare", L.T_name "default" ->
       ignore (next st);
@@ -1431,8 +1439,7 @@ let rec parse_prolog st acc =
         expect_kw st "namespace";
         let uri = expect_string st in
         expect st L.T_semi "';'";
-        Static_context.declare_default_element_ns st.sctx uri;
-        st.env <- Static_context.ns_env st.sctx;
+        st.env <- Qname.Env.bind_default st.env ~uri:(Some uri);
         parse_prolog st (Ast.P_default_element_ns uri :: acc)
       end
       else begin
@@ -1440,7 +1447,7 @@ let rec parse_prolog st acc =
         expect_kw st "namespace";
         let uri = expect_string st in
         expect st L.T_semi "';'";
-        Static_context.declare_default_function_ns st.sctx uri;
+        st.default_fun_ns <- uri;
         parse_prolog st (Ast.P_default_function_ns uri :: acc)
       end
   | L.T_name "declare", L.T_name "boundary-space" ->
@@ -1454,7 +1461,7 @@ let rec parse_prolog st acc =
         end
       in
       expect st L.T_semi "';'";
-      Static_context.set_boundary_space_preserve st.sctx preserve;
+      st.boundary_preserve <- preserve;
       parse_prolog st (Ast.P_boundary_space_preserve preserve :: acc)
   | L.T_name "declare", L.T_name "option" ->
       ignore (next st);
@@ -1462,7 +1469,6 @@ let rec parse_prolog st acc =
       let qn = resolve_function st (expect_qname st) in
       let v = expect_string st in
       expect st L.T_semi "';'";
-      Static_context.set_option st.sctx qn v;
       parse_prolog st (Ast.P_option (qn, v) :: acc)
   | L.T_name "declare", L.T_name "variable" ->
       ignore (next st);
@@ -1479,7 +1485,6 @@ let rec parse_prolog st acc =
         end
       in
       expect st L.T_semi "';'";
-      Static_context.declare_variable st.sctx var var_type init;
       parse_prolog st (Ast.P_variable (var, var_type, init) :: acc)
   | L.T_name "declare", L.T_name ("function" | "updating" | "sequential") ->
       ignore (next st);
@@ -1527,7 +1532,6 @@ let rec parse_prolog st acc =
       in
       expect st L.T_semi "';'";
       let decl = { Ast.fname; params; return_type; body; kind } in
-      Static_context.declare_function st.sctx decl;
       parse_prolog st (Ast.P_function decl :: acc)
   | L.T_name "import", L.T_name "module" ->
       ignore (next st);
@@ -1552,17 +1556,12 @@ let rec parse_prolog st acc =
         else []
       in
       expect st L.T_semi "';'";
-      (match prefix with
-      | Some p ->
-          Static_context.declare_namespace st.sctx ~prefix:p ~uri;
-          st.env <- Static_context.ns_env st.sctx
-      | None -> ());
-      !module_loader st.sctx ~uri ~locations;
+      Option.iter (fun p -> st.env <- Qname.Env.bind st.env ~prefix:p ~uri) prefix;
       parse_prolog st (Ast.P_module_import { prefix; uri; locations } :: acc)
   | _ -> List.rev acc
 
 let parse_program sctx source =
-  let st = { lx = L.create source; sctx; env = Static_context.ns_env sctx } in
+  let st = start sctx source in
   parse_version_decl st;
   let library_module = parse_module_decl st in
   let prolog = parse_prolog st [] in
@@ -1585,7 +1584,7 @@ let parse_program sctx source =
   { Ast.library_module; prolog; body }
 
 let parse_expression sctx source =
-  let st = { lx = L.create source; sctx; env = Static_context.ns_env sctx } in
+  let st = start sctx source in
   let e = parse_expr st in
   if peek st <> L.T_eof then
     fail st "unexpected trailing input: %s" (L.token_to_string (peek st));

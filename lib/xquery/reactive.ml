@@ -18,7 +18,6 @@
    and its footprint with the closure. *)
 
 module I = Xdm_item
-module A = Xdm_atomic
 
 type memo = {
   mutable fp : Footprint.read option;
@@ -85,26 +84,6 @@ let () =
     ]
 
 let impure_builtin_sym (sym : Xmlb.Sym.t) = Hashtbl.mem impure_syms (sym :> int)
-
-(* ------------------------------------------------------------------ *)
-(* Fingerprints                                                        *)
-
-(* Argument fingerprint. Parented (or document) nodes fingerprint by
-   identity: everything reachable from them is covered by the recorded
-   footprint. Parentless non-document nodes are fresh per-dispatch trees
-   (the $evt node) whose identity changes every dispatch even when the
-   content is identical — fingerprint those by serialized content. *)
-let item_key = function
-  | I.Node n -> (
-      match (Dom.kind n, Dom.parent n) with
-      | Dom.Document, _ -> "d" ^ string_of_int (Dom.id n)
-      | _, Some _ -> "n" ^ string_of_int (Dom.id n)
-      | _, None -> "f:" ^ Dom.serialize n)
-  | I.Atomic a -> "a:" ^ A.type_name (A.type_of a) ^ ":" ^ A.to_string a
-
-let args_key (args : I.sequence list) =
-  String.concat "|"
-    (List.map (fun seq -> String.concat "," (List.map item_key seq)) args)
 
 (* ------------------------------------------------------------------ *)
 (* Run protocol (driven by Eval.make_listener)                         *)

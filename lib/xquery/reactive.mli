@@ -36,7 +36,6 @@ val decide : memo -> args_key:string -> decision
     (documents, clocks, trace), by their pre-interned local-name
     symbol: calling one poisons the run. *)
 val impure_builtin_sym : Xmlb.Sym.t -> bool
-val args_key : Xdm_item.sequence list -> string
 
 (** The registry counters [reactive.skip] and [reactive.rerun], bumped
     by the dispatcher. *)

@@ -44,20 +44,6 @@ let declare_default_element_ns t uri =
 let declare_default_function_ns t uri = t.default_fun_ns <- uri
 let default_function_ns t = t.default_fun_ns
 
-let resolve t ~kind qn =
-  match qn.Qname.uri with
-  | Some _ -> qn
-  | None -> (
-      match (qn.Qname.prefix, kind) with
-      | None, `Function -> Qname.with_uri qn (Some t.default_fun_ns)
-      | None, `Element -> Qname.with_uri qn (Qname.Env.default t.ns)
-      | None, `Other -> qn
-      | Some p, _ -> (
-          match Qname.Env.lookup t.ns p with
-          | Some uri -> Qname.with_uri qn (Some uri)
-          | None ->
-              Xq_error.raise_error Xq_error.syntax "unbound namespace prefix %S" p))
-
 (* Function tables are keyed by (uri sym, local sym, arity) int triples
    built from the Qname's pre-interned symbols — no Clark-string
    allocation per declaration or lookup. *)
@@ -71,23 +57,14 @@ let find_function t qn ~arity = Hashtbl.find_opt t.functions (key qn arity)
 let declared_functions t =
   Hashtbl.fold (fun _ f acc -> f :: acc) t.functions []
 
-let declare_variable t qn st e = t.variables <- t.variables @ [ (qn, st, e) ]
-
-let redeclare_variable t qn st e =
-  if List.exists (fun (q, _, _) -> Qname.equal q qn) t.variables then
-    t.variables <-
-      List.map
-        (fun (q, st0, e0) -> if Qname.equal q qn then (q, st, e) else (q, st0, e0))
-        t.variables
-  else declare_variable t qn st e
+let declare_variable t qn st e =
+  t.variables <-
+    (if List.exists (fun (q, _, _) -> Qname.equal q qn) t.variables then
+       List.map (fun ((q, _, _) as v) -> if Qname.equal q qn then (q, st, e) else v) t.variables
+     else t.variables @ [ (qn, st, e) ])
 
 let global_variables t = t.variables
 let set_option t qn v = t.options <- (qn, v) :: t.options
-
-let get_option t qn =
-  List.find_map
-    (fun (q, v) -> if Qname.equal q qn then Some v else None)
-    t.options
 
 let set_boundary_space_preserve t b = t.boundary_space <- b
 let boundary_space_preserve t = t.boundary_space

@@ -25,24 +25,19 @@ val declare_default_element_ns : t -> string -> unit
 val declare_default_function_ns : t -> string -> unit
 val default_function_ns : t -> string
 
-(** Resolve a QName; [kind] selects which default namespace applies. *)
-val resolve : t -> kind:[ `Element | `Function | `Other ] -> Qname.t -> Qname.t
-
 (** {1 Declarations} *)
 
 val declare_function : t -> Ast.function_decl -> unit
 val find_function : t -> Qname.t -> arity:int -> Ast.function_decl option
 val declared_functions : t -> Ast.function_decl list
-val declare_variable : t -> Qname.t -> Ast.seq_type option -> Ast.expr option -> unit
 
-(** Replace an existing declaration in place (keeping evaluation
-    order), or append if the variable is new. Used to swap in
-    optimized initializers and to replay cached compilations. *)
-val redeclare_variable : t -> Qname.t -> Ast.seq_type option -> Ast.expr option -> unit
+(** Declare a global variable: a variable already declared is replaced
+    where it stands (so the evaluation order is kept), a new one is
+    appended. *)
+val declare_variable : t -> Qname.t -> Ast.seq_type option -> Ast.expr option -> unit
 
 val global_variables : t -> (Qname.t * Ast.seq_type option * Ast.expr option) list
 val set_option : t -> Qname.t -> string -> unit
-val get_option : t -> Qname.t -> string option
 val set_boundary_space_preserve : t -> bool -> unit
 val boundary_space_preserve : t -> bool
 

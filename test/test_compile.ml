@@ -208,13 +208,15 @@ let function_tests =
               (List.length (Dom.get_elements_by_local_name doc "hit"))));
     t "perfbench's page-load and click scripts compile whole" (fun () ->
         (* every node of the scripts the end-to-end workloads run is
-           closure code, and every function they declare has a
-           compiled body *)
-        let check_page html =
+           closure code, and every function a page context can call —
+           earlier scripts' and imported modules' too — has a compiled
+           body *)
+        let check_page ?(setup = ignore) html =
           Ablation.with_ { Ablation.current with compiled_eval = true } (fun () ->
               let stat k = List.assoc k (Compile.stats ()) in
               let nodes = stat "nodes" in
               let b = Xqib.Browser.create () in
+              setup b;
               Xqib.Page.load b html;
               check (Alcotest.list Alcotest.string) "no script errors" [] b.Xqib.Browser.script_errors;
               check Alcotest.bool "closure nodes emitted" true (stat "nodes" > nodes);
@@ -232,7 +234,28 @@ let function_tests =
                 declared)
         in
         check_page (Gen.pages ~seed:11 ~n:1).(0).Gen.html;
-        check_page (Gen.click_input ~seed:11 ~ops:10).Gen.html);
+        check_page (Gen.click_input ~seed:11 ~ops:10).Gen.html;
+        let script src = {|<script type="text/xquery">|} ^ src ^ "</script>" in
+        let page scripts = "<html><head>" ^ String.concat "" scripts ^ "</head><body/></html>" in
+        check_page
+          (page
+             [
+               script "declare function local:a($x) { $x + 1 }; declare variable $g := local:a(1); ()";
+               script "declare function local:b() { local:a($g) }; local:b()";
+               script "declare function local:c() { local:b() * 2 }; local:c()";
+             ]);
+        check_page
+          ~setup:(fun b ->
+            Http_sim.register_doc b.Xqib.Browser.http ~uri:"http://libs.example/lib.xq"
+              ~content_type:"application/xquery"
+              {|module namespace lib = "urn:lib"; declare function lib:f($x) { $x * 2 };
+                declare function lib:g() { lib:f(21) };|})
+          (page
+             [
+               script
+                 {|import module namespace m = "urn:lib" at "http://libs.example/lib.xq";
+                   declare function local:h() { m:g() }; local:h()|};
+             ]));
   ]
 
 (* ---------- browser wiring and stats ---------- *)

@@ -1,9 +1,10 @@
 (* The compiled-query cache: LRU/generation mechanics of Query_cache
-   itself, Engine.compile_cached replay semantics, cache transparency
-   (same results cache-on and cache-off), and the engine bugfixes that
-   rode along: external variables must raise XPDY0002 when unbound and
-   be type-coerced when bound, and optimized variable initializers must
-   be re-registered after the rewrite pass. *)
+   itself, Engine.compile_cached hit semantics (a hit installs the
+   cached prolog), cache transparency (same results cache-on and
+   cache-off), and the engine bugfixes that rode along: external
+   variables must raise XPDY0002 when unbound and be type-coerced when
+   bound, and the static context must hold the optimized function
+   bodies and variable initializers. *)
 
 open Xquery
 module A = Xdm_atomic
@@ -254,7 +255,7 @@ let external_var_tests =
             | exception Xq_error.Error _ -> ()));
   ]
 
-(* ---------- engine bugfix: optimized initializers re-registered ---------- *)
+(* ---------- the static context holds the optimized declarations ---------- *)
 
 let reregistration_tests =
   [
