@@ -52,8 +52,9 @@
 # (50x): it fails if, after any step of a random stream of every DOM
 # mutator (detached subtrees mutated and re-inserted included), a
 # maintained cache — document-order labels, id and name buckets,
-# attribute and text value buckets, block render memos — answers
-# differently from a from-scratch rebuild or a fresh render.
+# attribute and text value buckets, block render memos patched after
+# writes — answers differently from a from-scratch rebuild or a fresh
+# render.
 # The compile line runs the evaluator differential at its long count
 # (20x): it fails if, on any generated query — top-level updates and
 # transforms, sequential functions with declare/set/while/break/
@@ -95,10 +96,16 @@
 # type, buttons with nested markup and newlines, images, links, tables,
 # pre, rules, breaks and the skipped elements) with hidden styles,
 # words longer than the width and tabs, CRs and form feeds in text, at
-# a random width and show_hidden, render or render_cached (also after
-# a few writes) differs from the from-scratch oracle; or if a cold
-# render of a 2 000-item page allocates more than 35 minor words per
-# element or more than 1.2x its figure at 200 items.
+# a random width (0 included) and show_hidden, with a list long enough
+# to be kept in chunks, render or render_cached differs from the
+# from-scratch oracle — after each run of writes (new blocks inserted
+# first or before a block sibling among them), and again with no write
+# between, so patched memos and reused one-leaf blocks are both
+# checked; or if a cold render of a 2 000-item page allocates more than
+# 35 minor words per element or more than 1.2x its figure at 200
+# items; or if a buy-shaped write and render at a 5 000-item cart costs
+# more than 1.2x the elements rendered, leaves copied out or minor
+# words of one at a 500-item cart.
 # The data-model line runs the data model's properties at their long
 # count (20x): it fails if a cast at any target type, castable, an
 # arithmetic operator, negate, a value comparison, an effective boolean

@@ -11,14 +11,34 @@
     A block element's lines depend only on its subtree and the options,
     because inline text is flushed before and after it. {!render_cached}
     therefore keeps each block's output in the document's memo tables
-    ({!Dom.memo_table}), which every DOM write keeps by dropping the
-    memos on its ancestor chain: a re-render after a write re-renders
-    only the blocks on the written paths and copies the rest. The
-    output is a rope whose pieces carry their byte length, so the page
-    text is allocated once, at its size, and each piece is copied into
-    it once. Counters: [render.memo.hit]/[render.memo.miss] for
-    whole-page reuse, [render.block.hit]/[render.block.miss] for block
-    reuse, and [render.elements] for the elements a render visited.
+    ({!Dom.memo_table}). A block's memo is looked up right after the
+    element is classified by name, so a memo no write has marked is
+    reused without reading an attribute.
+
+    A DOM write does not drop the memos on its ancestor chain: it marks
+    each with the child it came through, and the written node's memo
+    with the fact that the node itself changed. A re-render patches a
+    marked memo instead of rebuilding it. The children of a block that
+    flows them (a [Block] or [Item]: [div], [ul], [li], …) are kept in
+    chunks of about 32, cut where no inline words are pending, as
+    [Dom]'s buckets keep nodes in chunks. A patch lines the children up
+    with the chunks by node identity, renders again only the chunks a
+    write came through or changed (with their neighbours when they grow
+    too small, split when too large), and reuses every other chunk
+    whole.
+
+    The output is a rope whose pieces carry their byte length, so the
+    page text is allocated once, at its size, and each piece is copied
+    into it once. A reused piece is copied out as one leaf: a block's
+    piece becomes a leaf of its text the first time it is reused, and a
+    run of reused chunks becomes slices of one string. An unwritten
+    block therefore costs one leaf whatever its size, and a written one
+    what the write touched.
+
+    Counters: [render.memo.hit]/[render.memo.miss] for whole-page
+    reuse, [render.block.hit]/[render.block.miss] for block memos found
+    unmarked or not, [render.elements] for the elements a render
+    visited, and [render.copy.leaves] for the leaves copied out.
 
     Used by the CLI ([xqib page --render]), by the browser after every
     event, and by the F1 bench to give the render stage a real cost. *)
@@ -33,9 +53,10 @@ val default_options : options
 (** Render a document (or element subtree) to text. *)
 val render : ?options:options -> Dom.node -> string
 
-(** Like {!render}, with the page text and each block's output kept
-    in the memo tables of the node's tree, one pair per option set. A
-    render of a node nothing under which was written since the last one
-    is a lookup; otherwise only the blocks whose memos a write dropped
-    are re-rendered. The result always equals {!render}'s. *)
+(** Like {!render}, with the page text and each block's memo kept in
+    the memo tables of the node's tree, one pair per option set, named
+    from the options on each call and freed with the document. A render
+    of a node nothing under which was written since the last one is a
+    lookup; otherwise only what the writes marked is rendered again.
+    The result always equals {!render}'s. *)
 val render_cached : ?options:options -> Dom.node -> string

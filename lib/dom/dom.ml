@@ -47,8 +47,16 @@ and accel = {
          probes [elems.by_id] answers): value -> owning elements *)
   text_values : (int, text_index) Hashtbl.t;
       (* per probed element local-name symbol *)
-  mutable memos : (string * (int, memo) Hashtbl.t) list;
+  mutable memos : (string * (int, memo_entry) Hashtbl.t) list;
       (* the layers' memo tables, by client key: nid -> memo *)
+}
+
+(* A memo and the writes made under its node since it was stored; see
+   "Subtree memos". *)
+and memo_entry = {
+  mutable value : memo;
+  mutable through : node list;
+  mutable changed : bool;
 }
 
 and elems = {
@@ -84,7 +92,7 @@ and payload =
   | P_attribute of { mutable aname : Qname.t; mutable avalue : string }
   | P_text of { mutable tcontent : string }
   | P_comment of { mutable ccontent : string }
-  | P_pi of { target : string; mutable pcontent : string }
+  | P_pi of { mutable target : string; mutable pcontent : string }
 
 and mutation =
   | Children_changed of node
@@ -845,8 +853,12 @@ let equal a b = a == b
 (* ------------------------------------------------------------------ *)
 (* Subtree memos: tables the layers above keep on the per-root record,
    one per client key, mapping a node to a value derived from its
-   subtree. Every write drops the entries of the nodes on its ancestor
-   chain and of the nodes it unlinks, so an entry found is current. *)
+   subtree. A write marks the entries on its chain with what it
+   changed under them (see [mark_memos]) and drops the entries of the
+   nodes it unlinks, so an entry found unmarked is current. *)
+
+(* the tables a tree keeps; a new key drops the oldest beyond these *)
+let memo_tables_kept = 8
 
 let memo_table n key =
   let s = accel_of (root n) in
@@ -854,7 +866,7 @@ let memo_table n key =
   | Some t -> t
   | None ->
       let t = Hashtbl.create 64 in
-      s.memos <- (key, t) :: s.memos;
+      s.memos <- (key, t) :: List.filteri (fun i _ -> i < memo_tables_kept - 1) s.memos;
       t
 
 (* ------------------------------------------------------------------ *)
@@ -929,7 +941,7 @@ let with_batch f =
    id and name buckets, the value buckets of the names probed so far,
    memos — and feeds the footprint write record the local names, ids
    and attribute keys it touched. The record's chain is the mutation
-   point's ancestor-or-self chain, whose memos [begin_write] drops. A
+   point's ancestor-or-self chain, whose memos [begin_write] marks. A
    tree with no caches and no registered footprint does no upkeep. *)
 
 type write = {
@@ -938,18 +950,34 @@ type write = {
   wfp : Footprint.wrec option;  (* the footprint write record, if captured *)
 }
 
+(* The entry of the mutation point records that the node itself
+   changed; each ancestor's records the child the write came through,
+   once, and an attribute's owner counts as changed itself. *)
+let mark_memos s point =
+  List.iter
+    (fun (_, t) ->
+      (match Hashtbl.find_opt t point.nid with Some e -> e.changed <- true | None -> ());
+      let rec up child =
+        match child.nparent with
+        | None -> ()
+        | Some p ->
+            (match Hashtbl.find_opt t p.nid with
+            | Some e -> (
+                match child.nkind with
+                | P_attribute _ -> e.changed <- true
+                | _ -> if not (List.memq child e.through) then e.through <- child :: e.through)
+            | None -> ());
+            up p
+      in
+      up point)
+    s.memos
+
 let begin_write ?(capture = true) point =
   let r = root point in
   match r.nside with
   | Bare | Slotted _ -> { wroot = r; ws = None; wfp = None }
   | Rooted s ->
-      if s.memos <> [] then begin
-        let rec drop n =
-          List.iter (fun (_, t) -> Hashtbl.remove t n.nid) s.memos;
-          Option.iter drop n.nparent
-        in
-        drop point
-      end;
+      if s.memos <> [] then mark_memos s point;
       let wfp =
         if capture && Footprint.capturing s.watch then
           Some
@@ -1134,7 +1162,14 @@ let detach ?w n =
           match p.nkind with
           | P_element e -> e.eattrs <- List.filter (fun a -> a != n) e.eattrs
           | _ -> ())
-      | _ -> retext w p (fun () -> set_children p (List.filter (fun c -> c != n) (children p))));
+      | _ ->
+          (* the cells after [n] are kept: a render memo reusing the
+             children after it finds them unchanged *)
+          let[@tail_mod_cons] rec without = function
+            | [] -> []
+            | c :: rest -> if c == n then rest else c :: without rest
+          in
+          retext w p (fun () -> set_children p (without (children p))));
       n.nparent <- None;
       unlinked w ~from:p n
 
@@ -1322,8 +1357,12 @@ let rename n qn =
       let w = begin_write n in
       rekey_attr w n (fun () -> a.aname <- qn);
       end_write w (Renamed n)
-  | P_document _ | P_text _ | P_comment _ | P_pi _ ->
-      err "only elements and attributes can be renamed"
+  | P_pi p ->
+      let w = begin_write n in
+      p.target <- qn.Qname.local;
+      end_write w (Renamed n)
+  | P_document _ | P_text _ | P_comment _ ->
+      err "only elements, attributes and processing instructions can be renamed"
 
 let set_attribute el qn v =
   match el.nkind with

@@ -211,15 +211,30 @@ val elements_by_text_value_sym :
     Tables the layers above keep on the per-root record, freed with
     the document: one per client key, mapping a node's id to a value
     derived from its subtree (the renderer keeps each block element's
-    output there). Every mutation drops the entries of the nodes on its
-    ancestor-or-self chain and of every node it unlinks, so an entry
-    found is current. *)
+    output there). A mutation does not drop the entries on its
+    ancestor-or-self chain; it marks them with what it changed, so a
+    client can patch its value instead of rebuilding it:
+    - the mutation point's entry gets [changed] (its children,
+      attributes, name or value changed);
+    - each ancestor's entry gets the child the write came through in
+      [through], once however many writes came that way; an
+      attribute's owner gets [changed] instead.
+    The entries of every node a mutation unlinks are dropped, so an
+    entry found with no marks is current. A client that has brought
+    its value up to date clears the marks. *)
 
 type memo = ..
 
+type memo_entry = {
+  mutable value : memo;
+  mutable through : node list;  (** children that writes came through *)
+  mutable changed : bool;  (** the node itself was written *)
+}
+
 (** The memo table named [key] of the tree containing the node,
-    created empty on first use. *)
-val memo_table : node -> string -> (int, memo) Hashtbl.t
+    created empty on first use. A tree keeps the tables of its last
+    eight keys: a new key drops the oldest table beyond them. *)
+val memo_table : node -> string -> (int, memo_entry) Hashtbl.t
 
 val is_ancestor : ancestor:node -> node -> bool
 val equal : node -> node -> bool
@@ -272,6 +287,9 @@ val replace : node -> node list -> unit
     (XQUF [replace value of node] semantics). *)
 val set_value : node -> string -> unit
 
+(** Rename an element or attribute, or set a processing
+    instruction's target to the name's local part.
+    @raise Dom_error for any other kind of node. *)
 val rename : node -> Qname.t -> unit
 
 (** Sets (or replaces) an attribute on an element. *)

@@ -217,6 +217,17 @@ type prog = {
   body : expr option;  (** main modules have a body *)
 }
 
+(** The updating forms themselves, whatever their operands. Any other
+    form but a transform (which asks only its [return]), a full-text
+    [contains] (only its subject) and a style read (never) is updating
+    exactly when one of its operands is, so a bottom-up pass can tell
+    each node from its operands' answers. *)
+let updates_itself = function
+  | E_insert _ | E_delete _ | E_replace _ | E_rename _ | E_block _ | E_event_attach _
+  | E_event_detach _ | E_event_trigger _ | E_set_style _ ->
+      true
+  | _ -> false
+
 (** Does evaluation of this expression (transitively, ignoring function
     bodies) contain updating constructs? Used by the optimizer to know
     which rewrites are safe. *)

@@ -147,7 +147,7 @@ let ordered_path (lhs : C.t) axis =
 
 (* does [emit_seq] produce [c]'s items lazily? *)
 let streams (c : C.t) =
-  (not (Ast.is_updating c.C.ast))
+  (not c.C.upd)
   &&
   match c.C.d with
   | C.C_sequence _ | C.C_range _ | C.C_if _ | C.C_step _ | C.C_filter _ -> true
@@ -280,6 +280,7 @@ let rec emit (c : C.t) : env -> I.sequence =
       let fa = emit a in
       fun env -> Eval.cast ty optional (fa env)
   | C.C_step (axis, test, preds, ast_preds) ->
+      with_bounded_take c @@ fun () ->
       let pfs = List.map emit preds in
       let scan env =
         match D.focus_item env.ctx with
@@ -295,27 +296,27 @@ let rec emit (c : C.t) : env -> I.sequence =
                   (List.map (fun m -> I.Node m) (Eval.step_nodes axis test n))
                   pfs)
       in
-      with_bounded_take c scan
+      scan
   | C.C_filter (e, preds) ->
+      with_bounded_take c @@ fun () ->
       let fe = emit e in
       let pfs = List.map emit preds in
-      with_bounded_take c (fun env -> apply_preds env (fe env) pfs)
+      fun env -> apply_preds env (fe env) pfs
   | C.C_path (a, b) ->
-      let fa = emit a and fb = emit b in
-      let eager_from env lhs =
-        Eval.path_map
-          (fun item position size ->
-            fb { env with ctx = D.with_focus env.ctx item ~position ~size })
-          lhs
-      in
-      let eager =
+      let eager () =
+        let fa = emit a and fb = emit b in
+        let eager_from env lhs =
+          Eval.path_map
+            (fun item position size ->
+              fb { env with ctx = D.with_focus env.ctx item ~position ~size })
+            lhs
+        in
         (* hot shape: a predicate-free forward step over a singleton
            lhs emits document order directly (the invariant the
            streaming pipeline already relies on, {!Focus_analysis}),
            so the focus rebuild and the doc-order merge both drop out *)
         match b.C.d with
-        | C.C_step (axis, test, [], [])
-          when Focus_analysis.forward_ordered axis -> (
+        | C.C_step (axis, test, [], []) when Focus_analysis.forward_ordered axis -> (
             fun env ->
               match fa env with
               | [] -> []
@@ -323,15 +324,14 @@ let rec emit (c : C.t) : env -> I.sequence =
                   match Eval.step_nodes axis test n with
                   | [ m ] -> [ I.Node m ]
                   | ms -> List.map (fun m -> I.Node m) ms)
-              | [ I.Atomic _ ] ->
-                  type_err "path step applied to an atomic value"
+              | [ I.Atomic _ ] -> type_err "path step applied to an atomic value"
               | lhs -> eager_from env lhs)
         | _ -> fun env -> eager_from env (fa env)
       in
       (* a bounded take at the end of a path streams only when the
          chain is provably ordered: then no re-sort is skipped *)
       if Focus_analysis.seq_class c.C.ast <> `Unknown then with_bounded_take c eager
-      else eager
+      else eager ()
   | C.C_flwor { clauses; where; keys = []; return } ->
       let fret = emit return in
       let leaf =
@@ -651,12 +651,13 @@ and emit_ebv (c : C.t) : env -> bool =
     fun env -> I.effective_boolean (f env)
 
 (* a bounded positional take at the end of a step, filter or path:
-   pull through the cursor and stop at the bound *)
+   pull through the cursor and stop at the bound; otherwise the closure
+   [eager ()] builds *)
 and with_bounded_take (c : C.t) eager =
-  if Focus_analysis.has_bounded_take c.C.ast && not (Ast.is_updating c.C.ast) then
+  if Focus_analysis.has_bounded_take c.C.ast && not c.C.upd then
     let s = emit_seq c in
     fun env -> Xdm_seq.to_list (s env)
-  else eager
+  else eager ()
 
 (* one axis step from [n] as a cursor, its predicates applied lazily *)
 and step_seq axis test preds ast_preds =

@@ -17,15 +17,16 @@
    Every core node keeps the surface expression it was lowered from
    ([ast]): the emitter consults it for the static shape analyses
    (bounded positional takes, sortedness, value-index probes, which
-   forms stream) and for [Ast.is_updating]. The lowering is total: no
-   form is left for another evaluator. *)
+   forms stream). [upd] is [Ast.is_updating] of that expression,
+   found once per node as the lowering returns. The lowering is total:
+   no form is left for another evaluator. *)
 
 open Xmlb
 module A = Xdm_atomic
 
 type slot = int
 
-type t = { d : desc; ast : Ast.expr }
+type t = { d : desc; ast : Ast.expr; upd : bool }
 
 and desc =
   | C_atomic of A.t
@@ -168,8 +169,26 @@ let is_fn_count = function
       Some arg
   | _ -> None
 
+(* Updating nodes lowered so far: a node's operands were updating when
+   it grew while they were lowered. A node that asks only some of its
+   operands sets it back to its own answer. *)
+let updating_lowered = ref 0
+
 let rec of_ast st (scope : scope) (e : Ast.expr) : t =
-  let k d = { d; ast = e } in
+  let before = !updating_lowered in
+  let c = lower_node st scope e in
+  let upd =
+    match (e, c.d) with
+    | Ast.E_transform _, C_transform (_, _, return) -> return.upd
+    | Ast.E_ftcontains _, C_ftcontains (a, _) -> a.upd
+    | Ast.E_get_style _, _ -> false
+    | _ -> Ast.updates_itself e || !updating_lowered > before
+  in
+  updating_lowered := before + Bool.to_int upd;
+  if upd = c.upd then c else { c with upd }
+
+and lower_node st scope e =
+  let k d = { d; ast = e; upd = false } in
   let sub e' = of_ast st scope e' in
   match e with
   | Ast.E_literal a -> k (C_atomic a)
@@ -445,7 +464,7 @@ let lower static ?(params = []) ?(sequential = false) (e : Ast.expr) : t * int =
   let core =
     match e with
     | Ast.E_block stmts when sequential ->
-        { d = C_block (lower_stmts st scope stmts); ast = e }
+        { d = C_block (lower_stmts st scope stmts); ast = e; upd = true }
     | _ -> of_ast st scope e
   in
   (core, st.high)

@@ -729,7 +729,13 @@ let rename ctx pul ~target ~name =
   | Dom.Document | Dom.Text | Dom.Comment ->
       err "XUTY0012" "rename target must be an element, attribute or processing instruction"
   | Dom.Element | Dom.Attribute | Dom.Processing_instruction -> ());
-  Pul.add pul (Pul.Rename (tnode, qname_of_value ctx (I.singleton_atomic (name ()))));
+  let qn = qname_of_value ctx (I.singleton_atomic (name ())) in
+  (match (Dom.kind tnode, qn.Qname.prefix) with
+  | Dom.Processing_instruction, Some p when p <> "" ->
+      err "XUDY0025" "a processing instruction cannot be renamed to the prefixed name %s"
+        (Qname.to_string qn)
+  | _ -> ());
+  Pul.add pul (Pul.Rename (tnode, qn));
   []
 
 (* transform: the copy a [copy $v := e] clause binds *)

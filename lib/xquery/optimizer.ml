@@ -271,10 +271,24 @@ let has_scripting = exists_expr (function Ast.E_block _ -> true | _ -> false)
 (* ------------------------------------------------------------------ *)
 (* the rewrite rules                                                   *)
 
+(* Updating expressions [go] has returned so far: a node's operands
+   were updating when it grew while they were rewritten, so whether
+   each node is updating is found once, bottom up. A transform and a
+   full-text [contains] ask only some operands and are walked. *)
+let updating_returned = ref 0
+
 (* one bottom-up pass; [go] recurses, then local rules fire *)
 let rec go (e : Ast.expr) : Ast.expr =
+  let before = !updating_returned in
   let e = map_children go e in
-  if Ast.is_updating e then e else rules e
+  let updating =
+    match e with
+    | Ast.E_transform _ | Ast.E_ftcontains _ | Ast.E_get_style _ -> Ast.is_updating e
+    | _ -> Ast.updates_itself e || !updating_returned > before
+  in
+  let e = if updating then e else rules e in
+  updating_returned := before + Bool.to_int updating;
+  e
 
 and rules e =
   match e with

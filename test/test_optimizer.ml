@@ -315,6 +315,71 @@ let join_plan_snapshots =
        and ({ declare variable $x := 1; $x = 1 }) return $a";
   ]
 
+(* ---------- compile time per level of nesting ---------- *)
+
+(* [k] levels of [open_ i] around [inner], each closed by [close] *)
+let nested k open_ inner close =
+  let b = Buffer.create (k * 32) in
+  for i = 1 to k do
+    Buffer.add_string b (open_ i)
+  done;
+  Buffer.add_string b inner;
+  for _ = 1 to k do
+    Buffer.add_string b close
+  done;
+  Buffer.contents b
+
+let shapes =
+  [
+    ("constructor", fun k -> nested k (fun _ -> "<a>{") "1" "}</a>");
+    ("if", fun k -> nested k (fun _ -> "if (1) then ") "1" " else 0");
+    ("FLWOR", fun k -> nested k (Printf.sprintf "for $x%d in (1, 2) return ") "1" "");
+    ("predicate", fun k -> nested k (fun _ -> "(1)[") "1" "]");
+    ("nested filter", fun k -> nested k (fun _ -> "(") "1" ")[1]");
+  ]
+
+(* CPU seconds per level to optimize and closure-compile a [k]-deep
+   expression: the best of seven runs, each compiling it [10 000 / k]
+   times. The minor heap is made large enough that no collection runs
+   while the compiler is deep in its recursion: each minor collection
+   scans the whole stack, so at the default size the collector's share
+   grows with the depth however linear the compiler is. *)
+let seconds_per_level src k =
+  let static = Engine.default_static () in
+  let e = Parser.parse_expression static src in
+  let reps = max 1 (10_000 / k) in
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 4 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  let best = ref infinity in
+  for _ = 1 to 7 do
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    for _ = 1 to reps do
+      let f = Compile.compile_expr static (Optimizer.optimize_expr e) in
+      ignore (Sys.opaque_identity [ f ])
+    done;
+    best := Float.min !best (Sys.time () -. t0)
+  done;
+  !best /. float_of_int (reps * k)
+
+let depth_tests =
+  [
+    t "optimize and compile cost the same per level at 10 000 deep as at 1 000" (fun () ->
+        (* times on a shared machine drift: a shape that misses the
+           bound is measured once more before it fails *)
+        let rec holds tries (name, shape) =
+          let small = seconds_per_level (shape 1_000) 1_000
+          and large = seconds_per_level (shape 10_000) 10_000 in
+          if large > 1.5 *. small then
+            if tries > 1 then holds (tries - 1) (name, shape)
+            else
+              Alcotest.failf "%s: %.2f us per level at 10 000 deep, %.2f at 1 000 (bound 1.5x)"
+                name (large *. 1e6) (small *. 1e6)
+        in
+        List.iter (holds 2) shapes);
+  ]
+
 let suite =
   positional_regressions @ fixpoint_tests @ rewrite_tests
-  @ equivalence_properties @ join_plan_snapshots
+  @ equivalence_properties @ join_plan_snapshots @ depth_tests

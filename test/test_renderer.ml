@@ -90,13 +90,18 @@ let rec show = function
 
 let style_qn = Xmlb.Qname.make "style"
 
+(* block elements written in among block siblings *)
+let block_tags = [| "li"; "p"; "div"; "h2"; "tr"; "pre"; "hr"; "LI" |]
+
 (* One write to the document: a new element, a removal, a text's
-   value, a style, or a rename. *)
+   value, a style, a rename, or a new block inserted first into an
+   element or just before a node that has a parent element. *)
 let apply_write doc (op, p, aux) =
   let nodes = Dom.descendants doc in
   let nth l = List.nth l (p mod List.length l) in
   let els = List.filter (fun n -> Dom.kind n = Dom.Element) nodes in
   let text = texts.(aux mod Array.length texts) and tag = tags.(aux mod Array.length tags) in
+  let block () = build (El (block_tags.(aux mod Array.length block_tags), [], [ Tx text ])) in
   match op with
   | 0 -> if els <> [] then Dom.append_child ~parent:(nth els) (build (El (tag, [], [ Tx text ])))
   | 1 -> (
@@ -110,20 +115,55 @@ let apply_write doc (op, p, aux) =
       if els <> [] then
         if aux mod 2 = 0 then Dom.set_attribute (nth els) style_qn "display: none"
         else Dom.remove_attribute (nth els) style_qn
-  | _ -> if els <> [] then Dom.rename (nth els) (Xmlb.Qname.make tag)
+  | 4 -> if els <> [] then Dom.rename (nth els) (Xmlb.Qname.make tag)
+  | 5 -> if els <> [] then Dom.insert_first ~parent:(nth els) (block ())
+  | _ -> (
+      let below_element n =
+        match Dom.parent n with Some q -> Dom.kind q = Dom.Element | None -> false
+      in
+      match List.filter below_element nodes with
+      | [] -> ()
+      | l -> Dom.insert_before ~sibling:(nth l) (block ()))
 
+(* A list long enough to be rendered in several chunks: items of a few
+   shapes, with white space or a word between some of them; at width 0
+   a rule is a blank line, so chunks can meet at blank lines. *)
+let wide_gen =
+  Q.Gen.(
+    map
+      (fun items -> El ("ul", [], List.concat items))
+      (list_size (int_range 40 200)
+         (map2
+            (fun shape text ->
+              match shape with
+              | 0 -> [ El ("li", [], [ Tx text ]) ]
+              | 1 -> [ El ("li", [], [ Tx text ]); Tx "\n" ]
+              | 2 -> [ El ("p", [], [ Tx text ]); Tx text ]
+              | 3 -> [ El ("li", [ ("style", "display: none") ], [ Tx text ]) ]
+              | 4 -> [ El ("hr", [], []); El ("h2", [], [ Tx text ]) ]
+              | _ -> [ Tx text; El ("b", [], [ Tx text ]) ])
+            (int_bound 5) (oneofa texts))))
+
+(* The tree, the options, and runs of writes with a render after each
+   run; a run whose first write has [aux] divisible by 3 is rendered
+   twice. *)
 let vocabulary_arbitrary =
   Q.make
-    ~print:(fun (tree, width, show_hidden, writes) ->
-      Printf.sprintf "%s width=%d show_hidden=%b, then %d writes" (show tree) width show_hidden
-        (List.length writes))
+    ~print:(fun (tree, width, show_hidden, runs) ->
+      Printf.sprintf "%s width=%d show_hidden=%b, then runs of %s writes" (show tree) width
+        show_hidden
+        (String.concat ", " (List.map (fun r -> string_of_int (List.length r)) runs)))
     Q.Gen.(
       tup4
-        (map (fun kids -> El ("body", [], kids)) (list_size (int_range 1 4) (tree_gen 4)))
-        (int_range 1 100) bool
-        (list_size (int_bound 4) (triple (int_bound 4) (int_bound 1000) (int_bound 1000))))
+        (map2
+           (fun kids wide -> El ("body", [], kids @ Option.to_list wide))
+           (list_size (int_range 1 4) (tree_gen 4))
+           (opt ~ratio:0.4 wide_gen))
+        (int_range 0 100) bool
+        (list_size (int_bound 5)
+           (list_size (int_range 1 4) (triple (int_bound 6) (int_bound 1000) (int_bound 1000)))))
 
-let prop_vocabulary (tree, width, show_hidden, writes) =
+let prop_vocabulary (tree, width, show_hidden, runs) =
   let options = { R.width; show_hidden } in
   let doc = Dom.create_document () in
   Dom.append_child ~parent:doc (build tree);
@@ -133,10 +173,11 @@ let prop_vocabulary (tree, width, show_hidden, writes) =
   in
   agree ()
   && List.for_all
-       (fun w ->
-         apply_write doc w;
-         agree ())
-       writes
+       (fun run ->
+         List.iter (apply_write doc) run;
+         agree ()
+         && match run with (_, _, aux) :: _ when aux mod 3 = 0 -> agree () | _ -> true)
+       runs
 
 (* ---------- allocation ---------- *)
 
@@ -152,6 +193,64 @@ let words_per_element items =
   ignore (Sys.opaque_identity (R.render_cached doc));
   let words = Gc.minor_words () -. before in
   words /. float_of_int elements
+
+(* A page of the click workload's shape: a search form, a cart of
+   [cart] items, twelve dashboard panels and a 1 500-item catalogue. *)
+let click_page ~cart =
+  let st = Random.State.make [| 7 |] in
+  let buf = Buffer.create 200_000 in
+  Buffer.add_string buf
+    "<html><head><title>Shop</title></head><body>\n\
+     <form>Search: <input type=\"text\" id=\"q\" value=\"\"/></form>\n\
+     <p>Suggestions: <span id=\"txtHint\"/></p>\n<h2>Cart</h2>\n<ul id=\"cart\">";
+  for i = 1 to cart do
+    Printf.bprintf buf "<li ref=\"p%d\">%d</li>" i (1 + (i mod 97))
+  done;
+  Buffer.add_string buf "</ul>\n<h2>Dashboard</h2>\n";
+  for p = 0 to Gen.categories - 1 do
+    Printf.bprintf buf "<div class=\"panel\" id=\"panel-c%d\" limit=\"500\">" p;
+    for v = 1 to 40 do
+      Printf.bprintf buf "<val>%d</val>" (1 + ((p + v) mod 9))
+    done;
+    Buffer.add_string buf "</div>\n"
+  done;
+  Buffer.add_string buf "<h2>Catalogue</h2>\n<ul id=\"catalogue\">\n";
+  for i = 1 to 1_500 do
+    Gen.add_item buf (Gen.gen_item st (Printf.sprintf "p%d" i))
+  done;
+  Buffer.add_string buf "</ul>\n<button id=\"more\">load more</button>\n</body></html>";
+  Dom.of_string (Buffer.contents buf)
+
+(* Per buy-shaped write (a new item first in the cart, then a
+   [render_cached]) over [writes] writes after a warm-up: elements
+   rendered, leaves copied out and minor words. *)
+let buy_costs ~cart ~writes =
+  let doc = click_page ~cart in
+  let ul = Option.get (Dom.get_element_by_id doc "cart") in
+  let buy i =
+    let li =
+      Dom.create_element
+        ~attrs:[ (Xmlb.Qname.make "ref", Printf.sprintf "p%d" i) ]
+        (Xmlb.Qname.make "li")
+    in
+    Dom.append_child ~parent:li (Dom.create_text (string_of_int (1 + (i mod 97))));
+    Dom.insert_first ~parent:ul li;
+    ignore (Sys.opaque_identity (R.render_cached doc))
+  in
+  ignore (R.render_cached doc);
+  for i = 1 to 5 do
+    buy i
+  done;
+  let counters = List.map Obs.Metrics.counter [ "render.elements"; "render.copy.leaves" ] in
+  let before = List.map Obs.Metrics.value counters and words = Gc.minor_words () in
+  for i = 1 to writes do
+    buy (5 + i)
+  done;
+  let words = Gc.minor_words () -. words in
+  let per x = float_of_int x /. float_of_int writes in
+  match List.map2 (fun c b -> Obs.Metrics.value c - b) counters before with
+  | [ elements; leaves ] -> (per elements, per leaves, words /. float_of_int writes)
+  | _ -> assert false
 
 let suite =
   [
@@ -289,10 +388,58 @@ let suite =
             "<body><hr/><hr/><pre></pre><p>x</p></body>";
             "<body><ul><li>a</li><li><hr/></li></ul><h3>V</h3></body>";
           ]);
+    t "a reused chunk keeps a first blank line its neighbour squeezed" (fun () ->
+        (* at width 0 a rule is a blank line: the list's first chunk
+           ends with one and its second starts with the heading's *)
+        let options = { R.width = 0; show_hidden = false } in
+        let items tag n =
+          String.concat "" (List.init n (fun i -> Printf.sprintf "<li>%s%d</li>" tag i))
+        in
+        let doc =
+          Dom.of_string
+            ("<html><body><ul id='u'>" ^ items "a" 31 ^ "<hr id='r'/><h2>T</h2>" ^ items "b" 40
+           ^ "</ul></body></html>")
+        in
+        let ul = Option.get (Dom.get_element_by_id doc "u") in
+        let agree step =
+          check Alcotest.string step (Render_oracle.render options doc) (R.render_cached ~options doc)
+        in
+        agree "cold";
+        Dom.append_child ~parent:ul (Dom.create_element (Xmlb.Qname.make "li"));
+        agree "both chunks reused";
+        Dom.remove (Option.get (Dom.get_element_by_id doc "r"));
+        agree "the first chunk no longer ends blank");
     QCheck_alcotest.to_alcotest
       (Q.Test.make ~count:100 ~long_factor:50
          ~name:"every tag, option and write renders as the oracle does" vocabulary_arbitrary
          prop_vocabulary);
+    t "a re-render after a buy costs the same at a 5 000-item cart as at 500" (fun () ->
+        let e500, l500, w500 = buy_costs ~cart:500 ~writes:100 in
+        let e5k, l5k, w5k = buy_costs ~cart:5_000 ~writes:100 in
+        List.iter
+          (fun (what, small, large) ->
+            if large > 1.2 *. small then
+              Alcotest.failf "%s per write: %.1f at a 5 000-item cart, %.1f at 500 (bound 1.2x)"
+                what large small)
+          [ ("elements rendered", e500, e5k); ("leaves copied", l500, l5k); ("minor words", w500, w5k) ]);
+    t "the memo tables of every width rendered go with the page" (fun () ->
+        let render_widths first =
+          let doc = Dom.of_string "<html><body><p>one two</p><ul><li>three</li></ul></body></html>" in
+          for width = first to first + 9_999 do
+            ignore (R.render_cached ~options:{ R.width; show_hidden = width mod 2 = 0 } doc)
+          done
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        render_widths 1;
+        let before = live () in
+        render_widths 100_000;
+        let grown = live () - before in
+        if grown >= 10_000 then
+          Alcotest.failf "%d live words more after 10 000 widths on a dropped page (bound 10 000)"
+            grown);
     t "a cold render allocates a flat 35 minor words per element or fewer" (fun () ->
         let small = words_per_element 200 and large = words_per_element 2_000 in
         if large > 35. then

@@ -119,6 +119,23 @@ let delete_replace_rename_tests =
     t "replace target must be single node" (fun () ->
         expect_error "XUTY0005"
           "let $d := <r><a/><a/></r> return replace node $d/a with <b/>");
+    t "rename of a processing instruction sets its target" (fun () ->
+        check Alcotest.string "renamed" "<a><?q x?></a>"
+          (run_str "let $d := <a><?p x?></a> return (rename node $d/processing-instruction() as 'q', $d)"));
+    t "a prefixed new name for a processing instruction is XUDY0025" (fun () ->
+        expect_error "XUDY0025"
+          "let $d := <a><?p x?></a> return rename node $d/processing-instruction() as 'x:q'");
+    t "a page script's PI rename applies with its other updates" (fun () ->
+        let b = Xqib.Browser.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/xquery">
+            (insert node <new/> into //div, rename node //div/processing-instruction() as 'q')
+            </script><script type="text/xquery">
+            browser:alert(concat(count(//new), ' ', name(//div/processing-instruction())))
+            </script></head><body><div><?p x?></div></body></html>|};
+        check (Alcotest.list Alcotest.string) "no script error" [] b.Xqib.Browser.script_errors;
+        check (Alcotest.list Alcotest.string) "the next script sees both" [ "1 q" ]
+          (Xqib.Browser.alerts b));
     t "rename of a text node fails" (fun () ->
         expect_error "XUTY0012" "let $d := <a>t</a> return rename node $d/text() as 'b'");
   ]
