@@ -605,8 +605,38 @@ let outcome_and_doc ~compiled src =
       | v -> Ok (v ^ " | " ^ Dom.serialize d)
       | exception Xq_error.Error e -> Error e.Xq_error.code)
 
+(* Every subexpression's [upd], which the lowering finds once per node
+   from its operands' answers, is [Ast.is_updating] of it. *)
+let upd_is_updating src =
+  let static = Engine.default_static () in
+  match Parser.parse_program static src with
+  | exception Xq_error.Error _ -> true
+  | prog ->
+      let exprs = ref [] in
+      let collect e =
+        ignore
+          (Focus_analysis.exists_expr
+             (fun x ->
+               exprs := x :: !exprs;
+               false)
+             e)
+      in
+      Option.iter collect prog.Ast.body;
+      List.iter
+        (function
+          | Ast.P_function { Ast.body = Some b; _ } -> collect b
+          | Ast.P_variable (_, _, Some e) -> collect e
+          | _ -> ())
+        prog.Ast.prolog;
+      List.for_all (fun e -> (fst (Core_ir.lower static e)).Core_ir.upd = Ast.is_updating e) !exprs
+
 let equivalence_properties =
   [
+    qt ~count:300 "the lowering's updating flag is Ast.is_updating at every node"
+      (Q.make ~print:Fun.id
+         (Q.Gen.oneof
+            [ update_gen; sequential_gen; typeswitch_gen; join_gen; order_by_gen; src_gen; construct_gen ]))
+      upd_is_updating;
     qt ~count:400 "compiled evaluation matches the oracle on all configs"
       (Q.make ~print:Fun.id src_gen)
       all_configs_agree;
