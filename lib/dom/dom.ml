@@ -950,6 +950,10 @@ type write = {
   wfp : Footprint.wrec option;  (* the footprint write record, if captured *)
 }
 
+(* the children an entry records in [through]; a write through one
+   more drops the entry instead *)
+let through_kept = 16
+
 (* The entry of the mutation point records that the node itself
    changed; each ancestor's records the child the write came through,
    once, and an attribute's owner counts as changed itself. *)
@@ -965,7 +969,11 @@ let mark_memos s point =
             | Some e -> (
                 match child.nkind with
                 | P_attribute _ -> e.changed <- true
-                | _ -> if not (List.memq child e.through) then e.through <- child :: e.through)
+                | _ ->
+                    if not (List.memq child e.through) then
+                      if List.compare_length_with e.through through_kept < 0 then
+                        e.through <- child :: e.through
+                      else Hashtbl.remove t p.nid)
             | None -> ());
             up p
       in

@@ -388,6 +388,26 @@ let suite =
             "<body><hr/><hr/><pre></pre><p>x</p></body>";
             "<body><ul><li>a</li><li><hr/></li></ul><h3>V</h3></body>";
           ]);
+    t "writes through many children of one block between renders" (fun () ->
+        (* more children than a memo records: its memo is dropped and
+           the block rendered again *)
+        let doc =
+          Dom.of_string
+            ("<html><body><ul>"
+            ^ String.concat "" (List.init 100 (fun i -> Printf.sprintf "<li>item %d</li>" i))
+            ^ "</ul></body></html>")
+        in
+        let items = Dom.get_elements_by_local_name doc "li" in
+        let agree step =
+          check Alcotest.string step
+            (Render_oracle.render R.default_options doc)
+            (R.render_cached doc)
+        in
+        agree "cold";
+        List.iteri (fun i li -> if i mod 2 = 0 then Dom.set_attribute li style_qn "display: none") items;
+        agree "every other item hidden";
+        List.iteri (fun i li -> if i mod 4 = 0 then Dom.remove_attribute li style_qn) items;
+        agree "every fourth item shown again");
     t "a reused chunk keeps a first blank line its neighbour squeezed" (fun () ->
         (* at width 0 a rule is a blank line: the list's first chunk
            ends with one and its second starts with the heading's *)
