@@ -585,6 +585,16 @@ let touched_chunks chunks through =
     t
   end
 
+(* [value] as node [id]'s memo in [t], where [found] is its entry if it
+   has one, with no writes marked *)
+let set_memo t id found value =
+  match found with
+  | Some (e : Dom.memo_entry) ->
+      e.value <- value;
+      e.through <- [];
+      e.changed <- false
+  | None -> Hashtbl.add t id { Dom.value; through = []; changed = false }
+
 (* A block's piece, with the inline words before it flushed. *)
 let push_block st p =
   flush_inline st "";
@@ -758,12 +768,7 @@ and render_block st node cls =
               if Array.length chunks = 0 then Lines piece else Chunked { cls; piece; chunks }
             end
           in
-          match found with
-          | Some e ->
-              e.value <- value;
-              e.through <- [];
-              e.changed <- false
-          | None -> Hashtbl.add t (Dom.id node) { Dom.value; through = []; changed = false })
+          set_memo t (Dom.id node) found value)
 
 (* The lines of a block element, with its leaf closed after them;
    inline words are empty before and after. The chunks of its children
@@ -944,15 +949,8 @@ let render_cached ?(options = default_options) node =
   | Some { value = Page text; through = []; changed = false } ->
       Obs.Metrics.incr memo_hits;
       text
-  | found -> (
+  | found ->
       Obs.Metrics.incr memo_misses;
       let text = render_with (Some (Dom.memo_table node ("render:" ^ set))) options node in
-      match found with
-      | Some e ->
-          e.value <- Page text;
-          e.through <- [];
-          e.changed <- false;
-          text
-      | None ->
-          Hashtbl.add pages (Dom.id node) { value = Page text; through = []; changed = false };
-          text)
+      set_memo pages (Dom.id node) found (Page text);
+      text
