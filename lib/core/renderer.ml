@@ -274,6 +274,34 @@ type Dom.memo +=
 
 let no_chunk = { cells = []; rest = []; count = 0; clean = true; out = nothing }
 
+(* [f p] for the output [p] of each chunk of [i, j) that renders
+   something, where chunks whose outputs are slices of one string that
+   meet give one slice. *)
+let each_piece chunks i j f =
+  let x = ref i in
+  while !x < j do
+    (match chunks.(!x).out with
+    | Slice { s; off; len } ->
+        (* the chunks whose slices continue this one *)
+        let stop = ref (off + len) and y = ref (!x + 1) in
+        let continues () =
+          !y < j
+          &&
+          match chunks.(!y).out with
+          | Slice l -> l.s == s && l.off = !stop
+          | p -> size p = 0
+        in
+        while continues () do
+          stop := !stop + size chunks.(!y).out;
+          incr y
+        done;
+        f (if !y = !x + 1 then chunks.(!x).out else Slice { s; off; len = !stop - off });
+        x := !y
+    | p ->
+        if size p > 0 then f p;
+        incr x)
+  done
+
 (* Chunks [i, j) as slices of one new string, their text as copied out
    after a line that is not blank; a chunk whose first blank line that
    string squeezed becomes a leaf of its own instead. The string as
@@ -295,8 +323,7 @@ let flatten_chunks chunks i j =
     !pos
   in
   let out = Bytes.create (each (fun _ _ _ _ -> ())) in
-  let c = after_text () in
-  ignore (each (fun _ _ _ p -> blit out 0 c p));
+  each_piece chunks i j (blit out 0 (after_text ()));
   let s = Bytes.unsafe_to_string out in
   let slice x start squeezed p =
     chunks.(x).out <- (if squeezed then one_leaf p else Slice { s; off = start; len = size p })
@@ -506,29 +533,7 @@ let push_run st chunks i j =
     x < j && ((match chunks.(x).out with Cat { len; _ } -> len > 0 | _ -> false) || has_cat (x + 1))
   in
   if has_cat i then ignore (flatten_chunks chunks i j);
-  let x = ref i in
-  while !x < j do
-    (match chunks.(!x).out with
-    | Slice { s; off; len } ->
-        (* the chunks whose slices continue this one *)
-        let stop = ref (off + len) and y = ref (!x + 1) in
-        let continues () =
-          !y < j
-          &&
-          match chunks.(!y).out with
-          | Slice l -> l.s == s && l.off = !stop
-          | p -> size p = 0
-        in
-        while continues () do
-          stop := !stop + size chunks.(!y).out;
-          incr y
-        done;
-        push st (if !y = !x + 1 then chunks.(!x).out else Slice { s; off; len = !stop - off });
-        x := !y
-    | p ->
-        if size p > 0 then push st p;
-        incr x)
-  done
+  each_piece chunks i j (push st)
 
 (* Old chunks [[j, k)] replaced by [ns], in order. *)
 let apply_edits old edits =
