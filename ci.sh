@@ -99,13 +99,14 @@
 # a random width (0 included) and show_hidden, with a list long enough
 # to be kept in chunks, render or render_cached differs from the
 # from-scratch oracle — after each run of writes (new blocks inserted
-# first or before a block sibling among them), and again with no write
-# between, so patched memos and reused one-leaf blocks are both
-# checked; or if a cold render of a 2 000-item page allocates more than
-# 35 minor words per element or more than 1.2x its figure at 200
-# items; or if a buy-shaped write and render at a 5 000-item cart costs
-# more than 1.2x the elements rendered, leaves copied out or minor
-# words of one at a 500-item cart.
+# first or before a block sibling among them, and children of the list
+# written while out of the tree or under another parent, then put
+# back), and again with no write between, so patched memos and reused
+# one-leaf blocks are both checked; or if a cold render of a 2 000-item
+# page allocates more than 35 minor words per element or more than 1.2x
+# its figure at 200 items; or if a buy-shaped write and render at a
+# 5 000-item cart costs more than 1.2x the elements rendered, leaves
+# copied out or minor words of one at a 500-item cart.
 # The data-model line runs the data model's properties at their long
 # count (20x): it fails if a cast at any target type, castable, an
 # arithmetic operator, negate, a value comparison, an effective boolean

@@ -568,8 +568,13 @@ let apply_edits old edits =
   in
   if Array.length result = 1 then [||] else result
 
-(* Which of [chunks] hold a child in [through]; [[||]] for none. *)
-let touched_chunks chunks through =
+(* Which of [chunks] hold a child of [node] in [through]; [[||]] for
+   none. A child that has left is not looked for: the chunk that held
+   it no longer lines up. *)
+let touched_chunks node chunks through =
+  let through =
+    List.filter (fun c -> match Dom.parent c with Some p -> p == node | None -> false) through
+  in
   if through = [] then [||]
   else begin
     let t = Array.make (Array.length chunks) false and left = ref (List.length through) in
@@ -842,7 +847,7 @@ and children_lines st node prefix old through =
       end
   | Some _ ->
       let edits = ref [] in
-      walk st node prefix old (touched_chunks old through) edits (Dom.children node) 0;
+      walk st node prefix old (touched_chunks node old through) edits (Dom.children node) 0;
       apply_edits old (List.rev !edits)
 
 (* Reuse old chunks from [k] while they line up at [cur], else render

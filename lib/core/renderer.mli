@@ -17,8 +17,10 @@
 
     A DOM write does not drop the memos on its ancestor chain: it marks
     each with the child it came through, and the written node's memo
-    with the fact that the node itself changed. A re-render patches a
-    marked memo instead of rebuilding it. The children of a block that
+    with the fact that the node itself changed; a child it unlinks
+    counts as a child it came through, so a child written while out of
+    the tree is rendered again when it comes back. A re-render patches
+    a marked memo instead of rebuilding it. The children of a block that
     flows them (a [Block] or [Item]: [div], [ul], [li], …) are kept in
     chunks of about 32, cut where no inline words are pending, as
     [Dom]'s buckets keep nodes in chunks. A patch lines the children up

@@ -954,6 +954,17 @@ type write = {
    more drops the entry instead *)
 let through_kept = 16
 
+(* [p]'s entry in [t], if it has one, records that a write came
+   through its child [child] *)
+let mark_through t p child =
+  match Hashtbl.find_opt t p.nid with
+  | Some e ->
+      if not (List.memq child e.through) then
+        if List.compare_length_with e.through through_kept < 0 then
+          e.through <- child :: e.through
+        else Hashtbl.remove t p.nid
+  | None -> ()
+
 (* The entry of the mutation point records that the node itself
    changed; each ancestor's records the child the write came through,
    once, and an attribute's owner counts as changed itself. *)
@@ -965,16 +976,10 @@ let mark_memos s point =
         match child.nparent with
         | None -> ()
         | Some p ->
-            (match Hashtbl.find_opt t p.nid with
-            | Some e -> (
-                match child.nkind with
-                | P_attribute _ -> e.changed <- true
-                | _ ->
-                    if not (List.memq child e.through) then
-                      if List.compare_length_with e.through through_kept < 0 then
-                        e.through <- child :: e.through
-                      else Hashtbl.remove t p.nid)
-            | None -> ());
+            (match child.nkind with
+            | P_attribute _ -> (
+                match Hashtbl.find_opt t p.nid with Some e -> e.changed <- true | None -> ())
+            | _ -> mark_through t p child);
             up p
       in
       up point)
@@ -1064,11 +1069,18 @@ let linked w group =
       | _ when w.wfp <> None -> List.iter (iter_preorder note) group
       | _ -> ())
 
-(* [n]'s subtree was just unlinked from [from]. *)
+(* [n]'s subtree was just unlinked from [from]. A child that leaves is
+   a write through it: [from]'s entries record it in [through], so a
+   memo that still holds it, unchanged by node identity, is not reused
+   if it comes back (its subtree can be written while it is away, and
+   nothing marks that). *)
 let unlinked w ~from n =
   match w.ws with
   | None -> ()
   | Some s ->
+      (match n.nkind with
+      | P_attribute _ -> ()
+      | _ -> List.iter (fun (_, t) -> mark_through t from n) s.memos);
       let labelled = s.labelled in
       if labelled || s.memos <> [] || w.wfp <> None then begin
         let count = ref 0 in

@@ -218,11 +218,14 @@ val elements_by_text_value_sym :
       attributes, name or value changed);
     - each ancestor's entry gets the child the write came through in
       [through], once however many writes came that way; an
-      attribute's owner gets [changed] instead. An entry written
-      through more than sixteen children is dropped instead.
-    The entries of every node a mutation unlinks are dropped, so an
-    entry found with no marks is current. A client that has brought
-    its value up to date clears the marks. *)
+      attribute's owner gets [changed] instead;
+    - a child that a mutation unlinks counts as a child written
+      through: its old parent's entry records it in [through], since
+      its subtree can change while it is away and come back unmarked.
+    An entry written through more than sixteen children is dropped
+    instead. The entries of every node a mutation unlinks are dropped,
+    so an entry found with no marks is current. A client that has
+    brought its value up to date clears the marks. *)
 
 type memo = ..
 

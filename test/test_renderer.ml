@@ -93,16 +93,58 @@ let style_qn = Xmlb.Qname.make "style"
 (* block elements written in among block siblings *)
 let block_tags = [| "li"; "p"; "div"; "h2"; "tr"; "pre"; "hr"; "LI" |]
 
+(* A node taken out of the tree (or moved to the end of [elsewhere])
+   gets a new text while it is away: the value of its first text node,
+   or a new last child. *)
+let write_away n text elsewhere =
+  (match elsewhere with Some q -> Dom.append_child ~parent:q n | None -> Dom.remove n);
+  match List.filter (fun x -> Dom.kind x = Dom.Text) (n :: Dom.descendants n) with
+  | x :: _ -> Dom.set_value x text
+  | [] -> if Dom.kind n = Dom.Element then Dom.append_child ~parent:n (Dom.create_text text)
+
 (* One write to the document: a new element, a removal, a text's
-   value, a style, a rename, or a new block inserted first into an
-   element or just before a node that has a parent element. *)
+   value, a style, a rename, a new block inserted first into an
+   element or just before a node that has a parent element, or a child
+   of the element with the most children written while it is away,
+   then put back where it was or before another node. *)
 let apply_write doc (op, p, aux) =
   let nodes = Dom.descendants doc in
   let nth l = List.nth l (p mod List.length l) in
   let els = List.filter (fun n -> Dom.kind n = Dom.Element) nodes in
   let text = texts.(aux mod Array.length texts) and tag = tags.(aux mod Array.length tags) in
   let block () = build (El (block_tags.(aux mod Array.length block_tags), [], [ Tx text ])) in
+  let below_element n =
+    match Dom.parent n with Some q -> Dom.kind q = Dom.Element | None -> false
+  in
   match op with
+  | 7 -> (
+      let widest =
+        List.fold_left
+          (fun w e -> if List.length (Dom.children e) > List.length (Dom.children w) then e else w)
+          doc els
+      in
+      match Dom.children widest with
+      | [] -> ()
+      | kids ->
+          let n = nth kids in
+          let outside e = e != n && not (Dom.is_ancestor ~ancestor:n e) in
+          let next = match Dom.following_siblings n with s :: _ -> Some s | [] -> None in
+          (* away: out of the tree, or under another element *)
+          let elsewhere =
+            if aux mod 2 = 0 then None else List.find_opt (fun e -> e != widest && outside e) els
+          in
+          write_away n text elsewhere;
+          (* back: where it was, or before another node *)
+          let before =
+            if aux / 2 mod 2 = 0 then next
+            else
+              match List.filter (fun x -> below_element x && outside x) (Dom.descendants doc) with
+              | [] -> None
+              | l -> Some (List.nth l (aux mod List.length l))
+          in
+          match before with
+          | Some s -> Dom.insert_before ~sibling:s n
+          | None -> Dom.append_child ~parent:widest n)
   | 0 -> if els <> [] then Dom.append_child ~parent:(nth els) (build (El (tag, [], [ Tx text ])))
   | 1 -> (
       let below_root n = match Dom.parent n with Some q -> q != doc | None -> false in
@@ -118,9 +160,6 @@ let apply_write doc (op, p, aux) =
   | 4 -> if els <> [] then Dom.rename (nth els) (Xmlb.Qname.make tag)
   | 5 -> if els <> [] then Dom.insert_first ~parent:(nth els) (block ())
   | _ -> (
-      let below_element n =
-        match Dom.parent n with Some q -> Dom.kind q = Dom.Element | None -> false
-      in
       match List.filter below_element nodes with
       | [] -> ()
       | l -> Dom.insert_before ~sibling:(nth l) (block ()))
@@ -161,7 +200,7 @@ let vocabulary_arbitrary =
            (opt ~ratio:0.4 wide_gen))
         (int_range 0 100) bool
         (list_size (int_bound 5)
-           (list_size (int_range 1 4) (triple (int_bound 6) (int_bound 1000) (int_bound 1000)))))
+           (list_size (int_range 1 4) (triple (int_bound 7) (int_bound 1000) (int_bound 1000)))))
 
 let prop_vocabulary (tree, width, show_hidden, runs) =
   let options = { R.width; show_hidden } in
@@ -429,6 +468,24 @@ let suite =
         agree "both chunks reused";
         Dom.remove (Option.get (Dom.get_element_by_id doc "r"));
         agree "the first chunk no longer ends blank");
+    t "a child written while it is away renders anew when it comes back" (fun () ->
+        let doc =
+          Dom.of_string
+            ("<html><body><ul id='u'>"
+            ^ String.concat "" (List.init 100 (Printf.sprintf "<li>item %d</li>"))
+            ^ "</ul><div id='d'/></body></html>")
+        in
+        let li = Array.of_list (Dom.children (Option.get (Dom.get_element_by_id doc "u"))) in
+        let agree step = check Alcotest.string step (R.render doc) (R.render_cached doc) in
+        agree "cold";
+        Dom.remove li.(10);
+        Dom.set_value (List.hd (Dom.children li.(10))) "edited away";
+        Dom.insert_before ~sibling:li.(11) li.(10);
+        agree "out of the tree and back";
+        Dom.append_child ~parent:(Option.get (Dom.get_element_by_id doc "d")) li.(20);
+        Dom.set_value (List.hd (Dom.children li.(20))) "edited elsewhere";
+        Dom.insert_before ~sibling:li.(21) li.(20);
+        agree "under another parent and back");
     QCheck_alcotest.to_alcotest
       (Q.Test.make ~count:100 ~long_factor:50
          ~name:"every tag, option and write renders as the oracle does" vocabulary_arbitrary
