@@ -217,25 +217,20 @@ type prog = {
   body : expr option;  (** main modules have a body *)
 }
 
-(** The updating forms themselves, whatever their operands. Any other
-    form but a transform (which asks only its [return]), a full-text
-    [contains] (only its subject) and a style read (never) is updating
-    exactly when one of its operands is, so a bottom-up pass can tell
-    each node from its operands' answers. *)
-let updates_itself = function
+(** Is this expression updating, given [sub], the answer for each of its
+    operands? The updating forms are, whatever their operands; a
+    transform is when its [return] is (its modify clause updates only
+    the copies), a full-text [contains] when its subject is, and a style
+    read never is; any other form is when one of its operands is.
+    {!is_updating} applies it all the way down; a bottom-up pass applies
+    it once per node, with the answers it found for the operands. *)
+let updating sub = function
   | E_insert _ | E_delete _ | E_replace _ | E_rename _ | E_block _ | E_event_attach _
   | E_event_detach _ | E_event_trigger _ | E_set_style _ ->
       true
-  | _ -> false
-
-(** Does evaluation of this expression (transitively, ignoring function
-    bodies) contain updating constructs? Used by the optimizer to know
-    which rewrites are safe. *)
-let rec is_updating = function
-  | E_insert _ | E_delete _ | E_replace _ | E_rename _ -> true
-  | E_literal _ | E_var _ | E_context_item | E_root | E_text_literal _ -> false
-  | E_step (_, _, ps) -> List.exists is_updating ps
-  | E_sequence es -> List.exists is_updating es
+  | E_literal _ | E_var _ | E_context_item | E_root | E_text_literal _ | E_get_style _ -> false
+  | E_step (_, _, ps) -> List.exists sub ps
+  | E_sequence es -> List.exists sub es
   | E_range (a, b)
   | E_path (a, b)
   | E_or (a, b)
@@ -250,30 +245,24 @@ let rec is_updating = function
   | E_computed_element (a, b)
   | E_computed_attribute (a, b)
   | E_computed_pi (a, b) ->
-      is_updating a || is_updating b
-  | E_if (c, t, e) -> is_updating c || is_updating t || is_updating e
+      sub a || sub b
+  | E_if (c, t, e) -> sub c || sub t || sub e
   | E_flwor { clauses; where; order; return } ->
       List.exists
-        (function
-          | For_clause { source; _ } -> is_updating source
-          | Let_clause { value; _ } -> is_updating value)
+        (function For_clause { source; _ } -> sub source | Let_clause { value; _ } -> sub value)
         clauses
-      || Option.fold ~none:false ~some:is_updating where
-      || List.exists (fun o -> is_updating o.key) order
-      || is_updating return
+      || Option.fold ~none:false ~some:sub where
+      || List.exists (fun o -> sub o.key) order
+      || sub return
   | E_hash_join j ->
-      is_updating j.jleft_source || is_updating j.jleft_key
-      || is_updating j.jright_source || is_updating j.jright_key
-      || Option.fold ~none:false ~some:is_updating j.jwhere
-      || List.exists (fun o -> is_updating o.key) j.jorder
-      || is_updating j.jreturn
-  | E_quantified (_, binds, body) ->
-      List.exists (fun (_, _, e) -> is_updating e) binds || is_updating body
+      sub j.jleft_source || sub j.jleft_key || sub j.jright_source || sub j.jright_key
+      || Option.fold ~none:false ~some:sub j.jwhere
+      || List.exists (fun o -> sub o.key) j.jorder
+      || sub j.jreturn
+  | E_quantified (_, binds, body) -> List.exists (fun (_, _, e) -> sub e) binds || sub body
   | E_typeswitch (e, cases, (_, dflt)) ->
-      is_updating e
-      || List.exists (fun c -> is_updating c.case_body) cases
-      || is_updating dflt
-  | E_ftcontains (e, _) -> is_updating e
+      sub e || List.exists (fun c -> sub c.case_body) cases || sub dflt
+  | E_ftcontains (e, _) -> sub e
   | E_unary_minus e
   | E_instance_of (e, _)
   | E_treat_as (e, _)
@@ -285,22 +274,18 @@ let rec is_updating = function
   | E_computed_text e
   | E_computed_comment e
   | E_computed_document e ->
-      is_updating e
-  | E_filter (e, ps) -> is_updating e || List.exists is_updating ps
-  | E_call (_, args) -> List.exists is_updating args
+      sub e
+  | E_filter (e, ps) -> sub e || List.exists sub ps
+  | E_call (_, args) -> List.exists sub args
   | E_direct_element { attributes; children; _ } ->
       List.exists
         (fun (_, parts) ->
-          List.exists
-            (function A_text _ -> false | A_enclosed e -> is_updating e)
-            parts)
+          List.exists (function A_text _ -> false | A_enclosed e -> sub e) parts)
         attributes
-      || List.exists is_updating children
-  | E_transform (_, modify, ret) ->
-      (* the modify clause updates only the copies: not updating itself *)
-      ignore modify;
-      is_updating ret
-  | E_block _ -> true
-  | E_event_attach _ | E_event_detach _ | E_event_trigger _ | E_set_style _ ->
-      true
-  | E_get_style _ -> false
+      || List.exists sub children
+  | E_transform (_, _, ret) -> sub ret
+
+(** Does evaluation of this expression (transitively, ignoring function
+    bodies) contain updating constructs? Used by the optimizer to know
+    which rewrites are safe. *)
+let rec is_updating e = updating is_updating e

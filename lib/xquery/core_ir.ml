@@ -18,7 +18,7 @@
    ([ast]): the emitter consults it for the static shape analyses
    (bounded positional takes, sortedness, value-index probes, which
    forms stream). [upd] is [Ast.is_updating] of that expression,
-   found once per node as the lowering returns. The lowering is total:
+   found once per node from its operands' answers. The lowering is total:
    no form is left for another evaluator. *)
 
 open Xmlb
@@ -169,27 +169,34 @@ let is_fn_count = function
       Some arg
   | _ -> None
 
-(* Updating nodes lowered so far: a node's operands were updating when
-   it grew while they were lowered. A node that asks only some of its
-   operands sets it back to its own answer. *)
-let updating_lowered = ref 0
+(* The operands found updating while a node is lowered. *)
+type operands = { mutable updating : Ast.expr list }
 
-let rec of_ast st (scope : scope) (e : Ast.expr) : t =
-  let before = !updating_lowered in
-  let c = lower_node st scope e in
+let no_operand _ = false
+
+(* [c], lowered from [e], with its [upd]: {!Ast.updating} of [e] from
+   its operands' answers *)
+let with_upd e ops c =
   let upd =
-    match (e, c.d) with
-    | Ast.E_transform _, C_transform (_, _, return) -> return.upd
-    | Ast.E_ftcontains _, C_ftcontains (a, _) -> a.upd
-    | Ast.E_get_style _, _ -> false
-    | _ -> Ast.updates_itself e || !updating_lowered > before
+    match ops.updating with
+    | [] -> Ast.updating no_operand e
+    | l -> Ast.updating (fun x -> List.memq x l) e
   in
-  updating_lowered := before + Bool.to_int upd;
   if upd = c.upd then c else { c with upd }
 
-and lower_node st scope e =
+let rec of_ast st (scope : scope) (e : Ast.expr) : t =
+  let ops = { updating = [] } in
+  with_upd e ops (lower_node st ops scope e)
+
+(* [x], an operand of the node lowered with [ops], lowered in [scope] *)
+and operand st ops scope x =
+  let c = of_ast st scope x in
+  if c.upd then ops.updating <- x :: ops.updating;
+  c
+
+and lower_node st ops scope e =
   let k d = { d; ast = e; upd = false } in
-  let sub e' = of_ast st scope e' in
+  let sub = operand st ops scope in
   match e with
   | Ast.E_literal a -> k (C_atomic a)
   | Ast.E_text_literal s -> k (C_text_literal s)
@@ -204,8 +211,8 @@ and lower_node st scope e =
   | Ast.E_if (c, t, f) -> k (C_if (sub c, sub t, sub f))
   | Ast.E_or (a, b) -> k (C_or (sub a, sub b))
   | Ast.E_and (a, b) -> k (C_and (sub a, sub b))
-  | Ast.E_value_comp (op, a, b) -> k (comparison st scope op a b ~general:false)
-  | Ast.E_general_comp (op, a, b) -> k (comparison st scope op a b ~general:true)
+  | Ast.E_value_comp (op, a, b) -> k (comparison st ops scope op a b ~general:false)
+  | Ast.E_general_comp (op, a, b) -> k (comparison st ops scope op a b ~general:true)
   | Ast.E_node_comp (op, a, b) -> k (C_node_comp (op, sub a, sub b))
   | Ast.E_arith (op, a, b) -> k (C_arith (op, sub a, sub b))
   | Ast.E_unary_minus a -> k (C_unary_minus (sub a))
@@ -221,8 +228,8 @@ and lower_node st scope e =
   | Ast.E_path (a, b) -> k (C_path (sub a, sub b))
   | Ast.E_filter (a, preds) -> k (C_filter (sub a, List.map sub preds))
   | Ast.E_flwor { clauses; where; order; return } ->
-      let clauses, scope = lower_clauses st scope clauses in
-      let sub = of_ast st scope in
+      let clauses, scope = lower_clauses st ops scope clauses in
+      let sub = operand st ops scope in
       k
         (C_flwor
            {
@@ -234,12 +241,12 @@ and lower_node st scope e =
   | Ast.E_hash_join j ->
       let left_source = sub j.Ast.jleft_source in
       let left_slot, lscope = bind st scope j.Ast.jleft_var in
-      let left_key = of_ast st lscope j.Ast.jleft_key in
+      let left_key = operand st ops lscope j.Ast.jleft_key in
       let right_source = sub j.Ast.jright_source in
       let right_slot, rscope = bind st scope j.Ast.jright_var in
-      let right_key = of_ast st rscope j.Ast.jright_key in
+      let right_key = operand st ops rscope j.Ast.jright_key in
       let both = (Qname.to_clark j.Ast.jright_var, right_slot) :: lscope in
-      let sub = of_ast st both in
+      let sub = operand st ops both in
       k
         (C_hash_join
            {
@@ -256,17 +263,17 @@ and lower_node st scope e =
            })
   | Ast.E_quantified (quant, binds, body) ->
       let clauses, scope =
-        lower_clauses st scope
+        lower_clauses st ops scope
           (List.map
              (fun (var, var_type, source) ->
                Ast.For_clause { var; pos_var = None; var_type; source })
              binds)
       in
-      k (C_quantified (quant, clauses, of_ast st scope body))
+      k (C_quantified (quant, clauses, operand st ops scope body))
   | Ast.E_typeswitch (op, cases, (dvar, dbody)) ->
       let branch var body =
         let slot, scope = bind_opt st scope var in
-        (slot, of_ast st scope body)
+        (slot, operand st ops scope body)
       in
       let case c =
         let slot, body = branch c.Ast.case_var c.Ast.case_body in
@@ -281,7 +288,7 @@ and lower_node st scope e =
         | Ast.Ft_not x -> F_not (ft x)
       in
       k (C_ftcontains (sub a, ft sel))
-  | Ast.E_call (qn, args) -> k (lower_call st scope qn args)
+  | Ast.E_call (qn, args) -> k (lower_call st ops scope qn args)
   | Ast.E_ordered a | Ast.E_unordered a | Ast.E_enclosed a ->
       { (sub a) with ast = e }
   | Ast.E_direct_element { name; attributes; children } ->
@@ -324,9 +331,9 @@ and lower_node st scope e =
       in
       k
         (C_transform
-           (List.rev copies, of_ast st scope modify, of_ast st scope return))
+           (List.rev copies, operand st ops scope modify, operand st ops scope return))
   | Ast.E_block [ Ast.S_expr a ] -> { (sub a) with ast = e }
-  | Ast.E_block stmts -> k (C_block (lower_stmts st scope stmts))
+  | Ast.E_block stmts -> k (C_block (lower_stmts st ops scope stmts))
   | Ast.E_event_attach { event; binding; target; listener } ->
       k (C_event_attach (sub event, binding, sub target, listener))
   | Ast.E_event_detach { event; target; listener } ->
@@ -338,8 +345,8 @@ and lower_node st scope e =
 
 (* a comparison; [fn:count(e)] against an integer literal (either
    side) becomes [C_count_comp], which pulls at most k+1 items *)
-and comparison st scope op a b ~general =
-  let ca = of_ast st scope a and cb = of_ast st scope b in
+and comparison st ops scope op a b ~general =
+  let ca = operand st ops scope a and cb = operand st ops scope b in
   let int_lit = function Ast.E_literal (A.Integer n) -> Some n | _ -> None in
   match (is_fn_count ca, int_lit b, int_lit a, is_fn_count cb) with
   | Some arg, Some n, _, _ -> C_count_comp (op, arg, n)
@@ -347,15 +354,15 @@ and comparison st scope op a b ~general =
   | _ ->
       if general then C_general_comp (op, ca, cb) else C_value_comp (op, ca, cb)
 
-and lower_clauses st scope clauses =
+and lower_clauses st ops scope clauses =
   let step (acc, scope) = function
     | Ast.For_clause { var; pos_var; var_type; source } ->
-        let source = of_ast st scope source in
+        let source = operand st ops scope source in
         let slot, scope = bind st scope var in
         let pos_slot, scope = bind_opt st scope pos_var in
         (Cl_for { slot; pos_slot; var; var_type; source } :: acc, scope)
     | Ast.Let_clause { var; var_type; value } ->
-        let value = of_ast st scope value in
+        let value = operand st ops scope value in
         let slot, scope = bind st scope var in
         (Cl_let { slot; var; var_type; value } :: acc, scope)
   in
@@ -364,32 +371,32 @@ and lower_clauses st scope clauses =
 
 (* a declaration scopes over the statements after it; a while body is
    a block of its own *)
-and lower_stmts st scope stmts =
+and lower_stmts st ops scope stmts =
   match stmts with
   | [] -> []
   | Ast.S_var_decl (var, var_type, init) :: rest ->
-      let init = Option.map (of_ast st scope) init in
+      let init = Option.map (operand st ops scope) init in
       let slot, scope' = bind st scope var in
-      S_var (slot, var, var_type, init) :: lower_stmts st scope' rest
+      S_var (slot, var, var_type, init) :: lower_stmts st ops scope' rest
   | stmt :: rest ->
       let s =
         match stmt with
-        | Ast.S_expr e -> S_expr (of_ast st scope e)
+        | Ast.S_expr e -> S_expr (operand st ops scope e)
         | Ast.S_assign (var, e) ->
             let target =
               match List.assoc_opt (Qname.to_clark var) scope with
               | Some slot -> Local slot
               | None -> Global var
             in
-            S_assign (target, of_ast st scope e)
+            S_assign (target, operand st ops scope e)
         | Ast.S_while (cond, body) ->
-            S_while (of_ast st scope cond, lower_stmts st scope body)
+            S_while (operand st ops scope cond, lower_stmts st ops scope body)
         | Ast.S_break -> S_break
         | Ast.S_continue -> S_continue
-        | Ast.S_exit_with e -> S_exit_with (of_ast st scope e)
+        | Ast.S_exit_with e -> S_exit_with (operand st ops scope e)
         | Ast.S_var_decl _ -> assert false (* matched above *)
       in
-      s :: lower_stmts st scope rest
+      s :: lower_stmts st ops scope rest
 
 (* Call sites resolve through the compile-time static context exactly
    as {!Eval.call_function} would at run time: xs: constructors become
@@ -401,16 +408,16 @@ and lower_stmts st scope stmts =
    fingerprint guarantees a cached compilation is only replayed
    against a context with the same declarations, so compile-time
    resolution is safe. *)
-and lower_call st scope qn args =
+and lower_call st ops scope qn args =
   let nargs = List.length args in
-  let cargs () = List.map (of_ast st scope) args in
+  let cargs () = List.map (operand st ops scope) args in
   let static = st.static in
   if Static_context.is_blocked static qn then C_call (qn, cargs ())
   else
     match qn.Qname.uri with
     | Some u when String.equal u Qname.Ns.xs && nargs = 1 -> (
         match A.type_of_name qn.Qname.local with
-        | Some ty -> C_cast_call (ty, of_ast st scope (List.hd args))
+        | Some ty -> C_cast_call (ty, operand st ops scope (List.hd args))
         | None -> C_call (qn, cargs ()))
     | _ ->
         if
@@ -464,7 +471,8 @@ let lower static ?(params = []) ?(sequential = false) (e : Ast.expr) : t * int =
   let core =
     match e with
     | Ast.E_block stmts when sequential ->
-        { d = C_block (lower_stmts st scope stmts); ast = e; upd = true }
+        let ops = { updating = [] } in
+        with_upd e ops { d = C_block (lower_stmts st ops scope stmts); ast = e; upd = false }
     | _ -> of_ast st scope e
   in
   (core, st.high)

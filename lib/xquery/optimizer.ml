@@ -271,24 +271,26 @@ let has_scripting = exists_expr (function Ast.E_block _ -> true | _ -> false)
 (* ------------------------------------------------------------------ *)
 (* the rewrite rules                                                   *)
 
-(* Updating expressions [go] has returned so far: a node's operands
-   were updating when it grew while they were rewritten, so whether
-   each node is updating is found once, bottom up. A transform and a
-   full-text [contains] ask only some operands and are walked. *)
-let updating_returned = ref 0
-
-(* one bottom-up pass; [go] recurses, then local rules fire *)
-let rec go (e : Ast.expr) : Ast.expr =
-  let before = !updating_returned in
-  let e = map_children go e in
-  let updating =
-    match e with
-    | Ast.E_transform _ | Ast.E_ftcontains _ | Ast.E_get_style _ -> Ast.is_updating e
-    | _ -> Ast.updates_itself e || !updating_returned > before
+(* One bottom-up pass; [go] recurses, then local rules fire on a node
+   that is not updating. It returns whether the node is updating,
+   found by {!Ast.updating} from its operands' answers, so once per
+   node. *)
+let rec go (e : Ast.expr) : Ast.expr * bool =
+  let updating = ref [] in
+  let e =
+    map_children
+      (fun c ->
+        let c, upd = go c in
+        if upd then updating := c :: !updating;
+        c)
+      e
   in
-  let e = if updating then e else rules e in
-  updating_returned := before + Bool.to_int updating;
-  e
+  let upd =
+    match !updating with
+    | [] -> Ast.updating (fun _ -> false) e
+    | l -> Ast.updating (fun c -> List.memq c l) e
+  in
+  ((if upd then e else rules e), upd)
 
 and rules e =
   match e with
@@ -479,19 +481,20 @@ let fixpoint ?(max_passes = default_max_passes) f x =
   in
   loop 1 x
 
-let optimize_expr ?max_passes e = fixpoint ?max_passes go e
+let pass e = fst (go e)
+let optimize_expr ?max_passes e = fixpoint ?max_passes pass e
 
 let optimize ?max_passes (prog : Ast.prog) =
-  let pass (prog : Ast.prog) =
+  let pass_prog (prog : Ast.prog) =
     let prolog =
       List.map
         (function
           | Ast.P_function f ->
-              Ast.P_function { f with Ast.body = Option.map go f.Ast.body }
-          | Ast.P_variable (v, t, e) -> Ast.P_variable (v, t, Option.map go e)
+              Ast.P_function { f with Ast.body = Option.map pass f.Ast.body }
+          | Ast.P_variable (v, t, e) -> Ast.P_variable (v, t, Option.map pass e)
           | d -> d)
         prog.Ast.prolog
     in
-    { prog with Ast.prolog; body = Option.map go prog.Ast.body }
+    { prog with Ast.prolog; body = Option.map pass prog.Ast.body }
   in
-  fixpoint ?max_passes pass prog
+  fixpoint ?max_passes pass_prog prog
