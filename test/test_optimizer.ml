@@ -338,58 +338,35 @@ let shapes =
     ("nested filter", fun k -> nested k (fun _ -> "(") "1" ")[1]");
   ]
 
-(* Minor words and CPU seconds per level to optimize and closure-compile
-   a [k]-deep expression: the words of one run, and the best time of
-   seven runs, each compiling [10 000 / k] separately parsed copies (so
-   both depths compile the same amount of tree). The minor heap is made
-   large enough that no collection runs while the compiler is deep in
-   its recursion: each minor collection scans the whole stack, so at the
-   default size the collector's share grows with the depth however
-   linear the compiler is. *)
-let cost_per_level shape k =
+(* Minor words per level to optimize and closure-compile a [k]-deep
+   expression, over [10 000 / k] separately parsed copies (so both
+   depths compile the same amount of tree). *)
+let words_per_level shape k =
   let static = Engine.default_static () in
   let copies = Array.init (max 1 (10_000 / k)) (fun _ -> Parser.parse_expression static (shape k)) in
-  let compile_all () =
-    Array.iter
-      (fun e ->
-        let f = Compile.compile_expr static (Optimizer.optimize_expr e) in
-        ignore (Sys.opaque_identity [ f ]))
-      copies
-  in
-  let saved = Gc.get () in
-  Gc.set { saved with Gc.minor_heap_size = 4 lsl 20 };
-  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
   let words = Gc.minor_words () in
-  compile_all ();
-  let words = Gc.minor_words () -. words in
-  let best = ref infinity in
-  for _ = 1 to 7 do
-    Gc.full_major ();
-    let t0 = Sys.time () in
-    compile_all ();
-    best := Float.min !best (Sys.time () -. t0)
-  done;
-  let levels = float_of_int (Array.length copies * k) in
-  (words /. levels, !best /. levels)
+  Array.iter
+    (fun e ->
+      let f = Compile.compile_expr static (Optimizer.optimize_expr e) in
+      ignore (Sys.opaque_identity [ f ]))
+    copies;
+  (Gc.minor_words () -. words) /. float_of_int (Array.length copies * k)
 
-(* The work per level is flat: minor words within 1.5x, which repeat
-   exactly. Time gets 2x: a linear compiler reads 1.3-1.6x on a 2-core
-   x86-64 VM, because ten times the recursion depth takes the stack out
-   of the caches; a walk of the subtree at every node (as
-   [Ast.is_updating] was) reads 10x or more at these depths. *)
+(* The allocation per level is flat: minor words within 1.5x (they
+   repeat exactly); a closure built and thrown away at every level, as
+   a nested filter's eager one was, grows with the depth. Time is not
+   gated here: at the default minor heap each minor collection scans
+   the deep recursion's stack, so per-level time grows with the depth
+   however linear the compiler is. *)
 let depth_tests =
   [
-    t "optimize and compile cost the same per level at 10 000 deep as at 1 000" (fun () ->
+    t "optimize and compile allocate the same per level at 10 000 deep as at 1 000" (fun () ->
         List.iter
           (fun (name, shape) ->
-            let small_words, small_time = cost_per_level shape 1_000
-            and large_words, large_time = cost_per_level shape 10_000 in
-            if large_words > 1.5 *. small_words then
+            let small = words_per_level shape 1_000 and large = words_per_level shape 10_000 in
+            if large > 1.5 *. small then
               Alcotest.failf "%s: %.0f minor words per level at 10 000 deep, %.0f at 1 000 (bound 1.5x)"
-                name large_words small_words;
-            if large_time > 2. *. small_time then
-              Alcotest.failf "%s: %.2f us per level at 10 000 deep, %.2f at 1 000 (bound 2x)" name
-                (large_time *. 1e6) (small_time *. 1e6))
+                name large small)
           shapes);
   ]
 
