@@ -50,7 +50,8 @@
 # symbol-keyed machinery both modes share) shifts by more than 10%.
 # The dom-order line runs the DOM cache differential at its long count
 # (50x): it fails if, after any step of a random stream of every DOM
-# mutator (detached subtrees mutated and re-inserted included), a
+# mutator (detached subtrees mutated and re-inserted included, and
+# children taken out, written and put back where they were), a
 # maintained cache — document-order labels, id and name buckets,
 # attribute and text value buckets, block render memos patched after
 # writes — answers differently from a from-scratch rebuild or a fresh

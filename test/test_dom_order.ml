@@ -122,7 +122,7 @@ let apply_op w (sel, p, aux) =
     Dom.insert_nodes anchor (List.filter safe (distinct group))
   in
   (try
-     match sel mod 24 with
+     match sel mod 25 with
      | 0 -> Dom.append_child ~parent:target (fresh_element aux)
      | 1 -> Dom.insert_first ~parent:target (fresh_element aux)
      | 2 -> if nonroot <> [] then Dom.insert_before ~sibling:(pick nonroot aux) (Dom.create_text "ins")
@@ -244,6 +244,21 @@ let apply_op w (sel, p, aux) =
            in
            Dom.replace n replacements;
            if not (List.memq n replacements) then drop n
+         end
+     | 23 ->
+         (* a child taken out, written while it is away, and put back
+            where it was *)
+         if nonroot <> [] then begin
+           let n = pick nonroot aux in
+           let parent = Dom.parent n and next = Dom.following_siblings n in
+           Dom.remove n;
+           (match List.filter (fun x -> Dom.kind x = Dom.Text) (subtree n) with
+           | x :: _ -> Dom.set_value x (Printf.sprintf "w%d" (aux mod 5))
+           | [] -> if Dom.kind n = Dom.Element then Dom.set_attribute n (Qname.make "k") "away");
+           match (next, parent) with
+           | s :: _, _ -> Dom.insert_before ~sibling:s n
+           | [], Some p -> Dom.append_child ~parent:p n
+           | [], None -> ()
          end
      | _ -> Dom.remove_attribute target (Qname.make "id")
    with Dom.Dom_error _ -> ());
