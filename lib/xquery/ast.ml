@@ -285,7 +285,13 @@ let updating sub = function
       || List.exists sub children
   | E_transform (_, _, ret) -> sub ret
 
+(** {!updating}, where [ops] are the operands found updating, told
+    apart by physical equality. *)
+let updating_with ops e =
+  match ops with [] -> updating (fun _ -> false) e | l -> updating (fun x -> List.memq x l) e
+
 (** Does evaluation of this expression (transitively, ignoring function
-    bodies) contain updating constructs? Used by the optimizer to know
-    which rewrites are safe. *)
+    bodies) contain updating constructs? {!updating} at every node of
+    the expression; the optimizer and the lowering find the same once
+    per node. *)
 let rec is_updating e = updating is_updating e

@@ -172,16 +172,10 @@ let is_fn_count = function
 (* The operands found updating while a node is lowered. *)
 type operands = { mutable updating : Ast.expr list }
 
-let no_operand _ = false
-
 (* [c], lowered from [e], with its [upd]: {!Ast.updating} of [e] from
    its operands' answers *)
 let with_upd e ops c =
-  let upd =
-    match ops.updating with
-    | [] -> Ast.updating no_operand e
-    | l -> Ast.updating (fun x -> List.memq x l) e
-  in
+  let upd = Ast.updating_with ops.updating e in
   if upd = c.upd then c else { c with upd }
 
 let rec of_ast st (scope : scope) (e : Ast.expr) : t =

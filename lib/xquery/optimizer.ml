@@ -285,11 +285,7 @@ let rec go (e : Ast.expr) : Ast.expr * bool =
         c)
       e
   in
-  let upd =
-    match !updating with
-    | [] -> Ast.updating (fun _ -> false) e
-    | l -> Ast.updating (fun c -> List.memq c l) e
-  in
+  let upd = Ast.updating_with !updating e in
   ((if upd then e else rules e), upd)
 
 and rules e =
