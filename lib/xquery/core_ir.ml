@@ -18,8 +18,8 @@
    ([ast]): the emitter consults it for the static shape analyses
    (bounded positional takes, sortedness, value-index probes, which
    forms stream). [upd] is [Ast.is_updating] of that expression,
-   found once per node from its operands' answers. The lowering is total:
-   no form is left for another evaluator. *)
+   found once per node from its operands' answers. The lowering is
+   total: no form is left for another evaluator. *)
 
 open Xmlb
 module A = Xdm_atomic
