@@ -55,7 +55,14 @@
 # maintained cache — document-order labels, id and name buckets,
 # attribute and text value buckets, block render memos patched after
 # writes — answers differently from a from-scratch rebuild or a fresh
-# render.
+# render, or if a write the DOM refuses changes any tree.
+# The dom-contract line runs the JavaScript/XQuery differential at its
+# long count (20x): it fails if, after any op of a random edit script
+# (append a new element or move a node, insert before, remove, replace,
+# set an attribute, rename, set text) run over a random page once as
+# JavaScript DOM calls and once as XQuery updates, the two documents
+# serialize differently, the DOM refused the op in one language only, or
+# a refused op changed the document.
 # The compile line runs the evaluator differential at its long count
 # (20x): it fails if, on any generated query — top-level updates and
 # transforms, sequential functions with declare/set/while/break/
@@ -159,6 +166,7 @@ dune exec bench/main.exe -- --smoke --only t14 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t15 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-order > /dev/null
+QCHECK_LONG=1 dune exec test/test_main.exe -- test dom-contract > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test compile > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test xmlb > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test parse-build > /dev/null

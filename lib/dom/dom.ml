@@ -102,9 +102,38 @@ and mutation =
 
 and observer = { watched : node; callback : mutation -> unit }
 
-exception Dom_error of string
+type refusal =
+  | Child_kind of kind
+  | Childless of kind
+  | Cycle
+  | Parentless
+  | Not_a_child
+  | Owner_kind of kind
+  | Rename_kind of kind
+  | Replacement_kind of { target : kind; by : kind }
 
-let err fmt = Printf.ksprintf (fun m -> raise (Dom_error m)) fmt
+exception Refused of refusal
+
+let refuse r = raise (Refused r)
+
+let a_kind = function
+  | Document -> "a document node"
+  | Element -> "an element"
+  | Attribute -> "an attribute"
+  | Text -> "a text node"
+  | Comment -> "a comment"
+  | Processing_instruction -> "a processing instruction"
+
+let refusal_message = function
+  | Child_kind k -> a_kind k ^ " cannot be a child"
+  | Childless k -> a_kind k ^ " cannot have children"
+  | Cycle -> "a node cannot be inserted into itself or one of its descendants"
+  | Parentless -> "the node to insert next to or to replace has no parent"
+  | Not_a_child -> "the reference node is not a child of the parent"
+  | Owner_kind k -> a_kind k ^ " cannot have attributes"
+  | Rename_kind k -> a_kind k ^ " cannot be renamed"
+  | Replacement_kind { target; by } -> a_kind target ^ " cannot be replaced by " ^ a_kind by
+
 let counter = ref 0
 
 let fresh payload =
@@ -770,14 +799,14 @@ let path_to_root n =
           match n.nkind with
           | P_attribute _ ->
               let rec idx i = function
-                | [] -> err "attribute not in parent's attribute list"
+                | [] -> assert false (* a node is in its parent's lists *)
                 | a :: _ when a == n -> i
                 | _ :: rest -> idx (i + 1) rest
               in
               Attr_at (idx 0 (attributes p))
           | _ ->
               let rec idx i = function
-                | [] -> err "node not in parent's child list"
+                | [] -> assert false
                 | c :: _ when c == n -> i
                 | _ :: rest -> idx (i + 1) rest
               in
@@ -1144,29 +1173,100 @@ let rekey_attr w a f =
   f ();
   entries ~add:true
 
-(* ------------------------------------------------------------------ *)
-(* Mutation                                                            *)
+(* Refusals. Each mutator runs its check before it touches anything (no
+   unlink, no write record, no memo mark), so a refused write changes
+   nothing. *)
 
-let assert_insertable n =
+let is_child_of p c =
+  match (c.nparent, c.nkind) with
+  | None, _ | _, P_attribute _ -> false
+  | Some q, _ -> q == p
+
+let check_child_kind n =
   match n.nkind with
-  | P_attribute _ -> err "cannot insert an attribute node as a child"
-  | P_document _ -> err "cannot insert a document node as a child"
+  | P_attribute _ | P_document _ -> refuse (Child_kind (kind n))
   | P_element _ | P_text _ | P_comment _ | P_pi _ -> ()
 
-(* No node of [group] may become its own ancestor: one walk up from
-   the parent-to-be. *)
-let rec assert_acyclic group = function
-  | Some a when List.memq a group ->
-      err "cannot insert a node into itself or one of its descendants"
-  | Some a -> assert_acyclic group a.nparent
-  | None -> ()
+(* [p] takes children, and no node of [group] is [p] or one of its
+   ancestors: one walk up from [p] *)
+let check_parent p group =
+  (match p.nkind with
+  | P_element _ | P_document _ -> ()
+  | P_attribute _ | P_text _ | P_comment _ | P_pi _ -> refuse (Childless (kind p)));
+  let rec up = function
+    | Some a when List.memq a group -> refuse Cycle
+    | Some a -> up a.nparent
+    | None -> ()
+  in
+  up (Some p)
+
+type anchor = Last_of of node | First_of of node | Before of node | After of node
+
+(* The parent [group] goes under at [anchor], once the write is known to
+   be accepted: a sibling anchor's parent is [parent] when one is named,
+   else its own. *)
+let insertion_parent ?parent anchor group =
+  let p =
+    match (anchor, parent) with
+    | (Last_of p | First_of p), _ | (Before _ | After _), Some p -> p
+    | (Before s | After s), None -> (
+        match s.nparent with Some p -> p | None -> refuse Parentless)
+  in
+  check_parent p group;
+  (match anchor with
+  | (Before s | After s) when not (is_child_of p s) -> refuse Not_a_child
+  | Last_of _ | First_of _ | Before _ | After _ -> ());
+  List.iter check_child_kind group;
+  p
+
+let check_insert ?parent anchor group = ignore (insertion_parent ?parent anchor group)
+
+(* The parent of the node [n] that [replacements] replace, once the
+   write is known to be accepted: an attribute is replaced by
+   attributes, a child by children. *)
+let replacement_parent ?parent n replacements =
+  match (n.nparent, n.nkind, parent) with
+  | None, _, None -> refuse Parentless
+  | Some p, P_attribute _, None ->
+      List.iter
+        (fun r ->
+          match r.nkind with
+          | P_attribute _ -> ()
+          | _ -> refuse (Replacement_kind { target = Attribute; by = kind r }))
+        replacements;
+      p
+  | _, _, Some p | Some p, _, None ->
+      check_parent p replacements;
+      if not (is_child_of p n) then refuse Not_a_child;
+      List.iter
+        (fun r ->
+          match r.nkind with
+          | P_attribute _ -> refuse (Replacement_kind { target = kind n; by = Attribute })
+          | _ -> check_child_kind r)
+        replacements;
+      p
+
+let check_replace ?parent n replacements = ignore (replacement_parent ?parent n replacements)
+
+let check_rename n =
+  match n.nkind with
+  | P_element _ | P_attribute _ | P_pi _ -> ()
+  | P_document _ | P_text _ | P_comment _ -> refuse (Rename_kind (kind n))
+
+let check_owner el =
+  match el.nkind with
+  | P_element _ -> ()
+  | P_document _ | P_attribute _ | P_text _ | P_comment _ | P_pi _ ->
+      refuse (Owner_kind (kind el))
+
+(* ------------------------------------------------------------------ *)
+(* Mutation                                                            *)
 
 let set_children parent cs =
   match parent.nkind with
   | P_document d -> d.dchildren <- cs
   | P_element e -> e.echildren <- cs
-  | P_attribute _ | P_text _ | P_comment _ | P_pi _ ->
-      err "this node kind cannot have children"
+  | P_attribute _ | P_text _ | P_comment _ | P_pi _ -> assert false (* [check_parent] *)
 
 (* Unlink [n] from its parent, if it has one, with the upkeep of the
    tree it leaves: as part of [w] when given, else as a write of its
@@ -1216,7 +1316,8 @@ let detach_group group =
       List.iter (unlinked w ~from:p) leaving)
     (List.rev parents)
 
-let remove n =
+let remove ?parent n =
+  (match parent with Some p when not (is_child_of p n) -> refuse Not_a_child | _ -> ());
   match n.nparent with
   | None -> ()
   | Some p ->
@@ -1227,15 +1328,11 @@ let remove n =
         | P_attribute a -> Attribute_changed (p, a.aname)
         | _ -> Children_changed p)
 
-type anchor = Last_of of node | First_of of node | Before of node | After of node
-
 (* Make the nodes [group] consecutive children of [parent], at the
    place [weave] gives them in the child list: one write, so one pass
    over the child list, one placement of all their labels and one
    notification however many nodes the group holds. *)
 let insert_children parent group weave =
-  List.iter assert_insertable group;
-  assert_acyclic group (Some parent);
   detach_group group;
   let w = begin_write parent in
   retext w parent (fun () ->
@@ -1245,71 +1342,62 @@ let insert_children parent group weave =
   linked w group;
   end_write w (Children_changed parent)
 
-let insert_nodes anchor group =
-  (* [at sibling rest] is the child list from [sibling] on *)
-  let around sibling at =
-    match sibling.nparent with
-    | None -> err "cannot insert relative to a parentless node"
-    | Some p ->
-        let rec weave = function
-          | [] -> group (* the sibling was in the group; append *)
-          | c :: rest when c == sibling -> at c rest
-          | c :: rest -> c :: weave rest
-        in
-        insert_children p group weave
+let insert_nodes ?parent anchor group =
+  let p = insertion_parent ?parent anchor group in
+  (* [at sibling k] weaves the group in at [sibling]; [k sibling rest]
+     is the child list from [sibling] on *)
+  let at sibling k =
+    let rec weave = function
+      | [] -> group (* the sibling was in the group; append *)
+      | c :: rest when c == sibling -> k c rest
+      | c :: rest -> c :: weave rest
+    in
+    weave
   in
   if group <> [] then
-    match anchor with
-    | Last_of parent -> insert_children parent group (fun cs -> cs @ group)
-    | First_of parent -> insert_children parent group (fun cs -> group @ cs)
-    | Before sibling -> around sibling (fun c rest -> group @ (c :: rest))
-    | After sibling -> around sibling (fun c rest -> c :: (group @ rest))
+    insert_children p group
+      (match anchor with
+      | Last_of _ -> fun cs -> cs @ group
+      | First_of _ -> fun cs -> group @ cs
+      | Before s -> at s (fun c rest -> group @ (c :: rest))
+      | After s -> at s (fun c rest -> c :: (group @ rest)))
 
 let append_child ~parent n = insert_nodes (Last_of parent) [ n ]
 let insert_first ~parent n = insert_nodes (First_of parent) [ n ]
 let insert_before ~sibling n = insert_nodes (Before sibling) [ n ]
 let insert_after ~sibling n = insert_nodes (After sibling) [ n ]
 
-let replace n replacements =
-  match n.nparent with
-  | None -> err "cannot replace a parentless node"
-  | Some p -> (
-      match n.nkind with
-      | P_attribute a ->
-          let w = begin_write p in
-          detach ~w n;
-          List.iter
-            (fun r ->
-              match r.nkind with
-              | P_attribute _ ->
-                  detach r;
-                  (match p.nkind with
-                  | P_element e -> e.eattrs <- e.eattrs @ [ r ]
-                  | _ -> err "attribute replacement target is not an element");
-                  link r p;
-                  linked w [ r ]
-              | _ -> err "an attribute can only be replaced by attributes")
-            replacements;
-          end_write w (Attribute_changed (p, a.aname))
-      | _ ->
-          List.iter assert_insertable replacements;
-          assert_acyclic replacements (Some p);
-          (* replacements leave their parents first; [n] may be one *)
-          detach_group (List.filter (fun r -> r != n) replacements);
-          let rec weave = function
-            | [] -> err "node not found in parent during replace"
-            | c :: rest when c == n -> replacements @ rest
-            | c :: rest -> c :: weave rest
-          in
-          let cs = weave (children p) in
-          let w = begin_write p in
-          retext w p (fun () ->
-              set_children p cs;
-              n.nparent <- None;
-              List.iter (fun r -> link r p) replacements);
-          unlinked w ~from:p n;
-          linked w replacements;
-          end_write w (Children_changed p))
+let replace ?parent n replacements =
+  let p = replacement_parent ?parent n replacements in
+  match n.nkind with
+  | P_attribute a ->
+      let w = begin_write p in
+      detach ~w n;
+      List.iter
+        (fun r ->
+          detach r;
+          (match p.nkind with P_element e -> e.eattrs <- e.eattrs @ [ r ] | _ -> assert false);
+          link r p;
+          linked w [ r ])
+        replacements;
+      end_write w (Attribute_changed (p, a.aname))
+  | _ ->
+      (* replacements leave their parents first; [n] may be one *)
+      detach_group (List.filter (fun r -> r != n) replacements);
+      let rec weave = function
+        | [] -> assert false (* [n] is a child of [p] *)
+        | c :: rest when c == n -> replacements @ rest
+        | c :: rest -> c :: weave rest
+      in
+      let cs = weave (children p) in
+      let w = begin_write p in
+      retext w p (fun () ->
+          set_children p cs;
+          n.nparent <- None;
+          List.iter (fun r -> link r p) replacements);
+      unlinked w ~from:p n;
+      linked w replacements;
+      end_write w (Children_changed p)
 
 (* Make the parentless nodes [group] the whole child list of [n], as
    part of write [w]: the old children are unlinked in one pass ([detach]
@@ -1348,21 +1436,17 @@ let set_value n v =
   end_write w (Value_changed n)
 
 let replace_children parent group =
-  (match parent.nkind with
-  | P_element _ | P_document _ -> ()
-  | P_attribute _ | P_text _ | P_comment _ | P_pi _ ->
-      err "this node kind cannot have children");
-  List.iter assert_insertable group;
-  assert_acyclic group (Some parent);
+  check_insert (Last_of parent) group;
   detach_group group;
   let w = begin_write parent in
   swap_children w parent group;
   end_write w (Children_changed parent)
 
 let rename n qn =
-  match n.nkind with
+  check_rename n;
+  let w = begin_write n in
+  (match n.nkind with
   | P_element e ->
-      let w = begin_write n in
       let entries ~add =
         fp_name w e.ename;
         match w.ws with
@@ -1371,22 +1455,16 @@ let rename n qn =
       in
       entries ~add:false;
       e.ename <- qn;
-      entries ~add:true;
-      end_write w (Renamed n)
-  | P_attribute a ->
-      let w = begin_write n in
-      rekey_attr w n (fun () -> a.aname <- qn);
-      end_write w (Renamed n)
-  | P_pi p ->
-      let w = begin_write n in
-      p.target <- qn.Qname.local;
-      end_write w (Renamed n)
-  | P_document _ | P_text _ | P_comment _ ->
-      err "only elements, attributes and processing instructions can be renamed"
+      entries ~add:true
+  | P_attribute a -> rekey_attr w n (fun () -> a.aname <- qn)
+  | P_pi p -> p.target <- qn.Qname.local
+  | P_document _ | P_text _ | P_comment _ -> assert false);
+  end_write w (Renamed n)
 
 let set_attribute el qn v =
+  check_owner el;
   match el.nkind with
-  | P_element e -> (
+  | P_element e ->
       let w = begin_write el in
       (match
          List.find_opt
@@ -1402,10 +1480,11 @@ let set_attribute el qn v =
           e.eattrs <- e.eattrs @ [ a ];
           link a el;
           linked w [ a ]);
-      end_write w (Attribute_changed (el, qn)))
-  | _ -> err "set_attribute: not an element"
+      end_write w (Attribute_changed (el, qn))
+  | _ -> assert false
 
 let remove_attribute el qn =
+  check_owner el;
   match el.nkind with
   | P_element e ->
       let w = begin_write el in
@@ -1424,13 +1503,14 @@ let remove_attribute el qn =
           unlinked w ~from:el a)
         gone;
       end_write w (Attribute_changed (el, qn))
-  | _ -> err "remove_attribute: not an element"
+  | _ -> assert false
 
 let append_attributes ~parent attrs =
+  check_owner parent;
   let name a =
     match a.nkind with
     | P_attribute { aname; _ } -> aname
-    | _ -> err "append_attribute: expects an element and attributes"
+    | _ -> invalid_arg "Dom.append_attributes: not an attribute"
   in
   match (parent.nkind, attrs) with
   | _, [] -> ()
@@ -1444,7 +1524,7 @@ let append_attributes ~parent attrs =
       List.iter (fun a -> link_up a up) attrs;
       linked w attrs;
       end_write w (Attribute_changed (parent, aname))
-  | _ -> err "append_attribute: expects an element and attributes"
+  | _ -> assert false
 
 let append_attribute ~parent a = append_attributes ~parent [ a ]
 
@@ -1486,23 +1566,18 @@ let build_document ?uri fc kids =
   doc
 
 let fill n ~attrs kids =
-  (match (n.nparent, n.nkind, attrs) with
-  | None, P_element { echildren = []; _ }, _
-  | None, P_document { dchildren = []; _ }, [] -> ()
-  | _ ->
-      err "fill: expects a parentless element, or document without attributes, \
-           with no children");
-  List.iter
-    (fun a ->
-      match (a.nkind, a.nparent) with
-      | P_attribute _, None -> ()
-      | _ -> err "fill: attributes must be parentless attribute nodes")
-    attrs;
-  List.iter
-    (fun c ->
-      assert_insertable c;
-      if Option.is_some c.nparent then err "fill: children must be parentless")
-    kids;
+  let parentless kinds x = Option.is_none x.nparent && kinds x.nkind in
+  if
+    not
+      ((match (n.nparent, n.nkind, attrs) with
+       | None, P_element { echildren = []; _ }, _ | None, P_document { dchildren = []; _ }, [] ->
+           true
+       | _ -> false)
+      && List.for_all (parentless (function P_attribute _ -> true | _ -> false)) attrs
+      && List.for_all
+           (parentless (function P_attribute _ | P_document _ -> false | _ -> true))
+           kids)
+  then invalid_arg "Dom.fill";
   (match n.nkind with
   | P_element e ->
       e.eattrs <- e.eattrs @ adopt_map n Fun.id attrs;

@@ -19,7 +19,39 @@ type kind =
   | Comment
   | Processing_instruction
 
-exception Dom_error of string
+(** {1 Refusals}
+
+    The DOM alone decides which writes a tree accepts. Each mutator
+    checks its write before it touches anything, and a write it refuses
+    raises {!Refused} with the reason, having changed nothing. The
+    checks are exposed too, so a caller can check a batch of writes
+    before it makes the first. *)
+
+type refusal =
+  | Child_kind of kind  (** an attribute or a document given as a child *)
+  | Childless of kind
+      (** children given to an attribute, text, comment or processing
+          instruction *)
+  | Cycle  (** a node inserted into itself or one of its descendants *)
+  | Parentless
+      (** a node to insert next to, or to replace, that has no parent
+          (and no parent was named) *)
+  | Not_a_child
+      (** a reference node (to insert next to, replace or remove) that
+          is not a child of its parent: an attribute, or not a child of
+          the parent named *)
+  | Owner_kind of kind
+      (** an attribute set on, removed from or appended to a node other
+          than an element *)
+  | Rename_kind of kind  (** a document, text or comment renamed *)
+  | Replacement_kind of { target : kind; by : kind }
+      (** an attribute replaced by a non-attribute, or a child by an
+          attribute *)
+
+exception Refused of refusal
+
+(** One line saying why, e.g. ["a text node cannot have children"]. *)
+val refusal_message : refusal -> string
 
 (** {1 Construction} *)
 
@@ -47,7 +79,7 @@ val clone : node -> node
     call); every attribute and child is parentless; attribute names are
     unique. Names are not checked — the XQuery constructors raise
     XQDY0025 before calling — and a document takes no attributes.
-    @raise Dom_error when the structural preconditions fail. *)
+    @raise Invalid_argument when the structural preconditions fail. *)
 val fill : node -> attrs:node list -> node list -> unit
 
 (** {1 Inspection} *)
@@ -252,24 +284,31 @@ val equal : node -> node -> bool
     first child of a parent, or just before or after a sibling. *)
 type anchor = Last_of of node | First_of of node | Before of node | After of node
 
-(** [insert_nodes anchor group] detaches each node of [group] from its
-    parent, if it has one, and makes the group consecutive children,
-    in its order, at [anchor]: one write, so one pass over the child
-    list, one placement of the group's order labels, one footprint
+(** [insert_nodes ?parent anchor group] detaches each node of [group]
+    from its parent, if it has one, and makes the group consecutive
+    children, in its order, at [anchor]: one write, so one pass over the
+    child list, one placement of the group's order labels, one footprint
     write record and one [Children_changed]. An empty group writes
-    nothing. The nodes must be distinct.
-    @raise Dom_error for an attribute or document in the group, a node
-    of the group that is the parent or one of its ancestors, or a
-    sibling anchor without a parent; nothing is written then. *)
-val insert_nodes : anchor -> node list -> unit
+    nothing, but is checked. The nodes must be distinct. [parent], when
+    given, is the parent a sibling anchor must have (DOM
+    [insertBefore]); it is ignored for [Last_of] and [First_of].
+    @raise Refused with, in this order: [Parentless] for a sibling
+    anchor without a parent (none named); [Childless] for a parent of
+    a kind that takes no children; [Cycle] for a node of the group that
+    is the parent or one of its ancestors; [Not_a_child] for a sibling
+    anchor that is an attribute or not a child of [parent];
+    [Child_kind] for an attribute or document in the group. *)
+val insert_nodes : ?parent:node -> anchor -> node list -> unit
+
+(** The check {!insert_nodes} runs, without the write. *)
+val check_insert : ?parent:node -> anchor -> node list -> unit
 
 (** [replace_children parent group] makes [group] the whole child list
     of [parent] in one write: the old children are unlinked in one
     pass, the nodes of [group] leave their parents as in
     {!insert_nodes}, and observers see one [Children_changed]. An empty
     group removes every child.
-    @raise Dom_error for a parent that takes no children, or a group
-    {!insert_nodes} refuses; nothing is written then. *)
+    @raise Refused as [insert_nodes (Last_of parent) group] does. *)
 val replace_children : node -> node list -> unit
 
 (** One-node forms of {!insert_nodes}. *)
@@ -278,13 +317,25 @@ val insert_first : parent:node -> node -> unit
 val insert_before : sibling:node -> node -> unit
 val insert_after : sibling:node -> node -> unit
 
-(** Detach from parent; no-op for parentless nodes. *)
-val remove : node -> unit
+(** Detach from parent; no-op for parentless nodes. [parent], when
+    given, is the parent the node must have (DOM [removeChild]).
+    @raise Refused [Not_a_child] for a node that is an attribute or not
+    a child of [parent]. *)
+val remove : ?parent:node -> node -> unit
 
-(** Replace a node with a list of nodes (empty list = delete).
-    @raise Dom_error if the node has no parent, or a replacement is
-    that parent or one of its ancestors. *)
-val replace : node -> node list -> unit
+(** Replace a node with a list of nodes (empty list = delete): an
+    attribute by attributes, a child by children. [parent], when given,
+    is the parent the node must have (DOM [replaceChild]).
+    @raise Refused with, in this order: [Parentless] for a node without
+    a parent (none named); [Replacement_kind] for a non-attribute that
+    replaces an attribute; for a child, [Childless] and [Cycle] as
+    {!insert_nodes} does, [Not_a_child] for a node that is not a child
+    of [parent], then [Replacement_kind] for an attribute and
+    [Child_kind] for a document that replaces it. *)
+val replace : ?parent:node -> node -> node list -> unit
+
+(** The check {!replace} runs, without the write. *)
+val check_replace : ?parent:node -> node -> node list -> unit
 
 (** Set the value of an attribute/text/comment/PI node; for an element
     or document, replaces all children with a single text node
@@ -293,19 +344,30 @@ val set_value : node -> string -> unit
 
 (** Rename an element or attribute, or set a processing
     instruction's target to the name's local part.
-    @raise Dom_error for any other kind of node. *)
+    @raise Refused [Rename_kind] for any other kind of node. *)
 val rename : node -> Qname.t -> unit
 
-(** Sets (or replaces) an attribute on an element. *)
+(** The check {!rename} runs, without the write. *)
+val check_rename : node -> unit
+
+(** Sets (or replaces) an attribute on an element.
+    @raise Refused [Owner_kind] for a node other than an element. *)
 val set_attribute : node -> Qname.t -> string -> unit
 
+(** @raise Refused [Owner_kind] for a node other than an element. *)
 val remove_attribute : node -> Qname.t -> unit
 
 (** Attach attribute nodes, after its others, to an element in one
     write: one footprint write record and one [Attribute_changed],
     which names the first of them. An empty list writes nothing. The
-    names must not repeat the element's or each other's. *)
+    nodes must be attributes (else [Invalid_argument]), and their names
+    must not repeat the element's or each other's.
+    @raise Refused [Owner_kind] for a parent other than an element. *)
 val append_attributes : parent:node -> node list -> unit
+
+(** The check {!set_attribute}, {!remove_attribute} and
+    {!append_attributes} run on the element, without the write. *)
+val check_owner : node -> unit
 
 (** The one-attribute form of {!append_attributes}. *)
 val append_attribute : parent:node -> node -> unit

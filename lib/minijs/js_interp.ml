@@ -202,7 +202,17 @@ let attr_backed = [ "id"; "src"; "href"; "name"; "title"; "alt"; "class" ]
 
 (* a tree write the DOM refuses is the DOMException page code can
    catch *)
-let write f = try f () with Dom.Dom_error m -> fail "HierarchyRequestError: %s" m
+let write f =
+  try f ()
+  with Dom.Refused r ->
+    fail "%s: %s"
+      (match r with
+      | Dom.Parentless | Dom.Not_a_child -> "NotFoundError"
+      | Dom.Rename_kind _ -> "NotSupportedError"
+      | Dom.Child_kind _ | Dom.Childless _ | Dom.Cycle | Dom.Owner_kind _
+      | Dom.Replacement_kind _ ->
+          "HierarchyRequestError")
+      (Dom.refusal_message r)
 
 let rec node_prop st node name =
   let d = node in
@@ -283,18 +293,24 @@ and node_method st node name =
           write (fun () ->
               match arg 1 args with
               | VNull | VUndefined -> Dom.append_child ~parent:node child
-              | v -> Dom.insert_before ~sibling:(as_node v) child);
+              | v -> Dom.insert_nodes ~parent:node (Dom.Before (as_node v)) [ child ]);
           vnode child)
   | "removeChild" ->
       native (fun _ args ->
           let child = as_node (arg 0 args) in
-          Dom.remove child;
+          write (fun () -> Dom.remove ~parent:node child);
           vnode child)
   | "replaceChild" ->
       native (fun _ args ->
           let newc = as_node (arg 0 args) and oldc = as_node (arg 1 args) in
-          write (fun () -> Dom.replace oldc [ newc ]);
+          write (fun () -> Dom.replace ~parent:node oldc [ newc ]);
           vnode oldc)
+  | "renameNode" ->
+      (* DOM Level 3 Core's renameNode(node, namespaceURI, name) *)
+      native (fun _ args ->
+          let n = as_node (arg 0 args) in
+          write (fun () -> Dom.rename n (qn (to_string (arg 2 args))));
+          vnode n)
   | "cloneNode" -> native (fun _ _ -> vnode (Dom.clone node))
   | "setAttribute" ->
       native (fun _ args ->
@@ -378,12 +394,8 @@ and node_method st node name =
           in
           (* compiled once per distinct expression: the query cache; a
              failing expression is the exception page code can catch, a
-             SyntaxError for a static error, and an update the DOM
-             refuses a refused tree write *)
-          match
-            write (fun () ->
-                Xquery.Engine.eval_string ~context_item:(Xdm_item.Node ctx_node) xpath)
-          with
+             SyntaxError for a static error *)
+          match Xquery.Engine.eval_string ~context_item:(Xdm_item.Node ctx_node) xpath with
           | result ->
               let nodes =
                 List.filter_map

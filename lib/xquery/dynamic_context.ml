@@ -117,7 +117,9 @@ let default_host =
         List.iter
           (fun node -> ignore (Dom_event.fire ~event_type ~target:node ()))
           (target_nodes targets));
-    set_style = Style_util.set_on_node;
+    set_style =
+      (fun n name v ->
+        try Style_util.set_on_node n name v with Dom.Refused r -> Pul.refused None r);
     get_style = Style_util.get_on_node;
     doc =
       (fun uri ->

@@ -47,7 +47,8 @@ type host = {
 }
 
 (** Standalone host: events dispatch synchronously through {!Dom_event},
-    styles edit the [style] attribute, documents are unavailable,
+    styles edit the [style] attribute (of an element: another node is
+    XPTY0004, {!Pul.refused}), documents are unavailable,
     [behind] evaluates synchronously then signals readyState 4. *)
 val default_host : host
 

@@ -659,36 +659,25 @@ let single_target what = function
   | [ I.Node n ] -> n
   | _ -> err Xq_error.update_target "%s target must be a single node" what
 
+(* The children's primitive is added even when it has none: applying
+   the list checks the target. *)
 let insert pul (pos : Ast.insert_position) ~fresh ~source ~target =
   let attrs, kids = content [ { fresh; items = source () } ] in
   let target = single_target "insert" (target ()) in
   (match pos with
   | Ast.Into | Ast.As_first_into | Ast.As_last_into ->
-      (match Dom.kind target with
-      | Dom.Element | Dom.Document -> ()
-      | _ ->
-          err Xq_error.update_target
-            "insert into target must be an element or document");
-      if attrs <> [] then begin
-        if Dom.kind target = Dom.Document then
-          err "XUTY0022" "cannot insert attributes into a document node";
-        Pul.add pul (Pul.Insert_attributes (target, attrs))
-      end;
-      if kids <> [] then
-        Pul.add pul
-          (match pos with
-          | Ast.As_first_into -> Pul.Insert_first (target, kids)
-          | _ -> Pul.Insert_into (target, kids))
+      Pul.add pul
+        (match pos with
+        | Ast.As_first_into -> Pul.Insert_first (target, kids)
+        | _ -> Pul.Insert_into (target, kids));
+      if attrs <> [] then Pul.add pul (Pul.Insert_attributes (target, attrs))
   | Ast.Before | Ast.After ->
       if attrs <> [] then
         err Xq_error.update_target "cannot insert attributes before/after a node";
-      if Dom.parent target = None then
-        err "XUDY0029" "cannot insert before or after a node without a parent";
-      if kids <> [] then
-        Pul.add pul
-          (match pos with
-          | Ast.Before -> Pul.Insert_before (target, kids)
-          | _ -> Pul.Insert_after (target, kids)));
+      Pul.add pul
+        (match pos with
+        | Ast.Before -> Pul.Insert_before (target, kids)
+        | _ -> Pul.Insert_after (target, kids)));
   []
 
 let delete pul targets =
@@ -701,37 +690,18 @@ let delete pul targets =
 
 let replace pul ~value_of ~fresh ~target ~source =
   let tnode = single_target "replace" (target ()) in
-  (if value_of then
-     Pul.add pul (Pul.Replace_value (tnode, I.sequence_string (source ())))
-   else
-     let attrs, kids = content [ { fresh; items = source () } ] in
-     if Dom.parent tnode = None then
-       err "XUDY0009" "cannot replace a node without a parent";
-     let replacements =
-       match Dom.kind tnode with
-       | Dom.Attribute ->
-           if kids <> [] then
-             err Xq_error.update_target
-               "an attribute can only be replaced with attributes"
-           else attrs
-       | _ ->
-           if attrs <> [] then
-             err Xq_error.update_target
-               "cannot replace a non-attribute node with attributes"
-           else kids
-     in
-     Pul.add pul (Pul.Replace_node (tnode, replacements)));
+  Pul.add pul
+    (if value_of then Pul.Replace_value (tnode, I.sequence_string (source ()))
+     else
+       let attrs, kids = content [ { fresh; items = source () } ] in
+       Pul.Replace_node (tnode, attrs @ kids));
   []
 
 let rename ctx pul ~target ~name =
   let tnode = single_target "rename" (target ()) in
-  (match Dom.kind tnode with
-  | Dom.Document | Dom.Text | Dom.Comment ->
-      err "XUTY0012" "rename target must be an element, attribute or processing instruction"
-  | Dom.Element | Dom.Attribute | Dom.Processing_instruction -> ());
   let qn = qname_of_value ctx (I.singleton_atomic (name ())) in
-  (match (Dom.kind tnode, qn.Qname.prefix) with
-  | Dom.Processing_instruction, Some p when p <> "" ->
+  (match (Dom.pi_target tnode, qn.Qname.prefix) with
+  | Some _, Some p when p <> "" ->
       err "XUDY0025" "a processing instruction cannot be renamed to the prefixed name %s"
         (Qname.to_string qn)
   | _ -> ());

@@ -139,7 +139,10 @@ val qname_of_value : Dynamic_context.t -> Xdm_atomic.t -> Qname.t
 (** Updates: each adds its primitive to the pending update list and
     returns the empty sequence. The source of [insert] and [replace] is
     one content part ([fresh] as in {!part}); [copy_source] is the deep
-    copy a transform's [copy $v := e] binds. *)
+    copy a transform's [copy $v := e] binds. They check the XQuery
+    values (one target node, attributes only where attributes go, a PI
+    renamed to an unprefixed name); what the DOM refuses of the target
+    is raised when the list applies ({!Pul.refused}). *)
 val insert : Pul.t -> Ast.insert_position -> fresh:bool -> source:thunk -> target:thunk -> seq
 val delete : Pul.t -> seq -> seq
 val replace : Pul.t -> value_of:bool -> fresh:bool -> target:thunk -> source:thunk -> seq

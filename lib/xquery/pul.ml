@@ -87,6 +87,44 @@ let check_attribute_names prims =
                (List.filter_map after (Dom.attributes e) @ Hashtbl.find_all gained (Dom.id e))))
         (List.sort_uniq (fun a b -> Int.compare (Dom.id a) (Dom.id b)) touched)
 
+(* The XQUF or XPTY error of a write the DOM refuses. [prim] is the
+   primitive it refused; [None] is a write outside a pending update
+   list, a set style of a node that is not an element. *)
+let refused prim (r : Dom.refusal) =
+  let code =
+    match (prim, r) with
+    | None, _ | Some _, (Dom.Child_kind _ | Dom.Cycle) -> Xq_error.type_error_code
+    | Some (Replace_node _), Dom.Parentless -> "XUDY0009"
+    | Some _, Dom.Parentless -> "XUDY0029"
+    | Some _, Dom.Not_a_child -> "XUTY0006"
+    | Some _, Dom.Owner_kind Dom.Document -> "XUTY0022"
+    | Some _, (Dom.Childless _ | Dom.Owner_kind _) -> Xq_error.update_target
+    | Some _, Dom.Rename_kind _ -> "XUTY0012"
+    | Some _, Dom.Replacement_kind { target = Dom.Attribute; _ } -> "XUTY0011"
+    | Some _, Dom.Replacement_kind _ -> "XUTY0010"
+  in
+  Xq_error.raise_error code "%s" (Dom.refusal_message r)
+
+(* The DOM's check of every primitive, on the tree before the first
+   write. It still holds when each primitive applies: XQUF applies every
+   insert (phases a and b) before any replace (c) or delete (e), and
+   what an insert links is new. *)
+let check_dom prims =
+  List.iter
+    (fun p ->
+      try
+        match p with
+        | Insert_into (t, ns) | Insert_last (t, ns) -> Dom.check_insert (Dom.Last_of t) ns
+        | Insert_first (t, ns) -> Dom.check_insert (Dom.First_of t) ns
+        | Insert_before (s, ns) -> Dom.check_insert (Dom.Before s) ns
+        | Insert_after (s, ns) -> Dom.check_insert (Dom.After s) ns
+        | Insert_attributes (t, _) -> Dom.check_owner t
+        | Replace_node (n, rs) -> Dom.check_replace n rs
+        | Rename (n, _) -> Dom.check_rename n
+        | Delete _ | Replace_value _ -> ()
+      with Dom.Refused r -> refused (Some p) r)
+    prims
+
 (* Application phases, audited against XQUF 1.0 §3.2.2
    upd:applyUpdates, which applies primitives in the order:
      (a) upd:insertInto, upd:insertAttributes, upd:replaceValue,
@@ -148,11 +186,24 @@ let phase_metric = Array.init 5 (fun i -> Obs.Metrics.counter (Printf.sprintf "p
 
 let apply t =
   let prims = List.rev t.items in
-  (* The list is consumed before any check: a PUL that fails conflict
-     detection (XUDY0015/0016/0017) or XUDY0021 is discarded with
-     nothing applied, so a later apply on the same context (a page's
-     scripts and listeners share one) does not meet it again. *)
+  (* The list is consumed before any check: a PUL the DOM refuses, or
+     that fails conflict detection (XUDY0015/0016/0017) or XUDY0021, is
+     discarded with nothing applied, so a later apply on the same
+     context (a page's scripts and listeners share one) does not meet it
+     again. *)
   t.items <- [];
+  check_dom prims;
+  (* an insert of no nodes is there for the check of its target: it
+     writes nothing, so it is no effect and no primitive applied *)
+  let prims =
+    List.filter
+      (function
+        | Insert_into (_, []) | Insert_first (_, []) | Insert_last (_, [])
+        | Insert_before (_, []) | Insert_after (_, []) ->
+            false
+        | _ -> true)
+      prims
+  in
   check_conflicts prims;
   check_attribute_names prims;
   (* A non-empty apply during a recorded listener run is an effect: the

@@ -304,6 +304,23 @@ let style_tests =
         ignore (run b {|set style "color" of //div[@id="d"] to "blue"|});
         check Alcotest.string "updated" "blue" (run_str b {|get style "color" of //div[@id="d"]|});
         check Alcotest.string "other preserved" "1px" (run_str b {|get style "margin" of //div[@id="d"]|}));
+    t "set style of a node that is not an element is XPTY0004" (fun () ->
+        (* the statement form and browser:setStyle: the error is recorded
+           and the next script runs *)
+        List.iter
+          (fun script ->
+            let b =
+              load_page
+                ({|<html><head><script type="text/xquery">|} ^ script
+               ^ {|</script><script type="text/xquery">browser:alert("next")</script>
+                  </head><body><div>x</div></body></html>|})
+            in
+            check (Alcotest.list Alcotest.string) script
+              [ "[XPTY0004] a text node cannot have attributes" ]
+              b.B.script_errors;
+            check (Alcotest.list Alcotest.string) "the next script ran" [ "next" ] (B.alerts b))
+          [ {|set style "color" of //div/text() to "red"|};
+            {|browser:setStyle(//div/text(), "color", "red")|} ]);
     t "get style of absent property is empty" (fun () ->
         let b = load_page {|<html><body><div id="d"/></body></html>|} in
         check Alcotest.string "empty" "0" (run_str b {|count(get style "x" of //div[@id="d"])|}));

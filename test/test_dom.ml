@@ -163,8 +163,8 @@ let mutation_tests =
         check Alcotest.string "renamed" "<s y=\"1\"/>" (Dom.serialize doc));
     t "rename text fails" (fun () ->
         match Dom.rename (Dom.create_text "t") (qn "x") with
-        | exception Dom.Dom_error _ -> ()
-        | () -> Alcotest.fail "expected Dom_error");
+        | exception Dom.Refused (Dom.Rename_kind Dom.Text) -> ()
+        | () -> Alcotest.fail "expected Rename_kind");
     t "set_attribute replaces existing" (fun () ->
         let el = Dom.create_element ~attrs:[ (qn "x", "1") ] (qn "a") in
         Dom.set_attribute el (qn "x") "2";
@@ -177,34 +177,52 @@ let mutation_tests =
     t "cannot insert attribute as child" (fun () ->
         let p = Dom.create_element (qn "p") in
         match Dom.append_child ~parent:p (Dom.create_attribute (qn "a") "v") with
-        | exception Dom.Dom_error _ -> ()
-        | () -> Alcotest.fail "expected Dom_error");
+        | exception Dom.Refused (Dom.Child_kind Dom.Attribute) -> ()
+        | () -> Alcotest.fail "expected Child_kind");
     t "cannot give children to text" (fun () ->
         let txt = Dom.create_text "t" in
         match Dom.append_child ~parent:txt (Dom.create_text "u") with
-        | exception Dom.Dom_error _ -> ()
-        | () -> Alcotest.fail "expected Dom_error");
-    t "a node cannot become its own ancestor" (fun () ->
+        | exception Dom.Refused (Dom.Childless Dom.Text) -> ()
+        | () -> Alcotest.fail "expected Childless");
+    t "a refused write changes nothing" (fun () ->
         let doc =
-          Dom.of_string "<r><div id=\"outer\"><div id=\"inner\"><i/></div></div></r>"
+          Dom.of_string "<r><div id=\"outer\"><div id=\"inner\"><i/></div></div>t</r>"
         in
         let outer = Option.get (Dom.get_element_by_id doc "outer")
         and inner = Option.get (Dom.get_element_by_id doc "inner") in
         let before = Dom.serialize doc in
-        let refused what f =
+        (* a refused write changes nothing: not the tree, not the parent
+           of a node it would have moved *)
+        let refused what want f =
           match f () with
-          | exception Dom.Dom_error _ ->
+          | exception Dom.Refused r ->
+              check Alcotest.string (what ^ ": reason") (Dom.refusal_message want)
+                (Dom.refusal_message r);
               check Alcotest.string (what ^ " leaves the tree") before (Dom.serialize doc);
               check Alcotest.bool (what ^ " keeps the parent") true
                 (match Dom.parent inner with Some p -> p == outer | None -> false)
-          | () -> Alcotest.failf "%s: expected Dom_error" what
+          | () -> Alcotest.failf "%s: expected a refusal" what
         in
-        refused "append into a child" (fun () -> Dom.append_child ~parent:inner outer);
-        refused "append into itself" (fun () -> Dom.append_child ~parent:outer outer);
-        refused "group insert" (fun () ->
+        refused "append into a child" Dom.Cycle (fun () -> Dom.append_child ~parent:inner outer);
+        refused "append into itself" Dom.Cycle (fun () -> Dom.append_child ~parent:outer outer);
+        refused "group insert" Dom.Cycle (fun () ->
             Dom.insert_nodes (Dom.First_of inner) [ Dom.create_element (qn "n"); outer ]);
         let i = List.hd (Dom.children inner) in
-        refused "replace a descendant" (fun () -> Dom.replace i [ outer ]));
+        refused "replace a descendant" Dom.Cycle (fun () -> Dom.replace i [ outer ]);
+        let text = List.nth (Dom.children (root_el doc)) 1 in
+        refused "append an attached node to a text node" (Dom.Childless Dom.Text) (fun () ->
+            Dom.append_child ~parent:text inner);
+        refused "replace an attribute by an element"
+          (Dom.Replacement_kind { target = Dom.Attribute; by = Dom.Element })
+          (fun () -> Dom.replace (List.hd (Dom.attributes outer)) [ Dom.create_element (qn "e") ]);
+        refused "insert before an attribute" Dom.Not_a_child (fun () ->
+            Dom.insert_before ~sibling:(List.hd (Dom.attributes outer)) (Dom.create_element (qn "e")));
+        refused "insert before a child of another parent" Dom.Not_a_child (fun () ->
+            Dom.insert_nodes ~parent:outer (Dom.Before i) [ Dom.create_element (qn "e") ]);
+        refused "remove a child of another parent" Dom.Not_a_child (fun () ->
+            Dom.remove ~parent:outer i);
+        refused "replace a child of another parent" Dom.Not_a_child (fun () ->
+            Dom.replace ~parent:outer i [ Dom.create_element (qn "e") ]));
   ]
 
 let observer_tests =
@@ -526,15 +544,15 @@ let builder_tests =
         let doc = sample () in
         let el = Dom.create_element (qn "e") in
         match Dom.fill el ~attrs:[] [ root_el doc ] with
-        | exception Dom.Dom_error _ ->
+        | exception Invalid_argument _ ->
             check Alcotest.int "nothing adopted" 0 (List.length (Dom.children el))
-        | () -> Alcotest.fail "expected Dom_error");
+        | () -> Alcotest.fail "expected Invalid_argument");
     t "fill rejects a node that already has children" (fun () ->
         let el = Dom.create_element (qn "e") in
         Dom.fill el ~attrs:[] [ Dom.create_text "a" ];
         match Dom.fill el ~attrs:[] [ Dom.create_text "b" ] with
-        | exception Dom.Dom_error _ -> ()
-        | () -> Alcotest.fail "expected Dom_error");
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.fail "expected Invalid_argument");
     t "replace_children swaps the whole child list in one write" (fun () ->
         let doc =
           Dom.of_string
@@ -570,7 +588,7 @@ let builder_tests =
              (fun a b -> Dom.compare_order a b = Dom.compare_order_naive a b)
              nodes (List.rev nodes));
         match Dom.replace_children (List.hd (Dom.children r |> List.concat_map Dom.children)) [] with
-        | exception Dom.Dom_error _ -> ()
+        | exception Dom.Refused (Dom.Childless Dom.Text) -> ()
         | () -> Alcotest.fail "a text node took children");
     t "set_value drops every old child with one bump" (fun () ->
         let doc =

@@ -87,6 +87,7 @@ let attr_value aux = if aux mod 2 = 0 then Printf.sprintf "id%d" (aux mod 7) els
 let free_name el qn =
   not (List.exists (fun a -> Dom.name a = Some qn) (Dom.attributes el))
 
+(* One mutation of the world; [true] when the DOM refused it *)
 let apply_op w (sel, p, aux) =
   let in_doc = subtree w.doc in
   let all = in_doc @ List.concat_map subtree w.pool in
@@ -121,6 +122,7 @@ let apply_op w (sel, p, aux) =
     in
     Dom.insert_nodes anchor (List.filter safe (distinct group))
   in
+  let refused = ref false in
   (try
      match sel mod 25 with
      | 0 -> Dom.append_child ~parent:target (fresh_element aux)
@@ -261,10 +263,11 @@ let apply_op w (sel, p, aux) =
            | [], None -> ()
          end
      | _ -> Dom.remove_attribute target (Qname.make "id")
-   with Dom.Dom_error _ -> ());
+   with Dom.Refused _ -> refused := true);
   let pool = !detached @ w.pool in
   w.pool <-
-    List.filteri (fun i n -> i < 4 && Dom.parent n = None && Dom.kind n <> Dom.Attribute) pool
+    List.filteri (fun i n -> i < 4 && Dom.parent n = None && Dom.kind n <> Dom.Attribute) pool;
+  !refused
 
 (* Build the document, then interleave mutations with accelerated
    queries so caches are built and kept repeatedly along the way.
@@ -273,7 +276,7 @@ let run_scenario (tree, ops) =
   let w = { doc = Dom.of_tree [ tree ]; pool = [] } in
   List.iter
     (fun op ->
-      apply_op w op;
+      ignore (apply_op w op);
       (* probe: force cache builds between mutations *)
       let ds = Dom.descendants w.doc in
       (match ds with n :: _ -> ignore (Dom.compare_order w.doc n) | [] -> ());
@@ -539,16 +542,24 @@ let caches_agree doc =
 (* Apply the ops, and from a step the scenario picks on compare after
    every step: before it the tree has no caches, so its writes do no
    upkeep; the first comparison builds them mid-stream, and every later
-   step must keep them. *)
+   step must keep them. An op the DOM refuses must leave every tree as
+   it was, byte for byte, and (from that step on) every cache matching
+   a rebuild. *)
 let prop_caches_match_rebuilds ((_, ops) as scenario) =
   Ablation.with_ { Ablation.current with acceleration = true } (fun () ->
       let tree, _ = scenario in
       let w = { doc = Dom.of_tree [ tree ]; pool = [] } in
       let start = match ops with (_, p, _) :: _ -> p mod (List.length ops + 1) | [] -> 0 in
       let failure = ref None in
+      let trees () = List.map Dom.serialize (w.doc :: w.pool) in
       List.iteri
         (fun i op ->
-          apply_op w op;
+          let before = trees () in
+          if apply_op w op && !failure = None && trees () <> before then
+            failure :=
+              Some
+                (Printf.sprintf "step %d: a refused op changed %s into %s" i
+                   (String.concat " " before) (String.concat " " (trees ())));
           (* the detached subtrees are trees of their own, with their
              own caches once probed *)
           if i >= start && !failure = None then

@@ -304,6 +304,25 @@ let dom_tests =
                "document.getElementById('t').firstChild.write('<b/>');";
                "document.getElementById('t').firstChild.style.color = 'red';";
              ]));
+    t "a reference that is not a child throws NotFoundError" (fun () ->
+        (* [a] is asked about [x], a child of [b]: nothing is written *)
+        let body = {|<body><div id="a"/><div id="b"><p id="x"/></div></body>|} in
+        List.iter
+          (fun call ->
+            let b = B.create () in
+            Xqib.Page.load b ("<html>" ^ body ^ "</html>");
+            J.run_script b b.B.top_window
+              ("var a = document.getElementById('a'), x = document.getElementById('x'), r = 'none';\n\
+                try { " ^ call ^ " } catch (e) { r = e; }");
+            check Alcotest.string call
+              "NotFoundError: the reference node is not a child of the parent" (eval_str b "r");
+            check Alcotest.string "tree kept" body
+              (Dom.serialize (List.hd (Dom.get_elements_by_local_name (B.document b) "body"))))
+          [
+            "a.removeChild(x);";
+            "a.insertBefore(document.createElement('n'), x);";
+            "a.replaceChild(document.createElement('n'), x);";
+          ]);
     t "an uncaught cyclic appendChild is a script error" (fun () ->
         let b = B.create () in
         Xqib.Page.load b
@@ -475,7 +494,7 @@ let uncaught_tests =
         check Alcotest.string "a catchable SyntaxError" "SyntaxError: [XPST0003]"
           (String.sub (eval_str b "caught") 0 23);
         check Alcotest.string "a refused update"
-          "HierarchyRequestError: set_attribute: not an element" (eval_str b "refused");
+          "XPathException: [XPTY0004] a text node cannot have attributes" (eval_str b "refused");
         check (Alcotest.list Alcotest.string) "the uncaught one is one line"
           [ "Uncaught XPathException: [FOAR0001] division by zero" ]
           b.B.script_errors;

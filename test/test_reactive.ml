@@ -279,6 +279,22 @@ let skip_tests =
         check Alcotest.int "never skipped" 0 (counter "skips");
         check Alcotest.bool "poison latched" true
           (counter "poisoned-runs" >= 1));
+    t "an update that inserts nothing keeps the skip" (fun () ->
+        (* its primitive is there for the check of the target only *)
+        let b =
+          load_page
+            {|<html><head><script type="text/xquery">
+              declare updating function local:w($evt, $obj) {
+                insert nodes $obj/none into $obj
+              };
+              on event "onclick" at //div attach listener local:w
+              </script></head><body><div id="r1"/></body></html>|}
+        in
+        let r1 = Option.get (Dom.get_element_by_id (B.document b) "r1") in
+        Reactive.reset_counters ();
+        B.dispatch b ~target:r1 "onclick";
+        B.dispatch b ~target:r1 "onclick";
+        check Alcotest.int "skipped" 1 (counter "skips"));
     t "--no-incremental ablation disables skipping" (fun () ->
         Ablation.with_ { Ablation.current with incremental = false } (fun () ->
             let b = load_page two_region_page in

@@ -75,6 +75,25 @@ let insert_tests =
     t "insert attribute into a document node fails" (fun () ->
         expect_error "XUTY0022"
           "let $d := document { <a/> } return insert node attribute x {1} into $d");
+    t "an empty source still checks its target" (fun () ->
+        expect_error "XUTY0005" "let $d := <a>t</a> return insert nodes () into $d/text()";
+        expect_error "XUDY0029" "insert nodes () before <a/>");
+    t "insert before or after an attribute is XUTY0006" (fun () ->
+        expect_error "XUTY0006" "let $d := <d x='1'/> return insert node <a/> before $d/@x";
+        expect_error "XUTY0006" "let $d := <d x='1'/> return insert node <a/> after $d/@x");
+    t "a list the DOM refuses applies nothing" (fun () ->
+        let b = Xqib.Browser.create () in
+        Xqib.Page.load b
+          {|<html><head><script type="text/xquery">
+            (insert node <new/> into //div, insert node <a/> before //div/@x)
+            </script><script type="text/xquery">
+            browser:alert(concat(count(//new), ' ', count(//div/a)))
+            </script></head><body><div x="1"/></body></html>|};
+        check (Alcotest.list Alcotest.string) "the refusal"
+          [ "[XUTY0006] the reference node is not a child of the parent" ]
+          b.Xqib.Browser.script_errors;
+        check (Alcotest.list Alcotest.string) "nothing applied" [ "0 0" ]
+          (Xqib.Browser.alerts b));
   ]
 
 let delete_replace_rename_tests =
@@ -116,6 +135,10 @@ let delete_replace_rename_tests =
         check Alcotest.string "swap"
           "<lib><book x=\"9\"><price>10</price></book></lib>"
           (update_and_show "replace node $d/book/@title with attribute x { 9 }"));
+    t "an attribute and a non-attribute do not replace each other" (fun () ->
+        expect_error "XUTY0011" "let $d := <d x='1'/> return replace node $d/@x with <a/>";
+        expect_error "XUTY0010" "let $d := <d><c/></d> return replace node $d/c with attribute y {1}";
+        expect_error "XUDY0009" "replace node <a/> with <b/>");
     t "replace target must be single node" (fun () ->
         expect_error "XUTY0005"
           "let $d := <r><a/><a/></r> return replace node $d/a with <b/>");
