@@ -271,20 +271,28 @@ let bench_t2 () =
       Printf.printf "%-8d %-22s %14s %14s\n" n
         (Printf.sprintf "DOM update (+%d)" k)
         (pretty_ns js_upd) (pretty_ns xq_upd);
-      (* events: listener on the container, dispatch from a leaf *)
+      (* events: listener on the container, dispatch from a leaf; each
+         event carries a fresh [seq] that both listeners read, so
+         incremental dispatch cannot skip the XQuery one *)
+      let dispatch b target =
+        let seq = ref 0 in
+        fun () ->
+          incr seq;
+          B.dispatch b ~detail:[ ("seq", string_of_int !seq) ] ~target "ping"
+      in
       let bj = browser_with ~page () in
       Minijs.Js_interp.run_script bj bj.B.top_window
-        "var hits = 0;\n\
-         document.getElementById('root').addEventListener('ping', function(e) { hits++; }, false);";
+        "var sum = 0;\n\
+         document.getElementById('root').addEventListener('ping', function(e) { sum += e.seq; }, false);";
       let jst = List.hd (Dom.get_elements_by_local_name (B.document bj) "item") in
-      let js_evt = ns_per_run (fun () -> B.dispatch bj ~target:jst "ping") in
+      let js_evt = ns_per_run (dispatch bj jst) in
       let bx = browser_with ~page () in
       ignore
         (run_xq bx
-           "declare function local:noop($evt, $obj) { () }; \
-            on event \"ping\" at //div[@id='root'] attach listener local:noop");
+           "declare function local:read($evt, $obj) { number($evt/seq) }; \
+            on event \"ping\" at //div[@id='root'] attach listener local:read");
       let xst = List.hd (Dom.get_elements_by_local_name (B.document bx) "item") in
-      let xq_evt = ns_per_run (fun () -> B.dispatch bx ~target:xst "ping") in
+      let xq_evt = ns_per_run (dispatch bx xst) in
       record ~name:"event-dispatch" ~n ~js:js_evt ~xq:xq_evt;
       Printf.printf "%-8d %-22s %14s %14s\n" n "event dispatch (bubble)"
         (pretty_ns js_evt) (pretty_ns xq_evt))

@@ -58,11 +58,12 @@
 # render, or if a write the DOM refuses changes any tree.
 # The dom-contract line runs the JavaScript/XQuery differential at its
 # long count (20x): it fails if, after any op of a random edit script
-# (append a new element or move a node, insert before, remove, replace,
-# set an attribute, rename, set text) run over a random page once as
-# JavaScript DOM calls and once as XQuery updates, the two documents
-# serialize differently, the DOM refused the op in one language only, or
-# a refused op changed the document.
+# (append a new element or move a node, move a node before itself,
+# insert before, remove, replace, set an attribute, rename, set text)
+# run over a random page once as JavaScript DOM calls and once as
+# XQuery updates, the two documents serialize differently, the DOM
+# refused the op in one language only, or a refused op changed the
+# document.
 # The compile line runs the evaluator differential at its long count
 # (20x): it fails if, on any generated query — top-level updates and
 # transforms, sequential functions with declare/set/while/break/
@@ -105,16 +106,21 @@
 # pre, rules, breaks and the skipped elements) with hidden styles,
 # words longer than the width and tabs, CRs and form feeds in text, at
 # a random width (0 included) and show_hidden, with a list long enough
-# to be kept in chunks, render or render_cached differs from the
-# from-scratch oracle — after each run of writes (new blocks inserted
-# first or before a block sibling among them, and children of the list
-# written while out of the tree or under another parent, then put
-# back), and again with no write between, so patched memos and reused
-# one-leaf blocks are both checked; or if a cold render of a 2 000-item
-# page allocates more than 35 minor words per element or more than 1.2x
-# its figure at 200 items; or if a buy-shaped write and render at a
-# 5 000-item cart costs more than 1.2x the elements rendered, leaves
-# copied out or minor words of one at a 500-item cart.
+# to be kept in chunks, render or the text of render_cached's frame
+# differs from the from-scratch oracle — after each run of writes (new
+# blocks inserted first or before a block sibling among them, and
+# children of the list written while out of the tree or under another
+# parent, then put back), so patched memos and reused one-leaf blocks
+# are both checked — or a frame taken before a run of writes no longer
+# reads the oracle's text of the document it was taken from, or a
+# render with no write between returns another frame; or if a cold
+# render of a 2 000-item page allocates more than 35 minor words per
+# element or more than 1.2x its figure at 200 items; or if a buy-shaped
+# write and render at a 5 000-item cart costs more than 1.2x the
+# elements rendered, the minor words or the words allocated in all
+# (minor words and words allocated straight in the major heap, where
+# a page-sized string would land) of one at a 500-item cart, or the
+# text of its last frame copies out more than 1.2x the leaves.
 # The data-model line runs the data model's properties at their long
 # count (20x): it fails if a cast at any target type, castable, an
 # arithmetic operator, negate, a value comparison, an effective boolean
@@ -151,13 +157,19 @@
 # if one seed does not give the same inputs and the same traced counts
 # twice, if a deliberately wrong expectation does not fail ops, or if
 # the percentile code misses its known answers.
+# Temporary files (T9's trace, the CLI lines' page) go in a directory
+# of their own, made by mktemp -d and removed on exit, so runs on one
+# host do not collide.
 set -eu
 cd "$(dirname "$0")"
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+trap 'exit 1' INT TERM
 dune build @all
 dune runtest
 dune exec bench/main.exe -- --smoke > /dev/null
 dune exec bench/main.exe -- --smoke --only t8 --check > /dev/null
-dune exec bench/main.exe -- --smoke --only t9 --check --trace /tmp/xqib_trace.json > /dev/null
+dune exec bench/main.exe -- --smoke --only t9 --check --trace "$tmpdir/trace.json" > /dev/null
 dune exec bench/main.exe -- --smoke --only t10 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t11 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t12 --check > /dev/null
@@ -175,9 +187,9 @@ QCHECK_LONG=1 dune exec test/test_main.exe -- test renderer > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test data-model > /dev/null
 QCHECK_LONG=1 dune exec test/test_main.exe -- test prolog > /dev/null
 dune exec tools/catch_all.exe -- lib/*/*.ml
-printf '<html/>' > /tmp/xqib_ci_page.html
+printf '<html/>' > "$tmpdir/page.html"
 ablation_fields() {
-  dune exec bin/xqib_cli.exe -- page /tmp/xqib_ci_page.html "$@" --query \
+  dune exec bin/xqib_cli.exe -- page "$tmpdir/page.html" "$@" --query \
     "for \$a in browser:stats()/@*[ends-with(local-name(), '-enabled')]
      where local-name(\$a) ne 'trace-enabled'
      return concat(local-name(\$a), '=', \$a)" | grep -e '-enabled=' | tr '\n' ' '

@@ -85,7 +85,8 @@ let set_document t window doc =
 let document t = t.top_window.Windows.document
 let alerts t = List.rev t.alerts
 
-(* memoized: re-rendering a page no event actually changed is a lookup *)
+(* memoized: re-rendering a page no event actually changed is a lookup;
+   the text is copied out only when read *)
 let render ?options t = Renderer.render_cached ?options (document t)
 
 let events = Obs.Metrics.counter "browser.events"

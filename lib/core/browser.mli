@@ -70,9 +70,11 @@ val alerts : t -> string list
 
 (** Render the page through {!Renderer.render_cached}: when an event
     changed nothing (all listeners skipped by reactive dispatch), the
-    re-render is a memo lookup; otherwise only the blocks on the paths
-    the event wrote are re-rendered. *)
-val render : ?options:Renderer.options -> t -> string
+    re-render is a memo lookup that returns the previous frame;
+    otherwise only the blocks on the paths the event wrote are
+    re-rendered. The page text is not built: {!Renderer.text} of the
+    frame copies it out when a caller reads it. *)
+val render : ?options:Renderer.options -> t -> Renderer.frame
 
 (** {1 Event dispatch and user simulation} *)
 

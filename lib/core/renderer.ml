@@ -88,10 +88,10 @@ let rec last_nonspace s lo i =
    its subtree and the options: inline words are flushed before and
    after it. So each block's rendering is a piece, kept in the tree's
    memo table, and a re-render renders again only what the writes since
-   the last one touched (see "Block memos" below), then copies the
-   pieces out once. Runs of blank lines are squeezed as lines are
-   emitted: within a leaf here, and across leaf boundaries when the
-   rope is copied out.
+   the last one touched (see "Block memos" below). The page's rope is a
+   frame, copied out once when its text is asked for. Runs of blank
+   lines are squeezed as lines are emitted: within a leaf here, and
+   across leaf boundaries when the rope is copied out.
 
    A leaf is a string, or a slice of one: [len] bytes from [off]; it
    ends in a newline. A [Cat] knows its byte length as copied out after
@@ -134,9 +134,8 @@ type cursor = {
   mutable pos : int;
   mutable blank : bool;
   mutable scanning : bool;  (** no byte outside white space seen yet *)
+  mutable leaves : int;  (** leaves blitted *)
 }
-
-let copied_leaves = Obs.Metrics.counter "render.copy.leaves"
 
 (* the leading newline of a leaf that follows a blank line is squeezed *)
 let squeezed c s off = if c.blank && String.unsafe_get s off = '\n' then 1 else 0
@@ -189,7 +188,7 @@ let rec trailing c = function
 (* Blit the bytes of the copied-out text in [lo, lo + length out) into
    [out]; [c.pos] is the text's length so far. *)
 let blit_bytes out lo c s off len =
-  Obs.Metrics.incr copied_leaves;
+  c.leaves <- c.leaves + 1;
   let start = squeezed c s off in
   let stop = c.pos + len - start in
   let a = if c.pos > lo then c.pos else lo in
@@ -206,7 +205,7 @@ let rec blit out lo c = function
         blit out lo c parts.(i)
       done
 
-let after_text () = { pos = 0; blank = false; scanning = false }
+let after_text () = { pos = 0; blank = false; scanning = false; leaves = 0 }
 
 (* A piece as one leaf holding its text as copied out after a line
    that is not blank. *)
@@ -217,19 +216,37 @@ let one_leaf = function
       Leaf (Bytes.unsafe_to_string out)
   | p -> p
 
+let copied_leaves = Obs.Metrics.counter "render.copy.leaves"
+
 let copy_out piece =
   let n = size piece in
-  let c = { pos = 0; blank = false; scanning = true } in
+  let c = { pos = 0; blank = false; scanning = true; leaves = 0 } in
   leading c piece;
   let lo = c.pos in
   if lo = n then ""
   else begin
-    let c = { pos = 0; blank = false; scanning = true } in
+    let c = { pos = 0; blank = false; scanning = true; leaves = 0 } in
     trailing c piece;
     let out = Bytes.create (n - c.pos - lo) in
-    blit out lo (after_text ()) piece;
+    let c = after_text () in
+    blit out lo c piece;
+    Obs.Metrics.add copied_leaves c.leaves;
     Bytes.unsafe_to_string out
   end
+
+(* A rendering: its rope, and its text once copied out. The pieces of a
+   rope are never changed, since memos replace a piece rather than
+   write into it, so a frame keeps its text however the page is written
+   after it. *)
+type frame = { rope : piece; mutable copied : string option }
+
+let text f =
+  match f.copied with
+  | Some s -> s
+  | None ->
+      let s = copy_out f.rope in
+      f.copied <- Some s;
+      s
 
 (* ------------------------------------------------------------------ *)
 (* Block memos. A Block or Item element's children are rendered in
@@ -270,7 +287,7 @@ type Dom.memo +=
       mutable chunks : chunk array;  (** two or more, in order *)
     }
   | Hidden
-  | Page of string
+  | Page of frame
 
 let no_chunk = { cells = []; rest = []; count = 0; clean = true; out = nothing }
 
@@ -940,27 +957,27 @@ let render_with memos options node =
   render_node st node;
   flush_inline st "";
   close_leaf st;
-  copy_out (pop_from st 0)
+  { rope = pop_from st 0; copied = None }
 
-let render ?(options = default_options) node = render_with None options node
+let render ?(options = default_options) node = text (render_with None options node)
 
 (* ------------------------------------------------------------------ *)
-(* Memoized rendering: the page text and each block's memo live in the
-   tree's memo tables, one pair per option set, named from the options
-   on each call, so they are freed with the document. A write marks the
-   memos on its chain (see {!Dom.memo_table}): a re-render after it
-   patches only what the write touched, and one after no write at all
-   is a lookup. *)
+(* Memoized rendering: the page's frame and each block's memo live in
+   the tree's memo tables, one pair per option set, named from the
+   options on each call, so they are freed with the document. A write
+   marks the memos on its chain (see {!Dom.memo_table}): a re-render
+   after it patches only what the write touched, and one after no write
+   at all is a lookup. *)
 
 let render_cached ?(options = default_options) node =
   let set = string_of_int options.width ^ if options.show_hidden then ":all" else "" in
   let pages = Dom.memo_table node ("render-page:" ^ set) in
   match Hashtbl.find_opt pages (Dom.id node) with
-  | Some { value = Page text; through = []; changed = false } ->
+  | Some { value = Page frame; through = []; changed = false } ->
       Obs.Metrics.incr memo_hits;
-      text
+      frame
   | found ->
       Obs.Metrics.incr memo_misses;
-      let text = render_with (Some (Dom.memo_table node ("render:" ^ set))) options node in
-      set_memo pages (Dom.id node) found (Page text);
-      text
+      let frame = render_with (Some (Dom.memo_table node ("render:" ^ set))) options node in
+      set_memo pages (Dom.id node) found (Page frame);
+      frame

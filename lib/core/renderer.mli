@@ -29,18 +29,21 @@
     too small, split when too large), and reuses every other chunk
     whole.
 
-    The output is a rope whose pieces carry their byte length, so the
-    page text is allocated once, at its size, and each piece is copied
-    into it once. A reused piece is copied out as one leaf: a block's
-    piece becomes a leaf of its text the first time it is reused, and a
-    run of reused chunks becomes slices of one string. An unwritten
-    block therefore costs one leaf whatever its size, and a written one
-    what the write touched.
+    The output is a {!frame}: a rope whose pieces carry their byte
+    length. A render does not build the page text; {!text} copies it
+    out of the rope on demand, allocated once at its size with each
+    piece copied into it once, and at most once per frame. A reused
+    piece is copied out as one leaf: a block's piece becomes a leaf of
+    its text the first time it is reused, and a run of reused chunks
+    becomes slices of one string. An unwritten block therefore costs
+    one leaf whatever its size, and a written one what the write
+    touched.
 
     Counters: [render.memo.hit]/[render.memo.miss] for whole-page
     reuse, [render.block.hit]/[render.block.miss] for block memos found
     unmarked or not, [render.elements] for the elements a render
-    visited, and [render.copy.leaves] for the leaves copied out.
+    visited, and [render.copy.leaves] for the leaves {!text} copied
+    out (a render that nobody reads copies none).
 
     Used by the CLI ([xqib page --render]), by the browser after every
     event, and by the F1 bench to give the render stage a real cost. *)
@@ -52,13 +55,23 @@ type options = {
 
 val default_options : options
 
-(** Render a document (or element subtree) to text. *)
+(** A rendering of a page, as it was when rendered: later writes to the
+    page do not change it. *)
+type frame
+
+(** The text of a frame, copied out of its rope the first time it is
+    asked for; later calls return the same string. *)
+val text : frame -> string
+
+(** Render a document (or element subtree) to text: {!text} of a frame
+    that no memo keeps. *)
 val render : ?options:options -> Dom.node -> string
 
-(** Like {!render}, with the page text and each block's memo kept in
-    the memo tables of the node's tree, one pair per option set, named
-    from the options on each call and freed with the document. A render
-    of a node nothing under which was written since the last one is a
-    lookup; otherwise only what the writes marked is rendered again.
-    The result always equals {!render}'s. *)
-val render_cached : ?options:options -> Dom.node -> string
+(** Like {!render}, as a frame, with the frame and each block's memo
+    kept in the memo tables of the node's tree, one pair per option set,
+    named from the options on each call and freed with the document. A
+    render of a node nothing under which was written since the last one
+    is a lookup that returns the same frame ([==]); otherwise only what
+    the writes marked is rendered again. Its {!text} always equals
+    {!render}'s. *)
+val render_cached : ?options:options -> Dom.node -> frame

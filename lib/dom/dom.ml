@@ -1342,13 +1342,30 @@ let insert_children parent group weave =
   linked w group;
   end_write w (Children_changed parent)
 
+(* A sibling anchor that is itself in [group] stands for the place it
+   holds: before the first sibling after it outside the group, or at the
+   end of [p] (the DOM's pre-insert: "if child is node, set child to
+   node's next sibling"). *)
+let resolve_anchor p anchor group =
+  match anchor with
+  | (Before s | After s) when List.memq s group -> (
+      let rec after_s = function
+        | c :: rest -> if c == s then rest else after_s rest
+        | [] -> []
+      in
+      match List.find_opt (fun c -> not (List.memq c group)) (after_s (children p)) with
+      | Some c -> Before c
+      | None -> Last_of p)
+  | _ -> anchor
+
 let insert_nodes ?parent anchor group =
   let p = insertion_parent ?parent anchor group in
-  (* [at sibling k] weaves the group in at [sibling]; [k sibling rest]
-     is the child list from [sibling] on *)
+  let anchor = resolve_anchor p anchor group in
+  (* [at sibling k] weaves the group in at [sibling], which stays among
+     the children; [k sibling rest] is the child list from [sibling] on *)
   let at sibling k =
     let rec weave = function
-      | [] -> group (* the sibling was in the group; append *)
+      | [] -> assert false (* [sibling] is a child of [p] outside the group *)
       | c :: rest when c == sibling -> k c rest
       | c :: rest -> c :: weave rest
     in

@@ -288,10 +288,14 @@ type anchor = Last_of of node | First_of of node | Before of node | After of nod
     from its parent, if it has one, and makes the group consecutive
     children, in its order, at [anchor]: one write, so one pass over the
     child list, one placement of the group's order labels, one footprint
-    write record and one [Children_changed]. An empty group writes
-    nothing, but is checked. The nodes must be distinct. [parent], when
-    given, is the parent a sibling anchor must have (DOM
-    [insertBefore]); it is ignored for [Last_of] and [First_of].
+    write record and one [Children_changed]. A sibling anchor that is
+    in the group stands for its place: the group goes before the first
+    sibling after it outside the group, or last (the DOM's pre-insert
+    rule), so [insert_nodes (Before x) [x]] leaves the tree as it was.
+    An empty group writes nothing, but is checked. The nodes must be
+    distinct. [parent], when given, is the parent a sibling anchor must
+    have (DOM [insertBefore]); it is ignored for [Last_of] and
+    [First_of].
     @raise Refused with, in this order: [Parentless] for a sibling
     anchor without a parent (none named); [Childless] for a parent of
     a kind that takes no children; [Cycle] for a node of the group that

@@ -7,9 +7,11 @@ type fallback = {
   get : uri:string -> Dom.node option;
 }
 
+let cache_capacity = 64
+
 type client = {
   http : Http_sim.t;
-  cache : (string, Dom.node) Hashtbl.t option;
+  cache : Dom.node Xquery.Query_cache.t option;  (** documents by URI *)
   mutable hits : int;
   mutable misses : int;
   mutable online : unit -> bool;
@@ -23,7 +25,10 @@ type client = {
 let make_client ?(cache = false) ?(retry = Retry.default) ?(seed = 0) http =
   {
     http;
-    cache = (if cache then Some (Hashtbl.create 16) else None);
+    cache =
+      (if cache then
+         Some (Xquery.Query_cache.create ~name:"rest-cache" ~capacity:cache_capacity ())
+       else None);
     hits = 0;
     misses = 0;
     online = (fun () -> true);
@@ -37,8 +42,7 @@ let make_client ?(cache = false) ?(retry = Retry.default) ?(seed = 0) http =
 let cache_hits c = c.hits
 let cache_misses c = c.misses
 
-let clear_cache c =
-  match c.cache with Some t -> Hashtbl.reset t | None -> ()
+let clear_cache c = Option.iter Xquery.Query_cache.clear c.cache
 
 let retry_stats c = c.retry_stats
 
@@ -91,15 +95,16 @@ let get_doc c uri =
   | None ->
       c.misses <- c.misses + 1;
       fetch_doc c uri
-  | Some table -> (
-      match Hashtbl.find_opt table uri with
+  | Some cache -> (
+      match Xquery.Query_cache.find cache uri with
       | Some doc ->
           c.hits <- c.hits + 1;
           doc
       | None ->
           c.misses <- c.misses + 1;
           let doc = fetch_doc c uri in
-          Hashtbl.add table uri doc;
+          (* the cost is the one fetch a later hit saves *)
+          Xquery.Query_cache.add cache uri ~cost:1 doc;
           doc)
 
 let seq_string seq = Xdm_item.sequence_string seq

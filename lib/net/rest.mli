@@ -11,9 +11,15 @@
     An optional client-side document cache implements the paper's
     §6.1 optimisation ("whole XML documents can be cached in the
     browser so that most user requests can be processed without any
-    interaction with the Elsevier server"). *)
+    interaction with the Elsevier server"). It is an LRU
+    ({!Xquery.Query_cache}, counters [rest-cache.*]) of at most
+    {!cache_capacity} documents, keyed by URI. *)
 
 val namespace : string
+
+(** The documents a client's cache keeps: a fetch of a new URI when it
+    is full evicts the least recently used one. *)
+val cache_capacity : int
 
 type client
 

@@ -4,8 +4,9 @@
     wraps one around parse+optimize so repeated page loads of the same
     [<script type="text/xquery">] source become a lookup, paper §5),
     but the store is generic: any string key to any payload. Other
-    clients are {!Jsp_sim}'s template-segment cache and the app
-    server's per-tenant compiled-page partitions.
+    clients are {!Jsp_sim}'s template-segment cache, the app server's
+    per-tenant compiled-page partitions and {!Rest}'s per-client
+    document cache.
 
     Keys are opaque strings; for compiled queries {!Engine} builds them
     from (source, static-context fingerprint, optimize flag).

@@ -124,6 +124,44 @@ let mutation_tests =
         Dom.insert_after ~sibling:mid (Dom.create_element (qn "post"));
         check Alcotest.string "layout" "<p><pre/><mid/><post/></p>"
           (Dom.serialize doc));
+    t "a sibling anchor in the group stands for its place" (fun () ->
+        (* [x] anchors a group of the named elements *)
+        let layout anchor group page =
+          let doc = Dom.of_string page in
+          let el n = List.hd (Dom.get_elements_by_local_name doc n) in
+          Dom.insert_nodes (anchor (el "x")) (List.map el group);
+          Dom.serialize doc
+        in
+        let before x = Dom.Before x and after x = Dom.After x in
+        List.iter
+          (fun (what, anchor, group, page, want) ->
+            check Alcotest.string what want (layout anchor group page))
+          [
+            ("before itself", before, [ "x" ], "<p><w/><x/><y/></p>", "<p><w/><x/><y/></p>");
+            ("after itself", after, [ "x" ], "<p><w/><x/><y/></p>", "<p><w/><x/><y/></p>");
+            ("before itself, last", before, [ "x" ], "<p><w/><x/></p>", "<p><w/><x/></p>");
+            ("after itself, first", after, [ "x" ], "<p><x/><w/></p>", "<p><x/><w/></p>");
+            ( "before the group's first",
+              before,
+              [ "x"; "z" ],
+              "<p><x/><y/><z/><w/></p>",
+              "<p><x/><z/><y/><w/></p>" );
+            ( "after the group's last",
+              after,
+              [ "w"; "x" ],
+              "<p><w/><y/><x/><z/></p>",
+              "<p><y/><w/><x/><z/></p>" );
+            ( "after a member followed by the group",
+              after,
+              [ "x"; "y" ],
+              "<p><w/><x/><y/></p>",
+              "<p><w/><x/><y/></p>" );
+            ( "before a member, with one from another parent",
+              before,
+              [ "x"; "q" ],
+              "<r><p><w/><x/><y/></p><q/></r>",
+              "<r><p><w/><x/><q/><y/></p></r>" );
+          ]);
     t "remove" (fun () ->
         let doc = sample () in
         let b = List.hd (Dom.get_elements_by_local_name doc "b") in
@@ -741,8 +779,11 @@ let click_writes ?(render = false) ~items ~writes () =
         ignore (Dom.compare_order first (List.nth rest (List.length rest - 1)))
     | _ -> ());
     if render then begin
-      let text = Xqib.Renderer.render_cached doc in
-      if i mod 50 = 0 && text <> Render_oracle.render Xqib.Renderer.default_options doc then
+      let frame = Xqib.Renderer.render_cached doc in
+      if
+        i mod 50 = 0
+        && Xqib.Renderer.text frame <> Render_oracle.render Xqib.Renderer.default_options doc
+      then
         Alcotest.failf "write %d at %d items: render_cached differs from a fresh render" i items
     end
   in

@@ -50,6 +50,7 @@ let page_gen =
 type op =
   | Append_new of int  (** a new element as [t]'s last child *)
   | Append_move of int * int  (** [r] moved to be [t]'s last child *)
+  | Move_before_itself of int  (** [r] moved before [r]: nothing changes *)
   | Insert_before of int  (** a new element before [r] *)
   | Remove of int  (** [r] *)
   | Replace of int  (** [r] by a new element *)
@@ -64,18 +65,20 @@ let op_gen =
         match sel with
         | 0 -> Append_new a
         | 1 -> Append_move (a, b)
-        | 2 -> Insert_before a
-        | 3 -> Remove a
-        | 4 -> Replace a
-        | 5 -> Set_attribute (a, v)
-        | 6 -> Rename a
+        | 2 -> Move_before_itself a
+        | 3 -> Insert_before a
+        | 4 -> Remove a
+        | 5 -> Replace a
+        | 6 -> Set_attribute (a, v)
+        | 7 -> Rename a
         | _ -> Set_text (a, v))
-      (int_bound 7) (int_bound 1000)
+      (int_bound 8) (int_bound 1000)
       (pair (int_bound 1000) (int_bound 3)))
 
 let show_op = function
   | Append_new t -> Printf.sprintf "append-new %d" t
   | Append_move (t, r) -> Printf.sprintf "append-move %d %d" t r
+  | Move_before_itself r -> Printf.sprintf "move-before-itself %d" r
   | Insert_before r -> Printf.sprintf "insert-before %d" r
   | Remove r -> Printf.sprintf "remove %d" r
   | Replace r -> Printf.sprintf "replace %d" r
@@ -122,6 +125,10 @@ let resolve doc op =
       let tn = List.nth all (t - 1) and rn = List.nth all (r - 1) in
       if r = 1 || Dom.equal tn rn || Dom.is_ancestor ~ancestor:rn tn then None
       else mk ~t ~r "t.appendChild(r);" "(delete node $r, insert node $r into $t)"
+  | Move_before_itself r ->
+      let r = child r in
+      if r = 1 then None
+      else mk ~r "p.insertBefore(r, r);" "(delete node $r, insert node $r before $r)"
   | Insert_before r ->
       mk ~r:(any r) "p.insertBefore(document.createElement('y'), r);"
         "insert node <y/> before $r"

@@ -323,6 +323,16 @@ let dom_tests =
             "a.insertBefore(document.createElement('n'), x);";
             "a.replaceChild(document.createElement('n'), x);";
           ]);
+    t "insertBefore a node before itself leaves the tree as it was" (fun () ->
+        let body = {|<body><div id="a"><p id="x"/><p id="y"/></div></body>|} in
+        let b = B.create () in
+        Xqib.Page.load b ("<html>" ^ body ^ "</html>");
+        J.run_script b b.B.top_window
+          "var x = document.getElementById('x');\n\
+           document.getElementById('a').insertBefore(x, x);";
+        check Alcotest.(list string) "no error" [] b.B.script_errors;
+        check Alcotest.string "x before y" body
+          (Dom.serialize (List.hd (Dom.get_elements_by_local_name (B.document b) "body"))));
     t "an uncaught cyclic appendChild is a script error" (fun () ->
         let b = B.create () in
         Xqib.Page.load b

@@ -166,6 +166,24 @@ let rest_tests =
         check Alcotest.int "1 network request" 1 (Http_sim.request_count http ~host:"h");
         check Alcotest.int "2 hits" 2 (Rest.cache_hits client);
         check Alcotest.int "1 miss" 1 (Rest.cache_misses client));
+    t "the cache keeps the most recently used documents up to its capacity" (fun () ->
+        let http = Http_sim.create (Virtual_clock.create ()) in
+        let uri i = Printf.sprintf "http://h/d%d.xml" i in
+        let n = Rest.cache_capacity + 1 in
+        for i = 1 to n do
+          Http_sim.register_doc http ~uri:(uri i) "<w/>"
+        done;
+        let client = Rest.make_client ~cache:true http in
+        for i = 1 to n do
+          ignore (Rest.get_doc client (uri i))
+        done;
+        let requests () = Http_sim.request_count http ~host:"h" in
+        check Alcotest.int "one request each" n (requests ());
+        ignore (Rest.get_doc client (uri n));
+        check Alcotest.int "the newest is a hit" n (requests ());
+        check Alcotest.int "1 hit" 1 (Rest.cache_hits client);
+        ignore (Rest.get_doc client (uri 1));
+        check Alcotest.int "the oldest is fetched again" (n + 1) (requests ()));
     t "no cache refetches" (fun () ->
         let http = Http_sim.create (Virtual_clock.create ()) in
         Http_sim.register_doc http ~uri:"http://h/w.xml" "<w/>";

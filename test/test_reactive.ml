@@ -545,12 +545,13 @@ let render_tests =
         let b = load_page {|<html><body><p>hello world</p></body></html>|} in
         let doc = B.document b in
         let plain = Xqib.Renderer.render doc in
-        check Alcotest.string "first" plain (B.render b);
-        check Alcotest.string "memo hit" plain (B.render b);
+        let text () = Xqib.Renderer.text (B.render b) in
+        check Alcotest.string "first" plain (text ());
+        check Alcotest.string "memo hit" plain (text ());
         ignore (run b {|insert node <p>more</p> into //body|});
         let plain2 = Xqib.Renderer.render doc in
         check Alcotest.bool "render changed" true (plain <> plain2);
-        check Alcotest.string "after mutation" plain2 (B.render b));
+        check Alcotest.string "after mutation" plain2 (text ()));
   ]
 
 let suite =
