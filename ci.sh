@@ -1,6 +1,13 @@
 #!/bin/sh
 # Tier-1 gate: build everything, run the full test suite, then a
 # bench smoke (tiny sizes/quotas) so bench code cannot bit-rot.
+# The runtest line also holds the §6.1 allocation gate (test_appserver):
+# it fails if one request of the Reference 2.0 page, rendered by
+# App_server.render_page over a 100-article and a 400-article archive,
+# allocates more than 640 words per article at either size, or if the
+# 400-article figure exceeds 1.1x the 100-article one (minor words plus
+# blocks allocated straight in the major heap, counted exactly, so it
+# holds whatever the machine's load).
 # The T8 line gates the DOM acceleration layer: it fails if an
 # accelerated result differs from the naive one on any workload, or if
 # doc-order (sorted and reversed), following and preceding do not all
@@ -68,7 +75,10 @@
 # (20x): it fails if, on any generated query — top-level updates and
 # transforms, sequential functions with declare/set/while/break/
 # continue/exit with, typeswitch, planner hash joins, two-key order-by
-# with empty greatest/least, paths, predicates and FLWORs — production
+# with empty greatest/least, paths (over several nodes out of document
+# order, with duplicates, on a reverse axis, or over an atomic),
+# predicates, FLWORs, constructor content mixing attributes, atomics,
+# text and elements across parts, and counts of ranges — production
 # and the reference evaluator differ in value, error code or the
 # document left behind.
 # The xmlb line runs the parser differential at its long count (50x):

@@ -16,7 +16,7 @@ type t = {
   mutable ui_blocked : float;
   mutable events_dispatched : int;
   mutable doc_observer : Dom.observer_id option;
-  mutable on_navigate : Windows.t -> string -> unit;
+  mutable on_navigate : Windows.t -> string -> commit:(unit -> unit) -> int;
   local_store : Local_store.t;
   mutable online : bool;
   mutable script_errors : string list;
@@ -49,7 +49,10 @@ let create ?(cache = false) ?(policy = Origin.Same_origin) ?(uppercase_tags = fa
     ui_blocked = 0.;
     events_dispatched = 0;
     doc_observer = None;
-    on_navigate = (fun _ _ -> ());
+    on_navigate =
+      (fun _ _ ~commit ->
+        commit ();
+        200);
     local_store = Local_store.create ();
     online = true;
     script_errors = [];
@@ -69,6 +72,12 @@ let create ?(cache = false) ?(policy = Origin.Same_origin) ?(uppercase_tags = fa
       ~get:(fun ~uri ->
         Local_store.get t.local_store ~origin:(Origin.of_uri uri) ~name:uri);
   t
+
+(* a navigation of [w] to [href] through the loader: SEBR0404 when the
+   server has no page there, and then [w] is as it was *)
+let navigate t w href ~commit =
+  let status = t.on_navigate w href ~commit in
+  if status <> 200 then Xq_error.raise_error "SEBR0404" "cannot load %s: status %d" href status
 
 let set_document t window doc =
   window.Windows.document <- doc;

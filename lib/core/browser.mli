@@ -20,7 +20,14 @@ type t = {
   mutable ui_blocked : float;  (** virtual seconds spent inside dispatch *)
   mutable events_dispatched : int;
   mutable doc_observer : Dom.observer_id option;
-  mutable on_navigate : Windows.t -> string -> unit;
+  mutable on_navigate : Windows.t -> string -> commit:(unit -> unit) -> int;
+      (** [on_navigate w href ~commit] loads the page at [href] into
+          [w] and returns the status of its fetch: once the page has
+          been fetched (200) and parsed, [commit ()] moves [w]'s href
+          and history there and the page is installed; otherwise [w]
+          is left as it was, and a page that does not parse raises
+          SEBR0404. Installed by [Page.load]; the default commits at
+          once. See {!navigate}. *)
   local_store : Local_store.t;
       (** per-origin client-side XML storage (the Gears analogue, §2.4) *)
   mutable online : bool;
@@ -58,6 +65,11 @@ val create :
   ?seed:int ->
   unit ->
   t
+
+(** [navigate t w href ~commit]: {!field-on_navigate}, with a page the
+    server does not have an SEBR0404 error; either way a failed
+    navigation leaves [w] as it was. *)
+val navigate : t -> Windows.t -> string -> commit:(unit -> unit) -> unit
 
 (** Install a document into a window (re-homes the render observer
     when it is the focused top window's document). *)

@@ -34,7 +34,7 @@ let install (b : Browser.t) (window : Windows.t) sctx =
   let materialize_top () =
     let v =
       Windows.materialize ~policy:b.Browser.policy
-        ~on_navigate:(fun w href -> b.Browser.on_navigate w href)
+        ~on_navigate:(Browser.navigate b)
         ~accessor:(accessor ())
         (Windows.top window)
     in
@@ -91,7 +91,9 @@ let install (b : Browser.t) (window : Windows.t) sctx =
           ~href ()
       in
       Windows.add_frame ~parent:(Windows.top window) w;
-      b.Browser.on_navigate w href;
+      (* a new window is at its href already, whether or not the
+         server has a page there *)
+      ignore (b.Browser.on_navigate w href ~commit:ignore);
       let v = materialize_top () in
       match Windows.node_of_window v w with
       | Some n -> [ I.Node n ]
@@ -131,19 +133,21 @@ let install (b : Browser.t) (window : Windows.t) sctx =
       []);
 
   (* history *)
+  (* the page [n] steps through the history away is loaded, and the
+     history moves once it is there *)
+  let history_go n =
+    Browser.navigate b window (Windows.history_target window n) ~commit:(fun () ->
+        Windows.history_go window n)
+  in
   register "historyBack" 0 (fun _ _ ->
-      Windows.history_back window;
-      b.Browser.on_navigate window window.Windows.href;
+      history_go (-1);
       []);
   register "historyForward" 0 (fun _ _ ->
-      Windows.history_forward window;
-      b.Browser.on_navigate window window.Windows.href;
+      history_go 1;
       []);
   register "historyGo" 1 (fun _ args ->
       (match I.opt_atomic (List.nth args 0) with
-      | Some (Xdm_atomic.Integer n) ->
-          Windows.history_go window n;
-          b.Browser.on_navigate window window.Windows.href
+      | Some (Xdm_atomic.Integer n) -> history_go n
       | _ -> err "historyGo expects an integer");
       []);
 

@@ -267,19 +267,24 @@ let rec load ?window (b : Browser.t) html =
 
 (* install a parsed page in [window] and run its scripts *)
 and load_doc b window doc =
-  (* navigations triggered from scripts re-enter the loader; a page
-     that does not parse fails the navigation as a script error and
-     leaves the window's document and scripts as they were *)
+  (* navigations triggered from scripts re-enter the loader: the window
+     moves only once its new page has been fetched and parsed; a page
+     that cannot be fetched (see [Browser.navigate]) or does not parse
+     is a script error (SEBR0404) and leaves the window's href,
+     history, document and scripts as they were *)
   b.Browser.on_navigate <-
-    (fun w href ->
+    (fun w href ~commit ->
       let resp = fetch_page b href in
       if resp.Http_sim.status = 200 then
         Obs.Trace.with_span "page.load" (fun () ->
             match parse_html b resp.Http_sim.body with
-            | doc -> load_doc b w doc
+            | doc ->
+                commit ();
+                load_doc b w doc
             | exception Xml_parser.Parse_error { line; col; message } ->
                 Xq_error.raise_error "SEBR0404" "cannot load %s: line %d, col %d: %s" href
-                  line col message));
+                  line col message);
+      resp.Http_sim.status);
   (* the old page's script contexts go with its document *)
   window.Windows.scripts <- [];
   Browser.set_document b window doc;
@@ -293,9 +298,13 @@ and load_doc b window doc =
 and browse ?window (b : Browser.t) uri =
   Obs.Trace.with_span ~attrs:[ ("uri", uri) ] "page.browse" @@ fun () ->
   let window = match window with Some w -> w | None -> b.Browser.top_window in
-  Windows.navigate window uri;
   let resp = fetch_page b uri in
   if resp.Http_sim.status <> 200 then
     Xq_error.raise_error "SEBR0404" "cannot load %s: status %d" uri
       resp.Http_sim.status
-  else load ~window b resp.Http_sim.body
+  else
+    Obs.Trace.with_span "page.load" @@ fun () ->
+    (* the window moves once its page has been fetched and parsed *)
+    let doc = parse_html b resp.Http_sim.body in
+    Windows.navigate window uri;
+    load_doc b window doc

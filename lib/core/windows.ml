@@ -91,6 +91,11 @@ let history_forward w =
       w.href <- h;
       w.history_forward <- rest
 
+(* the href [history_go w n] would move [w] to, without moving it *)
+let history_target w n =
+  let rec walk href n l = match l with h :: rest when n > 0 -> walk h (n - 1) rest | _ -> href in
+  if n < 0 then walk w.href (-n) w.history_back else walk w.href n w.history_forward
+
 let rec history_go w n =
   if n < 0 then begin
     history_back w;
@@ -186,9 +191,11 @@ let resync ~policy ~accessor ~on_navigate (el, w) =
           | _ -> None)
         (Dom.children el)
     with
-    | Some href when not (String.equal href w.href) ->
-        navigate w href;
-        Option.iter (fun f -> f w href) on_navigate
+    | Some href when not (String.equal href w.href) -> (
+        (* the hook loads the page and commits the move once the page
+           is there *)
+        let commit () = navigate w href in
+        match on_navigate with Some f -> f w href ~commit | None -> commit ())
     | _ -> ()
   end
 

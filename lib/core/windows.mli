@@ -59,6 +59,9 @@ val history_forward : t -> unit
 (** [history_go w (-2)] — negative is back, positive forward. *)
 val history_go : t -> int -> unit
 
+(** The href [history_go w n] moves [w] to, without moving it. *)
+val history_target : t -> int -> string
+
 (** {1 Materialization (pull with security checks)} *)
 
 type view
@@ -68,10 +71,13 @@ type view
     shells — observationally "all accessors return the empty sequence"
     (§4.2.1). Mutations made to the XML (via XQuery Update) write back
     into the window objects, re-checked against the policy at apply
-    time; a change to [location/href] triggers [on_navigate]. *)
+    time; a change to [location/href] calls [on_navigate w href
+    ~commit], which loads the page and calls [commit ()] to move the
+    window there ({!navigate}) once it has the page; without a hook
+    the window moves at once. *)
 val materialize :
   ?policy:Origin.policy ->
-  ?on_navigate:(t -> string -> unit) ->
+  ?on_navigate:(t -> string -> commit:(unit -> unit) -> unit) ->
   accessor:Origin.t ->
   t ->
   view

@@ -144,16 +144,18 @@ let create_document ?uri () = fresh (P_document { dchildren = []; uri })
 
 let create_attribute name value = fresh (P_attribute { aname = name; avalue = value })
 
+let rec make_attrs up = function
+  | [] -> []
+  | (an, v) :: rest ->
+      let a = create_attribute an v in
+      a.nparent <- up;
+      a :: make_attrs up rest
+
 let create_element ?(attrs = []) name =
   let n = fresh (P_element { ename = name; eattrs = []; echildren = [] }) in
-  let up = Some n in
-  let make_attr (an, v) =
-    let a = create_attribute an v in
-    a.nparent <- up;
-    a
-  in
-  (match n.nkind with
-  | P_element e -> e.eattrs <- List.map make_attr attrs
+  (match (attrs, n.nkind) with
+  | [], _ -> ()
+  | _, P_element e -> e.eattrs <- make_attrs (Some n) attrs
   | _ -> assert false);
   n
 
@@ -178,6 +180,14 @@ let name n =
   | P_attribute a -> Some a.aname
   | P_pi p -> Some (Qname.make p.target)
   | P_document _ | P_text _ | P_comment _ -> None
+
+(* [name n] is [Some qn], without building the option *)
+let has_name n qn =
+  match n.nkind with
+  | P_element e -> Qname.equal e.ename qn
+  | P_attribute a -> Qname.equal a.aname qn
+  | P_pi p -> Qname.equal (Qname.make p.target) qn
+  | P_document _ | P_text _ | P_comment _ -> false
 
 let parent n = n.nparent
 
@@ -1582,24 +1592,44 @@ let build_document ?uri fc kids =
   set_children doc (adopt_map doc fc kids);
   doc
 
+let rec parentless_attributes = function
+  | [] -> true
+  | { nparent = None; nkind = P_attribute _; _ } :: rest -> parentless_attributes rest
+  | _ -> false
+
+let rec parentless_children = function
+  | [] -> true
+  | { nparent = None; nkind = P_element _ | P_text _ | P_comment _ | P_pi _; _ } :: rest ->
+      parentless_children rest
+  | _ -> false
+
+let rec link_all up = function
+  | [] -> ()
+  | c :: rest ->
+      link_up c up;
+      link_all up rest
+
 let fill n ~attrs kids =
-  let parentless kinds x = Option.is_none x.nparent && kinds x.nkind in
   if
     not
       ((match (n.nparent, n.nkind, attrs) with
        | None, P_element { echildren = []; _ }, _ | None, P_document { dchildren = []; _ }, [] ->
            true
        | _ -> false)
-      && List.for_all (parentless (function P_attribute _ -> true | _ -> false)) attrs
-      && List.for_all
-           (parentless (function P_attribute _ | P_document _ -> false | _ -> true))
-           kids)
+      && parentless_attributes attrs && parentless_children kids)
   then invalid_arg "Dom.fill";
-  (match n.nkind with
-  | P_element e ->
-      e.eattrs <- e.eattrs @ adopt_map n Fun.id attrs;
-      e.echildren <- adopt_map n Fun.id kids
-  | _ -> set_children n (adopt_map n Fun.id kids));
+  (* the lists are immutable: the node keeps the ones it was given *)
+  (match (attrs, kids) with
+  | [], [] -> ()
+  | _ -> (
+      let up = Some n in
+      link_all up attrs;
+      link_all up kids;
+      match n.nkind with
+      | P_element e ->
+          e.eattrs <- e.eattrs @ attrs;
+          e.echildren <- kids
+      | _ -> set_children n kids));
   (* caches someone built while [n] was empty are stale now *)
   match n.nside with Rooted s -> reset_caches s | Bare | Slotted _ -> ()
 

@@ -90,6 +90,11 @@ val kind : node -> kind
 val id : node -> int
 
 val name : node -> Qname.t option
+
+(** [has_name n qn] is [name n = Some qn] (by {!Qname.equal}), with no
+    option built: the node tests' comparison. *)
+val has_name : node -> Qname.t -> bool
+
 val parent : node -> node option
 
 (** Children, excluding attributes. Documents and elements only;

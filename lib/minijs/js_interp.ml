@@ -611,8 +611,8 @@ and set_prop st target name v =
 
 (* a page that does not parse fails the navigation, not the browser *)
 and navigate st w href =
-  Xqib.Windows.navigate w href;
-  try st.browser.Xqib.Browser.on_navigate w href
+  try
+    Xqib.Browser.navigate st.browser w href ~commit:(fun () -> Xqib.Windows.navigate w href)
   with Xq_error.Error { message; _ } -> fail "%s" message
 
 (* ---------------- calls ---------------- *)

@@ -101,6 +101,22 @@ let derives_from a b =
 
 (* ---------------- lexical forms ---------------- *)
 
+(* The decimal digits of [i], as [string_of_int] writes them, without
+   its format interpreter. A negative [i] is worked on as it is: its
+   remainders are negative, and [min_int] has no positive twin. *)
+let rec int_digits n w = if n > -10 && n < 10 then w else int_digits (n / 10) (w + 1)
+
+let rec write_digits b n pos =
+  Bytes.unsafe_set b pos (Char.unsafe_chr (48 + abs (n mod 10)));
+  if n / 10 <> 0 then write_digits b (n / 10) (pos - 1)
+
+let int_to_string i =
+  let len = if i < 0 then int_digits i 1 + 1 else int_digits i 1 in
+  let b = Bytes.create len in
+  if i < 0 then Bytes.unsafe_set b 0 '-';
+  write_digits b i (len - 1);
+  Bytes.unsafe_to_string b
+
 let decimal_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
@@ -119,7 +135,7 @@ let double_to_string f =
   else if Float.is_integer f && Float.abs f < 1e15 then
     (* the digits of [Printf.sprintf "%.0f"], without its format
        interpreter; the int cast loses only the sign of -0 *)
-    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
+    if f = 0. && Float.sign_bit f then "-0" else int_to_string (int_of_float f)
   else
     let s = Printf.sprintf "%.12g" f in
     s
@@ -127,7 +143,7 @@ let double_to_string f =
 let to_string = function
   | Untyped s | String s | Any_uri s -> s
   | Boolean b -> if b then "true" else "false"
-  | Integer i -> string_of_int i
+  | Integer i -> int_to_string i
   | Decimal f -> decimal_to_string f
   | Double f -> double_to_string f
   | Qname_v q -> Qname.to_string q

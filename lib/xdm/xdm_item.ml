@@ -82,19 +82,21 @@ let nodes_only context seq =
       | Atomic _ -> type_error "%s requires a sequence of nodes" context)
     seq
 
-(* Strictly ascending implies sorted and duplicate-free. *)
+(* Strictly ascending implies sorted and duplicate-free; [seq] holds
+   only nodes. *)
 let rec strictly_ordered = function
-  | a :: (b :: _ as rest) -> Dom.compare_order a b < 0 && strictly_ordered rest
+  | Node a :: (Node b :: _ as rest) -> Dom.compare_order a b < 0 && strictly_ordered rest
   | _ -> true
 
 let document_order seq =
-  let nodes = nodes_only "document ordering" seq in
+  if not (all_nodes seq) then type_error "document ordering requires a sequence of nodes";
   (* Path steps over a sorted context usually produce already-sorted
      results; with cached order keys the linear check is cheap and
      skips the sort entirely. Without acceleration each comparison
      rebuilds root paths, so go straight to the sort. *)
-  if Xmlb.Ablation.current.acceleration && strictly_ordered nodes then seq
+  if Xmlb.Ablation.current.acceleration && strictly_ordered seq then seq
   else
+    let nodes = nodes_only "document ordering" seq in
     let rec dedup = function
       | a :: b :: rest when a == b -> dedup (b :: rest)
       | a :: rest -> a :: dedup rest

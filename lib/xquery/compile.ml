@@ -53,8 +53,6 @@ let type_err fmt = err Xq_error.type_error_code fmt
 (* ------------------------------------------------------------------ *)
 (* emission helpers                                                    *)
 
-type attr_piece = P_text of string | P_enclosed of (env -> I.sequence)
-
 let range_bounds fa fb env = Eval.range_bounds (fun () -> fa env) (fun () -> fb env)
 let thunk f env () = f env
 
@@ -71,6 +69,14 @@ let int_compare (op : Ast.value_comp) m k =
   | Ast.Ge -> m >= k
 
 let set env slot v = env.frame.(slot) <- ref v
+
+(* [fs] applied to [env], left to right: the arguments, attributes and
+   parts of one evaluation *)
+let rec map_env env = function
+  | [] -> []
+  | f :: rest ->
+      let v = f env in
+      v :: map_env env rest
 
 (* binds a for variable (and its position) to one item *)
 let for_binder slot pos_slot var var_type =
@@ -304,29 +310,17 @@ let rec emit (c : C.t) : env -> I.sequence =
       fun env -> apply_preds env (fe env) pfs
   | C.C_path (a, b) ->
       let eager () =
-        let fa = emit a and fb = emit b in
-        let eager_from env lhs =
-          Eval.path_map
-            (fun item position size ->
-              fb { env with ctx = D.with_focus env.ctx item ~position ~size })
-            lhs
-        in
-        (* hot shape: a predicate-free forward step over a singleton
-           lhs emits document order directly (the invariant the
-           streaming pipeline already relies on, {!Focus_analysis}),
-           so the focus rebuild and the doc-order merge both drop out *)
+        let fa = emit a in
         match b.C.d with
-        | C.C_step (axis, test, [], []) when Focus_analysis.forward_ordered axis -> (
+        (* a step without predicates reads no focus *)
+        | C.C_step (axis, test, [], []) -> fun env -> Eval.path_step axis test (fa env)
+        | _ ->
+            let fb = emit b in
             fun env ->
-              match fa env with
-              | [] -> []
-              | [ I.Node n ] -> (
-                  match Eval.step_nodes axis test n with
-                  | [ m ] -> [ I.Node m ]
-                  | ms -> List.map (fun m -> I.Node m) ms)
-              | [ I.Atomic _ ] -> type_err "path step applied to an atomic value"
-              | lhs -> eager_from env lhs)
-        | _ -> fun env -> eager_from env (fa env)
+              Eval.path_map
+                (fun item position size ->
+                  fb { env with ctx = D.with_focus env.ctx item ~position ~size })
+                (fa env)
       in
       (* a bounded take at the end of a path streams only when the
          chain is provably ordered: then no re-sort is skipped *)
@@ -371,51 +365,33 @@ let rec emit (c : C.t) : env -> I.sequence =
              test is hoisted to emission time *)
           let impure = Reactive.impure_builtin_sym qn.Qname.lsym in
           fun env ->
-            let vs = List.map (fun f -> f env) fs in
+            let vs = map_env env fs in
             Eval.count_call Eval.builtin_calls;
             if impure then Footprint.poison ();
             impl (Eval.call_ctx env.ctx) vs)
   | C.C_call (qn, args) ->
       let fs = List.map emit args in
-      fun env ->
-        let vs = List.map (fun f -> f env) fs in
-        Eval.call_function env.ctx qn vs
+      fun env -> Eval.call_function env.ctx qn (map_env env fs)
   | C.C_direct_element { name; attributes; children } ->
       let attributes =
         List.map
           (fun (an, parts) ->
-            ( an,
-              List.map
-                (function
-                  | C.CA_text t -> P_text t
-                  | C.CA_enclosed e -> P_enclosed (emit e))
-                parts ))
+            let value = attribute_value parts in
+            fun env -> Dom.create_attribute an (value env))
           attributes
       in
-      let children = List.map (fun c -> (C.fresh c, emit c)) children in
+      let children = List.map emit_part children in
       fun env ->
         (* the element, then its attributes, then its content *)
         let el = Dom.create_element name in
-        let attrs =
-          List.map
-            (fun (an, parts) ->
-              Dom.create_attribute an
-                (String.concat ""
-                   (List.map
-                      (function
-                        | P_text t -> t
-                        | P_enclosed f -> I.sequence_string (f env))
-                      parts)))
-            attributes
-        in
-        Eval.construct el ~attrs
-          (List.map (fun (fresh, f) -> { Eval.fresh; items = f env }) children)
+        let attrs = map_env env attributes in
+        Eval.construct el ~attrs (map_env env children)
   | C.C_computed_element (name_c, content_c) ->
-      let fn = emit name_c and fc = emit content_c and fresh = C.fresh content_c in
+      let fn = emit name_c and fc = emit_part content_c in
       fun env ->
         let name = Eval.qname_of_value env.ctx (I.singleton_atomic (fn env)) in
         let el = Dom.create_element name in
-        Eval.construct el ~attrs:[] [ { Eval.fresh; items = fc env } ]
+        Eval.construct el ~attrs:[] [ fc env ]
   | C.C_computed_attribute (name_c, content_c) ->
       let fn = emit name_c and fc = emit content_c in
       fun env ->
@@ -434,10 +410,10 @@ let rec emit (c : C.t) : env -> I.sequence =
         let target = I.sequence_string (fn env) in
         [ I.Node (Dom.create_pi ~target (I.sequence_string (fc env))) ]
   | C.C_computed_document a ->
-      let fa = emit a and fresh = C.fresh a in
+      let fa = emit_part a in
       fun env ->
         let doc = Dom.create_document () in
-        Eval.construct doc ~attrs:[] [ { Eval.fresh; items = fa env } ]
+        Eval.construct doc ~attrs:[] [ fa env ]
   | C.C_hash_join j ->
       (* every tuple (a frame snapshot) passes the where clause before
          any is returned *)
@@ -544,6 +520,33 @@ let rec emit (c : C.t) : env -> I.sequence =
   | C.C_get_style (property, target) ->
       let fp = emit property and ft = emit target in
       fun env -> Eval.get_style env.ctx ~property:(thunk fp env) ~target:(thunk ft env)
+
+(* one content expression of a constructor as an {!Eval.part}: a text
+   literal is its text, built once *)
+and emit_part (c : C.t) : env -> Eval.part =
+  match c.C.d with
+  | C.C_text_literal s ->
+      let p = Eval.Text s in
+      fun _ -> p
+  | _ ->
+      let f = emit c in
+      if C.fresh c then fun env -> Eval.Fresh (f env) else fun env -> Eval.Copied (f env)
+
+(* an attribute's value: its text pieces and the string values of its
+   enclosed expressions, joined; a value of one text piece is that text *)
+and attribute_value parts : env -> string =
+  let piece = function
+    | C.CA_text t -> fun _ -> t
+    | C.CA_enclosed e ->
+        let f = emit e in
+        fun env -> I.sequence_string (f env)
+  in
+  match parts with
+  | [] -> fun _ -> ""
+  | [ p ] -> piece p
+  | _ ->
+      let pieces = List.map piece parts in
+      fun env -> String.concat "" (map_env env pieces)
 
 (* the return of tuples (frame snapshots), each in its own frame; with
    order-by keys, each tuple is keyed and the tuples sorted first *)
@@ -791,7 +794,8 @@ and seq_clause clause (k : env -> Xdm_seq.t) : env -> Xdm_seq.t =
 
 (* the fn: builtins that pull their argument as a cursor — exists,
    empty and head at most one item, boolean and not at most two,
-   subsequence a bounded prefix — or [None] *)
+   subsequence a bounded prefix — or count a range, which reads only its
+   bounds; or [None] *)
 and early_exit_call (qn : Qname.t) args =
   let bool1 a f =
     let s = emit_seq a in
@@ -808,6 +812,15 @@ and early_exit_call (qn : Qname.t) args =
     | "empty", [ a ] -> bool1 a Xdm_seq.is_empty
     | "boolean", [ a ] -> bool1 a Xdm_seq.effective_boolean
     | "not", [ a ] -> bool1 a (fun s -> not (Xdm_seq.effective_boolean s))
+    | "count", [ { C.d = C.C_range (lo, hi); _ } ] ->
+        (* a range knows its length: its bounds, cast and checked as
+           for its items, and no items *)
+        let flo = emit lo and fhi = emit hi in
+        Some
+          (fun env ->
+            let n = match range_bounds flo fhi env with Some (l, h) -> h - l + 1 | None -> 0 in
+            Eval.count_call Eval.builtin_calls;
+            [ I.Atomic (A.Integer n) ])
     | "head", [ a ] ->
         let s = emit_seq a in
         Some

@@ -147,6 +147,7 @@ type t = {
   depth : int;
   compiled_fns :
     (int * int * int, t -> Xdm_item.sequence list -> Xdm_item.sequence) Hashtbl.t;
+  mutable call : Call_ctx.t option;
 }
 
 let fn_key qn ~arity = (qn.Qname.usym, (qn.Qname.lsym :> int), arity)
@@ -161,6 +162,7 @@ let create ?(host = default_host) static =
     host;
     depth = 0;
     compiled_fns = Hashtbl.create 8;
+    call = None;
   }
 
 let key qn = Qname.to_clark qn
@@ -186,7 +188,7 @@ let lookup t qn = !(lookup_ref t qn)
 let bind_global t qn v = Hashtbl.replace t.globals (key qn) (ref v)
 
 let with_focus t item ~position ~size =
-  { t with focus = Some { item; position; size } }
+  { t with focus = Some { item; position; size }; call = None }
 
 let focus_item t =
   match t.focus with

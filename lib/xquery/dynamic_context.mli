@@ -71,6 +71,11 @@ type t = {
           compiled evaluation is on, consulted by
           [Eval.call_user_function] before the tree-walking body
           dispatch *)
+  mutable call : Call_ctx.t option;
+      (** what a builtin or external call sees of this context, its
+          focus and host services: built by the first call
+          ([Eval.call_ctx]) and dropped by {!with_focus}, the one copy
+          that changes either *)
 }
 
 (** Key of a user function in [compiled_fns]: (uri symbol, local-name

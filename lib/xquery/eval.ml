@@ -116,12 +116,7 @@ let node_test_matches ~axis (test : Ast.node_test) node =
       (match Dom.name node with
       | Some n -> String.equal n.Qname.local local
       | None -> false)
-  | Ast.Name_test qn ->
-      principal_kind_ok axis node
-      &&
-      (match Dom.name node with
-      | Some n -> Qname.equal n qn
-      | None -> false)
+  | Ast.Name_test qn -> principal_kind_ok axis node && Dom.has_name node qn
 
 (* registry counters both evaluators bump *)
 let steps = Obs.Metrics.counter "eval.steps"
@@ -183,6 +178,17 @@ let record_axis_scope axis n =
   | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Following | Ast.Preceding ->
       scope_of (Dom.root n)
 
+(* the nodes that pass the test, in one list built in place *)
+let[@tail_mod_cons] rec matching axis test = function
+  | [] -> []
+  | n :: rest ->
+      if node_test_matches ~axis test n then n :: matching axis test rest
+      else matching axis test rest
+
+let rec attribute_named qn = function
+  | [] -> []
+  | a :: rest -> if Dom.has_name a qn then [ a ] else attribute_named qn rest
+
 (* Nodes selected by one axis step. descendant::name and
    descendant-or-self::name (what the optimizer rewrites //name into)
    resolve through the per-document local-name index instead of
@@ -212,23 +218,16 @@ let step_nodes axis (test : Ast.node_test) n =
       by_local local None
   | (Ast.Descendant | Ast.Descendant_or_self), Ast.Name_test qn
     when Ablation.current.acceleration ->
-      let refine =
-        Some
-          (fun m ->
-            match Dom.name m with
-            | Some nm -> Qname.equal nm qn
-            | None -> false)
-      in
+      let refine = Some (fun m -> Dom.has_name m qn) in
       if Ablation.current.interning then by_sym qn.Qname.lsym refine
       else by_local qn.Qname.local refine
-  | Ast.Attribute_axis, Ast.Name_test qn -> (
+  | Ast.Attribute_axis, Ast.Name_test qn ->
       (* an element has at most one attribute of a name *)
       if Footprint.recording () then record_axis_scope axis n;
-      let named a = match Dom.name a with Some q -> Qname.equal q qn | None -> false in
-      match List.find_opt named (Dom.attributes n) with Some a -> [ a ] | None -> [])
+      attribute_named qn (Dom.attributes n)
   | _ ->
       if Footprint.recording () then record_axis_scope axis n;
-      List.filter (node_test_matches ~axis test) (axis_nodes axis n)
+      matching axis test (axis_nodes axis n)
 
 (* Value-index lookup: answer a leading [@k eq 'lit'] / [@k = 'lit'] /
    [k = 'lit'] predicate on a descendant step from the per-root value
@@ -244,6 +243,7 @@ let step_nodes axis (test : Ast.node_test) n =
 let value_index_step axis test preds n =
   let applicable =
     Ablation.current.value_index
+    && preds <> []
     &&
     match (axis : Ast.axis) with
     | Ast.Descendant | Ast.Descendant_or_self -> (
@@ -502,6 +502,23 @@ let path_map step lhs =
     err "XPTY0018" "path result mixes nodes and atomic values"
   else results
 
+(* [lhs/axis::test] for a step without predicates, which reads no
+   position or size: {!step_nodes} once per lhs node, with no focus,
+   then document order once (a singleton on a forward axis is in it
+   already) *)
+let path_step axis test lhs =
+  match lhs with
+  | [] -> []
+  | [ I.Node n ] when Focus_analysis.forward_ordered axis -> I.of_nodes (step_nodes axis test n)
+  | _ ->
+      let rec go acc = function
+        | [] -> acc
+        | I.Node n :: rest ->
+            go (List.fold_left (fun acc m -> I.Node m :: acc) acc (step_nodes axis test n)) rest
+        | I.Atomic _ :: _ -> type_err "path step applied to an atomic value"
+      in
+      I.document_order (List.rev (go [] lhs))
+
 (* a predicate's value keeps the item at [pos]: numeric by position,
    anything else by its effective boolean value *)
 let pred_keeps pos = function
@@ -525,7 +542,81 @@ let filter_items value ctx items preds =
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
 
-type part = { fresh : bool; items : seq }
+type part = Fresh of seq | Copied of seq | Text of string
+
+(* The content being formed: attributes and children, newest first; the
+   text run, its non-empty pieces newest first, and the node that stands
+   for it while it is one fresh text node. *)
+type content_state = {
+  mutable attrs : Dom.node list;
+  mutable kids : Dom.node list;
+  mutable run : string list;
+  mutable lone : Dom.node option;
+  mutable seen_child : bool;
+}
+
+let add_text st node s =
+  if s <> "" then begin
+    st.lone <- (match st.run with [] -> node | _ -> None);
+    st.run <- s :: st.run
+  end
+
+let flush_text st =
+  match st.run with
+  | [] -> ()
+  | pieces ->
+      let t =
+        match (st.lone, pieces) with
+        | Some t, _ -> t
+        | None, [ s ] -> Dom.create_text s
+        | None, _ -> Dom.create_text (String.concat "" (List.rev pieces))
+      in
+      st.run <- [];
+      st.lone <- None;
+      st.seen_child <- true;
+      st.kids <- t :: st.kids
+
+let rec content_node st fresh n =
+  match Dom.kind n with
+  | Dom.Attribute ->
+      if st.seen_child || st.run <> [] then
+        err "XQTY0024" "attribute nodes must precede other element content";
+      st.attrs <- (if fresh then n else Dom.clone n) :: st.attrs
+  | Dom.Document -> content_nodes st (Dom.children n)
+  | Dom.Text ->
+      (* a copied text is read, as [Dom.clone] would read it *)
+      if fresh then add_text st (Some n) (Option.value (Dom.value n) ~default:"")
+      else add_text st None (Dom.string_value n)
+  | _ ->
+      flush_text st;
+      st.seen_child <- true;
+      st.kids <- (if fresh then n else Dom.clone n) :: st.kids
+
+(* a document's children, copied *)
+and content_nodes st = function
+  | [] -> ()
+  | n :: rest ->
+      content_node st false n;
+      content_nodes st rest
+
+let rec content_items st fresh after_atomic = function
+  | [] -> ()
+  | I.Atomic a :: rest ->
+      if after_atomic then add_text st None " ";
+      add_text st None (A.to_string a);
+      content_items st fresh true rest
+  | I.Node n :: rest ->
+      content_node st fresh n;
+      content_items st fresh false rest
+
+let rec content_parts st = function
+  | [] -> ()
+  | part :: rest ->
+      (match part with
+      | Fresh items -> content_items st true false items
+      | Copied items -> content_items st false false items
+      | Text s -> add_text st None s);
+      content_parts st rest
 
 (* The content of a constructor, [insert] or [replace] as attribute and
    child nodes, in one pass over its parts (XQuery 3.1 §3.9.1.3): the
@@ -534,70 +625,27 @@ type part = { fresh : bool; items : seq }
    text node, and empty text none; a document is replaced by its
    children; attributes must come before everything else. The nodes of
    a fresh part are linked as they are, every other node is copied: a
-   lone fresh text node is kept, merged text is a new node. *)
-let content parts =
-  let attrs = ref [] and kids = ref [] in
-  (* the text run: its non-empty pieces, newest first, and the node
-     that stands for it while it is one fresh text node *)
-  let run = ref [] and lone = ref None in
-  let seen_child = ref false in
-  let add_text node s =
-    if s <> "" then begin
-      lone := (match !run with [] -> node | _ -> None);
-      run := s :: !run
-    end
-  in
-  let flush () =
-    match !run with
-    | [] -> ()
-    | pieces ->
-        let t =
-          match (!lone, pieces) with
-          | Some t, _ -> t
-          | None, [ s ] -> Dom.create_text s
-          | None, _ -> Dom.create_text (String.concat "" (List.rev pieces))
-        in
-        run := [];
-        lone := None;
-        seen_child := true;
-        kids := t :: !kids
-  in
-  let rec node fresh n =
-    match Dom.kind n with
-    | Dom.Attribute ->
-        if !seen_child || !run <> [] then
-          err "XQTY0024" "attribute nodes must precede other element content";
-        attrs := (if fresh then n else Dom.clone n) :: !attrs
-    | Dom.Document -> List.iter (node false) (Dom.children n)
-    | Dom.Text ->
-        (* a copied text is read, as [Dom.clone] would read it *)
-        if fresh then add_text (Some n) (Option.value (Dom.value n) ~default:"")
-        else add_text None (Dom.string_value n)
-    | _ ->
-        flush ();
-        seen_child := true;
-        kids := (if fresh then n else Dom.clone n) :: !kids
-  in
-  let rec items fresh after_atomic = function
-    | [] -> ()
-    | I.Atomic a :: rest ->
-        if after_atomic then add_text None " ";
-        add_text None (A.to_string a);
-        items fresh true rest
-    | I.Node n :: rest ->
-        node fresh n;
-        items fresh false rest
-  in
-  List.iter (fun p -> items p.fresh false p.items) parts;
-  flush ();
-  (List.rev !attrs, List.rev !kids)
+   lone fresh text node is kept, merged text and a literal's text are
+   new nodes. *)
+let content = function
+  | [] -> ([], [])
+  | parts ->
+      let st = { attrs = []; kids = []; run = []; lone = None; seen_child = false } in
+      content_parts st parts;
+      flush_text st;
+      (List.rev st.attrs, List.rev st.kids)
 
 (* Shared by the tree-walker and the compiled evaluator; see eval.mli. *)
 let construct n ~attrs parts =
   let content_attrs, kids = content parts in
-  if Dom.kind n = Dom.Document && content_attrs <> [] then
-    type_err "a document node cannot contain an attribute node";
-  let attrs = attrs @ content_attrs in
+  let attrs =
+    match content_attrs with
+    | [] -> attrs
+    | _ ->
+        if Dom.kind n = Dom.Document then
+          type_err "a document node cannot contain an attribute node";
+        attrs @ content_attrs
+  in
   (* most elements have at most one attribute: no name list to build *)
   (match attrs with
   | [] | [ _ ] -> ()
@@ -624,18 +672,26 @@ let qname_of_value ctx v =
    with values or closures as arguments, so the two evaluators share
    one implementation of every rule that is more than plumbing. *)
 
+(* built once per dynamic context, at its first call *)
 let call_ctx (ctx : D.t) =
-  {
-    Call_ctx.context_item =
-      (match ctx.D.focus with Some f -> Some f.D.item | None -> None);
-    position = (match ctx.D.focus with Some f -> f.D.position | None -> 0);
-    size = (match ctx.D.focus with Some f -> f.D.size | None -> 0);
-    doc = ctx.D.host.D.doc;
-    doc_available = ctx.D.host.D.doc_available;
-    put = ctx.D.host.D.put;
-    now = ctx.D.host.D.now;
-    trace = Call_ctx.default.Call_ctx.trace;
-  }
+  match ctx.D.call with
+  | Some c -> c
+  | None ->
+      let c =
+        {
+          Call_ctx.context_item =
+            (match ctx.D.focus with Some f -> Some f.D.item | None -> None);
+          position = (match ctx.D.focus with Some f -> f.D.position | None -> 0);
+          size = (match ctx.D.focus with Some f -> f.D.size | None -> 0);
+          doc = ctx.D.host.D.doc;
+          doc_available = ctx.D.host.D.doc_available;
+          put = ctx.D.host.D.put;
+          now = ctx.D.host.D.now;
+          trace = Call_ctx.default.Call_ctx.trace;
+        }
+      in
+      ctx.D.call <- Some c;
+      c
 
 (* a user function's call protocol around its body: the recursion
    limit, a fresh local scope, exit with/break/continue stopping at the
@@ -655,6 +711,8 @@ let call_declared (decl : Ast.function_decl) ctx body =
 (* -- updates: each expression's pending-update primitive; operands
    are thunks, evaluated in the order given here -- *)
 
+let fresh_part fresh items = if fresh then Fresh items else Copied items
+
 let single_target what = function
   | [ I.Node n ] -> n
   | _ -> err Xq_error.update_target "%s target must be a single node" what
@@ -662,7 +720,7 @@ let single_target what = function
 (* The children's primitive is added even when it has none: applying
    the list checks the target. *)
 let insert pul (pos : Ast.insert_position) ~fresh ~source ~target =
-  let attrs, kids = content [ { fresh; items = source () } ] in
+  let attrs, kids = content [ fresh_part fresh (source ()) ] in
   let target = single_target "insert" (target ()) in
   (match pos with
   | Ast.Into | Ast.As_first_into | Ast.As_last_into ->
@@ -693,7 +751,7 @@ let replace pul ~value_of ~fresh ~target ~source =
   Pul.add pul
     (if value_of then Pul.Replace_value (tnode, I.sequence_string (source ()))
      else
-       let attrs, kids = content [ { fresh; items = source () } ] in
+       let attrs, kids = content [ fresh_part fresh (source ()) ] in
        Pul.Replace_node (tnode, attrs @ kids));
   []
 
@@ -865,10 +923,6 @@ let ft_words ~stemming hay phrases =
 (* ------------------------------------------------------------------ *)
 (* The reference evaluator                                             *)
 
-(* the reference treats no content as fresh: it copies every node, the
-   identity oracle for production's adopted ones *)
-let copied items = { fresh = false; items }
-
 (* One run of a listener's body, the paper's Fig. 1 cycle: the body
    runs, then its pending updates are applied ([exit with] ends it
    normally). On an XQuery error the updates are dropped, the error
@@ -992,13 +1046,15 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
                     parts)))
           attributes
       in
-      construct el ~attrs (List.map (fun c -> copied (eval ctx c)) children)
+      (* the reference treats no content as fresh: it copies every
+         node, the identity oracle for production's adopted ones *)
+      construct el ~attrs (List.map (fun c -> Copied (eval ctx c)) children)
   | Ast.E_computed_element (name_e, content_e) ->
       let name =
         qname_of_value ctx (I.singleton_atomic (eval ctx name_e))
       in
       let el = Dom.create_element name in
-      construct el ~attrs:[] [ copied (eval ctx content_e) ]
+      construct el ~attrs:[] [ Copied (eval ctx content_e) ]
   | Ast.E_computed_attribute (name_e, content_e) ->
       let name = qname_of_value ctx (I.singleton_atomic (eval ctx name_e)) in
       let value = I.sequence_string (eval ctx content_e) in
@@ -1012,7 +1068,7 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
       [ I.Node (Dom.create_pi ~target (I.sequence_string (eval ctx content_e))) ]
   | Ast.E_computed_document e ->
       let doc = Dom.create_document () in
-      construct doc ~attrs:[] [ copied (eval ctx e) ]
+      construct doc ~attrs:[] [ Copied (eval ctx e) ]
   (* ---- updates ---- *)
   | Ast.E_insert (pos, source, target) ->
       insert ctx.D.pul pos ~fresh:false ~source:(thunk ctx source) ~target:(thunk ctx target)

@@ -58,7 +58,8 @@ type thunk = unit -> seq
 val call_declared :
   Ast.function_decl -> Dynamic_context.t -> (Dynamic_context.t -> seq) -> seq
 
-(** The focus and host services a builtin or external call sees. *)
+(** The focus and host services a builtin or external call sees, built
+    at the context's first call and kept in its [call] field. *)
 val call_ctx : Dynamic_context.t -> Call_ctx.t
 
 (** Nodes selected by one axis step (uses the local-name index for
@@ -107,6 +108,12 @@ val range_items : (int * int) option -> seq
     per lhs node, nodes in document order (XPTY0018 when mixed). *)
 val path_map : (Xdm_item.item -> int -> int -> seq) -> seq -> seq
 
+(** [path_step axis test lhs]: [lhs/axis::test] for a step without
+    predicates, the same nodes as {!path_map} of the step (which the
+    reference evaluator runs), found with no focus: {!step_nodes} per
+    lhs node, then document order once. *)
+val path_step : Ast.axis -> Ast.node_test -> seq -> seq
+
 (** Does a predicate value keep the item at this position? And a
     predicate chain, where [value ctx p] evaluates [p] under a focus
     whose size is the stage's input length. *)
@@ -114,10 +121,11 @@ val pred_keeps : int -> seq -> bool
 val filter_items : (Dynamic_context.t -> 'p -> seq) -> Dynamic_context.t -> seq -> 'p list -> seq
 
 (** One content expression of a constructor (an enclosed expression or
-    a literal), or the source of an [insert] or [replace]: its value,
-    and whether it is fresh ({!Core_ir.fresh}: its nodes were built by
-    this evaluation and nothing else refers to them). *)
-type part = { fresh : bool; items : seq }
+    a literal), or the source of an [insert] or [replace]: the value of
+    a fresh expression ({!Core_ir.fresh}: its nodes were built by this
+    evaluation and nothing else refers to them), of any other, or a
+    constructor's literal text, which needs no node of its own. *)
+type part = Fresh of seq | Copied of seq | Text of string
 
 (** [construct n ~attrs parts]: the body of every element and document
     constructor. Turns the parts into content in one pass (XQuery 3.1
@@ -138,7 +146,7 @@ val qname_of_value : Dynamic_context.t -> Xdm_atomic.t -> Qname.t
 
 (** Updates: each adds its primitive to the pending update list and
     returns the empty sequence. The source of [insert] and [replace] is
-    one content part ([fresh] as in {!part}); [copy_source] is the deep
+    one content part ([fresh]: a {!Fresh} one); [copy_source] is the deep
     copy a transform's [copy $v := e] binds. They check the XQuery
     values (one target node, attributes only where attributes go, a PI
     renamed to an unprefixed name); what the DOM refuses of the target

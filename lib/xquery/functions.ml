@@ -704,22 +704,27 @@ let () =
       | first :: rest as all ->
           let total = List.fold_left A.add first rest in
           [ I.Atomic (A.divide total (A.Integer (List.length all))) ]);
+  (* fn:max and fn:min (F&O 3.1 §14.4.3-4) fold over the items: an
+     untypedAtomic value compares as an xs:double, and a NaN, once
+     seen, is the result; every value is still compared, so values that
+     do not compare raise wherever the NaN stands *)
   let extremum local better =
+    let value it =
+      match I.item_atomic it with
+      | A.Untyped _ as u -> A.cast ~target:A.T_double u
+      | a -> a
+    in
+    let rec fold acc = function
+      | [] -> acc
+      | it :: rest ->
+          let a = value it in
+          let c = A.compare_value a acc in
+          fold (if A.is_nan acc then acc else if A.is_nan a || better c then a else acc) rest
+    in
     fn ~local ~min_arity:1 ~max_arity:2 (fun _ args ->
-        match I.atomize (arg 0 args) with
+        match arg 0 args with
         | [] -> []
-        | first :: rest ->
-            let promote a =
-              match a with A.Untyped s -> A.cast ~target:A.T_double (A.Untyped s) | a -> a
-            in
-            let best =
-              List.fold_left
-                (fun acc a ->
-                  let a = promote a in
-                  if better (A.compare_value a acc) then a else acc)
-                (promote first) rest
-            in
-            [ I.Atomic best ])
+        | first :: rest -> [ I.Atomic (fold (value first) rest) ])
   in
   extremum "max" (fun c -> c > 0);
   extremum "min" (fun c -> c < 0);

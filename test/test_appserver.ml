@@ -336,5 +336,38 @@ let migration_tests =
         | _ -> Alcotest.fail "expected error");
   ]
 
+(* One request of the §6.1 page allocates for its result, not for
+   evaluation scaffolding: the words one render allocates per article,
+   minor words and blocks allocated straight in the major heap (such as
+   a growing buffer's) alike, stay under a bound and flat as the archive
+   grows. *)
+let allocation_tests =
+  let words_allocated = Test_renderer.words_allocated in
+  let words_per_article ~journals ~volumes ~issues ~articles =
+    let http = Http_sim.create (Virtual_clock.create ()) in
+    let e = Scenarios.make_elsevier ~journals ~volumes ~issues ~articles http in
+    let path = e.Scenarios.browse_page_path in
+    (* the first render compiles the page and builds the archive's
+       indexes *)
+    ignore (AS.render_page e.Scenarios.server ~path);
+    let before = words_allocated () in
+    ignore (AS.render_page e.Scenarios.server ~path);
+    (words_allocated () -. before) /. float_of_int e.Scenarios.article_count
+  in
+  [
+    t "a request of the 6.1 page allocates at most 640 words per article" (fun () ->
+        let small = words_per_article ~journals:2 ~volumes:2 ~issues:5 ~articles:5 in
+        let large = words_per_article ~journals:4 ~volumes:2 ~issues:5 ~articles:10 in
+        check Alcotest.bool (Printf.sprintf "%.1f words per article at 100 articles" small) true
+          (small <= 640.);
+        check Alcotest.bool (Printf.sprintf "%.1f words per article at 400 articles" large) true
+          (large <= 640.);
+        check Alcotest.bool
+          (Printf.sprintf "400 articles within 1.1x of 100: %.1f vs %.1f" large small)
+          true
+          (large <= 1.1 *. small));
+  ]
+
 let suite =
   sql_tests @ jsp_tests @ xquery_server_tests @ queue_tests @ migration_tests
+  @ allocation_tests

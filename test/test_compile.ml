@@ -55,6 +55,15 @@ let matrix ?expected name src =
 
 let unit_equivalence_tests =
   [
+    t "count of a range reads its bounds, not its items" (fun () ->
+        let compiled = Engine.compile "count(1 to 1000000)" in
+        ignore (Engine.run compiled);
+        let before = Gc.minor_words () in
+        let v = Engine.run compiled in
+        let words = Gc.minor_words () -. before in
+        check Alcotest.string "value" "1000000" (I.to_display_string v);
+        check Alcotest.bool (Printf.sprintf "%.0f minor words, under 1 000" words) true
+          (words < 1000.));
     (* integer fast paths, including the by-zero generic fallbacks *)
     matrix ~expected:"7" "integer add" "3 + 4";
     matrix ~expected:"-6" "integer multiply" "2 * -3";
@@ -329,8 +338,16 @@ let src_gen =
           "count(//x) + $i";
         ]
     in
+    (* paths over several nodes out of document order, with
+       duplicates, on a reverse axis from one node or several, or over
+       an atomic (XPTY0004) *)
     let path =
-      oneofl [ "//x"; "//a/x"; "//x/@k"; "//b"; "(//x, //b)"; "//y" ]
+      oneofl
+        [
+          "//x"; "//a/x"; "//x/@k"; "//b"; "(//x, //b)"; "//y"; "(//b, //a)/x";
+          "(//x, //x)/@k"; "//x/.."; "(//x/.., //a)/@k"; "(//x/.., //a)/x"; "(1, //x)/@k";
+          "(//x, 1)/@k"; "(//x)[2]/ancestor::*"; "//b/preceding-sibling::*";
+        ]
     in
     let pred =
       oneofl
@@ -406,6 +423,24 @@ let src_gen =
           (fun a b -> Printf.sprintf "<e k='{%s}'>{%s}</e>" a b)
           closed_int closed_int;
         map (Printf.sprintf "element f { data(//x/@k), %s }") closed_int;
+        (* content across parts: attribute nodes, atomics, text and
+           elements; joined attribute values; an attribute after
+           content (XQTY0024) *)
+        oneofl
+          [
+            "<e>{//x/@k}{1, 2}t{//b}</e>"; "<e>{(//x)[2]/@k}{1, 2}t{//b}</e>";
+            "<e a=\"{1}{'b'}\">{()}</e>";
+            "<e a=\"x{1, 2}y\" b=\"{//x/@k}\">{(//b, 'u')}{()}v</e>"; "<e>t{//x/@k}</e>";
+            "<e>{1}{//x/@k}</e>"; "<e>{//b}{//x/@k}</e>"; "<e>{(//x)[1]/@k}{()}{'s'}</e>";
+          ];
+        (* a range's count from its bounds, empty ones included *)
+        map2 (Printf.sprintf "count(%d to %d)") (int_range (-3) 5) (int_range (-3) 5);
+        map (Printf.sprintf "count(%s)")
+          (oneofl
+             [
+               "() to 3"; "1 to ()"; "'a' to 3"; "xs:integer(//b) to 10"; "count(//x) to 2";
+               "(1, 2) to 3";
+             ]);
         (* casts that may fail: error codes must agree too *)
         map (Printf.sprintf "xs:integer(string(%s))")
           (oneofl [ "//b"; "(//x)[1]"; "'nope'"; "7" ]);

@@ -270,6 +270,36 @@ let range_rounding_tests =
     value "3.14" "round-half-to-even(3.14159, 2)";
   ]
 
+(* fn:max and fn:min return NaN when the converted sequence holds one
+   (F&O 3.1 §14.4.3-4), wherever it stands and whatever its type, in
+   both evaluators; values that do not compare still raise *)
+let extremum_nan_tests =
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  List.concat_map
+    (fun f ->
+      let call args = Printf.sprintf "%s((%s))" f args in
+      [
+        value "NaN" (call "1, xs:double('NaN')");
+        value "NaN" (call "xs:double('NaN'), 1");
+        value "NaN" (call "xs:untypedAtomic('NaN'), 1");
+        value "NaN" (call "1, xs:untypedAtomic('NaN')");
+        value "NaN" (call "xs:float('NaN'), xs:float(2)");
+        value "NaN" (call "xs:float(2), xs:float('NaN')");
+        value "NaN" (call "<a>3</a>, <a>NaN</a>, <a>1</a>");
+        value "NaN" (call "2, 0e0 div 0, 1");
+        t (call "xs:double('NaN'), 'a'") (fun () ->
+            in_modes (fun () -> expect_error "XPTY0004" (call "xs:double('NaN'), 'a'")));
+      ])
+    [ "max"; "min" ]
+  @ [
+      t "max and min of infinities" (fun () ->
+          in_modes (fun () ->
+              check Alcotest.string "max" "INF" (run_str "max((1, xs:double('INF')))");
+              check Alcotest.string "min" "-INF" (run_str "min((xs:double('-INF'), 1))")));
+    ]
+
 (* Integer arithmetic is exact or raises a typed error, in every
    evaluator mode and through constant folding: [$max] and [$min] are
    the int range's ends. *)
@@ -395,6 +425,13 @@ let double_format_tests =
               (Xdm_atomic.to_string (Xdm_atomic.Double f)))
           [ -0.; 0.; 1.; -1.; 1981.; -5.; 1e14; -1e14; 99999999999999.; 999999999999999.;
             -999999999999999. ]);
+    t "integers format as string_of_int does" (fun () ->
+        List.iter
+          (fun i ->
+            check Alcotest.string (string_of_int i) (string_of_int i)
+              (Xdm_atomic.to_string (Xdm_atomic.Integer i)))
+          [ 0; 1; -1; 9; 10; -9; -10; 99; 100; -100; 1981; max_int; min_int; max_int / 10;
+            min_int / 10 ]);
   ]
 
 (* The data model's constraints hold after construction and update, in
@@ -464,7 +501,7 @@ let lexical_form_tests =
 
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
-  @ aggregate_tests @ node_tests @ qname_datetime_tests @ timezone_tests
+  @ aggregate_tests @ extremum_nan_tests @ node_tests @ qname_datetime_tests @ timezone_tests
   @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests
   @ integer_tests @ regex_tests @ duration_tests @ double_format_tests @ data_model_tests
   @ lexical_form_tests

@@ -96,7 +96,9 @@ let writeback_tests =
         let navigations = ref [] in
         let v =
           W.materialize ~accessor
-            ~on_navigate:(fun w href -> navigations := (w.W.wname, href) :: !navigations)
+            ~on_navigate:(fun w href ~commit ->
+              navigations := (w.W.wname, href) :: !navigations;
+              commit ())
             top
         in
         let root = W.view_root v in
@@ -245,4 +247,50 @@ let paper_flwor_tests =
         check Alcotest.string "page loaded" "arrived" (Dom.string_value f2.W.document));
   ]
 
-let suite = structure_tests @ writeback_tests @ geometry_tests @ paper_flwor_tests
+(* A window moves only once its new page has been fetched and parsed. *)
+let navigation_tests =
+  let strings = Alcotest.(list string) in
+  [
+    t "a navigation to a page the server does not have leaves the window as it was" (fun () ->
+        let b = B.create () in
+        Xqib.Page.load b
+          {|<html><head>
+            <script type="text/xquery">replace value of node browser:self()/location/href with "http://bad.example/x"</script>
+            <script type="text/xquery">browser:alert(string(browser:self()/location/href))</script>
+            </head><body><p>old</p></body></html>|};
+        let w = b.B.top_window in
+        check strings "the next script sees the old href" [ "http://localhost/" ] (B.alerts b);
+        check Alcotest.string "href" "http://localhost/" w.W.href;
+        check strings "history" [] w.W.history_back;
+        check Alcotest.(list string) "document" [ "old" ]
+          (List.map Dom.string_value (Dom.get_elements_by_local_name w.W.document "p"));
+        check strings "error"
+          [ "[SEBR0404] cannot load http://bad.example/x: status 502" ]
+          b.B.script_errors);
+    t "going back to a page the server does not have keeps the history" (fun () ->
+        let b = B.create () in
+        Http_sim.register_doc b.B.http ~uri:"http://localhost/b" ~content_type:"text/html"
+          "<html><body>b</body></html>";
+        Xqib.Page.browse b "http://localhost/b";
+        let w = b.B.top_window in
+        check strings "history before" [ "http://localhost/" ] w.W.history_back;
+        (match Xqib.Page.run_xquery b w "browser:historyBack()" with
+        | _ -> Alcotest.fail "expected SEBR0404"
+        | exception Xq_error.Error e -> check Alcotest.string "code" "SEBR0404" e.Xq_error.code);
+        check Alcotest.string "href" "http://localhost/b" w.W.href;
+        check strings "history after" [ "http://localhost/" ] w.W.history_back;
+        check strings "forward" [] w.W.history_forward;
+        check Alcotest.string "document" "b" (Dom.string_value w.W.document));
+    t "a page loaded by a navigation sees its own href" (fun () ->
+        let b = B.create () in
+        Http_sim.register_doc b.B.http ~uri:"http://localhost/next" ~content_type:"text/html"
+          {|<html><head><script type="text/xquery">browser:alert(string(browser:self()/location/href))</script></head><body/></html>|};
+        Xqib.Page.load b
+          {|<html><head><script type="text/xquery">replace value of node browser:self()/location/href with "http://localhost/next"</script></head><body/></html>|};
+        check strings "alert" [ "http://localhost/next" ] (B.alerts b);
+        check strings "history" [ "http://localhost/" ] b.B.top_window.W.history_back;
+        check strings "no error" [] b.B.script_errors);
+  ]
+
+let suite =
+  structure_tests @ writeback_tests @ geometry_tests @ paper_flwor_tests @ navigation_tests
