@@ -1,8 +1,8 @@
 (* The benchmark harness: regenerates every figure and quantitative
-   claim of the paper (F1–F3, T1–T7) and the ablations of the seven
-   optimisation layers (T8–T16); DESIGN.md §3 is the index and
+   claim of the paper (F1–F3, T1–T7) and the ablations of the
+   optimisation layers (T8–T15); DESIGN.md §3 is the index and
    EXPERIMENTS.md has the figures. The ablation sections T8 and
-   T11–T14, T16 are specs in one table, run by {!Table}. *)
+   T11–T14 are specs in one table, run by {!Table}. *)
 
 module B = Xqib.Browser
 module AS = Appserver.App_server
@@ -659,17 +659,11 @@ let bench_t9 ~check ?trace_file () =
   if check then
     (* (3) cannot be measured directly — there is no hook-free build to
        compare against — so two untraced runs must agree: whatever the
-       guards cost is below the noise floor. The noise of a
-       microsecond-scale workload is additive, so the statistic is the
-       per-side minimum of five estimates interleaved a,b,a,b,… after
-       a warmup run (EXPERIMENTS.md §T9 has the reasoning). *)
+       guards cost is below the noise floor, by the A/A statistic of
+       every table spec ([Table.min_of_five]). *)
     aa "T9" ~name:"untraced" ~bound:0.10 (fun () ->
-        Gc.major ();
         let time () = with_obs false (fun () -> ns_per_run work) in
-        ignore (time ());
-        let samples = List.init 5 (fun _ -> (time (), time ())) in
-        let min_of side = List.fold_left (fun m p -> Float.min m (side p)) infinity samples in
-        let a = min_of fst and b = min_of snd in
+        let a, b = min_of_five time time in
         Float.abs (a -. b) /. Float.min a b);
   match trace_file with
   | None -> ()
@@ -1007,27 +1001,25 @@ let t13 =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Widget pages (T14, T16): [regions] divs of [vals_per] leaves each,
+(* Widget pages (T14): [regions] divs of [vals_per] <val> leaves each,
    one listener registration per div (so [regions] memos). One event
    writes [c mod 4] into the leaves [writes] picks, in one batched
    changeset like a PUL apply, then dispatches "tick" to every div. *)
 
 (* n leaves = regions × leaves per region *)
-let widgets n = List.assoc n [ (200, (20, 10)); (3000, (60, 50)); (10000, (100, 100)) ]
+let widgets n = List.assoc n [ (200, (20, 10)); (10000, (100, 100)) ]
 
-(* [listener] declares local:w; [extra] precedes the divs; [leaf j]
-   names a region's j-th leaf, whose value is j mod 4 *)
-let widget_page ~listener ~extra ~leaf ~regions ~vals_per =
+(* [listener] declares local:w; a region's j-th leaf has value j mod 4 *)
+let widget_page ~listener ~regions ~vals_per =
   let buf = Buffer.create (regions * vals_per * 32) in
   Buffer.add_string buf {|<html><head><script type="text/xquery">|};
   Buffer.add_string buf listener;
   Buffer.add_string buf
     {| on event "tick" at //div attach listener local:w</script></head><body>|};
-  Buffer.add_string buf extra;
   for r = 0 to regions - 1 do
     Buffer.add_string buf (Printf.sprintf {|<div id="r%d">|} r);
     for j = 1 to vals_per do
-      Buffer.add_string buf (Printf.sprintf "<%s>%d</%s>" (leaf j) (j mod 4) (leaf j))
+      Buffer.add_string buf (Printf.sprintf "<val>%d</val>" (j mod 4))
     done;
     Buffer.add_string buf "</div>"
   done;
@@ -1075,7 +1067,7 @@ let widget_row page writes =
    one intersecting listener and skips the rest; the ablation re-runs
    all of them. *)
 let t14_page ~updating ~regions ~vals_per =
-  widget_page ~extra:"" ~leaf:(fun _ -> "val") ~regions ~vals_per
+  widget_page ~regions ~vals_per
     ~listener:
       (if updating then
          (* conditionally updating: pure (and skippable) until a region's
@@ -1273,127 +1265,6 @@ let bench_t15 ~check () =
        flattens the p99"
   end
 
-(* ------------------------------------------------------------------ *)
-(* T16 — global name interning: symbol fast paths vs string compares.
-
-   The intern table and the symbol keying of every index are always
-   on (interning is a bijection, so both modes agree on every key);
-   the ablation gates only the comparison fast paths — Qname
-   equality and the evaluator's choice of symbol- vs string-keyed
-   probe entry points. Element names share a long common prefix so
-   the ablated String.equal pays for most of the length before it
-   can decide; the interned compare is two ints regardless. *)
-
-let t16_prefix = String.make 96 'x'
-let t16_name tag = t16_prefix ^ "-" ^ tag
-
-(* The name-scan workloads use names sharing a long common prefix: the
-   ablated comparison walks the prefix on every candidate — matching
-   or not — while the interned one compares two ints. The parse and
-   dispatch workloads keep the moderate 96-char names above. *)
-let t16_scan_prefix = String.make 1024 'y'
-let t16_scan_name tag = t16_scan_prefix ^ "-" ^ tag
-
-let t16_xml ?(name = t16_name) n =
-  let buf = Buffer.create (n * 220) in
-  Buffer.add_string buf (Printf.sprintf "<%s>" (name "root"));
-  for i = 1 to n do
-    let tag = name (if i mod 2 = 0 then "even" else "odd") in
-    Buffer.add_string buf
-      (Printf.sprintf "<%s k=\"%d\">%d</%s>" tag (i mod 16) i tag)
-  done;
-  Buffer.add_string buf (Printf.sprintf "</%s>" (name "root"));
-  Buffer.contents buf
-
-(* widgets plus one <spare> sibling no listener attaches to or reads:
-   mutating it is the always-miss dispatch workload, where the
-   per-listener cost is exactly the footprint intersection. *)
-let t16_page =
-  widget_page ~extra:"<spare>0</spare>"
-    ~leaf:(fun j -> t16_name (if j mod 2 = 0 then "va" else "vb"))
-    ~listener:
-      (Printf.sprintf
-         "declare function local:w($evt, $obj) { count($obj//%s) + count($obj//%s) * 2 };"
-         (t16_name "va") (t16_name "vb"))
-
-let t16 =
-  let spare doc _ =
-    let s = Dom.get_elements_by_local_name doc "spare" in
-    fun _ -> s
-  in
-  {
-    id = "T16";
-    title = "name interning: symbol fast paths vs string comparison";
-    file = "BENCH_T16.json";
-    fast = ("interned", on);
-    slow = ("ablated", { on with interning = false });
-    suffix = "/ablated";
-    groups =
-      [
-        (* parse: both modes intern (the table is not ablatable), so
-           the columns document an A/A tie *)
-        group ([ 1000 ], [ 10000 ]) (fun n -> t16_xml n)
-          [ row Shown "parse-dom" (Thunk ((fun _ xml () -> Dom.of_string xml), Dom.serialize)) ];
-        (* name-test scans: child axis tests every sibling, descendant
-           axis refines a local-name index bucket — both pay one Qname
-           comparison per candidate, and the shared 1 KiB prefix makes
-           the ablated comparison walk the whole name every time *)
-        group ([ 2000 ], [ 20000 ])
-          (fun n -> Dom.of_string (t16_xml ~name:t16_scan_name n))
-          [
-            query Win "child-name-scan"
-              (Printf.sprintf "count(/%s/%s)" (t16_scan_name "root") (t16_scan_name "even"));
-            query Win "desc-name-scan" (Printf.sprintf "count(//%s)" (t16_scan_name "even"));
-          ];
-        (* listener dispatch: rerun-all re-runs name-heavy bodies under
-           each mode; always-miss isolates the footprint intersection,
-           which is symbol-keyed int hashing in BOTH modes and must tie *)
-        group ([ 200 ], [ 3000 ]) widgets
-          [
-            row Shown "dispatch-rerun"
-              (widget_row t16_page (region_firsts ~all:true (t16_name "vb")));
-            row Aa "dispatch-miss" (widget_row t16_page spare);
-          ];
-      ];
-    (* the per-candidate win is tens of ns, so smoke quotas are noisy:
-       the scan gate re-measures *)
-    bar = (1.3, 1.3);
-    wins = 1;
-    win_tries = 3;
-    aa_bound = 0.10;
-    floors = [];
-    counted = None;
-    note =
-      "the interned column compares two ints per name test where\n\
-       the ablated one walks the shared prefix; parsing and the always-miss\n\
-       dispatch, which both modes share, tie.";
-  }
-
-let bench_t16 ~check () =
-  (* the parser memoizes per document and the table dedups globally:
-     re-parsing the same document must intern nothing *)
-  let reparse _ =
-    let xml = t16_xml (pick (1000, 10000)) in
-    let size0 = Xmlb.Sym.size () in
-    ignore (Sys.opaque_identity (Dom.of_string xml));
-    let size1 = Xmlb.Sym.size () in
-    ignore (Sys.opaque_identity (Dom.of_string xml));
-    let size2 = Xmlb.Sym.size () in
-    Printf.printf "sym table: %d distinct names after parse (+%d), re-parse added %d\n"
-      size1 (size1 - size0) (size2 - size1);
-    if check && size2 <> size1 then
-      fail "T16" "re-parse grew the intern table by %d" (size2 - size1)
-  in
-  let sym r =
-    let stats = Xmlb.Sym.stats () in
-    let stat k = List.assoc k stats in
-    Printf.printf "\nsym counters: size=%d bytes=%d hits=%d misses=%d\n" (stat "size")
-      (stat "bytes") (stat "hits") (stat "misses");
-    entry r "sym/size" (stat "size") (float_of_int (stat "size"));
-    entry r "sym/bytes" (stat "size") (float_of_int (stat "bytes"))
-  in
-  Table.run ~before:reparse ~after:sym ~check t16
-
 let () =
   let only = ref [] in
   let check = ref false in
@@ -1444,5 +1315,4 @@ let () =
   table t13;
   run "t14" (bench_t14 ~check);
   run "t15" (bench_t15 ~check);
-  run "t16" (bench_t16 ~check);
   print_endline "\ndone."

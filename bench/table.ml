@@ -1,4 +1,4 @@
-(* The table of the ablation sections (T8, T11–T14, T16) and its runner.
+(* The table of the ablation sections (T8, T11–T14) and its runner.
 
    A section is a spec: a table of rows compared under two
    [Ablation.t] values. For every size the runner builds each row under
@@ -8,7 +8,7 @@
    reach its floor before the BENCH file is written. Under --check it
    then applies the section's gates: enough gated rows clear the
    speedup bar at the largest n and every A/A row stays within its
-   bound. T14's and T16's bespoke checks are hooks around their specs;
+   bound. T14's bespoke checks are hooks around its spec;
    T9, T10 and T15 keep their own set-up and report through the same
    printer, BENCH writer and gate helpers. *)
 
@@ -47,6 +47,21 @@ let aa id ~name ~bound delta =
            Printf.printf "A/A %s delta (try %d): %+.1f%%\n" name t (100. *. d);
            d <= bound))
   then fail id "A/A %s delta above +%.0f%% after %d tries" name (100. *. bound) tries
+
+(* The A/A statistic: the noise of a microsecond-scale run is additive,
+   so each side reads the minimum of five estimates, taken a, b, a, b,
+   … after one warm-up each (EXPERIMENTS.md §T9). *)
+let min_of_five time_a time_b =
+  Gc.major ();
+  ignore (time_a ());
+  ignore (time_b ());
+  let rec go n a b =
+    if n = 0 then (a, b)
+    else
+      let a = Float.min a (time_a ()) in
+      go (n - 1) a (Float.min b (time_b ()))
+  in
+  go 5 infinity infinity
 
 (* ------------------------------------------------------------------ *)
 (* the row printer                                                     *)
@@ -140,9 +155,9 @@ let prepare : type i. int -> i -> i work -> (unit -> unit) * (unit -> string) =
       let go = setup n input in
       ((fun () -> ignore (Sys.opaque_identity (go ()))), fun () -> show (go ()))
 
-(* one measurement of [row] at [n]: built, checked and timed under each
-   variant; (fast, slow) ns per run *)
-let measure spec n input (row : _ row) =
+(* [row] at [n], built and checked under each variant: (fast, slow)
+   timers, each returning ns per run *)
+let timers spec n input (row : _ row) =
   let under (_, v) f = Ablation.with_ v f in
   let slow = (fst spec.slow, Option.value row.slow ~default:(snd spec.slow)) in
   let f_run, f_result = under spec.fast (fun () -> prepare n input row.work) in
@@ -150,15 +165,20 @@ let measure spec n input (row : _ row) =
   if under spec.fast f_result <> under slow s_result then
     fail spec.id "%s at n=%d: %s and %s results differ" row.name n (fst spec.fast)
       (fst slow);
-  let fast = under spec.fast (fun () -> ns_per_run f_run) in
-  (fast, under slow (fun () -> ns_per_run s_run))
+  ( (fun () -> under spec.fast (fun () -> ns_per_run f_run)),
+    fun () -> under slow (fun () -> ns_per_run s_run) )
+
+(* one measurement of each side: (fast, slow) ns per run *)
+let once (fast, slow) =
+  let f = fast () in
+  (f, slow ())
 
 let run ?(before = ignore) ?(after = ignore) ~check spec =
   section spec.id spec.title;
   let r = report spec.file in
   before r;
   (* every row at its group's largest n: name, role, listed speedup and
-     how to measure it again *)
+     how to build its timers again *)
   let last = ref [] in
   List.iter
     (fun (Group g) ->
@@ -169,11 +189,11 @@ let run ?(before = ignore) ?(after = ignore) ~check spec =
           header n [ fst spec.fast; fst spec.slow ];
           List.iter
             (fun row ->
-              let again () = measure spec n input row in
+              let again () = timers spec n input row in
               let speedup =
                 if row.role = Aa_only then Float.nan
                 else
-                  let fast, slow = again () in
+                  let fast, slow = once (again ()) in
                   pair r ~n ~name:row.name ~suffix:spec.suffix fast slow
               in
               if n = List.fold_left max 0 sizes then
@@ -216,7 +236,7 @@ let run ?(before = ignore) ?(after = ignore) ~check spec =
                speedups :=
                  List.map
                    (fun (_, _, _, again) ->
-                     let fast, slow = again () in
+                     let fast, slow = once (again ()) in
                      slow /. fast)
                    wins;
              Printf.printf "speedup gate (try %d): %d of %d rows reach %.1fx\n" t
@@ -229,6 +249,7 @@ let run ?(before = ignore) ?(after = ignore) ~check spec =
       (fun (name, _, _, again) ->
         aa spec.id ~name ~bound:spec.aa_bound (fun () ->
             let fast, slow = again () in
+            let fast, slow = min_of_five fast slow in
             (fast -. slow) /. slow))
       (rows Aa @ rows Aa_only);
     Printf.printf "%s check: results identical, gates met\n" spec.id

@@ -64,18 +64,17 @@ let cache_stats_arg =
     & info [ "cache-stats" ]
         ~doc:"Print query-cache statistics (hits, misses, evictions, bytes saved) after the run.")
 
-(* The six --no-* flags, parsed into the one configuration a command
+(* The five --no-* flags, parsed into the one configuration a command
    runs under (A/B baselines and oracles; every layer is on by
    default). *)
 let ablation_arg =
   let off name doc = Arg.(value & flag & info [ name ] ~doc) in
-  let config no_cache no_value_index no_interning no_join_planner
-      no_compiled_eval no_incremental =
+  let config no_cache no_value_index no_join_planner no_compiled_eval
+      no_incremental =
     {
       Xmlb.Ablation.current with
       query_cache = not no_cache;
       value_index = not no_value_index;
-      interning = not no_interning;
       join_planning = not no_join_planner;
       compiled_eval = not no_compiled_eval;
       incremental = not no_incremental;
@@ -91,12 +90,6 @@ let ablation_arg =
          lookups and hash-join key refinement scan the tree instead \
          (A/B baseline for the value index). Combine with --metrics \
          to compare the dom.value_index.hits counter."
-    $ off "no-interning"
-        "Disable the interned-name fast paths: QName equality and \
-         name-keyed index probes compare and hash strings instead of \
-         pre-interned symbols (A/B baseline for name interning; the \
-         intern table itself stays on — see the sym.* counters of \
-         --metrics or browser:stats())."
     $ off "no-join-planner"
         "Disable the equi-join planner: two-for FLWOR joins run as \
          nested loops instead of hash joins (A/B baseline for the \

@@ -247,8 +247,7 @@ let install (b : Browser.t) (window : Windows.t) sctx =
           ]
       in
       let re = el "reactive" [ ("listeners", string_of_int (document_listeners ())) ] in
-      let sy = el "sym" [ ("size", string_of_int (Xmlb.Sym.size ())) ] in
-      Dom.fill root ~attrs:[] [ counters; hists; spans; qc; re; sy ];
+      Dom.fill root ~attrs:[] [ counters; hists; spans; qc; re ];
       [ I.Node root ]);
 
   (* document write (the paper notes best practice is XDM updates) *)

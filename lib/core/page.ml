@@ -118,12 +118,10 @@ let state_for b window =
 let run_xquery b window source =
   Obs.Trace.with_span "page.script" @@ fun () ->
   let st = state_for b window in
-  let compiled = Xquery.Engine.compile_cached ~static:st.static source in
-  (* install this script's compiled functions before anything can
-     call them (global initializers, the body, later event listeners);
-     earlier scripts' functions and globals are in place already *)
-  Xquery.Engine.install_functions st.ctx compiled;
-  Xquery.Engine.bind_globals ~strict:false st.ctx compiled;
+  (* this script's declarations, functions and globals join the
+     earlier scripts', or, if its compile or an initializer raises,
+     none of them does *)
+  let compiled = Xquery.Engine.add_script st.ctx source in
   let result =
     Obs.Trace.with_span "engine.eval" @@ fun () ->
     match compiled.Xquery.Engine.prog.Xquery.Ast.body with

@@ -42,11 +42,11 @@ and accel = {
       (* every node of the tree carries its label; set by the first
          order read or the first probe *)
   mutable elems : elems option;  (* built on the first probe *)
-  attr_values : (int, (string, bucket) Hashtbl.t) Hashtbl.t;
-      (* per probed attribute local-name symbol other than "id" (whose
-         probes [elems.by_id] answers): value -> owning elements *)
-  text_values : (int, text_index) Hashtbl.t;
-      (* per probed element local-name symbol *)
+  attr_values : (string, (string, bucket) Hashtbl.t) Hashtbl.t;
+      (* per probed attribute local name other than "id" (whose probes
+         [elems.by_id] answers): value -> owning elements *)
+  text_values : (string, text_index) Hashtbl.t;
+      (* per probed element local name *)
   mutable memos : (string * (int, memo_entry) Hashtbl.t) list;
       (* the layers' memo tables, by client key: nid -> memo *)
 }
@@ -61,7 +61,7 @@ and memo_entry = {
 
 and elems = {
   by_id : (string, bucket) Hashtbl.t;  (* id attribute value -> elements *)
-  by_name : (int, bucket) Hashtbl.t;  (* local-name symbol -> elements *)
+  by_name : (string, bucket) Hashtbl.t;  (* local name -> elements *)
 }
 
 (* Flat elements (no element children) of one local name, by their
@@ -269,10 +269,6 @@ let set_slot n s =
    so join/lookup ablations can disable them without losing
    document-order labels. *)
 
-(* The "id" attribute's symbol, compared against attribute local names
-   whenever an attribute enters or leaves a tree. *)
-let id_sym : Sym.t = Sym.intern "id"
-
 (* registry counters ({!Obs.Metrics}): cache builds and hits, per-write
    upkeep, lookups *)
 let keys_hit = Obs.Metrics.counter "dom.accel.keys.hit"
@@ -421,7 +417,7 @@ let collect tbl key n =
 
 (* The whole-tree build: one pre-order walk of [r]'s tree that, with
    [labels], spreads labels evenly over its nodes and, with [elems],
-   collects its elements by local-name symbol and by id value. *)
+   collects its elements by local name and by id value. *)
 let walk r ~labels elems =
   let stride = if labels then label_space / (node_count r + 1) else 0 in
   let next = ref 0 in
@@ -436,13 +432,13 @@ let walk r ~labels elems =
     match n.nkind with
     | P_element e ->
         (match elems with
-        | Some (_, by_name) -> collect by_name (e.ename.Qname.lsym :> int) n
+        | Some (_, by_name) -> collect by_name e.ename.Qname.local n
         | None -> ());
         List.iter
           (fun a ->
             label a;
             match (elems, a.nkind) with
-            | Some (by_id, _), P_attribute at when Sym.equal at.aname.Qname.lsym id_sym ->
+            | Some (by_id, _), P_attribute at when String.equal at.aname.Qname.local "id" ->
                 collect by_id at.avalue n
             | _ -> ())
           e.eattrs;
@@ -723,12 +719,12 @@ let rec iter_attributes_in f = function
 
 let iter_attributes f el = iter_attributes_in f (attributes el)
 
-(* [f] on the value of every attribute of [el] named [lsym] *)
-let iter_attr_values f el (lsym : Sym.t) =
+(* [f] on the value of every attribute of [el] with local name [local] *)
+let iter_attr_values f el local =
   List.iter
     (fun a ->
       match a.nkind with
-      | P_attribute at when Sym.equal at.aname.Qname.lsym lsym -> f at.avalue
+      | P_attribute at when String.equal at.aname.Qname.local local -> f at.avalue
       | _ -> ())
     (attributes el)
 
@@ -746,18 +742,18 @@ let build_elems r s =
   s.elems <- Some e;
   e
 
-let build_attr_values r (lsym : Sym.t) =
+let build_attr_values r local =
   Obs.Metrics.incr value_index_rebuild;
   let t = Hashtbl.create 64 in
-  iter_elements (fun n _ -> iter_attr_values (fun v -> collect t v n) n lsym) r;
+  iter_elements (fun n _ -> iter_attr_values (fun v -> collect t v n) n local) r;
   seal t
 
-let build_text_values r (lsym : Sym.t) =
+let build_text_values r local =
   Obs.Metrics.incr value_index_rebuild;
   let t = Hashtbl.create 64 and complex = ref 0 in
   iter_elements
     (fun n name ->
-      if Sym.equal name.Qname.lsym lsym then
+      if String.equal name.Qname.local local then
         match flat_key n with Some k -> collect t k n | None -> incr complex)
     r;
   { tvals = seal t; complex = !complex }
@@ -773,22 +769,22 @@ let elems_of r s =
    buckets with the labels *)
 let ensure_elems r s = if Option.is_none s.elems then ignore (build_elems r s)
 
-let attr_values_of r s (lsym : Sym.t) =
-  match Hashtbl.find_opt s.attr_values (lsym :> int) with
+let attr_values_of r s local =
+  match Hashtbl.find_opt s.attr_values local with
   | Some t -> t
   | None ->
       ensure_elems r s;
-      let t = build_attr_values r lsym in
-      Hashtbl.replace s.attr_values (lsym :> int) t;
+      let t = build_attr_values r local in
+      Hashtbl.replace s.attr_values local t;
       t
 
-let text_values_of r s (lsym : Sym.t) =
-  match Hashtbl.find_opt s.text_values (lsym :> int) with
+let text_values_of r s local =
+  match Hashtbl.find_opt s.text_values local with
   | Some ti -> ti
   | None ->
       ensure_elems r s;
-      let ti = build_text_values r lsym in
-      Hashtbl.replace s.text_values (lsym :> int) ti;
+      let ti = build_text_values r local in
+      Hashtbl.replace s.text_values local ti;
       ti
 
 (* ------------------------------------------------------------------ *)
@@ -1053,28 +1049,28 @@ let end_write w mutation =
   if !batch_depth = 0 then Footprint.commit ()
 
 let fp_name w (name : Qname.t) =
-  Option.iter (fun r -> Footprint.add_wname r name.Qname.lsym) w.wfp
+  Option.iter (fun r -> Footprint.add_wname r name.Qname.local) w.wfp
 
 let fp_attr w (aname : Qname.t) v =
   Option.iter
     (fun r ->
-      Footprint.add_wkey r ~local:aname.Qname.lsym v;
-      if Sym.equal aname.Qname.lsym id_sym then Footprint.add_wid r v)
+      Footprint.add_wkey r ~local:aname.Qname.local v;
+      if String.equal aname.Qname.local "id" then Footprint.add_wid r v)
     w.wfp
 
 (* The index entry of attribute [aname = v] on element [owner]: in
    the id buckets for "id", else in the name's value buckets. *)
 let attr_entries s ~add owner (aname : Qname.t) v =
-  let lsym = aname.Qname.lsym in
+  let local = aname.Qname.local in
   let values =
-    if Sym.equal lsym id_sym then Option.map (fun e -> e.by_id) s.elems
-    else Hashtbl.find_opt s.attr_values (lsym :> int)
+    if String.equal local "id" then Option.map (fun e -> e.by_id) s.elems
+    else Hashtbl.find_opt s.attr_values local
   in
   Option.iter (fun t -> entry ~add t v owner) values
 
 (* An element's own entries: under its name, and its text. *)
 let element_entries s ~add e (ename : Qname.t) =
-  let key = (ename.Qname.lsym :> int) in
+  let key = ename.Qname.local in
   (match s.elems with Some x -> entry ~add x.by_name key e | None -> ());
   match Hashtbl.find_opt s.text_values key with
   | Some ti -> text_entry ~add ti e
@@ -1158,7 +1154,7 @@ let retext w e f =
   let entries ~add =
     match (w.ws, e.nkind) with
     | Some ({ labelled = true; _ } as s), P_element el -> (
-        match Hashtbl.find_opt s.text_values (el.ename.Qname.lsym :> int) with
+        match Hashtbl.find_opt s.text_values el.ename.Qname.local with
         | Some ti -> text_entry ~add ti e
         | None -> ())
     | _ -> ()
@@ -1962,14 +1958,14 @@ let get_element_by_id n idv =
   end;
   hit
 
-let get_elements_by_local_sym n (sym : Sym.t) =
+let get_elements_by_local_name n local =
   if Footprint.recording () then
-    Footprint.reading_name ~root:(root_watch n) ~scope:n.nid sym;
+    Footprint.reading_name ~root:(root_watch n) ~scope:n.nid local;
   if Ablation.current.acceleration then begin
     Obs.Metrics.incr lookup_by_name;
     let r = root n in
     let bucket =
-      match Hashtbl.find_opt (elems_of r (accel_of r)).by_name (sym :> int) with
+      match Hashtbl.find_opt (elems_of r (accel_of r)).by_name local with
       | Some b -> bucket_list b
       | None -> []
     in
@@ -1983,18 +1979,10 @@ let get_elements_by_local_sym n (sym : Sym.t) =
     List.filter
       (fun c ->
         match c.nkind with
-        | P_element e -> Sym.equal e.ename.Qname.lsym sym
+        | P_element e -> String.equal e.ename.Qname.local local
         | _ -> false)
       candidates
   end
-
-(* The string entry point interns (a table probe, the cost the old
-   string-keyed index paid anyway); callers holding a [Qname.t] should
-   use [get_elements_by_local_sym] with the pre-interned symbol. The
-   intern is also what lets the footprint record a name the document
-   does not contain yet. *)
-let get_elements_by_local_name n local =
-  get_elements_by_local_sym n (Sym.intern local)
 
 (* ------------------------------------------------------------------ *)
 (* Value indexes.
@@ -2014,7 +2002,7 @@ let get_elements_by_local_name n local =
    Buckets are keyed by local name only, so callers refine hits against
    the exact QName/axis they need. *)
 
-let value_lookup which n (lsym : Sym.t) v =
+let value_lookup which n local v =
   if Footprint.recording () then begin
     (* Record the probe whether or not the index can answer: the scan
        fallback covers a superset, so this is conservative either way.
@@ -2022,8 +2010,8 @@ let value_lookup which n (lsym : Sym.t) v =
        flat element writes its name), attribute probes the exact key. *)
     let rid = root_watch n in
     match which with
-    | `Attr -> Footprint.reading_key ~root:rid ~scope:n.nid ~local:lsym v
-    | `Text -> Footprint.reading_name ~root:rid ~scope:n.nid lsym
+    | `Attr -> Footprint.reading_key ~root:rid ~scope:n.nid ~local v
+    | `Text -> Footprint.reading_name ~root:rid ~scope:n.nid local
   end;
   if not Ablation.current.value_index then None
   else begin
@@ -2031,10 +2019,10 @@ let value_lookup which n (lsym : Sym.t) v =
     let s = accel_of r in
     let found =
       match which with
-      | `Attr when Sym.equal lsym id_sym -> Some (Hashtbl.find_opt (elems_of r s).by_id v)
-      | `Attr -> Some (Hashtbl.find_opt (attr_values_of r s lsym) v)
+      | `Attr when String.equal local "id" -> Some (Hashtbl.find_opt (elems_of r s).by_id v)
+      | `Attr -> Some (Hashtbl.find_opt (attr_values_of r s local) v)
       | `Text ->
-          let ti = text_values_of r s lsym in
+          let ti = text_values_of r s local in
           if ti.complex > 0 then None else Some (Hashtbl.find_opt ti.tvals v)
     in
     match found with
@@ -2049,10 +2037,8 @@ let value_lookup which n (lsym : Sym.t) v =
 
 (* Elements in the subtree of [n] (inclusive) owning an attribute with
    the given local name and exact value, in document order. *)
-let elements_by_attr_value_sym n ~local v = value_lookup `Attr n local v
-let elements_by_attr_value n ~local v = value_lookup `Attr n (Sym.intern local) v
+let elements_by_attr_value n ~local v = value_lookup `Attr n local v
 
 (* Flat elements in the subtree of [n] (inclusive) with the given local
    name and exact string value, in document order. *)
-let elements_by_text_value_sym n ~local v = value_lookup `Text n local v
-let elements_by_text_value n ~local v = value_lookup `Text n (Sym.intern local) v
+let elements_by_text_value n ~local v = value_lookup `Text n local v

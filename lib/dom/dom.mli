@@ -215,8 +215,8 @@ val order_key : node -> (int * int) option
     value of its "flat" elements (no element children) mapped to those
     elements. Values of [id] attributes are answered from the id
     buckets of {!get_element_by_id}, so they build no value buckets.
-    Keyed by the value string in the per-root table, so values are not
-    interned and are freed with the document.
+    Keyed by the name and the value strings in the per-root table, so
+    they are freed with the document.
     [Ablation.current]'s [value_index] field switches them, apart from
     [acceleration], so join/lookup ablations keep document-order
     labels. *)
@@ -227,21 +227,11 @@ val order_key : node -> (int * int) option
     (switch off) — fall back to a scan. *)
 val elements_by_attr_value : node -> local:string -> string -> node list option
 
-(** Like {!elements_by_attr_value}, keyed by the pre-interned
-    local-name symbol (no string hashing on the probe). *)
-val elements_by_attr_value_sym :
-  node -> local:Sym.t -> string -> node list option
-
 (** Flat elements in the subtree of the given node (inclusive) with
     the given local name (any namespace) and exact string value, in
     document order. [None] when the index cannot answer (switch off,
     or some element with this local name has element children). *)
 val elements_by_text_value : node -> local:string -> string -> node list option
-
-(** Like {!elements_by_text_value}, keyed by the pre-interned
-    local-name symbol. *)
-val elements_by_text_value_sym :
-  node -> local:Sym.t -> string -> node list option
 
 (** {1 Subtree memos}
 
@@ -448,10 +438,5 @@ val get_element_by_id : node -> string -> node option
 
 (** All descendant elements (including self if element) with the given
     local name, any namespace, in document order. Index-backed when
-    acceleration is on. The string entry point interns its argument;
-    callers holding a [Qname.t] should pass the pre-interned symbol to
-    {!get_elements_by_local_sym} so the index probe is pure int
-    hashing. *)
+    acceleration is on. *)
 val get_elements_by_local_name : node -> string -> node list
-
-val get_elements_by_local_sym : node -> Sym.t -> node list

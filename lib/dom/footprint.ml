@@ -22,14 +22,11 @@
    alive, so a removed listener's footprint is collected with it and a
    document's watch with the document.
 
-   Names are keyed by their interned symbols ([Xmlb.Sym]), which arrive
-   pre-interned from [Qname.t]. Id and attribute *values* are keyed by
-   the value string itself: data is not interned, so the process-global
-   symbol table grows with the names a program uses, not with the
-   values its listeners read and write.
+   Names, id values and attribute keys are keyed by their strings, so
+   an entry lives as long as the footprint or write record holding it.
 
    This module deliberately knows nothing about [Dom.node] — it traffics
-   in node ids, symbols and watches only, so it sits below [Dom] in the
+   in node ids, strings and watches only, so it sits below [Dom] in the
    library and both [Dom] (capture) and the evaluator (recording) can
    call it. *)
 
@@ -38,10 +35,10 @@ open Xmlb
 type read = {
   mutable roots : watch list;  (* watches of every tree consulted *)
   scopes : (int, unit) Hashtbl.t;  (* subtree-walk origins (node ids) *)
-  names : (int * int, unit) Hashtbl.t;  (* (local-name sym, scope) probes *)
+  names : (string * int, unit) Hashtbl.t;  (* (local name, scope) probes *)
   ids : (string * int, unit) Hashtbl.t;  (* (id value, scope) probes *)
-  keys : (int * string * int, unit) Hashtbl.t;
-      (* (attr-local sym, value, scope) probes *)
+  keys : (string * string * int, unit) Hashtbl.t;
+      (* (attribute local name, value, scope) probes *)
   mutable coarse : bool;
       (* entry cap exceeded: degrade to whole-root granularity *)
   mutable poisoned : bool;
@@ -89,9 +86,9 @@ let max_entries = 4096
 
 type wrec = {
   chain : int list;  (* ancestor-or-self ids of the mutation point *)
-  mutable wnames : int list;  (* local-name syms *)
+  mutable wnames : string list;  (* local names *)
   mutable wids : string list;  (* id values *)
-  mutable wkeys : (int * string) list;  (* (attr-local sym, value) *)
+  mutable wkeys : (string * string) list;  (* (attribute local name, value) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -165,13 +162,13 @@ let with_fp root f =
 
 let reading_scope ~root ~node = with_fp root (fun fp -> add_entry fp.scopes fp node)
 
-let reading_name ~root ~scope (sym : Sym.t) =
-  with_fp root (fun fp -> add_entry fp.names fp ((sym :> int), scope))
+let reading_name ~root ~scope local =
+  with_fp root (fun fp -> add_entry fp.names fp (local, scope))
 
 let reading_id ~root ~scope v = with_fp root (fun fp -> add_entry fp.ids fp (v, scope))
 
-let reading_key ~root ~scope ~local:(lsym : Sym.t) v =
-  with_fp root (fun fp -> add_entry fp.keys fp ((lsym :> int), v, scope))
+let reading_key ~root ~scope ~local v =
+  with_fp root (fun fp -> add_entry fp.keys fp (local, v, scope))
 
 let poison () = Option.iter (fun fp -> fp.poisoned <- true) !current
 let is_poisoned fp = fp.poisoned
@@ -180,9 +177,9 @@ let is_poisoned fp = fp.poisoned
 (* Write records and batching                                          *)
 
 let fresh_wrec ~chain = { chain; wnames = []; wids = []; wkeys = [] }
-let add_wname w (sym : Sym.t) = w.wnames <- (sym :> int) :: w.wnames
+let add_wname w local = w.wnames <- local :: w.wnames
 let add_wid w v = w.wids <- v :: w.wids
-let add_wkey w ~local:(lsym : Sym.t) v = w.wkeys <- ((lsym :> int), v) :: w.wkeys
+let add_wkey w ~local v = w.wkeys <- (local, v) :: w.wkeys
 
 (* ------------------------------------------------------------------ *)
 (* Intersection                                                        *)

@@ -17,16 +17,11 @@
     owning a footprint keeps it alive — so nothing here outlives the
     listener or the document it belongs to.
 
-    Names are keyed by their symbols ([Xmlb.Sym]), which arrive
-    pre-interned from [Qname.t]; id and attribute values are keyed by
-    the value string, so recording and writing intern no data and the
-    process-global symbol table does not grow with it.
+    Names, id values and attribute keys are keyed by their strings.
 
-    The module knows node ids, symbols and strings only: it sits below
+    The module knows node ids and strings only: it sits below
     [Dom] so both the DOM (capture side) and the evaluator (recording
     side) can use it. *)
-
-open Xmlb
 
 type read
 
@@ -75,13 +70,13 @@ val restore : read option -> unit
 val reading_scope : root:watch -> node:int -> unit
 
 (** Local-name index probe confined to subtree [scope]. *)
-val reading_name : root:watch -> scope:int -> Sym.t -> unit
+val reading_name : root:watch -> scope:int -> string -> unit
 
 (** id lookup confined to subtree [scope]. *)
 val reading_id : root:watch -> scope:int -> string -> unit
 
 (** (attribute local name, value) index probe confined to [scope]. *)
-val reading_key : root:watch -> scope:int -> local:Sym.t -> string -> unit
+val reading_key : root:watch -> scope:int -> local:string -> string -> unit
 
 (** The run read state we cannot fingerprint (global variables,
     external functions, impure builtins) or performed effects; its memo
@@ -97,9 +92,9 @@ val is_poisoned : read -> bool
     per single direct mutation. *)
 
 val fresh_wrec : chain:int list -> wrec
-val add_wname : wrec -> Sym.t -> unit
+val add_wname : wrec -> string -> unit
 val add_wid : wrec -> string -> unit
-val add_wkey : wrec -> local:Sym.t -> string -> unit
+val add_wkey : wrec -> local:string -> string -> unit
 val record_write : watch -> wrec -> unit
 
 (** Mark dirty, and unregister, every registered footprint the queued

@@ -362,8 +362,6 @@ let compare_value a b =
 
 let equal_value a b =
   match (a, b) with
-  (* Qname.equal rides the interned-symbol fast path (two int
-     compares) when interning fast paths are on *)
   | Qname_v x, Qname_v y -> Qname.equal x y
   | _ ->
       if is_nan a || is_nan b then false

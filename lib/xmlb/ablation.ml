@@ -1,7 +1,6 @@
 type t = {
   mutable acceleration : bool;
   mutable value_index : bool;
-  mutable interning : bool;
   mutable join_planning : bool;
   mutable compiled_eval : bool;
   mutable query_cache : bool;
@@ -12,7 +11,6 @@ let current =
   {
     acceleration = true;
     value_index = true;
-    interning = true;
     join_planning = true;
     compiled_eval = true;
     query_cache = true;
@@ -27,7 +25,6 @@ let set v =
     incr generation_count;
     current.acceleration <- v.acceleration;
     current.value_index <- v.value_index;
-    current.interning <- v.interning;
     current.join_planning <- v.join_planning;
     current.compiled_eval <- v.compiled_eval;
     current.query_cache <- v.query_cache;
@@ -43,7 +40,6 @@ let fields t =
   [
     ("acceleration", t.acceleration);
     ("value-index", t.value_index);
-    ("interning", t.interning);
     ("join-planning", t.join_planning);
     ("compiled-eval", t.compiled_eval);
     ("query-cache", t.query_cache);

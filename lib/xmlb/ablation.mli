@@ -3,17 +3,16 @@
     Each field turns one optimisation layer on or off; every field is
     on by default and production never turns one off. The off paths
     stay because each is an oracle or a baseline: the naive DOM
-    algorithms for the accelerated ones, string comparison for the
-    interned fast paths, nested loops for hash joins, the reference
-    evaluator for the closure compiler, plain compilation for the
-    query cache and re-running every listener for incremental
-    dispatch. Tests, the bench harness and the CLI's [--no-*] flags
-    select among them.
+    algorithms for the accelerated ones, nested loops for hash joins,
+    the reference evaluator for the closure compiler, plain
+    compilation for the query cache and re-running every listener for
+    incremental dispatch. Tests, the bench harness and the CLI's
+    [--no-*] flags select among them.
 
     Every layer reads its field of {!current}; the fields are mutable
-    so that a hot path ([Qname.equal], [Qname.compare]) reads its
-    switch with one load and a branch. Set them only through {!with_},
-    which scopes a whole value and restores the previous one. *)
+    so that a hot path ([Dom]'s probes) reads its switch with one load
+    and a branch. Set them only through {!with_}, which scopes a whole
+    value and restores the previous one. *)
 
 type t = {
   mutable acceleration : bool;
@@ -22,10 +21,6 @@ type t = {
   mutable value_index : bool;
       (** attribute- and text-value buckets behind [@k eq 'v'] probes
           and hash-join key refinement ([Dom]); CLI [--no-value-index] *)
-  mutable interning : bool;
-      (** symbol comparisons in [Qname.equal]/[compare] and the
-          evaluator's name probes; the intern table stays on either way.
-          CLI [--no-interning] *)
   mutable join_planning : bool;
       (** the optimizer's equi-join planner ([Optimizer]); off: nested
           loops. CLI [--no-join-planner] *)
@@ -47,7 +42,7 @@ val current : t
 (** [with_ v f] runs [f] with {!current} set to a copy of [v] and
     restores the previous value when [f] returns or raises. Build [v]
     from {!current} to change some fields and keep the others, e.g.
-    [with_ { current with interning = false } f]. *)
+    [with_ { current with value_index = false } f]. *)
 val with_ : t -> (unit -> 'a) -> 'a
 
 (** Bumped on every change of {!current}: state recorded under one
@@ -56,7 +51,7 @@ val with_ : t -> (unit -> 'a) -> 'a
 val generation : unit -> int
 
 (** Each field with its name, in declaration order: ["acceleration"],
-    ["value-index"], ["interning"], ["join-planning"],
+    ["value-index"], ["join-planning"],
     ["compiled-eval"], ["query-cache"], ["incremental"]. *)
 val fields : t -> (string * bool) list
 

@@ -1,18 +1,6 @@
-type t = {
-  uri : string option;
-  prefix : string option;
-  local : string;
-  usym : int;
-  lsym : Sym.t;
-}
+type t = { uri : string option; prefix : string option; local : string }
 
-(* -1 encodes "no namespace": [intern] only hands out ids >= 0, so the
-   sentinel can never collide with a real URI's symbol. *)
-let no_uri_sym = -1
-let usym_of = function None -> no_uri_sym | Some u -> (Sym.intern u :> int)
-
-let make ?uri ?prefix local =
-  { uri; prefix; local; usym = usym_of uri; lsym = Sym.intern local }
+let make ?uri ?prefix local = { uri; prefix; local }
 
 let of_string s =
   match String.index_opt s ':' with
@@ -22,34 +10,21 @@ let of_string s =
       let local = String.sub s (i + 1) (String.length s - i - 1) in
       make ~prefix local
 
-let with_uri t uri = { t with uri; usym = usym_of uri }
+let with_uri t uri = { t with uri }
 
-let lsym t = t.lsym
-let usym t = t.usym
-
-(* Interning is a bijection between distinct strings and symbols, so
-   the symbol compare and the string compare decide equality
-   identically; the switch only selects which cost is paid (the
-   [--no-interning] ablation). *)
+(* The local part first: it tells most unequal names apart. *)
 let equal a b =
-  if Ablation.current.interning then Sym.equal a.lsym b.lsym && a.usym = b.usym
-  else
-    String.equal a.local b.local && Option.equal String.equal a.uri b.uri
+  String.equal a.local b.local
+  &&
+  match (a.uri, b.uri) with
+  | None, None -> true
+  | Some u, Some v -> String.equal u v
+  | _ -> false
 
-(* The order stays string-based in both modes — symbol ids depend on
-   intern order, and an intern-order sort would leak into any
-   observable sorted output. The fast path only short-circuits the
-   equal case to O(1). *)
 let compare a b =
-  if Ablation.current.interning && Sym.equal a.lsym b.lsym && a.usym = b.usym then 0
-  else
-    match Option.compare String.compare a.uri b.uri with
-    | 0 -> String.compare a.local b.local
-    | c -> c
-
-(* Mix of the pre-interned symbols: no tuple allocation, no option
-   blocks, no string walk. Consistent with [equal] in both modes. *)
-let hash t = (((t.usym + 1) * 65599) + (t.lsym :> int)) land max_int
+  match Option.compare String.compare a.uri b.uri with
+  | 0 -> String.compare a.local b.local
+  | c -> c
 
 let find_duplicate names =
   let rec adjacent = function

@@ -2,18 +2,13 @@
 
     A {!t} is an expanded name: an optional namespace URI, an optional
     prefix (kept for serialization fidelity only; equality ignores it)
-    and a local part — plus the pre-interned {!Sym} symbols of the URI
-    and local part, built once at construction, so name comparison and
-    index keying are int operations. The record is private: build names
-    with {!make}/{!of_string}/{!with_uri} so the symbols always agree
-    with the strings. *)
+    and a local part. Names are compared by their strings; nothing is
+    interned, so no table grows with the names a process reads. *)
 
-type t = private {
+type t = {
   uri : string option;  (** namespace URI, [None] = no namespace *)
   prefix : string option;  (** original prefix, ignored by {!equal} *)
   local : string;
-  usym : int;  (** interned URI symbol; [-1] when [uri] is [None] *)
-  lsym : Sym.t;  (** interned local-part symbol *)
 }
 
 val make : ?uri:string -> ?prefix:string -> string -> t
@@ -22,29 +17,14 @@ val make : ?uri:string -> ?prefix:string -> string -> t
     the URI is left unresolved ([None]). *)
 val of_string : string -> t
 
-(** Replace the URI, re-interning its symbol (the only correct way to
-    change a name's namespace — a record update would leave a stale
-    symbol). *)
+(** The same name in another namespace. *)
 val with_uri : t -> string option -> t
 
-(** The pre-interned local-part symbol. *)
-val lsym : t -> Sym.t
-
-(** The pre-interned URI symbol, [-1] for no namespace. *)
-val usym : t -> int
-
-(** Equality on expanded name: URI and local part only. Symbol compare
-    when interned fast paths are on, string compare under the
-    [--no-interning] ablation — same decisions either way. *)
+(** Equality on expanded name: URI and local part only. *)
 val equal : t -> t -> bool
 
-(** String-based order in both modes (symbol ids are intern-order and
-    must not leak into sorted output); the fast path short-circuits
-    equality to O(1). *)
+(** Order by URI ([None] first), then local part, both by string. *)
 val compare : t -> t -> int
-
-(** Mix of the pre-interned symbols; consistent with {!equal}. *)
-val hash : t -> int
 
 (** A name that occurs twice in the list (by {!equal}), if any; sorts,
     so O(n log n). *)

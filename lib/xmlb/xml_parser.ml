@@ -30,7 +30,7 @@ type state = {
   options : options;
   qnames : (string, Qname.t) Hashtbl.t;
       (* raw token -> parsed name: each distinct name in a document is
-         split and interned exactly once, repeats share one record *)
+         split exactly once, repeats share one record *)
   elem_names : known option array;
   attr_names : known option array;
       (* recently read names, direct-mapped by length and end bytes and

@@ -30,7 +30,7 @@ type fn_impl = D.t -> I.sequence list -> I.sequence
 
 type prog_code = {
   body : (D.t -> I.sequence) option;
-  fns : ((int * int * int) * fn_impl) list;
+  fns : ((string option * string * int) * fn_impl) list;
   globals : (Qname.t * Ast.seq_type option * (D.t -> I.sequence) option) list;
 }
 
@@ -125,8 +125,6 @@ let scan_seq axis (test : Ast.node_test) n =
           Obs.Metrics.incr Eval.desc_index_steps;
           let bucket =
             match test with
-            | Ast.Name_test qn when Ablation.current.interning ->
-                Dom.get_elements_by_local_sym n qn.Qname.lsym
             | Ast.Name_test { Qname.local; _ } | Ast.Local_wildcard local ->
                 Dom.get_elements_by_local_name n local
             | _ -> assert false (* excluded by the outer pattern *)
@@ -363,7 +361,7 @@ let rec emit (c : C.t) : env -> I.sequence =
           (* this dispatch bypasses Eval.call_function, so the
              recorded-run impurity check must be replicated here; the
              test is hoisted to emission time *)
-          let impure = Reactive.impure_builtin_sym qn.Qname.lsym in
+          let impure = Reactive.impure_builtin qn.Qname.local in
           fun env ->
             let vs = map_env env fs in
             Eval.count_call Eval.builtin_calls;
@@ -919,7 +917,7 @@ let compile_expr static e =
   fun ctx -> f { ctx; frame = fresh_frame size }
 
 let compile_fn static (decl : Ast.function_decl) :
-    ((int * int * int) * fn_impl) option =
+    ((string option * string * int) * fn_impl) option =
   match decl.Ast.body with
   | None -> None (* external: nothing to compile *)
   | Some body ->

@@ -13,10 +13,10 @@ type fn_impl =
 type prog_code = {
   body : (Dynamic_context.t -> Xdm_item.sequence) option;
       (** [None] for a library module or a page script without one *)
-  fns : ((int * int * int) * fn_impl) list;
+  fns : ((string option * string * int) * fn_impl) list;
       (** a compiled body for every function the program declared,
-          keyed by {!Dynamic_context.fn_key} (uri sym, local sym,
-          arity) for {!Dynamic_context.t.compiled_fns} *)
+          keyed by {!Dynamic_context.fn_key} (uri, local part, arity)
+          for {!Dynamic_context.t.compiled_fns} *)
   globals :
     (Xmlb.Qname.t * Ast.seq_type option * (Dynamic_context.t -> Xdm_item.sequence) option) list;
       (** the program's global variables in declaration order, with

@@ -146,11 +146,13 @@ type t = {
   host : host;
   depth : int;
   compiled_fns :
-    (int * int * int, t -> Xdm_item.sequence list -> Xdm_item.sequence) Hashtbl.t;
+    ( string option * string * int,
+      t -> Xdm_item.sequence list -> Xdm_item.sequence )
+    Hashtbl.t;
   mutable call : Call_ctx.t option;
 }
 
-let fn_key qn ~arity = (qn.Qname.usym, (qn.Qname.lsym :> int), arity)
+let fn_key qn ~arity = (qn.Qname.uri, qn.Qname.local, arity)
 
 let create ?(host = default_host) static =
   {
@@ -186,6 +188,35 @@ let lookup_ref t qn =
 
 let lookup t qn = !(lookup_ref t qn)
 let bind_global t qn v = Hashtbl.replace t.globals (key qn) (ref v)
+
+(* a global's value is saved beside its ref: an initializer that
+   raises may have assigned an earlier script's global through it *)
+type saved = {
+  static_saved : Static_context.saved;
+  fns_saved :
+    ( string option * string * int,
+      t -> Xdm_item.sequence list -> Xdm_item.sequence )
+    Hashtbl.t;
+  globals_saved : (string * Xdm_item.sequence ref * Xdm_item.sequence) list;
+}
+
+let save t =
+  {
+    static_saved = Static_context.save t.static;
+    fns_saved = Hashtbl.copy t.compiled_fns;
+    globals_saved = Hashtbl.fold (fun k r acc -> (k, r, !r) :: acc) t.globals [];
+  }
+
+let restore t s =
+  Static_context.restore t.static s.static_saved;
+  Hashtbl.reset t.compiled_fns;
+  Hashtbl.iter (Hashtbl.replace t.compiled_fns) s.fns_saved;
+  Hashtbl.reset t.globals;
+  List.iter
+    (fun (k, r, v) ->
+      r := v;
+      Hashtbl.replace t.globals k r)
+    s.globals_saved
 
 let with_focus t item ~position ~size =
   { t with focus = Some { item; position; size }; call = None }

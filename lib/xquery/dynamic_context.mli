@@ -65,9 +65,11 @@ type t = {
   host : host;
   depth : int;
   compiled_fns :
-    (int * int * int, t -> Xdm_item.sequence list -> Xdm_item.sequence) Hashtbl.t;
-      (** compiled user-function bodies, keyed by {!fn_key} (uri sym,
-          local sym, arity); installed by {!Engine.context_for} when
+    ( string option * string * int,
+      t -> Xdm_item.sequence list -> Xdm_item.sequence )
+    Hashtbl.t;
+      (** compiled user-function bodies, keyed by {!fn_key} (uri, local
+          part, arity); installed by {!Engine.context_for} when
           compiled evaluation is on, consulted by
           [Eval.call_user_function] before the tree-walking body
           dispatch *)
@@ -78,12 +80,20 @@ type t = {
           that changes either *)
 }
 
-(** Key of a user function in [compiled_fns]: (uri symbol, local-name
-    symbol, arity) from the Qname's pre-interned symbols — int hashing
-    per call instead of a Clark-string allocation. *)
-val fn_key : Qname.t -> arity:int -> int * int * int
+(** Key of a user function in [compiled_fns]: the name's URI and local
+    part, and the arity. *)
+val fn_key : Qname.t -> arity:int -> string option * string * int
 
 val create : ?host:host -> Static_context.t -> t
+
+(** A copy of the static context, the compiled functions and the
+    globals, each global's value included. *)
+type saved
+
+val save : t -> saved
+
+(** Put back what {!save} copied. *)
+val restore : t -> saved -> unit
 
 (** Bind a fresh local variable (shadows). *)
 val bind : t -> Qname.t -> Xdm_item.sequence -> t

@@ -192,19 +192,34 @@ let bind_globals ?(bindings = []) ?(strict = true) ctx compiled =
         value)
     (code compiled).Compile.globals
 
+(* Install and initialisation: the compiled function bodies go in
+   before anything can call them (global-variable initializers may). *)
+let initialise ?bindings ?strict ctx compiled =
+  install_functions ctx compiled;
+  bind_globals ?bindings ?strict ctx compiled
+
 let context_for ?host ?context_item ?(bindings = []) compiled =
   let ctx = Dynamic_context.create ?host compiled.static in
-  (* install compiled function bodies before anything can call them
-     (global-variable initializers may) *)
-  install_functions ctx compiled;
   let ctx =
     match context_item with
     | Some item -> Dynamic_context.with_focus ctx item ~position:1 ~size:1
     | None -> ctx
   in
   List.iter (fun (qn, v) -> Dynamic_context.bind_global ctx qn v) bindings;
-  bind_globals ~bindings ctx compiled;
+  initialise ~bindings ctx compiled;
   ctx
+
+let add_script ctx source =
+  let saved = Dynamic_context.save ctx in
+  match
+    let compiled = compile_cached ~static:ctx.Dynamic_context.static source in
+    initialise ~strict:false ctx compiled;
+    compiled
+  with
+  | compiled -> compiled
+  | exception e ->
+      Dynamic_context.restore ctx saved;
+      raise e
 
 let eval_body ctx compiled =
   match (code compiled).Compile.body with

@@ -72,8 +72,11 @@ val compile_cached :
   ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 
 (** Build a dynamic context for a compiled program: binds the optional
-    context item and evaluates the prolog's global variables.
-    [bindings] pre-binds external variables. *)
+    context item, installs the compiled bodies of the functions the
+    program declared (none for the reference evaluator) and evaluates
+    its global variables in order. External variables take their value
+    from [bindings], checked against the declared type; one without a
+    value raises XPDY0002. *)
 val context_for :
   ?host:Dynamic_context.host ->
   ?context_item:Xdm_item.item ->
@@ -81,22 +84,16 @@ val context_for :
   compiled ->
   Dynamic_context.t
 
-(** Install the compiled bodies of the functions the program declared
-    into a dynamic context (which {!context_for} does for a fresh one);
-    no-op for the reference evaluator. *)
-val install_functions : Dynamic_context.t -> compiled -> unit
-
-(** Evaluate the global variables the program declared, in order
-    (external ones take their value from [bindings], checked against
-    the declared type) and bind them in the context. [strict] (default
-    true) raises XPDY0002 for an external variable without a value;
-    otherwise it is left unbound. *)
-val bind_globals :
-  ?bindings:(Qname.t * Xdm_item.sequence) list ->
-  ?strict:bool ->
-  Dynamic_context.t ->
-  compiled ->
-  unit
+(** Add one more program to a context that runs several (a page's
+    scripts share one): compile [source] with {!compile_cached}
+    against the context's static context, then install and initialise
+    it as {!context_for} does a fresh context, except that an
+    external variable without a value is left unbound (a page has no
+    one to supply it). All or nothing: if the compile or a global
+    initializer raises, the static context, the compiled functions and
+    the globals (their values included) are as they were before, and
+    the error propagates. *)
+val add_script : Dynamic_context.t -> string -> compiled
 
 (** The evaluator of one expression outside any program, compiled
     against [static] (or the reference when compiled evaluation is

@@ -207,20 +207,13 @@ let step_nodes axis (test : Ast.node_test) n =
   let by_local local refine =
     finish_local (Dom.get_elements_by_local_name n local) refine
   in
-  (* Name_test probes by the pre-interned symbol when the interning fast
-     paths are on; the ablated path re-hashes the local-name string. *)
-  let by_sym sym refine =
-    finish_local (Dom.get_elements_by_local_sym n sym) refine
-  in
   match (axis, test) with
   | (Ast.Descendant | Ast.Descendant_or_self), Ast.Local_wildcard local
     when Ablation.current.acceleration ->
       by_local local None
   | (Ast.Descendant | Ast.Descendant_or_self), Ast.Name_test qn
     when Ablation.current.acceleration ->
-      let refine = Some (fun m -> Dom.has_name m qn) in
-      if Ablation.current.interning then by_sym qn.Qname.lsym refine
-      else by_local qn.Qname.local refine
+      by_local qn.Qname.local (Some (fun m -> Dom.has_name m qn))
   | Ast.Attribute_axis, Ast.Name_test qn ->
       (* an element has at most one attribute of a name *)
       if Footprint.recording () then record_axis_scope axis n;
@@ -260,14 +253,8 @@ let value_index_step axis test preds n =
        without touching the probed key). *)
     (if Footprint.recording () then
        match (test : Ast.node_test) with
-       | Ast.Name_test qn ->
-           Footprint.reading_name
-             ~root:(Dom.root_watch n)
-             ~scope:(Dom.id n) qn.Qname.lsym
-       | Ast.Local_wildcard local ->
-           Footprint.reading_name
-             ~root:(Dom.root_watch n)
-             ~scope:(Dom.id n) (Sym.intern local)
+       | Ast.Name_test { Qname.local; _ } | Ast.Local_wildcard local ->
+           Footprint.reading_name ~root:(Dom.root_watch n) ~scope:(Dom.id n) local
        | _ -> ());
     let candidate el =
       node_test_matches ~axis test el
@@ -278,15 +265,8 @@ let value_index_step axis test preds n =
       Obs.Metrics.incr value_index_steps;
       Some (List.sort_uniq Dom.compare_order nodes, rest)
     in
-    (* Probe by the Qname's pre-interned symbol when the interning fast
-       paths are on; the ablated probe re-hashes the local-name string
-       (both key the same buckets — interning is a bijection). *)
     let attr_lookup qn s ~general rest =
-      match
-        (if Ablation.current.interning then
-           Dom.elements_by_attr_value_sym n ~local:qn.Qname.lsym s
-         else Dom.elements_by_attr_value n ~local:qn.Qname.local s)
-      with
+      match Dom.elements_by_attr_value n ~local:qn.Qname.local s with
       | None -> None
       | Some bucket ->
           let keep el =
@@ -308,11 +288,7 @@ let value_index_step axis test preds n =
           finish (List.filter keep bucket) rest
     in
     let child_lookup qn s rest =
-      match
-        (if Ablation.current.interning then
-           Dom.elements_by_text_value_sym n ~local:qn.Qname.lsym s
-         else Dom.elements_by_text_value n ~local:qn.Qname.local s)
-      with
+      match Dom.elements_by_text_value n ~local:qn.Qname.local s with
       | None -> None
       | Some bucket ->
           let parents =
@@ -464,16 +440,18 @@ let construct_atomic ty v =
   | [ a ] -> [ I.Atomic (A.cast ~target:ty a) ]
   | _ -> type_err "constructor function requires a singleton"
 
+(* XQuery 3.1 §3.5: each operand of [lo to hi] is converted as an
+   xs:integer? argument, so an untyped value is cast and any other
+   non-integer is a type error *)
+let range_operand = Ast.St (Ast.It_atomic A.T_integer, Ast.Occ_optional)
+
 (* the bounds of [lo to hi] from its operands: none when one is empty;
-   a failing cast propagates *)
+   a failing conversion propagates *)
 let range_bounds lo hi =
   let endpoint f =
-    match I.opt_atomic (f ()) with
-    | None -> None
-    | Some a -> (
-        match A.cast ~target:A.T_integer a with
-        | A.Integer i -> Some i
-        | _ -> None)
+    match Seq_type.coerce ~what:"a range operand" range_operand (f ()) with
+    | [ I.Atomic (A.Integer i) ] -> Some i
+    | _ -> None
   in
   match (endpoint lo, endpoint hi) with
   | Some lo, Some hi -> range_of lo hi
@@ -1242,7 +1220,7 @@ and call_function ctx qn args =
               match Functions.find qn ~arity with
               | Some f ->
                   count_call builtin_calls;
-                  if Reactive.impure_builtin_sym qn.Qname.lsym then
+                  if Reactive.impure_builtin qn.Qname.local then
                     Footprint.poison ();
                   f (call_ctx ctx) args
               | None ->
@@ -1251,7 +1229,7 @@ and call_function ctx qn args =
 
 and call_user_function ctx (decl : Ast.function_decl) args =
   (* production runs the compiled body Engine installed into the
-     dynamic context (keyed by symbol triple); the reference
+     dynamic context (keyed by {!D.fn_key}); the reference
      configuration installs none and walks the declaration *)
   (match
      if Hashtbl.length ctx.D.compiled_fns = 0 then None

@@ -6,14 +6,13 @@ type impl = Call_ctx.t -> I.sequence list -> I.sequence
 
 type entry = { min_arity : int; max_arity : int; impl : impl }
 
-(* Keyed by (uri sym, local sym): registration interns each name once,
-   and lookups use the call site's pre-interned Qname symbols — the
-   old per-call "{uri}local" Clark-string allocation is gone. *)
-let table : (int * int, entry list) Hashtbl.t = Hashtbl.create 128
+(* Keyed by (uri, local part): a lookup builds the pair from the call
+   site's name, no "{uri}local" string. *)
+let table : (string * string, entry list) Hashtbl.t = Hashtbl.create 128
 let catalog_entries : (string * string * int * int) list ref = ref []
 
 let register ~uri ~local ~min_arity ~max_arity impl =
-  let key = ((Sym.intern uri :> int), (Sym.intern local :> int)) in
+  let key = (uri, local) in
   let existing = Option.value ~default:[] (Hashtbl.find_opt table key) in
   Hashtbl.replace table key ({ min_arity; max_arity; impl } :: existing);
   catalog_entries := (uri, local, min_arity, max_arity) :: !catalog_entries
@@ -21,9 +20,8 @@ let register ~uri ~local ~min_arity ~max_arity impl =
 let find qn ~arity =
   match qn.Qname.uri with
   | None -> None
-  | Some _ ->
-      let key = (qn.Qname.usym, (qn.Qname.lsym :> int)) in
-      Option.bind (Hashtbl.find_opt table key) (fun entries ->
+  | Some uri ->
+      Option.bind (Hashtbl.find_opt table (uri, qn.Qname.local)) (fun entries ->
           List.find_opt
             (fun e ->
               arity >= e.min_arity && (e.max_arity < 0 || arity <= e.max_arity))
@@ -249,10 +247,10 @@ let () =
              match (Dom.kind n, Dom.name n) with
              | Dom.Element, Some q ->
                  Footprint.reading_name ~root:(Dom.root_watch n)
-                   ~scope:(Dom.id n) q.Qname.lsym
+                   ~scope:(Dom.id n) q.Qname.local
              | Dom.Attribute, Some q ->
                  Footprint.reading_key ~root:(Dom.root_watch n)
-                   ~scope:(Dom.id n) ~local:q.Qname.lsym
+                   ~scope:(Dom.id n) ~local:q.Qname.local
                    (Option.value ~default:"" (Dom.value n))
              | _ -> ());
           match Dom.name n with
@@ -605,10 +603,9 @@ let () =
         | A.Untyped s | A.String s | A.Any_uri s -> "S:" ^ s
         | A.Boolean b -> if b then "B:1" else "B:0"
         | A.Qname_v q ->
-            (* symbol ids are a bijection of (uri, local), so keying by
-               them groups exactly like the Clark string at a fraction
-               of the allocation *)
-            Printf.sprintf "Q:%d:%d" q.Qname.usym (q.Qname.lsym :> int)
+            (* names in other namespaces share the bucket; same_key
+               tells them apart *)
+            "Q:" ^ q.Qname.local
         | A.Date _ -> "D:date"
         | A.Time _ -> "D:time"
         | A.Date_time _ -> "D:date-time"
@@ -714,17 +711,27 @@ let () =
       | A.Untyped _ as u -> A.cast ~target:A.T_double u
       | a -> a
     in
-    let rec fold acc = function
-      | [] -> acc
+    let is_double = function A.Double _ -> true | _ -> false in
+    (* F&O 3.1 §14.4.3: the result has the values' common numeric type,
+       which an xs:double among them makes xs:double *)
+    let rec fold acc double = function
+      | [] -> (
+          match acc with
+          | (A.Integer _ | A.Decimal _) when double -> A.cast ~target:A.T_double acc
+          | _ -> acc)
       | it :: rest ->
           let a = value it in
           let c = A.compare_value a acc in
-          fold (if A.is_nan acc then acc else if A.is_nan a || better c then a else acc) rest
+          fold
+            (if A.is_nan acc then acc else if A.is_nan a || better c then a else acc)
+            (double || is_double a) rest
     in
     fn ~local ~min_arity:1 ~max_arity:2 (fun _ args ->
         match arg 0 args with
         | [] -> []
-        | first :: rest -> [ I.Atomic (fold (value first) rest) ])
+        | first :: rest ->
+            let a = value first in
+            [ I.Atomic (fold a (is_double a) rest) ])
   in
   extremum "max" (fun c -> c > 0);
   extremum "min" (fun c -> c < 0);
@@ -739,9 +746,9 @@ let () =
       let root = Dom.root_watch n in
       match (Dom.kind n, Dom.name n) with
       | Dom.Element, Some q ->
-          Footprint.reading_name ~root ~scope:(Dom.id n) q.Qname.lsym
+          Footprint.reading_name ~root ~scope:(Dom.id n) q.Qname.local
       | Dom.Attribute, Some q ->
-          Footprint.reading_key ~root ~scope:(Dom.id n) ~local:q.Qname.lsym
+          Footprint.reading_key ~root ~scope:(Dom.id n) ~local:q.Qname.local
             (Option.value ~default:"" (Dom.value n))
       | _ -> ()
     end

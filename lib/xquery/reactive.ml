@@ -68,22 +68,15 @@ let counter_stats () =
 let reset_counters = Obs.Metrics.reset
 
 (* Builtins whose value depends on state outside the DOM footprint
-   (documents, clocks, the trace sink), keyed by interned local name:
-   the eight are interned once at module init, so the per-call check is
-   an int-set probe. Both the interpreter's builtin dispatch and the
-   closure compiler's builtin-call emission consult it before running
-   one inside a recorded listener. *)
-let impure_syms : (int, unit) Hashtbl.t = Hashtbl.create 16
-
-let () =
-  List.iter
-    (fun l -> Hashtbl.replace impure_syms (Xmlb.Sym.intern l :> int) ())
-    [
-      "doc"; "doc-available"; "put"; "current-dateTime"; "current-date";
-      "current-time"; "implicit-timezone"; "trace";
-    ]
-
-let impure_builtin_sym (sym : Xmlb.Sym.t) = Hashtbl.mem impure_syms (sym :> int)
+   (documents, clocks, the trace sink), by local name. Both the
+   interpreter's builtin dispatch and the closure compiler's
+   builtin-call emission consult it before running one inside a
+   recorded listener. *)
+let impure_builtin = function
+  | "doc" | "doc-available" | "put" | "current-dateTime" | "current-date"
+  | "current-time" | "implicit-timezone" | "trace" ->
+      true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Run protocol (driven by Eval.make_listener)                         *)

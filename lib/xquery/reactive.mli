@@ -33,9 +33,9 @@ type decision = Skip | Run_recorded | Run_plain
 val decide : memo -> args_key:string -> decision
 
 (** Builtins whose result depends on state the footprint cannot see
-    (documents, clocks, trace), by their pre-interned local-name
-    symbol: calling one poisons the run. *)
-val impure_builtin_sym : Xmlb.Sym.t -> bool
+    (documents, clocks, trace), by local name: calling one poisons the
+    run. *)
+val impure_builtin : string -> bool
 
 (** The registry counters [reactive.skip] and [reactive.rerun], bumped
     by the dispatcher. *)

@@ -12,8 +12,8 @@ type t = {
   mutable ns : Qname.Env.t;
   mutable default_fun_ns : string;
   mutable boundary_space : bool;
-  functions : (int * int * int, Ast.function_decl) Hashtbl.t;
-  externals : (int * int * int, external_function) Hashtbl.t;
+  functions : (string option * string * int, Ast.function_decl) Hashtbl.t;
+  externals : (string option * string * int, external_function) Hashtbl.t;
   mutable variables : (Qname.t * Ast.seq_type option * Ast.expr option) list;
   mutable options : (Qname.t * string) list;
   mutable blocked : (string * string) list;
@@ -44,10 +44,9 @@ let declare_default_element_ns t uri =
 let declare_default_function_ns t uri = t.default_fun_ns <- uri
 let default_function_ns t = t.default_fun_ns
 
-(* Function tables are keyed by (uri sym, local sym, arity) int triples
-   built from the Qname's pre-interned symbols — no Clark-string
-   allocation per declaration or lookup. *)
-let key qn arity = (qn.Qname.usym, (qn.Qname.lsym :> int), arity)
+(* Function tables are keyed by (uri, local part, arity): the prefix
+   is not part of a name's identity. *)
+let key qn arity = (qn.Qname.uri, qn.Qname.local, arity)
 
 let declare_function t (f : Ast.function_decl) =
   Hashtbl.replace t.functions (key f.Ast.fname (List.length f.Ast.params)) f
@@ -112,3 +111,23 @@ let fingerprint t =
       t.imported )
   in
   Digest.to_hex (Digest.string (Marshal.to_string payload []))
+
+type saved = t
+
+let save t = { t with functions = Hashtbl.copy t.functions; externals = Hashtbl.copy t.externals }
+
+let restore t s =
+  let refill tbl saved =
+    Hashtbl.reset tbl;
+    Hashtbl.iter (Hashtbl.replace tbl) saved
+  in
+  t.ns <- s.ns;
+  t.default_fun_ns <- s.default_fun_ns;
+  t.boundary_space <- s.boundary_space;
+  refill t.functions s.functions;
+  refill t.externals s.externals;
+  t.variables <- s.variables;
+  t.options <- s.options;
+  t.blocked <- s.blocked;
+  t.imported <- s.imported;
+  t.resolver <- s.resolver

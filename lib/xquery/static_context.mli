@@ -73,3 +73,14 @@ val resolve_module : t -> uri:string -> locations:string list -> module_resoluti
     that module resolvers and external implementations are compared by
     registration key only. The query cache keys on this. *)
 val fingerprint : t -> string
+
+(** {1 Rollback} *)
+
+(** A copy of everything a context holds. *)
+type saved
+
+val save : t -> saved
+
+(** Put back what {!save} copied: declarations, namespaces, options,
+    externals, imports and resolver. *)
+val restore : t -> saved -> unit

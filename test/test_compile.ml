@@ -89,6 +89,31 @@ let unit_equivalence_tests =
     matrix ~expected:"15 26 37" "positional variable over a range"
       "string-join(for $i at $p in 5 to 7 return string($p * 10 + $i), ' ')";
     matrix ~expected:"6" "range over singleton bounds" "sum(1 to 3)";
+    (* XQuery 3.1 §3.5: each operand converts as an xs:integer? argument *)
+    t "range operands convert as xs:integer? arguments" (fun () ->
+        List.iter
+          (fun (src, want) ->
+            List.iter
+              (fun compiled ->
+                check
+                  (Alcotest.result Alcotest.string Alcotest.string)
+                  (Printf.sprintf "%s (compiled: %b)" src compiled)
+                  want (outcome ~compiled src))
+              [ true; false ])
+          [
+            ("1.5 to 3", Error "XPTY0004");
+            ("count(1.5 to 3)", Error "XPTY0004");
+            ("'2' to 3", Error "XPTY0004");
+            ("count('2' to 3)", Error "XPTY0004");
+            ("2.0e0 to 3", Error "XPTY0004");
+            ("count(1 to 3.0e0)", Error "XPTY0004");
+            ("for $i in 1.5 to 3 return $i", Error "XPTY0004");
+            ("xs:untypedAtomic('2') to 3", Ok "2 3");
+            ("count(xs:untypedAtomic('2') to 3)", Ok "2");
+            ("count((//x)[1] to 3)", Ok "3");
+            ("() to 3", Ok "");
+            ("count(() to 3)", Ok "0");
+          ]);
     (* predicate-free path hot shape: forward axes, reverse fallback *)
     matrix ~expected:"1 2 3" "attribute step over iteration"
       "string-join(for $v in //x return string($v/@k), ' ')";

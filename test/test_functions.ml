@@ -270,6 +270,24 @@ let range_rounding_tests =
     value "3.14" "round-half-to-even(3.14159, 2)";
   ]
 
+(* fn:max and fn:min return the converted values' common numeric type
+   (F&O 3.1 §14.4.3-4), in both evaluators: an xs:double among them,
+   an untyped value cast included, makes the result xs:double *)
+let extremum_type_tests =
+  let value expected src =
+    t src (fun () -> in_modes (fun () -> check Alcotest.string src expected (run_str src)))
+  in
+  [
+    value "true" "max((3, 2.5e0)) instance of xs:double";
+    value "true" "min((1, 2.5e0)) instance of xs:double";
+    value "true" "max((5, 5.0e0)) instance of xs:double";
+    value "true" "min((2.5e0, 3)) instance of xs:double";
+    value "true" "max((<a>1</a>, 2)) instance of xs:double";
+    value "3" "max((3, 2.5e0))";
+    value "true" "max((1, 2)) instance of xs:integer";
+    value "true" "max((1, 2.5)) instance of xs:decimal";
+  ]
+
 (* fn:max and fn:min return NaN when the converted sequence holds one
    (F&O 3.1 §14.4.3-4), wherever it stands and whatever its type, in
    both evaluators; values that do not compare still raise *)
@@ -501,7 +519,7 @@ let lexical_form_tests =
 
 let suite =
   string_tests @ numeric_tests @ boolean_tests @ sequence_tests
-  @ aggregate_tests @ extremum_nan_tests @ node_tests @ qname_datetime_tests @ timezone_tests
+  @ aggregate_tests @ extremum_nan_tests @ extremum_type_tests @ node_tests @ qname_datetime_tests @ timezone_tests
   @ uri_misc_tests @ error_doc_tests @ typed_error_tests @ range_rounding_tests
   @ integer_tests @ regex_tests @ duration_tests @ double_format_tests @ data_model_tests
   @ lexical_form_tests

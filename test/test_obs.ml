@@ -219,27 +219,19 @@ let integration_tests =
             (fun c -> (attr c "name", int_of_string (attr c "value")))
             (children (section "counters"))
         in
-        (* building the snapshot's elements interns their names after
-           the registry was read, so only sym.hits moves on *)
-        let moved (k, _) = k = "sym.hits" in
         check
           Alcotest.(list (pair string int))
-          "<counter>s are the registry"
-          (List.filter (Fun.negate moved) registry)
-          (List.filter (Fun.negate moved) listed);
-        check Alcotest.bool "sym.hits listed, then moved on" true
-          (List.assoc "sym.hits" listed <= List.assoc "sym.hits" registry);
+          "<counter>s are the registry" registry listed;
         check Alcotest.bool "the page compiled and counted" true
           (List.mem_assoc "xquery.compile.fns" registry);
         check
           Alcotest.(list string)
           "elements"
-          [ "counters"; "histograms"; "spans"; "query-cache"; "reactive"; "sym" ]
+          [ "counters"; "histograms"; "spans"; "query-cache"; "reactive" ]
           (List.map local (children stats));
         let attr_names n = List.map (fun a -> local a) (Dom.attributes n) in
         check Alcotest.(list string) "reactive state" [ "listeners" ]
-          (attr_names (section "reactive"));
-        check Alcotest.(list string) "sym state" [ "size" ] (attr_names (section "sym")));
+          (attr_names (section "reactive")));
     t "the module views read the registry" (fun () ->
         let b = Xqib.Browser.create () in
         Xqib.Page.load b
@@ -253,7 +245,6 @@ let integration_tests =
           List.map (fun (k, v) -> ("compile." ^ k, v)) (Xquery.Compile.stats ())
           @ List.map (fun (k, v) -> ("reactive." ^ k, v)) (Xquery.Reactive.counter_stats ())
           @ [ ("dom_event.invocations", Dom_event.invocation_count ()) ]
-          @ List.map (fun (k, v) -> ("sym." ^ k, v)) (Xmlb.Sym.stats ())
         in
         let registry =
           [
@@ -266,10 +257,6 @@ let integration_tests =
             ("reactive.invalidations", count "reactive.invalidation");
             ("reactive.poisoned-runs", count "reactive.poisoned");
             ("dom_event.invocations", count "dom_event.invocations");
-            ("sym.size", Xmlb.Sym.size ());
-            ("sym.bytes", count "sym.bytes");
-            ("sym.hits", count "sym.hits");
-            ("sym.misses", count "sym.misses");
           ]
         in
         check Alcotest.(list (pair string int)) "views" registry views;
@@ -277,7 +264,7 @@ let integration_tests =
           (fun k -> check Alcotest.bool (k ^ " moved") true (List.assoc k views > 0))
           [
             "compile.programs"; "compile.nodes"; "reactive.skips"; "reactive.reruns";
-            "dom_event.invocations"; "sym.hits";
+            "dom_event.invocations";
           ]);
   ]
 

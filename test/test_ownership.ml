@@ -176,6 +176,35 @@ let teardown_tests =
         if grown >= 2 * 1048576 then
           Alcotest.failf "live heap grew by %.2f MB from navigation 20 to 200"
             (mb grown));
+    t "one page, 1 000 cycles of inserting and deleting 100 items: the live heap stays flat"
+      (fun () ->
+        (* the value index, order labels and name buckets of one root
+           follow every write; none may keep what a write took out *)
+        let b = B.create () in
+        Xqib.Page.load b
+          ("<html><body><ul>"
+          ^ String.concat ""
+              (List.init 1_000 (fun i -> Printf.sprintf {|<li k="%d">%d</li>|} (i mod 10) i))
+          ^ "</ul></body></html>");
+        let run src = Xqib.Page.run_xquery b b.B.top_window src in
+        let cycle () =
+          ignore (run "insert nodes (for $j in 1 to 100 return <li k='new'>{$j}</li>) into //ul");
+          ignore (run "count(//li[@k = 'new'])");
+          ignore (run "delete nodes //li[@k = 'new']")
+        in
+        for _ = 1 to 100 do
+          cycle ()
+        done;
+        let at100 = live_bytes () in
+        for _ = 101 to 1_000 do
+          cycle ()
+        done;
+        let at1000 = live_bytes () in
+        check Alcotest.string "the page is as it was" "1000"
+          (I.to_display_string (run "count(//li)"));
+        if float_of_int at1000 > 1.2 *. float_of_int at100 then
+          Alcotest.failf "live heap %.2f MB after 1 000 cycles, %.2f MB after 100 (bound 1.2x)"
+            (mb at1000) (mb at100));
     t "a finished 200-session fleet leaves no live heap behind" (fun () ->
         List.iter
           (fun migrated ->

@@ -5,7 +5,8 @@
    that left declarations behind, earlier scripts' functions and
    initializers compiled and run again by every later script, a parse
    that loaded modules, an imported module's prefix bound in the
-   importer, a failed import marked imported), the navigation and
+   importer, a failed import marked imported, the declarations of a
+   script whose global initializer raised), the navigation and
    descriptor faults that escaped as untyped exceptions, and a property:
    a page with broken scripts behaves like the page of its working
    scripts. *)
@@ -161,6 +162,69 @@ let page_tests =
         serve_module b ~uri:lib_uri lib_source;
         check Alcotest.string "imported now" "from lib"
           (I.to_display_string (Xqib.Page.run_xquery b b.B.top_window import)));
+    t "a global initializer that raises withdraws its script's declarations" (fun () ->
+        let a = {|declare function local:g() { "A" };|} in
+        let b_script =
+          {|declare variable $w := fn:error(xs:QName("boom"), "boom");
+            declare function local:g() { "B" }; declare function local:f() { "f" };|}
+        in
+        List.iter
+          (fun compiled_eval ->
+            Xmlb.Ablation.with_ { Xmlb.Ablation.current with compiled_eval } (fun () ->
+                let b =
+                  load
+                    [
+                      a;
+                      b_script;
+                      "browser:alert(local:g())";
+                      "browser:alert(local:f())";
+                      {|declare variable $w := 2; declare function local:f() { concat("f2 ", $w) };
+                        browser:alert(local:f())|};
+                    ]
+                in
+                check strings "alerts" [ "A"; "f2 2" ] (B.alerts b);
+                check strings "errors"
+                  [ "[boom] boom"; "[XPST0017] unknown function local:f#0" ]
+                  (List.rev b.B.script_errors);
+                let ctx page = Option.get (Xqib.Page.xquery_context (load page).B.top_window) in
+                let state ctx =
+                  ( SC.fingerprint ctx.Dynamic_context.static,
+                    Hashtbl.length ctx.Dynamic_context.compiled_fns,
+                    Hashtbl.length ctx.Dynamic_context.globals )
+                in
+                check
+                  Alcotest.(triple string int int)
+                  "declarations, compiled functions and globals as before script B"
+                  (state (ctx [ a ]))
+                  (state (ctx [ a; b_script ]))))
+          [ true; false ]);
+    t "a raising initializer unbinds the globals its script bound before it" (fun () ->
+        let b =
+          load
+            [
+              {|declare variable $x := 1; declare variable $w := fn:error(xs:QName("boom"), "boom");
+                declare function local:f() { 1 };|};
+            ]
+        in
+        let ctx = Option.get (Xqib.Page.xquery_context b.B.top_window) in
+        check Alcotest.int "no globals" 0 (Hashtbl.length ctx.Dynamic_context.globals);
+        check Alcotest.int "no compiled functions" 0
+          (Hashtbl.length ctx.Dynamic_context.compiled_fns));
+    t "a raising initializer's assignment to an earlier global is undone" (fun () ->
+        List.iter
+          (fun compiled_eval ->
+            Xmlb.Ablation.with_ { Xmlb.Ablation.current with compiled_eval } (fun () ->
+                let b =
+                  load
+                    [
+                      "declare variable $x := 1;";
+                      {|declare variable $w := block { set $x := 2; fn:error(xs:QName("boom"), "boom") };|};
+                      "browser:alert(string($x))";
+                    ]
+                in
+                check strings "the earlier value" [ "1" ] (B.alerts b);
+                check strings "errors" [ "[boom] boom" ] b.B.script_errors))
+          [ true; false ]);
     t "a body-less script runs only its own local:main" (fun () ->
         let b =
           load
@@ -244,9 +308,10 @@ let fault_tests =
 
 (* A fragment declares a function and a variable named after its
    position, whose initializer alerts, and writes to the body. A broken
-   fragment ends in a syntax error after its declarations, or imports a
-   library module from a host that is down. *)
-type fragment = Plain | Syntax_error | Import of bool (* host up *)
+   fragment ends in a syntax error after its declarations, imports a
+   library module from a host that is down, or declares first a
+   variable whose initializer raises, before anything observable. *)
+type fragment = Plain | Syntax_error | Import of bool (* host up *) | Init_error
 
 let fragment_source i kind =
   let import =
@@ -256,6 +321,12 @@ let fragment_source i kind =
           i i i
     | _ -> ""
   in
+  let raising =
+    match kind with
+    | Init_error ->
+        Printf.sprintf {|declare variable $e%d := fn:error(xs:QName("boom%d"), "boom");|} i i
+    | _ -> ""
+  in
   let call = match kind with Import _ -> Printf.sprintf "m%d:g()" i | _ -> string_of_int i in
   let body =
     match kind with
@@ -263,8 +334,8 @@ let fragment_source i kind =
     | _ -> Printf.sprintf {|insert node <p>{local:f%d()}-{$v%d}</p> into //body|} i i
   in
   Printf.sprintf
-    {|%s declare function local:f%d() { %s }; declare variable $v%d := (browser:alert("v%d"), %d); %s|}
-    import i call i i i body
+    {|%s %s declare function local:f%d() { %s }; declare variable $v%d := (browser:alert("v%d"), %d); %s|}
+    import raising i call i i i body
 
 (* the library module a fragment imports: its own prefix, a global
    that alerts and the function the fragment calls *)
@@ -274,7 +345,9 @@ let library_source i =
       declare function lib:g() { $lib:x * 10 };|}
     i i i
 
-let broken = function Syntax_error | Import false -> true | Plain | Import true -> false
+let broken = function
+  | Syntax_error | Import false | Init_error -> true
+  | Plain | Import true -> false
 
 let run_page fragments =
   let b = B.create () in
@@ -298,7 +371,12 @@ let fragments_gen =
       (List.mapi (fun i k -> (i, k)))
       (list_size (int_range 1 6)
          (frequency
-            [ (3, return Plain); (2, return Syntax_error); (2, map (fun up -> Import up) bool) ])))
+            [
+              (3, return Plain);
+              (2, return Syntax_error);
+              (2, map (fun up -> Import up) bool);
+              (2, return Init_error);
+            ])))
 
 let print_fragments fs =
   String.concat "\n"

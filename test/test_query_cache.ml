@@ -141,7 +141,6 @@ let engine_cache_tests =
               [
                 { on with acceleration = false };
                 { on with value_index = false };
-                { on with interning = false };
                 { on with join_planning = false };
                 { on with compiled_eval = false };
                 { on with query_cache = false };

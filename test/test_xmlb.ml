@@ -92,6 +92,56 @@ let escape_tests =
         | _ -> Alcotest.fail "expected failure");
   ]
 
+(* Clean strings come back physically unchanged; escaping agrees with
+   a per-character oracle. *)
+
+let escape_oracle specials s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match List.assoc_opt c specials with
+      | Some e -> Buffer.add_string buf e
+      | None -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let text_specials = [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;") ]
+let attr_specials = [ ('&', "&amp;"); ('<', "&lt;"); ('>', "&gt;"); ('"', "&quot;") ]
+
+let escape_gen =
+  QCheck.Gen.(
+    let ch =
+      frequency
+        [
+          (12, map (fun i -> Char.chr (Char.code 'a' + i)) (int_bound 25));
+          (2, oneofl [ '&'; '<'; '>'; '"'; '\'' ]);
+          (1, return ' ');
+        ]
+    in
+    map
+      (fun cs -> String.concat "" (List.map (String.make 1) cs))
+      (list_size (int_bound 40) ch))
+
+let escape_oracle_tests =
+  let qt name prop =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name (QCheck.make escape_gen) prop)
+  in
+  [
+    t "clean text is physically unchanged" (fun () ->
+        let s = "no specials here at all" in
+        check Alcotest.bool "same string" true (Xml_escape.text s == s);
+        check Alcotest.bool "attribute too" true (Xml_escape.attribute s == s));
+    t "escapes still escape" (fun () ->
+        check Alcotest.string "text" "a&amp;b&lt;c&gt;" (Xml_escape.text "a&b<c>");
+        check Alcotest.string "attr" "say &quot;hi&quot;"
+          (Xml_escape.attribute "say \"hi\""));
+    qt "text matches the per-char oracle" (fun s ->
+        String.equal (Xml_escape.text s) (escape_oracle text_specials s));
+    qt "attribute matches the per-char oracle" (fun s ->
+        String.equal (Xml_escape.attribute s) (escape_oracle attr_specials s));
+  ]
+
 (* ---------- parser ---------- *)
 
 let parse_root = Xml_parser.parse_root
@@ -533,7 +583,7 @@ let ablation_tests =
   [
     t "with_ restores the previous value when its thunk raises" (fun () ->
         let before = Ablation.fields Ablation.current in
-        Ablation.with_ { Ablation.current with interning = false } (fun () ->
+        Ablation.with_ { Ablation.current with join_planning = false } (fun () ->
             let outer = Ablation.fields Ablation.current in
             (match
                Ablation.with_
@@ -553,5 +603,5 @@ let ablation_tests =
   ]
 
 let suite =
-  qname_tests @ escape_tests @ parser_tests @ serializer_tests @ allocation_tests
+  qname_tests @ escape_tests @ escape_oracle_tests @ parser_tests @ serializer_tests @ allocation_tests
   @ differential_tests @ ablation_tests

@@ -29,7 +29,7 @@ type state = {
   options : options;
   qnames : (string, Qname.t) Hashtbl.t;
       (* raw token -> parsed name: each distinct name in a document is
-         split and interned exactly once, repeats share one record *)
+         split exactly once, repeats share one record *)
 }
 
 let qname_of st raw =
