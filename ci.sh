@@ -8,6 +8,13 @@
 # 400-article figure exceeds 1.1x the 100-article one (minor words plus
 # blocks allocated straight in the major heap, counted exactly, so it
 # holds whatever the machine's load).
+# The runtest line also holds the aggregate allocation gate
+# (test_compile): it fails if one warm run of max(//ref/@year),
+# let $r := //ref return max($r/@year), sum(//ref/@year) or
+# avg(//ref/@year) over 10 000 <ref year="..."> elements allocates more
+# than half the minor words per ref that materialising the path and
+# boxing each value took (16.5 for the max forms, 20 for sum and avg),
+# or more than 1.1x its figure at 1 000 refs (exact Gc.minor_words).
 # The runtest line also holds the soak suite (test_soak): it fails if
 # the live words after a full major collection grow more than 1.2x from
 # a query building 10 000 computed element names to one building
@@ -82,9 +89,14 @@
 # with empty greatest/least, paths (over several nodes out of document
 # order, with duplicates, on a reverse axis, or over an atomic),
 # predicates, FLWORs, constructor content mixing attributes, atomics,
-# text and elements across parts, and counts of ranges — production
-# and the reference evaluator differ in value, error code or the
-# document left behind.
+# text and elements across parts, counts of ranges, and min, max, sum
+# and avg of paths over untyped numerals (NaN, INF, both zeros, bad and
+# out-of-range ones, read from attributes, child elements and text,
+# from one node, a variable holding duplicates or nodes out of
+# document order, or a lhs under a focus proven sorted, such as
+# $d/sum(.//*/descendant::text()), alone or mixed with numeric, anyURI
+# and string atomics) — production and the reference evaluator differ in value,
+# error code or the document left behind.
 # The xmlb line runs the parser differential at its long count (50x):
 # it fails if, on any generated document or byte mutation of a real
 # page (the perfbench page-load and click pages, the scenario and
@@ -145,7 +157,12 @@
 # a data-model code; or if a string of digits, signs, dots, e, x, _,
 # INF, NaN and blanks casts to xs:integer, xs:decimal or xs:double
 # other than exactly when it matches that type's XML Schema 1.0 regular
-# expression.
+# expression; or if, on a numeral with 1-15, 16-18 or 19 and more
+# significant digits, leading and trailing zeros, an exponent from -400
+# to +400, a sign and blanks (or one with a character changed), the
+# one-pass numeral scanner and the two-pass reader it replaced
+# (test/numeral_oracle.ml) differ in which strings each form accepts,
+# in the double's bits or in the integer's value or FOCA0003.
 # The prolog line runs the page-prolog tests with the broken-scripts
 # property at its long count (20x): it fails if a page drawn from
 # scripts that each declare a function and an alerting global (some

@@ -168,62 +168,162 @@ let parse_boolean s =
   | "false" | "0" -> false
   | s -> cast_error "cannot cast %S to xs:boolean" s
 
-(* The numeric lexical spaces of XML Schema 1.0, checked before OCaml's
-   readers convert (they also take [0x10], [1_000], [inf], ...): an
-   integer is an optional sign and digits; a decimal an optional sign
-   and digits with at most one [.] before, among or after them; a double a
-   decimal with an optional exponent ([e] or [E], an optional sign,
-   digits), or [INF], [-INF] or [NaN]. [s] is trimmed. *)
-let rec digits_end s i =
-  if i < String.length s && s.[i] >= '0' && s.[i] <= '9' then digits_end s (i + 1) else i
+(* ---------------- the numeral scanner ----------------
 
-let sign_end s i = if i < String.length s && (s.[i] = '+' || s.[i] = '-') then i + 1 else i
+   The numeric lexical spaces of XML Schema 1.0, surrounding blanks
+   aside (OCaml's own readers also take [0x10], [1_000], [inf], ...):
+   an integer is an optional sign and digits; a decimal an optional sign
+   and digits with at most one [.] before, among or after them; a
+   double a decimal with an optional exponent ([e] or [E], an optional
+   sign, digits), or [INF], [-INF] or [NaN].
 
-let is_numeral ~fraction ~exponent s =
+   One pass checks the form and converts. The digits after the leading
+   zeros accumulate, negated so that [min_int] fits, in an int. A
+   real's value is that int times a power of ten: with at most 15 such
+   digits (below 2^53) and a power within 10^±22 (exact doubles), one
+   correctly rounded multiply or divide of two exact operands gives
+   the correctly rounded result (Clinger 1990), which is what
+   [float_of_string] gives; any other real is handed, once checked, to
+   [float_of_string]. Short of that, the result is the only
+   allocation. *)
+
+type _ numeral =
+  | Integer_numeral : int numeral
+  | Decimal_numeral : float numeral
+  | Double_numeral : float numeral
+
+exception Not_numeral
+
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+let is_digit c = c >= '0' && c <= '9'
+
+(* every power of ten a double holds exactly *)
+let exact_powers =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15;
+     1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+let max_exact_digits = 15
+let min_int_tenth = min_int / 10
+
+(* does [s] hold exactly [lit] in [lo, hi)? *)
+let rec same_from s i lit j =
+  j = String.length lit || (String.unsafe_get s i = lit.[j] && same_from s (i + 1) lit (j + 1))
+
+let holds s lo hi lit = hi - lo = String.length lit && same_from s lo lit 0
+
+(* the value of a checked real numeral, [s] in [lo, hi): minus its
+   digits after the leading zeros [acc], [significant] of them, times
+   ten to the power [e] ([huge] if saturated) *)
+let real_value s lo hi ~negative ~acc ~significant ~e ~huge =
+  if significant <= max_exact_digits && (not huge) && e >= -22 && e <= 22 then
+    let m = float_of_int (-acc) in
+    let f =
+      if e >= 0 then m *. Array.unsafe_get exact_powers e
+      else m /. Array.unsafe_get exact_powers (-e)
+    in
+    if negative then -.f else f
+  else float_of_string (if lo = 0 && hi = String.length s then s else String.sub s lo (hi - lo))
+
+(* [s] in the lexical form [form], surrounding blanks aside, converted;
+   [Not_numeral] if it is not in the form, FOCA0003 for an integer
+   outside the int range *)
+let scan : type a. a numeral -> string -> a =
+ fun form s ->
   let n = String.length s in
-  let start = sign_end s 0 in
-  let int_end = digits_end s start in
-  let mantissa_end, mantissa_digits =
-    if fraction && int_end < n && s.[int_end] = '.' then
-      let e = digits_end s (int_end + 1) in
-      (e, e - start - 1)
-    else (int_end, int_end - start)
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi && is_blank (String.unsafe_get s !lo) do incr lo done;
+  while !hi > !lo && is_blank (String.unsafe_get s (!hi - 1)) do decr hi done;
+  let lo = !lo and hi = !hi in
+  let fraction, exponent =
+    match form with
+    | Integer_numeral -> (false, false)
+    | Decimal_numeral -> (true, false)
+    | Double_numeral -> (true, true)
   in
-  mantissa_digits > 0
-  && (mantissa_end = n
-     || exponent
-        && (s.[mantissa_end] = 'e' || s.[mantissa_end] = 'E')
-        &&
-        let e = sign_end s (mantissa_end + 1) in
-        let e_end = digits_end s e in
-        e_end > e && e_end = n)
+  let i = ref lo in
+  let negative = !i < hi && String.unsafe_get s !i = '-' in
+  if !i < hi && (negative || String.unsafe_get s !i = '+') then incr i;
+  (* the mantissa: [acc] is minus its digits after the leading zeros,
+     [significant] how many there are, [big] whether they left the int
+     range; [digits] counts every digit and [after_point] those after
+     the point *)
+  let acc = ref 0 and significant = ref 0 and big = ref false in
+  let digits = ref 0 and after_point = ref 0 and point = ref false in
+  let reading = ref true in
+  while !reading && !i < hi do
+    let c = String.unsafe_get s !i in
+    if is_digit c then begin
+      let d = Char.code c - 48 in
+      incr digits;
+      if !point then incr after_point;
+      if !significant > 0 || d > 0 then begin
+        incr significant;
+        if not !big then
+          if !acc < min_int_tenth || !acc * 10 < min_int + d then big := true
+          else acc := (!acc * 10) - d
+      end;
+      incr i
+    end
+    else if c = '.' && fraction && not !point then begin
+      point := true;
+      incr i
+    end
+    else reading := false
+  done;
+  (* the exponent, saturated: a huge one leaves the exact range *)
+  let exp = ref 0 and huge = ref false in
+  let at_exponent = !i < hi && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E') in
+  if exponent && at_exponent then begin
+    incr i;
+    let exp_negative = !i < hi && String.unsafe_get s !i = '-' in
+    if !i < hi && (exp_negative || String.unsafe_get s !i = '+') then incr i;
+    let start = !i in
+    while !i < hi && is_digit (String.unsafe_get s !i) do
+      if !exp < 100_000_000 then exp := (!exp * 10) + (Char.code (String.unsafe_get s !i) - 48)
+      else huge := true;
+      incr i
+    done;
+    if !i = start then raise_notrace Not_numeral;
+    if exp_negative then exp := - !exp
+  end;
+  if !digits = 0 || !i <> hi then
+    match form with
+    | Double_numeral when holds s lo hi "INF" -> Float.infinity
+    | Double_numeral when holds s lo hi "-INF" -> Float.neg_infinity
+    | Double_numeral when holds s lo hi "NaN" -> Float.nan
+    | _ -> raise_notrace Not_numeral
+  else
+  match form with
+  | Integer_numeral ->
+      if !big || ((not negative) && !acc = min_int) then
+        Xq_error.raise_error "FOCA0003" "%s is outside the xs:integer range"
+          (String.sub s lo (hi - lo))
+      else if negative then !acc
+      else - !acc
+  | Decimal_numeral ->
+      real_value s lo hi ~negative ~acc:!acc ~significant:!significant
+        ~e:(!exp - !after_point) ~huge:!huge
+  | Double_numeral ->
+      real_value s lo hi ~negative ~acc:!acc ~significant:!significant
+        ~e:(!exp - !after_point) ~huge:!huge
 
-let double_of_lexical str =
-  match trim str with
-  | "INF" -> Some Float.infinity
-  | "-INF" -> Some Float.neg_infinity
-  | "NaN" -> Some Float.nan
-  | s -> if is_numeral ~fraction:true ~exponent:true s then float_of_string_opt s else None
+let double_of_lexical s =
+  match scan Double_numeral s with f -> Some f | exception Not_numeral -> None
+
+let double_of_string s =
+  match scan Double_numeral s with
+  | f -> f
+  | exception Not_numeral -> cast_error "cannot cast %S to xs:double" (trim s)
 
 let parse_integer s =
-  let s = trim s in
-  if not (is_numeral ~fraction:false ~exponent:false s) then
-    cast_error "cannot cast %S to xs:integer" s;
-  (* a valid lexical form, so only the int range can refuse it *)
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> Xq_error.raise_error "FOCA0003" "%s is outside the xs:integer range" s
+  match scan Integer_numeral s with
+  | i -> i
+  | exception Not_numeral -> cast_error "cannot cast %S to xs:integer" (trim s)
 
-let parse_decimal str =
-  let s = trim str in
-  match if is_numeral ~fraction:true ~exponent:false s then float_of_string_opt s else None with
-  | Some f -> f
-  | None -> cast_error "cannot cast %S to xs:decimal" str
-
-let parse_double s =
-  match double_of_lexical s with
-  | Some f -> f
-  | None -> cast_error "cannot cast %S to xs:double" (trim s)
+let parse_decimal s =
+  match scan Decimal_numeral s with
+  | f -> f
+  | exception Not_numeral -> cast_error "cannot cast %S to xs:decimal" s
 
 (* 2^62, the first float past [max_int]; [min_int] is its negation *)
 let int_bound = 4611686018427387904.
@@ -250,7 +350,7 @@ let cast_from_string target str =
   | T_boolean -> Boolean (parse_boolean str)
   | T_integer -> Integer (parse_integer str)
   | T_decimal -> Decimal (parse_decimal str)
-  | T_double -> Double (parse_double str)
+  | T_double -> Double (double_of_string str)
   | T_any_uri -> Any_uri (trim str)
   | T_qname -> Qname_v (Qname.of_string (trim str))
   | T_date -> Date (literal Xdm_datetime.date_of_string str)
@@ -318,7 +418,7 @@ let is_nan = function Double f | Decimal f -> Float.is_nan f | _ -> false
 let promote_pair a b =
   let lift v =
     match v with
-    | Untyped s -> Double (parse_double s)
+    | Untyped s -> Double (double_of_string s)
     | Integer _ | Decimal _ | Double _ -> v
     | _ ->
         type_error "expected a numeric operand, got xs:%s" (type_name (type_of v))
@@ -511,7 +611,7 @@ let negate = function
   | Integer i -> Integer (int_neg i)
   | Decimal f -> Decimal (-.f)
   | Double f -> Double (-.f)
-  | Untyped s -> Double (-.parse_double s)
+  | Untyped s -> Double (-.double_of_string s)
   | Duration d -> Duration (Xdm_duration.negate d)
   | Year_month_duration d -> Year_month_duration (Xdm_duration.negate d)
   | Day_time_duration d -> Day_time_duration (Xdm_duration.negate d)

@@ -69,7 +69,12 @@ val to_string : t -> string
 val cast : target:atomic_type -> t -> t
 
 (** The [xs:double] value of a string in the type's lexical form
-    (surrounding whitespace aside), or [None]: what [fn:number] reads. *)
+    (surrounding whitespace aside), read in one pass that checks the
+    form and converts: what an untyped value casts to.
+    @raise Xq_error.Error FORG0001 when the string is not in the form. *)
+val double_of_string : string -> float
+
+(** The same, or [None]: what [fn:number] reads. *)
 val double_of_lexical : string -> float option
 
 (** Can [cast] succeed? (implements [castable as]) *)
@@ -110,6 +115,7 @@ val negate : t -> t
     the allocation-free tests behind it: does the wrapped result [r] of
     [i op j] differ from the exact one? *)
 
+val int_add : int -> int -> int
 val int_mul : int -> int -> int
 val int_neg : int -> int
 val add_overflows : int -> int -> int -> bool

@@ -149,6 +149,16 @@ let ordered_path (lhs : C.t) axis =
   | `Sorted -> ( match axis with Ast.Self | Ast.Attribute_axis -> true | _ -> false)
   | `Unknown -> false
 
+(* does the test select only nodes whose typed value is untyped
+   (elements, attributes, text and documents), never comments or
+   processing instructions, whose values are strings? *)
+let untyped_test (test : Ast.node_test) =
+  match test with
+  | Ast.Name_test _ | Ast.Wildcard | Ast.Ns_wildcard _ | Ast.Local_wildcard _
+  | Ast.Kind_test (Ast.Text_kind | Ast.Element_kind _ | Ast.Attribute_kind _ | Ast.Document_kind) ->
+      true
+  | Ast.Kind_test (Ast.Any_kind | Ast.Comment_kind | Ast.Pi_kind _) -> false
+
 (* does [emit_seq] produce [c]'s items lazily? *)
 let streams (c : C.t) =
   (not c.C.upd)
@@ -354,7 +364,7 @@ let rec emit (c : C.t) : env -> I.sequence =
         | [ it ] -> [ I.Atomic (A.cast ~target:ty (I.item_atomic it)) ]
         | _ -> Eval.construct_atomic ty v)
   | C.C_builtin_call (qn, impl, args) -> (
-      match early_exit_call qn args with
+      match special_call qn args with
       | Some f -> f
       | None ->
           let fs = List.map emit args in
@@ -790,11 +800,12 @@ and seq_clause clause (k : env -> Xdm_seq.t) : env -> Xdm_seq.t =
                Xdm_seq.items (k env))
              (Seq.mapi (fun i x -> (i + 1, x)) (Xdm_seq.items (src env))))
 
-(* the fn: builtins that pull their argument as a cursor — exists,
-   empty and head at most one item, boolean and not at most two,
-   subsequence a bounded prefix — or count a range, which reads only its
-   bounds; or [None] *)
-and early_exit_call (qn : Qname.t) args =
+(* the fn: builtins that read their argument without materialising
+   it: exists, empty and head pull at most one item of its cursor,
+   boolean and not at most two, subsequence a bounded prefix; count of
+   a range reads only its bounds; an aggregate of a path folds the
+   path's last step; or [None] *)
+and special_call (qn : Qname.t) args =
   let bool1 a f =
     let s = emit_seq a in
     Some
@@ -819,6 +830,10 @@ and early_exit_call (qn : Qname.t) args =
             let n = match range_bounds flo fhi env with Some (l, h) -> h - l + 1 | None -> 0 in
             Eval.count_call Eval.builtin_calls;
             [ I.Atomic (A.Integer n) ])
+    | ( ("sum" | "avg" | "max" | "min") as local,
+        [ { C.d = C.C_path (lhs, { C.d = C.C_step (axis, test, [], []); _ }); _ } ] )
+      when untyped_test test ->
+        Some (aggregate_path local lhs axis test)
     | "head", [ a ] ->
         let s = emit_seq a in
         Some
@@ -848,6 +863,47 @@ and early_exit_call (qn : Qname.t) args =
               |> Seq.filter_map (fun (fi, x) -> if fi >= from && fi < upto then Some x else None)
               |> List.of_seq)
     | _ -> None
+
+(* sum, avg, max or min of [lhs/axis::test]: each lhs node's step
+   results are folded as the step returns them, with nothing built for
+   the path, sorted or deduplicated, when that gives the path's
+   result: always for max and min, whose result depends on neither
+   order nor duplicates, and for sum and avg (whose float additions do
+   depend on order) when the step results come distinct and in
+   document order, from one node or from a lhs proven sorted.
+   Otherwise the fold reads the materialised path. The step's test
+   selects only nodes with untyped values, so two orders can differ
+   only in which FORG0001 they raise first. *)
+and aggregate_path local lhs axis test =
+  let aggregate : Functions.aggregate =
+    match local with "sum" -> Sum | "avg" -> Avg | "max" -> Max | _ -> Min
+  in
+  let flhs = emit lhs in
+  let always_direct =
+    match aggregate with Max | Min -> true | Sum | Avg -> ordered_path lhs axis
+  in
+  fun env ->
+    let items = flhs env in
+    let fold = Functions.fold_start aggregate in
+    let direct =
+      always_direct
+      || match items with [ I.Node _ ] -> Focus_analysis.forward_ordered axis | _ -> false
+    in
+    if direct then begin
+      if List.exists (function I.Atomic _ -> true | I.Node _ -> false) items then
+        type_err "path step applied to an atomic value";
+      Eval.count_call Eval.builtin_calls;
+      let take = Functions.fold_node fold in
+      List.iter
+        (function I.Node n -> List.iter take (Eval.step_nodes axis test n) | I.Atomic _ -> ())
+        items
+    end
+    else begin
+      let nodes = Eval.path_step axis test items in
+      Eval.count_call Eval.builtin_calls;
+      List.iter (Functions.fold_item fold) nodes
+    end;
+    Functions.fold_result fold
 
 (* a scripting block: statements in order, the pending updates applied
    at every statement boundary; its value is the last statement's *)

@@ -223,6 +223,174 @@ let replacement r =
   fun input -> String.concat "" (List.map (fun f -> f input) parts)
 
 (* ------------------------------------------------------------------ *)
+(* Aggregates                                                          *)
+
+(* fn:sum, fn:avg, fn:max and fn:min (F&O 3.1 §14.4) are one fold that
+   takes the values one at a time. An untyped value, a node's string
+   value included, is read straight into an xs:double. While every
+   value is an xs:integer the running value is an int; once a decimal
+   or double arrives it is a float, and both stay unboxed. Among
+   integers and decimals, max and min keep an integer winner's type,
+   as the old comparison of atomics did. The values of any other type
+   (durations to add, strings, dates and durations to order) keep their
+   atomic. The result is boxed once, at the end. *)
+
+type aggregate = Sum | Avg | Max | Min
+type running = No_value | Ints | Decimals | Doubles | Others
+
+(* a record of one float field is flat: writing it boxes nothing *)
+type real = { mutable real : float }
+
+type fold = {
+  aggregate : aggregate;
+  mutable count : int;
+  mutable running : running;
+  mutable int_value : int;
+  real_value : real;
+  mutable int_winner : bool;  (* max or min of decimals: [int_value] won *)
+  mutable other : A.t;
+}
+
+let fold_start aggregate =
+  { aggregate; count = 0; running = No_value; int_value = 0; real_value = { real = 0. };
+    int_winner = false; other = A.Boolean false }
+
+let incompatible fold type_name =
+  let name = match fold.aggregate with Sum -> "sum" | Avg -> "avg" | Max -> "max" | Min -> "min" in
+  err "FORG0006" "fn:%s of incompatible values: xs:%s" name type_name
+
+(* the values fn:max and fn:min order together (an xs:anyURI compares
+   as an xs:string); 0 for those without a total order *)
+let order_class = function
+  | A.String _ | A.Any_uri _ -> 1
+  | A.Boolean _ -> 2
+  | A.Date _ -> 3
+  | A.Time _ -> 4
+  | A.Date_time _ -> 5
+  | A.Year_month_duration _ -> 6
+  | A.Day_time_duration _ -> 7
+  | _ -> 0
+
+(* Take a decimal or double; true if it is now max's or min's running
+   value. A NaN, once seen, is the result of max and min; of two equal
+   values max keeps +0 over -0 and min -0 over +0, so neither result
+   depends on the values' order. *)
+let take_real fold ~double x =
+  let r = fold.real_value in
+  let taken =
+    match fold.running with
+    | No_value ->
+        r.real <- x;
+        true
+    | Others -> incompatible fold (if double then "double" else "decimal")
+    | Ints | Decimals | Doubles -> (
+        if fold.running = Ints then begin
+          r.real <- float_of_int fold.int_value;
+          fold.int_winner <- true
+        end;
+        let cur = r.real in
+        match fold.aggregate with
+        | Sum | Avg ->
+            r.real <- cur +. x;
+            false
+        | Max | Min ->
+            let wins =
+              if fold.aggregate = Max then x > cur || (x = cur && Float.sign_bit cur)
+              else x < cur || (x = cur && Float.sign_bit x)
+            in
+            let taken = (not (Float.is_nan cur)) && (Float.is_nan x || wins) in
+            if taken then r.real <- x;
+            taken)
+  in
+  if taken then fold.int_winner <- false;
+  fold.running <- (if double || fold.running = Doubles then Doubles else Decimals);
+  taken
+
+let add_real fold ~double x = ignore (take_real fold ~double x)
+
+let add_int fold i =
+  match fold.running with
+  | No_value ->
+      fold.int_value <- i;
+      fold.running <- Ints
+  | Ints -> (
+      match fold.aggregate with
+      | Sum | Avg -> fold.int_value <- A.int_add fold.int_value i
+      | Max -> if i > fold.int_value then fold.int_value <- i
+      | Min -> if i < fold.int_value then fold.int_value <- i)
+  | Decimals | Doubles ->
+      if take_real fold ~double:false (float_of_int i) then begin
+        fold.int_value <- i;
+        fold.int_winner <- true
+      end
+  | Others -> incompatible fold "integer"
+
+(* sum and avg add durations of one kind; max and min order the values
+   of one class *)
+let add_other fold v =
+  let admissible =
+    match (fold.aggregate, v) with
+    | (Sum | Avg), (A.Year_month_duration _ | A.Day_time_duration _) -> true
+    | (Sum | Avg), _ -> false
+    | (Max | Min), _ -> order_class v <> 0
+  in
+  match fold.running with
+  | No_value when admissible ->
+      fold.other <- v;
+      fold.running <- Others
+  | Others when admissible && order_class v = order_class fold.other -> (
+      match fold.aggregate with
+      | Sum | Avg -> fold.other <- A.add fold.other v
+      | Max | Min ->
+          (* a string among URIs makes them all strings *)
+          let v, cur =
+            match (v, fold.other) with
+            | A.Any_uri s, (A.String _ as cur) -> (A.String s, cur)
+            | A.String _, A.Any_uri s -> (v, A.String s)
+            | _, cur -> (v, cur)
+          in
+          let c = A.compare_value v cur in
+          let wins = if fold.aggregate = Max then c > 0 else c < 0 in
+          fold.other <- (if wins then v else cur))
+  | _ -> incompatible fold (A.type_name (A.type_of v))
+
+let fold_node fold n =
+  fold.count <- fold.count + 1;
+  match Dom.kind n with
+  | Dom.Comment | Dom.Processing_instruction -> add_other fold (A.String (Dom.string_value n))
+  | Dom.Document | Dom.Element | Dom.Attribute | Dom.Text ->
+      add_real fold ~double:true (A.double_of_string (Dom.string_value n))
+
+let fold_item fold = function
+  | I.Node n -> fold_node fold n
+  | I.Atomic a -> (
+      fold.count <- fold.count + 1;
+      match a with
+      | A.Integer i -> add_int fold i
+      | A.Decimal f -> add_real fold ~double:false f
+      | A.Double f -> add_real fold ~double:true f
+      | A.Untyped s -> add_real fold ~double:true (A.double_of_string s)
+      | v -> add_other fold v)
+
+(* F&O 3.1 §14.4: the sum of no values is 0, their average, maximum
+   and minimum empty; an average of integers is an xs:decimal *)
+let fold_result fold =
+  let n = float_of_int fold.count in
+  let one a = [ I.Atomic a ] in
+  match (fold.running, fold.aggregate) with
+  | No_value, Sum -> one (A.Integer 0)
+  | No_value, _ -> []
+  | Ints, Avg -> one (A.Decimal (float_of_int fold.int_value /. n))
+  | Ints, _ -> one (A.Integer fold.int_value)
+  | Decimals, Avg -> one (A.Decimal (fold.real_value.real /. n))
+  | Decimals, (Max | Min) when fold.int_winner -> one (A.Integer fold.int_value)
+  | Decimals, _ -> one (A.Decimal fold.real_value.real)
+  | Doubles, Avg -> one (A.Double (fold.real_value.real /. n))
+  | Doubles, _ -> one (A.Double fold.real_value.real)
+  | Others, Avg -> one (A.divide fold.other (A.Integer fold.count))
+  | Others, _ -> one fold.other
+
+(* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
 
 let fn ~local ?(min_arity = 1) ?max_arity impl =
@@ -687,54 +855,18 @@ let () =
 
   (* ---------- aggregates ---------- *)
   fn ~local:"sum" ~min_arity:1 ~max_arity:2 (fun _ args ->
-      let atoms = I.atomize (arg 0 args) in
-      match atoms with
-      | [] -> (
-          match arg_opt 1 args with
-          | Some z -> z
-          | None -> int1 0)
-      | first :: rest ->
-          [ I.Atomic (List.fold_left A.add first rest) ]);
-  fn ~local:"avg" (fun _ args ->
-      match I.atomize (arg 0 args) with
-      | [] -> []
-      | first :: rest as all ->
-          let total = List.fold_left A.add first rest in
-          [ I.Atomic (A.divide total (A.Integer (List.length all))) ]);
-  (* fn:max and fn:min (F&O 3.1 §14.4.3-4) fold over the items: an
-     untypedAtomic value compares as an xs:double, and a NaN, once
-     seen, is the result; every value is still compared, so values that
-     do not compare raise wherever the NaN stands *)
-  let extremum local better =
-    let value it =
-      match I.item_atomic it with
-      | A.Untyped _ as u -> A.cast ~target:A.T_double u
-      | a -> a
-    in
-    let is_double = function A.Double _ -> true | _ -> false in
-    (* F&O 3.1 §14.4.3: the result has the values' common numeric type,
-       which an xs:double among them makes xs:double *)
-    let rec fold acc double = function
-      | [] -> (
-          match acc with
-          | (A.Integer _ | A.Decimal _) when double -> A.cast ~target:A.T_double acc
-          | _ -> acc)
-      | it :: rest ->
-          let a = value it in
-          let c = A.compare_value a acc in
-          fold
-            (if A.is_nan acc then acc else if A.is_nan a || better c then a else acc)
-            (double || is_double a) rest
-    in
-    fn ~local ~min_arity:1 ~max_arity:2 (fun _ args ->
-        match arg 0 args with
-        | [] -> []
-        | first :: rest ->
-            let a = value first in
-            [ I.Atomic (fold a (is_double a) rest) ])
-  in
-  extremum "max" (fun c -> c > 0);
-  extremum "min" (fun c -> c < 0);
+      let fold = fold_start Sum in
+      List.iter (fold_item fold) (arg 0 args);
+      match arg_opt 1 args with
+      | Some zero when fold.count = 0 -> zero
+      | _ -> fold_result fold);
+  List.iter
+    (fun (local, aggregate, max_arity) ->
+      fn ~local ~min_arity:1 ~max_arity (fun _ args ->
+          let fold = fold_start aggregate in
+          List.iter (fold_item fold) (arg 0 args);
+          fold_result fold))
+    [ ("avg", Avg, 1); ("max", Max, 2); ("min", Min, 2) ];
 
   (* ---------- nodes ---------- *)
   (* A name read is invisible to the navigation-step recording (renaming

@@ -64,6 +64,41 @@ let unit_equivalence_tests =
         check Alcotest.string "value" "1000000" (I.to_display_string v);
         check Alcotest.bool (Printf.sprintf "%.0f minor words, under 1 000" words) true
           (words < 1000.));
+    t "aggregates of a path fold its last step: at most half the words per ref, flat" (fun () ->
+        (* minor words of one warm run over n <ref year="..">x</ref>,
+           per ref; the bounds are half of what materialising the path
+           and boxing each value took (33 words for max, 40 for sum
+           and avg) *)
+        let words_per_ref src n =
+          let b = Buffer.create (n * 32) in
+          Buffer.add_string b "<r>";
+          for i = 0 to n - 1 do
+            Printf.bprintf b {|<ref year="%d">x</ref>|} (1950 + (i * 7919 mod 70))
+          done;
+          Buffer.add_string b "</r>";
+          let d = Dom.of_string (Buffer.contents b) in
+          let compiled = Engine.compile src in
+          ignore (Engine.run ~context_item:(I.Node d) compiled);
+          let before = Gc.minor_words () in
+          ignore (Engine.run ~context_item:(I.Node d) compiled);
+          (Gc.minor_words () -. before) /. float_of_int n
+        in
+        List.iter
+          (fun (src, bound) ->
+            let small = words_per_ref src 1_000 and large = words_per_ref src 10_000 in
+            check Alcotest.bool
+              (Printf.sprintf "%s: %.1f words per ref at 10 000, at most %.1f" src large bound)
+              true (large <= bound);
+            check Alcotest.bool
+              (Printf.sprintf "%s: 10 000 refs within 1.1x of 1 000: %.1f vs %.1f" src large small)
+              true
+              (large <= 1.1 *. small))
+          [
+            ("max(//ref/@year)", 16.5);
+            ("let $r := //ref return max($r/@year)", 16.5);
+            ("sum(//ref/@year)", 20.);
+            ("avg(//ref/@year)", 20.);
+          ]);
     (* integer fast paths, including the by-zero generic fallbacks *)
     matrix ~expected:"7" "integer add" "3 + 4";
     matrix ~expected:"-6" "integer multiply" "2 * -3";
@@ -656,6 +691,102 @@ let construct_gen =
     in
     oneof [ constructed; update ])
 
+(* fn:min, fn:max, fn:sum and fn:avg over paths whose last step reads
+   untyped numerals (NaN, INF, -0, out-of-range and bad ones among
+   them) from attributes, child elements and text, with a lhs of one
+   node, of nodes in document order, or a variable holding duplicates
+   or nodes out of document order (or an atomic), or a lhs relative to
+   a focus that Focus_analysis.seq_class proves one node or sorted, as
+   in [$d/sum(.//v/@n)], which sum and avg fold without materialising;
+   the path alone, with atomics of every numeric type, anyURIs and
+   strings, or empty *)
+let aggregate_gen =
+  Q.Gen.(
+    (* mostly finite, so that a sum counting a value twice shows *)
+    let numeral =
+      frequency
+        [
+          ( 4,
+            oneofl
+              [
+                "1"; "2"; "-3"; "2.5"; "1e3"; " 7 "; "0"; "0.1"; "9007199254740993";
+                "4611686018427387904";
+              ] );
+          (1, oneofl [ "-0"; "NaN"; "INF"; "-INF"; "abc"; ""; "1e400" ]);
+        ]
+    in
+    (* values all zero, so that max and min meet +0 and -0 as equals *)
+    let zero = oneofl [ "0"; "-0"; " -0.0 "; "0e5"; "-0e-3" ] in
+    let element numeral =
+      map3
+        (fun a b c -> Printf.sprintf {|<v n="%s"><w>%s</w><!--%s--><w>%s</w></v>|} a b a c)
+        numeral numeral numeral
+    in
+    let data =
+      frequency [ (2, return numeral); (1, return zero) ] >>= fun numeral ->
+      map (String.concat "") (list_size (int_range 0 4) (element numeral))
+    in
+    let selection =
+      oneofl
+        [ "($d/v[3], $d/v[1], $d/v[3])"; "reverse($d/v)"; "($d/v, $d/v)"; "$d/v[1]"; "()" ]
+    in
+    let step =
+      oneofl
+        [
+          "@n"; "w"; "*"; "text()"; "w/text()"; "w[1]"; "@*"; "node()"; "descendant::w";
+          "descendant::text()";
+        ]
+    in
+    (* a focus to evaluate the call under, the path's lhs and its last
+       step; from $d, .//* holds each v and its w, so descendant::text()
+       reaches each text twice though the lhs is sorted *)
+    let path =
+      frequency
+        [
+          (3, map (fun st -> ("", "$s", st)) step);
+          ( 4,
+            pair
+              (oneofl
+                 [
+                   "$d/v"; "$d/v[2]"; "($d/v)[last()]"; "$d"; "$d/v/w"; "(1, $d/v)"; "($d/v, 'x')";
+                   "$d/nothing";
+                 ])
+              step
+            |> map (fun (l, st) -> ("", l, st)) );
+          ( 3,
+            triple
+              (oneofl [ "$d/"; "$s/"; "$d/v/" ])
+              (oneofl [ "."; ".//v"; ".//*"; "v"; "./descendant::v"; "(.//v)[2]"; "self::v" ])
+              step );
+          (1, return ("$d/", ".//*", "descendant::text()"));
+        ]
+    in
+    let atomics =
+      oneofl
+        [
+          "()"; "1"; "-2"; "2.5"; "0.1"; "3e0"; "-0e0"; "xs:double('NaN')"; "xs:double('INF')";
+          "xs:anyURI('b')"; "'a'"; "xs:untypedAtomic('4')"; "4611686018427387903"; "(1, 2)";
+        ]
+    in
+    let call =
+      map3
+        (fun f (focus, l, st) (shape, a) ->
+          let path = Printf.sprintf "%s/%s" l st in
+          let arg =
+            match shape with 0 -> path | 1 -> Printf.sprintf "(%s, %s)" path a | _ -> a
+          in
+          Printf.sprintf "%s%s(%s)" focus f arg)
+        (oneofl [ "min"; "max"; "sum"; "avg" ])
+        path
+        (pair (frequency [ (4, return 0); (1, return 1); (1, return 2) ]) atomics)
+    in
+    map3
+      (fun d s c ->
+        Printf.sprintf
+          "let $d := <d>%s</d> let $s := %s return string-join(for $x in %s return string($x), ' ')"
+          d s c)
+      data selection call)
+
 (* the value or error code, and the document afterwards: a top-level
    update or a sequential function writes to it *)
 let outcome_and_doc ~compiled src =
@@ -695,7 +826,10 @@ let equivalence_properties =
     qt ~count:300 "the lowering's updating flag is Ast.is_updating at every node"
       (Q.make ~print:Fun.id
          (Q.Gen.oneof
-            [ update_gen; sequential_gen; typeswitch_gen; join_gen; order_by_gen; src_gen; construct_gen ]))
+            [
+              update_gen; sequential_gen; typeswitch_gen; join_gen; order_by_gen; src_gen;
+              construct_gen; aggregate_gen;
+            ]))
       upd_is_updating;
     qt ~count:400 "compiled evaluation matches the oracle on all configs"
       (Q.make ~print:Fun.id src_gen)
@@ -707,7 +841,7 @@ let equivalence_properties =
             (Q.Gen.oneof
                [
                  update_gen; sequential_gen; typeswitch_gen; join_gen; order_by_gen; src_gen;
-                 construct_gen;
+                 construct_gen; aggregate_gen;
                ]))
          (fun src -> outcome_and_doc ~compiled:true src = outcome_and_doc ~compiled:false src));
   ]

@@ -205,6 +205,72 @@ let numeral_gen =
          (oneofl
             [ "0"; "1"; "5"; "9"; "+"; "-"; "."; "e"; "E"; "x"; "_"; "INF"; "NaN"; " " ])))
 
+(* Numerals the scanner must read as the oracle does: 1–15, 16–18 or
+   19 and more significant digits, leading and trailing zeros, a point
+   anywhere or none, exponents from -400 to +400, signs and blanks; the
+   specials; and any of these with one character changed. *)
+let scanner_numeral_gen =
+  Q.Gen.(
+    let digit = map (fun d -> String.make 1 (Char.chr (48 + d))) (int_bound 9) in
+    let zeros =
+      map (fun k -> String.make k '0') (frequency [ (3, return 0); (2, int_range 1 30) ])
+    in
+    let significant =
+      frequency [ (6, int_range 1 15); (3, int_range 16 18); (2, int_range 19 40) ] >>= fun n ->
+      map2 ( ^ ) (oneofl [ "1"; "2"; "5"; "7"; "9" ])
+        (map (String.concat "") (list_repeat (n - 1) digit))
+    in
+    let mantissa =
+      map3
+        (fun lead (digits, trail) point ->
+          let m = lead ^ digits ^ trail in
+          match point with
+          | None -> m
+          | Some p ->
+              let p = p mod (String.length m + 1) in
+              String.sub m 0 p ^ "." ^ String.sub m p (String.length m - p))
+        zeros (pair significant zeros)
+        (option (int_bound 80))
+    in
+    let exponent =
+      frequency
+        [
+          (2, return "");
+          ( 3,
+            map3 (fun e sign k -> Printf.sprintf "%s%s%d" e sign k) (oneofl [ "e"; "E" ])
+              (oneofl [ ""; "+"; "-" ]) (int_bound 400) );
+          ( 1,
+            map (Printf.sprintf "e%s")
+              (oneofl [ "0000000000000000000001"; "99999999999"; "-99999999999" ]) );
+        ]
+    in
+    let blank = oneofl [ ""; ""; " "; "\t"; " \n"; "\r" ] in
+    let numeral =
+      map3
+        (fun (b1, sign) (m, e) b2 -> b1 ^ sign ^ m ^ e ^ b2)
+        (pair blank (oneofl [ ""; ""; "+"; "-" ]))
+        (pair mantissa exponent) blank
+    in
+    let special =
+      oneofl
+        [
+          "INF"; "-INF"; "NaN"; " INF "; "+INF"; "-NaN"; "inf"; "."; ""; " "; "e5"; "1e"; "1e+";
+          "+"; "-"; ".e1"; "1.5.3"; "0x10"; "1_0"; "- 5"; "1 2"; "4611686018427387903";
+          "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905"; "+0"; "-0";
+          "-0.0e-400"; "0e999999999999"; "9007199254740993"; "999999999999999";
+          "0.30000000000000004"; "2.2250738585072011e-308"; "1.7976931348623157e308";
+        ]
+    in
+    let mutated =
+      map3
+        (fun s pos c ->
+          let p = if s = "" then 0 else pos mod String.length s in
+          String.sub s 0 p ^ c ^ String.sub s p (String.length s - p))
+        numeral (int_bound 60)
+        (oneofl [ "."; "e"; "-"; "+"; " "; "x"; "_"; "0"; "I" ])
+    in
+    frequency [ (10, numeral); (2, special); (3, mutated) ])
+
 let all_types =
   A.
     [
@@ -302,6 +368,33 @@ let data_model_suite =
           xsd_lexical
         && Float.is_nan (Xdm_item.item_number (Xdm_item.Atomic (A.String str)))
            = ((not (matches A.T_double)) || String.trim str = "NaN"));
+    qt ~count:1000 ~long_factor:20
+      "the one-pass numeral scanner reads as the two-pass oracle: forms, bits, integers"
+      (Q.make ~print:(Printf.sprintf "%S") scanner_numeral_gen)
+      (fun str ->
+        let bits = Option.map Int64.bits_of_float in
+        let real target =
+          match A.cast ~target (A.String str) with
+          | A.Decimal f | A.Double f -> Some f
+          | _ -> assert false
+          | exception Xq_error.Error { code = "FORG0001"; _ } -> None
+        in
+        let integer =
+          match A.cast ~target:A.T_integer (A.String str) with
+          | A.Integer i -> `Int i
+          | _ -> assert false
+          | exception Xq_error.Error { code = "FORG0001"; _ } -> `Invalid
+          | exception Xq_error.Error { code = "FOCA0003"; _ } -> `Out_of_range
+        in
+        bits (A.double_of_lexical str) = bits (Numeral_oracle.double str)
+        && bits (real A.T_double) = bits (Numeral_oracle.double str)
+        && bits (real A.T_decimal) = bits (Numeral_oracle.decimal str)
+        && integer = Numeral_oracle.integer str
+        && bits
+             (match A.double_of_string str with
+             | f -> Some f
+             | exception Xq_error.Error _ -> None)
+           = bits (Numeral_oracle.double str));
   ]
 
 (* ---------- XQuery printer round trips ---------- *)
